@@ -3,8 +3,8 @@
 A disk-shaped crowd region is steered to a target arc on the boundary of a
 confinement disk in minimum time, while the swept point inside follows a
 truncated normal-cone law plus a controlled drift.  The package provides the
-smoothed transcription, a nested continuation solver for the penalized
-bilevel formulation, brute-force enumeration oracles, and a numerical
+smoothed transcription, a nested continuation solver for the bilevel
+formulation, brute-force enumeration oracles, and a numerical
 optimality certificate in Gamkrelidze form.
 """
 
@@ -46,8 +46,6 @@ from .transcription import (
     DecisionVector,
     NLPInstance,
     assemble_lower,
-    assemble_penalized,
-    fd_jacobian,
 )
 from .oracle import (
     EnumSpec,

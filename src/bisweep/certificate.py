@@ -30,6 +30,7 @@ __all__ = [
     "certify",
 ]
 
+PENALTY_WEIGHT = 64.0        # exact-penalty weight rho; the effort multiplier is r = lam * rho
 RIM_ACTIVITY_TOL = 0.1       # fraction of R1: how far inside the rim still counts as contact
 U0_ACTIVITY_TOL = 1e-3       # normal-control level regarded as active
 
@@ -263,11 +264,11 @@ class _MultiplierModel:
         return np.concatenate([r_cons, r_adj, r_mono])
 
 
-def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
+def extract_multipliers(sol, s: Scenario, rho: float = PENALTY_WEIGHT) -> GamkrelidzeMultipliers:
     """Build candidate multipliers from a solved instance.
 
-    The cost multiplier is set to one, the effort multiplier to the final
-    penalty weight, the tangential stationarity condition is imposed exactly
+    The cost multiplier is set to one, the effort multiplier to the penalty
+    weight ``rho``, the tangential stationarity condition is imposed exactly
     (q_L - nu_L*(x-y) = 2*r*u), and the contact-measure path nu_L is fitted by
     least squares against the conservation and adjoint residuals.  Everything
     is normalized to total weight one at the end.
@@ -277,7 +278,7 @@ def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
     tr, cp = sol.trajectory, sol.decision.controls
     grid = tr.grid
     n = grid.n_nodes
-    rho = float(sol.rho_final)
+    rho = float(rho)
 
     lam0 = 1.0
     r0 = lam0 * rho
@@ -378,14 +379,16 @@ def _default_tolerances(grid: TimeGrid) -> dict:
 
 def certify(sol, s: Scenario, tolerances: Optional[dict] = None,
             check_value_selection: bool = True,
-            multipliers: Optional[GamkrelidzeMultipliers] = None) -> CertificateReport:
+            multipliers: Optional[GamkrelidzeMultipliers] = None,
+            rho: float = PENALTY_WEIGHT) -> CertificateReport:
     """Evaluate every stationarity condition as a numerical residual.
 
     A certificate pairs a solution with multipliers; when `multipliers` is
     given the conditions are evaluated against that fixed candidate instead of
     refitting, so a perturbed solution is flagged rather than re-certified.
+    Otherwise they are extracted with penalty weight ``rho``.
     """
-    m = multipliers if multipliers is not None else extract_multipliers(sol, s)
+    m = multipliers if multipliers is not None else extract_multipliers(sol, s, rho)
     tr, cp = sol.trajectory, sol.decision.controls
     grid = tr.grid
     tol = _default_tolerances(grid)

@@ -33,6 +33,7 @@ from .dynamics import (
     integrate_smooth,
     convergence_study,
 )
+from .certificate import PENALTY_WEIGHT, certify
 from .geometry import Scenario, load_scenario, straight_corridor, validate
 from .oracle import EnumSpec, brute_bilevel, brute_lower, OracleInfeasibleError
 from .solver import SolverOptions, penalty_gap, solve_bilevel
@@ -115,25 +116,23 @@ def _solver_options(args, run):
     return SolverOptions(**kw)
 
 
-def _schedules(args, run, s):
-    gmax = args.gamma_max or run.get("gamma_max")
-    factors = (2, 4, 8, 16, 32, 64)
-    if gmax is not None:
-        base = s.cone_gain
-        fs = [f for f in factors if f * base < gmax]
-        gammas = tuple(f * base for f in fs) + (float(gmax),)
-        gam = SmoothingSchedule(gammas=gammas)
-    else:
-        gam = SmoothingSchedule.default_for(s)
-    rmax = args.rho_max or run.get("rho_max")
-    rhos = [0.0]
-    r = 1.0
-    cap = float(rmax) if rmax is not None else 64.0
-    while r < cap:
-        rhos.append(r)
-        r *= 2.0
-    rhos.append(cap)
-    return gam, rhos
+def _flag_or_run(args, run, key):
+    """A command-line value, else the config's ``run:`` value, else None."""
+    value = getattr(args, key)
+    return run.get(key) if value is None else value
+
+
+def _gamma_schedule(args, run, s):
+    return SmoothingSchedule.default_for(s, _flag_or_run(args, run, "gamma_max"))
+
+
+def _penalty_weight(args, run):
+    """Penalty weight rho of the certificate's effort multiplier."""
+    rho = _flag_or_run(args, run, "rho_max")
+    rho = PENALTY_WEIGHT if rho is None else float(rho)
+    if not rho > 0.0:
+        raise ValueError(f"--rho-max must be positive, got {rho:g}")
+    return rho
 
 
 def cmd_validate(args):
@@ -182,14 +181,15 @@ def cmd_solve(args):
             print(f"validation failure: {chk.name}: {chk.detail}", file=sys.stderr)
         return EXIT_VALIDATION
     opts = _solver_options(args, run)
-    gam, rhos = _schedules(args, run, s)
+    gam = _gamma_schedule(args, run, s)
+    _penalty_weight(args, run)  # refuse a bad weight before solving, as certify does
     try:
-        sol = solve_bilevel(s, gam, rhos, opts)
+        sol = solve_bilevel(s, gam, opts)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     print(f"T* = {sol.T_star:.6f}  gap = {penalty_gap(sol):.3e}  "
-          f"gamma = {sol.gamma_final:g}  rho = {sol.rho_final:g}")
+          f"gamma = {sol.gamma_final:g}")
     if args.out:
         _export_solution(args.out, sol, s)
     return EXIT_OK
@@ -201,14 +201,14 @@ def cmd_certify(args):
     if not report.ok:
         return EXIT_VALIDATION
     opts = _solver_options(args, run)
-    gam, rhos = _schedules(args, run, s)
+    gam = _gamma_schedule(args, run, s)
+    rho = _penalty_weight(args, run)
     try:
-        sol = solve_bilevel(s, gam, rhos, opts)
+        sol = solve_bilevel(s, gam, opts)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVE
-    from .certificate import certify
-    cert = certify(sol, s)
+    cert = certify(sol, s, rho=rho)
     print(f"T* = {sol.T_star:.6f}")
     for line in cert.summary_lines():
         print(line)
@@ -241,17 +241,7 @@ def cmd_sweep_gamma(args):
         print("sweep-gamma requires --profile with a stored control profile", file=sys.stderr)
         return EXIT_USAGE
     cp, x_init, _ = _load_profile(args.profile)
-    if args.gamma_max is not None:
-        base = s.cone_gain
-        gammas = []
-        g = 2.0 * base
-        while g < args.gamma_max:
-            gammas.append(g)
-            g *= 2.0
-        gammas.append(float(args.gamma_max))
-        sched = SmoothingSchedule(gammas=tuple(gammas))
-    else:
-        sched = SmoothingSchedule.default_for(s)
+    sched = _gamma_schedule(args, run, s)
     errs = convergence_study(cp, x_init, sched, s)
     for g, e in zip(sched.gammas, errs):
         print(f"gamma = {g:10.3f}   sup |x_smooth - x_catchup| = {e:.6e}")
@@ -273,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=int, default=None, help="number of time intervals")
     common.add_argument("--seed", type=int, default=None, help="random seed for multi-start")
     common.add_argument("--rho-max", type=float, default=None, dest="rho_max",
-                        help="largest penalty weight in the continuation schedule")
+                        help="penalty weight of the certificate's effort multiplier (default 64)")
     common.add_argument("--gamma-max", type=float, default=None, dest="gamma_max",
-                        help="largest smoothing gain in the continuation schedule")
+                        help="last smoothing gain of the doubling continuation schedule "
+                             "(default 64 M/R1)")
     common.add_argument("--profile", type=str, default=None,
                         help="stored control profile YAML (simulate / sweep-gamma)")
     for name, fn in [("validate", cmd_validate), ("simulate", cmd_simulate),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -141,12 +141,20 @@ class SmoothingSchedule:
             raise ValueError("gammas must be strictly increasing")
 
     def validate_against(self, s: Scenario) -> None:
-        if self.gammas[0] <= s.cone_gain:
-            raise ValueError(f"every gamma must exceed M/R1 = {s.cone_gain}")
+        if not all(map(math.isfinite, self.gammas)) or self.gammas[0] <= s.cone_gain:
+            raise ValueError(f"every gamma must be finite and exceed M/R1 = {s.cone_gain}")
 
     @classmethod
-    def default_for(cls, s: Scenario, factors: Sequence[float] = (2, 4, 8, 16, 32, 64)) -> "SmoothingSchedule":
-        sched = cls(tuple(f * s.cone_gain for f in factors))
+    def default_for(cls, s: Scenario, gamma_max: Optional[float] = None) -> "SmoothingSchedule":
+        """Doubling schedule 2, 4, 8, ... times M/R1, keeping the values below
+        ``gamma_max`` and ending at it (default 64 M/R1: six stages)."""
+        gamma_max = 64.0 * s.cone_gain if gamma_max is None else float(gamma_max)
+        gammas = []
+        g = 2.0 * s.cone_gain
+        while g < gamma_max:
+            gammas.append(g)
+            g *= 2.0
+        sched = cls(tuple(gammas) + (gamma_max,))
         sched.validate_against(s)
         return sched
 

@@ -138,17 +138,14 @@ class Scenario:
         """M / R1, the cap of the cone coefficient."""
         return self.M / self.R1
 
-    # cached exit-target sample cloud (lazy; Scenario stays hashable/immutable)
     def exit_boundary_samples(self) -> np.ndarray:
-        cached = _EXIT_CACHE.get(id(self))
-        if cached is not None and cached[0] == self._exit_key():
-            return cached[1]
-        pts = _sample_exit_boundary(self)
-        _EXIT_CACHE[id(self)] = (self._exit_key(), pts)
+        """Exit-target sample cloud, built on first use and kept on the instance
+        (not a field, so equality and hashing ignore it; freed with the scenario)."""
+        pts = self.__dict__.get("_exit_cloud")
+        if pts is None:
+            pts = _sample_exit_boundary(self)
+            object.__setattr__(self, "_exit_cloud", pts)
         return pts
-
-    def _exit_key(self):
-        return (self.q0, self.R, self.R1, self.exit.angle_lo, self.exit.angle_hi, self.exit_samples)
 
     def to_dict(self) -> dict:
         return {
@@ -193,9 +190,6 @@ class Scenario:
             K_f=dr.get("K_f"),
             delta=dr.get("delta"),
         )
-
-
-_EXIT_CACHE: dict = {}
 
 
 def straight_corridor(**overrides) -> Scenario:

@@ -1,4 +1,4 @@
-"""Nested numerical optimization for the flattened penalized problem.
+"""Nested numerical optimization of the bilevel sweeping problem.
 
 Layout of the nested scheme:
 
@@ -7,18 +7,18 @@ Layout of the nested scheme:
   phi, the minimizing decision, and adjoint/multiplier estimates.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, read off the lower multipliers.
-* ``solve_bilevel`` -- outer continuation over (gamma, rho); each stage runs a
-  projected-gradient descent on the penalized merit, with the lower problem
-  re-solved as the upper controls move and the value function modeled
-  linearly in between.
+* ``solve_bilevel`` -- outer continuation over the smoothing gain gamma, one
+  stage per schedule entry; each stage runs a projected-gradient descent on
+  the travel time, with the lower problem re-solved as the upper controls
+  move, so the lower-value penalty of the flattened problem stays zero.
 
 All randomness is confined to seeded multi-start control guesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import nnls
@@ -28,21 +28,18 @@ from .dynamics import (
     StateTrajectory,
     TimeGrid,
     SmoothingSchedule,
-    drift,
     integrate_smooth,
     propagate_smooth,
-    smoothing_coefficient,
 )
 from .geometry import (
     Scenario,
-    h_lower,
     h_upper,
     project_disk,
     target_distance,
     target_direction,
     validate,
 )
-from .transcription import DecisionVector, NLPInstance, assemble_lower
+from .transcription import DecisionVector, assemble_lower, fd_grad_jac
 
 __all__ = [
     "SolverOptions",
@@ -121,7 +118,6 @@ class BilevelSolution:
     decision: DecisionVector
     T_star: float
     gamma_final: float
-    rho_final: float
     lower: LowerSolution
     history: tuple
     trajectory: StateTrajectory
@@ -131,7 +127,6 @@ class BilevelSolution:
         return {
             "T_star": self.T_star,
             "gamma_final": self.gamma_final,
-            "rho_final": self.rho_final,
             "phi": self.lower.value,
             "gap": penalty_gap(self),
             "history": list(self.history),
@@ -160,25 +155,13 @@ def _al_merit(obj, res, mu, c):
     return obj + np.sum(shifted ** 2 - mu ** 2, axis=-1) / (2.0 * c)
 
 
-def _fd_grad_jac(eval_many, flat: np.ndarray, h: float):
-    dim = flat.size
-    pts = np.repeat(flat[None, :], 2 * dim, axis=0)
-    idx = np.arange(dim)
-    pts[2 * idx, idx] += h
-    pts[2 * idx + 1, idx] -= h
-    obj, res = eval_many(pts)
-    grad = (obj[0::2] - obj[1::2]) / (2 * h)
-    jac = (res[0::2] - res[1::2]) / (2 * h)  # (dim, n_res)
-    return grad, jac.T
-
-
 def _pg_minimize(eval_many, project, flat0, mu, c, opts, max_iter):
     """Projected gradient with Armijo backtracking on the AL merit."""
     flat = project(flat0.copy())
     obj, res = eval_many(flat[None, :])
     merit = float(_al_merit(obj, res, mu, c)[0])
     for _ in range(max_iter):
-        grad, jac = _fd_grad_jac(eval_many, flat, opts.fd_h)
+        grad, jac = fd_grad_jac(eval_many, flat, opts.fd_h)
         shifted = np.maximum(0.0, mu + c * res[0])
         g = grad + jac.T @ shifted
         gnorm = np.linalg.norm(g)
@@ -271,7 +254,7 @@ def _kkt_weights(nlp, flat, res, s: Scenario, opts: SolverOptions) -> np.ndarray
     weights are recovered from a nonnegative least-squares fit of
     grad z + J^T eta = 0 over the near-active nodes.
     """
-    grad, jac = _fd_grad_jac(nlp.eval_many, flat, opts.fd_h)
+    grad, jac = fd_grad_jac(nlp.eval_many, flat, opts.fd_h)
     eta = np.zeros(res.shape[0])
     act = res >= -opts.active_band * s.R1 ** 2
     if np.any(act):
@@ -280,44 +263,10 @@ def _kkt_weights(nlp, flat, res, s: Scenario, opts: SolverOptions) -> np.ndarray
     return eta
 
 
-def _upper_sensitivities(dv: DecisionVector, eta: np.ndarray, gamma: float,
-                         s: Scenario, grid: TimeGrid, h: float = 1e-6):
-    """Lagrangian sensitivities of the lower value wrt the plan controls.
-
-    Returns nodal densities (zeta1 wrt omega, zeta2 wrt v) against the
-    trapezoidal quadrature, computed by batched central differences of
-    L = z(T*) + sum_j eta_j * h_lower_j at the fixed lower decision.
-    """
-    n = grid.n_nodes
-    cp = dv.controls
-    m = n * (s.dim + 1)
-    v_b = np.repeat(cp.v[:, None, :], 2 * m, axis=1)
-    om_b = np.repeat(cp.omega[:, None], 2 * m, axis=1)
-    col = 0
-    for i in range(n):
-        om_b[i, col] += h
-        om_b[i, col + 1] -= h
-        col += 2
-    for i in range(n):
-        for d in range(s.dim):
-            v_b[i, col, d] += h
-            v_b[i, col + 1, d] -= h
-            col += 2
-    u_b = np.broadcast_to(cp.u[:, None, :], (n, 2 * m, s.dim))
-    u0_b = np.broadcast_to(cp.u0[:, None], (n, 2 * m))
-    ys, xs, zs, _ = propagate_smooth(v_b, u_b, u0_b, om_b, dv.x_init, gamma, s, grid)
-    lag = zs[-1] + np.einsum("i,ib->b", eta, h_lower(xs, ys, s))
-    dL = (lag[0::2] - lag[1::2]) / (2 * h)
-    w = _trapz_weights(grid)
-    zeta1 = dL[:n] / w
-    zeta2 = dL[n:].reshape(n, s.dim) / w[:, None]
-    return zeta1, zeta2
-
-
 def _field_and_jacobians(y, x, u, u0, omega, gamma: float, s: Scenario):
-    """Smoothed field (dy, dx) and its Jacobians at one point.
+    """Smoothed swept-point field dx and its Jacobians at one point.
 
-    Returns (dy, dx, Jx_x, Jx_y, Ju, Ju0, Jom_x) where Jx_* are the Jacobians
+    Returns (dx, Jx_x, Jx_y, Ju, Ju0, Jom_x) where Jx_* are the Jacobians
     of dx with respect to the x/y states, Ju and Ju0 those with respect to the
     swept controls, and Jom_x is d(dx)/d(omega) (d(dy)/d(omega) is just v and
     d(dy)/dv is omega*I, handled by the caller).
@@ -350,13 +299,12 @@ def _field_and_jacobians(y, x, u, u0, omega, gamma: float, s: Scenario):
     gc = 0.0 if capped else gamma * c
     pull = c * np.eye(dim) + gc * np.outer(d, d)
     dx = (f - u0 * c * d) * omega
-    dy = u * 0.0  # placeholder shape; caller uses v*omega directly
     jx_x = omega * (jf_x - u0 * pull)
     jx_y = omega * (u0 * pull)
     ju = omega * jf_u
     ju0 = -omega * c * d
     jom_x = f - u0 * c * d
-    return dy, dx, jx_x, jx_y, ju, ju0, jom_x
+    return dx, jx_x, jx_y, ju, ju0, jom_x
 
 
 def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
@@ -411,7 +359,7 @@ def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
             xx = tr.x[i] + (a * dt) * (kx[j - 1] if j else 0.0)
             sy[j], sx[j] = yy, xx
             vv, uu, uu0, ww = stage_ctrl(i, stage_map[j])
-            _, dx, jx_x, jx_y, ju, ju0, jom_x = _field_and_jacobians(
+            dx, jx_x, jx_y, ju, ju0, jom_x = _field_and_jacobians(
                 yy, xx, uu, uu0, ww, gamma, s)
             ky[j] = vv * ww
             kx[j] = dx
@@ -605,13 +553,14 @@ class _UpperState:
         return move > self.opts.resolve_move * (1.0 + np.abs(self.anchor[0]).max())
 
 
-def _upper_eval_many(flats, state: _UpperState, rho, gamma, target_tol):
+def _upper_eval_many(flats, state: _UpperState, gamma, target_tol):
     """Objective and residuals of the plan-level merit.
 
     Every accepted iterate re-solves the lower problem, so the penalty term
-    rho*(z - phi) vanishes identically along the descent path and the
-    effective objective reduces to the travel time t(T*).  The penalty weight
-    still scales the certificate multipliers and the gap diagnostics.
+    rho*(z - phi) of the flattened problem vanishes identically along the
+    descent path and the objective reduces to the travel time t(T*).  The
+    penalty weight only scales the certificate multipliers (see
+    ``certificate.extract_multipliers``).
     """
     s, grid = state.s, state.grid
     n = grid.n_nodes
@@ -631,9 +580,8 @@ def _upper_eval_many(flats, state: _UpperState, rho, gamma, target_tol):
 
 
 def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
-                  rho_sched: Optional[Sequence[float]] = None,
                   opts: Optional[SolverOptions] = None) -> BilevelSolution:
-    """Continuation solve of the flattened penalized problem."""
+    """Continuation solve over the smoothing gain: one stage per gamma."""
     opts = opts or SolverOptions()
     report = validate(s)
     if not report.ok:
@@ -641,11 +589,7 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
         raise ValueError(f"scenario fails validation: {names}")
     gamma_sched = gamma_sched or SmoothingSchedule.default_for(s)
     gamma_sched.validate_against(s)
-    rhos = list(rho_sched) if rho_sched is not None else [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    gammas = list(gamma_sched.gammas)
-    n_stage = max(len(gammas), len(rhos))
-    stages = [(gammas[min(i, len(gammas) - 1)], rhos[min(i, len(rhos) - 1)])
-              for i in range(n_stage)]
+    gammas = gamma_sched.gammas
 
     grid = TimeGrid(opts.n_intervals)
     target_tol = opts.target_tol if opts.target_tol is not None else 1e-3 * s.R
@@ -656,7 +600,7 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     best = None
     screen_opts = replace(opts, upper_max_iter=opts.screen_iters, upper_al_rounds=2)
     for v0, om0 in guesses:
-        cand = _run_stage(s, grid, stages[0], v0, om0, None, screen_opts,
+        cand = _run_stage(s, grid, gammas[0], v0, om0, None, screen_opts,
                           target_tol, omega_cap)
         score = cand["T"] + 10.0 * cand["violation"]
         if best is None or score < best[0]:
@@ -664,14 +608,14 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     state_v, state_om, state = best[1]["v"], best[1]["omega"], best[1]["state"]
 
     history = []
-    for gamma, rho in stages:
-        out = _run_stage(s, grid, (gamma, rho), state_v, state_om, state, opts,
+    for gamma in gammas:
+        out = _run_stage(s, grid, gamma, state_v, state_om, state, opts,
                          target_tol, omega_cap)
         state_v, state_om, state = out["v"], out["omega"], out["state"]
-        history.append({"gamma": gamma, "rho": rho, "T": out["T"],
+        history.append({"gamma": gamma, "T": out["T"],
                         "violation": out["violation"], "phi": state.lower.value})
 
-    gamma_f, rho_f = stages[-1]
+    gamma_f = gammas[-1]
     # final accurate lower solve and assembled decision
     final_opts = replace(opts, lower_max_iter=2 * opts.lower_max_iter,
                          lower_al_rounds=opts.lower_al_rounds + 2)
@@ -681,14 +625,13 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     dv = DecisionVector(lower.decision.x_init, cp)
     tr = integrate_smooth(cp, dv.x_init, gamma_f, s)
     return BilevelSolution(
-        decision=dv, T_star=tr.T, gamma_final=gamma_f, rho_final=rho_f,
+        decision=dv, T_star=tr.T, gamma_final=gamma_f,
         lower=lower, history=tuple(history), trajectory=tr,
         upper_mults={"h_upper": state.mu_hu.copy(), "target": float(state.mu_term)},
     )
 
 
-def _run_stage(s, grid, stage, v, omega, state, opts, target_tol, omega_cap):
-    gamma, rho = stage
+def _run_stage(s, grid, gamma, v, omega, state, opts, target_tol, omega_cap):
     n = grid.n_nodes
     if state is None:
         state = _UpperState(grid, s, opts)
@@ -716,12 +659,12 @@ def _run_stage(s, grid, stage, v, omega, state, opts, target_tol, omega_cap):
                 state.refresh_lower(om, vv, gamma)
 
             def eval_many(pts):
-                return _upper_eval_many(pts, state, rho, gamma, target_tol)
+                return _upper_eval_many(pts, state, gamma, target_tol)
 
             mu = np.concatenate([state.mu_hu, [state.mu_term]])
             obj, res = eval_many(flat[None, :])
             merit0 = float(_al_merit(obj, res, mu, state.c)[0])
-            grad, jac = _fd_grad_jac(eval_many, flat, opts.fd_h)
+            grad, jac = fd_grad_jac(eval_many, flat, opts.fd_h)
             shifted = np.maximum(0.0, mu + state.c * res[0])
             g = grad + jac.T @ shifted
             gnorm = np.linalg.norm(g)
@@ -742,7 +685,7 @@ def _run_stage(s, grid, stage, v, omega, state, opts, target_tol, omega_cap):
                 break
         vv, om = unpack(flat)
         state.refresh_lower(om, vv, gamma, full_budget=True)
-        _, res = _upper_eval_many(flat[None, :], state, rho, gamma, target_tol)
+        _, res = _upper_eval_many(flat[None, :], state, gamma, target_tol)
         viol = float(np.max(res[0], initial=0.0))
         state.mu_hu = np.maximum(0.0, state.mu_hu + state.c * res[0][:n])
         state.mu_term = max(0.0, state.mu_term + state.c * res[0][n])
@@ -753,7 +696,7 @@ def _run_stage(s, grid, stage, v, omega, state, opts, target_tol, omega_cap):
     vv, om = unpack(flat)
     w = _trapz_weights(grid)
     T = float(np.sum(w * om))
-    _, res = _upper_eval_many(flat[None, :], state, rho, gamma, target_tol)
+    _, res = _upper_eval_many(flat[None, :], state, gamma, target_tol)
     return {"v": vv, "omega": om, "state": state, "T": T,
             "violation": float(np.max(res[0], initial=0.0))}
 

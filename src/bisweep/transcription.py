@@ -1,6 +1,7 @@
-"""Direct transcription of the lower and the flattened penalized problems.
+"""Direct transcription of the lower effort problem, and the batched
+central-difference derivatives used by both levels of the solver.
 
-Every instance is a plain evaluator bundle over a packed decision vector;
+An instance is a plain evaluator bundle over a packed decision vector;
 dynamics are propagated by the smoothed RK4 integrator so the quadrature used
 for the objective is the single source of truth shared with the simulator.
 """
@@ -8,23 +9,19 @@ for the objective is the single source of truth shared with the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .dynamics import ControlProfile, TimeGrid, propagate_smooth
-from .geometry import Scenario, h_lower, h_upper, target_distance
+from .geometry import Scenario, h_lower
 
 __all__ = [
     "TimeGrid",
     "DecisionVector",
     "NLPInstance",
     "assemble_lower",
-    "assemble_penalized",
-    "fd_jacobian",
+    "fd_grad_jac",
 ]
-
-DEFAULT_TARGET_TOL_FACTOR = 1e-3  # of R
 
 
 @dataclass(frozen=True)
@@ -40,37 +37,27 @@ class DecisionVector:
 
 @dataclass
 class NLPInstance:
-    """Deterministic evaluators for one transcribed problem.
+    """Deterministic evaluators for the transcribed lower problem.
 
-    ``kind`` is "lower" (decision: x_init, u, u0; omega and v frozen) or
-    "penalized" (full decision vector).
+    Decision: x_init, u, u0; omega and v are frozen plan parameters.
     """
 
-    kind: str
     grid: TimeGrid
     scenario: Scenario
     gamma: float
-    rho: float = 0.0
-    lower_solver: Optional[Callable] = None
-    fixed_omega: Optional[np.ndarray] = None
-    fixed_v: Optional[np.ndarray] = None
-    target_tol: float = 0.0
+    fixed_omega: np.ndarray
+    fixed_v: np.ndarray
 
     # --- packing -----------------------------------------------------------
     @property
     def dim(self) -> int:
         n = self.grid.n_nodes
         d = self.scenario.dim
-        if self.kind == "lower":
-            return d + d * n + n
-        return d + d * n + n + d * n + n
+        return d + d * n + n
 
     def pack(self, dv: DecisionVector) -> np.ndarray:
         cp = dv.controls
-        parts = [dv.x_init.ravel(), cp.u.ravel(), cp.u0.ravel()]
-        if self.kind == "penalized":
-            parts += [cp.v.ravel(), cp.omega.ravel()]
-        return np.concatenate(parts)
+        return np.concatenate([dv.x_init.ravel(), cp.u.ravel(), cp.u0.ravel()])
 
     def unpack(self, flat: np.ndarray) -> DecisionVector:
         n = self.grid.n_nodes
@@ -79,14 +66,7 @@ class NLPInstance:
         x_init = flat[:d]
         u = flat[d:d + d * n].reshape(n, d)
         u0 = np.clip(flat[d + d * n:d + d * n + n], 0.0, 1.0)
-        off = d + d * n + n
-        if self.kind == "penalized":
-            v = flat[off:off + d * n].reshape(n, d)
-            omega = np.clip(flat[off + d * n:off + d * n + n], 0.0, None)
-        else:
-            v = self.fixed_v
-            omega = self.fixed_omega
-        cp = ControlProfile(self.grid, v, u, u0, omega)
+        cp = ControlProfile(self.grid, self.fixed_v, u, u0, self.fixed_omega)
         return DecisionVector(x_init, cp)
 
     # --- batched core ------------------------------------------------------
@@ -99,36 +79,16 @@ class NLPInstance:
         x_init = flat[:, :d]
         u = flat[:, d:d + d * n].reshape(B, n, d).transpose(1, 0, 2)
         u0 = np.clip(flat[:, d + d * n:d + d * n + n].T, 0.0, 1.0)
-        off = d + d * n + n
-        if self.kind == "penalized":
-            v = flat[:, off:off + d * n].reshape(B, n, d).transpose(1, 0, 2)
-            omega = np.clip(flat[:, off + d * n:].T, 0.0, None)
-        else:
-            v = np.broadcast_to(self.fixed_v[:, None, :], (n, B, d))
-            omega = np.broadcast_to(self.fixed_omega[:, None], (n, B))
+        v = np.broadcast_to(self.fixed_v[:, None, :], (n, B, d))
+        omega = np.broadcast_to(self.fixed_omega[:, None], (n, B))
         return x_init, u, u0, v, omega
 
     def eval_many(self, flat_batch: np.ndarray):
         """Objectives (B,) and residual matrix (B, n_res) for a batch of points."""
         s = self.scenario
         x_init, u, u0, v, omega = self._split_many(flat_batch)
-        ys, xs, zs, ts = propagate_smooth(v, u, u0, omega, x_init, self.gamma, s, self.grid)
-        hl = h_lower(xs, ys, s)  # (N+1, B)
-        if self.kind == "lower":
-            obj = zs[-1]
-            res = hl.T
-            return obj, res
-        hu = h_upper(ys, s)
-        term = np.atleast_1d(target_distance(ys[-1], s)) - self.target_tol
-        obj = ts[-1].copy()
-        if self.rho > 0.0:
-            B = obj.shape[0]
-            phis = np.empty(B)
-            for b in range(B):
-                phis[b] = self.lower_solver(omega[:, b], v[:, b, :])
-            obj = obj + self.rho * (zs[-1] - phis)
-        res = np.concatenate([hu.T, hl.T, term[:, None]], axis=1)
-        return obj, res
+        ys, xs, zs, _ = propagate_smooth(v, u, u0, omega, x_init, self.gamma, s, self.grid)
+        return zs[-1], h_lower(xs, ys, s).T
 
     def objective(self, dv: DecisionVector) -> float:
         obj, _ = self.eval_many(self.pack(dv)[None, :])
@@ -153,39 +113,24 @@ def assemble_lower(omega, v, gamma: float, s: Scenario, grid: TimeGrid) -> NLPIn
         raise ValueError("omega/v must be node arrays on the given grid")
     if np.linalg.norm(v, axis=1).max() > s.v_bound + 1e-9 or omega.min() < -1e-12:
         raise ValueError("frozen (omega, v) outside their bounds")
-    return NLPInstance(kind="lower", grid=grid, scenario=s, gamma=gamma,
-                       fixed_omega=omega, fixed_v=v)
+    return NLPInstance(grid=grid, scenario=s, gamma=gamma, fixed_omega=omega, fixed_v=v)
 
 
-def assemble_penalized(rho: float, gamma: float, s: Scenario, lower_solver: Callable,
-                       grid: TimeGrid, target_tol: Optional[float] = None) -> NLPInstance:
-    """Transcribe the flattened penalized problem.
+def fd_grad_jac(eval_many, flat: np.ndarray, h: float = 1e-6):
+    """Batched central differences of a flat-vector evaluator.
 
-    Objective: t(T*) + rho * (z(T*) - phi(omega, v)) with phi supplied by the
-    lower-solver callback.  Residuals: per-node h_upper, h_lower, and the
-    terminal target miss (target_distance(y_N) - target_tol).
+    ``eval_many`` maps a (B, dim) batch to objectives (B,) and residuals
+    (B, n_res); all 2*dim perturbed points go through one call.  Returns the
+    objective gradient (dim,) and the residual Jacobian (n_res, dim).
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if gamma <= s.cone_gain:
-        raise ValueError("gamma must exceed M/R1")
-    tol = DEFAULT_TARGET_TOL_FACTOR * s.R if target_tol is None else target_tol
-    return NLPInstance(kind="penalized", grid=grid, scenario=s, gamma=gamma,
-                       rho=rho, lower_solver=lower_solver, target_tol=tol)
-
-
-def fd_jacobian(nlp: NLPInstance, point: DecisionVector, h: float = 1e-6) -> np.ndarray:
-    """Central-difference stacked Jacobian: row 0 the objective gradient,
-    remaining rows the residual Jacobian."""
     if h <= 0:
         raise ValueError("h must be positive")
-    base = nlp.pack(point)
-    dim = base.shape[0]
-    pts = np.repeat(base[None, :], 2 * dim, axis=0)
-    for j in range(dim):
-        pts[2 * j, j] += h
-        pts[2 * j + 1, j] -= h
-    obj, res = nlp.eval_many(pts)
+    dim = flat.size
+    pts = np.repeat(flat[None, :], 2 * dim, axis=0)
+    idx = np.arange(dim)
+    pts[2 * idx, idx] += h
+    pts[2 * idx + 1, idx] -= h
+    obj, res = eval_many(pts)
     grad = (obj[0::2] - obj[1::2]) / (2 * h)
-    jac = (res[0::2] - res[1::2]) / (2 * h)
-    return np.concatenate([grad[None, :], jac.T], axis=0)
+    jac = (res[0::2] - res[1::2]) / (2 * h)  # (dim, n_res)
+    return grad, jac.T

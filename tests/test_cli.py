@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import bisweep.cli
 from bisweep.cli import (
     EXIT_CERTIFICATE,
     EXIT_OK,
@@ -114,6 +115,8 @@ def test_solve_tiny_budget_writes_outputs(tmp_path):
     assert code == EXIT_OK
     sol = json.loads((out / "solution.json").read_text())
     assert sol["T_star"] > 0
+    # one continuation stage per gamma, doubling from 2 M/R1 up to --gamma-max
+    assert [h["gamma"] for h in sol["history"]] == [3.0, 6.0, 12.0]
     assert (out / "trajectory.csv").exists()
     assert (out / "plot_data.json").exists()
 
@@ -133,6 +136,29 @@ def test_solve_deterministic_byte_identical(tmp_path):
 def test_solve_rejects_invalid_scenario(tmp_path):
     cfg = write_config(tmp_path, M=5.0)
     assert main(["solve", "--config", str(cfg)]) == EXIT_VALIDATION
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("bad input must be refused before solving")
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("rho", ["0", "-2"])
+def test_nonpositive_rho_max_is_refused(monkeypatch, capsys, command, rho):
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
+    assert main([command, "--rho-max", rho]) == EXIT_USAGE
+    assert "--rho-max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["0", "1.5", "nan"])  # M/R1 = 1.5 on the corridor
+def test_gamma_max_at_or_below_cone_gain_is_refused(tmp_path, monkeypatch, capsys, gamma):
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
+    assert main(["solve", "--gamma-max", gamma]) == EXIT_USAGE
+    assert "M/R1" in capsys.readouterr().err
+    # sweep-gamma builds the same schedule, and reads run: gamma_max like solve
+    prof = write_profile(tmp_path)
+    cfg = write_config(tmp_path, run={"gamma_max": float(gamma)})
+    assert main(["sweep-gamma", "--config", str(cfg), "--profile", str(prof)]) == EXIT_USAGE
 
 
 # ---------------------------------------------------------------- sweep-gamma

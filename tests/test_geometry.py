@@ -1,6 +1,8 @@
 """Constraint functions, projections, bounds, and scenario validation."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +145,17 @@ def test_target_distance_sampling_consistency():
     y = (3.0, 2.0)
     step = 2 * math.pi * coarse.R / 2048
     assert abs(target_distance(y, coarse) - target_distance(y, fine)) <= step
+
+
+def test_exit_samples_cached_per_scenario_and_freed_with_it():
+    s = straight_corridor(exit_samples=512)
+    cloud = s.exit_boundary_samples()
+    assert s.exit_boundary_samples() is cloud
+    assert straight_corridor(exit_samples=512) == s  # the cache is not a field
+    ref = weakref.ref(cloud)
+    del s, cloud
+    gc.collect()
+    assert ref() is None
 
 
 def test_target_direction_points_toward_exit():

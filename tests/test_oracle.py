@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bisweep.geometry import straight_corridor
 from bisweep.oracle import (
@@ -129,15 +129,20 @@ def test_fd_check_rejects_bad_step():
 
 
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 2))
+@example(a=1.0, b=1e-13, scale=1.0)
 @settings(max_examples=30, deadline=None)
 def test_fd_check_quadratic_second_order(a, b, scale):
-    def fn(p):
-        return float(a * p[0] ** 3 + b * p[1] ** 3)
-
     point = np.array([0.7, -0.4]) * scale
-    grad = np.array([3 * a * point[0] ** 2, 3 * b * point[1] ** 2])
-    dirs = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    e1 = fd_check(fn, grad, point, dirs, h=2e-2)
-    e2 = fd_check(fn, grad, point, dirs, h=1e-2)
-    if e1 > 1e-9:  # skip the degenerate all-zero cases
-        assert e2 <= e1 / 2.0 + 1e-9
+    # one cubic term at a time: in a sum, round-off in a large term swamps the
+    # O(h^2) error of a tiny one (a=1, b=1e-13 gave e1 == e2 at both steps)
+    for k, coef in enumerate((a, b)):
+        def fn(p, k=k, coef=coef):
+            return float(coef * p[k] ** 3)
+
+        grad = np.zeros(2)
+        grad[k] = 3 * coef * point[k] ** 2
+        dirs = [np.eye(2)[k]]
+        e1 = fd_check(fn, grad, point, dirs, h=2e-2)
+        e2 = fd_check(fn, grad, point, dirs, h=1e-2)
+        if e1 > 1e-9:  # skip the degenerate zero-coefficient cases
+            assert e2 <= e1 / 2.0 + 1e-9

@@ -5,12 +5,8 @@ import pytest
 
 from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth
 from bisweep.geometry import straight_corridor
-from bisweep.transcription import (
-    DecisionVector,
-    assemble_lower,
-    assemble_penalized,
-    fd_jacobian,
-)
+from bisweep.solver import LowerSolution, SolverOptions, _upper_eval_many, _UpperState
+from bisweep.transcription import DecisionVector, assemble_lower, fd_grad_jac
 
 S = straight_corridor()
 GAMMA = 12.0
@@ -73,58 +69,23 @@ def test_lower_residual_count():
     assert res.shape == (n + 1,)  # one membership residual per node
 
 
-# ---------------------------------------------------------------- penalized problem
-def lower_stub(omega, v):
-    return 0.0
-
-
-def test_penalized_rho_zero_is_pure_time():
-    n = 8
-    nlp = assemble_penalized(0.0, GAMMA, S, lower_stub, TimeGrid(n))
-    omega = np.full(n + 1, 1.7)
-    dv = make_decision(n, u=(0.5, 0.0), u0=0.4, omega=omega)
-    assert nlp.objective(dv) == pytest.approx(1.7, rel=1e-12)
-
-
-def test_penalized_gap_term_nonnegative_with_true_lower_value():
-    n = 8
-    omega = np.full(n + 1, 2.0)
-
-    calls = {}
-
-    def lower_solver(om, vv):
-        calls["hit"] = True
-        return 0.0  # zero control is feasible here, so the true value is 0
-
-    nlp0 = assemble_penalized(0.0, GAMMA, S, lower_solver, TimeGrid(n))
-    nlp4 = assemble_penalized(4.0, GAMMA, S, lower_solver, TimeGrid(n))
-    dv = make_decision(n, u=(0.5, 0.0), u0=0.2, omega=omega)
-    penalty = nlp4.objective(dv) - nlp0.objective(dv)
-    assert penalty >= -1e-12
-    tr = integrate_smooth(dv.controls, dv.x_init, GAMMA, S)
-    assert penalty == pytest.approx(4.0 * tr.z[-1], rel=1e-9)
-
-
-def test_penalized_residuals_include_upper_and_terminal():
-    n = 5
-    nlp = assemble_penalized(1.0, GAMMA, S, lower_stub, TimeGrid(n))
-    dv = make_decision(n, omega=np.ones(n + 1))
-    res = nlp.residuals(dv)
-    assert res.shape == (2 * (n + 1) + 1,)
-    # stationary start: interior everywhere, terminal target far away
-    assert np.all(res[:-1] < 0)
-    assert res[-1] > 0
-
-
 # ---------------------------------------------------------------- derivatives
+def stacked_jacobian(nlp, dv, h):
+    grad, jac = fd_grad_jac(nlp.eval_many, nlp.pack(dv), h)
+    return np.vstack([grad, jac])
+
+
 def test_fd_gradient_of_final_time_is_quadrature_weight():
+    # the upper-level merit: decision (v, omega), objective the final time t(T*)
     n = 5
-    nlp = assemble_penalized(0.0, GAMMA, S, lower_stub, TimeGrid(n))
+    grid = TimeGrid(n)
     dv = make_decision(n, omega=np.ones(n + 1))
-    jac = fd_jacobian(nlp, dv, h=1e-6)
-    grad_obj = jac[0]
-    flat = nlp.pack(dv)
-    d = 2
+    state = _UpperState(grid, S, SolverOptions())
+    state.lower = LowerSolution(decision=dv, value=0.0, multipliers=None, status={},
+                                gamma=GAMMA)
+    flat = np.concatenate([dv.controls.v.ravel(), dv.controls.omega])
+    grad_obj, _ = fd_grad_jac(lambda pts: _upper_eval_many(pts, state, GAMMA, 0.0),
+                              flat, h=1e-6)
     off_omega = len(flat) - (n + 1)
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5
@@ -139,8 +100,7 @@ def test_fd_gradient_of_cost_term_matches_hand_derivative():
     grid = TimeGrid(n)
     nlp = assemble_lower(omega, np.zeros((n + 1, 2)), GAMMA, S, grid)
     dv = make_decision(n, u=(0.4, 0.1), omega=omega)
-    jac = fd_jacobian(nlp, dv, h=1e-6)
-    grad = jac[0]
+    grad, _ = fd_grad_jac(nlp.eval_many, nlp.pack(dv), h=1e-6)
     d = 2
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5
@@ -159,16 +119,17 @@ def test_fd_jacobian_second_order_in_h():
 
     # cost is cubic in u through the trapezoid weights? no - quadratic; use the
     # constraint rows (nonlinear through the dynamics) to observe O(h^2) decay
-    exact = fd_jacobian(nlp, dv, h=1e-7)
-    e1 = np.max(np.abs(fd_jacobian(nlp, dv, h=4e-3) - exact))
-    e2 = np.max(np.abs(fd_jacobian(nlp, dv, h=2e-3) - exact))
+    exact = stacked_jacobian(nlp, dv, h=1e-7)
+    e1 = np.max(np.abs(stacked_jacobian(nlp, dv, h=4e-3) - exact))
+    e2 = np.max(np.abs(stacked_jacobian(nlp, dv, h=2e-3) - exact))
     assert e2 <= e1 / 2.5  # second-order scheme: expect ~4x
 
 
 def test_pack_unpack_roundtrip():
     n = 6
     omega = np.full(n + 1, 1.2)
-    nlp = assemble_penalized(1.0, GAMMA, S, lower_stub, TimeGrid(n))
+    v = np.tile([0.4, 0.2], (n + 1, 1))
+    nlp = assemble_lower(omega, v, GAMMA, S, TimeGrid(n))
     dv = make_decision(n, u=(0.2, -0.1), u0=0.7, v=(0.4, 0.2), omega=omega,
                        x_init=(0.3, -0.2))
     back = nlp.unpack(nlp.pack(dv))
