@@ -11,7 +11,7 @@ branch grows linearly with slope M/R1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -34,8 +34,8 @@ from .dynamics import (
     convergence_study,
 )
 from .certificate import PENALTY_WEIGHT, certify
-from .geometry import Scenario, load_scenario, straight_corridor, validate
-from .oracle import EnumSpec, brute_bilevel, brute_lower, OracleInfeasibleError
+from .geometry import SCENARIO_KEYS, Scenario, require_known_keys, straight_corridor, validate
+from .oracle import EnumSpec, brute_bilevel, OracleInfeasibleError
 from .solver import SolverOptions, penalty_gap, solve_bilevel
 
 EXIT_OK = 0
@@ -44,14 +44,18 @@ EXIT_VALIDATION = 2
 EXIT_SOLVE = 3
 EXIT_CERTIFICATE = 4
 
+# keys of a config's run section: those passed on to SolverOptions, then the rest
+SOLVER_RUN_KEYS = ("n_intervals", "seeds", "seed", "upper_max_iter", "lower_max_iter")
+RUN_KEYS = SOLVER_RUN_KEYS + ("gamma_max", "rho_max", "oracle")
+
 
 def _load_config(path):
-    """A config file is a scenario file, optionally with extra run sections."""
+    """A config file is a scenario file, optionally with a ``run`` section."""
     if path is None:
         return straight_corridor(), {}
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
-    run = data.pop("run", {})
+        data = require_known_keys(yaml.safe_load(fh), (*SCENARIO_KEYS, "run"), "config section")
+    run = require_known_keys(data.pop("run", None), RUN_KEYS, "run key")
     scenario = Scenario.from_dict(data)
     return scenario, run
 
@@ -110,7 +114,7 @@ def _solver_options(args, run):
         kw["n_intervals"] = args.grid
     if args.seed is not None:
         kw["seed"] = args.seed
-    for key in ("n_intervals", "seeds", "seed", "upper_max_iter", "lower_max_iter"):
+    for key in SOLVER_RUN_KEYS:
         if key in run and key not in kw:
             kw[key] = run[key]
     return SolverOptions(**kw)
@@ -221,7 +225,8 @@ def cmd_certify(args):
 
 def cmd_oracle(args):
     s, run = _load_config(args.config)
-    spec = EnumSpec(**run.get("oracle", {}))
+    spec = EnumSpec(**require_known_keys(run.get("oracle"), EnumSpec.__dataclass_fields__,
+                                         "run.oracle key"))
     try:
         T, decision = brute_bilevel(spec, s)
     except OracleInfeasibleError as exc:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -220,6 +220,26 @@ def _as_batched(arr, n_nodes, width=None):
     return arr
 
 
+def plan_path(v, omega, s: Scenario, grid: TimeGrid):
+    """Closed-form RK4 path of the plan center and the trapezoid clock.
+
+    dy = v*omega needs no swept-point state, so y, its four RK4 stage values
+    per interval and t are sums of the controls v (N+1, B, n) and omega
+    (N+1, B).  Returns (y, y_stages, t)."""
+    dt = grid.dt
+    w1 = v[:-1] * omega[:-1][..., None]
+    om_m = 0.5 * (omega[:-1] + omega[1:])
+    wm = 0.5 * (v[:-1] + v[1:]) * om_m[..., None]
+    w4 = v[1:] * omega[1:][..., None]
+    ys = np.empty(v.shape)
+    ys[0] = s.y0_arr
+    ys[1:] = s.y0_arr + np.cumsum((dt / 6.0) * (w1 + 4.0 * wm + w4), axis=0)
+    y_st = (ys[:-1], ys[:-1] + (0.5 * dt) * w1,
+            ys[:-1] + (0.5 * dt) * wm, ys[:-1] + dt * wm)
+    ts = np.concatenate([np.zeros((1, omega.shape[1])), np.cumsum(om_m * dt, axis=0)])
+    return ys, y_st, ts
+
+
 def propagate_smooth(v, u, u0, omega, x_init, gamma: float, s: Scenario, grid: TimeGrid):
     """Batched RK4 propagation of (y, x) under the smoothed field.
 
@@ -246,18 +266,10 @@ def propagate_smooth(v, u, u0, omega, x_init, gamma: float, s: Scenario, grid: T
     xs = np.empty((n, B, s.dim))
     xs[0] = x0
 
-    # the plan state y is control-driven only (dy = v*omega per scaled time),
-    # so its RK4 path and all four stage values have closed forms; only x
-    # needs the stage recursion.  Stage math matches sweeping_field_smooth.
-    w1 = v[:-1] * omega[:-1][..., None]
+    # y and t have closed forms (plan_path); only x needs the stage
+    # recursion.  Stage math matches sweeping_field_smooth.
+    ys, y_st, ts = plan_path(v, omega, s, grid)
     om_m = 0.5 * (omega[:-1] + omega[1:])
-    wm = 0.5 * (v[:-1] + v[1:]) * om_m[..., None]
-    w4 = v[1:] * omega[1:][..., None]
-    ys = np.empty((n, B, s.dim))
-    ys[0] = s.y0_arr
-    ys[1:] = s.y0_arr + np.cumsum((dt / 6.0) * (w1 + 4.0 * wm + w4), axis=0)
-    y_st = (ys[:-1], ys[:-1] + (0.5 * dt) * w1,
-            ys[:-1] + (0.5 * dt) * wm, ys[:-1] + dt * wm)
 
     um = 0.5 * (u[:-1] + u[1:])
     u0m = 0.5 * (u0[:-1] + u0[1:])
@@ -292,7 +304,6 @@ def propagate_smooth(v, u, u0, omega, x_init, gamma: float, s: Scenario, grid: T
 
     effort = (np.sum(u * u, axis=2) + u0 * u0) * omega
     zs = np.concatenate([np.zeros((1, B)), np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)])
-    ts = np.concatenate([np.zeros((1, B)), np.cumsum(0.5 * (omega[1:] + omega[:-1]) * dt, axis=0)])
     return ys, xs, zs, ts
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "validate",
     "load_scenario",
     "save_scenario",
+    "require_known_keys",
     "straight_corridor",
 ]
 
@@ -80,6 +81,23 @@ class TruncationBounds:
     @property
     def window_nonempty(self) -> bool:
         return self.M_bar > self.m_bar
+
+
+# sections and keys of a scenario file, as Scenario.to_dict writes them
+SCENARIO_KEYS = {"geometry": ("q0", "R", "R1", "y0", "exit", "exit_samples"), "cone": ("M",),
+                 "controls": ("u_bound", "v_bound"), "drift": ("name", "A", "M1", "K_f", "delta")}
+
+
+def require_known_keys(d, known, what: str) -> dict:
+    """The mapping ``d`` ({} for None); a ValueError names any key not in ``known``."""
+    d = {} if d is None else d
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a mapping, got {type(d).__name__}")
+    unknown = [str(k) for k in d if k not in known]
+    if unknown:
+        raise ValueError(f"unknown {what}: {', '.join(unknown)} "
+                         f"(expected one of: {', '.join(known)})")
+    return d
 
 
 @dataclass(frozen=True)
@@ -170,11 +188,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        g = d.get("geometry", {})
-        cone = d.get("cone", {})
-        ctrl = d.get("controls", {})
-        dr = d.get("drift", {})
-        exit_d = g.get("exit", {})
+        """Inverse of ``to_dict``; an unknown section or key is a ValueError."""
+        d = require_known_keys(d, tuple(SCENARIO_KEYS), "scenario section")
+        g, cone, ctrl, dr = (require_known_keys(d.get(name), keys, f"{name} key")
+                             for name, keys in SCENARIO_KEYS.items())
+        exit_d = require_known_keys(g.get("exit"), ("angle_lo", "angle_hi"), "geometry.exit key")
         return cls(
             q0=tuple(g.get("q0", (0.0, 0.0))),
             R=float(g.get("R", 10.0)),
@@ -200,10 +218,7 @@ def straight_corridor(**overrides) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r") as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"scenario file {path} did not parse to a mapping")
-    return Scenario.from_dict(data)
+        return Scenario.from_dict(yaml.safe_load(fh))
 
 
 def save_scenario(s: Scenario, path) -> None:

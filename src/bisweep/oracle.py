@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Scenario, h_lower, h_upper, target_distance
+from .geometry import Scenario, target_distance
 
 __all__ = [
     "EnumSpec",

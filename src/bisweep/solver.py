@@ -8,9 +8,13 @@ Layout of the nested scheme:
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, read off the lower multipliers.
 * ``solve_bilevel`` -- outer continuation over the smoothing gain gamma, one
-  stage per schedule entry; each stage runs a projected-gradient descent on
-  the travel time, with the lower problem re-solved as the upper controls
-  move, so the lower-value penalty of the flattened problem stays zero.
+  stage per schedule entry; each stage runs the same projected-gradient
+  descent as the lower level on a merit that reads only the plan (travel
+  time, containment of the plan disk, terminal miss).  The lower problem is
+  re-solved, warm-started, whenever the plan has moved by more than
+  ``resolve_move * (1 + max omega)`` since the last lower solve, and at the
+  start of each stage and after every augmented-Lagrangian round, so the
+  lower-value penalty of the flattened problem stays zero.
 
 All randomness is confined to seeded multi-start control guesses.
 """
@@ -29,7 +33,7 @@ from .dynamics import (
     TimeGrid,
     SmoothingSchedule,
     integrate_smooth,
-    propagate_smooth,
+    plan_path,
 )
 from .geometry import (
     Scenario,
@@ -94,13 +98,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class LowerMultipliers:
-    p_H: np.ndarray        # (N+1, n) adjoint of the plan center
     p_L: np.ndarray        # (N+1, n) adjoint of the swept point
-    mu_H: np.ndarray       # (N+1,) non-increasing, zero here (no upper constraint below)
     mu_L: np.ndarray       # (N+1,) non-increasing step function
     lambda_bar: float      # cost multiplier, 1 for a normal problem
-    zeta1: np.ndarray      # (N+1,) lower-value sensitivity density wrt omega
-    zeta2: np.ndarray      # (N+1, n) lower-value sensitivity density wrt v
     eta: np.ndarray        # (N+1,) nodal active-set weights behind mu_L
 
 
@@ -155,19 +155,24 @@ def _al_merit(obj, res, mu, c):
     return obj + np.sum(shifted ** 2 - mu ** 2, axis=-1) / (2.0 * c)
 
 
-def _pg_minimize(eval_many, project, flat0, mu, c, opts, max_iter):
-    """Projected gradient with Armijo backtracking on the AL merit."""
-    flat = project(flat0.copy())
+def _pg_minimize(eval_many, project, flat, mu, c, opts, max_iter, step_tol,
+                 halvings, gtol, before_step=None):
+    """Projected gradient with Armijo backtracking on the AL merit, from a
+    projected ``flat``; stops at ``max_iter`` steps, a gradient norm below
+    ``gtol``, no Armijo step among ``halvings`` halvings, or a step below
+    ``step_tol``.  ``before_step(flat)`` runs at the top of every iteration."""
     obj, res = eval_many(flat[None, :])
     merit = float(_al_merit(obj, res, mu, c)[0])
     for _ in range(max_iter):
+        if before_step is not None:
+            before_step(flat)
         grad, jac = fd_grad_jac(eval_many, flat, opts.fd_h)
         shifted = np.maximum(0.0, mu + c * res[0])
         g = grad + jac.T @ shifted
         gnorm = np.linalg.norm(g)
-        if gnorm < 1e-14:
+        if gnorm < gtol:
             break
-        alphas = opts.step0 * 0.5 ** np.arange(12) / max(1.0, gnorm)
+        alphas = opts.step0 * 0.5 ** np.arange(halvings) / max(1.0, gnorm)
         cands = np.stack([project(flat - a * g) for a in alphas])
         obj_c, res_c = eval_many(cands)
         merits = _al_merit(obj_c, res_c, mu, c)
@@ -180,7 +185,7 @@ def _pg_minimize(eval_many, project, flat0, mu, c, opts, max_iter):
         flat = cands[j]
         merit = float(merits[j])
         obj, res = obj_c[j:j + 1], res_c[j:j + 1]
-        if step < opts.lower_step_tol:
+        if step < step_tol:
             break
     return flat, float(obj[0]), res[0], merit
 
@@ -221,8 +226,9 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     prev_viol = np.inf
     iters = 0
     for rnd in range(opts.lower_al_rounds):
-        flat, obj, res, _ = _pg_minimize(nlp.eval_many, project, flat, mu, c, opts,
-                                         opts.lower_max_iter)
+        flat, obj, res, _ = _pg_minimize(nlp.eval_many, project, project(flat), mu, c, opts,
+                                         opts.lower_max_iter, opts.lower_step_tol,
+                                         halvings=12, gtol=1e-14)
         iters += 1
         viol = float(np.max(res, initial=0.0))
         mu = np.maximum(0.0, mu + c * res)
@@ -435,32 +441,18 @@ def adjoint_sweep(tr: StateTrajectory, cp: ControlProfile, mults_terminal: dict,
 
 def _lower_multipliers(tr: StateTrajectory, dv: DecisionVector, eta: np.ndarray,
                        gamma: float, s: Scenario) -> LowerMultipliers:
-    """Assemble the lower multiplier set from the exact discrete adjoints.
+    """Assemble the lower multiplier set from the exact discrete adjoint.
 
     The contact measure accumulates the nodal constraint weights from the
-    terminal time backward (non-increasing by construction); the adjoint
-    arrays come from the reverse sweep of the integrator, and the value
-    gradients are the exact Lagrangian derivatives with respect to the plan
-    controls, normalized by the trapezoidal weights.
+    terminal time backward (non-increasing by construction); p_L comes from
+    the reverse sweep of the integrator, shifted so that p_L - mu_L d
+    realizes the control stationarity.  The value-function sensitivities are
+    left to ``value_subgradient``.
     """
-    cp = dv.controls
-    grid = tr.grid
-    lambda_bar = 1.0
     mu_L = np.cumsum(eta[::-1])[::-1]
-    mu_H = np.zeros_like(mu_L)
-    q_y, q_x, d_om, d_v, _, _ = _reverse_rk4(tr, cp, eta, gamma, s)
-    w = _trapz_weights(grid)
-    d = tr.x - tr.y
-    zeta1 = d_om / w
-    zeta2_raw = d_v / w[:, None]
-    # adjoint representation consistent with the selection identities:
-    # p_L - mu_L d realizes the control stationarity, and p_H is chosen so
-    # that -(p_H - mu_H (y-q0) + mu_L d) * omega reproduces the gradient
-    p_L = -q_x + mu_L[:, None] * d
-    p_H = -zeta2_raw * lambda_bar / cp.omega[:, None] - mu_L[:, None] * d
-    zeta2 = _project_out_normal(zeta2_raw, cp.v, s)
-    return LowerMultipliers(p_H=p_H, p_L=p_L, mu_H=mu_H, mu_L=mu_L,
-                            lambda_bar=lambda_bar, zeta1=zeta1, zeta2=zeta2, eta=eta)
+    _, q_x, _, _, _, _ = _reverse_rk4(tr, dv.controls, eta, gamma, s)
+    p_L = -q_x + mu_L[:, None] * (tr.x - tr.y)
+    return LowerMultipliers(p_L=p_L, mu_L=mu_L, lambda_bar=1.0, eta=eta)
 
 
 def _project_out_normal(zeta2: np.ndarray, v: np.ndarray, s: Scenario) -> np.ndarray:
@@ -522,26 +514,24 @@ def _initial_guesses(s: Scenario, grid: TimeGrid, opts: SolverOptions):
 
 
 class _UpperState:
-    """Per-stage mutable state of the upper descent (lower model + AL weights)."""
+    """Upper AL weights and the warm-started lower solve that follows the plan."""
 
     def __init__(self, grid, s, opts):
         self.grid = grid
         self.s = s
         self.opts = opts
-        n = grid.n_nodes
-        self.mu = np.zeros(n + 2)  # [h_upper nodes..., terminal]; packed below
-        self.mu_hu = np.zeros(n)
+        self.mu_hu = np.zeros(grid.n_nodes)
         self.mu_term = 0.0
         self.c = opts.upper_penalty0
         self.lower: Optional[LowerSolution] = None
         self.anchor = None  # (omega, v) at last lower solve
 
-    def refresh_lower(self, omega, v, gamma, warm=None, full_budget=False):
+    def refresh_lower(self, omega, v, gamma, full_budget=False):
         opts = self.opts if full_budget else replace(
             self.opts, lower_max_iter=self.opts.refresh_max_iter,
             lower_al_rounds=self.opts.refresh_al_rounds)
         self.lower = solve_lower(omega, v, gamma, self.s, opts,
-                                 warm=warm or self.lower, grid=self.grid,
+                                 warm=self.lower, grid=self.grid,
                                  with_multipliers=False)
         self.anchor = (omega.copy(), v.copy())
 
@@ -553,25 +543,21 @@ class _UpperState:
         return move > self.opts.resolve_move * (1.0 + np.abs(self.anchor[0]).max())
 
 
-def _upper_eval_many(flats, state: _UpperState, gamma, target_tol):
-    """Objective and residuals of the plan-level merit.
+def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
+    """Objective and residuals of the plan-level merit for plans (v, omega).
 
-    Every accepted iterate re-solves the lower problem, so the penalty term
-    rho*(z - phi) of the flattened problem vanishes identically along the
-    descent path and the objective reduces to the travel time t(T*).  The
-    penalty weight only scales the certificate multipliers (see
-    ``certificate.extract_multipliers``).
+    The lower problem is re-solved as the plan moves, so the penalty term
+    rho*(z - phi) of the flattened problem is zero and the merit reads only
+    the plan: the travel time t(T*), h_upper at the nodes and the terminal
+    miss, all from the closed-form plan path.  The penalty weight only
+    scales the certificate multipliers (see ``certificate.extract_multipliers``).
     """
-    s, grid = state.s, state.grid
     n = grid.n_nodes
     flats = np.atleast_2d(flats)
     B = flats.shape[0]
     v = flats[:, :s.dim * n].reshape(B, n, s.dim).transpose(1, 0, 2)
     omega = np.clip(flats[:, s.dim * n:].T, 0.0, None)
-    dec = state.lower.decision
-    ys, xs, zs, ts = propagate_smooth(v, np.broadcast_to(dec.controls.u[:, None, :], (n, B, s.dim)),
-                                      np.broadcast_to(dec.controls.u0[:, None], (n, B)),
-                                      omega, dec.x_init, gamma, s, grid)
+    ys, _, ts = plan_path(v, omega, s, grid)
     obj = ts[-1]
     hu = h_upper(ys, s).T                     # (B, N+1)
     term = np.atleast_1d(target_distance(ys[-1], s)) - target_tol
@@ -644,59 +630,37 @@ def _run_stage(s, grid, gamma, v, omega, state, opts, target_tol, omega_cap):
         out[s.dim * n:] = np.clip(out[s.dim * n:], 0.0, omega_cap)
         return out
 
-    flat = project(np.concatenate([v.ravel(), omega]))
-
     def unpack(fl):
         return fl[:s.dim * n].reshape(n, s.dim), fl[s.dim * n:]
 
-    vv0, om0 = unpack(flat)
-    state.refresh_lower(om0, vv0, gamma, full_budget=True)
+    def eval_many(pts):
+        return _upper_eval_many(pts, s, grid, target_tol)
 
-    for rnd in range(opts.upper_al_rounds):
-        for _ in range(opts.upper_max_iter):
-            vv, om = unpack(flat)
-            if state.needs_refresh(om, vv):
-                state.refresh_lower(om, vv, gamma)
+    def follow_lower(fl):
+        vv, om = unpack(fl)
+        if state.needs_refresh(om, vv):
+            state.refresh_lower(om, vv, gamma)
 
-            def eval_many(pts):
-                return _upper_eval_many(pts, state, gamma, target_tol)
+    flat = project(np.concatenate([v.ravel(), omega]))
+    vv, om = unpack(flat)
+    state.refresh_lower(om, vv, gamma, full_budget=True)
 
-            mu = np.concatenate([state.mu_hu, [state.mu_term]])
-            obj, res = eval_many(flat[None, :])
-            merit0 = float(_al_merit(obj, res, mu, state.c)[0])
-            grad, jac = fd_grad_jac(eval_many, flat, opts.fd_h)
-            shifted = np.maximum(0.0, mu + state.c * res[0])
-            g = grad + jac.T @ shifted
-            gnorm = np.linalg.norm(g)
-            if gnorm < 1e-13:
-                break
-            alphas = opts.step0 * 0.5 ** np.arange(14) / max(1.0, gnorm)
-            cands = np.stack([project(flat - a * g) for a in alphas])
-            obj_c, res_c = eval_many(cands)
-            merits = _al_merit(obj_c, res_c, mu, state.c)
-            ok = merits <= merit0 - opts.armijo * np.array(
-                [np.dot(g, flat - cc) for cc in cands]).clip(min=0.0)
-            if not np.any(ok):
-                break
-            j = int(np.argmax(ok))
-            step = np.linalg.norm(cands[j] - flat)
-            flat = cands[j]
-            if step < opts.upper_step_tol:
-                break
+    for _ in range(opts.upper_al_rounds):
+        mu = np.concatenate([state.mu_hu, [state.mu_term]])
+        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, state.c, opts,
+                                       opts.upper_max_iter, opts.upper_step_tol,
+                                       halvings=14, gtol=1e-13, before_step=follow_lower)
         vv, om = unpack(flat)
         state.refresh_lower(om, vv, gamma, full_budget=True)
-        _, res = _upper_eval_many(flat[None, :], state, gamma, target_tol)
-        viol = float(np.max(res[0], initial=0.0))
-        state.mu_hu = np.maximum(0.0, state.mu_hu + state.c * res[0][:n])
-        state.mu_term = max(0.0, state.mu_term + state.c * res[0][n])
+        viol = float(np.max(res, initial=0.0))
+        state.mu_hu = np.maximum(0.0, state.mu_hu + state.c * res[:n])
+        state.mu_term = max(0.0, state.mu_term + state.c * res[n])
         if viol <= 1e-9:
             break
         state.c = min(state.c * 2.0, 1e7)
 
-    vv, om = unpack(flat)
-    w = _trapz_weights(grid)
-    T = float(np.sum(w * om))
-    _, res = _upper_eval_many(flat[None, :], state, gamma, target_tol)
+    T = float(np.sum(_trapz_weights(grid) * om))
+    _, res = eval_many(flat[None, :])
     return {"v": vv, "omega": om, "state": state, "T": T,
             "violation": float(np.max(res[0], initial=0.0))}
 

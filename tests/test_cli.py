@@ -67,6 +67,24 @@ def test_validate_malformed_file(tmp_path):
     assert main(["validate", "--config", str(bad)]) == EXIT_USAGE
 
 
+def test_unknown_scenario_section_is_refused(tmp_path, capsys):
+    # a bounds: section is not part of the format; it must not load as M = 1.5
+    cfg = write_config(tmp_path)
+    data = yaml.safe_load(cfg.read_text())
+    data["bounds"] = {"M": 5.0}
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["validate", "--config", str(cfg)]) == EXIT_USAGE
+    assert "bounds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, run", [("validate", {"upper_iters": 3}),
+                                          ("oracle", {"oracle": {"upper_iters": 3}})])
+def test_unknown_run_key_is_refused(tmp_path, capsys, command, run):
+    cfg = write_config(tmp_path, run=run)
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert "upper_iters" in capsys.readouterr().err
+
+
 def test_validate_writes_report(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

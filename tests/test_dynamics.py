@@ -17,6 +17,8 @@ from bisweep.dynamics import (
     feasibility_monitor,
     integrate_catchup,
     integrate_smooth,
+    plan_path,
+    propagate_smooth,
     smoothing_coefficient,
     sweeping_field_exact,
     sweeping_field_smooth,
@@ -173,6 +175,37 @@ def test_integrate_smooth_speed_bound():
 
 
 # ---------------------------------------------------------------- catch-up integrator
+def test_plan_path_is_propagate_smooth_plan_path():
+    # the upper merit reads y and t from plan_path alone; they must be the
+    # very numbers the full propagation produces for any lower controls
+    n, B = 12, 7
+    rng = np.random.default_rng(5)
+    v = rng.uniform(-1.0, 1.0, (n + 1, B, 2))
+    omega = rng.uniform(0.0, 3.0, (n + 1, B))
+    u = rng.uniform(-0.5, 0.5, (n + 1, B, 2))
+    u0 = rng.uniform(0.0, 1.0, (n + 1, B))
+    x_init = rng.uniform(-0.5, 0.5, (B, 2))
+    grid = TimeGrid(n)
+    ys, _, _, ts = propagate_smooth(v, u, u0, omega, x_init, 12.0, S, grid)
+    y_plan, _, t_plan = plan_path(v, omega, S, grid)
+    assert np.array_equal(y_plan, ys)
+    assert np.array_equal(t_plan, ts)
+    # and both are RK4 of dy = v*omega (controls linear in between) and the
+    # trapezoid rule for t, stepped here one interval at a time
+    dt = grid.dt
+    y = np.empty_like(ys)
+    y[0] = S.y0_arr
+    for i in range(n):
+        k1 = v[i] * omega[i][:, None]
+        km = 0.25 * (v[i] + v[i + 1]) * (omega[i] + omega[i + 1])[:, None]
+        k4 = v[i + 1] * omega[i + 1][:, None]
+        y[i + 1] = y[i] + dt / 6.0 * (k1 + 4.0 * km + k4)
+    assert np.allclose(y_plan, y, rtol=0.0, atol=1e-12)
+    t_ref = np.concatenate([np.zeros((1, B)),
+                            np.cumsum(0.5 * dt * (omega[1:] + omega[:-1]), axis=0)])
+    assert np.allclose(t_plan, t_ref, rtol=0.0, atol=1e-12)
+
+
 def test_catchup_interior_equals_plain_euler():
     n = 10
     cp = profile(n, u=(0.3, 0.1), omega=1.0)

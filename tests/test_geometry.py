@@ -196,6 +196,14 @@ def test_scenario_roundtrip(tmp_path):
     assert loaded == s
 
 
+@pytest.mark.parametrize("section, key", [("cone", "R"), ("drift", "matrix"), ("geometry", "M")])
+def test_from_dict_refuses_unknown_key(section, key):
+    data = straight_corridor().to_dict()
+    data[section][key] = 1.0
+    with pytest.raises(ValueError, match=f"unknown {section} key: {key}"):
+        Scenario.from_dict(data)
+
+
 def test_scenario_defaults():
     assert S.R == 10.0 and S.R1 == 1.0 and S.M == 1.5
     assert S.u_bound == 1.0 and S.v_bound == 1.0

@@ -5,7 +5,7 @@ import pytest
 
 from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth
 from bisweep.geometry import straight_corridor
-from bisweep.solver import LowerSolution, SolverOptions, _upper_eval_many, _UpperState
+from bisweep.solver import _upper_eval_many
 from bisweep.transcription import DecisionVector, assemble_lower, fd_grad_jac
 
 S = straight_corridor()
@@ -79,12 +79,8 @@ def test_fd_gradient_of_final_time_is_quadrature_weight():
     # the upper-level merit: decision (v, omega), objective the final time t(T*)
     n = 5
     grid = TimeGrid(n)
-    dv = make_decision(n, omega=np.ones(n + 1))
-    state = _UpperState(grid, S, SolverOptions())
-    state.lower = LowerSolution(decision=dv, value=0.0, multipliers=None, status={},
-                                gamma=GAMMA)
-    flat = np.concatenate([dv.controls.v.ravel(), dv.controls.omega])
-    grad_obj, _ = fd_grad_jac(lambda pts: _upper_eval_many(pts, state, GAMMA, 0.0),
+    flat = np.concatenate([np.zeros(2 * (n + 1)), np.ones(n + 1)])
+    grad_obj, _ = fd_grad_jac(lambda pts: _upper_eval_many(pts, S, grid, 0.0),
                               flat, h=1e-6)
     off_omega = len(flat) - (n + 1)
     w = np.full(n + 1, 1.0 / n)
