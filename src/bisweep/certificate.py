@@ -32,62 +32,59 @@ __all__ = [
 
 PENALTY_WEIGHT = 64.0        # exact-penalty weight rho; the effort multiplier is r = lam * rho
 RIM_ACTIVITY_TOL = 0.1       # fraction of R1: how far inside the rim still counts as contact
-U0_ACTIVITY_TOL = 1e-3       # normal-control level regarded as active
+
+
+def _dot(a, b):
+    """Dot product over the last axis, each row rounded exactly as ``np.dot``."""
+    return (np.asarray(a, dtype=float)[..., None, :] @ np.asarray(b, dtype=float)[..., :, None])[..., 0, 0]
+
+
+def _node_value(a):
+    """A float for a single node, the array for a batch of nodes."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def _sigma_tilde(q_L, nu_L, x, y, s: Scenario):
     return nu_L * s.R1 ** 2 - np.sum(np.asarray(q_L) * (np.asarray(x) - np.asarray(y)), axis=-1)
 
 
-def sigma_value(y, x, q_L, nu_L, r, s: Scenario, active: Optional[bool] = None) -> float:
+def _sigma_branches(st, r: float, k):
+    """Support value sigma and its slope d(sigma)/d(sigma_tilde), elementwise.
+
+    With z = k*max(st, 0): z^2/(4r) up to the seam z = 2r and z - r beyond,
+    so both vanish for st <= 0; for r <= 0 the value is z itself.
+    """
+    z = k * np.maximum(st, 0.0)
+    if r <= 0.0:
+        return z, np.where(st > 0.0, k, 0.0)
+    quad = z <= 2.0 * r
+    return np.where(quad, z * z / (4.0 * r), z - r), np.where(quad, k * z / (2.0 * r), k)
+
+
+def sigma_value(y, x, q_L, nu_L, r, s: Scenario, active=None):
     """Support value of the truncated normal-cone term.
 
     Zero away from disk contact.  On contact, with st = nu_L*R1^2 - <q_L, x-y>
     and k = M/R1: zero for st <= 0, a quadratic (k*st)^2/(4r) for
-    0 < st <= 2r/k, and the linear branch k*st - r beyond.
+    0 < st <= 2r/k, and the linear branch k*st - r beyond.  Broadcasts over
+    leading node axes; a float for one node.
     """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     if active is None:
-        active = np.linalg.norm(d) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL)
-    if not active:
-        return 0.0
-    st = float(_sigma_tilde(q_L, nu_L, x, y, s))
-    if st <= 0.0:
-        return 0.0
-    k = s.cone_gain
-    if r <= 0.0:
-        return k * st
-    if st <= 2.0 * r / k:
-        return (k * st) ** 2 / (4.0 * r)
-    return k * st - r
+        active = np.linalg.norm(d, axis=-1) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL)
+    sig, _ = _sigma_branches(_sigma_tilde(q_L, nu_L, x, y, s), r, s.cone_gain)
+    return _node_value(np.where(active, sig, 0.0))
 
 
-def _sigma_slope(st: float, r: float, k: float) -> float:
-    """Derivative of sigma with respect to sigma_tilde on each branch."""
-    if st <= 0.0:
-        return 0.0
-    if r <= 0.0:
-        return k
-    if st <= 2.0 * r / k:
-        return k ** 2 * st / (2.0 * r)
-    return k
-
-
-def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario) -> float:
+def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario):
     """Smoothed analog of ``sigma_value`` with gain c(gamma, x, y) <= M/R1.
 
     The exponential decay of the gain replaces the contact gate; away from the
     rim the value vanishes to machine precision.
     """
-    c = float(smoothing_coefficient(gamma, x, y, s))
-    st = float(_sigma_tilde(p_L, mu_L, x, y, s))
-    if st <= 0.0:
-        return 0.0
-    if lambda_bar <= 0.0:
-        return c * st
-    if st <= 2.0 * lambda_bar / c:
-        return (c * st) ** 2 / (4.0 * lambda_bar)
-    return c * st - lambda_bar
+    c = smoothing_coefficient(gamma, x, y, s)
+    sig, _ = _sigma_branches(_sigma_tilde(p_L, mu_L, x, y, s), lambda_bar, c)
+    return _node_value(sig)
 
 
 @dataclass(frozen=True)
@@ -111,43 +108,40 @@ class GamkrelidzeMultipliers:
 
 
 def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario,
-                      sigma: Optional[float] = None, active: Optional[bool] = None) -> float:
-    """Pointwise value of the full Hamiltonian along the arc."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+                      sigma=None, active=None):
+    """Value of the full Hamiltonian along the arc.
+
+    Broadcasts over leading node axes (vectors (..., n), scalars (...)); a
+    float for one node.
+    """
+    y, x, u = (np.asarray(a, dtype=float) for a in (y, x, u))
+    nu_H, nu_L = np.asarray(nu_H, dtype=float), np.asarray(nu_L, dtype=float)
     d = x - y
     if sigma is None:
         sigma = sigma_value(y, x, q_L, nu_L, r, s, active=active)
-    f = drift(x, np.asarray(u, dtype=float), s)
-    return (float(np.dot(q_H - nu_H * (y - s.q0_arr), v))
-            + nu_L * float(np.dot(d, v))
-            - r * float(np.dot(u, u))
-            + float(np.dot(q_L - nu_L * d, f))
-            + sigma)
+    return _node_value(_dot(q_H - nu_H[..., None] * (y - s.q0_arr), v)
+                       + nu_L * _dot(d, v)
+                       - r * _dot(u, u)
+                       + _dot(q_L - nu_L[..., None] * d, drift(x, u, s))
+                       + sigma)
+
+
+def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, active, s: Scenario):
+    """Right-hand sides of the q_L and q_H adjoint equations at every node,
+    per unit of original time: each arc satisfies dq/dt = -rhs."""
+    d = tr.x - tr.y
+    f = drift(tr.x, cp.u, s)
+    _, slope = _sigma_branches(_sigma_tilde(q_L, nu_L, tr.x, tr.y, s), r, s.cone_gain)
+    sq = np.where(active, slope, 0.0)[:, None] * q_L
+    nu_L = nu_L[:, None]
+    rhs_L = -nu_L * f + (q_L - nu_L * d) @ s.drift.matrix(s.dim) + nu_L * cp.v - sq
+    rhs_H = -(nu_H[:, None] + nu_L) * cp.v + nu_L * f + sq
+    return rhs_L, rhs_H
 
 
 def _contact_flags(tr, cp, s: Scenario) -> np.ndarray:
     d = np.linalg.norm(tr.x - tr.y, axis=1)
     return ((cp.u0 > 1e-2) & (d >= 0.35 * s.R1)) | (d >= s.R1 * (1.0 - 1e-3))
-
-
-def _sigma_branch_arrays(st: np.ndarray, r: float, k: float, gate: np.ndarray):
-    """Vectorized sigma values and slopes d(sigma)/d(sigma_tilde)."""
-    z = k * st
-    sig = np.zeros_like(st)
-    sl = np.zeros_like(st)
-    pos = gate & (st > 0.0)
-    if r <= 0.0:
-        sig[pos] = z[pos]
-        sl[pos] = k
-        return sig, sl
-    mid = pos & (z <= 2.0 * r)
-    top = pos & (z > 2.0 * r)
-    sig[mid] = z[mid] ** 2 / (4.0 * r)
-    sl[mid] = k * z[mid] / (2.0 * r)
-    sig[top] = z[top] - r
-    sl[top] = k
-    return sig, sl
 
 
 class _MultiplierModel:
@@ -165,101 +159,59 @@ class _MultiplierModel:
     def __init__(self, tr, cp, s: Scenario, r: float, alpha: float,
                  nu_H: np.ndarray):
         self.tr, self.cp, self.s, self.r = tr, cp, s, r
-        self.grid = tr.grid
-        n = self.grid.n_nodes
-        self.n = n
+        self.alpha, self.nu_H = alpha, nu_H
         self.d = tr.x - tr.y
         self.dn = np.linalg.norm(self.d, axis=1)
         self.active = _contact_flags(tr, cp, s)
         self.gate = self.active | (self.dn >= 0.9 * s.R1)
         self.g = 2.0 * r * cp.u
-        self.A = s.drift.matrix(s.dim)
-        self.k = s.cone_gain
-        self.fmat = np.array([drift(tr.x[i], cp.u[i], s) for i in range(n)])
-        self.ddv = np.einsum("ij,ij->i", self.d, cp.v)
-        self.uu = np.einsum("ij,ij->i", cp.u, cp.u)
-        self.gf = np.einsum("ij,ij->i", self.g, self.fmat)
-        self.gd = np.einsum("ij,ij->i", self.g, self.d)
-        self.nu_H = nu_H
-        self.yq = tr.y - s.q0_arr
-        self.alpha = alpha
         self.dhat = target_direction(tr.y[-1], s)
-        # parameter layout: one nu per active node, one per inactive segment
-        self.slots = np.zeros(n, dtype=int)
-        params = 0
-        i = 0
-        while i < n:
-            if self.active[i]:
-                self.slots[i] = params
-                params += 1
-                i += 1
-            else:
-                j = i
-                while j < n and not self.active[j]:
-                    j += 1
-                self.slots[i:j] = params
-                params += 1
-                i = j
-        self.n_params = params
-
-    def nu_from_params(self, p: np.ndarray) -> np.ndarray:
-        return p[self.slots]
+        # parameter layout: one nu per active node, one per inactive run, so
+        # a slot opens at every active node and at the node after one
+        opens = self.active | np.concatenate([[True], self.active[:-1]])
+        self.slots = np.cumsum(opens) - 1
+        self.n_params = int(self.slots[-1]) + 1
 
     def initial_guess(self) -> np.ndarray:
-        nu = np.zeros(self.n)
-        for i in np.nonzero(self.active)[0]:
-            slope = self.k * self.cp.u0[i]
-            a_vec = (self.cp.v[i] - self.fmat[i]) - slope * self.d[i]
-            b_vec = slope * self.g[i] - self.A.T @ self.g[i]
-            den = float(a_vec @ a_vec)
-            nu[i] = float(a_vec @ b_vec) / den if den > 1e-12 else 0.0
-        # inactive segments: continuity of q_L at the segment's right edge
-        i = 0
-        while i < self.n:
-            if self.active[i]:
-                i += 1
-                continue
-            j = i
-            while j < self.n and not self.active[j]:
-                j += 1
-            if j < self.n and self.dn[j - 1] > 0.1 * self.s.R1:
-                q_next = self.g[j] + nu[j] * self.d[j]
-                nu[i:j] = float((q_next - self.g[j - 1]) @ self.d[j - 1]) / float(
-                    self.d[j - 1] @ self.d[j - 1])
-            i = j
+        s, cp, d, g, act = self.s, self.cp, self.d, self.g, self.active
+        slope = s.cone_gain * cp.u0[:, None]
+        a_vec = (cp.v - drift(self.tr.x, cp.u, s)) - slope * d
+        b_vec = slope * g - g @ s.drift.matrix(s.dim)
+        den = _dot(a_vec, a_vec)
+        nu = np.zeros(len(d))
+        ok = act & (den > 1e-12)
+        nu[ok] = _dot(a_vec[ok], b_vec[ok]) / den[ok]
         p = np.zeros(self.n_params)
-        p[self.slots] = nu
+        p[self.slots[act]] = nu[act]
+        # inactive runs: continuity of q_L at the run's last node e, whose
+        # successor e + 1 is active
+        e = np.nonzero(~act[:-1] & act[1:])[0]
+        e = e[self.dn[e] > 0.1 * s.R1]
+        q_next = g[e + 1] + nu[e + 1, None] * d[e + 1]
+        p[self.slots[e]] = _dot(q_next - g[e], d[e]) / _dot(d[e], d[e])
         return p
 
     def build(self, nu: np.ndarray):
+        tr, cp, s = self.tr, self.cp, self.s
         q_L = self.g + nu[:, None] * self.d
-        st = nu * (self.s.R1 ** 2 - self.dn ** 2) - self.gd
-        sig, sl = _sigma_branch_arrays(st, self.r, self.k, self.gate)
-        nu_T = float(q_L[-1] @ self.d[-1]) / max(float(self.d[-1] @ self.d[-1]), 1e-300)
-        q_H_T = (self.alpha * self.dhat + self.nu_H[-1] * self.yq[-1]
-                 - nu_T * self.d[-1])
-        dt = self.grid.dt
-        # q_H[i] = q_H[-1] + dt * sum_{j>i} rhs[j]: a reverse cumulative sum
-        rhs_all = ((-(self.nu_H + nu)[:, None] * self.cp.v + nu[:, None] * self.fmat
-                    + sl[:, None] * q_L) * self.cp.omega[:, None])
-        tail = np.cumsum(rhs_all[::-1], axis=0)[::-1] - rhs_all
-        q_H = q_H_T + dt * tail
-        H = (np.einsum("ij,ij->i", q_H - self.nu_H[:, None] * self.yq, self.cp.v)
-             + nu * self.ddv - self.r * self.uu + self.gf + sig)
-        return q_L, q_H, H, sl
-
-    def q_L_defect(self, nu, q_L, sl):
-        """Backward-difference defect of the q_L adjoint arc, per interval."""
-        gpart = q_L - nu[:, None] * self.d
-        rhs = (-nu[:, None] * self.fmat + gpart @ self.A
-               + nu[:, None] * self.cp.v - sl[:, None] * q_L) * self.cp.omega[:, None]
-        return (q_L[1:] - q_L[:-1]) / self.grid.dt + rhs[1:]
+        rhs_L, rhs_H = _adjoint_rhs(tr, cp, q_L, self.nu_H, nu, self.r, self.gate, s)
+        d_T = self.d[-1]
+        nu_T = float(q_L[-1] @ d_T) / max(float(d_T @ d_T), 1e-300)
+        q_H_T = self.alpha * self.dhat + self.nu_H[-1] * (tr.y[-1] - s.q0_arr) - nu_T * d_T
+        # q_H[i] = q_H[-1] + dt * sum_{j>i} omega_j*rhs_H[j]: a reverse cumulative sum
+        steps = rhs_H * cp.omega[:, None]
+        q_H = q_H_T + tr.grid.dt * (np.cumsum(steps[::-1], axis=0)[::-1] - steps)
+        H = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, q_H, q_L, self.nu_H, nu, self.r, s,
+                              active=self.gate)
+        return q_L, q_H, H, rhs_L
 
     def residuals(self, p: np.ndarray) -> np.ndarray:
-        nu = self.nu_from_params(p)
-        q_L, q_H, H, sl = self.build(nu)
+        nu = p[self.slots]
+        q_L, _, H, rhs_L = self.build(nu)
         r_cons = (H - H.mean()) * 10.0
-        r_adj = self.q_L_defect(nu, q_L, sl).ravel() * 0.1
+        # backward-difference defect of the q_L arc, per interval of tau
+        r_adj = (np.diff(q_L, axis=0) / self.tr.grid.dt
+                 + rhs_L[1:] * self.cp.omega[1:, None]).ravel() * 0.1
         r_mono = np.maximum(0.0, np.diff(nu)) * 0.3
         return np.concatenate([r_cons, r_adj, r_mono])
 
@@ -276,8 +228,7 @@ def extract_multipliers(sol, s: Scenario, rho: float = PENALTY_WEIGHT) -> Gamkre
     from scipy.optimize import least_squares
 
     tr, cp = sol.trajectory, sol.decision.controls
-    grid = tr.grid
-    n = grid.n_nodes
+    n = tr.grid.n_nodes
     rho = float(rho)
 
     lam0 = 1.0
@@ -286,9 +237,8 @@ def extract_multipliers(sol, s: Scenario, rho: float = PENALTY_WEIGHT) -> Gamkre
     alpha = float(sol.upper_mults.get("target", 0.0)) * rho
 
     model = _MultiplierModel(tr, cp, s, r0, alpha, nu_H)
-    p0 = model.initial_guess()
-    fit = least_squares(model.residuals, p0, method="lm", max_nfev=4000)
-    nu_L = model.nu_from_params(fit.x)
+    fit = least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)
+    nu_L = fit.x[model.slots]
     q_L, q_H, hvals, _ = model.build(nu_L)
 
     c_fit = float((np.mean(hvals) - lam0) / r0) if r0 > 0 else 0.0
@@ -305,37 +255,26 @@ def extract_multipliers(sol, s: Scenario, rho: float = PENALTY_WEIGHT) -> Gamkre
         active=model.gate)
 
 
-def _hamiltonian_nodes(tr, cp, m: GamkrelidzeMultipliers, s: Scenario) -> np.ndarray:
-    n = tr.grid.n_nodes
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = hamiltonian_upper(tr.y[i], tr.x[i], cp.v[i], cp.u[i],
-                                   m.q_H[i], m.q_L[i], m.nu_H[i], m.nu_L[i],
-                                   m.r, s, active=bool(m.active[i]))
-    return out
+def _worst(res: np.ndarray):
+    """Largest positive per-node residual and its node; (0.0, 0) if none is."""
+    node = int(np.argmax(res))
+    return (float(res[node]), node) if res[node] > 0.0 else (0.0, 0)
 
 
 def _control_gap(tr, cp, m: GamkrelidzeMultipliers, s: Scenario):
     """Worst-node shortfall of <psi,u> - r|u|^2 against its ball maximizer."""
-    gap = 0.0
-    node = 0
-    for i in range(tr.grid.n_nodes):
-        d = tr.x[i] - tr.y[i]
-        psi = m.q_L[i] - m.nu_L[i] * d
-        pn = float(np.linalg.norm(psi))
-        if m.r > 0:
-            radius = min(pn / (2.0 * m.r), s.u_bound)
-        else:
-            radius = s.u_bound if pn > 0 else 0.0
-        u_star = psi / pn * radius if pn > 0 else np.zeros(s.dim)
+    psi = m.q_L - m.nu_L[:, None] * (tr.x - tr.y)
+    pn = np.sqrt(_dot(psi, psi))
+    if m.r > 0:
+        radius = np.minimum(pn / (2.0 * m.r), s.u_bound)
+    else:
+        radius = np.where(pn > 0, s.u_bound, 0.0)
+    u_star = psi / np.where(pn > 0, pn, 1.0)[:, None] * radius[:, None]
 
-        def phi(u):
-            return float(np.dot(psi, u)) - m.r * float(np.dot(u, u))
+    def phi(u):
+        return _dot(psi, u) - m.r * _dot(u, u)
 
-        gi = phi(u_star) - phi(cp.u[i])
-        if gi > gap:
-            gap, node = gi, i
-    return gap, node
+    return _worst(phi(u_star) - phi(cp.u))
 
 
 @dataclass(frozen=True)
@@ -349,11 +288,9 @@ class CertificateReport:
         return all(c["ok"] for c in self.conditions.values() if c["ok"] is not None)
 
     def to_dict(self) -> dict:
-        conds = {k: {kk: (vv if not isinstance(vv, np.ndarray) else vv.tolist())
-                     for kk, vv in v.items()} for k, v in self.conditions.items()}
-        return {"ok": self.ok, "conditions": conds,
-                "conservation_constant": self.multipliers.c,
-                "lam": self.multipliers.lam, "r": self.multipliers.r}
+        return {"ok": self.ok, "conditions": self.conditions,
+                "conservation_constant": float(self.multipliers.c),
+                "lam": float(self.multipliers.lam), "r": float(self.multipliers.r)}
 
     def summary_lines(self):
         lines = []
@@ -377,6 +314,16 @@ def _default_tolerances(grid: TimeGrid) -> dict:
     }
 
 
+def _condition(residual, tol, **extra) -> dict:
+    """One checked condition, with a plain-Python residual, tolerance and verdict."""
+    residual, tol = float(residual), float(tol)
+    return {"residual": residual, "tol": tol, "ok": residual <= tol, **extra}
+
+
+def _skipped(tol) -> dict:
+    return {"residual": float("nan"), "tol": float(tol), "ok": None}
+
+
 def certify(sol, s: Scenario, tolerances: Optional[dict] = None,
             check_value_selection: bool = True,
             multipliers: Optional[GamkrelidzeMultipliers] = None,
@@ -390,66 +337,54 @@ def certify(sol, s: Scenario, tolerances: Optional[dict] = None,
     """
     m = multipliers if multipliers is not None else extract_multipliers(sol, s, rho)
     tr, cp = sol.trajectory, sol.decision.controls
-    grid = tr.grid
-    tol = _default_tolerances(grid)
+    tol = _default_tolerances(tr.grid)
     if tolerances:
         tol.update(tolerances)
     conds = {}
 
     # 1. nontriviality: normalization puts total weight at one
-    total = m.total_weight()
-    conds["nontriviality"] = {"residual": abs(total - 1.0), "tol": tol["nontriviality"],
-                              "ok": abs(total - 1.0) <= tol["nontriviality"]}
+    conds["nontriviality"] = _condition(abs(m.total_weight() - 1.0), tol["nontriviality"])
 
     # 2. monotone nonnegative measures
     mono = max(float(np.max(np.diff(m.nu_H), initial=0.0)),
                float(np.max(np.diff(m.nu_L), initial=0.0)),
                float(-min(m.nu_H.min(), m.nu_L.min())))
-    conds["measures"] = {"residual": max(mono, 0.0), "tol": tol["boundary"],
-                         "ok": mono <= tol["boundary"]}
+    conds["measures"] = _condition(max(mono, 0.0), tol["boundary"])
 
     # 3. adjoint system: one-sided-difference defect of the backward arcs
-    defect = _adjoint_defect(tr, cp, m, s)
-    conds["adjoint"] = {"residual": defect, "tol": tol["adjoint"],
-                        "ok": defect <= tol["adjoint"]}
+    conds["adjoint"] = _condition(_adjoint_defect(tr, cp, m, s), tol["adjoint"])
 
     # 4. boundary conditions
     bres, bdetail = _boundary_residuals(tr, cp, m, s)
     scale = max(1.0, float(np.abs(m.q_H).max()), float(np.abs(m.q_L).max()))
-    conds["boundary"] = {"residual": bres, "tol": tol["boundary"] * scale,
-                         "ok": bres <= tol["boundary"] * scale, "detail": bdetail}
+    conds["boundary"] = _condition(bres, tol["boundary"] * scale, detail=bdetail)
 
     # 5. conservation of the Hamiltonian
-    hvals = _hamiltonian_nodes(tr, cp, m, s)
-    spread = float(np.std(hvals))
-    bound = tol["conservation"] * (m.lam + abs(m.r * m.c) + 1.0)
-    conds["conservation"] = {"residual": spread, "tol": bound, "ok": spread <= bound,
-                             "constant": m.c, "mean": float(np.mean(hvals))}
+    hvals = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, m.q_H, m.q_L, m.nu_H, m.nu_L,
+                              m.r, s, active=m.active)
+    conds["conservation"] = _condition(np.std(hvals),
+                                       tol["conservation"] * (m.lam + abs(m.r * m.c) + 1.0),
+                                       constant=float(m.c), mean=float(np.mean(hvals)))
 
     # 6. pointwise maximum condition in the drift control
     gap, node = _control_gap(tr, cp, m, s)
-    conds["max_control"] = {"residual": gap, "tol": tol["max_control"],
-                            "ok": gap <= tol["max_control"], "node": node}
+    conds["max_control"] = _condition(gap, tol["max_control"], node=node)
 
     # 7. pointwise maximum condition in the plan controls: the ball speed
     # maximizes the Hamiltonian plus the penalty-weighted value gain, so
     # q_H - nu_H(y-q0) + nu_L(x-y) + r*zeta2 must lie in the normal cone at v
     if sol.lower.multipliers is not None:
         pres, pnode = _plan_stationarity_residual(tr, cp, m, sol, s)
-        conds["max_plan"] = {"residual": pres, "tol": tol["value_selection"],
-                             "ok": pres <= tol["value_selection"], "node": pnode}
+        conds["max_plan"] = _condition(pres, tol["value_selection"], node=pnode)
     else:
-        conds["max_plan"] = {"residual": float("nan"),
-                             "tol": tol["value_selection"], "ok": None}
+        conds["max_plan"] = _skipped(tol["value_selection"])
 
     # 8. value-subgradient selection consistency (finite differences of phi)
     if check_value_selection and sol.lower.multipliers is not None:
-        vres = _value_selection_residual(sol, s)
-        conds["value_selection"] = {"residual": vres, "tol": tol["value_selection"],
-                                    "ok": vres <= tol["value_selection"]}
+        conds["value_selection"] = _condition(_value_selection_residual(sol, s),
+                                              tol["value_selection"])
     else:
-        conds["value_selection"] = {"residual": float("nan"),
-                                    "tol": tol["value_selection"], "ok": None}
+        conds["value_selection"] = _skipped(tol["value_selection"])
 
     return CertificateReport(multipliers=m, conditions=conds, hamiltonian=hvals)
 
@@ -461,27 +396,11 @@ def _adjoint_defect(tr, cp, m, s: Scenario) -> float:
     omega * dt, so the backward difference and the right-hand side are both
     taken per unit of original time.
     """
-    grid = tr.grid
-    worst = 0.0
-    A = s.drift.matrix(s.dim)
-    k = s.cone_gain
-    for i in range(grid.n_nodes - 1):
-        j = i + 1
-        d = tr.x[j] - tr.y[j]
-        g = m.q_L[j] - m.nu_L[j] * d
-        f = drift(tr.x[j], cp.u[j], s)
-        if m.active[j]:
-            st = float(_sigma_tilde(m.q_L[j], m.nu_L[j], tr.x[j], tr.y[j], s))
-            slope = _sigma_slope(st, m.r, k)
-        else:
-            slope = 0.0
-        rhs_qL = -m.nu_L[j] * f + A.T @ g + m.nu_L[j] * cp.v[j] - slope * m.q_L[j]
-        rhs_qH = -(m.nu_H[j] + m.nu_L[j]) * cp.v[j] + m.nu_L[j] * f + slope * m.q_L[j]
-        dt_orig = grid.dt * max(float(cp.omega[j]), 1e-300)
-        dL = (m.q_L[j] - m.q_L[i]) / dt_orig + rhs_qL
-        dH = (m.q_H[j] - m.q_H[i]) / dt_orig + rhs_qH
-        worst = max(worst, float(np.abs(dL).max()), float(np.abs(dH).max()))
-    return worst
+    rhs_L, rhs_H = _adjoint_rhs(tr, cp, m.q_L, m.nu_H, m.nu_L, m.r, m.active, s)
+    dt_orig = tr.grid.dt * np.maximum(cp.omega[1:], 1e-300)[:, None]
+    dL = np.diff(m.q_L, axis=0) / dt_orig + rhs_L[1:]
+    dH = np.diff(m.q_H, axis=0) / dt_orig + rhs_H[1:]
+    return float(max(np.abs(dL).max(initial=0.0), np.abs(dH).max(initial=0.0)))
 
 
 def _boundary_residuals(tr, cp, m, s: Scenario):
@@ -491,8 +410,8 @@ def _boundary_residuals(tr, cp, m, s: Scenario):
     # may still lower nu_L after the last stored node, so the coefficient is
     # only required to lie at or below the stored value.
     coef = float(m.q_L[-1] @ d_T) / dTsq
-    r_qL_T = (float(np.linalg.norm(m.q_L[-1] - coef * d_T))
-              + max(0.0, coef - float(m.nu_L[-1])) * np.sqrt(dTsq))
+    r_qL_T = float(np.linalg.norm(m.q_L[-1] - coef * d_T)
+                   + max(0.0, coef - float(m.nu_L[-1])) * np.sqrt(dTsq))
     nu_T = min(coef, float(m.nu_L[-1]))
     # q_H(T) + nu_L(T)(x-y) - nu_H(T)(y-q0) must lie in -N of the target set,
     # the ray spanned by the direction toward the nearest target point
@@ -522,22 +441,15 @@ def _plan_stationarity_residual(tr, cp, m, sol, s: Scenario):
     from .solver import value_subgradient
 
     _, zeta2 = value_subgradient(cp.omega, cp.v, sol.lower, s)
-    d = tr.x - tr.y
-    yq = tr.y - s.q0_arr
-    worst, node = 0.0, 0
-    for i in range(tr.grid.n_nodes):
-        coeff = (m.q_H[i] - m.nu_H[i] * yq[i] + m.nu_L[i] * d[i]
-                 + m.r * zeta2[i])
-        vec = coeff.copy()
-        nv = float(np.linalg.norm(cp.v[i]))
-        if s.v_bound > 0 and nv >= s.v_bound * (1.0 - 1e-9):
-            vhat = cp.v[i] / max(nv, 1e-300)
-            vec = vec - max(0.0, float(vec @ vhat)) * vhat
-        scale = max(float(np.linalg.norm(coeff)), m.r * float(np.linalg.norm(zeta2[i])), 1e-9)
-        rel = float(np.linalg.norm(vec)) / scale
-        if rel > worst:
-            worst, node = rel, i
-    return worst, node
+    coeff = (m.q_H - m.nu_H[:, None] * (tr.y - s.q0_arr) + m.nu_L[:, None] * (tr.x - tr.y)
+             + m.r * zeta2)
+    nv = np.sqrt(_dot(cp.v, cp.v))
+    vhat = cp.v / np.maximum(nv, 1e-300)[:, None]
+    on_ball = (s.v_bound > 0) & (nv >= s.v_bound * (1.0 - 1e-9))
+    vec = coeff - np.where(on_ball, np.maximum(0.0, _dot(coeff, vhat)), 0.0)[:, None] * vhat
+    scale = np.maximum(np.maximum(np.sqrt(_dot(coeff, coeff)),
+                                  m.r * np.sqrt(_dot(zeta2, zeta2))), 1e-9)
+    return _worst(np.sqrt(_dot(vec, vec)) / scale)
 
 
 def _value_selection_residual(sol, s: Scenario) -> float:

@@ -139,6 +139,14 @@ def _penalty_weight(args, run):
     return rho
 
 
+def _solve_exit_code(sol, code):
+    """EXIT_SOLVE, naming the cause, when the solve did not converge; else ``code``."""
+    if sol.status["converged"]:
+        return code
+    print(f"solver did not converge: {sol.status}", file=sys.stderr)
+    return EXIT_SOLVE
+
+
 def cmd_validate(args):
     s, _ = _load_config(args.config)
     report = validate(s)
@@ -196,7 +204,7 @@ def cmd_solve(args):
           f"gamma = {sol.gamma_final:g}")
     if args.out:
         _export_solution(args.out, sol, s)
-    return EXIT_OK
+    return _solve_exit_code(sol, EXIT_OK)
 
 
 def cmd_certify(args):
@@ -220,7 +228,7 @@ def cmd_certify(args):
         out = _export_solution(args.out, sol, s)
         with open(out / "certificate.json", "w", encoding="utf-8") as fh:
             json.dump(cert.to_dict(), fh, indent=2, default=float)
-    return EXIT_OK if cert.ok else EXIT_CERTIFICATE
+    return _solve_exit_code(sol, EXIT_OK if cert.ok else EXIT_CERTIFICATE)
 
 
 def cmd_oracle(args):

@@ -63,6 +63,9 @@ class AbnormalLowerProblemError(RuntimeError):
     """Normality (positive cost multiplier) failed for the lower problem."""
 
 
+UPPER_VIOLATION_TOL = 1e-9  # the upper AL stops once its constraint violation is this small
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     n_intervals: int = 40
@@ -122,6 +125,9 @@ class BilevelSolution:
     history: tuple
     trajectory: StateTrajectory
     upper_mults: dict
+    # lower_converged (the final lower solve), max_violation (the last
+    # stage's upper violation) and converged (both within their stops)
+    status: dict
 
     def to_dict(self) -> dict:
         return {
@@ -129,6 +135,7 @@ class BilevelSolution:
             "gamma_final": self.gamma_final,
             "phi": self.lower.value,
             "gap": penalty_gap(self),
+            "status": self.status,
             "history": list(self.history),
         }
 
@@ -610,10 +617,13 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
                         lower.decision.controls.u0, state_om)
     dv = DecisionVector(lower.decision.x_init, cp)
     tr = integrate_smooth(cp, dv.x_init, gamma_f, s)
+    lower_ok, viol = bool(lower.status["converged"]), history[-1]["violation"]
     return BilevelSolution(
         decision=dv, T_star=tr.T, gamma_final=gamma_f,
         lower=lower, history=tuple(history), trajectory=tr,
         upper_mults={"h_upper": state.mu_hu.copy(), "target": float(state.mu_term)},
+        status={"lower_converged": lower_ok, "max_violation": viol,
+                "converged": lower_ok and viol <= UPPER_VIOLATION_TOL},
     )
 
 
@@ -655,7 +665,7 @@ def _run_stage(s, grid, gamma, v, omega, state, opts, target_tol, omega_cap):
         viol = float(np.max(res, initial=0.0))
         state.mu_hu = np.maximum(0.0, state.mu_hu + state.c * res[:n])
         state.mu_term = max(0.0, state.mu_term + state.c * res[n])
-        if viol <= 1e-9:
+        if viol <= UPPER_VIOLATION_TOL:
             break
         state.c = min(state.c * 2.0, 1e7)
 

@@ -1,10 +1,14 @@
 """Support-function values, Hamiltonian evaluation, and optimality residuals."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisweep.certificate import (
+    certify,
     extract_multipliers,
     hamiltonian_upper,
     sigma_smooth_value,
@@ -167,3 +171,137 @@ def test_hamiltonian_contact_term_activates_on_rim():
                            np.zeros(2), q_L, 0.0, 0.0, 0.5, S)
     assert off == 0.0
     assert on > 0.0
+
+
+def test_node_batches_equal_per_node_calls():
+    # one evaluator serves a single node and a whole arc: same numbers
+    rng = np.random.default_rng(5)
+    n = 30
+    ang = rng.uniform(0, 2 * np.pi, n)
+    rad = rng.choice([0.5, 0.95, 1.0], n) * S.R1  # inside, near and on the rim
+    y = rng.uniform(-1, 1, (n, 2))
+    x = y + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    v, u, q_H, q_L = rng.normal(size=(4, n, 2))
+    nu_H, nu_L = rng.uniform(0, 1, (2, n))
+    r = 0.3
+    sig = sigma_value(y, x, q_L, nu_L, r, S)
+    ham = hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, S)
+    sig_i = [sigma_value(y[i], x[i], q_L[i], nu_L[i], r, S) for i in range(n)]
+    ham_i = [hamiltonian_upper(y[i], x[i], v[i], u[i], q_H[i], q_L[i], nu_H[i], nu_L[i], r, S)
+             for i in range(n)]
+    assert all(type(val) is float for val in sig_i + ham_i)
+    assert np.count_nonzero(sig) > 0
+    np.testing.assert_array_equal(sig, sig_i)
+    np.testing.assert_array_equal(ham, ham_i)
+
+
+# ---------------------------------------------------------------- corridor report
+def test_certificate_json_verdicts_are_bools(corridor_certificate):
+    conds = corridor_certificate["report"].conditions
+    for c in conds.values():
+        assert type(c["ok"]) in (bool, type(None))
+        assert type(c["residual"]) is float and type(c["tol"]) is float
+        assert type(c.get("node", 0)) is int
+    data = json.loads(json.dumps(corridor_certificate["report"].to_dict(), default=float))
+    assert all(c["ok"] is None or isinstance(c["ok"], bool) for c in data["conditions"].values())
+
+
+def _conditions(sol, s, m):
+    return certify(sol, s, multipliers=m, check_value_selection=False).conditions
+
+
+def _bumped(arr, i, delta):
+    out = arr.copy()
+    out[i] = out[i] + delta
+    return out
+
+
+def _unit(w):
+    return w / np.linalg.norm(w)
+
+
+def _perp(w):
+    return _unit(np.array([-w[1], w[0]]))
+
+
+NODE = 20  # an interior node of the boundary ride, with v on the speed ball
+
+# each mutation of the fitted candidate must make its own check fail
+MUTATIONS = {
+    "nontriviality": lambda sol, m: replace(
+        m, q_H=2 * m.q_H, q_L=2 * m.q_L, nu_H=2 * m.nu_H, nu_L=2 * m.nu_L,
+        lam=2 * m.lam, r=2 * m.r, alpha=2 * m.alpha),
+    "adjoint": lambda sol, m: replace(m, q_L=_bumped(m.q_L, NODE, 0.1)),
+    "boundary": lambda sol, m: replace(m, q_L=_bumped(
+        m.q_L, -1, 1e-3 * _perp(sol.trajectory.x[-1] - sol.trajectory.y[-1]))),
+    "conservation": lambda sol, m: replace(m, q_H=_bumped(
+        m.q_H, NODE, 0.1 * _unit(sol.decision.controls.v[NODE]))),
+    "max_plan": lambda sol, m: replace(m, q_H=_bumped(
+        m.q_H, NODE, 0.1 * _perp(sol.decision.controls.v[NODE]))),
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_check_fails_on_perturbed_multipliers(corridor_run, corridor_scenario,
+                                              corridor_certificate, name):
+    sol, s = corridor_run["solution"], corridor_scenario
+    m = corridor_certificate["report"].multipliers
+    assert _conditions(sol, s, m)[name]["ok"] is True
+    assert _conditions(sol, s, MUTATIONS[name](sol, m))[name]["ok"] is False
+
+
+def test_measures_pass_on_monotone_path_and_fail_on_one_raised_node(
+        corridor_run, corridor_scenario, corridor_certificate):
+    sol, s = corridor_run["solution"], corridor_scenario
+    m = corridor_certificate["report"].multipliers
+    nu = np.maximum(np.minimum.accumulate(m.nu_L), 0.0)
+    assert _conditions(sol, s, replace(m, nu_L=nu))["measures"]["ok"] is True
+    nu[NODE] = nu[NODE - 1] + 1e-3
+    assert _conditions(sol, s, replace(m, nu_L=nu))["measures"]["ok"] is False
+
+
+def test_value_selection_fails_on_scaled_lower_weights(
+        corridor_run, corridor_scenario, corridor_certificate):
+    # the check reacts weakly to the weights: twice eta still passes
+    # (residual 8.6e-3 against 5e-2), twenty times fails
+    sol = corridor_run["solution"]
+    assert corridor_certificate["report"].conditions["value_selection"]["ok"] is True
+    lm = sol.lower.multipliers
+    bad = replace(sol, lower=replace(sol.lower, multipliers=replace(lm, eta=20.0 * lm.eta)))
+    rep = certify(bad, corridor_scenario, multipliers=corridor_certificate["report"].multipliers)
+    assert rep.conditions["value_selection"]["ok"] is False
+
+
+def test_vectorized_residuals_match_per_node_loops(corridor_run, corridor_scenario,
+                                                   corridor_certificate):
+    # reference: the per-node loops the adjoint defect and the control gap
+    # were first written as; same arithmetic per node, so equal to roundoff
+    from bisweep.certificate import _adjoint_defect, _control_gap
+    from bisweep.dynamics import drift
+
+    s, sol = corridor_scenario, corridor_run["solution"]
+    m = corridor_certificate["report"].multipliers
+    tr, cp = sol.trajectory, sol.decision.controls
+    k, A = s.cone_gain, s.drift.matrix(s.dim)
+    defect, gap = 0.0, 0.0
+    for j in range(tr.grid.n_nodes):
+        d = tr.x[j] - tr.y[j]
+        f = drift(tr.x[j], cp.u[j], s)
+        st = m.nu_L[j] * s.R1 ** 2 - float(m.q_L[j] @ d)
+        if not m.active[j] or st <= 0.0:
+            slope = 0.0
+        else:
+            slope = k * k * st / (2.0 * m.r) if k * st <= 2.0 * m.r else k
+        psi = m.q_L[j] - m.nu_L[j] * d
+        u_star = psi / np.linalg.norm(psi) * min(np.linalg.norm(psi) / (2.0 * m.r), s.u_bound)
+        gap = max(gap, float(psi @ u_star - m.r * u_star @ u_star
+                             - (psi @ cp.u[j] - m.r * cp.u[j] @ cp.u[j])))
+        if j == 0:
+            continue
+        dt = tr.grid.dt * cp.omega[j]
+        rhs_L = -m.nu_L[j] * f + A.T @ psi + m.nu_L[j] * cp.v[j] - slope * m.q_L[j]
+        rhs_H = -(m.nu_H[j] + m.nu_L[j]) * cp.v[j] + m.nu_L[j] * f + slope * m.q_L[j]
+        defect = max(defect, np.abs((m.q_L[j] - m.q_L[j - 1]) / dt + rhs_L).max(),
+                     np.abs((m.q_H[j] - m.q_H[j - 1]) / dt + rhs_H).max())
+    assert _adjoint_defect(tr, cp, m, s) == pytest.approx(defect, rel=1e-12)
+    assert _control_gap(tr, cp, m, s)[0] == pytest.approx(gap, rel=1e-9, abs=1e-15)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import bisweep.cli
 from bisweep.cli import (
     EXIT_CERTIFICATE,
     EXIT_OK,
+    EXIT_SOLVE,
     EXIT_USAGE,
     EXIT_VALIDATION,
     main,
@@ -133,6 +135,7 @@ def test_solve_tiny_budget_writes_outputs(tmp_path):
     assert code == EXIT_OK
     sol = json.loads((out / "solution.json").read_text())
     assert sol["T_star"] > 0
+    assert sol["status"]["converged"] is True
     # one continuation stage per gamma, doubling from 2 M/R1 up to --gamma-max
     assert [h["gamma"] for h in sol["history"]] == [3.0, 6.0, 12.0]
     assert (out / "trajectory.csv").exists()
@@ -149,6 +152,22 @@ def test_solve_deterministic_byte_identical(tmp_path):
         assert code == EXIT_OK
         outs.append((out / "solution.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_unconverged_solve_writes_outputs_and_exits_3(tmp_path, monkeypatch, command):
+    real = bisweep.cli.solve_bilevel
+
+    def unconverged(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return replace(sol, status={**sol.status, "converged": False})
+
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", unconverged)
+    cfg = write_config(tmp_path, run=TINY_RUN)
+    out = tmp_path / "sol"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 "--gamma-max", "12"]) == EXIT_SOLVE
+    assert json.loads((out / "solution.json").read_text())["status"]["converged"] is False
 
 
 def test_solve_rejects_invalid_scenario(tmp_path):
