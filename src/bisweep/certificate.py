@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import drift, smoothing_coefficient
-from .geometry import Scenario, target_direction
+from .geometry import Scenario, dot_rows, target_direction
 from .transcription import TimeGrid
 
 __all__ = [
@@ -32,11 +32,6 @@ __all__ = [
 
 PENALTY_WEIGHT = 64.0        # exact-penalty weight rho; the effort multiplier is r = lam * rho
 RIM_ACTIVITY_TOL = 0.1       # fraction of R1: how far inside the rim still counts as contact
-
-
-def _dot(a, b):
-    """Dot product over the last axis, each row rounded exactly as ``np.dot``."""
-    return (np.asarray(a, dtype=float)[..., None, :] @ np.asarray(b, dtype=float)[..., :, None])[..., 0, 0]
 
 
 def _node_value(a):
@@ -119,10 +114,10 @@ def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario,
     d = x - y
     if sigma is None:
         sigma = sigma_value(y, x, q_L, nu_L, r, s, active=active)
-    return _node_value(_dot(q_H - nu_H[..., None] * (y - s.q0_arr), v)
-                       + nu_L * _dot(d, v)
-                       - r * _dot(u, u)
-                       + _dot(q_L - nu_L[..., None] * d, drift(x, u, s))
+    return _node_value(dot_rows(q_H - nu_H[..., None] * (y - s.q0_arr), v)
+                       + nu_L * dot_rows(d, v)
+                       - r * dot_rows(u, u)
+                       + dot_rows(q_L - nu_L[..., None] * d, drift(x, u, s))
                        + sigma)
 
 
@@ -177,10 +172,10 @@ class _MultiplierModel:
         slope = s.cone_gain * cp.u0[:, None]
         a_vec = (cp.v - drift(self.tr.x, cp.u, s)) - slope * d
         b_vec = slope * g - g @ s.drift.matrix(s.dim)
-        den = _dot(a_vec, a_vec)
+        den = dot_rows(a_vec, a_vec)
         nu = np.zeros(len(d))
         ok = act & (den > 1e-12)
-        nu[ok] = _dot(a_vec[ok], b_vec[ok]) / den[ok]
+        nu[ok] = dot_rows(a_vec[ok], b_vec[ok]) / den[ok]
         p = np.zeros(self.n_params)
         p[self.slots[act]] = nu[act]
         # inactive runs: continuity of q_L at the run's last node e, whose
@@ -188,7 +183,7 @@ class _MultiplierModel:
         e = np.nonzero(~act[:-1] & act[1:])[0]
         e = e[self.dn[e] > 0.1 * s.R1]
         q_next = g[e + 1] + nu[e + 1, None] * d[e + 1]
-        p[self.slots[e]] = _dot(q_next - g[e], d[e]) / _dot(d[e], d[e])
+        p[self.slots[e]] = dot_rows(q_next - g[e], d[e]) / dot_rows(d[e], d[e])
         return p
 
     def build(self, nu: np.ndarray):
@@ -264,7 +259,7 @@ def _worst(res: np.ndarray):
 def _control_gap(tr, cp, m: GamkrelidzeMultipliers, s: Scenario):
     """Worst-node shortfall of <psi,u> - r|u|^2 against its ball maximizer."""
     psi = m.q_L - m.nu_L[:, None] * (tr.x - tr.y)
-    pn = np.sqrt(_dot(psi, psi))
+    pn = np.sqrt(dot_rows(psi, psi))
     if m.r > 0:
         radius = np.minimum(pn / (2.0 * m.r), s.u_bound)
     else:
@@ -272,7 +267,7 @@ def _control_gap(tr, cp, m: GamkrelidzeMultipliers, s: Scenario):
     u_star = psi / np.where(pn > 0, pn, 1.0)[:, None] * radius[:, None]
 
     def phi(u):
-        return _dot(psi, u) - m.r * _dot(u, u)
+        return dot_rows(psi, u) - m.r * dot_rows(u, u)
 
     return _worst(phi(u_star) - phi(cp.u))
 
@@ -373,15 +368,18 @@ def certify(sol, s: Scenario, tolerances: Optional[dict] = None,
     # 7. pointwise maximum condition in the plan controls: the ball speed
     # maximizes the Hamiltonian plus the penalty-weighted value gain, so
     # q_H - nu_H(y-q0) + nu_L(x-y) + r*zeta2 must lie in the normal cone at v
+    zeta = None
     if sol.lower.multipliers is not None:
-        pres, pnode = _plan_stationarity_residual(tr, cp, m, sol, s)
+        from .solver import value_subgradient
+        zeta = value_subgradient(cp.omega, cp.v, sol.lower, s)
+        pres, pnode = _plan_stationarity_residual(tr, cp, m, zeta[1], s)
         conds["max_plan"] = _condition(pres, tol["value_selection"], node=pnode)
     else:
         conds["max_plan"] = _skipped(tol["value_selection"])
 
     # 8. value-subgradient selection consistency (finite differences of phi)
-    if check_value_selection and sol.lower.multipliers is not None:
-        conds["value_selection"] = _condition(_value_selection_residual(sol, s),
+    if check_value_selection and zeta is not None:
+        conds["value_selection"] = _condition(_value_selection_residual(sol, zeta, s),
                                               tol["value_selection"])
     else:
         conds["value_selection"] = _skipped(tol["value_selection"])
@@ -430,37 +428,36 @@ def _boundary_residuals(tr, cp, m, s: Scenario):
     return max(detail.values()), detail
 
 
-def _plan_stationarity_residual(tr, cp, m, sol, s: Scenario):
+def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
     """Worst relative distance of the plan-control stationarity vector to the
     normal cone of the speed ball at each node.
 
     The stationarity vector combines the Hamiltonian coefficient of v with the
-    penalty-weighted value-subgradient selection; at a maximizing boundary
-    speed it must point along v, and at an interior speed it must vanish.
+    penalty-weighted value-subgradient selection ``zeta2``; at a maximizing
+    boundary speed it must point along v, and at an interior speed it must
+    vanish.
     """
-    from .solver import value_subgradient
-
-    _, zeta2 = value_subgradient(cp.omega, cp.v, sol.lower, s)
     coeff = (m.q_H - m.nu_H[:, None] * (tr.y - s.q0_arr) + m.nu_L[:, None] * (tr.x - tr.y)
              + m.r * zeta2)
-    nv = np.sqrt(_dot(cp.v, cp.v))
+    nv = np.sqrt(dot_rows(cp.v, cp.v))
     vhat = cp.v / np.maximum(nv, 1e-300)[:, None]
     on_ball = (s.v_bound > 0) & (nv >= s.v_bound * (1.0 - 1e-9))
-    vec = coeff - np.where(on_ball, np.maximum(0.0, _dot(coeff, vhat)), 0.0)[:, None] * vhat
-    scale = np.maximum(np.maximum(np.sqrt(_dot(coeff, coeff)),
-                                  m.r * np.sqrt(_dot(zeta2, zeta2))), 1e-9)
-    return _worst(np.sqrt(_dot(vec, vec)) / scale)
+    vec = coeff - np.where(on_ball, np.maximum(0.0, dot_rows(coeff, vhat)), 0.0)[:, None] * vhat
+    scale = np.maximum(np.maximum(np.sqrt(dot_rows(coeff, coeff)),
+                                  m.r * np.sqrt(dot_rows(zeta2, zeta2))), 1e-9)
+    return _worst(np.sqrt(dot_rows(vec, vec)) / scale)
 
 
-def _value_selection_residual(sol, s: Scenario) -> float:
-    """Compare the subgradient selection against finite differences of phi."""
-    from .solver import SolverOptions, solve_lower, value_subgradient, _trapz_weights
+def _value_selection_residual(sol, zeta, s: Scenario) -> float:
+    """Compare the subgradient selection ``zeta`` = (zeta1, zeta2) of the
+    solution's plan against finite differences of phi."""
+    from .solver import SolverOptions, solve_lower, _project_ball_rows, _trapz_weights
 
     cp = sol.decision.controls
     omega, v = cp.omega, cp.v
     grid = cp.grid
     lower = sol.lower
-    z1, z2 = value_subgradient(omega, v, lower, s)
+    z1, z2 = zeta
     w = _trapz_weights(grid)
     # the re-solve of the perturbed lower problem settles within ~1e-4 of its
     # optimum, so the step is chosen large enough to dominate that noise while
@@ -483,7 +480,6 @@ def _value_selection_residual(sol, s: Scenario) -> float:
         pred = float(np.sum(w * z1 * d_om) + np.sum(w[:, None] * z2 * d_v))
 
         def phi_at(sgn):
-            from .solver import _project_ball_rows
             om_p = np.clip(omega + sgn * h * d_om, 0.0, None)
             v_p = _project_ball_rows(v + sgn * h * d_v, s.v_bound)
             sol_p = solve_lower(om_p, v_p, sol.gamma_final, s, opts, warm=lower,

@@ -60,7 +60,8 @@ def _load_config(path):
     return scenario, run
 
 
-def _load_profile(path, grid=None):
+def _load_profile(path, s: Scenario, grid=None):
+    """A stored control profile; controls outside the scenario's balls are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     v = np.asarray(data["v"], dtype=float)
@@ -69,6 +70,7 @@ def _load_profile(path, grid=None):
                         np.asarray(data["u"], dtype=float),
                         np.asarray(data["u0"], dtype=float),
                         np.asarray(data["omega"], dtype=float))
+    cp.check_bounds(s)
     x_init = np.asarray(data.get("x_init", [0.0, 0.0]), dtype=float)
     return cp, x_init, data
 
@@ -166,7 +168,7 @@ def cmd_simulate(args):
         print("simulate requires --profile with a stored control profile", file=sys.stderr)
         return EXIT_USAGE
     grid = TimeGrid(args.grid) if args.grid else None
-    cp, x_init, data = _load_profile(args.profile, grid)
+    cp, x_init, data = _load_profile(args.profile, s, grid)
     gamma = data.get("gamma")
     if gamma is not None:
         tr = integrate_smooth(cp, x_init, float(gamma), s)
@@ -253,7 +255,7 @@ def cmd_sweep_gamma(args):
     if not args.profile:
         print("sweep-gamma requires --profile with a stored control profile", file=sys.stderr)
         return EXIT_USAGE
-    cp, x_init, _ = _load_profile(args.profile)
+    cp, x_init, _ = _load_profile(args.profile, s)
     sched = _gamma_schedule(args, run, s)
     errs = convergence_study(cp, x_init, sched, s)
     for g, e in zip(sched.gammas, errs):

@@ -7,6 +7,10 @@ Two integration routes are provided and compared throughout the test suite:
 * ``integrate_catchup`` -- Moreau-style time stepping: an explicit drift step
   followed by a projection move back toward the translated disk, truncated to
   the cone budget M * omega * dt per step.
+
+The RK4 step map (stage tableau, smoothed stage field ``stage_slope`` with its
+Jacobians, stage recursion ``rk4_stages``) is written once, and with
+``plan_path`` it serves both ``propagate_smooth`` and the solver's adjoint.
 """
 
 from __future__ import annotations
@@ -98,10 +102,11 @@ class ControlProfile:
             raise ValueError("omega must be nonnegative")
 
     def check_bounds(self, s: Scenario, tol: float = 1e-9) -> None:
-        if np.linalg.norm(self.v, axis=1).max() > s.v_bound + tol:
-            raise ValueError("v exceeds its ball bound")
-        if np.linalg.norm(self.u, axis=1).max() > s.u_bound + tol:
-            raise ValueError("u exceeds its ball bound")
+        for name, bound in (("v", s.v_bound), ("u", s.u_bound)):
+            worst = float(np.linalg.norm(getattr(self, name), axis=1).max())
+            if worst > bound + tol:
+                raise ValueError(f"control {name} exceeds its ball bound: "
+                                 f"max |{name}| = {worst:g} > {name}_bound = {bound:g}")
 
     @classmethod
     def zeros(cls, grid: TimeGrid, dim: int = 2) -> "ControlProfile":
@@ -200,43 +205,110 @@ def smoothing_coefficient(gamma: float, x, y, s: Scenario):
 
 
 def sweeping_field_smooth(x, y, u, u0, gamma: float, s: Scenario):
-    """Smoothed field: drift minus ramped cone pull toward the disk center."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    c = smoothing_coefficient(gamma, x, y, s)
-    f = drift(x, u, s)
-    return f - (np.asarray(u0, dtype=float) * c)[..., None] * (x - y)
+    """Smoothed field: drift minus ramped cone pull toward the disk center
+    (the RK4 stage slope at unit time dilation)."""
+    u0 = np.asarray(u0, dtype=float)
+    return stage_slope(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                       np.asarray(u, dtype=float), np.ones_like(u0), u0, gamma, s)
 
 
-def _as_batched(arr, n_nodes, width=None):
-    """Normalize node arrays to (N+1, B, width) / (N+1, B)."""
+# RK4 tableau: stage j starts from x_i + RK4_OFFSETS[j] * dt * k_{j-1}, and
+# x_{i+1} = x_i + dt/6 * sum_j RK4_WEIGHTS[j] * k_j
+RK4_OFFSETS = (0.0, 0.5, 0.5, 1.0)
+RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
+
+
+def stage_values(a):
+    """A node array at the four RK4 stages of every interval: the left node,
+    the midpoint average (stages 1 and 2), the right node."""
+    am = 0.5 * (a[:-1] + a[1:])
+    return a[:-1], am, am, a[1:]
+
+
+def stage_controls(u, u0, omega, s: Scenario):
+    """RK4 stage tableau of the swept-point controls: (u, the dilation w,
+    u0 w, u w), each four interval arrays; u w, the whole drift term under
+    identity drift, is None under any other."""
+    u_st, w_st = stage_values(u), stage_values(omega)
+    uw_st = (tuple(a * b[..., None] for a, b in zip(u_st, w_st))
+             if s.drift.name == "identity" else None)
+    return u_st, w_st, tuple(a * b for a, b in zip(stage_values(u0), w_st)), uw_st
+
+
+def stage_slope(x, y, u, w, u0w, gamma: float, s: Scenario, uw=None, jacobians: bool = False):
+    """Smoothed field times the time dilation w at RK4 stage points.
+
+    k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the ramped cone
+    coefficient c = min{M/R1, gamma exp(gamma h_lower)}; broadcasts over
+    leading axes.  Under identity drift ``uw`` = u w may come precomputed.
+    With ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
+    dk/du0w), the matrices as (..., n, n) arrays.
+    """
+    diff = x - y
+    ex = np.exp(np.minimum((0.5 * gamma) * (np.add.reduce(diff * diff, -1) - s.R1 ** 2), 50.0))
+    c = np.minimum(s.cone_gain, gamma * ex)
+    if s.drift.name == "identity":
+        f = u
+        fw = u * w[..., None] if uw is None else uw
+    else:
+        f = drift(x, u, s)
+        fw = f * w[..., None]
+    k = fw - (u0w * c)[..., None] * diff
+    if not jacobians:
+        return k
+    eye, A = np.eye(s.dim), s.drift.matrix(s.dim)
+    f_u = eye
+    if s.drift.name != "identity":
+        raw = x @ A.T + u
+        nrm = np.maximum(np.linalg.norm(raw, axis=-1), 1e-300)[..., None, None]
+        rhat = raw[..., :, None] / nrm
+        f_u = np.where(nrm > s.M1, (s.M1 / nrm) * (eye - rhat * np.swapaxes(rhat, -1, -2)), eye)
+    # below the cap, grad_x c = gamma c (x - y) = -grad_y c
+    gc = np.where(c < s.cone_gain, gamma * c, 0.0)
+    pull = c[..., None, None] * eye + gc[..., None, None] * diff[..., :, None] * diff[..., None, :]
+    k_y = u0w[..., None, None] * pull
+    k_x = w[..., None, None] * (f_u @ A) - k_y
+    return k, (k_x, k_y, w[..., None, None] * f_u, f, -c[..., None] * diff)
+
+
+def rk4_stages(x, at, y_st, controls, gamma: float, s: Scenario, dt: float):
+    """States and slopes of the four RK4 stages of the steps that start at x.
+
+    The stage tableaus, y's from ``plan_path`` and ``controls`` from
+    ``stage_controls``, are read at index ``at``: one interval for the
+    forward sweep, a slice of all of them for the adjoint.
+    """
+    u_st, w_st, u0w_st, uw_st = controls
+    x_st, k = [x], []
+    for j in range(4):
+        k.append(stage_slope(x_st[j], y_st[j][at], u_st[j][at], w_st[j][at], u0w_st[j][at],
+                             gamma, s, None if uw_st is None else uw_st[j][at]))
+        if j < 3:
+            x_st.append(x + (RK4_OFFSETS[j + 1] * dt) * k[j])
+    return x_st, k
+
+
+def _as_batched(arr, ndim):
+    """A node array with a batch axis: (N+1, B) or (N+1, B, n) for ``ndim`` 2 or 3."""
     arr = np.asarray(arr, dtype=float)
-    if width is None:
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        return arr
-    if arr.ndim == 2:
-        arr = arr[:, None, :]
-    return arr
+    return arr[:, None] if arr.ndim < ndim else arr
 
 
 def plan_path(v, omega, s: Scenario, grid: TimeGrid):
     """Closed-form RK4 path of the plan center and the trapezoid clock.
 
     dy = v*omega needs no swept-point state, so y, its four RK4 stage values
-    per interval and t are sums of the controls v (N+1, B, n) and omega
-    (N+1, B).  Returns (y, y_stages, t)."""
+    per interval and t are sums of the controls v (N+1, [B,] n) and omega
+    (N+1, [B]).  Returns (y, y_stages, t)."""
     dt = grid.dt
-    w1 = v[:-1] * omega[:-1][..., None]
-    om_m = 0.5 * (omega[:-1] + omega[1:])
-    wm = 0.5 * (v[:-1] + v[1:]) * om_m[..., None]
-    w4 = v[1:] * omega[1:][..., None]
+    v_st, om_st = stage_values(v), stage_values(omega)
+    w1, wm, w4 = (v_st[j] * om_st[j][..., None] for j in (0, 1, 3))
     ys = np.empty(v.shape)
     ys[0] = s.y0_arr
     ys[1:] = s.y0_arr + np.cumsum((dt / 6.0) * (w1 + 4.0 * wm + w4), axis=0)
-    y_st = (ys[:-1], ys[:-1] + (0.5 * dt) * w1,
-            ys[:-1] + (0.5 * dt) * wm, ys[:-1] + dt * wm)
-    ts = np.concatenate([np.zeros((1, omega.shape[1])), np.cumsum(om_m * dt, axis=0)])
+    y_st = tuple(ys[:-1] + (a * dt) * k if a else ys[:-1]
+                 for a, k in zip(RK4_OFFSETS, (None, w1, wm, wm)))
+    ts = np.concatenate([np.zeros((1,) + omega.shape[1:]), np.cumsum(om_st[1] * dt, axis=0)])
     return ys, y_st, ts
 
 
@@ -248,58 +320,22 @@ def propagate_smooth(v, u, u0, omega, x_init, gamma: float, s: Scenario, grid: T
     matching the transcription order.  Returns (y, x, z, t) node arrays.
     """
     n = grid.n_nodes
-    v = _as_batched(v, n, width=s.dim)
-    u = _as_batched(u, n, width=s.dim)
-    u0 = _as_batched(u0, n)
-    omega = _as_batched(omega, n)
-    x0 = np.asarray(x_init, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[None, :]
+    v, u = _as_batched(v, 3), _as_batched(u, 3)
+    u0, omega = _as_batched(u0, 2), _as_batched(omega, 2)
+    x0 = np.atleast_2d(np.asarray(x_init, dtype=float))
     B = max(v.shape[1], u.shape[1], u0.shape[1], omega.shape[1], x0.shape[0])
-    v = np.broadcast_to(v, (n, B, s.dim))
-    u = np.broadcast_to(u, (n, B, s.dim))
-    u0 = np.broadcast_to(u0, (n, B))
-    omega = np.broadcast_to(omega, (n, B))
-    x0 = np.broadcast_to(x0, (B, s.dim))
+    v, u = (np.broadcast_to(a, (n, B, s.dim)) for a in (v, u))
+    u0, omega = (np.broadcast_to(a, (n, B)) for a in (u0, omega))
 
     dt = grid.dt
     xs = np.empty((n, B, s.dim))
     xs[0] = x0
-
-    # y and t have closed forms (plan_path); only x needs the stage
-    # recursion.  Stage math matches sweeping_field_smooth.
+    # y and t have closed forms (plan_path); only x needs the stage recursion
     ys, y_st, ts = plan_path(v, omega, s, grid)
-    om_m = 0.5 * (omega[:-1] + omega[1:])
-
-    um = 0.5 * (u[:-1] + u[1:])
-    u0m = 0.5 * (u0[:-1] + u0[1:])
-    u_st = (u[:-1], um, um, u[1:])
-    w_st = (omega[:-1], om_m, om_m, omega[1:])
-    u0w_st = (u0[:-1] * omega[:-1], u0m * om_m, u0m * om_m, u0[1:] * omega[1:])
-
-    cg = s.cone_gain
-    r1sq = s.R1 ** 2
-    gscale = 0.5 * gamma
-    identity_drift = s.drift.name == "identity"
-    if identity_drift:
-        fw_st = tuple(uu * ww[..., None] for uu, ww in zip(u_st, w_st))
-
-    def stage(xst, j, i):
-        diff = xst - y_st[j][i]
-        ex = np.exp(np.minimum(gscale * ((diff * diff).sum(-1) - r1sq), 50.0))
-        c = np.minimum(cg, gamma * ex)
-        if identity_drift:
-            return fw_st[j][i] - (u0w_st[j][i] * c)[:, None] * diff
-        f = drift(xst, u_st[j][i], s)
-        return f * w_st[j][i][:, None] - (u0w_st[j][i] * c)[:, None] * diff
-
-    half = 0.5 * dt
+    controls = stage_controls(u, u0, omega, s)
     for i in range(n - 1):
         xi = xs[i]
-        k1 = stage(xi, 0, i)
-        k2 = stage(xi + half * k1, 1, i)
-        k3 = stage(xi + half * k2, 2, i)
-        k4 = stage(xi + dt * k3, 3, i)
+        _, (k1, k2, k3, k4) = rk4_stages(xi, i, y_st, controls, gamma, s, dt)
         xs[i + 1] = xi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     effort = (np.sum(u * u, axis=2) + u0 * u0) * omega

@@ -347,6 +347,11 @@ def target_distance(y, s: Scenario) -> float:
     return np.maximum(0.0, d - s.R1)
 
 
+def dot_rows(a, b):
+    """Dot product over the last axis, each row rounded exactly as ``np.dot``."""
+    return (np.asarray(a, dtype=float)[..., None, :] @ np.asarray(b, dtype=float)[..., :, None])[..., 0, 0]
+
+
 def target_direction(y, s: Scenario) -> np.ndarray:
     """Unit vector from y toward the nearest exit-target sample (zero if on it)."""
     y = np.asarray(y, dtype=float)

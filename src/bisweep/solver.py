@@ -6,7 +6,8 @@ Layout of the nested scheme:
   transcribed lower effort problem for frozen (omega, v); produces the value
   phi, the minimizing decision, and adjoint/multiplier estimates.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
-  upper controls, read off the lower multipliers.
+  upper controls, read off the lower multipliers through the exact discrete
+  adjoint of the forward RK4 step map (``dynamics.rk4_stages``, ``plan_path``).
 * ``solve_bilevel`` -- outer continuation over the smoothing gain gamma, one
   stage per schedule entry; each stage runs the same projected-gradient
   descent as the lower level on a merit that reads only the plan (travel
@@ -28,15 +29,22 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .dynamics import (
+    RK4_OFFSETS,
+    RK4_WEIGHTS,
     ControlProfile,
     StateTrajectory,
     TimeGrid,
     SmoothingSchedule,
     integrate_smooth,
     plan_path,
+    rk4_stages,
+    stage_controls,
+    stage_slope,
+    stage_values,
 )
 from .geometry import (
     Scenario,
+    dot_rows,
     h_upper,
     project_disk,
     target_distance,
@@ -276,142 +284,70 @@ def _kkt_weights(nlp, flat, res, s: Scenario, opts: SolverOptions) -> np.ndarray
     return eta
 
 
-def _field_and_jacobians(y, x, u, u0, omega, gamma: float, s: Scenario):
-    """Smoothed swept-point field dx and its Jacobians at one point.
-
-    Returns (dx, Jx_x, Jx_y, Ju, Ju0, Jom_x) where Jx_* are the Jacobians
-    of dx with respect to the x/y states, Ju and Ju0 those with respect to the
-    swept controls, and Jom_x is d(dx)/d(omega) (d(dy)/d(omega) is just v and
-    d(dy)/dv is omega*I, handled by the caller).
-    """
-    dim = s.dim
-    d = x - y
-    hl = 0.5 * (float(d @ d) - s.R1 ** 2)
-    craw = gamma * np.exp(min(gamma * hl, 50.0))
-    capped = craw >= s.cone_gain
-    c = min(s.cone_gain, craw)
-    if s.drift.name == "identity":
-        f = u.copy()
-        jf_x = np.zeros((dim, dim))
-        jf_u = np.eye(dim)
-    else:
-        A = s.drift.matrix(dim)
-        raw = A @ x + u
-        nrm = float(np.linalg.norm(raw))
-        if nrm > s.M1:
-            rhat = raw / nrm
-            proj = (s.M1 / nrm) * (np.eye(dim) - np.outer(rhat, rhat))
-            f = s.M1 * rhat
-            jf_x = proj @ A
-            jf_u = proj
-        else:
-            f = raw
-            jf_x = A
-            jf_u = np.eye(dim)
-    # gradient of the ramped coefficient: grad_x c = gc*d, grad_y c = -gc*d
-    gc = 0.0 if capped else gamma * c
-    pull = c * np.eye(dim) + gc * np.outer(d, d)
-    dx = (f - u0 * c * d) * omega
-    jx_x = omega * (jf_x - u0 * pull)
-    jx_y = omega * (u0 * pull)
-    ju = omega * jf_u
-    ju0 = -omega * c * d
-    jom_x = f - u0 * c * d
-    return dx, jx_x, jx_y, ju, ju0, jom_x
-
-
 def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
-                 gamma: float, s: Scenario, terminal_y=None, terminal_x=None):
+                 gamma: float, s: Scenario, terminal_y=None):
     """Exact discrete adjoint of the RK4 propagation of the smoothed system.
 
-    Backpropagates the Lagrangian L = z(T*) + sum_i eta_i * h_lower_i through
-    the same RK4 step map used forward, so the returned control gradients
-    match finite differences of L to roundoff.  Returns node cotangents
-    (q_y, q_x) = dL/d(y_i, x_i) and exact control gradients
-    (dL/domega, dL/dv, dL/du, dL/du0).
+    Backpropagates L = z(T*) + sum_i eta_i * h_lower_i through the forward's
+    own step map: stage states of every interval from ``plan_path`` and
+    ``rk4_stages``, field Jacobians of every (stage, interval) pair from one
+    ``stage_slope`` call; only the 2x2 backward recursion over nodes is
+    sequential.  Returns node cotangents (q_y, q_x) = dL/d(y_i, x_i) and the
+    control gradients (dL/domega, dL/dv, dL/du, dL/du0), exact to roundoff.
     """
     grid = tr.grid
-    n = grid.n_nodes
     dt = grid.dt
-    dim = s.dim
+    eye = np.eye(s.dim)
     w = _trapz_weights(grid)
+    _, y_st, _ = plan_path(cp.v, cp.omega, s, grid)
+    controls = stage_controls(cp.u, cp.u0, cp.omega, s)
+    x_st, _ = rk4_stages(tr.x[:-1], slice(None), y_st, controls, gamma, s, dt)
+    X, Y, U, W, U0W = (np.stack(a) for a in (x_st, y_st) + controls[:3])   # (4, N, ...)
+    V, U0 = np.stack(stage_values(cp.v)), np.stack(stage_values(cp.u0))
+    _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0W, gamma, s, jacobians=True)
 
-    def stage_ctrl(i, which):
-        if which == 0:
-            return cp.v[i], cp.u[i], cp.u0[i], cp.omega[i]
-        if which == 2:
-            return cp.v[i + 1], cp.u[i + 1], cp.u0[i + 1], cp.omega[i + 1]
-        return (0.5 * (cp.v[i] + cp.v[i + 1]), 0.5 * (cp.u[i] + cp.u[i + 1]),
-                0.5 * (cp.u0[i] + cp.u0[i + 1]), 0.5 * (cp.omega[i] + cp.omega[i + 1]))
+    # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
+    # g_j = b_j lam_x + a_{j+1} dt k_x[j+1]^T g_{j+1} unrolls the stage updates
+    b = (dt / 6.0) * np.asarray(RK4_WEIGHTS)
+    kxT, kyT = np.swapaxes(k_x, -1, -2), np.swapaxes(k_y, -1, -2)
+    G = np.empty_like(k_x)
+    G[3] = b[3] * eye
+    for j in (2, 1, 0):
+        G[j] = b[j] * eye + (RK4_OFFSETS[j + 1] * dt) * (kxT[j + 1] @ G[j + 1])
+    phiT = eye + np.sum(kxT @ G, axis=0)           # (dx_{i+1}/dx_i)^T
+    psiT = np.sum(kyT @ G, axis=0)                 # (dx_{i+1}/dy_i)^T
 
-    q_y = np.zeros((n, dim))
-    q_x = np.zeros((n, dim))
-    d_om = w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2)
-    d_v = np.zeros((n, dim))
-    d_u = w[:, None] * 2.0 * cp.u * cp.omega[:, None]
-    d_u0 = w * 2.0 * cp.u0 * cp.omega
+    d = tr.x - tr.y
+    q_x = np.empty_like(d)
+    q_x[-1] = eta[-1] * d[-1]
+    for i in range(grid.n_intervals - 1, -1, -1):
+        q_x[i] = phiT[i] @ q_x[i + 1] + eta[i] * d[i]
+    lam_x = q_x[1:]
+    # q_y needs no recursion: its increments are known once lam_x is
+    dq_y = np.concatenate([(psiT @ lam_x[..., None])[..., 0] - eta[:-1, None] * d[:-1],
+                           [-eta[-1] * d[-1] + (0.0 if terminal_y is None else terminal_y)]])
+    q_y = np.cumsum(dq_y[::-1], axis=0)[::-1]
 
-    d_T = tr.x[-1] - tr.y[-1]
-    lam_y = -eta[-1] * d_T + (np.zeros(dim) if terminal_y is None else np.asarray(terminal_y, float))
-    lam_x = eta[-1] * d_T + (np.zeros(dim) if terminal_x is None else np.asarray(terminal_x, float))
-    q_y[-1] = lam_y
-    q_x[-1] = lam_x
+    gx = (G @ lam_x[..., None])[..., 0]                        # (4, N, dim)
+    jy = (kyT @ gx[..., None])[..., 0]
+    gy = b[:, None, None] * q_y[1:]
+    gy[:3] += (np.asarray(RK4_OFFSETS[1:]) * dt)[:, None, None] * jy[1:]
+    g_u0w = np.sum(k_u0w * gx, axis=-1)
 
-    stage_map = (0, 1, 1, 2)
-    for i in range(n - 2, -1, -1):
-        # re-run the forward stages of interval i to evaluate stage states
-        ky = np.empty((4, dim))
-        kx = np.empty((4, dim))
-        sy = np.empty((4, dim))
-        sx = np.empty((4, dim))
-        offs = (0.0, 0.5, 0.5, 1.0)
-        jac = [None] * 4
-        for j in range(4):
-            a = offs[j]
-            yy = tr.y[i] + (a * dt) * (ky[j - 1] if j else 0.0)
-            xx = tr.x[i] + (a * dt) * (kx[j - 1] if j else 0.0)
-            sy[j], sx[j] = yy, xx
-            vv, uu, uu0, ww = stage_ctrl(i, stage_map[j])
-            dx, jx_x, jx_y, ju, ju0, jom_x = _field_and_jacobians(
-                yy, xx, uu, uu0, ww, gamma, s)
-            ky[j] = vv * ww
-            kx[j] = dx
-            jac[j] = (jx_x, jx_y, ju, ju0, jom_x, vv, ww)
+    def to_nodes(g, into):
+        # stage 0 reads node i, stages 1 and 2 the average of nodes i and i+1, stage 3 node i+1
+        mid = 0.5 * (g[1] + g[2])
+        into[:-1] += g[0] + mid
+        into[1:] += g[3] + mid
+        return into
 
-        # reverse through the RK4 combination
-        gy = np.empty((4, dim))
-        gx = np.empty((4, dim))
-        jt_y = np.empty((4, dim))
-        jt_x = np.empty((4, dim))
-        coeffs = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
-        carry = (0.0, dt / 2.0, dt / 2.0, dt)
-        for j in (3, 2, 1, 0):
-            gy[j] = coeffs[j] * lam_y + (carry[j + 1] * jt_y[j + 1] if j < 3 else 0.0)
-            gx[j] = coeffs[j] * lam_x + (carry[j + 1] * jt_x[j + 1] if j < 3 else 0.0)
-            jx_x, jx_y, _, _, _, _, _ = jac[j]
-            jt_y[j] = jx_y.T @ gx[j]          # dy-stage has no state dependence
-            jt_x[j] = jx_x.T @ gx[j]
-        for j in range(4):
-            jx_x, jx_y, ju, ju0, jom_x, vv, ww = jac[j]
-            dv_ = ww * gy[j]
-            du_ = ju.T @ gx[j]
-            du0_ = float(ju0 @ gx[j])
-            dom_ = float(vv @ gy[j]) + float(jom_x @ gx[j])
-            which = stage_map[j]
-            targets = ((i, 1.0),) if which == 0 else (
-                ((i + 1, 1.0),) if which == 2 else ((i, 0.5), (i + 1, 0.5)))
-            for idx, fr in targets:
-                d_v[idx] += fr * dv_
-                d_u[idx] += fr * du_
-                d_u0[idx] += fr * du0_
-                d_om[idx] += fr * dom_
-        lam_y = lam_y + jt_y.sum(axis=0)
-        lam_x = lam_x + jt_x.sum(axis=0)
-        d_i = tr.x[i] - tr.y[i]
-        lam_y = lam_y - eta[i] * d_i
-        lam_x = lam_x + eta[i] * d_i
-        q_y[i] = lam_y
-        q_x[i] = lam_x
+    # the effort integrand's own derivatives, then the stage cotangents
+    d_om = to_nodes(np.sum(k_w * gx, axis=-1) + np.sum(V * gy, axis=-1) + U0 * g_u0w,
+                    w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
+    d_v = to_nodes(W[..., None] * gy, np.zeros_like(cp.v))
+    d_u = to_nodes((np.swapaxes(k_u, -1, -2) @ gx[..., None])[..., 0],
+                   w[:, None] * 2.0 * cp.u * cp.omega[:, None])
+    d_u0 = to_nodes(W * g_u0w, w * 2.0 * cp.u0 * cp.omega)
     return q_y, q_x, d_om, d_v, d_u, d_u0
 
 
@@ -431,11 +367,8 @@ def adjoint_sweep(tr: StateTrajectory, cp: ControlProfile, mults_terminal: dict,
     mu_L = np.asarray(mults_terminal["mu_L"], dtype=float)
     lam = float(mults_terminal.get("lambda_bar", 1.0))
     # nodal atoms of the contact measure implied by the non-increasing path
-    eta = np.empty_like(mu_L)
-    eta[:-1] = mu_L[:-1] - mu_L[1:]
-    eta[-1] = mu_L[-1]
+    eta = mu_L - np.append(mu_L[1:], 0.0)
     p_H_T = np.asarray(mults_terminal.get("p_H_terminal", np.zeros(s.dim)), dtype=float)
-    d_T = tr.x[-1] - tr.y[-1]
     scale = lam if lam > 0 else 1.0
     q_y, q_x, _, _, _, _ = _reverse_rk4(tr, cp, eta / scale, gamma, s,
                                         terminal_y=-p_H_T / scale)
@@ -464,14 +397,11 @@ def _lower_multipliers(tr: StateTrajectory, dv: DecisionVector, eta: np.ndarray,
 
 def _project_out_normal(zeta2: np.ndarray, v: np.ndarray, s: Scenario) -> np.ndarray:
     """Remove the outward normal-cone component at nodes with |v| on the ball."""
-    out = zeta2.copy()
-    if s.v_bound <= 0:
-        return out
     nrm = np.linalg.norm(v, axis=1)
-    for i in np.nonzero(nrm >= s.v_bound * (1.0 - 1e-9))[0]:
-        vhat = v[i] / max(nrm[i], 1e-300)
-        out[i] -= max(0.0, float(out[i] @ vhat)) * vhat
-    return out
+    vhat = v / np.maximum(nrm, 1e-300)[:, None]
+    on_ball = (s.v_bound > 0) & (nrm >= s.v_bound * (1.0 - 1e-9))
+    outward = np.where(on_ball, np.maximum(0.0, dot_rows(zeta2, vhat)), 0.0)
+    return zeta2 - outward[:, None] * vhat
 
 
 def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
@@ -486,15 +416,13 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     if lower.multipliers is None or lower.multipliers.lambda_bar <= 0:
         raise AbnormalLowerProblemError("cost multiplier of the lower problem is zero")
     m = lower.multipliers
-    omega = np.asarray(omega, dtype=float)
-    v = np.asarray(v, dtype=float)
     dec = lower.decision
     cp = ControlProfile(dec.controls.grid, v, dec.controls.u, dec.controls.u0, omega)
     tr = integrate_smooth(cp, dec.x_init, lower.gamma, s)
     _, _, d_om, d_v, _, _ = _reverse_rk4(tr, cp, m.eta, lower.gamma, s)
     w = _trapz_weights(cp.grid)
     zeta1 = d_om / (w * m.lambda_bar)
-    zeta2 = _project_out_normal(d_v / (w[:, None] * m.lambda_bar), v, s)
+    zeta2 = _project_out_normal(d_v / (w[:, None] * m.lambda_bar), cp.v, s)
     return zeta1, zeta2
 
 

@@ -71,23 +71,21 @@ class NLPInstance:
 
     # --- batched core ------------------------------------------------------
     def _split_many(self, flat_batch: np.ndarray):
-        """(B, dim) -> node-major control arrays with batch axis."""
+        """(B, dim) -> initial states (B, n) and node-major controls u, u0 with batch axis."""
         flat = np.atleast_2d(np.asarray(flat_batch, dtype=float))
         B = flat.shape[0]
         n = self.grid.n_nodes
         d = self.scenario.dim
-        x_init = flat[:, :d]
         u = flat[:, d:d + d * n].reshape(B, n, d).transpose(1, 0, 2)
-        u0 = np.clip(flat[:, d + d * n:d + d * n + n].T, 0.0, 1.0)
-        v = np.broadcast_to(self.fixed_v[:, None, :], (n, B, d))
-        omega = np.broadcast_to(self.fixed_omega[:, None], (n, B))
-        return x_init, u, u0, v, omega
+        return flat[:, :d], u, np.clip(flat[:, d + d * n:d + d * n + n].T, 0.0, 1.0)
 
     def eval_many(self, flat_batch: np.ndarray):
-        """Objectives (B,) and residual matrix (B, n_res) for a batch of points."""
+        """Objectives (B,) and residual matrix (B, n_res) for a batch of points;
+        the frozen plan is broadcast over the batch by the propagation."""
         s = self.scenario
-        x_init, u, u0, v, omega = self._split_many(flat_batch)
-        ys, xs, zs, _ = propagate_smooth(v, u, u0, omega, x_init, self.gamma, s, self.grid)
+        x_init, u, u0 = self._split_many(flat_batch)
+        ys, xs, zs, _ = propagate_smooth(self.fixed_v, u, u0, self.fixed_omega, x_init,
+                                         self.gamma, s, self.grid)
         return zs[-1], h_lower(xs, ys, s).T
 
     def objective(self, dv: DecisionVector) -> float:

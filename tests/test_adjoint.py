@@ -1,0 +1,198 @@
+"""The vectorized RK4 adjoint against a per-node loop reference and against
+central differences of the lower Lagrangian, on identity drift and on an
+affine drift whose saturation at M1 is active at some stage points."""
+
+import numpy as np
+import pytest
+
+from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, propagate_smooth
+from bisweep.geometry import DriftSpec, h_lower, straight_corridor
+from bisweep.solver import _reverse_rk4, _trapz_weights
+
+GAMMA = 24.0
+IDENTITY = straight_corridor()
+# |A x + u| crosses M1 = 0.9 along the profile below, so both branches of
+# the saturated drift are exercised
+SATURATING = straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.5), (-0.5, 0.0))),
+                               M1=0.9, K_f=0.5)
+DRIFTS = {"identity": IDENTITY, "affine-saturating": SATURATING}
+
+
+def profile(n, seed=3):
+    """Seeded controls that keep x near the rim, inside and on the ramp of
+    the cone coefficient, with |u| between 0.5 and 1."""
+    rng = np.random.default_rng(seed)
+    m = n + 1
+    ang = np.cumsum(rng.normal(scale=0.4, size=m))
+    mag = rng.uniform(0.5, 1.0, size=m)
+    u = mag[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    v = 0.4 * np.stack([np.cos(0.3 * ang), np.sin(0.3 * ang)], axis=1)
+    cp = ControlProfile(TimeGrid(n), v=v, u=u, u0=rng.uniform(0.1, 0.9, size=m),
+                        omega=rng.uniform(1.0, 2.5, size=m))
+    eta = rng.uniform(0.0, 0.5, size=m) * (rng.uniform(size=m) < 0.5)
+    return cp, np.array([0.95, 0.1]), eta
+
+
+# ------------------------------------------------------------ loop reference
+# The per-node sweep the vectorized one replaced: it re-runs the four RK4
+# stages of every interval with a scalar copy of the smoothed field and
+# scatters the control cotangents node by node.
+
+def _loop_field_and_jacobians(y, x, u, u0, omega, gamma, s):
+    dim = s.dim
+    d = x - y
+    hl = 0.5 * (float(d @ d) - s.R1 ** 2)
+    craw = gamma * np.exp(min(gamma * hl, 50.0))
+    capped = craw >= s.cone_gain
+    c = min(s.cone_gain, craw)
+    if s.drift.name == "identity":
+        f = u.copy()
+        jf_x = np.zeros((dim, dim))
+        jf_u = np.eye(dim)
+    else:
+        A = s.drift.matrix(dim)
+        raw = A @ x + u
+        nrm = float(np.linalg.norm(raw))
+        if nrm > s.M1:
+            rhat = raw / nrm
+            proj = (s.M1 / nrm) * (np.eye(dim) - np.outer(rhat, rhat))
+            f = s.M1 * rhat
+            jf_x = proj @ A
+            jf_u = proj
+        else:
+            f = raw
+            jf_x = A
+            jf_u = np.eye(dim)
+    gc = 0.0 if capped else gamma * c
+    pull = c * np.eye(dim) + gc * np.outer(d, d)
+    dx = (f - u0 * c * d) * omega
+    return (dx, omega * (jf_x - u0 * pull), omega * (u0 * pull), omega * jf_u,
+            -omega * c * d, f - u0 * c * d)
+
+
+def loop_reverse_rk4(tr, cp, eta, gamma, s, terminal_y=None):
+    grid = tr.grid
+    n = grid.n_nodes
+    dt = grid.dt
+    dim = s.dim
+    w = _trapz_weights(grid)
+
+    def stage_ctrl(i, which):
+        if which == 0:
+            return cp.v[i], cp.u[i], cp.u0[i], cp.omega[i]
+        if which == 2:
+            return cp.v[i + 1], cp.u[i + 1], cp.u0[i + 1], cp.omega[i + 1]
+        return (0.5 * (cp.v[i] + cp.v[i + 1]), 0.5 * (cp.u[i] + cp.u[i + 1]),
+                0.5 * (cp.u0[i] + cp.u0[i + 1]), 0.5 * (cp.omega[i] + cp.omega[i + 1]))
+
+    q_y = np.zeros((n, dim))
+    q_x = np.zeros((n, dim))
+    d_om = w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2)
+    d_v = np.zeros((n, dim))
+    d_u = w[:, None] * 2.0 * cp.u * cp.omega[:, None]
+    d_u0 = w * 2.0 * cp.u0 * cp.omega
+    d_T = tr.x[-1] - tr.y[-1]
+    lam_y = -eta[-1] * d_T + (np.zeros(dim) if terminal_y is None else np.asarray(terminal_y, float))
+    lam_x = eta[-1] * d_T
+    q_y[-1] = lam_y
+    q_x[-1] = lam_x
+    stage_map = (0, 1, 1, 2)
+    offs = (0.0, 0.5, 0.5, 1.0)
+    coeffs = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
+    carry = (0.0, dt / 2.0, dt / 2.0, dt)
+    for i in range(n - 2, -1, -1):
+        ky = np.empty((4, dim))
+        kx = np.empty((4, dim))
+        jac = [None] * 4
+        for j in range(4):
+            a = offs[j]
+            yy = tr.y[i] + (a * dt) * (ky[j - 1] if j else 0.0)
+            xx = tr.x[i] + (a * dt) * (kx[j - 1] if j else 0.0)
+            vv, uu, uu0, ww = stage_ctrl(i, stage_map[j])
+            dx, jx_x, jx_y, ju, ju0, jom_x = _loop_field_and_jacobians(yy, xx, uu, uu0, ww,
+                                                                       gamma, s)
+            ky[j] = vv * ww
+            kx[j] = dx
+            jac[j] = (jx_x, jx_y, ju, ju0, jom_x, vv, ww)
+        gy = np.empty((4, dim))
+        gx = np.empty((4, dim))
+        jt_y = np.empty((4, dim))
+        jt_x = np.empty((4, dim))
+        for j in (3, 2, 1, 0):
+            gy[j] = coeffs[j] * lam_y + (carry[j + 1] * jt_y[j + 1] if j < 3 else 0.0)
+            gx[j] = coeffs[j] * lam_x + (carry[j + 1] * jt_x[j + 1] if j < 3 else 0.0)
+            jt_y[j] = jac[j][1].T @ gx[j]
+            jt_x[j] = jac[j][0].T @ gx[j]
+        for j in range(4):
+            jx_x, jx_y, ju, ju0, jom_x, vv, ww = jac[j]
+            which = stage_map[j]
+            targets = ((i, 1.0),) if which == 0 else (
+                ((i + 1, 1.0),) if which == 2 else ((i, 0.5), (i + 1, 0.5)))
+            for idx, fr in targets:
+                d_v[idx] += fr * ww * gy[j]
+                d_u[idx] += fr * (ju.T @ gx[j])
+                d_u0[idx] += fr * float(ju0 @ gx[j])
+                d_om[idx] += fr * (float(vv @ gy[j]) + float(jom_x @ gx[j]))
+        lam_y = lam_y + jt_y.sum(axis=0)
+        lam_x = lam_x + jt_x.sum(axis=0)
+        d_i = tr.x[i] - tr.y[i]
+        lam_y = lam_y - eta[i] * d_i
+        lam_x = lam_x + eta[i] * d_i
+        q_y[i] = lam_y
+        q_x[i] = lam_x
+    return q_y, q_x, d_om, d_v, d_u, d_u0
+
+
+def test_profile_visits_both_branches_of_the_ramp_and_the_saturation():
+    cp, x0, _ = profile(12)
+    tr = integrate_smooth(cp, x0, GAMMA, SATURATING)
+    dist = np.linalg.norm(tr.x - tr.y, axis=1)
+    # the coefficient gamma*exp(gamma*h_lower) reaches its cap M/R1 = 1.5 at
+    # |x - y|^2 = 1 - 2 ln(16)/24
+    rim = np.sqrt(1.0 - 2.0 * np.log(GAMMA / SATURATING.cone_gain) / GAMMA)
+    assert dist.min() < rim < dist.max()
+    raw = np.linalg.norm(tr.x @ SATURATING.drift.matrix(2).T + cp.u, axis=1)
+    assert raw.min() < SATURATING.M1 < raw.max()
+
+
+@pytest.mark.parametrize("name", DRIFTS)
+def test_sweep_matches_per_node_loop_reference(name):
+    s = DRIFTS[name]
+    cp, x0, eta = profile(12)
+    tr = integrate_smooth(cp, x0, GAMMA, s)
+    term = np.array([0.3, -0.7])
+    new = _reverse_rk4(tr, cp, eta, GAMMA, s, terminal_y=term)
+    ref = loop_reverse_rk4(tr, cp, eta, GAMMA, s, terminal_y=term)
+    for label, a, b in zip(("q_y", "q_x", "d_om", "d_v", "d_u", "d_u0"), new, ref):
+        assert a.shape == b.shape, label
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), label
+
+
+@pytest.mark.parametrize("name", DRIFTS)
+def test_sweep_gradients_match_central_differences(name):
+    # L = z(T) + sum_i eta_i h_lower_i; every coordinate of every control and
+    # of x(0) is perturbed by +-h in one batched propagation
+    s = DRIFTS[name]
+    cp, x0, eta = profile(12)
+    tr = integrate_smooth(cp, x0, GAMMA, s)
+    _, q_x, d_om, d_v, d_u, d_u0 = _reverse_rk4(tr, cp, eta, GAMMA, s)
+
+    base = {"v": cp.v, "u": cp.u, "u0": cp.u0, "omega": cp.omega, "x0": x0}
+    dims = [(key, idx) for key, arr in base.items() for idx in np.ndindex(arr.shape)]
+    h = 1e-6
+    batch = {key: np.repeat(arr[..., None], 2 * len(dims), axis=-1) for key, arr in base.items()}
+    for col, (key, idx) in enumerate(dims):
+        batch[key][idx + (2 * col,)] += h
+        batch[key][idx + (2 * col + 1,)] -= h
+    ys, xs, zs, _ = propagate_smooth(np.moveaxis(batch["v"], -1, 1), np.moveaxis(batch["u"], -1, 1),
+                                     batch["u0"], batch["omega"], batch["x0"].T, GAMMA, s,
+                                     cp.grid)
+    lag = zs[-1] + np.sum(eta[:, None] * h_lower(xs, ys, s), axis=0)
+    fd = (lag[0::2] - lag[1::2]) / (2 * h)
+
+    adj = {"v": d_v, "u": d_u, "u0": d_u0, "omega": d_om, "x0": q_x[0]}
+    pred = np.array([adj[key][idx] for key, idx in dims])
+    for key in base:
+        sel = np.array([k == key for k, _ in dims])
+        scale = max(np.abs(pred[sel]).max(), 1e-12)
+        assert np.abs(fd[sel] - pred[sel]).max() <= 1e-7 * scale, key

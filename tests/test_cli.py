@@ -126,6 +126,16 @@ def test_simulate_smooth_when_gamma_given(tmp_path, capsys):
     assert "T = 2.0" in out
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+@pytest.mark.parametrize("control, value", [("v", (1.5, 0.0)), ("u", (0.0, -1.2))],
+                         ids=["v", "u"])
+def test_out_of_bound_profile_is_refused(tmp_path, capsys, command, control, value):
+    # the corridor's balls have radius v_bound = u_bound = 1
+    prof = write_profile(tmp_path, **{control: value})
+    assert main([command, "--profile", str(prof)]) == EXIT_USAGE
+    assert f"control {control} exceeds" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- solve
 def test_solve_tiny_budget_writes_outputs(tmp_path):
     cfg = write_config(tmp_path, run=TINY_RUN)

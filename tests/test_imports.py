@@ -1,5 +1,6 @@
 """Every module-level import in the package is used or re-exported, and every
-private module-level helper is referenced somewhere in the package."""
+function, method and private module-level class of the package is referenced
+somewhere in src/, tests/ or bench/."""
 
 import ast
 from pathlib import Path
@@ -47,41 +48,68 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_helpers(sources: dict) -> list:
-    """Private module-level functions and classes (one leading underscore)
-    that no module in ``sources`` references by name, attribute or import."""
-    defined, used = {}, set()
-    for module, source in sources.items():
+def dead_definitions(defining: dict, referencing: dict) -> list:
+    """Functions and methods (dunders excepted) and private module-level
+    classes defined in ``defining`` that no module in ``referencing``
+    references by name, attribute or import."""
+    defined = {}
+    for module, source in defining.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined[node.name] = f"{module}:{node.lineno}"
+        for cls in tree.body:
+            if (isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+                    and not cls.name.startswith("__")):
+                defined[cls.name] = (cls.name, f"{module}:{cls.lineno}")
+        owners = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body}
         for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))):
+                owner = owners.get(id(node))
+                label = f"{owner}.{node.name}" if owner else node.name
+                defined[label] = (node.name, f"{module}:{node.lineno}")
+    used = set()
+    for source in referencing.values():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+    return sorted(f"{label} ({where})" for label, (name, where) in defined.items()
+                  if name not in used)
 
 
-def test_dead_helper_scanner_flags_unreferenced_private_defs():
-    sources = {
+def test_dead_definition_scanner_flags_unreferenced_functions_and_methods():
+    package = {
         "a": ("def _dead(): pass\n"
               "def _called(): pass\n"
-              "class _Model: pass\n"
+              "class _Model:\n"
+              "    def __init__(self): pass\n"
+              "    def used(self): pass\n"
+              "    def unused(self): pass\n"
+              "class _Orphan: pass\n"
               "def _by_attribute(): pass\n"
               "def __getattr__(name): pass\n"
-              "def public(): return _called()\n"),
+              "def public_unused(): pass\n"
+              "def public(): return _called()\n"
+              "def outer():\n"
+              "    def inner(): pass\n"
+              "    def inner_dead(): pass\n"
+              "    return inner()\n"),
         "b": ("from a import _Model\n"
               "import a\n"
               "handle = a._by_attribute\n"),
     }
-    assert dead_helpers(sources) == ["_dead (a:1)"]
+    tests = {"test_a": "from a import public, outer\n_Model().used()\n"}
+    assert dead_definitions(package, {**package, **tests}) == [
+        "_Model.unused (a:6)", "_Orphan (a:7)", "_dead (a:1)", "inner_dead (a:14)",
+        "public_unused (a:10)"]
 
 
-def test_no_dead_private_helpers():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert dead_helpers(sources) == []
+def test_no_dead_functions_methods_or_private_classes():
+    root = PACKAGE.parent.parent
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
+                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
+    assert dead_definitions(package, referencing) == []
