@@ -38,7 +38,6 @@ from .dynamics import (
     feasibility_monitor,
     integrate_catchup,
     integrate_smooth,
-    smoothing_coefficient,
     sweeping_field_exact,
     sweeping_field_smooth,
 )

@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import drift, smoothing_coefficient
+from .dynamics import cone_coefficient, drift
 from .geometry import Scenario, dot_rows, target_direction
-from .transcription import TimeGrid
 
 __all__ = [
     "GamkrelidzeMultipliers",
@@ -32,6 +31,9 @@ __all__ = [
 
 PENALTY_WEIGHT = 64.0        # exact-penalty weight rho; the effort multiplier is r = lam * rho
 RIM_ACTIVITY_TOL = 0.1       # fraction of R1: how far inside the rim still counts as contact
+# the gate of every check but the adjoint's, which is 10/N on a grid of N intervals
+TOLERANCES = {"nontriviality": 1e-9, "boundary": 1e-6, "conservation": 1e-3,
+              "max_control": 1e-4, "value_selection": 5e-2}
 
 
 def _node_value(a):
@@ -72,12 +74,15 @@ def sigma_value(y, x, q_L, nu_L, r, s: Scenario, active=None):
 
 
 def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario):
-    """Smoothed analog of ``sigma_value`` with gain c(gamma, x, y) <= M/R1.
+    """Smoothed analog of ``sigma_value`` with gain c(gamma, x, y) <= M/R1,
+    the ramped cone coefficient of the smoothed field (gamma > M/R1).
 
     The exponential decay of the gain replaces the contact gate; away from the
     rim the value vanishes to machine precision.
     """
-    c = smoothing_coefficient(gamma, x, y, s)
+    if gamma <= s.cone_gain:
+        raise ValueError(f"gamma must exceed M/R1 = {s.cone_gain}")
+    c = cone_coefficient(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), gamma, s)
     sig, _ = _sigma_branches(_sigma_tilde(p_L, mu_L, x, y, s), lambda_bar, c)
     return _node_value(sig)
 
@@ -298,17 +303,6 @@ class CertificateReport:
         return lines
 
 
-def _default_tolerances(grid: TimeGrid) -> dict:
-    return {
-        "nontriviality": 1e-9,
-        "adjoint": 10.0 / grid.n_intervals,
-        "boundary": 1e-6,
-        "conservation": 1e-3,
-        "max_control": 1e-4,
-        "value_selection": 5e-2,
-    }
-
-
 def _condition(residual, tol, **extra) -> dict:
     """One checked condition, with a plain-Python residual, tolerance and verdict."""
     residual, tol = float(residual), float(tol)
@@ -319,8 +313,7 @@ def _skipped(tol) -> dict:
     return {"residual": float("nan"), "tol": float(tol), "ok": None}
 
 
-def certify(sol, s: Scenario, tolerances: Optional[dict] = None,
-            check_value_selection: bool = True,
+def certify(sol, s: Scenario, check_value_selection: bool = True,
             multipliers: Optional[GamkrelidzeMultipliers] = None,
             rho: float = PENALTY_WEIGHT) -> CertificateReport:
     """Evaluate every stationarity condition as a numerical residual.
@@ -332,9 +325,7 @@ def certify(sol, s: Scenario, tolerances: Optional[dict] = None,
     """
     m = multipliers if multipliers is not None else extract_multipliers(sol, s, rho)
     tr, cp = sol.trajectory, sol.decision.controls
-    tol = _default_tolerances(tr.grid)
-    if tolerances:
-        tol.update(tolerances)
+    tol = {**TOLERANCES, "adjoint": 10.0 / tr.grid.n_intervals}
     conds = {}
 
     # 1. nontriviality: normalization puts total weight at one

@@ -61,7 +61,8 @@ def _load_config(path):
 
 
 def _load_profile(path, s: Scenario, grid=None):
-    """A stored control profile; controls outside the scenario's balls are refused."""
+    """A stored control profile; controls outside the scenario's balls and a
+    missing ``x_init`` or one outside the initial small disk Q1 + y0 are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     v = np.asarray(data["v"], dtype=float)
@@ -71,7 +72,13 @@ def _load_profile(path, s: Scenario, grid=None):
                         np.asarray(data["u0"], dtype=float),
                         np.asarray(data["omega"], dtype=float))
     cp.check_bounds(s)
-    x_init = np.asarray(data.get("x_init", [0.0, 0.0]), dtype=float)
+    if "x_init" not in data:
+        raise ValueError("profile gives no x_init, the initial state of the swept point")
+    x_init = np.asarray(data["x_init"], dtype=float)
+    gap = float(np.linalg.norm(x_init - s.y0_arr)) if x_init.shape == (s.dim,) else np.inf
+    if gap > s.R1 * (1.0 + 1e-9):
+        raise ValueError(f"x_init = {data['x_init']!r} is not a point of Q1 + y0: "
+                         f"|x_init - y0| = {gap:g} > R1 = {s.R1:g}")
     return cp, x_init, data
 
 
@@ -149,6 +156,14 @@ def _solve_exit_code(sol, code):
     return EXIT_SOLVE
 
 
+def _validation_failed(s) -> bool:
+    """True when the scenario fails validation; each failed check goes to stderr."""
+    report = validate(s)
+    for chk in report.failures():
+        print(f"validation failure: {chk.name}: {chk.detail}", file=sys.stderr)
+    return not report.ok
+
+
 def cmd_validate(args):
     s, _ = _load_config(args.config)
     report = validate(s)
@@ -189,10 +204,7 @@ def cmd_simulate(args):
 
 def cmd_solve(args):
     s, run = _load_config(args.config)
-    report = validate(s)
-    if not report.ok:
-        for chk in report.failures():
-            print(f"validation failure: {chk.name}: {chk.detail}", file=sys.stderr)
+    if _validation_failed(s):
         return EXIT_VALIDATION
     opts = _solver_options(args, run)
     gam = _gamma_schedule(args, run, s)
@@ -211,8 +223,7 @@ def cmd_solve(args):
 
 def cmd_certify(args):
     s, run = _load_config(args.config)
-    report = validate(s)
-    if not report.ok:
+    if _validation_failed(s):
         return EXIT_VALIDATION
     opts = _solver_options(args, run)
     gam = _gamma_schedule(args, run, s)

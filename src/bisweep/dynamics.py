@@ -34,7 +34,6 @@ __all__ = [
     "FeasibilityLossWarning",
     "drift",
     "sweeping_field_exact",
-    "smoothing_coefficient",
     "sweeping_field_smooth",
     "integrate_smooth",
     "integrate_catchup",
@@ -55,24 +54,22 @@ class FeasibilityLossWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of N+1 nodes on the fixed reparametrized horizon [0, T*]."""
+    """Uniform grid of N+1 nodes on the fixed reparametrized horizon [0, 1];
+    the physical time is the integral of the dilation omega."""
 
     n_intervals: int
-    horizon: float = 1.0
 
     def __post_init__(self):
         if self.n_intervals < 2:
             raise ValueError("need at least 2 intervals")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
 
     @property
     def dt(self) -> float:
-        return self.horizon / self.n_intervals
+        return 1.0 / self.n_intervals
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_intervals + 1)
+        return np.linspace(0.0, 1.0, self.n_intervals + 1)
 
     @property
     def n_nodes(self) -> int:
@@ -101,17 +98,12 @@ class ControlProfile:
         if self.omega.min() < -1e-12:
             raise ValueError("omega must be nonnegative")
 
-    def check_bounds(self, s: Scenario, tol: float = 1e-9) -> None:
+    def check_bounds(self, s: Scenario) -> None:
         for name, bound in (("v", s.v_bound), ("u", s.u_bound)):
             worst = float(np.linalg.norm(getattr(self, name), axis=1).max())
-            if worst > bound + tol:
+            if worst > bound + 1e-9:
                 raise ValueError(f"control {name} exceeds its ball bound: "
                                  f"max |{name}| = {worst:g} > {name}_bound = {bound:g}")
-
-    @classmethod
-    def zeros(cls, grid: TimeGrid, dim: int = 2) -> "ControlProfile":
-        n = grid.n_nodes
-        return cls(grid, np.zeros((n, dim)), np.zeros((n, dim)), np.zeros(n), np.zeros(n))
 
 
 @dataclass(frozen=True)
@@ -195,15 +187,6 @@ def sweeping_field_exact(x, y, u, u0, s: Scenario):
     return f - corr[..., None] * (x - y)
 
 
-def smoothing_coefficient(gamma: float, x, y, s: Scenario):
-    """Capped exponential ramp of the cone coefficient: min{M/R1, gamma*exp(gamma*h_L)}."""
-    if gamma <= s.cone_gain:
-        raise ValueError(f"gamma must exceed M/R1 = {s.cone_gain}")
-    hl = h_lower(x, y, s)
-    expo = np.minimum(gamma * hl, 50.0)  # cap below overflow; min() caps the value anyway
-    return np.minimum(s.cone_gain, gamma * np.exp(expo))
-
-
 def sweeping_field_smooth(x, y, u, u0, gamma: float, s: Scenario):
     """Smoothed field: drift minus ramped cone pull toward the disk center
     (the RK4 stage slope at unit time dilation)."""
@@ -235,18 +218,25 @@ def stage_controls(u, u0, omega, s: Scenario):
     return u_st, w_st, tuple(a * b for a, b in zip(stage_values(u0), w_st)), uw_st
 
 
+def cone_coefficient(diff, gamma: float, s: Scenario):
+    """Ramped cone coefficient c = min{M/R1, gamma exp(gamma h_lower)} at the
+    offsets diff = x - y (..., n); the exponent is capped at 50 below overflow,
+    where the min caps the value anyway."""
+    ex = np.exp(np.minimum((0.5 * gamma) * (np.add.reduce(diff * diff, -1) - s.R1 ** 2), 50.0))
+    return np.minimum(s.cone_gain, gamma * ex)
+
+
 def stage_slope(x, y, u, w, u0w, gamma: float, s: Scenario, uw=None, jacobians: bool = False):
     """Smoothed field times the time dilation w at RK4 stage points.
 
     k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the ramped cone
-    coefficient c = min{M/R1, gamma exp(gamma h_lower)}; broadcasts over
-    leading axes.  Under identity drift ``uw`` = u w may come precomputed.
-    With ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
+    coefficient c of ``cone_coefficient``; broadcasts over leading axes.
+    Under identity drift ``uw`` = u w may come precomputed.  With
+    ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
     dk/du0w), the matrices as (..., n, n) arrays.
     """
     diff = x - y
-    ex = np.exp(np.minimum((0.5 * gamma) * (np.add.reduce(diff * diff, -1) - s.R1 ** 2), 50.0))
-    c = np.minimum(s.cone_gain, gamma * ex)
+    c = cone_coefficient(diff, gamma, s)
     if s.drift.name == "identity":
         f = u
         fw = u * w[..., None] if uw is None else uw
@@ -400,13 +390,6 @@ class ViolationReport:
     max_h_upper: float
     node_h_upper: int
     terminal_distance: float
-
-    def ok(self, tol: float = 1e-6, target_tol: float = 1e-2) -> bool:
-        return (
-            self.max_h_lower <= tol
-            and self.max_h_upper <= tol
-            and self.terminal_distance <= target_tol
-        )
 
     def to_dict(self) -> dict:
         return {

@@ -83,6 +83,8 @@ class TruncationBounds:
         return self.M_bar > self.m_bar
 
 
+ASSUMPTION_SAMPLES = 256  # sample count of the sampled assumption checks
+
 # sections and keys of a scenario file, as Scenario.to_dict writes them
 SCENARIO_KEYS = {"geometry": ("q0", "R", "R1", "y0", "exit", "exit_samples"), "cone": ("M",),
                  "controls": ("u_bound", "v_bound"), "drift": ("name", "A", "M1", "K_f", "delta")}
@@ -253,20 +255,19 @@ def project_disk(p, center, radius: float) -> np.ndarray:
     return center + d * scale
 
 
-def truncation_bounds(s: Scenario, samples: int = 256) -> TruncationBounds:
+def truncation_bounds(s: Scenario) -> TruncationBounds:
     """Admissible truncation window (M_bar, m_bar) for the cone level M.
 
     For ball control sets with identity drift the minimax has the closed form
     M_bar = b_U + b_V, m_bar = -(b_U + b_V).  Other drifts are estimated by
-    minimax over sampled unit normals and control extremes over the working box.
+    minimax over ``ASSUMPTION_SAMPLES`` unit normals and control extremes over
+    the working box.
     """
-    if samples < 8:
-        raise ValueError("need at least 8 normal samples")
     bU, bV = s.u_bound, s.v_bound
     if s.drift.name == "identity":
         return TruncationBounds(M_bar=bU + bV, m_bar=-(bU + bV))
     # sampled minimax: zeta on the unit circle, x on the working box boundary region
-    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, ASSUMPTION_SAMPLES, endpoint=False)
     zetas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     A = s.drift.matrix(s.dim)
     box = s.R  # centers of Q1 + y stay within |y - q0| <= R - R1; x within R
@@ -389,11 +390,12 @@ class ValidationReport:
         }
 
 
-def validate(s: Scenario, samples: int = 256, rng: Optional[np.random.Generator] = None) -> ValidationReport:
-    """Check the standing assumptions H1-H6 on a scenario, by sampling where needed."""
+def validate(s: Scenario) -> ValidationReport:
+    """Check the standing assumptions H1-H6 on a scenario, by sampling where
+    needed: ``ASSUMPTION_SAMPLES`` points from a generator seeded with 0."""
     from . import dynamics  # local import: drift evaluation lives there
 
-    rng = rng or np.random.default_rng(0)
+    rng, samples = np.random.default_rng(0), ASSUMPTION_SAMPLES
     checks = []
 
     # H1: bound M1 and Lipschitz constant K_f by sampling the working box
@@ -426,7 +428,7 @@ def validate(s: Scenario, samples: int = 256, rng: Optional[np.random.Generator]
     h4_ok = s.delta is not None and s.delta > 0 and s.delta <= s.u_bound + 1e-12
     checks.append(ValidationCheck("H4-inner-ball", bool(h4_ok), f"delta={s.delta}, u_bound={s.u_bound}"))
     # H5: truncation window
-    tb = truncation_bounds(s, samples=max(samples, 8))
+    tb = truncation_bounds(s)
     h5_ok = (s.M > 0) and (tb.m_bar < s.M < tb.M_bar)
     detail = f"m_bar={tb.m_bar:.6g} < M={s.M:.6g} < M_bar={tb.M_bar:.6g}"
     if s.M <= 0:

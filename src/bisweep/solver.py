@@ -13,10 +13,13 @@ Layout of the nested scheme:
   descent as the lower level on a merit that reads only the plan (travel
   time, containment of the plan disk, terminal miss).  The lower problem is
   re-solved, warm-started, whenever the plan has moved by more than
-  ``resolve_move * (1 + max omega)`` since the last lower solve, and at the
+  ``RESOLVE_MOVE * (1 + max omega)`` since the last lower solve, and at the
   start of each stage and after every augmented-Lagrangian round, so the
   lower-value penalty of the flattened problem stays zero.
 
+``SolverOptions`` holds only the grid, the multi-start seeds and the
+iteration budgets; the descent's step rule, stopping rules, initial
+penalties and the other numerical settings are the module constants below.
 All randomness is confined to seeded multi-start control guesses.
 """
 
@@ -72,6 +75,18 @@ class AbnormalLowerProblemError(RuntimeError):
 
 
 UPPER_VIOLATION_TOL = 1e-9  # the upper AL stops once its constraint violation is this small
+FD_STEP = 1e-6              # central-difference step of both descents' gradients
+STEP0 = 0.5                 # first trial step, divided by max(1, |gradient|)
+ARMIJO = 1e-4               # sufficient-decrease fraction of the backtracking search
+# stopping rule of one descent: (step tolerance, step halvings, gradient floor)
+LOWER_STOP = (1e-10, 12, 1e-14)
+UPPER_STOP = (1e-9, 14, 1e-13)
+LOWER_PENALTY0 = 20.0       # initial AL penalties of the two levels
+UPPER_PENALTY0 = 4.0
+TARGET_TOL_FACTOR = 1e-3    # the upper terminal constraint allows a miss of this times R
+RESOLVE_MOVE = 0.01         # re-solve the lower level once the plan moves this * (1 + max omega)
+OMEGA_CAP_FACTOR = 10.0     # omega is capped at this times 2R / v_bound
+ACTIVE_BAND = 0.25          # nodes with h_lower above -ACTIVE_BAND*R1^2 may carry weight
 
 
 @dataclass(frozen=True)
@@ -79,28 +94,14 @@ class SolverOptions:
     n_intervals: int = 40
     seeds: int = 8
     seed: int = 0
-    # lower-level solve
     lower_max_iter: int = 80
     lower_al_rounds: int = 5
-    lower_step_tol: float = 1e-10
-    lower_penalty0: float = 20.0
-    fd_h: float = 1e-6
-    # upper-level descent
     upper_max_iter: int = 30
     upper_al_rounds: int = 6
-    upper_penalty0: float = 4.0
-    step0: float = 0.5
-    armijo: float = 1e-4
-    upper_step_tol: float = 1e-9
-    target_tol: Optional[float] = None  # default 1e-3 * R
     screen_iters: int = 5
-    resolve_move: float = 0.01
-    omega_cap_factor: float = 10.0  # cap omega at factor * R / max(v_bound, eps)
     # reduced budget for intermediate lower re-solves inside the upper descent
     refresh_max_iter: int = 30
     refresh_al_rounds: int = 2
-    # nodes with h_lower above -active_band*R1^2 may carry constraint weight
-    active_band: float = 0.25
 
     def fast(self) -> "SolverOptions":
         return replace(self, seeds=1, lower_max_iter=40, upper_max_iter=15,
@@ -170,28 +171,29 @@ def _al_merit(obj, res, mu, c):
     return obj + np.sum(shifted ** 2 - mu ** 2, axis=-1) / (2.0 * c)
 
 
-def _pg_minimize(eval_many, project, flat, mu, c, opts, max_iter, step_tol,
-                 halvings, gtol, before_step=None):
+def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop, before_step=None):
     """Projected gradient with Armijo backtracking on the AL merit, from a
-    projected ``flat``; stops at ``max_iter`` steps, a gradient norm below
-    ``gtol``, no Armijo step among ``halvings`` halvings, or a step below
-    ``step_tol``.  ``before_step(flat)`` runs at the top of every iteration."""
+    projected ``flat``; with ``stop`` = (step_tol, halvings, gtol), stops at
+    ``max_iter`` steps, a gradient norm below ``gtol``, no Armijo step among
+    ``halvings`` halvings, or a step below ``step_tol``.  ``before_step(flat)``
+    runs at the top of every iteration."""
+    step_tol, halvings, gtol = stop
     obj, res = eval_many(flat[None, :])
     merit = float(_al_merit(obj, res, mu, c)[0])
     for _ in range(max_iter):
         if before_step is not None:
             before_step(flat)
-        grad, jac = fd_grad_jac(eval_many, flat, opts.fd_h)
+        grad, jac = fd_grad_jac(eval_many, flat, FD_STEP)
         shifted = np.maximum(0.0, mu + c * res[0])
         g = grad + jac.T @ shifted
         gnorm = np.linalg.norm(g)
         if gnorm < gtol:
             break
-        alphas = opts.step0 * 0.5 ** np.arange(halvings) / max(1.0, gnorm)
+        alphas = STEP0 * 0.5 ** np.arange(halvings) / max(1.0, gnorm)
         cands = np.stack([project(flat - a * g) for a in alphas])
         obj_c, res_c = eval_many(cands)
         merits = _al_merit(obj_c, res_c, mu, c)
-        decrease = np.array([opts.armijo * np.dot(g, flat - cand) for cand in cands])
+        decrease = np.array([ARMIJO * np.dot(g, flat - cand) for cand in cands])
         ok = merits <= merit - np.maximum(decrease, 0.0)
         if not np.any(ok):
             break
@@ -231,19 +233,18 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         flat = nlp.pack(DecisionVector(warm.decision.x_init, ControlProfile(
             grid, v, warm.decision.controls.u, warm.decision.controls.u0, omega)))
         mu = warm.multipliers.eta.copy() if warm.multipliers is not None else np.zeros(n)
-        c = min(warm.status.get("penalty", opts.lower_penalty0), 100.0 * opts.lower_penalty0)
+        c = min(warm.status.get("penalty", LOWER_PENALTY0), 100.0 * LOWER_PENALTY0)
     else:
         cp0 = ControlProfile(grid, v, np.zeros((n, s.dim)), np.zeros(n), omega)
         flat = nlp.pack(DecisionVector(s.y0_arr.copy(), cp0))
         mu = np.zeros(n)
-        c = opts.lower_penalty0
+        c = LOWER_PENALTY0
 
     prev_viol = np.inf
     iters = 0
     for rnd in range(opts.lower_al_rounds):
-        flat, obj, res, _ = _pg_minimize(nlp.eval_many, project, project(flat), mu, c, opts,
-                                         opts.lower_max_iter, opts.lower_step_tol,
-                                         halvings=12, gtol=1e-14)
+        flat, obj, res, _ = _pg_minimize(nlp.eval_many, project, project(flat), mu, c,
+                                         opts.lower_max_iter, LOWER_STOP)
         iters += 1
         viol = float(np.max(res, initial=0.0))
         mu = np.maximum(0.0, mu + c * res)
@@ -260,14 +261,14 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
               "max_violation": float(np.max(res, initial=0.0))}
     mults = None
     if with_multipliers:
-        eta = _kkt_weights(nlp, flat, res, s, opts)
+        eta = _kkt_weights(nlp, flat, res, s)
         tr = integrate_smooth(dv.controls, dv.x_init, gamma, s)
         mults = _lower_multipliers(tr, dv, eta, gamma, s)
     return LowerSolution(decision=dv, value=value, multipliers=mults,
                          status=status, gamma=gamma)
 
 
-def _kkt_weights(nlp, flat, res, s: Scenario, opts: SolverOptions) -> np.ndarray:
+def _kkt_weights(nlp, flat, res, s: Scenario) -> np.ndarray:
     """Nonnegative nodal constraint weights fitted to the stationarity system.
 
     The projected-gradient iterates settle with the contact constraints
@@ -275,9 +276,9 @@ def _kkt_weights(nlp, flat, res, s: Scenario, opts: SolverOptions) -> np.ndarray
     weights are recovered from a nonnegative least-squares fit of
     grad z + J^T eta = 0 over the near-active nodes.
     """
-    grad, jac = fd_grad_jac(nlp.eval_many, flat, opts.fd_h)
+    grad, jac = fd_grad_jac(nlp.eval_many, flat, FD_STEP)
     eta = np.zeros(res.shape[0])
-    act = res >= -opts.active_band * s.R1 ** 2
+    act = res >= -ACTIVE_BAND * s.R1 ** 2
     if np.any(act):
         sol, _ = nnls(jac[act].T, -grad)
         eta[act] = sol
@@ -457,7 +458,7 @@ class _UpperState:
         self.opts = opts
         self.mu_hu = np.zeros(grid.n_nodes)
         self.mu_term = 0.0
-        self.c = opts.upper_penalty0
+        self.c = UPPER_PENALTY0
         self.lower: Optional[LowerSolution] = None
         self.anchor = None  # (omega, v) at last lower solve
 
@@ -475,7 +476,7 @@ class _UpperState:
             return True
         do, dv = omega - self.anchor[0], v - self.anchor[1]
         move = max(np.abs(do).max(initial=0.0), np.abs(dv).max(initial=0.0))
-        return move > self.opts.resolve_move * (1.0 + np.abs(self.anchor[0]).max())
+        return move > RESOLVE_MOVE * (1.0 + np.abs(self.anchor[0]).max())
 
 
 def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
@@ -513,16 +514,13 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     gammas = gamma_sched.gammas
 
     grid = TimeGrid(opts.n_intervals)
-    target_tol = opts.target_tol if opts.target_tol is not None else 1e-3 * s.R
-    omega_cap = opts.omega_cap_factor * (2.0 * s.R) / max(s.v_bound, 1e-9)
 
     # seed screening on the first stage with a small budget
     guesses = _initial_guesses(s, grid, opts)
     best = None
     screen_opts = replace(opts, upper_max_iter=opts.screen_iters, upper_al_rounds=2)
     for v0, om0 in guesses:
-        cand = _run_stage(s, grid, gammas[0], v0, om0, None, screen_opts,
-                          target_tol, omega_cap)
+        cand = _run_stage(s, grid, gammas[0], v0, om0, None, screen_opts)
         score = cand["T"] + 10.0 * cand["violation"]
         if best is None or score < best[0]:
             best = (score, cand)
@@ -530,8 +528,7 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
 
     history = []
     for gamma in gammas:
-        out = _run_stage(s, grid, gamma, state_v, state_om, state, opts,
-                         target_tol, omega_cap)
+        out = _run_stage(s, grid, gamma, state_v, state_om, state, opts)
         state_v, state_om, state = out["v"], out["omega"], out["state"]
         history.append({"gamma": gamma, "T": out["T"],
                         "violation": out["violation"], "phi": state.lower.value})
@@ -555,8 +552,10 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     )
 
 
-def _run_stage(s, grid, gamma, v, omega, state, opts, target_tol, omega_cap):
+def _run_stage(s, grid, gamma, v, omega, state, opts):
     n = grid.n_nodes
+    target_tol = TARGET_TOL_FACTOR * s.R
+    omega_cap = OMEGA_CAP_FACTOR * (2.0 * s.R) / max(s.v_bound, 1e-9)
     if state is None:
         state = _UpperState(grid, s, opts)
     state.opts = opts
@@ -585,9 +584,8 @@ def _run_stage(s, grid, gamma, v, omega, state, opts, target_tol, omega_cap):
 
     for _ in range(opts.upper_al_rounds):
         mu = np.concatenate([state.mu_hu, [state.mu_term]])
-        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, state.c, opts,
-                                       opts.upper_max_iter, opts.upper_step_tol,
-                                       halvings=14, gtol=1e-13, before_step=follow_lower)
+        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, state.c,
+                                       opts.upper_max_iter, UPPER_STOP, before_step=follow_lower)
         vv, om = unpack(flat)
         state.refresh_lower(om, vv, gamma, full_budget=True)
         viol = float(np.max(res, initial=0.0))
@@ -604,5 +602,7 @@ def _run_stage(s, grid, gamma, v, omega, state, opts, target_tol, omega_cap):
 
 
 def penalty_gap(sol: BilevelSolution) -> float:
-    """z(T*) of the returned decision minus the lower-level value."""
+    """z(T*) of the returned decision minus the lower-level value: zero by
+    construction, as both are ``propagate_smooth``'s effort for the final lower
+    solve's decision; it shows that decision is returned, not that it is optimal."""
     return float(sol.trajectory.z[-1] - sol.lower.value)

@@ -131,6 +131,12 @@ def test_sigma_smooth_degenerate_weight():
     assert val == pytest.approx(K * 1.0, rel=1e-12)
 
 
+def test_sigma_smooth_value_rejects_gamma_at_or_below_cone_gain():
+    for gamma in (1.0, K):  # M/R1 = K = 1.5 on the corridor
+        with pytest.raises(ValueError, match="M/R1"):
+            sigma_smooth_value(Y, X_RIM, np.array([-1.0, 0.0]), 0.0, 1.0, gamma, S)
+
+
 # ---------------------------------------------------------------- Hamiltonian
 def test_hamiltonian_zero_data():
     val = hamiltonian_upper(Y, np.array([0.3, 0.0]), np.zeros(2), np.zeros(2),

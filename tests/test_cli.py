@@ -38,8 +38,9 @@ def write_profile(tmp_path, n=10, u=(0.0, 0.0), u0=0.0, v=(0.0, 0.0),
         "u": [list(u)] * m,
         "u0": [float(u0)] * m,
         "omega": [float(omega)] * m,
-        "x_init": list(x_init),
     }
+    if x_init is not None:
+        data["x_init"] = list(x_init)
     if gamma is not None:
         data["gamma"] = gamma
     path = tmp_path / "profile.yaml"
@@ -136,6 +137,29 @@ def test_out_of_bound_profile_is_refused(tmp_path, capsys, command, control, val
     assert f"control {control} exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+def test_profile_without_x_init_is_refused(tmp_path, capsys, command):
+    # the swept point must not silently start at the origin, here outside Q1 + y0
+    cfg = write_config(tmp_path, y0=(3.0, 0.0))
+    prof = write_profile(tmp_path, x_init=None)
+    assert main([command, "--config", str(cfg), "--profile", str(prof)]) == EXIT_USAGE
+    assert "x_init" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+def test_profile_x_init_outside_initial_disk_is_refused(tmp_path, capsys, command):
+    prof = write_profile(tmp_path, x_init=(5.0, 5.0))
+    assert main([command, "--profile", str(prof)]) == EXIT_USAGE
+    assert "x_init" in capsys.readouterr().err
+    # the disk is Q1 + y0: the origin lies outside it for y0 = (3, 0), its rim point (4, 0) not
+    cfg = write_config(tmp_path, y0=(3.0, 0.0))
+    prof = write_profile(tmp_path, x_init=(0.0, 0.0))
+    assert main([command, "--config", str(cfg), "--profile", str(prof)]) == EXIT_USAGE
+    assert "x_init" in capsys.readouterr().err
+    prof = write_profile(tmp_path, x_init=(4.0, 0.0))
+    assert main([command, "--config", str(cfg), "--profile", str(prof)]) == EXIT_OK
+
+
 # ---------------------------------------------------------------- solve
 def test_solve_tiny_budget_writes_outputs(tmp_path):
     cfg = write_config(tmp_path, run=TINY_RUN)
@@ -180,9 +204,12 @@ def test_unconverged_solve_writes_outputs_and_exits_3(tmp_path, monkeypatch, com
     assert json.loads((out / "solution.json").read_text())["status"]["converged"] is False
 
 
-def test_solve_rejects_invalid_scenario(tmp_path):
+def test_solve_rejects_invalid_scenario(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
     cfg = write_config(tmp_path, M=5.0)
-    assert main(["solve", "--config", str(cfg)]) == EXIT_VALIDATION
+    for command in ("solve", "certify"):
+        assert main([command, "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "validation failure: H5-truncation-window" in capsys.readouterr().err
 
 
 def _no_solve(*args, **kwargs):

@@ -12,6 +12,7 @@ from bisweep.dynamics import (
     InfeasibleStateError,
     SmoothingSchedule,
     TimeGrid,
+    cone_coefficient,
     convergence_study,
     drift,
     feasibility_monitor,
@@ -19,7 +20,6 @@ from bisweep.dynamics import (
     integrate_smooth,
     plan_path,
     propagate_smooth,
-    smoothing_coefficient,
     sweeping_field_exact,
     sweeping_field_smooth,
 )
@@ -87,19 +87,15 @@ def test_exact_field_rejects_outside_state():
 
 
 # ---------------------------------------------------------------- smoothing
-def test_smoothing_coefficient_capped_on_boundary():
-    assert smoothing_coefficient(10.0, (1.0, 0.0), (0.0, 0.0), S) == pytest.approx(1.5)
+def test_cone_coefficient_capped_on_boundary():
+    # on the rim (x - y = (1, 0)) the ramp gamma e^0 = 10 is capped at M/R1
+    assert cone_coefficient(np.array([1.0, 0.0]), 10.0, S) == pytest.approx(1.5)
 
 
-def test_smoothing_coefficient_interior_decay():
-    # h_lower = -1 at |x-y| such that (|x-y|^2 - 1)/2 = -1 -> x = y
-    val = smoothing_coefficient(10.0, (0.0, 0.0), (0.0, 0.0), S)
+def test_cone_coefficient_interior_decay():
+    # at x = y, h_lower = (0 - 1)/2 = -1/2, so c = gamma e^{-gamma/2}
+    val = cone_coefficient(np.array([0.0, 0.0]), 10.0, S)
     assert val == pytest.approx(10.0 * math.exp(-5.0), rel=1e-12)
-
-
-def test_smoothing_coefficient_rejects_small_gamma():
-    with pytest.raises(ValueError):
-        smoothing_coefficient(1.0, (0.0, 0.0), (0.0, 0.0), S)
 
 
 def test_smooth_field_u0_zero_is_drift():

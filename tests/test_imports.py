@@ -1,6 +1,7 @@
 """Every module-level import in the package is used or re-exported, and every
 function, method and private module-level class of the package is referenced
-somewhere in src/, tests/ or bench/."""
+somewhere in src/, tests/ or bench/ (an attribute of a module from outside
+the package, such as ``np.zeros``, is no reference)."""
 
 import ast
 from pathlib import Path
@@ -48,10 +49,26 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def outside_names(tree, internal: set) -> set:
+    """Names that imports bind to modules outside ``internal`` (``np`` for
+    ``import numpy as np``), and the names imported from them."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names
+                         if a.name.split(".")[0] not in internal)
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] not in internal):
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
 def dead_definitions(defining: dict, referencing: dict) -> list:
     """Functions and methods (dunders excepted) and private module-level
     classes defined in ``defining`` that no module in ``referencing``
-    references by name, attribute or import."""
+    references by name, by attribute or by import from the package; an
+    attribute of a module from outside the package does not count."""
+    internal = {"bisweep"} | {Path(m).stem for m in defining}
     defined = {}
     for module, source in defining.items():
         tree = ast.parse(source)
@@ -69,13 +86,20 @@ def dead_definitions(defining: dict, referencing: dict) -> list:
                 defined[label] = (node.name, f"{module}:{node.lineno}")
     used = set()
     for source in referencing.values():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+        tree = ast.parse(source)
+        outside = outside_names(tree, internal)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id not in outside:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in outside):
+                    used.add(node.attr)
+            elif (isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or node.module.split(".")[0] in internal)):
+                used.update(a.name for a in node.names)
     return sorted(f"{label} ({where})" for label, (name, where) in defined.items()
                   if name not in used)
 
@@ -96,15 +120,22 @@ def test_dead_definition_scanner_flags_unreferenced_functions_and_methods():
               "def outer():\n"
               "    def inner(): pass\n"
               "    def inner_dead(): pass\n"
-              "    return inner()\n"),
+              "    return inner()\n"
+              "class Profile:\n"
+              "    def zeros(self): pass\n"
+              "def norm(): pass\n"
+              "def argmax(): pass\n"),
         "b": ("from a import _Model\n"
               "import a\n"
               "handle = a._by_attribute\n"),
     }
-    tests = {"test_a": "from a import public, outer\n_Model().used()\n"}
+    # names that only a module from outside the package spells are no references
+    tests = {"test_a": ("from a import public, outer, Profile\n_Model().used()\n"
+                        "import numpy as np\nfrom numpy import argmax\n"
+                        "np.zeros(3), np.linalg.norm, argmax\n")}
     assert dead_definitions(package, {**package, **tests}) == [
-        "_Model.unused (a:6)", "_Orphan (a:7)", "_dead (a:1)", "inner_dead (a:14)",
-        "public_unused (a:10)"]
+        "Profile.zeros (a:17)", "_Model.unused (a:6)", "_Orphan (a:7)", "_dead (a:1)",
+        "argmax (a:19)", "inner_dead (a:14)", "norm (a:18)", "public_unused (a:10)"]
 
 
 def test_no_dead_functions_methods_or_private_classes():
