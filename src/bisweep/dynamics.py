@@ -204,18 +204,16 @@ RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 def stage_values(a):
     """A node array at the four RK4 stages of every interval: the left node,
     the midpoint average (stages 1 and 2), the right node."""
-    am = 0.5 * (a[:-1] + a[1:])
+    am = a[:-1] + a[1:]
+    am *= 0.5
     return a[:-1], am, am, a[1:]
 
 
-def stage_controls(u, u0, omega, s: Scenario):
-    """RK4 stage tableau of the swept-point controls: (u, the dilation w,
-    u0 w, u w), each four interval arrays; u w, the whole drift term under
-    identity drift, is None under any other."""
-    u_st, w_st = stage_values(u), stage_values(omega)
-    uw_st = (tuple(a * b[..., None] for a, b in zip(u_st, w_st))
-             if s.drift.name == "identity" else None)
-    return u_st, w_st, tuple(a * b for a, b in zip(stage_values(u0), w_st)), uw_st
+def stage_controls(u, u0, omega):
+    """RK4 stage tableau of the swept-point controls (u, u0, the dilation w),
+    each four interval arrays; their products are formed per stage, so no
+    product tableau the size of the batch is kept."""
+    return stage_values(u), stage_values(u0), stage_values(omega)
 
 
 def cone_coefficient(diff, gamma: float, s: Scenario):
@@ -226,24 +224,18 @@ def cone_coefficient(diff, gamma: float, s: Scenario):
     return np.minimum(s.cone_gain, gamma * ex)
 
 
-def stage_slope(x, y, u, w, u0w, gamma: float, s: Scenario, uw=None, jacobians: bool = False):
+def stage_slope(x, y, u, w, u0w, gamma: float, s: Scenario, jacobians: bool = False):
     """Smoothed field times the time dilation w at RK4 stage points.
 
     k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the ramped cone
-    coefficient c of ``cone_coefficient``; broadcasts over leading axes.
-    Under identity drift ``uw`` = u w may come precomputed.  With
+    coefficient c of ``cone_coefficient``; broadcasts over leading axes.  With
     ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
     dk/du0w), the matrices as (..., n, n) arrays.
     """
     diff = x - y
     c = cone_coefficient(diff, gamma, s)
-    if s.drift.name == "identity":
-        f = u
-        fw = u * w[..., None] if uw is None else uw
-    else:
-        f = drift(x, u, s)
-        fw = f * w[..., None]
-    k = fw - (u0w * c)[..., None] * diff
+    f = u if s.drift.name == "identity" else drift(x, u, s)
+    k = f * w[..., None] - (u0w * c)[..., None] * diff
     if not jacobians:
         return k
     eye, A = np.eye(s.dim), s.drift.matrix(s.dim)
@@ -268,11 +260,11 @@ def rk4_stages(x, at, y_st, controls, gamma: float, s: Scenario, dt: float):
     ``stage_controls``, are read at index ``at``: one interval for the
     forward sweep, a slice of all of them for the adjoint.
     """
-    u_st, w_st, u0w_st, uw_st = controls
+    u_st, u0_st, w_st = controls
     x_st, k = [x], []
     for j in range(4):
-        k.append(stage_slope(x_st[j], y_st[j][at], u_st[j][at], w_st[j][at], u0w_st[j][at],
-                             gamma, s, None if uw_st is None else uw_st[j][at]))
+        w = w_st[j][at]
+        k.append(stage_slope(x_st[j], y_st[j][at], u_st[j][at], w, u0_st[j][at] * w, gamma, s))
         if j < 3:
             x_st.append(x + (RK4_OFFSETS[j + 1] * dt) * k[j])
     return x_st, k
@@ -308,28 +300,34 @@ def propagate_smooth(v, u, u0, omega, x_init, gamma: float, s: Scenario, grid: T
     Controls have shape (N+1, ...) with an optional batch axis; x_init is
     (..., n).  z and t come from trapezoidal quadrature of the node values,
     matching the transcription order.  Returns (y, x, z, t) node arrays.
+    The plan (v, omega) keeps its own batch width P, 1 for the lower
+    problem's frozen plan, and only the elementwise stage arithmetic
+    broadcasts it; y and t come back as views at the full width B.
     """
     n = grid.n_nodes
     v, u = _as_batched(v, 3), _as_batched(u, 3)
     u0, omega = _as_batched(u0, 2), _as_batched(omega, 2)
     x0 = np.atleast_2d(np.asarray(x_init, dtype=float))
-    B = max(v.shape[1], u.shape[1], u0.shape[1], omega.shape[1], x0.shape[0])
-    v, u = (np.broadcast_to(a, (n, B, s.dim)) for a in (v, u))
-    u0, omega = (np.broadcast_to(a, (n, B)) for a in (u0, omega))
+    P = max(v.shape[1], omega.shape[1])
+    B = max(P, u.shape[1], u0.shape[1], x0.shape[0])
+    v, u = np.broadcast_to(v, (n, P, s.dim)), np.broadcast_to(u, (n, B, s.dim))
+    omega, u0 = np.broadcast_to(omega, (n, P)), np.broadcast_to(u0, (n, B))
 
     dt = grid.dt
+    # z first, so its temporaries are freed before the batch-wide x and tableau
+    effort = (np.einsum("...i,...i", u, u) + u0 * u0) * omega
+    zs = np.concatenate([np.zeros((1, B)), np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)])
     xs = np.empty((n, B, s.dim))
     xs[0] = x0
     # y and t have closed forms (plan_path); only x needs the stage recursion
     ys, y_st, ts = plan_path(v, omega, s, grid)
-    controls = stage_controls(u, u0, omega, s)
+    if P < B:
+        ys, ts = np.broadcast_to(ys, xs.shape), np.broadcast_to(ts, (n, B))
+    controls = stage_controls(u, u0, omega)
     for i in range(n - 1):
         xi = xs[i]
         _, (k1, k2, k3, k4) = rk4_stages(xi, i, y_st, controls, gamma, s, dt)
         xs[i + 1] = xi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    effort = (np.sum(u * u, axis=2) + u0 * u0) * omega
-    zs = np.concatenate([np.zeros((1, B)), np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)])
     return ys, xs, zs, ts
 
 

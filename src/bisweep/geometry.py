@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 import yaml
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 __all__ = [
     "DriftSpec",
@@ -159,13 +159,22 @@ class Scenario:
         return self.M / self.R1
 
     def exit_boundary_samples(self) -> np.ndarray:
-        """Exit-target sample cloud, built on first use and kept on the instance
-        (not a field, so equality and hashing ignore it; freed with the scenario)."""
-        pts = self.__dict__.get("_exit_cloud")
-        if pts is None:
+        """Exit-target sample cloud, built with its k-d tree on first use and
+        kept on the instance (not a field, so equality and hashing ignore it;
+        freed with the scenario)."""
+        return self._exit_target()[0]
+
+    def exit_tree(self) -> cKDTree:
+        """k-d tree (Bentley, CACM 18, 1975) over ``exit_boundary_samples``."""
+        return self._exit_target()[1]
+
+    def _exit_target(self):
+        cached = self.__dict__.get("_exit_target_cache")
+        if cached is None:
             pts = _sample_exit_boundary(self)
-            object.__setattr__(self, "_exit_cloud", pts)
-        return pts
+            cached = (pts, cKDTree(pts))
+            object.__setattr__(self, "_exit_target_cache", cached)
+        return cached
 
     def to_dict(self) -> dict:
         return {
@@ -230,17 +239,14 @@ def save_scenario(s: Scenario, path) -> None:
 
 def h_upper(y, s: Scenario) -> float:
     """Upper containment constraint: <= 0 iff Q1 + y lies inside Q."""
-    y = np.asarray(y, dtype=float)
-    d2 = np.sum((y - s.q0_arr) ** 2, axis=-1)
-    return 0.5 * (d2 - (s.R - s.R1) ** 2)
+    d = np.asarray(y, dtype=float) - s.q0_arr
+    return 0.5 * (np.einsum("...i,...i", d, d) - (s.R - s.R1) ** 2)
 
 
 def h_lower(x, y, s: Scenario) -> float:
     """Lower containment constraint: <= 0 iff x lies in Q1 + y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d2 = np.sum((x - y) ** 2, axis=-1)
-    return 0.5 * (d2 - s.R1 ** 2)
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return 0.5 * (np.einsum("...i,...i", d, d) - s.R1 ** 2)
 
 
 def project_disk(p, center, radius: float) -> np.ndarray:
@@ -334,17 +340,10 @@ def target_distance(y, s: Scenario) -> float:
     around y reaches the sampled curve.  The subtraction of R1 (rather than the
     raw point distance of y itself) is what makes the canonical corridor
     instance have an 8-unit straight-line run; see README notes on the target.
+    The distance to the nearest sample is one exact query of the scenario's
+    k-d tree, for a point (n,) or a batch (..., n).
     """
-    y = np.asarray(y, dtype=float)
-    cloud = s.exit_boundary_samples()
-    if y.ndim == 1:
-        d = np.min(np.linalg.norm(cloud - y, axis=1))
-    else:
-        # chunk the batch so the pairwise distance block stays bounded in memory
-        step = max(1, 8_000_000 // max(1, cloud.shape[0]))
-        d = np.empty(y.shape[0])
-        for i in range(0, y.shape[0], step):
-            d[i:i + step] = cdist(y[i:i + step], cloud).min(axis=1)
+    d, _ = s.exit_tree().query(np.asarray(y, dtype=float))
     return np.maximum(0.0, d - s.R1)
 
 
@@ -405,14 +404,14 @@ def validate(s: Scenario) -> ValidationReport:
     us *= (s.u_bound * rng.uniform(0, 1, size=(samples, 1)) ** 0.5) / np.maximum(
         np.linalg.norm(us, axis=1, keepdims=True), 1e-12
     )
-    fvals = np.array([dynamics.drift(x, u, s) for x, u in zip(xs, us)])
+    fvals = dynamics.drift(xs, us, s)
     sup_f = float(np.linalg.norm(fvals, axis=1).max())
     checks.append(
         ValidationCheck("H1-bound", sup_f <= s.M1 + 1e-9, f"sampled sup|f|={sup_f:.6g}, M1={s.M1:.6g}")
     )
     # Lipschitz sample in x at fixed u
     x2 = xs + rng.normal(scale=0.1, size=xs.shape)
-    f2 = np.array([dynamics.drift(x, u, s) for x, u in zip(x2, us)])
+    f2 = dynamics.drift(x2, us, s)
     num = np.linalg.norm(f2 - fvals, axis=1)
     den = np.maximum(np.linalg.norm(x2 - xs, axis=1), 1e-12)
     lip = float((num / den).max())

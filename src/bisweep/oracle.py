@@ -7,7 +7,6 @@ module is shared.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -93,6 +92,12 @@ def _euler_smooth_batch(x0, y_nodes, u_nodes, u0_nodes, omega_nodes, gamma, s, d
     return xs
 
 
+def _product_rows(levels: int, repeat: int) -> np.ndarray:
+    """All index tuples over range(levels)**repeat as int rows, in the
+    order of ``itertools.product``."""
+    return np.indices((levels,) * repeat).reshape(repeat, -1).T
+
+
 def _control_levels(bound: float, levels: int) -> np.ndarray:
     return np.linspace(-bound, bound, levels)
 
@@ -118,8 +123,7 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     x_grid = _x_init_grid(s, spec.x_init_points)
 
     # index all per-node combinations once
-    combos_node = np.array(list(itertools.product(range(spec.levels_per_control),
-                                                  repeat=s.dim + 1)))
+    combos_node = _product_rows(spec.levels_per_control, s.dim + 1)
     u_node = np.stack([u_lv[combos_node[:, 0]], u_lv[combos_node[:, 1]]], axis=1)
     u0_node = u0_lv[combos_node[:, 2]]
     # keep only grid points inside the control ball
@@ -130,10 +134,9 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     if total > MAX_COMBINATIONS:
         raise ValueError(f"enumeration budget exceeded: {total} > {MAX_COMBINATIONS}")
 
-    all_seq = itertools.product(range(per_node), repeat=N)
     best_val = np.inf
     best = None
-    seq_list = np.array(list(all_seq))  # (C, N)
+    seq_list = _product_rows(per_node, N)  # (C, N)
     C = seq_list.shape[0]
     for start in range(0, C, max(1, spec.chunk // max(1, len(x_grid)))):
         idx = seq_list[start:start + max(1, spec.chunk // max(1, len(x_grid)))]
@@ -176,7 +179,7 @@ def brute_bilevel(spec: EnumSpec, s: Scenario, gamma: Optional[float] = None):
     L = spec.levels_per_control
     v_lv = _control_levels(s.v_bound, L)
     w_lv = np.linspace(0.0, spec.omega_max, L)
-    combos_node = np.array(list(itertools.product(range(L), repeat=s.dim + 1)))
+    combos_node = _product_rows(L, s.dim + 1)
     v_node = np.stack([v_lv[combos_node[:, 0]], v_lv[combos_node[:, 1]]], axis=1)
     # enforce the ball bound on v (component grid overshoots the ball corners)
     ok = np.linalg.norm(v_node, axis=1) <= s.v_bound + 1e-12
@@ -186,7 +189,7 @@ def brute_bilevel(spec: EnumSpec, s: Scenario, gamma: Optional[float] = None):
     C = per_node ** N
     if C > MAX_COMBINATIONS:
         raise ValueError("enumeration budget exceeded")
-    seq = np.array(list(itertools.product(range(per_node), repeat=N)))
+    seq = _product_rows(per_node, N)
     v_seq = v_node[seq].transpose(1, 0, 2)   # (N, C, dim)
     w_seq = w_node[seq].T                    # (N, C)
     # y path and upper feasibility, vectorized
@@ -195,7 +198,9 @@ def brute_bilevel(spec: EnumSpec, s: Scenario, gamma: Optional[float] = None):
     for i in range(N):
         y[i + 1] = y[i] + v_seq[i] * (w_seq[i] * dt)[:, None]
     hu = 0.5 * (np.sum((y - s.q0_arr) ** 2, axis=-1) - (s.R - s.R1) ** 2)
-    term = target_distance(y[-1], s)
+    # many plans share an endpoint: measure each distinct one once
+    ends, which = np.unique(y[-1], axis=0, return_inverse=True)
+    term = target_distance(ends, s)[which]
     w_nodes_full = _interval_to_nodes(w_seq)
     t_final = np.sum(0.5 * (w_nodes_full[1:] + w_nodes_full[:-1]) * dt, axis=0)
     feas = np.all(hu <= spec.feas_tol, axis=0) & (term <= spec.target_tol)

@@ -83,6 +83,8 @@ LOWER_STOP = (1e-10, 12, 1e-14)
 UPPER_STOP = (1e-9, 14, 1e-13)
 LOWER_PENALTY0 = 20.0       # initial AL penalties of the two levels
 UPPER_PENALTY0 = 4.0
+UPPER_AL_ROUNDS = 6         # AL rounds of one upper stage
+SCREEN_AL_ROUNDS = 2        # ... and of the first stage run to screen a seed
 TARGET_TOL_FACTOR = 1e-3    # the upper terminal constraint allows a miss of this times R
 RESOLVE_MOVE = 0.01         # re-solve the lower level once the plan moves this * (1 + max omega)
 OMEGA_CAP_FACTOR = 10.0     # omega is capped at this times 2R / v_bound
@@ -97,15 +99,10 @@ class SolverOptions:
     lower_max_iter: int = 80
     lower_al_rounds: int = 5
     upper_max_iter: int = 30
-    upper_al_rounds: int = 6
     screen_iters: int = 5
     # reduced budget for intermediate lower re-solves inside the upper descent
     refresh_max_iter: int = 30
     refresh_al_rounds: int = 2
-
-    def fast(self) -> "SolverOptions":
-        return replace(self, seeds=1, lower_max_iter=40, upper_max_iter=15,
-                       upper_al_rounds=4, lower_al_rounds=3)
 
 
 @dataclass(frozen=True)
@@ -301,10 +298,10 @@ def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     eye = np.eye(s.dim)
     w = _trapz_weights(grid)
     _, y_st, _ = plan_path(cp.v, cp.omega, s, grid)
-    controls = stage_controls(cp.u, cp.u0, cp.omega, s)
+    controls = stage_controls(cp.u, cp.u0, cp.omega)
     x_st, _ = rk4_stages(tr.x[:-1], slice(None), y_st, controls, gamma, s, dt)
-    X, Y, U, W, U0W = (np.stack(a) for a in (x_st, y_st) + controls[:3])   # (4, N, ...)
-    V, U0 = np.stack(stage_values(cp.v)), np.stack(stage_values(cp.u0))
+    X, Y, U, U0, W = (np.stack(a) for a in (x_st, y_st) + controls)   # (4, N, ...)
+    V, U0W = np.stack(stage_values(cp.v)), U0 * W
     _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0W, gamma, s, jacobians=True)
 
     # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
@@ -518,9 +515,9 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     # seed screening on the first stage with a small budget
     guesses = _initial_guesses(s, grid, opts)
     best = None
-    screen_opts = replace(opts, upper_max_iter=opts.screen_iters, upper_al_rounds=2)
+    screen_opts = replace(opts, upper_max_iter=opts.screen_iters)
     for v0, om0 in guesses:
-        cand = _run_stage(s, grid, gammas[0], v0, om0, None, screen_opts)
+        cand = _run_stage(s, grid, gammas[0], v0, om0, None, screen_opts, SCREEN_AL_ROUNDS)
         score = cand["T"] + 10.0 * cand["violation"]
         if best is None or score < best[0]:
             best = (score, cand)
@@ -552,7 +549,7 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     )
 
 
-def _run_stage(s, grid, gamma, v, omega, state, opts):
+def _run_stage(s, grid, gamma, v, omega, state, opts, al_rounds=UPPER_AL_ROUNDS):
     n = grid.n_nodes
     target_tol = TARGET_TOL_FACTOR * s.R
     omega_cap = OMEGA_CAP_FACTOR * (2.0 * s.R) / max(s.v_bound, 1e-9)
@@ -582,7 +579,7 @@ def _run_stage(s, grid, gamma, v, omega, state, opts):
     vv, om = unpack(flat)
     state.refresh_lower(om, vv, gamma, full_budget=True)
 
-    for _ in range(opts.upper_al_rounds):
+    for _ in range(al_rounds):
         mu = np.concatenate([state.mu_hu, [state.mu_term]])
         flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, state.c,
                                        opts.upper_max_iter, UPPER_STOP, before_step=follow_lower)

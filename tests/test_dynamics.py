@@ -202,6 +202,26 @@ def test_plan_path_is_propagate_smooth_plan_path():
     assert np.allclose(t_plan, t_ref, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("s", [S, straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1)))],
+                         ids=["identity", "affine"])
+@pytest.mark.parametrize("B", [1, 5, 251])
+def test_frozen_plan_propagates_like_its_batch_wide_copy(s, B):
+    # the lower problem's plan is one (v, omega) for the whole batch; kept at
+    # its own width it must give bitwise the numbers of a batch-wide copy
+    n = 12
+    rng = np.random.default_rng(B)
+    v, omega = rng.uniform(-0.7, 0.7, (n + 1, 2)), rng.uniform(0.5, 4.0, n + 1)
+    u, u0 = rng.uniform(-0.7, 0.7, (n + 1, B, 2)), rng.uniform(0.0, 1.0, (n + 1, B))
+    x_init = rng.uniform(-0.7, 0.7, (B, 2))
+    grid = TimeGrid(n)
+    frozen = propagate_smooth(v, u, u0, omega, x_init, 24.0, s, grid)
+    wide = propagate_smooth(np.repeat(v[:, None], B, axis=1), u, u0, np.repeat(omega[:, None], B, axis=1),
+                            x_init, 24.0, s, grid)
+    for a, b in zip(frozen, wide):
+        assert a.shape == b.shape == (n + 1, B) + b.shape[2:]
+        assert np.array_equal(a, b)
+
+
 def test_catchup_interior_equals_plain_euler():
     n = 10
     cp = profile(n, u=(0.3, 0.1), omega=1.0)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bisweep.geometry import (
+    ExitArc,
     Scenario,
     ValidationReport,
     h_lower,
@@ -151,11 +153,67 @@ def test_exit_samples_cached_per_scenario_and_freed_with_it():
     s = straight_corridor(exit_samples=512)
     cloud = s.exit_boundary_samples()
     assert s.exit_boundary_samples() is cloud
+    tree = s.exit_tree()
+    assert s.exit_tree() is tree
+    # the tree indexes the cached cloud itself, so the cloud outlives it
+    assert tree.data is cloud
     assert straight_corridor(exit_samples=512) == s  # the cache is not a field
     ref = weakref.ref(cloud)
-    del s, cloud
+    del s, cloud, tree
     gc.collect()
     assert ref() is None
+
+
+def _all_pairs_distance(points, cloud):
+    """Reference nearest-sample distance: every pair, in row blocks."""
+    return np.concatenate([np.linalg.norm(block[:, None, :] - cloud, axis=-1).min(axis=1)
+                           for block in np.array_split(points, max(1, len(points) // 256))])
+
+
+def _plan_endpoints(s, levels, n_intervals, omega_max=10.0):
+    """Distinct end points of the oracle's piecewise-constant plans."""
+    lv = np.linspace(-s.v_bound, s.v_bound, levels)
+    v = np.stack(np.meshgrid(lv, lv, indexing="ij"), axis=-1).reshape(-1, 2)
+    v = v[np.linalg.norm(v, axis=1) <= s.v_bound + 1e-12]
+    steps = (v[:, None, :] * np.linspace(0.0, omega_max, levels)[None, :, None]).reshape(-1, 2)
+    ends = s.y0_arr[None, :]
+    for _ in range(n_intervals):
+        ends = np.unique((ends[:, None, :] + steps[None] / n_intervals).reshape(-1, 2), axis=0)
+    return ends
+
+
+@pytest.mark.parametrize("s", [straight_corridor(), straight_corridor(exit_samples=512),
+                               straight_corridor(exit=ExitArc(-0.3, 0.4))],
+                         ids=["default", "512-samples", "wide-arc"])
+def test_target_distance_is_the_all_pairs_minimum_bitwise(s):
+    cloud = s.exit_boundary_samples()
+    rng = np.random.default_rng(5)
+    box = s.R + s.R1
+    points = np.concatenate([
+        rng.uniform(-box, box, size=(8_000, 2)) + s.q0_arr,
+        cloud + rng.uniform(-1e-6, 1e-6, size=cloud.shape),
+        cloud,
+        s.y0_arr[None, :],
+        _plan_endpoints(s, 3, 4),
+    ])
+    expected = np.maximum(0.0, _all_pairs_distance(points, cloud) - s.R1)
+    assert np.array_equal(target_distance(points, s), expected)
+    assert np.array_equal(target_distance(points.reshape(-1, 1, 2), s), expected[:, None])
+    for k in rng.choice(len(points), 200, replace=False):
+        assert target_distance(points[k], s) == expected[k]
+
+
+def test_target_distance_of_a_large_batch_allocates_no_pairwise_block():
+    s = straight_corridor()
+    s.exit_boundary_samples()
+    points = np.random.default_rng(1).uniform(-11.0, 11.0, size=(100_000, 2))
+    tracemalloc.start()
+    try:
+        target_distance(points, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_target_direction_points_toward_exit():

@@ -8,6 +8,7 @@ from bisweep.geometry import straight_corridor
 from bisweep.oracle import (
     EnumSpec,
     OracleInfeasibleError,
+    brute_bilevel,
     brute_lower,
     fd_check,
     sigma_sup_oracle,
@@ -72,6 +73,20 @@ def test_brute_lower_decision_reproduces_value():
     effort = (np.sum(u * u, axis=1) + u0 ** 2) * omega
     z = np.sum(0.5 * (effort[1:] + effort[:-1]) * dt)
     assert z == pytest.approx(val, rel=1e-12)
+
+
+# ---------------------------------------------------------------- brute bilevel
+def test_brute_bilevel_decision_regression():
+    # frozen reference: the corridor at N=4, 3 levels, enumerated with the
+    # all-pairs exit distance and itertools index tuples, and pinned
+    T, dec = brute_bilevel(EnumSpec(n_intervals=4, levels_per_control=3), S)
+    assert T == 8.125
+    assert dec["phi"] == 6.25
+    assert np.array_equal(dec["v"], np.tile([1.0, 0.0], (5, 1)))
+    assert np.array_equal(dec["omega"], [10.0, 10.0, 10.0, 5.0, 5.0])
+    assert np.array_equal(dec["x_init"], [-1.0, 1.2246467991473532e-16])
+    assert np.array_equal(dec["u"], [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(dec["u0"], [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------- sigma oracle

@@ -17,6 +17,7 @@ from bisweep.solver import (
 
 S = straight_corridor()
 GAMMA = 24.0
+FAST = SolverOptions(lower_max_iter=40, lower_al_rounds=3)  # a short lower solve
 
 
 def stationary_inputs(n):
@@ -32,7 +33,7 @@ def dragged_inputs(n, speed=4.0, vx=1.0):
 # ---------------------------------------------------------------- lower solve
 def test_lower_solve_stationary_is_free():
     omega, v = stationary_inputs(10)
-    ls = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
     assert ls.value == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(ls.decision.controls.u, 0.0, atol=1e-6)
     assert np.allclose(ls.decision.controls.u0, 0.0, atol=1e-6)
@@ -40,7 +41,7 @@ def test_lower_solve_stationary_is_free():
 
 def test_lower_solve_value_is_cost_of_returned_decision():
     omega, v = dragged_inputs(8)
-    ls = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
     tr = integrate_smooth(ls.decision.controls, ls.decision.x_init, GAMMA, S)
     assert ls.value == pytest.approx(tr.z[-1], rel=1e-10)
 
@@ -58,19 +59,18 @@ def test_lower_solve_matches_enumeration_on_tiny_grid():
 
 def test_lower_solve_value_nonnegative_random_plans():
     rng = np.random.default_rng(7)
-    opts = SolverOptions().fast()
     for _ in range(3):
         n = 6
         omega = rng.uniform(0.5, 3.0, n + 1)
         v = rng.uniform(-0.6, 0.6, (n + 1, 2))
-        ls = solve_lower(omega, v, GAMMA, S, opts)
+        ls = solve_lower(omega, v, GAMMA, S, FAST)
         assert ls.value >= -1e-12
 
 
 def test_lower_solve_deterministic():
     omega, v = dragged_inputs(6)
-    a = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
-    b = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    a = solve_lower(omega, v, GAMMA, S, FAST)
+    b = solve_lower(omega, v, GAMMA, S, FAST)
     assert a.value == b.value
     assert np.array_equal(a.decision.controls.u, b.decision.controls.u)
 
@@ -79,13 +79,13 @@ def test_lower_value_lipschitz_in_plan():
     # finite effort response to small plan perturbations
     n = 8
     omega, v = dragged_inputs(n, speed=3.0, vx=0.8)
-    base = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    base = solve_lower(omega, v, GAMMA, S, FAST)
     rng = np.random.default_rng(11)
     h = 1e-2
     for _ in range(3):
         delta = rng.standard_normal((n + 1, 2))
         delta /= np.linalg.norm(delta)
-        pert = solve_lower(omega, v + h * delta, GAMMA, S, SolverOptions().fast())
+        pert = solve_lower(omega, v + h * delta, GAMMA, S, FAST)
         assert abs(pert.value - base.value) <= 50.0 * h
 
 
@@ -176,7 +176,7 @@ def test_adjoint_sweep_matches_lagrangian_derivative():
 # ---------------------------------------------------------------- value gradient
 def test_value_subgradient_zero_for_stationary_plan():
     omega, v = stationary_inputs(8)
-    ls = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
     z1, z2 = value_subgradient(omega, v, ls, S)
     assert np.allclose(z2, 0.0, atol=1e-8)
 
@@ -206,7 +206,7 @@ def test_value_subgradient_matches_finite_differences():
 
 def test_value_subgradient_requires_normal_problem():
     omega, v = dragged_inputs(6)
-    ls = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
     import dataclasses
     bad_m = dataclasses.replace(ls.multipliers, lambda_bar=0.0)
     bad = dataclasses.replace(ls, multipliers=bad_m)
@@ -217,7 +217,7 @@ def test_value_subgradient_requires_normal_problem():
 def test_lower_multiplier_structure():
     n = 10
     omega, v = dragged_inputs(n)
-    ls = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
     m = ls.multipliers
     assert m is not None
     assert m.lambda_bar > 0
@@ -243,7 +243,7 @@ class _FakeSolution:
 def test_penalty_gap_zero_when_lower_decision_is_copied():
     n = 8
     omega, v = dragged_inputs(n)
-    ls = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
     sol = _FakeSolution(ls.decision, ls, GAMMA)
     assert penalty_gap(sol) == pytest.approx(0.0, abs=1e-12)
 
@@ -252,7 +252,7 @@ def test_penalty_gap_positive_for_wasteful_controls():
     import dataclasses
     n = 8
     omega, v = dragged_inputs(n)
-    ls = solve_lower(omega, v, GAMMA, S, SolverOptions().fast())
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
     cp = ls.decision.controls
     wasteful = dataclasses.replace(
         ls.decision,
