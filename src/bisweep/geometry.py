@@ -27,6 +27,7 @@ __all__ = [
     "project_disk",
     "truncation_bounds",
     "target_distance",
+    "target_direction",
     "validate",
     "load_scenario",
     "save_scenario",

@@ -11,11 +11,12 @@ Layout of the nested scheme:
 * ``solve_bilevel`` -- outer continuation over the smoothing gain gamma, one
   stage per schedule entry; each stage runs the same projected-gradient
   descent as the lower level on a merit that reads only the plan (travel
-  time, containment of the plan disk, terminal miss).  The lower problem is
-  re-solved, warm-started, whenever the plan has moved by more than
-  ``RESOLVE_MOVE * (1 + max omega)`` since the last lower solve, and at the
-  start of each stage and after every augmented-Lagrangian round, so the
-  lower-value penalty of the flattened problem stays zero.
+  time, containment of the plan disk, terminal miss).  A stage solves no
+  lower problem: it records where the lower problem is re-solved (at full
+  budget at its start and after every augmented-Lagrangian round, at a reduced
+  budget once the plan moves by more than ``RESOLVE_MOVE * (1 + max omega)``).
+  After the upper continuation, ``_solve_lower_chain`` solves only the kept
+  seed's records, each warm-started from the one before.
 
 ``SolverOptions`` holds only the grid, the multi-start seeds and the
 iteration budgets; the descent's step rule, stopping rules, initial
@@ -25,6 +26,7 @@ All randomness is confined to seeded multi-start control guesses.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -100,9 +102,15 @@ class SolverOptions:
     lower_al_rounds: int = 5
     upper_max_iter: int = 30
     screen_iters: int = 5
-    # reduced budget for intermediate lower re-solves inside the upper descent
+    # reduced budget of the lower re-solves recorded inside the upper descent
     refresh_max_iter: int = 30
     refresh_al_rounds: int = 2
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            least = 0 if name == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"solver option {name} must be an integer >= {least}: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,9 @@ def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop, before_step=No
     """Projected gradient with Armijo backtracking on the AL merit, from a
     projected ``flat``; with ``stop`` = (step_tol, halvings, gtol), stops at
     ``max_iter`` steps, a gradient norm below ``gtol``, no Armijo step among
-    ``halvings`` halvings, or a step below ``step_tol``.  ``before_step(flat)``
-    runs at the top of every iteration."""
+    ``halvings`` halvings, or a step below ``step_tol``.  ``project`` maps a
+    batch (B, dim) of points row by row.  ``before_step(flat)`` runs at the
+    top of every iteration."""
     step_tol, halvings, gtol = stop
     obj, res = eval_many(flat[None, :])
     merit = float(_al_merit(obj, res, mu, c)[0])
@@ -187,7 +196,7 @@ def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop, before_step=No
         if gnorm < gtol:
             break
         alphas = STEP0 * 0.5 ** np.arange(halvings) / max(1.0, gnorm)
-        cands = np.stack([project(flat - a * g) for a in alphas])
+        cands = project(flat - alphas[:, None] * g)
         obj_c, res_c = eval_many(cands)
         merits = _al_merit(obj_c, res_c, mu, c)
         decrease = np.array([ARMIJO * np.dot(g, flat - cand) for cand in cands])
@@ -219,11 +228,12 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     n = grid.n_nodes
 
     def project(flat):
+        d, k, batch = s.dim, s.dim + s.dim * n, flat.shape[:-1]
         out = flat.copy()
-        out[:s.dim] = project_disk(out[:s.dim], s.y0_arr, s.R1)
-        u = out[s.dim:s.dim + s.dim * n].reshape(n, s.dim)
-        out[s.dim:s.dim + s.dim * n] = _project_ball_rows(u, s.u_bound).ravel()
-        out[s.dim + s.dim * n:] = np.clip(out[s.dim + s.dim * n:], 0.0, 1.0)
+        out[..., :d] = project_disk(out[..., :d], s.y0_arr, s.R1)
+        u = out[..., d:k].reshape(*batch, n, d)
+        out[..., d:k] = _project_ball_rows(u, s.u_bound).reshape(*batch, d * n)
+        out[..., k:] = np.clip(out[..., k:], 0.0, 1.0)
         return out
 
     if warm is not None and warm.decision.controls.grid.n_nodes == n:
@@ -437,7 +447,7 @@ def _initial_guesses(s: Scenario, grid: TimeGrid, opts: SolverOptions):
     omega0 = max(float(d) / max(s.v_bound, 1e-9), 0.5)
     guesses = [(np.tile(s.v_bound * dhat, (n, 1)), np.full(n, 1.1 * omega0))]
     rng = np.random.default_rng(opts.seed)
-    for _ in range(max(0, opts.seeds - 1)):
+    for _ in range(opts.seeds - 1):
         ang = rng.normal(scale=0.4)
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         scale = float(np.exp(rng.normal(scale=0.25)))
@@ -446,41 +456,11 @@ def _initial_guesses(s: Scenario, grid: TimeGrid, opts: SolverOptions):
     return guesses
 
 
-class _UpperState:
-    """Upper AL weights and the warm-started lower solve that follows the plan."""
-
-    def __init__(self, grid, s, opts):
-        self.grid = grid
-        self.s = s
-        self.opts = opts
-        self.mu_hu = np.zeros(grid.n_nodes)
-        self.mu_term = 0.0
-        self.c = UPPER_PENALTY0
-        self.lower: Optional[LowerSolution] = None
-        self.anchor = None  # (omega, v) at last lower solve
-
-    def refresh_lower(self, omega, v, gamma, full_budget=False):
-        opts = self.opts if full_budget else replace(
-            self.opts, lower_max_iter=self.opts.refresh_max_iter,
-            lower_al_rounds=self.opts.refresh_al_rounds)
-        self.lower = solve_lower(omega, v, gamma, self.s, opts,
-                                 warm=self.lower, grid=self.grid,
-                                 with_multipliers=False)
-        self.anchor = (omega.copy(), v.copy())
-
-    def needs_refresh(self, omega, v):
-        if self.anchor is None:
-            return True
-        do, dv = omega - self.anchor[0], v - self.anchor[1]
-        move = max(np.abs(do).max(initial=0.0), np.abs(dv).max(initial=0.0))
-        return move > RESOLVE_MOVE * (1.0 + np.abs(self.anchor[0]).max())
-
-
 def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
     """Objective and residuals of the plan-level merit for plans (v, omega).
 
-    The lower problem is re-solved as the plan moves, so the penalty term
-    rho*(z - phi) of the flattened problem is zero and the merit reads only
+    The lower problem is re-solved along the recorded plans, so the penalty
+    term rho*(z - phi) of the flattened problem is zero and the merit reads only
     the plan: the travel time t(T*), h_upper at the nodes and the terminal
     miss, all from the closed-form plan path.  The penalty weight only
     scales the certificate multipliers (see ``certificate.extract_multipliers``).
@@ -512,56 +492,57 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
 
     grid = TimeGrid(opts.n_intervals)
 
-    # seed screening on the first stage with a small budget
-    guesses = _initial_guesses(s, grid, opts)
-    best = None
-    screen_opts = replace(opts, upper_max_iter=opts.screen_iters)
-    for v0, om0 in guesses:
-        cand = _run_stage(s, grid, gammas[0], v0, om0, None, screen_opts, SCREEN_AL_ROUNDS)
-        score = cand["T"] + 10.0 * cand["violation"]
-        if best is None or score < best[0]:
-            best = (score, cand)
-    state_v, state_om, state = best[1]["v"], best[1]["omega"], best[1]["state"]
+    # seed screening on the first stage with a small budget, on the upper merit alone
+    screened = [_run_stage(s, grid, gammas[0], v0, om0, None, opts.screen_iters, SCREEN_AL_ROUNDS)
+                for v0, om0 in _initial_guesses(s, grid, opts)]
+    out = min(screened, key=lambda cand: cand["T"] + 10.0 * cand["violation"])
 
-    history = []
+    records, stages = list(out["records"]), []
     for gamma in gammas:
-        out = _run_stage(s, grid, gamma, state_v, state_om, state, opts)
-        state_v, state_om, state = out["v"], out["omega"], out["state"]
-        history.append({"gamma": gamma, "T": out["T"],
-                        "violation": out["violation"], "phi": state.lower.value})
+        out = _run_stage(s, grid, gamma, out["v"], out["omega"], out["weights"],
+                         opts.upper_max_iter)
+        records += out["records"]
+        stages.append((gamma, out, len(records) - 1))
+    lowers = _solve_lower_chain(records, s, grid, opts)
+    history = [{"gamma": gamma, "T": st["T"], "violation": st["violation"],
+                "phi": lowers[last].value} for gamma, st, last in stages]
 
     gamma_f = gammas[-1]
     # final accurate lower solve and assembled decision
     final_opts = replace(opts, lower_max_iter=2 * opts.lower_max_iter,
                          lower_al_rounds=opts.lower_al_rounds + 2)
-    lower = solve_lower(state_om, state_v, gamma_f, s, final_opts, warm=state.lower, grid=grid)
-    cp = ControlProfile(grid, state_v, lower.decision.controls.u,
-                        lower.decision.controls.u0, state_om)
+    lower = solve_lower(out["omega"], out["v"], gamma_f, s, final_opts, warm=lowers[-1], grid=grid)
+    cp = ControlProfile(grid, out["v"], lower.decision.controls.u,
+                        lower.decision.controls.u0, out["omega"])
     dv = DecisionVector(lower.decision.x_init, cp)
     tr = integrate_smooth(cp, dv.x_init, gamma_f, s)
     lower_ok, viol = bool(lower.status["converged"]), history[-1]["violation"]
+    mu_hu, mu_term, _ = out["weights"]
     return BilevelSolution(
         decision=dv, T_star=tr.T, gamma_final=gamma_f,
         lower=lower, history=tuple(history), trajectory=tr,
-        upper_mults={"h_upper": state.mu_hu.copy(), "target": float(state.mu_term)},
+        upper_mults={"h_upper": mu_hu.copy(), "target": float(mu_term)},
         status={"lower_converged": lower_ok, "max_violation": viol,
                 "converged": lower_ok and viol <= UPPER_VIOLATION_TOL},
     )
 
 
-def _run_stage(s, grid, gamma, v, omega, state, opts, al_rounds=UPPER_AL_ROUNDS):
+def _run_stage(s, grid, gamma, v, omega, weights, max_iter, al_rounds=UPPER_AL_ROUNDS):
+    """One upper AL stage at ``gamma`` from the plan (v, omega) and the AL
+    ``weights`` (mu_hu, mu_term, c) of the stage before (None: a fresh start).
+    It solves no lower problem; its ``records`` are the lower re-solves it
+    calls for, in order, as (gamma, omega, v, full_budget)."""
     n = grid.n_nodes
     target_tol = TARGET_TOL_FACTOR * s.R
     omega_cap = OMEGA_CAP_FACTOR * (2.0 * s.R) / max(s.v_bound, 1e-9)
-    if state is None:
-        state = _UpperState(grid, s, opts)
-    state.opts = opts
+    mu_hu, mu_term, c = weights or (np.zeros(n), 0.0, UPPER_PENALTY0)
+    records = []
 
     def project(flat):
-        out = flat.copy()
-        vv = out[:s.dim * n].reshape(n, s.dim)
-        out[:s.dim * n] = _project_ball_rows(vv, s.v_bound).ravel()
-        out[s.dim * n:] = np.clip(out[s.dim * n:], 0.0, omega_cap)
+        out, batch = flat.copy(), flat.shape[:-1]
+        vv = out[..., :s.dim * n].reshape(*batch, n, s.dim)
+        out[..., :s.dim * n] = _project_ball_rows(vv, s.v_bound).reshape(*batch, s.dim * n)
+        out[..., s.dim * n:] = np.clip(out[..., s.dim * n:], 0.0, omega_cap)
         return out
 
     def unpack(fl):
@@ -570,32 +551,48 @@ def _run_stage(s, grid, gamma, v, omega, state, opts, al_rounds=UPPER_AL_ROUNDS)
     def eval_many(pts):
         return _upper_eval_many(pts, s, grid, target_tol)
 
-    def follow_lower(fl):
+    def record(fl, full_budget=False):
         vv, om = unpack(fl)
-        if state.needs_refresh(om, vv):
-            state.refresh_lower(om, vv, gamma)
+        if not full_budget:  # before a descent step: only once the plan has moved
+            _, om0, v0, _ = records[-1]
+            move = max(np.abs(om - om0).max(initial=0.0), np.abs(vv - v0).max(initial=0.0))
+            if move <= RESOLVE_MOVE * (1.0 + np.abs(om0).max()):
+                return
+        records.append((gamma, om.copy(), vv.copy(), full_budget))
 
     flat = project(np.concatenate([v.ravel(), omega]))
-    vv, om = unpack(flat)
-    state.refresh_lower(om, vv, gamma, full_budget=True)
+    record(flat, True)
 
     for _ in range(al_rounds):
-        mu = np.concatenate([state.mu_hu, [state.mu_term]])
-        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, state.c,
-                                       opts.upper_max_iter, UPPER_STOP, before_step=follow_lower)
-        vv, om = unpack(flat)
-        state.refresh_lower(om, vv, gamma, full_budget=True)
+        mu = np.concatenate([mu_hu, [mu_term]])
+        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, c, max_iter, UPPER_STOP,
+                                       before_step=record)
+        record(flat, True)
         viol = float(np.max(res, initial=0.0))
-        state.mu_hu = np.maximum(0.0, state.mu_hu + state.c * res[:n])
-        state.mu_term = max(0.0, state.mu_term + state.c * res[n])
+        mu_hu = np.maximum(0.0, mu_hu + c * res[:n])
+        mu_term = max(0.0, mu_term + c * res[n])
         if viol <= UPPER_VIOLATION_TOL:
             break
-        state.c = min(state.c * 2.0, 1e7)
+        c = min(c * 2.0, 1e7)
 
-    T = float(np.sum(_trapz_weights(grid) * om))
+    vv, om = unpack(flat)
     _, res = eval_many(flat[None, :])
-    return {"v": vv, "omega": om, "state": state, "T": T,
+    return {"v": vv, "omega": om, "weights": (mu_hu, mu_term, c), "records": records,
+            "T": float(np.sum(_trapz_weights(grid) * om)),
             "violation": float(np.max(res[0], initial=0.0))}
+
+
+def _solve_lower_chain(records, s: Scenario, grid: TimeGrid, opts: SolverOptions) -> list:
+    """The recorded lower re-solves, solved in order, each warm-started from the
+    one before (the first cold), at ``opts``'s full or refresh budget."""
+    reduced = replace(opts, lower_max_iter=opts.refresh_max_iter,
+                      lower_al_rounds=opts.refresh_al_rounds)
+    lowers = []
+    for gamma, omega, v, full_budget in records:
+        lowers.append(solve_lower(omega, v, gamma, s, opts if full_budget else reduced,
+                                  warm=lowers[-1] if lowers else None, grid=grid,
+                                  with_multipliers=False))
+    return lowers
 
 
 def penalty_gap(sol: BilevelSolution) -> float:

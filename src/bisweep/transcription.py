@@ -16,7 +16,6 @@ from .dynamics import ControlProfile, TimeGrid, propagate_smooth
 from .geometry import Scenario, h_lower
 
 __all__ = [
-    "TimeGrid",
     "DecisionVector",
     "NLPInstance",
     "assemble_lower",
@@ -49,12 +48,6 @@ class NLPInstance:
     fixed_v: np.ndarray
 
     # --- packing -----------------------------------------------------------
-    @property
-    def dim(self) -> int:
-        n = self.grid.n_nodes
-        d = self.scenario.dim
-        return d + d * n + n
-
     def pack(self, dv: DecisionVector) -> np.ndarray:
         cp = dv.controls
         return np.concatenate([dv.x_init.ravel(), cp.u.ravel(), cp.u0.ravel()])

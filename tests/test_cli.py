@@ -88,6 +88,16 @@ def test_unknown_run_key_is_refused(tmp_path, capsys, command, run):
     assert "upper_iters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("seeds", 0), ("seeds", -1),
+                                        ("lower_max_iter", True), ("seed", -1)])
+def test_bad_solver_run_value_is_refused(tmp_path, monkeypatch, capsys, command, key, value):
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
+    cfg = write_config(tmp_path, run={key: value})
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
 def test_validate_writes_report(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -1,7 +1,8 @@
-"""Every module-level import in the package is used or re-exported, and every
+"""Every module-level import in the package is used or re-exported, every
 function, method and private module-level class of the package is referenced
 somewhere in src/, tests/ or bench/ (an attribute of a module from outside
-the package, such as ``np.zeros``, is no reference)."""
+the package, such as ``np.zeros``, is no reference), and every name the
+package re-exports is listed in, and defined by, its module's ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -12,12 +13,21 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bisweep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def module_all(tree) -> list:
+    """The names a module's top-level ``__all__`` assignment lists."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
 def unused_imports(source: str) -> list:
     """Names bound by top-level imports that the module never references
     and does not list in ``__all__``."""
     tree = ast.parse(source)
     bound = {}
-    exported = set()
+    exported = set(module_all(tree))
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -25,9 +35,6 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in bound.items()
                   if name not in used and name not in exported)
@@ -144,3 +151,50 @@ def test_no_dead_functions_methods_or_private_classes():
     referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
                    for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
     assert dead_definitions(package, referencing) == []
+
+
+def export_mismatches(init_source: str, modules: dict) -> list:
+    """Names ``__init__`` imports from a package module that the module's
+    ``__all__`` does not list, and ``__all__`` entries that a module does
+    not define at top level itself (importing a name is no definition)."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    found = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+            listed = module_all(trees[node.module])
+            found += [f"{node.module}.{a.name} re-exported, not in __all__"
+                      for a in node.names if a.name not in listed]
+    for name, tree in trees.items():
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        found += [f"{name}.__all__ lists {entry}, not defined there"
+                  for entry in module_all(tree) if entry not in defined]
+    return sorted(found)
+
+
+def test_export_scanner_flags_unlisted_reexports_and_foreign_entries():
+    modules = {
+        "a": ("from .b import Grid\n"
+              "__all__ = ['f', 'Grid', 'K', 'N']\n"
+              "def f(): pass\n"
+              "def g(): pass\n"
+              "K = 1\n"
+              "N: int = 2\n"),
+        "b": ("class Grid: pass\n"
+              "def h(): pass\n"),
+    }
+    init = "from .a import f, g, K\nfrom .b import Grid\nfrom numpy import zeros\n"
+    assert export_mismatches(init, modules) == [
+        "a.__all__ lists Grid, not defined there", "a.g re-exported, not in __all__",
+        "b.Grid re-exported, not in __all__"]
+
+
+def test_reexports_are_listed_in_and_defined_by_their_module():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert export_mismatches(init, modules) == []

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth
+from bisweep import solver
+from bisweep.dynamics import ControlProfile, SmoothingSchedule, TimeGrid, integrate_smooth
 from bisweep.geometry import straight_corridor
 from bisweep.oracle import EnumSpec, brute_lower, fd_check
 from bisweep.solver import (
@@ -11,6 +12,7 @@ from bisweep.solver import (
     SolverOptions,
     adjoint_sweep,
     penalty_gap,
+    solve_bilevel,
     solve_lower,
     value_subgradient,
 )
@@ -28,6 +30,15 @@ def dragged_inputs(n, speed=4.0, vx=1.0):
     omega = np.full(n + 1, speed)
     v = np.tile([vx, 0.0], (n + 1, 1))
     return omega, v
+
+
+# ---------------------------------------------------------------- options
+@pytest.mark.parametrize("field, value", [("lower_al_rounds", 0), ("n_intervals", 2.5),
+                                          ("seeds", 0), ("upper_max_iter", False),
+                                          ("refresh_max_iter", "30"), ("seed", -1)])
+def test_solver_options_refuse_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
 
 
 # ---------------------------------------------------------------- lower solve
@@ -260,3 +271,44 @@ def test_penalty_gap_positive_for_wasteful_controls():
                                 np.clip(cp.u0 + 0.4, 0, 1), cp.omega))
     sol = _FakeSolution(wasteful, ls, GAMMA)
     assert penalty_gap(sol) > 1e-3
+
+
+# ---------------------------------------------------------------- continuation
+def test_upper_stage_records_lower_re_solves_without_solving_them(monkeypatch):
+    def no_lower(*args, **kwargs):
+        raise AssertionError("an upper stage must not solve the lower problem")
+
+    monkeypatch.setattr(solver, "solve_lower", no_lower)
+    grid = TimeGrid(8)
+    opts = SolverOptions(n_intervals=8)
+    gamma = SmoothingSchedule.default_for(S).gammas[0]
+    v0, om0 = solver._initial_guesses(S, grid, opts)[0]
+    out = solver._run_stage(S, grid, gamma, v0, om0, None, 3, 2)
+    records = out["records"]
+    # full budget at the start and after each AL round, reduced ones in between
+    assert records[0][3] and records[-1][3]
+    assert any(not full for *_, full in records)
+    assert all(g == gamma for g, *_ in records)
+    np.testing.assert_array_equal(records[-1][1], out["omega"])
+    np.testing.assert_array_equal(records[-1][2], out["v"])
+
+
+def test_seed_screening_solve_regression():
+    """Three seeds at tiny budgets, pinned to the values of a solve whose upper
+    descent itself re-solved the lower level.  Guess 1 wins the screening, so
+    solving the lower re-solves recorded for another seed changes phi."""
+    sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, lower_max_iter=15,
+                                              upper_max_iter=6))
+    assert sol.T_star == 7.9900016654050505
+    assert sol.lower.value == 2.132909903500649
+    assert [tuple(h.values()) for h in sol.history] == [
+        (3.0, 7.999885160743003, 0.0, 1.7733269534087537),
+        (6.0, 7.992573770836386, 0.0, 1.77696483193772),
+        (12.0, 7.990000643489084, 0.0, 1.8202860989877037),
+        (24.0, 7.990001460261883, 0.0, 2.1825229648165414),
+        (48.0, 7.990000886613747, 0.0, 2.1322083896983983),
+        (96.0, 7.99000166540505, 0.0, 2.132909903500649),
+    ]
+    assert [list(h) for h in sol.history] == [["gamma", "T", "violation", "phi"]] * 6
+    assert sol.upper_mults["target"] == 0.9988480624562381
+    np.testing.assert_array_equal(sol.upper_mults["h_upper"], np.zeros(9))
