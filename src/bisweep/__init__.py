@@ -56,10 +56,8 @@ from .oracle import (
 )
 from .solver import (
     BilevelSolution,
-    LowerMultipliers,
     LowerSolution,
     SolverOptions,
-    adjoint_sweep,
     penalty_gap,
     solve_bilevel,
     solve_lower,

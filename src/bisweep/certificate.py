@@ -223,13 +223,16 @@ def extract_multipliers(sol, s: Scenario, rho: float = PENALTY_WEIGHT) -> Gamkre
     weight ``rho``, the tangential stationarity condition is imposed exactly
     (q_L - nu_L*(x-y) = 2*r*u), and the contact-measure path nu_L is fitted by
     least squares against the conservation and adjoint residuals.  Everything
-    is normalized to total weight one at the end.
+    is normalized to total weight one at the end.  ``rho`` must be finite and
+    positive: at rho = 0 every residual vanishes and the certificate is vacuous.
     """
     from scipy.optimize import least_squares
 
+    rho = float(rho)
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
     tr, cp = sol.trajectory, sol.decision.controls
     n = tr.grid.n_nodes
-    rho = float(rho)
 
     lam0 = 1.0
     r0 = lam0 * rho
@@ -241,7 +244,7 @@ def extract_multipliers(sol, s: Scenario, rho: float = PENALTY_WEIGHT) -> Gamkre
     nu_L = fit.x[model.slots]
     q_L, q_H, hvals, _ = model.build(nu_L)
 
-    c_fit = float((np.mean(hvals) - lam0) / r0) if r0 > 0 else 0.0
+    c_fit = float((np.mean(hvals) - lam0) / r0)
     raw = GamkrelidzeMultipliers(q_H=q_H, q_L=q_L, nu_H=nu_H, nu_L=nu_L,
                                  lam=lam0, r=r0, c=c_fit, alpha=alpha,
                                  active=model.gate)
@@ -281,7 +284,6 @@ def _control_gap(tr, cp, m: GamkrelidzeMultipliers, s: Scenario):
 class CertificateReport:
     multipliers: GamkrelidzeMultipliers
     conditions: dict
-    hamiltonian: np.ndarray
 
     @property
     def ok(self) -> bool:
@@ -360,7 +362,7 @@ def certify(sol, s: Scenario, check_value_selection: bool = True,
     # maximizes the Hamiltonian plus the penalty-weighted value gain, so
     # q_H - nu_H(y-q0) + nu_L(x-y) + r*zeta2 must lie in the normal cone at v
     zeta = None
-    if sol.lower.multipliers is not None:
+    if sol.lower.eta is not None:
         from .solver import value_subgradient
         zeta = value_subgradient(cp.omega, cp.v, sol.lower, s)
         pres, pnode = _plan_stationarity_residual(tr, cp, m, zeta[1], s)
@@ -375,7 +377,7 @@ def certify(sol, s: Scenario, check_value_selection: bool = True,
     else:
         conds["value_selection"] = _skipped(tol["value_selection"])
 
-    return CertificateReport(multipliers=m, conditions=conds, hamiltonian=hvals)
+    return CertificateReport(multipliers=m, conditions=conds)
 
 
 def _adjoint_defect(tr, cp, m, s: Scenario) -> float:

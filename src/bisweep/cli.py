@@ -143,8 +143,8 @@ def _penalty_weight(args, run):
     """Penalty weight rho of the certificate's effort multiplier."""
     rho = _flag_or_run(args, run, "rho_max")
     rho = PENALTY_WEIGHT if rho is None else float(rho)
-    if not rho > 0.0:
-        raise ValueError(f"--rho-max must be positive, got {rho:g}")
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"--rho-max must be finite and positive, got {rho:g}")
     return rho
 
 

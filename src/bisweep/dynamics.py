@@ -116,7 +116,6 @@ class StateTrajectory:
     z: np.ndarray  # (N+1,)
     t: np.ndarray  # (N+1,)
     u0_realized: Optional[np.ndarray] = None   # catching-up only
-    feasibility_loss: Optional[dict] = None    # catching-up only
 
     @property
     def T(self) -> float:
@@ -342,8 +341,8 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
 
     The per-step correction toward the disk is capped at M * omega_i * dt; the
     implied cone activation is recorded in ``u0_realized``.  If a step needed
-    more than the budget, the first violating node is reported and a
-    FeasibilityLossWarning is emitted.
+    more than the budget, a FeasibilityLossWarning names the first violating
+    node, the needed correction and the budget (unless ``warn`` is False).
     """
     grid = cp.grid
     n = grid.n_nodes
@@ -378,7 +377,7 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
     effort = (np.sum(cp.u * cp.u, axis=1) + u0_real ** 2) * cp.omega
     z = np.concatenate([[0.0], np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt)])
     t = np.concatenate([[0.0], np.cumsum(0.5 * (cp.omega[1:] + cp.omega[:-1]) * dt)])
-    return StateTrajectory(grid, y, x, z, t, u0_realized=u0_real, feasibility_loss=loss)
+    return StateTrajectory(grid, y, x, z, t, u0_realized=u0_real)
 
 
 @dataclass(frozen=True)

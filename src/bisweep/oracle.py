@@ -8,6 +8,7 @@ module is shared.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -44,10 +45,19 @@ class EnumSpec:
     chunk: int = 200_000
 
     def __post_init__(self):
-        if not (2 <= self.n_intervals <= 5):
-            raise ValueError("n_intervals must be in [2, 5]")
-        if not (2 <= self.levels_per_control <= 5):
-            raise ValueError("levels_per_control must be in [2, 5]")
+        for name, least, most in (("n_intervals", 2, 5), ("levels_per_control", 2, 5),
+                                  ("x_init_points", 1, math.inf), ("chunk", 1, math.inf)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or not least <= value <= most):
+                raise ValueError(f"enumeration {name} must be an integer in [{least}, {most}]: "
+                                 f"{value!r}")
+        for name, positive in (("omega_max", True), ("feas_tol", False), ("target_tol", False)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0.0 <= value < math.inf or (positive and value == 0.0)):
+                raise ValueError(f"enumeration {name} must be a finite number "
+                                 f"{'>' if positive else '>='} 0: {value!r}")
 
 
 def _interval_to_nodes(vals: np.ndarray) -> np.ndarray:
@@ -138,8 +148,9 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     best = None
     seq_list = _product_rows(per_node, N)  # (C, N)
     C = seq_list.shape[0]
-    for start in range(0, C, max(1, spec.chunk // max(1, len(x_grid)))):
-        idx = seq_list[start:start + max(1, spec.chunk // max(1, len(x_grid)))]
+    step = max(1, spec.chunk // len(x_grid))   # sequences per batch
+    for start in range(0, C, step):
+        idx = seq_list[start:start + step]
         B = idx.shape[0]
         u_seq = u_node[idx]      # (B, N, dim)
         u0_seq = u0_node[idx]    # (B, N)

@@ -4,10 +4,11 @@ Layout of the nested scheme:
 
 * ``solve_lower`` -- projected-gradient / augmented-Lagrangian descent on the
   transcribed lower effort problem for frozen (omega, v); produces the value
-  phi, the minimizing decision, and adjoint/multiplier estimates.
+  phi, the minimizing decision and the nodal KKT weights eta of its contact
+  constraints, the one lower multiplier set.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
-  upper controls, read off the lower multipliers through the exact discrete
-  adjoint of the forward RK4 step map (``dynamics.rk4_stages``, ``plan_path``).
+  upper controls, derived from eta through the exact discrete adjoint of the
+  forward RK4 step map (``dynamics.rk4_stages``, ``plan_path``).
 * ``solve_bilevel`` -- outer continuation over the smoothing gain gamma, one
   stage per schedule entry; each stage runs the same projected-gradient
   descent as the lower level on a merit that reads only the plan (travel
@@ -60,20 +61,13 @@ from .transcription import DecisionVector, assemble_lower, fd_grad_jac
 
 __all__ = [
     "SolverOptions",
-    "LowerMultipliers",
     "LowerSolution",
     "BilevelSolution",
-    "AbnormalLowerProblemError",
     "solve_lower",
-    "adjoint_sweep",
     "value_subgradient",
     "solve_bilevel",
     "penalty_gap",
 ]
-
-
-class AbnormalLowerProblemError(RuntimeError):
-    """Normality (positive cost multiplier) failed for the lower problem."""
 
 
 UPPER_VIOLATION_TOL = 1e-9  # the upper AL stops once its constraint violation is this small
@@ -114,18 +108,13 @@ class SolverOptions:
 
 
 @dataclass(frozen=True)
-class LowerMultipliers:
-    p_L: np.ndarray        # (N+1, n) adjoint of the swept point
-    mu_L: np.ndarray       # (N+1,) non-increasing step function
-    lambda_bar: float      # cost multiplier, 1 for a normal problem
-    eta: np.ndarray        # (N+1,) nodal active-set weights behind mu_L
-
-
-@dataclass(frozen=True)
 class LowerSolution:
     decision: DecisionVector
     value: float
-    multipliers: Optional[LowerMultipliers]
+    # (N+1,) nodal KKT weights of the contact constraints h_lower <= 0, None
+    # when solved without multipliers; the contact measure mu_L is their
+    # reversed cumulative sum and p_L follows from ``_reverse_rk4``
+    eta: Optional[np.ndarray]
     status: dict
     gamma: float
 
@@ -236,11 +225,14 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         out[..., k:] = np.clip(out[..., k:], 0.0, 1.0)
         return out
 
-    if warm is not None and warm.decision.controls.grid.n_nodes == n:
+    if warm is not None:
+        warm_n = warm.decision.controls.grid.n_nodes
+        if warm_n != n:
+            raise ValueError(f"warm start has {warm_n} nodes, the solve {n}")
         flat = nlp.pack(DecisionVector(warm.decision.x_init, ControlProfile(
             grid, v, warm.decision.controls.u, warm.decision.controls.u0, omega)))
-        mu = warm.multipliers.eta.copy() if warm.multipliers is not None else np.zeros(n)
-        c = min(warm.status.get("penalty", LOWER_PENALTY0), 100.0 * LOWER_PENALTY0)
+        mu = warm.eta.copy() if warm.eta is not None else np.zeros(n)
+        c = min(warm.status["penalty"], 100.0 * LOWER_PENALTY0)
     else:
         cp0 = ControlProfile(grid, v, np.zeros((n, s.dim)), np.zeros(n), omega)
         flat = nlp.pack(DecisionVector(s.y0_arr.copy(), cp0))
@@ -266,13 +258,8 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     status = {"converged": float(np.max(res, initial=0.0)) <= 1e-7,
               "al_rounds": iters, "penalty": c,
               "max_violation": float(np.max(res, initial=0.0))}
-    mults = None
-    if with_multipliers:
-        eta = _kkt_weights(nlp, flat, res, s)
-        tr = integrate_smooth(dv.controls, dv.x_init, gamma, s)
-        mults = _lower_multipliers(tr, dv, eta, gamma, s)
-    return LowerSolution(decision=dv, value=value, multipliers=mults,
-                         status=status, gamma=gamma)
+    eta = _kkt_weights(nlp, flat, res, s) if with_multipliers else None
+    return LowerSolution(decision=dv, value=value, eta=eta, status=status, gamma=gamma)
 
 
 def _kkt_weights(nlp, flat, res, s: Scenario) -> np.ndarray:
@@ -359,50 +346,6 @@ def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     return q_y, q_x, d_om, d_v, d_u, d_u0
 
 
-def adjoint_sweep(tr: StateTrajectory, cp: ControlProfile, mults_terminal: dict,
-                  gamma: float, s: Scenario):
-    """Backward sweep of the smoothed-system adjoints (p_H, p_L).
-
-    The sweep is the exact discrete adjoint of the forward RK4 step map, so it
-    is consistent with the continuous adjoint system on resolved arcs while
-    remaining bounded through the thin smoothing layer (where a nodal
-    backward-Euler recursion of the continuous right-hand side blows up).
-    ``mults_terminal`` carries the node arrays mu_H, mu_L, the cost multiplier
-    lambda_bar, and optionally a terminal value for p_H (default 0, the free
-    selection for the value-function computation).
-    """
-    mu_H = np.asarray(mults_terminal["mu_H"], dtype=float)
-    mu_L = np.asarray(mults_terminal["mu_L"], dtype=float)
-    lam = float(mults_terminal.get("lambda_bar", 1.0))
-    # nodal atoms of the contact measure implied by the non-increasing path
-    eta = mu_L - np.append(mu_L[1:], 0.0)
-    p_H_T = np.asarray(mults_terminal.get("p_H_terminal", np.zeros(s.dim)), dtype=float)
-    scale = lam if lam > 0 else 1.0
-    q_y, q_x, _, _, _, _ = _reverse_rk4(tr, cp, eta / scale, gamma, s,
-                                        terminal_y=-p_H_T / scale)
-    d = tr.x - tr.y
-    yq = tr.y - s.q0_arr
-    p_L = scale * (-q_x) + mu_L[:, None] * d
-    p_H = scale * (-q_y) - mu_L[:, None] * d + mu_H[:, None] * yq
-    return p_H, p_L
-
-
-def _lower_multipliers(tr: StateTrajectory, dv: DecisionVector, eta: np.ndarray,
-                       gamma: float, s: Scenario) -> LowerMultipliers:
-    """Assemble the lower multiplier set from the exact discrete adjoint.
-
-    The contact measure accumulates the nodal constraint weights from the
-    terminal time backward (non-increasing by construction); p_L comes from
-    the reverse sweep of the integrator, shifted so that p_L - mu_L d
-    realizes the control stationarity.  The value-function sensitivities are
-    left to ``value_subgradient``.
-    """
-    mu_L = np.cumsum(eta[::-1])[::-1]
-    _, q_x, _, _, _, _ = _reverse_rk4(tr, dv.controls, eta, gamma, s)
-    p_L = -q_x + mu_L[:, None] * (tr.x - tr.y)
-    return LowerMultipliers(p_L=p_L, mu_L=mu_L, lambda_bar=1.0, eta=eta)
-
-
 def _project_out_normal(zeta2: np.ndarray, v: np.ndarray, s: Scenario) -> np.ndarray:
     """Remove the outward normal-cone component at nodes with |v| on the ball."""
     nrm = np.linalg.norm(v, axis=1)
@@ -418,20 +361,19 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     zeta1 is the per-node density of dphi/domega against the trapezoidal
     weights; zeta2 the corresponding vector density for v, with the outward
     normal-cone component removed at nodes where |v| sits on the ball.  Both
-    come from the exact reverse sweep of the integrator, so they agree with
-    central differences of the lower Lagrangian to roundoff.
+    come from the reverse sweep of the integrator with the lower solve's
+    weights eta, so they agree with central differences of the lower
+    Lagrangian to roundoff.
     """
-    if lower.multipliers is None or lower.multipliers.lambda_bar <= 0:
-        raise AbnormalLowerProblemError("cost multiplier of the lower problem is zero")
-    m = lower.multipliers
+    if lower.eta is None:
+        raise ValueError("the lower solution carries no multipliers "
+                         "(solved with with_multipliers=False)")
     dec = lower.decision
     cp = ControlProfile(dec.controls.grid, v, dec.controls.u, dec.controls.u0, omega)
     tr = integrate_smooth(cp, dec.x_init, lower.gamma, s)
-    _, _, d_om, d_v, _, _ = _reverse_rk4(tr, cp, m.eta, lower.gamma, s)
+    _, _, d_om, d_v, _, _ = _reverse_rk4(tr, cp, lower.eta, lower.gamma, s)
     w = _trapz_weights(cp.grid)
-    zeta1 = d_om / (w * m.lambda_bar)
-    zeta2 = _project_out_normal(d_v / (w[:, None] * m.lambda_bar), cp.v, s)
-    return zeta1, zeta2
+    return d_om / w, _project_out_normal(d_v / w[:, None], cp.v, s)
 
 
 # --------------------------------------------------------------------------
@@ -508,18 +450,15 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
                 "phi": lowers[last].value} for gamma, st, last in stages]
 
     gamma_f = gammas[-1]
-    # final accurate lower solve and assembled decision
+    # final accurate lower solve; its decision is the returned one
     final_opts = replace(opts, lower_max_iter=2 * opts.lower_max_iter,
                          lower_al_rounds=opts.lower_al_rounds + 2)
     lower = solve_lower(out["omega"], out["v"], gamma_f, s, final_opts, warm=lowers[-1], grid=grid)
-    cp = ControlProfile(grid, out["v"], lower.decision.controls.u,
-                        lower.decision.controls.u0, out["omega"])
-    dv = DecisionVector(lower.decision.x_init, cp)
-    tr = integrate_smooth(cp, dv.x_init, gamma_f, s)
+    tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, gamma_f, s)
     lower_ok, viol = bool(lower.status["converged"]), history[-1]["violation"]
     mu_hu, mu_term, _ = out["weights"]
     return BilevelSolution(
-        decision=dv, T_star=tr.T, gamma_final=gamma_f,
+        decision=lower.decision, T_star=tr.T, gamma_final=gamma_f,
         lower=lower, history=tuple(history), trajectory=tr,
         upper_mults={"h_upper": mu_hu.copy(), "target": float(mu_term)},
         status={"lower_converged": lower_ok, "max_violation": viol,

@@ -196,3 +196,16 @@ def test_sweep_gradients_match_central_differences(name):
         sel = np.array([k == key for k, _ in dims])
         scale = max(np.abs(pred[sel]).max(), 1e-12)
         assert np.abs(fd[sel] - pred[sel]).max() <= 1e-7 * scale, key
+
+
+@pytest.mark.parametrize("name", DRIFTS)
+def test_sweep_without_weights_carries_only_the_terminal_cotangent(name):
+    # the effort integrand reads no state, so with eta = 0 nothing feeds q_x
+    # and q_y keeps its terminal value at every node
+    s = DRIFTS[name]
+    cp, x0, eta = profile(12)
+    tr = integrate_smooth(cp, x0, GAMMA, s)
+    term = np.array([0.3, -0.7])
+    q_y, q_x, *_ = _reverse_rk4(tr, cp, np.zeros_like(eta), GAMMA, s, terminal_y=term)
+    assert np.all(q_x == 0.0)
+    np.testing.assert_array_equal(q_y, np.broadcast_to(term, q_y.shape))

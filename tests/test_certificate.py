@@ -212,6 +212,17 @@ def test_certificate_json_verdicts_are_bools(corridor_certificate):
     assert all(c["ok"] is None or isinstance(c["ok"], bool) for c in data["conditions"].values())
 
 
+@pytest.mark.parametrize("rho", [0.0, -2.0, np.inf, np.nan])
+def test_rho_must_be_finite_and_positive(corridor_run, corridor_scenario, rho):
+    # at rho = 0 every residual would read 0.0 and the certificate be vacuous;
+    # inf and nan would reach the least-squares fit as an invalid start
+    sol = corridor_run["solution"]
+    with pytest.raises(ValueError, match="rho"):
+        extract_multipliers(sol, corridor_scenario, rho)
+    with pytest.raises(ValueError, match="rho"):
+        certify(sol, corridor_scenario, rho=rho)
+
+
 def _conditions(sol, s, m):
     return certify(sol, s, multipliers=m, check_value_selection=False).conditions
 
@@ -272,8 +283,7 @@ def test_value_selection_fails_on_scaled_lower_weights(
     # (residual 8.6e-3 against 5e-2), twenty times fails
     sol = corridor_run["solution"]
     assert corridor_certificate["report"].conditions["value_selection"]["ok"] is True
-    lm = sol.lower.multipliers
-    bad = replace(sol, lower=replace(sol.lower, multipliers=replace(lm, eta=20.0 * lm.eta)))
+    bad = replace(sol, lower=replace(sol.lower, eta=20.0 * sol.lower.eta))
     rep = certify(bad, corridor_scenario, multipliers=corridor_certificate["report"].multipliers)
     assert rep.conditions["value_selection"]["ok"] is False
 

@@ -98,6 +98,16 @@ def test_bad_solver_run_value_is_refused(tmp_path, monkeypatch, capsys, command,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("chunk", 0),
+                                        ("x_init_points", 2.5), ("omega_max", 0.0),
+                                        ("target_tol", float("nan"))])
+def test_bad_oracle_run_value_is_refused(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.setattr(bisweep.cli, "brute_bilevel", _no_solve)
+    cfg = write_config(tmp_path, run={"oracle": {key: value}})
+    assert main(["oracle", "--config", str(cfg)]) == EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
 def test_validate_writes_report(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -227,7 +237,7 @@ def _no_solve(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
-@pytest.mark.parametrize("rho", ["0", "-2"])
+@pytest.mark.parametrize("rho", ["0", "-2", "inf", "nan"])
 def test_nonpositive_rho_max_is_refused(monkeypatch, capsys, command, rho):
     monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
     assert main([command, "--rho-max", rho]) == EXIT_USAGE

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used or re-exported, every
 function, method and private module-level class of the package is referenced
 somewhere in src/, tests/ or bench/ (an attribute of a module from outside
-the package, such as ``np.zeros``, is no reference), and every name the
+the package, such as ``np.zeros``, is no reference), every dataclass field
+of the package is read as an attribute somewhere there, and every name the
 package re-exports is listed in, and defined by, its module's ``__all__``."""
 
 import ast
@@ -70,6 +71,14 @@ def outside_names(tree, internal: set) -> set:
     return names
 
 
+def of_outside_module(attr: ast.Attribute, outside: set) -> bool:
+    """True for ``np.linalg.norm`` when ``np`` names a module from outside."""
+    root = attr.value
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return isinstance(root, ast.Name) and root.id in outside
+
+
 def dead_definitions(defining: dict, referencing: dict) -> list:
     """Functions and methods (dunders excepted) and private module-level
     classes defined in ``defining`` that no module in ``referencing``
@@ -98,12 +107,8 @@ def dead_definitions(defining: dict, referencing: dict) -> list:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id not in outside:
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                root = node.value
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if not (isinstance(root, ast.Name) and root.id in outside):
-                    used.add(node.attr)
+            elif isinstance(node, ast.Attribute) and not of_outside_module(node, outside):
+                used.add(node.attr)
             elif (isinstance(node, ast.ImportFrom)
                   and (node.level > 0 or node.module.split(".")[0] in internal)):
                 used.update(a.name for a in node.names)
@@ -198,3 +203,78 @@ def test_reexports_are_listed_in_and_defined_by_their_module():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     assert export_mismatches(init, modules) == []
+
+
+def dead_fields(defining: dict, referencing: dict) -> list:
+    """Fields of the dataclasses defined in ``defining`` whose name no module
+    in ``referencing`` reads as an attribute (``obj.field`` in load context,
+    or ``getattr(obj, "field")`` with a literal name).  A store is no read,
+    and neither is an attribute of a module from outside the package."""
+    internal = {"bisweep"} | {Path(m).stem for m in defining}
+    fields = {}
+    for module, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(_is_dataclass(d) for d in cls.decorator_list):
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        fields[f"{cls.name}.{node.target.id}"] = (node.target.id,
+                                                                 f"{module}:{node.lineno}")
+    read = set()
+    for source in referencing.values():
+        tree = ast.parse(source)
+        outside = outside_names(tree, internal)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and not of_outside_module(node, outside)):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return sorted(f"{label} ({where})" for label, (name, where) in fields.items()
+                  if name not in read)
+
+
+def _is_dataclass(decorator) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass(...)``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def test_dead_field_scanner_flags_fields_nothing_reads():
+    package = {
+        "a": ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\n"
+              "class Report:\n"
+              "    conditions: dict\n"
+              "    values: list\n"
+              "    shape: tuple\n"
+              "    by_name: int = 0\n"
+              "    stored: int = 0\n"
+              "    def ok(self):\n"
+              "        return self.conditions\n"
+              "@dataclasses.dataclass\n"
+              "class Spec:\n"
+              "    chunk: int = 1\n"
+              "    unread: float = 0.0\n"
+              "class Plain:\n"
+              "    hint: int\n"),
+        "b": ("import numpy as np\n"
+              "from a import Report\n"
+              "def f(r, s):\n"
+              "    r.stored = 1\n"
+              "    return np.shape, s.chunk.real, getattr(r, 'by_name')\n"),
+        "test_a": "def test(r):\n    assert r.values\n",
+    }
+    assert dead_fields({k: package[k] for k in ("a", "b")}, package) == [
+        "Report.shape (a:7)", "Report.stored (a:9)", "Spec.unread (a:15)"]
+
+
+def test_no_dead_dataclass_fields():
+    root = PACKAGE.parent.parent
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
+                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
+    assert dead_fields(package, referencing) == []

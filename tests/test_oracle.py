@@ -25,6 +25,19 @@ def test_enum_spec_rejects_oversized_grids():
         EnumSpec(levels_per_control=7)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_intervals", 2.5), ("levels_per_control", True), ("chunk", 0), ("x_init_points", 2.5),
+    ("omega_max", 0.0), ("omega_max", np.inf), ("feas_tol", -1e-9), ("target_tol", np.nan),
+    ("feas_tol", "0")])
+def test_enum_spec_refuses_bad_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        EnumSpec(**{field: value})
+
+
+def test_enum_spec_accepts_integers_for_float_fields():
+    assert EnumSpec(omega_max=10, feas_tol=0, target_tol=0).omega_max == 10
+
+
 # ---------------------------------------------------------------- brute lower
 def test_brute_lower_stationary_instance_is_free():
     spec = EnumSpec(n_intervals=3, levels_per_control=3)

@@ -1,4 +1,4 @@
-"""Lower-level solve, adjoint sweep, value sensitivities, and penalty gap."""
+"""Lower-level solve, its KKT weights, value sensitivities, and penalty gap."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from bisweep import solver
 from bisweep.dynamics import ControlProfile, SmoothingSchedule, TimeGrid, integrate_smooth
 from bisweep.geometry import straight_corridor
 from bisweep.oracle import EnumSpec, brute_lower, fd_check
+from bisweep.transcription import assemble_lower
 from bisweep.solver import (
-    AbnormalLowerProblemError,
+    ACTIVE_BAND,
     SolverOptions,
-    adjoint_sweep,
     penalty_gap,
     solve_bilevel,
     solve_lower,
@@ -78,6 +78,12 @@ def test_lower_solve_value_nonnegative_random_plans():
         assert ls.value >= -1e-12
 
 
+def test_warm_start_from_another_grid_is_refused():
+    warm = solve_lower(*dragged_inputs(8), GAMMA, S, FAST)
+    with pytest.raises(ValueError, match="9 nodes, the solve 11"):
+        solve_lower(*dragged_inputs(10), GAMMA, S, FAST, warm=warm)
+
+
 def test_lower_solve_deterministic():
     omega, v = dragged_inputs(6)
     a = solve_lower(omega, v, GAMMA, S, FAST)
@@ -98,90 +104,6 @@ def test_lower_value_lipschitz_in_plan():
         delta /= np.linalg.norm(delta)
         pert = solve_lower(omega, v + h * delta, GAMMA, S, FAST)
         assert abs(pert.value - base.value) <= 50.0 * h
-
-
-# ---------------------------------------------------------------- adjoint sweep
-def boundary_ride(n):
-    grid = TimeGrid(n)
-    m = n + 1
-    cp = ControlProfile(grid=grid, v=np.tile([0.4, 0.0], (m, 1)),
-                        u=np.tile([1.0, 0.0], (m, 1)),
-                        u0=np.full(m, 0.6), omega=np.full(m, 2.0))
-    tr = integrate_smooth(cp, (1.0, 0.0), GAMMA, S)
-    return tr, cp
-
-
-def test_adjoint_sweep_zero_data_gives_zero():
-    tr, cp = boundary_ride(20)
-    m = 21
-    p_H, p_L = adjoint_sweep(tr, cp, {"mu_H": np.zeros(m), "mu_L": np.zeros(m),
-                                      "lambda_bar": 0.0}, GAMMA, S)
-    assert np.allclose(p_H, 0.0)
-    assert np.allclose(p_L, 0.0)
-
-
-def test_adjoint_sweep_interior_identity_drift_constant():
-    # no contact measure, interior path, state-independent dynamics:
-    # the adjoint of the swept point has nothing to feed on
-    n = 20
-    grid = TimeGrid(n)
-    m = n + 1
-    cp = ControlProfile(grid=grid, v=np.zeros((m, 2)), u=np.tile([0.2, 0.0], (m, 1)),
-                        u0=np.zeros(m), omega=np.ones(m))
-    tr = integrate_smooth(cp, (0.0, 0.0), GAMMA, S)
-    p_H, p_L = adjoint_sweep(tr, cp, {"mu_H": np.zeros(m), "mu_L": np.zeros(m),
-                                      "lambda_bar": 1.0,
-                                      "p_H_terminal": np.array([0.3, -0.2])},
-                             GAMMA, S)
-    assert np.allclose(p_L, p_L[-1], atol=1e-9)
-    assert np.allclose(p_H, p_H[-1], atol=1e-9)
-
-
-def test_adjoint_sweep_terminal_transversality():
-    # the contact weight carries a terminal atom; the stored terminal adjoint
-    # is the post-jump value, where the remaining weight is zero, so the
-    # transversality relation p_L(T) = mu_L(T) (x - y) reads 0 = 0
-    tr, cp = boundary_ride(20)
-    m = 21
-    mu_L = np.linspace(1.0, 0.2, m)
-    p_H, p_L = adjoint_sweep(tr, cp, {"mu_H": np.zeros(m), "mu_L": mu_L,
-                                      "lambda_bar": 1.0}, GAMMA, S)
-    assert np.allclose(p_L[-1], 0.0, atol=1e-12)
-    # undoing the terminal atom recovers the pre-jump ray along x - y
-    d_T = tr.x[-1] - tr.y[-1]
-    pre_jump = p_L[-1] + mu_L[-1] * d_T
-    assert np.allclose(pre_jump, mu_L[-1] * d_T, atol=1e-12)
-
-
-def test_adjoint_sweep_matches_lagrangian_derivative():
-    # the sweep is the exact derivative of the constrained cost with respect
-    # to the initial state: verify against central differences
-    n = 10
-    tr, cp = boundary_ride(n)
-    m = n + 1
-    eta = np.zeros(m)
-    eta[m // 2] = 0.3
-    mu_L = np.cumsum(eta[::-1])[::-1]
-    p_H, p_L = adjoint_sweep(tr, cp, {"mu_H": np.zeros(m), "mu_L": mu_L,
-                                      "lambda_bar": 1.0}, GAMMA, S)
-    from bisweep.geometry import h_lower
-
-    def lagrangian(x0):
-        t = integrate_smooth(cp, x0, GAMMA, S)
-        val = t.z[-1]
-        for i in range(m):
-            val += eta[i] * h_lower(t.x[i], t.y[i], S)
-        return val
-
-    x0 = np.array([1.0, 0.0])
-    h = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = 1.0
-        fd = (lagrangian(x0 + h * e) - lagrangian(x0 - h * e)) / (2 * h)
-        # p_L(0) = mu_L(0) d(0) - dL/dx0 in this representation
-        pred = mu_L[0] * (tr.x[0] - tr.y[0])[k] - p_L[0][k]
-        assert fd == pytest.approx(pred, abs=1e-6)
 
 
 # ---------------------------------------------------------------- value gradient
@@ -215,29 +137,25 @@ def test_value_subgradient_matches_finite_differences():
     assert err <= 5e-2
 
 
-def test_value_subgradient_requires_normal_problem():
+def test_value_subgradient_requires_multipliers():
     omega, v = dragged_inputs(6)
-    ls = solve_lower(omega, v, GAMMA, S, FAST)
-    import dataclasses
-    bad_m = dataclasses.replace(ls.multipliers, lambda_bar=0.0)
-    bad = dataclasses.replace(ls, multipliers=bad_m)
-    with pytest.raises(AbnormalLowerProblemError):
-        value_subgradient(omega, v, bad, S)
+    ls = solve_lower(omega, v, GAMMA, S, FAST, with_multipliers=False)
+    assert ls.eta is None
+    with pytest.raises(ValueError, match="no multipliers"):
+        value_subgradient(omega, v, ls, S)
 
 
 def test_lower_multiplier_structure():
+    # eta is a nonnegative NNLS fit over the nodes within ACTIVE_BAND of the
+    # rim, so it vanishes elsewhere; the dragged disk does touch the rim
     n = 10
     omega, v = dragged_inputs(n)
     ls = solve_lower(omega, v, GAMMA, S, FAST)
-    m = ls.multipliers
-    assert m is not None
-    assert m.lambda_bar > 0
-    # contact weight path: non-increasing, nonnegative
-    assert np.all(np.diff(m.mu_L) <= 1e-12)
-    assert np.all(m.mu_L >= -1e-12)
-    # nontriviality
-    total = np.max(np.abs(m.p_L)) + m.lambda_bar + np.sum(np.abs(m.eta))
-    assert total > 1e-9
+    assert ls.eta.shape == (n + 1,)
+    assert np.all(ls.eta >= 0.0)
+    h = assemble_lower(omega, v, GAMMA, S, TimeGrid(n)).residuals(ls.decision)
+    assert np.all(ls.eta[h < -ACTIVE_BAND * S.R1 ** 2] == 0.0)
+    assert np.any(ls.eta > 0.0)
 
 
 # ---------------------------------------------------------------- penalty gap
