@@ -29,7 +29,9 @@ __all__ = [
     "certify",
 ]
 
-PENALTY_WEIGHT = 64.0        # exact-penalty weight rho; the effort multiplier is r = lam * rho
+# exact-penalty weight rho; the effort multiplier is r = lam * rho.  A constant:
+# on the corridor at N = 40 every verdict is the same for rho from 1 to 1024
+PENALTY_WEIGHT = 64.0
 RIM_ACTIVITY_TOL = 0.1       # fraction of R1: how far inside the rim still counts as contact
 # the gate of every check but the adjoint's, which is 10/N on a grid of N intervals
 TOLERANCES = {"nontriviality": 1e-9, "boundary": 1e-6, "conservation": 1e-3,
@@ -107,8 +109,7 @@ class GamkrelidzeMultipliers:
                 + float(np.abs(self.nu_L).max(initial=0.0)))
 
 
-def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario,
-                      sigma=None, active=None):
+def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario, active=None):
     """Value of the full Hamiltonian along the arc.
 
     Broadcasts over leading node axes (vectors (..., n), scalars (...)); a
@@ -117,13 +118,11 @@ def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario,
     y, x, u = (np.asarray(a, dtype=float) for a in (y, x, u))
     nu_H, nu_L = np.asarray(nu_H, dtype=float), np.asarray(nu_L, dtype=float)
     d = x - y
-    if sigma is None:
-        sigma = sigma_value(y, x, q_L, nu_L, r, s, active=active)
     return _node_value(dot_rows(q_H - nu_H[..., None] * (y - s.q0_arr), v)
                        + nu_L * dot_rows(d, v)
                        - r * dot_rows(u, u)
                        + dot_rows(q_L - nu_L[..., None] * d, drift(x, u, s))
-                       + sigma)
+                       + sigma_value(y, x, q_L, nu_L, r, s, active=active))
 
 
 def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, active, s: Scenario):
@@ -216,28 +215,24 @@ class _MultiplierModel:
         return np.concatenate([r_cons, r_adj, r_mono])
 
 
-def extract_multipliers(sol, s: Scenario, rho: float = PENALTY_WEIGHT) -> GamkrelidzeMultipliers:
+def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
     """Build candidate multipliers from a solved instance.
 
     The cost multiplier is set to one, the effort multiplier to the penalty
-    weight ``rho``, the tangential stationarity condition is imposed exactly
-    (q_L - nu_L*(x-y) = 2*r*u), and the contact-measure path nu_L is fitted by
-    least squares against the conservation and adjoint residuals.  Everything
-    is normalized to total weight one at the end.  ``rho`` must be finite and
-    positive: at rho = 0 every residual vanishes and the certificate is vacuous.
+    weight ``PENALTY_WEIGHT``, the tangential stationarity condition is imposed
+    exactly (q_L - nu_L*(x-y) = 2*r*u), and the contact-measure path nu_L is
+    fitted by least squares against the conservation and adjoint residuals.
+    Everything is normalized to total weight one at the end.
     """
     from scipy.optimize import least_squares
 
-    rho = float(rho)
-    if not 0.0 < rho < np.inf:
-        raise ValueError(f"rho must be finite and positive, got {rho!r}")
     tr, cp = sol.trajectory, sol.decision.controls
     n = tr.grid.n_nodes
 
     lam0 = 1.0
-    r0 = lam0 * rho
+    r0 = lam0 * PENALTY_WEIGHT
     nu_H = np.cumsum(np.asarray(sol.upper_mults.get("h_upper", np.zeros(n)))[::-1])[::-1]
-    alpha = float(sol.upper_mults.get("target", 0.0)) * rho
+    alpha = float(sol.upper_mults.get("target", 0.0)) * PENALTY_WEIGHT
 
     model = _MultiplierModel(tr, cp, s, r0, alpha, nu_H)
     fit = least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)
@@ -316,16 +311,15 @@ def _skipped(tol) -> dict:
 
 
 def certify(sol, s: Scenario, check_value_selection: bool = True,
-            multipliers: Optional[GamkrelidzeMultipliers] = None,
-            rho: float = PENALTY_WEIGHT) -> CertificateReport:
+            multipliers: Optional[GamkrelidzeMultipliers] = None) -> CertificateReport:
     """Evaluate every stationarity condition as a numerical residual.
 
     A certificate pairs a solution with multipliers; when `multipliers` is
     given the conditions are evaluated against that fixed candidate instead of
     refitting, so a perturbed solution is flagged rather than re-certified.
-    Otherwise they are extracted with penalty weight ``rho``.
+    Otherwise they are extracted by ``extract_multipliers``.
     """
-    m = multipliers if multipliers is not None else extract_multipliers(sol, s, rho)
+    m = multipliers if multipliers is not None else extract_multipliers(sol, s)
     tr, cp = sol.trajectory, sol.decision.controls
     tol = {**TOLERANCES, "adjoint": 10.0 / tr.grid.n_intervals}
     conds = {}
@@ -476,7 +470,7 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
             om_p = np.clip(omega + sgn * h * d_om, 0.0, None)
             v_p = _project_ball_rows(v + sgn * h * d_v, s.v_bound)
             sol_p = solve_lower(om_p, v_p, sol.gamma_final, s, opts, warm=lower,
-                                grid=grid, with_multipliers=False)
+                                with_multipliers=False)
             return sol_p.value
 
         fd = (phi_at(+1.0) - phi_at(-1.0)) / (2 * h)

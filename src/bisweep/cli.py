@@ -33,7 +33,7 @@ from .dynamics import (
     integrate_smooth,
     convergence_study,
 )
-from .certificate import PENALTY_WEIGHT, certify
+from .certificate import certify
 from .geometry import SCENARIO_KEYS, Scenario, require_known_keys, straight_corridor, validate
 from .oracle import EnumSpec, brute_bilevel, OracleInfeasibleError
 from .solver import SolverOptions, penalty_gap, solve_bilevel
@@ -46,7 +46,9 @@ EXIT_CERTIFICATE = 4
 
 # keys of a config's run section: those passed on to SolverOptions, then the rest
 SOLVER_RUN_KEYS = ("n_intervals", "seeds", "seed", "upper_max_iter", "lower_max_iter")
-RUN_KEYS = SOLVER_RUN_KEYS + ("gamma_max", "rho_max", "oracle")
+RUN_KEYS = SOLVER_RUN_KEYS + ("gamma_max", "oracle")
+# keys of a stored control profile: the required ones, then the optional smoothing gain
+PROFILE_KEYS = ("v", "u", "u0", "omega", "x_init", "gamma")
 
 
 def _load_config(path):
@@ -60,20 +62,22 @@ def _load_config(path):
     return scenario, run
 
 
-def _load_profile(path, s: Scenario, grid=None):
-    """A stored control profile; controls outside the scenario's balls and a
-    missing ``x_init`` or one outside the initial small disk Q1 + y0 are refused."""
+def _load_profile(path, s: Scenario):
+    """A stored control profile; unknown or missing keys, controls outside the
+    scenario's balls and an ``x_init`` outside the initial small disk Q1 + y0
+    are refused."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+        data = require_known_keys(yaml.safe_load(fh), PROFILE_KEYS, "profile key")
+    missing = [key for key in PROFILE_KEYS[:-1] if key not in data]
+    if missing:
+        raise ValueError(f"profile gives no {', '.join(missing)} "
+                         f"(required: {', '.join(PROFILE_KEYS[:-1])})")
     v = np.asarray(data["v"], dtype=float)
-    grid = grid or TimeGrid(v.shape[0] - 1)
-    cp = ControlProfile(grid, v,
+    cp = ControlProfile(TimeGrid(v.shape[0] - 1), v,
                         np.asarray(data["u"], dtype=float),
                         np.asarray(data["u0"], dtype=float),
                         np.asarray(data["omega"], dtype=float))
     cp.check_bounds(s)
-    if "x_init" not in data:
-        raise ValueError("profile gives no x_init, the initial state of the swept point")
     x_init = np.asarray(data["x_init"], dtype=float)
     gap = float(np.linalg.norm(x_init - s.y0_arr)) if x_init.shape == (s.dim,) else np.inf
     if gap > s.R1 * (1.0 + 1e-9):
@@ -93,14 +97,12 @@ def _write_trajectory_csv(path, tr, cp):
                          *cp.u[i], cp.u0[i], *cp.v[i], cp.omega[i]])
 
 
-def _export_solution(out_dir, sol, s, extra=None):
+def _export_solution(out_dir, sol, s):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory_csv(out / "trajectory.csv", sol.trajectory, sol.decision.controls)
     meta = sol.to_dict()
     meta["scenario"] = s.to_dict()
-    if extra:
-        meta.update(extra)
     with open(out / "solution.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, default=float)
     # data-only plot payloads (rendering left to the caller)
@@ -129,23 +131,11 @@ def _solver_options(args, run):
     return SolverOptions(**kw)
 
 
-def _flag_or_run(args, run, key):
-    """A command-line value, else the config's ``run:`` value, else None."""
-    value = getattr(args, key)
-    return run.get(key) if value is None else value
-
-
 def _gamma_schedule(args, run, s):
-    return SmoothingSchedule.default_for(s, _flag_or_run(args, run, "gamma_max"))
-
-
-def _penalty_weight(args, run):
-    """Penalty weight rho of the certificate's effort multiplier."""
-    rho = _flag_or_run(args, run, "rho_max")
-    rho = PENALTY_WEIGHT if rho is None else float(rho)
-    if not 0.0 < rho < np.inf:
-        raise ValueError(f"--rho-max must be finite and positive, got {rho:g}")
-    return rho
+    """The doubling schedule ending at ``--gamma-max``, else at the config's
+    ``run: gamma_max``, else at its default."""
+    gamma_max = run.get("gamma_max") if args.gamma_max is None else args.gamma_max
+    return SmoothingSchedule.default_for(s, gamma_max)
 
 
 def _solve_exit_code(sol, code):
@@ -178,12 +168,8 @@ def cmd_validate(args):
 
 
 def cmd_simulate(args):
-    s, run = _load_config(args.config)
-    if not args.profile:
-        print("simulate requires --profile with a stored control profile", file=sys.stderr)
-        return EXIT_USAGE
-    grid = TimeGrid(args.grid) if args.grid else None
-    cp, x_init, data = _load_profile(args.profile, s, grid)
+    s, _ = _load_config(args.config)
+    cp, x_init, data = _load_profile(args.profile, s)
     gamma = data.get("gamma")
     if gamma is not None:
         tr = integrate_smooth(cp, x_init, float(gamma), s)
@@ -202,18 +188,26 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def cmd_solve(args):
+def _solve(args):
+    """The config's scenario and its continuation solve, shared by ``solve``
+    and ``certify``; an exit code in place of the solution when the scenario
+    fails validation or the solver raises."""
     s, run = _load_config(args.config)
     if _validation_failed(s):
-        return EXIT_VALIDATION
+        return s, EXIT_VALIDATION
     opts = _solver_options(args, run)
     gam = _gamma_schedule(args, run, s)
-    _penalty_weight(args, run)  # refuse a bad weight before solving, as certify does
     try:
-        sol = solve_bilevel(s, gam, opts)
+        return s, solve_bilevel(s, gam, opts)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
+        return s, EXIT_SOLVE
+
+
+def cmd_solve(args):
+    s, sol = _solve(args)
+    if isinstance(sol, int):
+        return sol
     print(f"T* = {sol.T_star:.6f}  gap = {penalty_gap(sol):.3e}  "
           f"gamma = {sol.gamma_final:g}")
     if args.out:
@@ -222,18 +216,10 @@ def cmd_solve(args):
 
 
 def cmd_certify(args):
-    s, run = _load_config(args.config)
-    if _validation_failed(s):
-        return EXIT_VALIDATION
-    opts = _solver_options(args, run)
-    gam = _gamma_schedule(args, run, s)
-    rho = _penalty_weight(args, run)
-    try:
-        sol = solve_bilevel(s, gam, opts)
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVE
-    cert = certify(sol, s, rho=rho)
+    s, sol = _solve(args)
+    if isinstance(sol, int):
+        return sol
+    cert = certify(sol, s)
     print(f"T* = {sol.T_star:.6f}")
     for line in cert.summary_lines():
         print(line)
@@ -257,15 +243,13 @@ def cmd_oracle(args):
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         with open(Path(args.out) / "oracle.json", "w", encoding="utf-8") as fh:
-            json.dump({"T": T, "decision": decision}, fh, indent=2, default=float)
+            json.dump({"T": T, "decision": {k: np.asarray(val).tolist()
+                                            for k, val in decision.items()}}, fh, indent=2)
     return EXIT_OK
 
 
 def cmd_sweep_gamma(args):
     s, run = _load_config(args.config)
-    if not args.profile:
-        print("sweep-gamma requires --profile with a stored control profile", file=sys.stderr)
-        return EXIT_USAGE
     cp, x_init, _ = _load_profile(args.profile, s)
     sched = _gamma_schedule(args, run, s)
     errs = convergence_study(cp, x_init, sched, s)
@@ -278,27 +262,34 @@ def cmd_sweep_gamma(args):
     return EXIT_OK
 
 
+# every flag a subcommand may take, and the subcommands with the flags each reads
+FLAGS = {
+    "--config": dict(help="scenario YAML (default: built-in straight corridor)"),
+    "--out": dict(help="output directory"),
+    "--grid": dict(type=int, help="number of time intervals"),
+    "--seed": dict(type=int, help="random seed for multi-start"),
+    "--gamma-max": dict(type=float, help="last smoothing gain of the doubling continuation "
+                                         "schedule (default 64 M/R1)"),
+    "--profile": dict(required=True, help="stored control profile YAML"),
+}
+COMMANDS = {
+    "validate": (cmd_validate, ()),
+    "simulate": (cmd_simulate, ("--profile",)),
+    "solve": (cmd_solve, ("--grid", "--seed", "--gamma-max")),
+    "certify": (cmd_certify, ("--grid", "--seed", "--gamma-max")),
+    "oracle": (cmd_oracle, ()),
+    "sweep-gamma": (cmd_sweep_gamma, ("--profile", "--gamma-max")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bisweep",
                                 description="Time-optimal sweeping-control solver and certificate checker")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None,
-                        help="scenario YAML (default: built-in straight corridor)")
-    common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--grid", type=int, default=None, help="number of time intervals")
-    common.add_argument("--seed", type=int, default=None, help="random seed for multi-start")
-    common.add_argument("--rho-max", type=float, default=None, dest="rho_max",
-                        help="penalty weight of the certificate's effort multiplier (default 64)")
-    common.add_argument("--gamma-max", type=float, default=None, dest="gamma_max",
-                        help="last smoothing gain of the doubling continuation schedule "
-                             "(default 64 M/R1)")
-    common.add_argument("--profile", type=str, default=None,
-                        help="stored control profile YAML (simulate / sweep-gamma)")
-    for name, fn in [("validate", cmd_validate), ("simulate", cmd_simulate),
-                     ("solve", cmd_solve), ("certify", cmd_certify),
-                     ("oracle", cmd_oracle), ("sweep-gamma", cmd_sweep_gamma)]:
-        sp = sub.add_parser(name, parents=[common])
+    for name, (fn, flags) in COMMANDS.items():
+        sp = sub.add_parser(name)
+        for flag in ("--config", "--out", *flags):
+            sp.add_argument(flag, **FLAGS[flag])
         sp.set_defaults(func=fn)
     return p
 

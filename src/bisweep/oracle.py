@@ -41,7 +41,7 @@ class EnumSpec:
     omega_max: float = 10.0
     feas_tol: float = 1e-9
     target_tol: float = 0.25
-    x_init_points: int = 9
+    x_init_points: int = 17
     chunk: int = 200_000
 
     def __post_init__(self):
@@ -52,6 +52,9 @@ class EnumSpec:
                     or not least <= value <= most):
                 raise ValueError(f"enumeration {name} must be an integer in [{least}, {most}]: "
                                  f"{value!r}")
+        if self.x_init_points % 2 == 0:
+            raise ValueError(f"enumeration x_init_points must be odd (the center and two "
+                             f"equal rings): {self.x_init_points!r}")
         for name, positive in (("omega_max", True), ("feas_tol", False), ("target_tol", False)):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
@@ -66,14 +69,11 @@ def _interval_to_nodes(vals: np.ndarray) -> np.ndarray:
 
 
 def _x_init_grid(s: Scenario, count: int) -> np.ndarray:
-    """Coarse grid over the initial disk: center plus one or two rings."""
-    pts = [s.y0_arr.copy()]
-    n_ring = max(4, count - 1)
-    ang = np.linspace(0, 2 * math.pi, n_ring, endpoint=False)
+    """``count`` points over the initial disk: the center, then two rings of
+    (count - 1)/2 points at radius R1 and R1/2."""
+    ang = np.linspace(0, 2 * math.pi, (count - 1) // 2, endpoint=False)
     ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    pts.append(s.y0_arr + s.R1 * ring)
-    pts.append(s.y0_arr + 0.5 * s.R1 * ring)
-    return np.concatenate([[p] if np.ndim(p) == 1 else p for p in pts], axis=0)
+    return np.concatenate([[s.y0_arr], s.y0_arr + s.R1 * ring, s.y0_arr + 0.5 * s.R1 * ring])
 
 
 def _euler_smooth_batch(x0, y_nodes, u_nodes, u0_nodes, omega_nodes, gamma, s, dt):
@@ -179,12 +179,11 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     return best_val
 
 
-def brute_bilevel(spec: EnumSpec, s: Scenario, gamma: Optional[float] = None):
+def brute_bilevel(spec: EnumSpec, s: Scenario):
     """Exhaustive search over piecewise-constant (v, omega); each feasible
-    candidate is costed with its own brute lower solve.  Returns
-    (T_best, decision dict)."""
-    if gamma is None:
-        gamma = 8.0 * s.cone_gain
+    candidate is costed with its own brute lower solve at the smoothing gain
+    gamma = 8 M/R1.  Returns (T_best, decision dict)."""
+    gamma = 8.0 * s.cone_gain
     N = spec.n_intervals
     dt = 1.0 / N
     L = spec.levels_per_control

@@ -206,13 +206,14 @@ def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop, before_step=No
 # lower-level solve
 
 def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOptions] = None,
-                warm: Optional[LowerSolution] = None, grid: Optional[TimeGrid] = None,
+                warm: Optional[LowerSolution] = None,
                 with_multipliers: bool = True) -> LowerSolution:
-    """Augmented-Lagrangian projected-gradient solve of the lower effort problem."""
+    """Augmented-Lagrangian projected-gradient solve of the lower effort problem
+    on the grid of ``omega``'s nodes."""
     opts = opts or SolverOptions()
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
-    grid = grid or TimeGrid(omega.shape[0] - 1)
+    grid = TimeGrid(omega.shape[0] - 1)
     nlp = assemble_lower(omega, v, gamma, s, grid)
     n = grid.n_nodes
 
@@ -445,7 +446,7 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
                          opts.upper_max_iter)
         records += out["records"]
         stages.append((gamma, out, len(records) - 1))
-    lowers = _solve_lower_chain(records, s, grid, opts)
+    lowers = _solve_lower_chain(records, s, opts)
     history = [{"gamma": gamma, "T": st["T"], "violation": st["violation"],
                 "phi": lowers[last].value} for gamma, st, last in stages]
 
@@ -453,7 +454,7 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     # final accurate lower solve; its decision is the returned one
     final_opts = replace(opts, lower_max_iter=2 * opts.lower_max_iter,
                          lower_al_rounds=opts.lower_al_rounds + 2)
-    lower = solve_lower(out["omega"], out["v"], gamma_f, s, final_opts, warm=lowers[-1], grid=grid)
+    lower = solve_lower(out["omega"], out["v"], gamma_f, s, final_opts, warm=lowers[-1])
     tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, gamma_f, s)
     lower_ok, viol = bool(lower.status["converged"]), history[-1]["violation"]
     mu_hu, mu_term, _ = out["weights"]
@@ -521,7 +522,7 @@ def _run_stage(s, grid, gamma, v, omega, weights, max_iter, al_rounds=UPPER_AL_R
             "violation": float(np.max(res[0], initial=0.0))}
 
 
-def _solve_lower_chain(records, s: Scenario, grid: TimeGrid, opts: SolverOptions) -> list:
+def _solve_lower_chain(records, s: Scenario, opts: SolverOptions) -> list:
     """The recorded lower re-solves, solved in order, each warm-started from the
     one before (the first cold), at ``opts``'s full or refresh budget."""
     reduced = replace(opts, lower_max_iter=opts.refresh_max_iter,
@@ -529,7 +530,7 @@ def _solve_lower_chain(records, s: Scenario, grid: TimeGrid, opts: SolverOptions
     lowers = []
     for gamma, omega, v, full_budget in records:
         lowers.append(solve_lower(omega, v, gamma, s, opts if full_budget else reduced,
-                                  warm=lowers[-1] if lowers else None, grid=grid,
+                                  warm=lowers[-1] if lowers else None,
                                   with_multipliers=False))
     return lowers
 

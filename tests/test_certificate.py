@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from bisweep.certificate import (
     certify,
-    extract_multipliers,
     hamiltonian_upper,
     sigma_smooth_value,
     sigma_value,
@@ -210,17 +209,6 @@ def test_certificate_json_verdicts_are_bools(corridor_certificate):
         assert type(c.get("node", 0)) is int
     data = json.loads(json.dumps(corridor_certificate["report"].to_dict(), default=float))
     assert all(c["ok"] is None or isinstance(c["ok"], bool) for c in data["conditions"].values())
-
-
-@pytest.mark.parametrize("rho", [0.0, -2.0, np.inf, np.nan])
-def test_rho_must_be_finite_and_positive(corridor_run, corridor_scenario, rho):
-    # at rho = 0 every residual would read 0.0 and the certificate be vacuous;
-    # inf and nan would reach the least-squares fit as an invalid start
-    sol = corridor_run["solution"]
-    with pytest.raises(ValueError, match="rho"):
-        extract_multipliers(sol, corridor_scenario, rho)
-    with pytest.raises(ValueError, match="rho"):
-        certify(sol, corridor_scenario, rho=rho)
 
 
 def _conditions(sol, s, m):

@@ -81,11 +81,34 @@ def test_unknown_scenario_section_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, run", [("validate", {"upper_iters": 3}),
-                                          ("oracle", {"oracle": {"upper_iters": 3}})])
-def test_unknown_run_key_is_refused(tmp_path, capsys, command, run):
+                                          ("oracle", {"oracle": {"upper_iters": 3}}),
+                                          ("certify", {"rho_max": 4.0})])
+def test_unknown_run_key_is_refused(tmp_path, monkeypatch, capsys, command, run):
+    # rho is the certificate's constant, no longer a run key
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
     cfg = write_config(tmp_path, run=run)
     assert main([command, "--config", str(cfg)]) == EXIT_USAGE
-    assert "upper_iters" in capsys.readouterr().err
+    assert next(iter(run.get("oracle", run))) in capsys.readouterr().err
+
+
+# the flags each subcommand reads, besides --config and --out
+FLAGS_READ = {"validate": (), "simulate": ("--profile",),
+              "solve": ("--grid", "--seed", "--gamma-max"),
+              "certify": ("--grid", "--seed", "--gamma-max"),
+              "oracle": (), "sweep-gamma": ("--profile", "--gamma-max")}
+FOREIGN_FLAGS = [(command, flag) for command, read in FLAGS_READ.items()
+                 for flag in ("--grid", "--seed", "--gamma-max", "--profile", "--rho-max")
+                 if flag not in read]
+
+
+@pytest.mark.parametrize("command, flag", FOREIGN_FLAGS)
+def test_flag_a_subcommand_does_not_read_is_refused(monkeypatch, capsys, command, flag):
+    # a flag that would be accepted and then ignored is refused, naming it
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
+    monkeypatch.setattr(bisweep.cli, "brute_bilevel", _no_solve)
+    profile = ["--profile", "profile.yaml"] if "--profile" in FLAGS_READ[command] else []
+    assert main([command, *profile, flag, "2"]) == EXIT_USAGE
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
@@ -99,7 +122,8 @@ def test_bad_solver_run_value_is_refused(tmp_path, monkeypatch, capsys, command,
 
 
 @pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("chunk", 0),
-                                        ("x_init_points", 2.5), ("omega_max", 0.0),
+                                        ("x_init_points", 2.5), ("x_init_points", 4),
+                                        ("x_init_points", 0), ("omega_max", 0.0),
                                         ("target_tol", float("nan"))])
 def test_bad_oracle_run_value_is_refused(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.setattr(bisweep.cli, "brute_bilevel", _no_solve)
@@ -167,6 +191,24 @@ def test_profile_without_x_init_is_refused(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+@pytest.mark.parametrize("key, value, message", [("gama", 24.0, "unknown profile key: gama"),
+                                                 ("u", None, "profile gives no u ")],
+                         ids=["unknown", "missing"])
+def test_profile_with_unknown_or_missing_key_is_refused(tmp_path, capsys, command, key,
+                                                         value, message):
+    # a mistyped gamma must not silently switch simulate to the catching-up integrator
+    prof = write_profile(tmp_path)
+    data = yaml.safe_load(prof.read_text())
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    prof.write_text(yaml.safe_dump(data))
+    assert main([command, "--profile", str(prof)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
 def test_profile_x_init_outside_initial_disk_is_refused(tmp_path, capsys, command):
     prof = write_profile(tmp_path, x_init=(5.0, 5.0))
     assert main([command, "--profile", str(prof)]) == EXIT_USAGE
@@ -184,8 +226,7 @@ def test_profile_x_init_outside_initial_disk_is_refused(tmp_path, capsys, comman
 def test_solve_tiny_budget_writes_outputs(tmp_path):
     cfg = write_config(tmp_path, run=TINY_RUN)
     out = tmp_path / "sol"
-    code = main(["solve", "--config", str(cfg), "--out", str(out),
-                 "--rho-max", "4", "--gamma-max", "12"])
+    code = main(["solve", "--config", str(cfg), "--out", str(out), "--gamma-max", "12"])
     assert code == EXIT_OK
     sol = json.loads((out / "solution.json").read_text())
     assert sol["T_star"] > 0
@@ -202,7 +243,7 @@ def test_solve_deterministic_byte_identical(tmp_path):
     for d in ("a", "b"):
         out = tmp_path / d
         code = main(["solve", "--config", str(cfg), "--out", str(out),
-                     "--seed", "3", "--rho-max", "2", "--gamma-max", "12"])
+                     "--seed", "3", "--gamma-max", "12"])
         assert code == EXIT_OK
         outs.append((out / "solution.json").read_bytes())
     assert outs[0] == outs[1]
@@ -236,14 +277,6 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("bad input must be refused before solving")
 
 
-@pytest.mark.parametrize("command", ["solve", "certify"])
-@pytest.mark.parametrize("rho", ["0", "-2", "inf", "nan"])
-def test_nonpositive_rho_max_is_refused(monkeypatch, capsys, command, rho):
-    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
-    assert main([command, "--rho-max", rho]) == EXIT_USAGE
-    assert "--rho-max" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("gamma", ["0", "1.5", "nan"])  # M/R1 = 1.5 on the corridor
 def test_gamma_max_at_or_below_cone_gain_is_refused(tmp_path, monkeypatch, capsys, gamma):
     monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
@@ -253,6 +286,18 @@ def test_gamma_max_at_or_below_cone_gain_is_refused(tmp_path, monkeypatch, capsy
     prof = write_profile(tmp_path)
     cfg = write_config(tmp_path, run={"gamma_max": float(gamma)})
     assert main(["sweep-gamma", "--config", str(cfg), "--profile", str(prof)]) == EXIT_USAGE
+
+
+# ---------------------------------------------------------------- oracle
+def test_oracle_writes_decision(tmp_path):
+    cfg = write_config(tmp_path, run={"oracle": {"n_intervals": 3, "levels_per_control": 3}})
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    data = json.loads((out / "oracle.json").read_text())
+    assert data["T"] > 0
+    dec = data["decision"]
+    assert [len(dec[k]) for k in ("v", "omega", "u", "u0")] == [4] * 4
+    assert len(dec["x_init"]) == 2 and isinstance(dec["phi"], float)
 
 
 # ---------------------------------------------------------------- sweep-gamma

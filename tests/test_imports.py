@@ -2,7 +2,8 @@
 function, method and private module-level class of the package is referenced
 somewhere in src/, tests/ or bench/ (an attribute of a module from outside
 the package, such as ``np.zeros``, is no reference), every dataclass field
-of the package is read as an attribute somewhere there, and every name the
+of the package is read as an attribute somewhere there, every defaulted
+parameter is passed by some call there, and every name the
 package re-exports is listed in, and defined by, its module's ``__all__``."""
 
 import ast
@@ -278,3 +279,86 @@ def test_no_dead_dataclass_fields():
     referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
                    for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
     assert dead_fields(package, referencing) == []
+
+
+def dead_parameters(defining: dict, referencing: dict) -> list:
+    """Parameters with a default, of the functions and methods defined in
+    ``defining``, that no call in ``referencing`` passes: by keyword, by
+    enough positional arguments, or by ``*args``/``**kwargs``.  A call is
+    matched by the called name (``Cls(...)`` for ``Cls.__init__``); a leading
+    ``self``/``cls`` parameter is not counted among the positional ones."""
+    params = {}
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        owners = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(node))
+            called = owner if node.name == "__init__" else node.name
+            label = f"{owner}.{node.name}" if owner else node.name
+            a = node.args
+            positional = a.posonlyargs + a.args
+            offset = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                params[f"{label}({arg.arg})"] = (called, arg.arg, i - offset,
+                                                 i >= len(a.posonlyargs), f"{module}:{node.lineno}")
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    params[f"{label}({arg.arg})"] = (called, arg.arg, None, True,
+                                                     f"{module}:{node.lineno}")
+    calls = {}
+    for source in referencing.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls.setdefault(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None),
+                                 []).append(node)
+
+    def passes(call, name, index, by_keyword):
+        if any(k.arg is None or (by_keyword and k.arg == name) for k in call.keywords):
+            return True
+        return index is not None and (len(call.args) > index
+                                      or any(isinstance(p, ast.Starred) for p in call.args))
+
+    return sorted(f"{label} ({where})" for label, (called, name, index, by_keyword, where)
+                  in params.items()
+                  if not any(passes(c, name, index, by_keyword) for c in calls.get(called, [])))
+
+
+def test_dead_parameter_scanner_flags_defaults_no_call_passes():
+    package = {
+        "a": ("def f(x, by_kw=1, by_pos=2, never=3, *, kw_only=4, kw_dead=5): pass\n"
+              "def g(a=1, b=2): pass\n"
+              "def h(a=1): pass\n"
+              "def only(a=1, /): pass\n"
+              "class Model:\n"
+              "    def __init__(self, tol=1e-9, dead=0): pass\n"
+              "    def fit(self, x, steps=10, spare=0): pass\n"
+              "    @classmethod\n"
+              "    def build(cls, size=3): pass\n"
+              "def outer():\n"
+              "    def inner(flag=False): pass\n"
+              "    return inner()\n"),
+    }
+    calls = {"b": ("import a\n"
+                   "a.f(0, by_kw=1, kw_only=2)\n"
+                   "f(0, 1, 2)\n"
+                   "g(*args)\n"
+                   "h(**opts)\n"
+                   "only(a=1)\n"
+                   "a.Model(1e-6).fit(x, 5)\n"
+                   "Model.build(4)\n")}
+    assert dead_parameters(package, {**package, **calls}) == [
+        "Model.__init__(dead) (a:6)", "Model.fit(spare) (a:7)", "f(kw_dead) (a:1)",
+        "f(never) (a:1)", "inner(flag) (a:11)", "only(a) (a:4)"]
+
+
+def test_no_dead_parameters():
+    root = PACKAGE.parent.parent
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
+                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
+    assert dead_parameters(package, referencing) == []

@@ -8,6 +8,7 @@ from bisweep.geometry import straight_corridor
 from bisweep.oracle import (
     EnumSpec,
     OracleInfeasibleError,
+    _x_init_grid,
     brute_bilevel,
     brute_lower,
     fd_check,
@@ -27,11 +28,20 @@ def test_enum_spec_rejects_oversized_grids():
 
 @pytest.mark.parametrize("field, value", [
     ("n_intervals", 2.5), ("levels_per_control", True), ("chunk", 0), ("x_init_points", 2.5),
+    ("x_init_points", 4), ("x_init_points", 0),
     ("omega_max", 0.0), ("omega_max", np.inf), ("feas_tol", -1e-9), ("target_tol", np.nan),
     ("feas_tol", "0")])
 def test_enum_spec_refuses_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
         EnumSpec(**{field: value})
+
+
+@pytest.mark.parametrize("count", [1, 3, 9, 17])
+def test_x_init_points_is_the_number_of_initial_points(count):
+    pts = _x_init_grid(S, count)
+    assert pts.shape == (count, 2)
+    assert np.array_equal(pts[0], S.y0_arr)
+    assert np.all(np.linalg.norm(pts - S.y0_arr, axis=1) <= S.R1 * (1 + 1e-12))
 
 
 def test_enum_spec_accepts_integers_for_float_fields():
