@@ -3,7 +3,7 @@
 A disk-shaped crowd region is steered to a target arc on the boundary of a
 confinement disk in minimum time, while the swept point inside follows a
 truncated normal-cone law plus a controlled drift.  The package provides the
-smoothed transcription, a nested continuation solver for the bilevel
+smoothed transcription, a nested solver for the bilevel
 formulation, brute-force enumeration oracles, and a numerical
 optimality certificate in Gamkrelidze form.
 """

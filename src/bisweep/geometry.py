@@ -354,11 +354,11 @@ def dot_rows(a, b):
 
 
 def target_direction(y, s: Scenario) -> np.ndarray:
-    """Unit vector from y toward the nearest exit-target sample (zero if on it)."""
+    """Unit vector from y toward the exit-target sample nearest to it, the one
+    whose distance ``target_distance`` reports (zero if on it)."""
     y = np.asarray(y, dtype=float)
-    cloud = s.exit_boundary_samples()
-    idx = int(np.argmin(np.linalg.norm(cloud - y, axis=1)))
-    d = cloud[idx] - y
+    _, idx = s.exit_tree().query(y)
+    d = s.exit_boundary_samples()[idx] - y
     nrm = np.linalg.norm(d)
     if nrm < 1e-12:
         return np.zeros_like(y)

@@ -9,15 +9,16 @@ Layout of the nested scheme:
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, derived from eta through the exact discrete adjoint of the
   forward RK4 step map (``dynamics.rk4_stages``, ``plan_path``).
-* ``solve_bilevel`` -- outer continuation over the smoothing gain gamma, one
-  stage per schedule entry; each stage runs the same projected-gradient
-  descent as the lower level on a merit that reads only the plan (travel
-  time, containment of the plan disk, terminal miss).  A stage solves no
-  lower problem: it records where the lower problem is re-solved (at full
-  budget at its start and after every augmented-Lagrangian round, at a reduced
-  budget once the plan moves by more than ``RESOLVE_MOVE * (1 + max omega)``).
-  After the upper continuation, ``_solve_lower_chain`` solves only the kept
-  seed's records, each warm-started from the one before.
+* ``solve_bilevel`` -- the plan (v, omega) first, then the lower problem at
+  that plan.  The upper merit reads only the plan (travel time, containment
+  of the plan disk, terminal miss), so the plan does not depend on the
+  smoothing gain gamma: seeds are screened on that merit, and the plan is
+  solved by the same projected-gradient descent as the lower level, one
+  augmented-Lagrangian pass per schedule entry.  ``_solve_lower_path`` then
+  solves the lower problem at the plan for each gamma of the schedule, each
+  solve warm-started from the one before -- the passage gamma -> infinity at
+  the solved plan -- and a final solve at twice the budget gives the
+  returned decision.
 
 ``SolverOptions`` holds only the grid, the multi-start seeds and the
 iteration budgets; the descent's step rule, stopping rules, initial
@@ -79,10 +80,9 @@ LOWER_STOP = (1e-10, 12, 1e-14)
 UPPER_STOP = (1e-9, 14, 1e-13)
 LOWER_PENALTY0 = 20.0       # initial AL penalties of the two levels
 UPPER_PENALTY0 = 4.0
-UPPER_AL_ROUNDS = 6         # AL rounds of one upper stage
-SCREEN_AL_ROUNDS = 2        # ... and of the first stage run to screen a seed
+UPPER_AL_ROUNDS = 6         # AL rounds of one pass of the plan solve
+SCREEN_AL_ROUNDS = 2        # ... and of the pass that screens a seed
 TARGET_TOL_FACTOR = 1e-3    # the upper terminal constraint allows a miss of this times R
-RESOLVE_MOVE = 0.01         # re-solve the lower level once the plan moves this * (1 + max omega)
 OMEGA_CAP_FACTOR = 10.0     # omega is capped at this times 2R / v_bound
 ACTIVE_BAND = 0.25          # nodes with h_lower above -ACTIVE_BAND*R1^2 may carry weight
 
@@ -96,9 +96,6 @@ class SolverOptions:
     lower_al_rounds: int = 5
     upper_max_iter: int = 30
     screen_iters: int = 5
-    # reduced budget of the lower re-solves recorded inside the upper descent
-    refresh_max_iter: int = 30
-    refresh_al_rounds: int = 2
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -125,11 +122,13 @@ class BilevelSolution:
     T_star: float
     gamma_final: float
     lower: LowerSolution
+    # one record per gamma of the lower path at the plan: gamma, phi and that
+    # solve's converged, max_violation and al_rounds
     history: tuple
     trajectory: StateTrajectory
     upper_mults: dict
-    # lower_converged (the final lower solve), max_violation (the last
-    # stage's upper violation) and converged (both within their stops)
+    # lower_converged (the final lower solve), max_violation (the plan's
+    # upper violation) and converged (both within their stops)
     status: dict
 
     def to_dict(self) -> dict:
@@ -165,19 +164,16 @@ def _al_merit(obj, res, mu, c):
     return obj + np.sum(shifted ** 2 - mu ** 2, axis=-1) / (2.0 * c)
 
 
-def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop, before_step=None):
+def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop):
     """Projected gradient with Armijo backtracking on the AL merit, from a
     projected ``flat``; with ``stop`` = (step_tol, halvings, gtol), stops at
     ``max_iter`` steps, a gradient norm below ``gtol``, no Armijo step among
     ``halvings`` halvings, or a step below ``step_tol``.  ``project`` maps a
-    batch (B, dim) of points row by row.  ``before_step(flat)`` runs at the
-    top of every iteration."""
+    batch (B, dim) of points row by row."""
     step_tol, halvings, gtol = stop
     obj, res = eval_many(flat[None, :])
     merit = float(_al_merit(obj, res, mu, c)[0])
     for _ in range(max_iter):
-        if before_step is not None:
-            before_step(flat)
         grad, jac = fd_grad_jac(eval_many, flat, FD_STEP)
         shifted = np.maximum(0.0, mu + c * res[0])
         g = grad + jac.T @ shifted
@@ -402,7 +398,7 @@ def _initial_guesses(s: Scenario, grid: TimeGrid, opts: SolverOptions):
 def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
     """Objective and residuals of the plan-level merit for plans (v, omega).
 
-    The lower problem is re-solved along the recorded plans, so the penalty
+    The returned decision is the lower solve's at the plan, so the penalty
     term rho*(z - phi) of the flattened problem is zero and the merit reads only
     the plan: the travel time t(T*), h_upper at the nodes and the terminal
     miss, all from the closed-form plan path.  The penalty weight only
@@ -423,7 +419,7 @@ def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
 
 def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
                   opts: Optional[SolverOptions] = None) -> BilevelSolution:
-    """Continuation solve over the smoothing gain: one stage per gamma."""
+    """The plan once, then the lower problem at that plan along the gamma schedule."""
     opts = opts or SolverOptions()
     report = validate(s)
     if not report.ok:
@@ -435,29 +431,28 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
 
     grid = TimeGrid(opts.n_intervals)
 
-    # seed screening on the first stage with a small budget, on the upper merit alone
-    screened = [_run_stage(s, grid, gammas[0], v0, om0, None, opts.screen_iters, SCREEN_AL_ROUNDS)
+    # seed screening with a small budget, on the upper merit alone
+    screened = [_run_stage(s, grid, v0, om0, None, opts.screen_iters, SCREEN_AL_ROUNDS)
                 for v0, om0 in _initial_guesses(s, grid, opts)]
-    out = min(screened, key=lambda cand: cand["T"] + 10.0 * cand["violation"])
+    plan = min(screened, key=lambda cand: cand["T"] + 10.0 * cand["violation"])
+    # the merit does not read gamma: the schedule only sets the plan's budget,
+    # one AL pass per entry with the weights carried over
+    for _ in gammas:
+        plan = _run_stage(s, grid, plan["v"], plan["omega"], plan["weights"], opts.upper_max_iter)
 
-    records, stages = list(out["records"]), []
-    for gamma in gammas:
-        out = _run_stage(s, grid, gamma, out["v"], out["omega"], out["weights"],
-                         opts.upper_max_iter)
-        records += out["records"]
-        stages.append((gamma, out, len(records) - 1))
-    lowers = _solve_lower_chain(records, s, opts)
-    history = [{"gamma": gamma, "T": st["T"], "violation": st["violation"],
-                "phi": lowers[last].value} for gamma, st, last in stages]
+    path = _solve_lower_path(plan["omega"], plan["v"], gammas, s, opts)
+    history = [{"gamma": lo.gamma, "phi": lo.value, "converged": lo.status["converged"],
+                "max_violation": lo.status["max_violation"], "al_rounds": lo.status["al_rounds"]}
+               for lo in path]
 
     gamma_f = gammas[-1]
     # final accurate lower solve; its decision is the returned one
     final_opts = replace(opts, lower_max_iter=2 * opts.lower_max_iter,
                          lower_al_rounds=opts.lower_al_rounds + 2)
-    lower = solve_lower(out["omega"], out["v"], gamma_f, s, final_opts, warm=lowers[-1])
+    lower = solve_lower(plan["omega"], plan["v"], gamma_f, s, final_opts, warm=path[-1])
     tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, gamma_f, s)
-    lower_ok, viol = bool(lower.status["converged"]), history[-1]["violation"]
-    mu_hu, mu_term, _ = out["weights"]
+    lower_ok, viol = bool(lower.status["converged"]), plan["violation"]
+    mu_hu, mu_term, _ = plan["weights"]
     return BilevelSolution(
         decision=lower.decision, T_star=tr.T, gamma_final=gamma_f,
         lower=lower, history=tuple(history), trajectory=tr,
@@ -467,16 +462,14 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     )
 
 
-def _run_stage(s, grid, gamma, v, omega, weights, max_iter, al_rounds=UPPER_AL_ROUNDS):
-    """One upper AL stage at ``gamma`` from the plan (v, omega) and the AL
-    ``weights`` (mu_hu, mu_term, c) of the stage before (None: a fresh start).
-    It solves no lower problem; its ``records`` are the lower re-solves it
-    calls for, in order, as (gamma, omega, v, full_budget)."""
+def _run_stage(s, grid, v, omega, weights, max_iter, al_rounds=UPPER_AL_ROUNDS):
+    """One upper AL pass from the plan (v, omega) and the AL ``weights``
+    (mu_hu, mu_term, c) of the pass before (None: a fresh start).  It reads
+    no gamma and solves no lower problem."""
     n = grid.n_nodes
     target_tol = TARGET_TOL_FACTOR * s.R
     omega_cap = OMEGA_CAP_FACTOR * (2.0 * s.R) / max(s.v_bound, 1e-9)
     mu_hu, mu_term, c = weights or (np.zeros(n), 0.0, UPPER_PENALTY0)
-    records = []
 
     def project(flat):
         out, batch = flat.copy(), flat.shape[:-1]
@@ -485,29 +478,13 @@ def _run_stage(s, grid, gamma, v, omega, weights, max_iter, al_rounds=UPPER_AL_R
         out[..., s.dim * n:] = np.clip(out[..., s.dim * n:], 0.0, omega_cap)
         return out
 
-    def unpack(fl):
-        return fl[:s.dim * n].reshape(n, s.dim), fl[s.dim * n:]
-
     def eval_many(pts):
         return _upper_eval_many(pts, s, grid, target_tol)
 
-    def record(fl, full_budget=False):
-        vv, om = unpack(fl)
-        if not full_budget:  # before a descent step: only once the plan has moved
-            _, om0, v0, _ = records[-1]
-            move = max(np.abs(om - om0).max(initial=0.0), np.abs(vv - v0).max(initial=0.0))
-            if move <= RESOLVE_MOVE * (1.0 + np.abs(om0).max()):
-                return
-        records.append((gamma, om.copy(), vv.copy(), full_budget))
-
     flat = project(np.concatenate([v.ravel(), omega]))
-    record(flat, True)
-
     for _ in range(al_rounds):
         mu = np.concatenate([mu_hu, [mu_term]])
-        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, c, max_iter, UPPER_STOP,
-                                       before_step=record)
-        record(flat, True)
+        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, c, max_iter, UPPER_STOP)
         viol = float(np.max(res, initial=0.0))
         mu_hu = np.maximum(0.0, mu_hu + c * res[:n])
         mu_term = max(0.0, mu_term + c * res[n])
@@ -515,24 +492,21 @@ def _run_stage(s, grid, gamma, v, omega, weights, max_iter, al_rounds=UPPER_AL_R
             break
         c = min(c * 2.0, 1e7)
 
-    vv, om = unpack(flat)
+    vv, om = flat[:s.dim * n].reshape(n, s.dim), flat[s.dim * n:]
     _, res = eval_many(flat[None, :])
-    return {"v": vv, "omega": om, "weights": (mu_hu, mu_term, c), "records": records,
+    return {"v": vv, "omega": om, "weights": (mu_hu, mu_term, c),
             "T": float(np.sum(_trapz_weights(grid) * om)),
             "violation": float(np.max(res[0], initial=0.0))}
 
 
-def _solve_lower_chain(records, s: Scenario, opts: SolverOptions) -> list:
-    """The recorded lower re-solves, solved in order, each warm-started from the
-    one before (the first cold), at ``opts``'s full or refresh budget."""
-    reduced = replace(opts, lower_max_iter=opts.refresh_max_iter,
-                      lower_al_rounds=opts.refresh_al_rounds)
-    lowers = []
-    for gamma, omega, v, full_budget in records:
-        lowers.append(solve_lower(omega, v, gamma, s, opts if full_budget else reduced,
-                                  warm=lowers[-1] if lowers else None,
-                                  with_multipliers=False))
-    return lowers
+def _solve_lower_path(omega, v, gammas, s: Scenario, opts: SolverOptions) -> list:
+    """The lower problem at the plan (omega, v) for each gamma in ``gammas``:
+    cold at the first, each later one warm-started from the one before."""
+    path = []
+    for gamma in gammas:
+        path.append(solve_lower(omega, v, gamma, s, opts, warm=path[-1] if path else None,
+                                with_multipliers=False))
+    return path
 
 
 def penalty_gap(sol: BilevelSolution) -> float:

@@ -30,7 +30,9 @@ from bisweep.geometry import (
     validate,
 )
 from bisweep.oracle import EnumSpec, brute_bilevel, brute_lower, fd_check, sigma_sup_oracle
+from bisweep import solver
 from bisweep.solver import SolverOptions, penalty_gap, solve_lower, value_subgradient
+from bisweep.transcription import fd_grad_jac
 
 S = straight_corridor()
 
@@ -175,13 +177,60 @@ def test_a6_hamiltonian_conservation(corridor_certificate):
 
 
 # --------------------------------------------------------------------- A7
+PLAN_KKT_TOL = 1e-6
+
+
+def plan_kkt_residual(v, omega, mults, s):
+    """KKT residual of the plan (v, omega) with the upper multipliers: the
+    projected Lagrangian stationarity max |x - P(x - grad L)| under the plan
+    solve's v-ball and omega-cap projection P, the largest constraint residual,
+    and max |mu * res|."""
+    n, d = omega.shape[0], s.dim * omega.shape[0]
+    grid = TimeGrid(n - 1)
+    flat = np.concatenate([v.ravel(), omega])
+    eval_many = lambda pts: solver._upper_eval_many(pts, s, grid, solver.TARGET_TOL_FACTOR * s.R)
+    grad, jac = fd_grad_jac(eval_many, flat, solver.FD_STEP)
+    _, res = eval_many(flat[None, :])
+    mu = np.concatenate([mults["h_upper"], [mults["target"]]])
+    step = flat - (grad + jac.T @ mu)
+    omega_cap = solver.OMEGA_CAP_FACTOR * (2.0 * s.R) / s.v_bound
+    proj = np.concatenate([solver._project_ball_rows(step[:d].reshape(n, s.dim), s.v_bound).ravel(),
+                           np.clip(step[d:], 0.0, omega_cap)])
+    return (float(np.max(np.abs(flat - proj))), float(np.max(res[0])),
+            float(np.max(np.abs(mu * res[0]))))
+
+
+def plan_kkt_ok(stationarity, violation, complementarity):
+    return (stationarity <= PLAN_KKT_TOL and violation <= solver.UPPER_VIOLATION_TOL
+            and complementarity <= PLAN_KKT_TOL)
+
+
 def test_a7_penalty_exactness(corridor_run):
     sol = corridor_run["solution"]
     gap = penalty_gap(sol)
-    stages = [h["T"] for h in sol.history]
-    drift_T = abs(stages[-1] - stages[-2])
-    ok = gap <= 1e-6 and drift_T <= 1e-4
-    report("A7", ok, f"gap = {gap:.2e}, |T change| last two stages = {drift_T:.2e}")
+    cp = sol.decision.controls
+    kkt = plan_kkt_residual(cp.v, cp.omega, sol.upper_mults, S)
+    ok = gap <= 1e-6 and plan_kkt_ok(*kkt)
+    report("A7", ok, f"gap = {gap:.2e} (zero by construction), plan KKT: stationarity "
+                     f"{kkt[0]:.2e}, violation {kkt[1]:.2e}, |mu*res| {kkt[2]:.2e} "
+                     f"(tol {PLAN_KKT_TOL:.0e}, {solver.UPPER_VIOLATION_TOL:.0e}, "
+                     f"{PLAN_KKT_TOL:.0e})")
+
+
+def test_a7_plan_kkt_clause_fails_on_mutated_plans(corridor_run):
+    sol = corridor_run["solution"]
+    cp, mults = sol.decision.controls, sol.upper_mults
+    noise = np.random.default_rng(3).standard_normal(cp.v.shape)
+    mutated = {
+        "omega x 1.01": (cp.v, 1.01 * cp.omega, mults),
+        "omega x 0.999": (cp.v, 0.999 * cp.omega, mults),
+        "v + 0.01 noise": (solver._project_ball_rows(cp.v + 0.01 * noise, S.v_bound),
+                           cp.omega, mults),
+        "mu_term x 2": (cp.v, cp.omega, {**mults, "target": 2.0 * mults["target"]}),
+    }
+    for name, (v, omega, mu) in mutated.items():
+        kkt = plan_kkt_residual(v, omega, mu, S)
+        assert not plan_kkt_ok(*kkt), f"{name}: {kkt}"
 
 
 # --------------------------------------------------------------------- A8

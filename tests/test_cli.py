@@ -231,7 +231,7 @@ def test_solve_tiny_budget_writes_outputs(tmp_path):
     sol = json.loads((out / "solution.json").read_text())
     assert sol["T_star"] > 0
     assert sol["status"]["converged"] is True
-    # one continuation stage per gamma, doubling from 2 M/R1 up to --gamma-max
+    # one history record per gamma, doubling from 2 M/R1 up to --gamma-max
     assert [h["gamma"] for h in sol["history"]] == [3.0, 6.0, 12.0]
     assert (out / "trajectory.csv").exists()
     assert (out / "plot_data.json").exists()

@@ -221,6 +221,18 @@ def test_target_direction_points_toward_exit():
     assert np.allclose(d, (1.0, 0.0), atol=1e-3)
 
 
+def test_target_direction_aims_at_the_sample_target_distance_reports():
+    # from q0 every inner-ring sample of a wide arc is at distance R - R1 up to
+    # rounding, so a separate nearest-sample search may pick another sample
+    # than the k-d tree query that target_distance reports
+    s = straight_corridor(exit=ExitArc(-0.3, 0.4))
+    y = s.q0_arr
+    dist, idx = s.exit_tree().query(y)
+    assert target_distance(y, s) == max(0.0, dist - s.R1)
+    sample = s.exit_boundary_samples()[idx]
+    np.testing.assert_allclose(target_direction(y, s), (sample - y) / dist, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------- validation
 def test_validate_default_scenario_passes():
     report = validate(S)

@@ -362,3 +362,63 @@ def test_no_dead_parameters():
     referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
                    for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
     assert dead_parameters(package, referencing) == []
+
+
+def dead_constants(defining: dict, referencing: dict) -> list:
+    """Module-level UPPER_CASE constants assigned in ``defining`` whose name
+    no module in ``referencing`` reads, by name or as an attribute, in load
+    context.  An assignment or an import is no read, and neither is an
+    attribute of a module from outside the package."""
+    internal = {"bisweep"} | {Path(m).stem for m in defining}
+    constants = {}
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id.lstrip("_").isupper():
+                        constants[name.id] = f"{module}:{node.lineno}"
+    read = set()
+    for source in referencing.values():
+        tree = ast.parse(source)
+        outside = outside_names(tree, internal)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and not of_outside_module(node, outside)):
+                read.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in constants.items() if name not in read)
+
+
+def test_dead_constant_scanner_flags_constants_nothing_reads():
+    package = {
+        "a": ("import numpy as np\n"
+              "USED = 1\n"
+              "DEAD = 2\n"
+              "BY_ATTR = 3\n"
+              "ONLY_IMPORTED = 4\n"
+              "STORED = 5\n"
+              "PI: float = 3.14\n"
+              "LO, _HI = 0, 1\n"
+              "lower_case = 6\n"
+              "__all__ = []\n"
+              "def f():\n"
+              "    LOCAL = 7\n"
+              "    return USED + np.PI\n"),
+        "b": ("import a\n"
+              "from a import ONLY_IMPORTED\n"
+              "a.STORED = 8\n"
+              "x = a.BY_ATTR + _HI\n"),
+    }
+    assert dead_constants({"a": package["a"]}, package) == [
+        "DEAD (a:3)", "LO (a:8)", "ONLY_IMPORTED (a:5)", "PI (a:7)", "STORED (a:6)"]
+
+
+def test_no_dead_module_constants():
+    root = PACKAGE.parent.parent
+    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
+                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
+    assert dead_constants(package, referencing) == []

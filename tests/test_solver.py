@@ -35,7 +35,7 @@ def dragged_inputs(n, speed=4.0, vx=1.0):
 # ---------------------------------------------------------------- options
 @pytest.mark.parametrize("field, value", [("lower_al_rounds", 0), ("n_intervals", 2.5),
                                           ("seeds", 0), ("upper_max_iter", False),
-                                          ("refresh_max_iter", "30"), ("seed", -1)])
+                                          ("screen_iters", "30"), ("seed", -1)])
 def test_solver_options_refuse_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{field: value})
@@ -192,41 +192,53 @@ def test_penalty_gap_positive_for_wasteful_controls():
 
 
 # ---------------------------------------------------------------- continuation
-def test_upper_stage_records_lower_re_solves_without_solving_them(monkeypatch):
+class _PlanSolved(Exception):
+    pass
+
+
+def _plan_of(monkeypatch, gammas):
+    """The plan (omega, v) solve_bilevel hands to the lower path for ``gammas``;
+    the solve stops there, and solving any lower problem before it fails."""
     def no_lower(*args, **kwargs):
-        raise AssertionError("an upper stage must not solve the lower problem")
+        raise AssertionError("the plan solve must not solve the lower problem")
+
+    def stop(omega, v, *args):
+        raise _PlanSolved(omega, v)
 
     monkeypatch.setattr(solver, "solve_lower", no_lower)
-    grid = TimeGrid(8)
-    opts = SolverOptions(n_intervals=8)
-    gamma = SmoothingSchedule.default_for(S).gammas[0]
-    v0, om0 = solver._initial_guesses(S, grid, opts)[0]
-    out = solver._run_stage(S, grid, gamma, v0, om0, None, 3, 2)
-    records = out["records"]
-    # full budget at the start and after each AL round, reduced ones in between
-    assert records[0][3] and records[-1][3]
-    assert any(not full for *_, full in records)
-    assert all(g == gamma for g, *_ in records)
-    np.testing.assert_array_equal(records[-1][1], out["omega"])
-    np.testing.assert_array_equal(records[-1][2], out["v"])
+    monkeypatch.setattr(solver, "_solve_lower_path", stop)
+    with pytest.raises(_PlanSolved) as caught:
+        solve_bilevel(S, SmoothingSchedule(gammas),
+                      SolverOptions(n_intervals=8, seeds=2, upper_max_iter=6, screen_iters=2))
+    return caught.value.args
+
+
+def test_plan_solve_reads_no_gamma_and_solves_no_lower_problem(monkeypatch):
+    default = SmoothingSchedule.default_for(S).gammas[:3]
+    om_a, v_a = _plan_of(monkeypatch, default)
+    om_b, v_b = _plan_of(monkeypatch, (1e3, 1e5, 1e6))
+    np.testing.assert_array_equal(om_a, om_b)
+    np.testing.assert_array_equal(v_a, v_b)
 
 
 def test_seed_screening_solve_regression():
-    """Three seeds at tiny budgets, pinned to the values of a solve whose upper
-    descent itself re-solved the lower level.  Guess 1 wins the screening, so
-    solving the lower re-solves recorded for another seed changes phi."""
+    """Three seeds at tiny budgets.  Guess 1 wins the screening (T = 8.221
+    against 8.507 and 8.637); the plan and lower path of guess 0 or 2 end at
+    phi = 1.8877 or 2.5825, so phi pins the kept seed."""
     sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, lower_max_iter=15,
                                               upper_max_iter=6))
     assert sol.T_star == 7.9900016654050505
-    assert sol.lower.value == 2.132909903500649
+    assert sol.lower.value == 1.859138728869071
     assert [tuple(h.values()) for h in sol.history] == [
-        (3.0, 7.999885160743003, 0.0, 1.7733269534087537),
-        (6.0, 7.992573770836386, 0.0, 1.77696483193772),
-        (12.0, 7.990000643489084, 0.0, 1.8202860989877037),
-        (24.0, 7.990001460261883, 0.0, 2.1825229648165414),
-        (48.0, 7.990000886613747, 0.0, 2.1322083896983983),
-        (96.0, 7.99000166540505, 0.0, 2.132909903500649),
+        (3.0, 1.9872922147323506, True, 0.0, 3),
+        (6.0, 1.9038790678188506, True, 0.0, 2),
+        (12.0, 1.7966979810881585, False, 0.0011167289782796352, 5),
+        (24.0, 1.8807161729959665, True, 0.0, 4),
+        (48.0, 1.8779337819774815, True, 0.0, 2),
+        (96.0, 1.8642475730444144, True, 0.0, 4),
     ]
-    assert [list(h) for h in sol.history] == [["gamma", "T", "violation", "phi"]] * 6
+    assert [list(h) for h in sol.history] == [
+        ["gamma", "phi", "converged", "max_violation", "al_rounds"]] * 6
+    assert sol.status == {"lower_converged": True, "max_violation": 0.0, "converged": True}
     assert sol.upper_mults["target"] == 0.9988480624562381
     np.testing.assert_array_equal(sol.upper_mults["h_upper"], np.zeros(9))
