@@ -355,17 +355,13 @@ def certify(sol, s: Scenario, check_value_selection: bool = True,
     # 7. pointwise maximum condition in the plan controls: the ball speed
     # maximizes the Hamiltonian plus the penalty-weighted value gain, so
     # q_H - nu_H(y-q0) + nu_L(x-y) + r*zeta2 must lie in the normal cone at v
-    zeta = None
-    if sol.lower.eta is not None:
-        from .solver import value_subgradient
-        zeta = value_subgradient(cp.omega, cp.v, sol.lower, s)
-        pres, pnode = _plan_stationarity_residual(tr, cp, m, zeta[1], s)
-        conds["max_plan"] = _condition(pres, tol["value_selection"], node=pnode)
-    else:
-        conds["max_plan"] = _skipped(tol["value_selection"])
+    from .solver import value_subgradient
+    zeta = value_subgradient(cp.omega, cp.v, sol.lower, s)
+    pres, pnode = _plan_stationarity_residual(tr, cp, m, zeta[1], s)
+    conds["max_plan"] = _condition(pres, tol["value_selection"], node=pnode)
 
     # 8. value-subgradient selection consistency (finite differences of phi)
-    if check_value_selection and zeta is not None:
+    if check_value_selection:
         conds["value_selection"] = _condition(_value_selection_residual(sol, zeta, s),
                                               tol["value_selection"])
     else:
@@ -438,7 +434,7 @@ def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
 def _value_selection_residual(sol, zeta, s: Scenario) -> float:
     """Compare the subgradient selection ``zeta`` = (zeta1, zeta2) of the
     solution's plan against finite differences of phi."""
-    from .solver import SolverOptions, solve_lower, _project_ball_rows, _trapz_weights
+    from .solver import solve_lower, _project_ball_rows, _trapz_weights
 
     cp = sol.decision.controls
     omega, v = cp.omega, cp.v
@@ -446,10 +442,8 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
     lower = sol.lower
     z1, z2 = zeta
     w = _trapz_weights(grid)
-    # the re-solve of the perturbed lower problem settles within ~1e-4 of its
-    # optimum, so the step is chosen large enough to dominate that noise while
+    # the step is large against the accuracy of the perturbed re-solves, and
     # the central difference controls the curvature error
-    opts = SolverOptions(lower_max_iter=120, lower_al_rounds=4)
     h = 3e-2
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -469,9 +463,7 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
         def phi_at(sgn):
             om_p = np.clip(omega + sgn * h * d_om, 0.0, None)
             v_p = _project_ball_rows(v + sgn * h * d_v, s.v_bound)
-            sol_p = solve_lower(om_p, v_p, sol.gamma_final, s, opts, warm=lower,
-                                with_multipliers=False)
-            return sol_p.value
+            return solve_lower(om_p, v_p, sol.gamma_final, s, warm=lower).value
 
         fd = (phi_at(+1.0) - phi_at(-1.0)) / (2 * h)
         scale = max(1.0, abs(fd), abs(pred))

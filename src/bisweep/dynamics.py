@@ -275,21 +275,32 @@ def _as_batched(arr, ndim):
     return arr[:, None] if arr.ndim < ndim else arr
 
 
-def plan_path(v, omega, s: Scenario, grid: TimeGrid):
-    """Closed-form RK4 path of the plan center and the trapezoid clock.
-
-    dy = v*omega needs no swept-point state, so y, its four RK4 stage values
-    per interval and t are sums of the controls v (N+1, [B,] n) and omega
-    (N+1, [B]).  Returns (y, y_stages, t)."""
-    dt = grid.dt
+def _plan_slopes(v, omega):
+    """dy/dtau = v*omega at the left node, the midpoint (RK4 stages 1 and 2)
+    and the right node of every interval."""
     v_st, om_st = stage_values(v), stage_values(omega)
-    w1, wm, w4 = (v_st[j] * om_st[j][..., None] for j in (0, 1, 3))
+    return tuple(v_st[j] * om_st[j][..., None] for j in (0, 1, 3))
+
+
+def plan_nodes(v, omega, s: Scenario, grid: TimeGrid):
+    """Closed-form RK4 nodes of the plan center and the trapezoid clock: dy =
+    v*omega needs no swept-point state, so y and t are sums of the controls v
+    (N+1, [B,] n) and omega (N+1, [B]).  Returns (y, t)."""
+    w1, wm, w4 = _plan_slopes(v, omega)
     ys = np.empty(v.shape)
     ys[0] = s.y0_arr
-    ys[1:] = s.y0_arr + np.cumsum((dt / 6.0) * (w1 + 4.0 * wm + w4), axis=0)
-    y_st = tuple(ys[:-1] + (a * dt) * k if a else ys[:-1]
+    ys[1:] = s.y0_arr + np.cumsum((grid.dt / 6.0) * (w1 + 4.0 * wm + w4), axis=0)
+    return ys, np.concatenate([np.zeros((1,) + omega.shape[1:]),
+                               np.cumsum(stage_values(omega)[1] * grid.dt, axis=0)])
+
+
+def plan_path(v, omega, s: Scenario, grid: TimeGrid):
+    """``plan_nodes`` and the plan center's four RK4 stage values per
+    interval, which the swept point's stages read.  Returns (y, y_stages, t)."""
+    ys, ts = plan_nodes(v, omega, s, grid)
+    w1, wm, _ = _plan_slopes(v, omega)
+    y_st = tuple(ys[:-1] + (a * grid.dt) * k if a else ys[:-1]
                  for a, k in zip(RK4_OFFSETS, (None, w1, wm, wm)))
-    ts = np.concatenate([np.zeros((1,) + omega.shape[1:]), np.cumsum(om_st[1] * dt, axis=0)])
     return ys, y_st, ts
 
 

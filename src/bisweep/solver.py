@@ -2,10 +2,11 @@
 
 Layout of the nested scheme:
 
-* ``solve_lower`` -- projected-gradient / augmented-Lagrangian descent on the
-  transcribed lower effort problem for frozen (omega, v); produces the value
-  phi, the minimizing decision and the nodal KKT weights eta of its contact
-  constraints, the one lower multiplier set.
+* ``solve_lower`` -- one SLSQP solve of the transcribed lower effort problem
+  for frozen (omega, v), on exact derivatives from the reverse sweep
+  ``_reverse_rk4``; produces the value phi, the minimizing decision and
+  SLSQP's multipliers eta of its contact constraints, the one lower
+  multiplier set.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, derived from eta through the exact discrete adjoint of the
   forward RK4 step map (``dynamics.rk4_stages``, ``plan_path``).
@@ -13,27 +14,26 @@ Layout of the nested scheme:
   that plan.  The upper merit reads only the plan (travel time, containment
   of the plan disk, terminal miss), so the plan does not depend on the
   smoothing gain gamma: seeds are screened on that merit, and the plan is
-  solved by the same projected-gradient descent as the lower level, one
+  solved by a projected-gradient descent on finite differences, one
   augmented-Lagrangian pass per schedule entry.  ``_solve_lower_path`` then
   solves the lower problem at the plan for each gamma of the schedule, each
   solve warm-started from the one before -- the passage gamma -> infinity at
-  the solved plan -- and a final solve at twice the budget gives the
-  returned decision.
+  the solved plan -- and its last solve is the returned one.
 
 ``SolverOptions`` holds only the grid, the multi-start seeds and the
-iteration budgets; the descent's step rule, stopping rules, initial
-penalties and the other numerical settings are the module constants below.
-All randomness is confined to seeded multi-start control guesses.
+iteration budgets; the step rules, stopping rules, initial penalty and the
+other numerical settings are the module constants below.  All randomness is
+confined to seeded multi-start control guesses.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import minimize
 
 from .dynamics import (
     RK4_OFFSETS,
@@ -43,6 +43,7 @@ from .dynamics import (
     TimeGrid,
     SmoothingSchedule,
     integrate_smooth,
+    plan_nodes,
     plan_path,
     rk4_stages,
     stage_controls,
@@ -52,8 +53,8 @@ from .dynamics import (
 from .geometry import (
     Scenario,
     dot_rows,
+    h_lower,
     h_upper,
-    project_disk,
     target_distance,
     target_direction,
     validate,
@@ -72,19 +73,18 @@ __all__ = [
 
 
 UPPER_VIOLATION_TOL = 1e-9  # the upper AL stops once its constraint violation is this small
-FD_STEP = 1e-6              # central-difference step of both descents' gradients
+FD_STEP = 1e-6              # central-difference step of the plan descent's gradient
 STEP0 = 0.5                 # first trial step, divided by max(1, |gradient|)
 ARMIJO = 1e-4               # sufficient-decrease fraction of the backtracking search
-# stopping rule of one descent: (step tolerance, step halvings, gradient floor)
-LOWER_STOP = (1e-10, 12, 1e-14)
+# stopping rule of one plan descent: (step tolerance, step halvings, gradient floor)
 UPPER_STOP = (1e-9, 14, 1e-13)
-LOWER_PENALTY0 = 20.0       # initial AL penalties of the two levels
-UPPER_PENALTY0 = 4.0
+UPPER_PENALTY0 = 4.0        # initial AL penalty of the plan solve
 UPPER_AL_ROUNDS = 6         # AL rounds of one pass of the plan solve
 SCREEN_AL_ROUNDS = 2        # ... and of the pass that screens a seed
 TARGET_TOL_FACTOR = 1e-3    # the upper terminal constraint allows a miss of this times R
 OMEGA_CAP_FACTOR = 10.0     # omega is capped at this times 2R / v_bound
-ACTIVE_BAND = 0.25          # nodes with h_lower above -ACTIVE_BAND*R1^2 may carry weight
+LOWER_FTOL = 1e-10          # SLSQP's accuracy target (its ftol) in the lower solve
+LOWER_VIOLATION_TOL = 1e-7  # a lower solve converged: SLSQP exit 0 and h_lower at most this
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,7 @@ class SolverOptions:
     n_intervals: int = 40
     seeds: int = 8
     seed: int = 0
-    lower_max_iter: int = 80
-    lower_al_rounds: int = 5
+    lower_max_iter: int = 150
     upper_max_iter: int = 30
     screen_iters: int = 5
 
@@ -108,10 +107,12 @@ class SolverOptions:
 class LowerSolution:
     decision: DecisionVector
     value: float
-    # (N+1,) nodal KKT weights of the contact constraints h_lower <= 0, None
-    # when solved without multipliers; the contact measure mu_L is their
-    # reversed cumulative sum and p_L follows from ``_reverse_rk4``
-    eta: Optional[np.ndarray]
+    # (N+1,) SLSQP multipliers of the contact constraints h_lower <= 0; the
+    # contact measure mu_L is their reversed cumulative sum and p_L follows
+    # from ``_reverse_rk4``
+    eta: np.ndarray
+    # converged, max_violation, iterations, exit_status (SLSQP's) and
+    # kkt_residual
     status: dict
     gamma: float
 
@@ -123,11 +124,11 @@ class BilevelSolution:
     gamma_final: float
     lower: LowerSolution
     # one record per gamma of the lower path at the plan: gamma, phi and that
-    # solve's converged, max_violation and al_rounds
+    # solve's status
     history: tuple
     trajectory: StateTrajectory
     upper_mults: dict
-    # lower_converged (the final lower solve), max_violation (the plan's
+    # lower_converged (the returned lower solve), max_violation (the plan's
     # upper violation) and converged (both within their stops)
     status: dict
 
@@ -202,78 +203,79 @@ def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop):
 # lower-level solve
 
 def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOptions] = None,
-                warm: Optional[LowerSolution] = None,
-                with_multipliers: bool = True) -> LowerSolution:
-    """Augmented-Lagrangian projected-gradient solve of the lower effort problem
-    on the grid of ``omega``'s nodes."""
+                warm: Optional[LowerSolution] = None) -> LowerSolution:
+    """One SLSQP solve of the transcribed lower effort problem on the grid of
+    ``omega``'s nodes, from ``warm``'s decision or else from rest at y0.
+
+    The contacts h_lower <= 0 include node 0, where they are x_init's disk;
+    the u-balls are inequality constraints and u0 has the bounds [0, 1].  The
+    effort gradient and the contact Jacobian come from one batched
+    ``_reverse_rk4`` sweep per iterate, and eta is SLSQP's multiplier vector
+    of the contact rows.
+    """
     opts = opts or SolverOptions()
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
     grid = TimeGrid(omega.shape[0] - 1)
     nlp = assemble_lower(omega, v, gamma, s, grid)
-    n = grid.n_nodes
-
-    def project(flat):
-        d, k, batch = s.dim, s.dim + s.dim * n, flat.shape[:-1]
-        out = flat.copy()
-        out[..., :d] = project_disk(out[..., :d], s.y0_arr, s.R1)
-        u = out[..., d:k].reshape(*batch, n, d)
-        out[..., d:k] = _project_ball_rows(u, s.u_bound).reshape(*batch, d * n)
-        out[..., k:] = np.clip(out[..., k:], 0.0, 1.0)
-        return out
-
+    n, d = grid.n_nodes, s.dim
+    k = d + d * n                     # u0 follows x_init and u in the packed decision
+    flat = np.concatenate([s.y0_arr, np.zeros(k - d + n)])
     if warm is not None:
         warm_n = warm.decision.controls.grid.n_nodes
         if warm_n != n:
             raise ValueError(f"warm start has {warm_n} nodes, the solve {n}")
-        flat = nlp.pack(DecisionVector(warm.decision.x_init, ControlProfile(
-            grid, v, warm.decision.controls.u, warm.decision.controls.u0, omega)))
-        mu = warm.eta.copy() if warm.eta is not None else np.zeros(n)
-        c = min(warm.status["penalty"], 100.0 * LOWER_PENALTY0)
-    else:
-        cp0 = ControlProfile(grid, v, np.zeros((n, s.dim)), np.zeros(n), omega)
-        flat = nlp.pack(DecisionVector(s.y0_arr.copy(), cp0))
-        mu = np.zeros(n)
-        c = LOWER_PENALTY0
+        flat = nlp.pack(warm.decision)
 
-    prev_viol = np.inf
-    iters = 0
-    for rnd in range(opts.lower_al_rounds):
-        flat, obj, res, _ = _pg_minimize(nlp.eval_many, project, project(flat), mu, c,
-                                         opts.lower_max_iter, LOWER_STOP)
-        iters += 1
-        viol = float(np.max(res, initial=0.0))
-        mu = np.maximum(0.0, mu + c * res)
-        if viol <= 1e-8:
-            break
-        if viol > 1e-7 and viol > 0.25 * prev_viol:
-            c = min(c * 4.0, 1e6)
-        prev_viol = viol
+    # weight column 0 sweeps the effort alone, column 1 + i adds h_lower_i
+    cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
+    last = {"flat": None}
 
-    dv = nlp.unpack(flat)
-    value = float(obj)
-    status = {"converged": float(np.max(res, initial=0.0)) <= 1e-7,
-              "al_rounds": iters, "penalty": c,
-              "max_violation": float(np.max(res, initial=0.0))}
-    eta = _kkt_weights(nlp, flat, res, s) if with_multipliers else None
-    return LowerSolution(decision=dv, value=value, eta=eta, status=status, gamma=gamma)
+    def at(flat, sweep=False):
+        """The iterate's propagation and, with ``sweep``, its (dim, 1 + n)
+        gradients of the effort and of the effort plus each h_lower_i; each is
+        computed once per iterate."""
+        if last["flat"] is None or not np.array_equal(last["flat"], flat):
+            dv = nlp.unpack(flat)
+            tr = integrate_smooth(dv.controls, dv.x_init, gamma, s)
+            last.update(flat=flat.copy(), dv=dv, tr=tr, h=h_lower(tr.x, tr.y, s), g=None)
+        if sweep and last["g"] is None:
+            _, q_x, _, _, d_u, d_u0 = _reverse_rk4(last["tr"], last["dv"].controls, cols, gamma, s)
+            last["g"] = np.concatenate([q_x[0], d_u.reshape(d * n, -1), d_u0])
+        return last
 
+    def contact_jac(flat):
+        g = at(flat, sweep=True)["g"]
+        return (g[:, 1:] - g[:, :1]).T
 
-def _kkt_weights(nlp, flat, res, s: Scenario) -> np.ndarray:
-    """Nonnegative nodal constraint weights fitted to the stationarity system.
+    def ball_jac(flat):
+        jac = np.zeros((n, flat.size))
+        jac[np.repeat(np.arange(n), d), np.arange(d, k)] = -flat[d:k]
+        return jac
 
-    The projected-gradient iterates settle with the contact constraints
-    slightly inside the rim (the smoothed pull equilibrates there), so the
-    weights are recovered from a nonnegative least-squares fit of
-    grad z + J^T eta = 0 over the near-active nodes.
-    """
-    grad, jac = fd_grad_jac(nlp.eval_many, flat, FD_STEP)
-    eta = np.zeros(res.shape[0])
-    act = res >= -ACTIVE_BAND * s.R1 ** 2
-    if np.any(act):
-        sol, _ = nnls(jac[act].T, -grad)
-        eta[act] = sol
-    return eta
+    # SLSQP writes into the gradient it is handed, so it gets a copy
+    res = minimize(lambda f: at(f)["tr"].z[-1], flat, method="SLSQP",
+                   jac=lambda f: at(f, sweep=True)["g"][:, 0].copy(),
+                   bounds=[(None, None)] * k + [(0.0, 1.0)] * n,
+                   constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
+                                 "jac": lambda f: -contact_jac(f)},
+                                {"type": "ineq", "jac": ball_jac, "fun": lambda f: 0.5 * (
+                                    s.u_bound ** 2 - np.sum(f[d:k].reshape(n, d) ** 2, axis=1))}],
+                   options={"maxiter": opts.lower_max_iter, "ftol": LOWER_FTOL})
+    sol = at(res.x, sweep=True)
+    eta = np.array(res.multipliers[:n])
+    viol = float(np.max(sol["h"], initial=0.0))
+    # projected gradient of the Lagrangian z + eta.h_lower over the u-balls
+    # and u0's box, and complementarity
+    step = res.x - (sol["g"][:, 0] + contact_jac(res.x).T @ eta)
+    step[d:k] = _project_ball_rows(step[d:k].reshape(n, d), s.u_bound).ravel()
+    step[k:] = np.clip(step[k:], 0.0, 1.0)
+    kkt = max(float(np.max(np.abs(res.x - step))), float(np.max(np.abs(eta * sol["h"]))))
+    status = {"converged": res.status == 0 and viol <= LOWER_VIOLATION_TOL,
+              "max_violation": viol, "iterations": int(res.nit),
+              "exit_status": int(res.status), "kkt_residual": kkt}
+    return LowerSolution(decision=sol["dv"], value=float(sol["tr"].z[-1]), eta=eta,
+                         status=status, gamma=gamma)
 
 
 def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
@@ -286,6 +288,8 @@ def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     ``stage_slope`` call; only the 2x2 backward recursion over nodes is
     sequential.  Returns node cotangents (q_y, q_x) = dL/d(y_i, x_i) and the
     control gradients (dL/domega, dL/dv, dL/du, dL/du0), exact to roundoff.
+    ``eta`` may be an (N+1, K) array: its K weight columns are swept at once,
+    and every output then has a trailing axis of K columns.
     """
     grid = tr.grid
     dt = grid.dt
@@ -309,38 +313,40 @@ def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     phiT = eye + np.sum(kxT @ G, axis=0)           # (dx_{i+1}/dx_i)^T
     psiT = np.sum(kyT @ G, axis=0)                 # (dx_{i+1}/dy_i)^T
 
-    d = tr.x - tr.y
-    q_x = np.empty_like(d)
-    q_x[-1] = eta[-1] * d[-1]
+    cols = eta.reshape(eta.shape[0], -1)           # (N+1, K)
+    hd = (tr.x - tr.y)[..., None] * cols[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
+    q_x = np.empty_like(hd)
+    q_x[-1] = hd[-1]
     for i in range(grid.n_intervals - 1, -1, -1):
-        q_x[i] = phiT[i] @ q_x[i + 1] + eta[i] * d[i]
+        q_x[i] = phiT[i] @ q_x[i + 1] + hd[i]
     lam_x = q_x[1:]
     # q_y needs no recursion: its increments are known once lam_x is
-    dq_y = np.concatenate([(psiT @ lam_x[..., None])[..., 0] - eta[:-1, None] * d[:-1],
-                           [-eta[-1] * d[-1] + (0.0 if terminal_y is None else terminal_y)]])
+    term = 0.0 if terminal_y is None else np.asarray(terminal_y, dtype=float)[:, None]
+    dq_y = np.concatenate([psiT @ lam_x - hd[:-1], [term - hd[-1]]])
     q_y = np.cumsum(dq_y[::-1], axis=0)[::-1]
 
-    gx = (G @ lam_x[..., None])[..., 0]                        # (4, N, dim)
-    jy = (kyT @ gx[..., None])[..., 0]
-    gy = b[:, None, None] * q_y[1:]
-    gy[:3] += (np.asarray(RK4_OFFSETS[1:]) * dt)[:, None, None] * jy[1:]
-    g_u0w = np.sum(k_u0w * gx, axis=-1)
+    gx = G @ lam_x                                             # (4, N, dim, K)
+    jy = kyT @ gx
+    gy = b[:, None, None, None] * q_y[1:]
+    gy[:3] += (np.asarray(RK4_OFFSETS[1:]) * dt)[:, None, None, None] * jy[1:]
+    g_u0w = np.einsum("jid,jidk->jik", k_u0w, gx)
 
-    def to_nodes(g, into):
-        # stage 0 reads node i, stages 1 and 2 the average of nodes i and i+1, stage 3 node i+1
+    def to_nodes(g, effort):
+        # every column starts from the effort integrand's own derivative; stage
+        # 0 reads node i, stages 1 and 2 the average of nodes i and i+1, stage 3 node i+1
+        into = np.repeat(effort[..., None], cols.shape[1], axis=-1)
         mid = 0.5 * (g[1] + g[2])
         into[:-1] += g[0] + mid
         into[1:] += g[3] + mid
         return into
 
-    # the effort integrand's own derivatives, then the stage cotangents
-    d_om = to_nodes(np.sum(k_w * gx, axis=-1) + np.sum(V * gy, axis=-1) + U0 * g_u0w,
-                    w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
-    d_v = to_nodes(W[..., None] * gy, np.zeros_like(cp.v))
-    d_u = to_nodes((np.swapaxes(k_u, -1, -2) @ gx[..., None])[..., 0],
-                   w[:, None] * 2.0 * cp.u * cp.omega[:, None])
-    d_u0 = to_nodes(W * g_u0w, w * 2.0 * cp.u0 * cp.omega)
-    return q_y, q_x, d_om, d_v, d_u, d_u0
+    d_om = to_nodes(np.einsum("jid,jidk->jik", k_w, gx) + np.einsum("jid,jidk->jik", V, gy)
+                    + U0[..., None] * g_u0w, w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
+    d_v = to_nodes(W[..., None, None] * gy, np.zeros_like(cp.v))
+    d_u = to_nodes(np.swapaxes(k_u, -1, -2) @ gx, w[:, None] * 2.0 * cp.u * cp.omega[:, None])
+    d_u0 = to_nodes(W[..., None] * g_u0w, w * 2.0 * cp.u0 * cp.omega)
+    out = (q_y, q_x, d_om, d_v, d_u, d_u0)
+    return out if eta.ndim > 1 else tuple(a[..., 0] for a in out)
 
 
 def _project_out_normal(zeta2: np.ndarray, v: np.ndarray, s: Scenario) -> np.ndarray:
@@ -362,9 +368,6 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     weights eta, so they agree with central differences of the lower
     Lagrangian to roundoff.
     """
-    if lower.eta is None:
-        raise ValueError("the lower solution carries no multipliers "
-                         "(solved with with_multipliers=False)")
     dec = lower.decision
     cp = ControlProfile(dec.controls.grid, v, dec.controls.u, dec.controls.u0, omega)
     tr = integrate_smooth(cp, dec.x_init, lower.gamma, s)
@@ -409,7 +412,7 @@ def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
     B = flats.shape[0]
     v = flats[:, :s.dim * n].reshape(B, n, s.dim).transpose(1, 0, 2)
     omega = np.clip(flats[:, s.dim * n:].T, 0.0, None)
-    ys, _, ts = plan_path(v, omega, s, grid)
+    ys, ts = plan_nodes(v, omega, s, grid)
     obj = ts[-1]
     hu = h_upper(ys, s).T                     # (B, N+1)
     term = np.atleast_1d(target_distance(ys[-1], s)) - target_tol
@@ -441,15 +444,9 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
         plan = _run_stage(s, grid, plan["v"], plan["omega"], plan["weights"], opts.upper_max_iter)
 
     path = _solve_lower_path(plan["omega"], plan["v"], gammas, s, opts)
-    history = [{"gamma": lo.gamma, "phi": lo.value, "converged": lo.status["converged"],
-                "max_violation": lo.status["max_violation"], "al_rounds": lo.status["al_rounds"]}
-               for lo in path]
-
-    gamma_f = gammas[-1]
-    # final accurate lower solve; its decision is the returned one
-    final_opts = replace(opts, lower_max_iter=2 * opts.lower_max_iter,
-                         lower_al_rounds=opts.lower_al_rounds + 2)
-    lower = solve_lower(plan["omega"], plan["v"], gamma_f, s, final_opts, warm=path[-1])
+    history = [{"gamma": lo.gamma, "phi": lo.value, **lo.status} for lo in path]
+    # the path's last solve is the returned one
+    lower, gamma_f = path[-1], gammas[-1]
     tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, gamma_f, s)
     lower_ok, viol = bool(lower.status["converged"]), plan["violation"]
     mu_hu, mu_term, _ = plan["weights"]
@@ -504,13 +501,12 @@ def _solve_lower_path(omega, v, gammas, s: Scenario, opts: SolverOptions) -> lis
     cold at the first, each later one warm-started from the one before."""
     path = []
     for gamma in gammas:
-        path.append(solve_lower(omega, v, gamma, s, opts, warm=path[-1] if path else None,
-                                with_multipliers=False))
+        path.append(solve_lower(omega, v, gamma, s, opts, warm=path[-1] if path else None))
     return path
 
 
 def penalty_gap(sol: BilevelSolution) -> float:
     """z(T*) of the returned decision minus the lower-level value: zero by
-    construction, as both are ``propagate_smooth``'s effort for the final lower
-    solve's decision; it shows that decision is returned, not that it is optimal."""
+    construction, as both are ``propagate_smooth``'s effort for the returned
+    lower solve's decision; it shows that decision is returned, not that it is optimal."""
     return float(sol.trajectory.z[-1] - sol.lower.value)

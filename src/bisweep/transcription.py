@@ -1,5 +1,5 @@
 """Direct transcription of the lower effort problem, and the batched
-central-difference derivatives used by both levels of the solver.
+central-difference derivatives used by the plan level of the solver.
 
 An instance is a plain evaluator bundle over a packed decision vector;
 dynamics are propagated by the smoothed RK4 integrator so the quadrature used
@@ -108,7 +108,8 @@ def assemble_lower(omega, v, gamma: float, s: Scenario, grid: TimeGrid) -> NLPIn
 
 
 def fd_grad_jac(eval_many, flat: np.ndarray, h: float = 1e-6):
-    """Batched central differences of a flat-vector evaluator.
+    """Batched central differences of a flat-vector evaluator; the plan
+    solve's gradient (the lower solve reads the exact reverse sweep).
 
     ``eval_many`` maps a (B, dim) batch to objectives (B,) and residuals
     (B, n_res); all 2*dim perturbed points go through one call.  Returns the

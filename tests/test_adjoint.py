@@ -1,5 +1,6 @@
-"""The vectorized RK4 adjoint against a per-node loop reference and against
-central differences of the lower Lagrangian, on identity drift and on an
+"""The vectorized RK4 adjoint, with one or several weight columns, against a
+per-node loop reference and against central differences of the lower
+Lagrangian and of every contact constraint, on identity drift and on an
 affine drift whose saturation at M1 is active at some stage points."""
 
 import numpy as np
@@ -157,25 +158,34 @@ def test_profile_visits_both_branches_of_the_ramp_and_the_saturation():
 
 @pytest.mark.parametrize("name", DRIFTS)
 def test_sweep_matches_per_node_loop_reference(name):
+    # one sweep of K weight columns gives, column by column, the single-column
+    # sweep and the loop reference
     s = DRIFTS[name]
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
     term = np.array([0.3, -0.7])
-    new = _reverse_rk4(tr, cp, eta, GAMMA, s, terminal_y=term)
-    ref = loop_reverse_rk4(tr, cp, eta, GAMMA, s, terminal_y=term)
-    for label, a, b in zip(("q_y", "q_x", "d_om", "d_v", "d_u", "d_u0"), new, ref):
-        assert a.shape == b.shape, label
-        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), label
+    cols = np.stack([eta, np.zeros_like(eta), np.roll(eta, 5), np.eye(len(eta))[4]], axis=1)
+    batched = _reverse_rk4(tr, cp, cols, GAMMA, s, terminal_y=term)
+    for k in range(cols.shape[1]):
+        new = _reverse_rk4(tr, cp, cols[:, k], GAMMA, s, terminal_y=term)
+        ref = loop_reverse_rk4(tr, cp, cols[:, k], GAMMA, s, terminal_y=term)
+        for label, a, b, c in zip(("q_y", "q_x", "d_om", "d_v", "d_u", "d_u0"), new, ref, batched):
+            assert a.shape == b.shape == c[..., k].shape, label
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (label, k)
+            assert np.abs(c[..., k] - a).max() <= 1e-14 * np.abs(a).max(), (label, k)
 
 
 @pytest.mark.parametrize("name", DRIFTS)
 def test_sweep_gradients_match_central_differences(name):
-    # L = z(T) + sum_i eta_i h_lower_i; every coordinate of every control and
-    # of x(0) is perturbed by +-h in one batched propagation
+    # L = z(T) + sum_i eta_i h_lower_i for the weight columns eta, none, and
+    # each single node (the effort gradient and the contact Jacobian rows
+    # solve_lower reads); every coordinate of every control and of x(0) is
+    # perturbed by +-h in one batched propagation
     s = DRIFTS[name]
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
-    _, q_x, d_om, d_v, d_u, d_u0 = _reverse_rk4(tr, cp, eta, GAMMA, s)
+    cols = np.hstack([eta[:, None], np.zeros((len(eta), 1)), np.eye(len(eta))])
+    _, q_x, d_om, d_v, d_u, d_u0 = _reverse_rk4(tr, cp, cols, GAMMA, s)
 
     base = {"v": cp.v, "u": cp.u, "u0": cp.u0, "omega": cp.omega, "x0": x0}
     dims = [(key, idx) for key, arr in base.items() for idx in np.ndindex(arr.shape)]
@@ -187,15 +197,15 @@ def test_sweep_gradients_match_central_differences(name):
     ys, xs, zs, _ = propagate_smooth(np.moveaxis(batch["v"], -1, 1), np.moveaxis(batch["u"], -1, 1),
                                      batch["u0"], batch["omega"], batch["x0"].T, GAMMA, s,
                                      cp.grid)
-    lag = zs[-1] + np.sum(eta[:, None] * h_lower(xs, ys, s), axis=0)
+    lag = zs[-1][:, None] + h_lower(xs, ys, s).T @ cols
     fd = (lag[0::2] - lag[1::2]) / (2 * h)
 
     adj = {"v": d_v, "u": d_u, "u0": d_u0, "omega": d_om, "x0": q_x[0]}
     pred = np.array([adj[key][idx] for key, idx in dims])
     for key in base:
         sel = np.array([k == key for k, _ in dims])
-        scale = max(np.abs(pred[sel]).max(), 1e-12)
-        assert np.abs(fd[sel] - pred[sel]).max() <= 1e-7 * scale, key
+        scale = np.maximum(np.abs(pred[sel]).max(axis=0), 1e-12)
+        assert np.all(np.abs(fd[sel] - pred[sel]).max(axis=0) <= 1e-7 * scale), key
 
 
 @pytest.mark.parametrize("name", DRIFTS)

@@ -48,7 +48,8 @@ def write_profile(tmp_path, n=10, u=(0.0, 0.0), u0=0.0, v=(0.0, 0.0),
     return path
 
 
-TINY_RUN = {"n_intervals": 8, "seeds": 1, "lower_max_iter": 15, "upper_max_iter": 6}
+# its lower solves take at most 22 SLSQP iterations
+TINY_RUN = {"n_intervals": 8, "seeds": 1, "lower_max_iter": 50, "upper_max_iter": 6}
 
 
 # ---------------------------------------------------------------- validate

@@ -1,15 +1,14 @@
-"""Lower-level solve, its KKT weights, value sensitivities, and penalty gap."""
+"""Lower-level solve, its multipliers, value sensitivities, and penalty gap."""
 
 import numpy as np
 import pytest
 
 from bisweep import solver
 from bisweep.dynamics import ControlProfile, SmoothingSchedule, TimeGrid, integrate_smooth
-from bisweep.geometry import straight_corridor
+from bisweep.geometry import DriftSpec, straight_corridor, target_direction
 from bisweep.oracle import EnumSpec, brute_lower, fd_check
 from bisweep.transcription import assemble_lower
 from bisweep.solver import (
-    ACTIVE_BAND,
     SolverOptions,
     penalty_gap,
     solve_bilevel,
@@ -19,7 +18,8 @@ from bisweep.solver import (
 
 S = straight_corridor()
 GAMMA = 24.0
-FAST = SolverOptions(lower_max_iter=40, lower_al_rounds=3)  # a short lower solve
+# a short lower solve: the dragged plans below take at most 27 SLSQP iterations
+FAST = SolverOptions(lower_max_iter=60)
 
 
 def stationary_inputs(n):
@@ -33,7 +33,7 @@ def dragged_inputs(n, speed=4.0, vx=1.0):
 
 
 # ---------------------------------------------------------------- options
-@pytest.mark.parametrize("field, value", [("lower_al_rounds", 0), ("n_intervals", 2.5),
+@pytest.mark.parametrize("field, value", [("lower_max_iter", 0), ("n_intervals", 2.5),
                                           ("seeds", 0), ("upper_max_iter", False),
                                           ("screen_iters", "30"), ("seed", -1)])
 def test_solver_options_refuse_bad_values(field, value):
@@ -62,8 +62,7 @@ def test_lower_solve_matches_enumeration_on_tiny_grid():
     n = spec.n_intervals
     omega, v = dragged_inputs(n)
     oracle_val = brute_lower(omega, v, GAMMA, spec, S)
-    ls = solve_lower(omega, v, GAMMA, S,
-                     SolverOptions(lower_max_iter=200, lower_al_rounds=6, seeds=1))
+    ls = solve_lower(omega, v, GAMMA, S)
     # the descent searches a continuum containing the enumeration grid
     assert ls.value <= oracle_val + 1e-6
 
@@ -117,8 +116,7 @@ def test_value_subgradient_zero_for_stationary_plan():
 def test_value_subgradient_matches_finite_differences():
     n = 8
     omega, v = dragged_inputs(n, speed=3.0, vx=0.8)
-    opts = SolverOptions(lower_max_iter=200, lower_al_rounds=6, seeds=1)
-    ls = solve_lower(omega, v, GAMMA, S, opts)
+    ls = solve_lower(omega, v, GAMMA, S)
     z1, z2 = value_subgradient(omega, v, ls, S)
 
     w = np.full(n + 1, 1.0 / n)
@@ -127,7 +125,7 @@ def test_value_subgradient_matches_finite_differences():
 
     def phi_of_v(flat):
         vv = flat.reshape(n + 1, 2)
-        return solve_lower(omega, vv, GAMMA, S, opts).value
+        return solve_lower(omega, vv, GAMMA, S).value
 
     rng = np.random.default_rng(2)
     dirs = [rng.standard_normal(2 * (n + 1)) for _ in range(2)]
@@ -137,25 +135,32 @@ def test_value_subgradient_matches_finite_differences():
     assert err <= 5e-2
 
 
-def test_value_subgradient_requires_multipliers():
-    omega, v = dragged_inputs(6)
-    ls = solve_lower(omega, v, GAMMA, S, FAST, with_multipliers=False)
-    assert ls.eta is None
-    with pytest.raises(ValueError, match="no multipliers"):
-        value_subgradient(omega, v, ls, S)
-
-
 def test_lower_multiplier_structure():
-    # eta is a nonnegative NNLS fit over the nodes within ACTIVE_BAND of the
-    # rim, so it vanishes elsewhere; the dragged disk does touch the rim
+    # eta is SLSQP's multiplier vector of the contact rows h_lower <= 0: it is
+    # nonnegative, exactly zero at every node more than 1e-3 R1^2 inside the
+    # rim (the last QP leaves those rows out of its active set), and the
+    # dragged disk does push on x
     n = 10
     omega, v = dragged_inputs(n)
     ls = solve_lower(omega, v, GAMMA, S, FAST)
+    assert ls.status["converged"]
     assert ls.eta.shape == (n + 1,)
     assert np.all(ls.eta >= 0.0)
     h = assemble_lower(omega, v, GAMMA, S, TimeGrid(n)).residuals(ls.decision)
-    assert np.all(ls.eta[h < -ACTIVE_BAND * S.R1 ** 2] == 0.0)
+    inactive = h < -1e-3 * S.R1 ** 2
+    assert np.any(inactive) and np.all(ls.eta[inactive] == 0.0)
     assert np.any(ls.eta > 0.0)
+
+
+def test_cold_lower_solve_converges_under_affine_drift():
+    # A4's affine-drift corridor, the plan aimed at the target at 8 M/R1
+    s = straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))),
+                          K_f=0.05, M1=1.2)
+    n = 41
+    v = np.tile(s.v_bound * target_direction(s.y0_arr, s), (n, 1))
+    ls = solve_lower(np.full(n, 8.0), v, 8.0 * s.cone_gain, s)
+    assert ls.status["converged"] and ls.status["exit_status"] == 0
+    assert ls.status["max_violation"] <= 1e-7
 
 
 # ---------------------------------------------------------------- penalty gap
@@ -221,24 +226,33 @@ def test_plan_solve_reads_no_gamma_and_solves_no_lower_problem(monkeypatch):
     np.testing.assert_array_equal(v_a, v_b)
 
 
+def test_corridor_lower_path_converges_and_phi_grows_with_gamma(corridor_run):
+    # every solve of the path stops at an optimum, not on a budget, so phi_gamma
+    # moves smoothly with gamma; on the corridor it does not decrease
+    history = corridor_run["solution"].history
+    assert [h["converged"] for h in history] == [True] * 6
+    phi = [h["phi"] for h in history]
+    assert all(b >= a for a, b in zip(phi, phi[1:])), phi
+
+
 def test_seed_screening_solve_regression():
     """Three seeds at tiny budgets.  Guess 1 wins the screening (T = 8.221
-    against 8.507 and 8.637); the plan and lower path of guess 0 or 2 end at
-    phi = 1.8877 or 2.5825, so phi pins the kept seed."""
-    sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, lower_max_iter=15,
-                                              upper_max_iter=6))
+    against 8.507 and 8.636); the plan and lower path of guess 0 or 2 end at
+    phi = 2.2617 or 1.8339, so phi pins the kept seed."""
+    sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, upper_max_iter=6))
     assert sol.T_star == 7.9900016654050505
-    assert sol.lower.value == 1.859138728869071
+    assert sol.lower.value == 1.833529373020243
     assert [tuple(h.values()) for h in sol.history] == [
-        (3.0, 1.9872922147323506, True, 0.0, 3),
-        (6.0, 1.9038790678188506, True, 0.0, 2),
-        (12.0, 1.7966979810881585, False, 0.0011167289782796352, 5),
-        (24.0, 1.8807161729959665, True, 0.0, 4),
-        (48.0, 1.8779337819774815, True, 0.0, 2),
-        (96.0, 1.8642475730444144, True, 0.0, 4),
+        (3.0, 1.7684178720890782, True, 3.717470775654874e-12, 15, 0, 4.462359915691216e-06),
+        (6.0, 1.7727868017093307, True, 5.551115123125783e-16, 12, 0, 1.7337087837021592e-06),
+        (12.0, 1.7900986792958125, True, 2.2160828727635362e-11, 21, 0, 0.28758918546723405),
+        (24.0, 1.8208344056127492, True, 2.506550522696216e-12, 13, 0, 5.206960083437018e-06),
+        (48.0, 1.8260696477569747, True, 7.164269177906135e-13, 82, 0, 0.1778480497826238),
+        (96.0, 1.833529373020243, True, 1.768918345135262e-12, 52, 0, 0.3047431295383643),
     ]
     assert [list(h) for h in sol.history] == [
-        ["gamma", "phi", "converged", "max_violation", "al_rounds"]] * 6
+        ["gamma", "phi", "converged", "max_violation", "iterations", "exit_status",
+         "kkt_residual"]] * 6
     assert sol.status == {"lower_converged": True, "max_violation": 0.0, "converged": True}
     assert sol.upper_mults["target"] == 0.9988480624562381
     np.testing.assert_array_equal(sol.upper_mults["h_upper"], np.zeros(9))
