@@ -14,8 +14,9 @@ Layout of the nested scheme:
   that plan.  The upper merit reads only the plan (travel time, containment
   of the plan disk, terminal miss), so the plan does not depend on the
   smoothing gain gamma: seeds are screened on that merit, and the plan is
-  solved by a projected-gradient descent on finite differences, one
-  augmented-Lagrangian pass per schedule entry.  ``_solve_lower_path`` then
+  solved by a projected-gradient descent, one augmented-Lagrangian pass per
+  schedule entry, on the merit's exact gradient from one reverse sweep of the
+  plan nodes (``dynamics.reverse_plan_nodes``).  ``_solve_lower_path`` then
   solves the lower problem at the plan for each gamma of the schedule, each
   solve warm-started from the one before -- the passage gamma -> infinity at
   the solved plan -- and its last solve is the returned one.
@@ -45,6 +46,7 @@ from .dynamics import (
     integrate_smooth,
     plan_nodes,
     plan_path,
+    reverse_plan_nodes,
     rk4_stages,
     stage_controls,
     stage_slope,
@@ -59,7 +61,7 @@ from .geometry import (
     target_direction,
     validate,
 )
-from .transcription import DecisionVector, assemble_lower, fd_grad_jac
+from .transcription import DecisionVector, assemble_lower
 
 __all__ = [
     "SolverOptions",
@@ -73,7 +75,6 @@ __all__ = [
 
 
 UPPER_VIOLATION_TOL = 1e-9  # the upper AL stops once its constraint violation is this small
-FD_STEP = 1e-6              # central-difference step of the plan descent's gradient
 STEP0 = 0.5                 # first trial step, divided by max(1, |gradient|)
 ARMIJO = 1e-4               # sufficient-decrease fraction of the backtracking search
 # stopping rule of one plan descent: (step tolerance, step halvings, gradient floor)
@@ -129,7 +130,8 @@ class BilevelSolution:
     trajectory: StateTrajectory
     upper_mults: dict
     # lower_converged (the returned lower solve), max_violation (the plan's
-    # upper violation) and converged (both within their stops)
+    # upper violation), converged (both within their stops), and the plan's
+    # descent steps and AL rounds, its seed's screening pass included
     status: dict
 
     def to_dict(self) -> dict:
@@ -165,19 +167,19 @@ def _al_merit(obj, res, mu, c):
     return obj + np.sum(shifted ** 2 - mu ** 2, axis=-1) / (2.0 * c)
 
 
-def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop):
+def _pg_minimize(eval_many, merit_grad, project, flat, mu, c, max_iter, stop):
     """Projected gradient with Armijo backtracking on the AL merit, from a
     projected ``flat``; with ``stop`` = (step_tol, halvings, gtol), stops at
     ``max_iter`` steps, a gradient norm below ``gtol``, no Armijo step among
     ``halvings`` halvings, or a step below ``step_tol``.  ``project`` maps a
-    batch (B, dim) of points row by row."""
+    batch (B, dim) of points row by row, and ``merit_grad(flat, w)`` is the
+    gradient of the objective plus w.res.  Returns the last iterate, its
+    residuals and the number of steps taken, one gradient each."""
     step_tol, halvings, gtol = stop
     obj, res = eval_many(flat[None, :])
     merit = float(_al_merit(obj, res, mu, c)[0])
-    for _ in range(max_iter):
-        grad, jac = fd_grad_jac(eval_many, flat, FD_STEP)
-        shifted = np.maximum(0.0, mu + c * res[0])
-        g = grad + jac.T @ shifted
+    for steps in range(1, max_iter + 1):
+        g = merit_grad(flat, np.maximum(0.0, mu + c * res[0]))
         gnorm = np.linalg.norm(g)
         if gnorm < gtol:
             break
@@ -185,7 +187,7 @@ def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop):
         cands = project(flat - alphas[:, None] * g)
         obj_c, res_c = eval_many(cands)
         merits = _al_merit(obj_c, res_c, mu, c)
-        decrease = np.array([ARMIJO * np.dot(g, flat - cand) for cand in cands])
+        decrease = ARMIJO * dot_rows(g, flat - cands)
         ok = merits <= merit - np.maximum(decrease, 0.0)
         if not np.any(ok):
             break
@@ -193,10 +195,10 @@ def _pg_minimize(eval_many, project, flat, mu, c, max_iter, stop):
         step = np.linalg.norm(cands[j] - flat)
         flat = cands[j]
         merit = float(merits[j])
-        obj, res = obj_c[j:j + 1], res_c[j:j + 1]
+        res = res_c[j:j + 1]
         if step < step_tol:
             break
-    return flat, float(obj[0]), res[0], merit
+    return flat, res[0], steps
 
 
 # --------------------------------------------------------------------------
@@ -406,18 +408,36 @@ def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
     the plan: the travel time t(T*), h_upper at the nodes and the terminal
     miss, all from the closed-form plan path.  The penalty weight only
     scales the certificate multipliers (see ``certificate.extract_multipliers``).
+    omega is read as given: the plan solve's projection keeps it in [0, cap].
     """
     n = grid.n_nodes
     flats = np.atleast_2d(flats)
     B = flats.shape[0]
     v = flats[:, :s.dim * n].reshape(B, n, s.dim).transpose(1, 0, 2)
-    omega = np.clip(flats[:, s.dim * n:].T, 0.0, None)
+    omega = flats[:, s.dim * n:].T
     ys, ts = plan_nodes(v, omega, s, grid)
     obj = ts[-1]
     hu = h_upper(ys, s).T                     # (B, N+1)
     term = np.atleast_1d(target_distance(ys[-1], s)) - target_tol
     res = np.concatenate([hu, term[:, None]], axis=1)
     return obj, res
+
+
+def _upper_merit_grad(flat, w, s: Scenario, grid: TimeGrid):
+    """Exact gradient of t_N + w.res for one plan ``flat`` = (v, omega) and
+    weights w (N+2,) of ``_upper_eval_many``'s residuals, by one
+    ``reverse_plan_nodes`` sweep.  Node cotangents: w_i (y_i - q0) from
+    h_upper_i, and -w_{N+1} times ``target_direction`` at y_N from the
+    terminal miss where ``target_distance`` is positive; t_N adds the
+    trapezoid weights to omega's."""
+    n = grid.n_nodes
+    v, omega = flat[:s.dim * n].reshape(n, s.dim), flat[s.dim * n:]
+    ys, _ = plan_nodes(v, omega, s, grid)
+    lam_y = w[:n, None] * (ys - s.q0_arr)
+    if target_distance(ys[-1], s) > 0.0:
+        lam_y[-1] -= w[n] * target_direction(ys[-1], s)
+    d_v, d_om = reverse_plan_nodes(v, omega, lam_y, grid)
+    return np.concatenate([d_v.ravel(), d_om + _trapz_weights(grid)])
 
 
 def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
@@ -438,10 +458,12 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     screened = [_run_stage(s, grid, v0, om0, None, opts.screen_iters, SCREEN_AL_ROUNDS)
                 for v0, om0 in _initial_guesses(s, grid, opts)]
     plan = min(screened, key=lambda cand: cand["T"] + 10.0 * cand["violation"])
+    steps, rounds = plan["steps"], plan["rounds"]
     # the merit does not read gamma: the schedule only sets the plan's budget,
     # one AL pass per entry with the weights carried over
     for _ in gammas:
         plan = _run_stage(s, grid, plan["v"], plan["omega"], plan["weights"], opts.upper_max_iter)
+        steps, rounds = steps + plan["steps"], rounds + plan["rounds"]
 
     path = _solve_lower_path(plan["omega"], plan["v"], gammas, s, opts)
     history = [{"gamma": lo.gamma, "phi": lo.value, **lo.status} for lo in path]
@@ -455,7 +477,8 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
         lower=lower, history=tuple(history), trajectory=tr,
         upper_mults={"h_upper": mu_hu.copy(), "target": float(mu_term)},
         status={"lower_converged": lower_ok, "max_violation": viol,
-                "converged": lower_ok and viol <= UPPER_VIOLATION_TOL},
+                "converged": lower_ok and viol <= UPPER_VIOLATION_TOL,
+                "plan_steps": steps, "plan_al_rounds": rounds},
     )
 
 
@@ -478,10 +501,16 @@ def _run_stage(s, grid, v, omega, weights, max_iter, al_rounds=UPPER_AL_ROUNDS):
     def eval_many(pts):
         return _upper_eval_many(pts, s, grid, target_tol)
 
+    def merit_grad(flat, w):
+        return _upper_merit_grad(flat, w, s, grid)
+
     flat = project(np.concatenate([v.ravel(), omega]))
-    for _ in range(al_rounds):
+    steps = 0
+    for rounds in range(1, al_rounds + 1):
         mu = np.concatenate([mu_hu, [mu_term]])
-        flat, _, res, _ = _pg_minimize(eval_many, project, flat, mu, c, max_iter, UPPER_STOP)
+        flat, res, k = _pg_minimize(eval_many, merit_grad, project, flat, mu, c, max_iter,
+                                    UPPER_STOP)
+        steps += k
         viol = float(np.max(res, initial=0.0))
         mu_hu = np.maximum(0.0, mu_hu + c * res[:n])
         mu_term = max(0.0, mu_term + c * res[n])
@@ -493,7 +522,7 @@ def _run_stage(s, grid, v, omega, weights, max_iter, al_rounds=UPPER_AL_ROUNDS):
     _, res = eval_many(flat[None, :])
     return {"v": vv, "omega": om, "weights": (mu_hu, mu_term, c),
             "T": float(np.sum(_trapz_weights(grid) * om)),
-            "violation": float(np.max(res[0], initial=0.0))}
+            "violation": float(np.max(res[0], initial=0.0)), "steps": steps, "rounds": rounds}
 
 
 def _solve_lower_path(omega, v, gammas, s: Scenario, opts: SolverOptions) -> list:

@@ -1,5 +1,4 @@
-"""Direct transcription of the lower effort problem, and the batched
-central-difference derivatives used by the plan level of the solver.
+"""Direct transcription of the lower effort problem.
 
 An instance is a plain evaluator bundle over a packed decision vector;
 dynamics are propagated by the smoothed RK4 integrator so the quadrature used
@@ -19,7 +18,6 @@ __all__ = [
     "DecisionVector",
     "NLPInstance",
     "assemble_lower",
-    "fd_grad_jac",
 ]
 
 
@@ -106,23 +104,3 @@ def assemble_lower(omega, v, gamma: float, s: Scenario, grid: TimeGrid) -> NLPIn
         raise ValueError("frozen (omega, v) outside their bounds")
     return NLPInstance(grid=grid, scenario=s, gamma=gamma, fixed_omega=omega, fixed_v=v)
 
-
-def fd_grad_jac(eval_many, flat: np.ndarray, h: float = 1e-6):
-    """Batched central differences of a flat-vector evaluator; the plan
-    solve's gradient (the lower solve reads the exact reverse sweep).
-
-    ``eval_many`` maps a (B, dim) batch to objectives (B,) and residuals
-    (B, n_res); all 2*dim perturbed points go through one call.  Returns the
-    objective gradient (dim,) and the residual Jacobian (n_res, dim).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    dim = flat.size
-    pts = np.repeat(flat[None, :], 2 * dim, axis=0)
-    idx = np.arange(dim)
-    pts[2 * idx, idx] += h
-    pts[2 * idx + 1, idx] -= h
-    obj, res = eval_many(pts)
-    grad = (obj[0::2] - obj[1::2]) / (2 * h)
-    jac = (res[0::2] - res[1::2]) / (2 * h)  # (dim, n_res)
-    return grad, jac.T

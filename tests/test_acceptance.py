@@ -32,7 +32,6 @@ from bisweep.geometry import (
 from bisweep.oracle import EnumSpec, brute_bilevel, brute_lower, fd_check, sigma_sup_oracle
 from bisweep import solver
 from bisweep.solver import SolverOptions, penalty_gap, solve_lower, value_subgradient
-from bisweep.transcription import fd_grad_jac
 
 S = straight_corridor()
 
@@ -178,6 +177,25 @@ def test_a6_hamiltonian_conservation(corridor_certificate):
 
 # --------------------------------------------------------------------- A7
 PLAN_KKT_TOL = 1e-6
+# central-difference step and tolerance of the Lagrangian gradient's check;
+# the corridor plan measures 1.5e-8
+PLAN_GRAD_FD_H = 1e-3
+PLAN_GRAD_TOL = 1e-5
+
+
+def plan_lagrangian(v, omega, mults, s):
+    """The plan as a flat vector, the upper Lagrangian t_N + mu.res as a
+    function of it, and that function's exact gradient there."""
+    n = omega.shape[0]
+    grid = TimeGrid(n - 1)
+    flat = np.concatenate([v.ravel(), omega])
+    mu = np.concatenate([mults["h_upper"], [mults["target"]]])
+
+    def lagrangian(pt):
+        obj, res = solver._upper_eval_many(pt[None, :], s, grid, solver.TARGET_TOL_FACTOR * s.R)
+        return float(obj[0] + res[0] @ mu), res[0]
+
+    return flat, lagrangian, solver._upper_merit_grad(flat, mu, s, grid)
 
 
 def plan_kkt_residual(v, omega, mults, s):
@@ -186,18 +204,15 @@ def plan_kkt_residual(v, omega, mults, s):
     solve's v-ball and omega-cap projection P, the largest constraint residual,
     and max |mu * res|."""
     n, d = omega.shape[0], s.dim * omega.shape[0]
-    grid = TimeGrid(n - 1)
-    flat = np.concatenate([v.ravel(), omega])
-    eval_many = lambda pts: solver._upper_eval_many(pts, s, grid, solver.TARGET_TOL_FACTOR * s.R)
-    grad, jac = fd_grad_jac(eval_many, flat, solver.FD_STEP)
-    _, res = eval_many(flat[None, :])
+    flat, lagrangian, grad = plan_lagrangian(v, omega, mults, s)
+    _, res = lagrangian(flat)
     mu = np.concatenate([mults["h_upper"], [mults["target"]]])
-    step = flat - (grad + jac.T @ mu)
+    step = flat - grad
     omega_cap = solver.OMEGA_CAP_FACTOR * (2.0 * s.R) / s.v_bound
     proj = np.concatenate([solver._project_ball_rows(step[:d].reshape(n, s.dim), s.v_bound).ravel(),
                            np.clip(step[d:], 0.0, omega_cap)])
-    return (float(np.max(np.abs(flat - proj))), float(np.max(res[0])),
-            float(np.max(np.abs(mu * res[0]))))
+    return (float(np.max(np.abs(flat - proj))), float(np.max(res)),
+            float(np.max(np.abs(mu * res))))
 
 
 def plan_kkt_ok(stationarity, violation, complementarity):
@@ -210,11 +225,18 @@ def test_a7_penalty_exactness(corridor_run):
     gap = penalty_gap(sol)
     cp = sol.decision.controls
     kkt = plan_kkt_residual(cp.v, cp.omega, sol.upper_mults, S)
-    ok = gap <= 1e-6 and plan_kkt_ok(*kkt)
+    # the stationarity reads the solver's own gradient: check it against
+    # central differences of the Lagrangian at the plan
+    flat, lagrangian, grad = plan_lagrangian(cp.v, cp.omega, sol.upper_mults, S)
+    dirs = np.random.default_rng(1).standard_normal((12, flat.size))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    grad_err = fd_check(lambda pt: lagrangian(pt)[0], grad, flat, dirs, h=PLAN_GRAD_FD_H)
+    ok = gap <= 1e-6 and plan_kkt_ok(*kkt) and grad_err <= PLAN_GRAD_TOL
     report("A7", ok, f"gap = {gap:.2e} (zero by construction), plan KKT: stationarity "
                      f"{kkt[0]:.2e}, violation {kkt[1]:.2e}, |mu*res| {kkt[2]:.2e} "
                      f"(tol {PLAN_KKT_TOL:.0e}, {solver.UPPER_VIOLATION_TOL:.0e}, "
-                     f"{PLAN_KKT_TOL:.0e})")
+                     f"{PLAN_KKT_TOL:.0e}), gradient vs central differences "
+                     f"{grad_err:.1e} (tol {PLAN_GRAD_TOL:.0e})")
 
 
 def test_a7_plan_kkt_clause_fails_on_mutated_plans(corridor_run):

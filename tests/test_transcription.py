@@ -1,12 +1,14 @@
-"""Discretized problem assembly and finite-difference derivatives."""
+"""Discretized lower problem assembly, and the plan merit's exact gradient
+(``solver._upper_merit_grad``) against central differences (``oracle.fd_check``)."""
 
 import numpy as np
 import pytest
 
-from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth
-from bisweep.geometry import straight_corridor
-from bisweep.solver import _upper_eval_many
-from bisweep.transcription import DecisionVector, assemble_lower, fd_grad_jac
+from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, plan_nodes
+from bisweep.geometry import straight_corridor, target_distance
+from bisweep.oracle import fd_check
+from bisweep.solver import TARGET_TOL_FACTOR, _upper_eval_many, _upper_merit_grad
+from bisweep.transcription import DecisionVector, assemble_lower
 
 S = straight_corridor()
 GAMMA = 12.0
@@ -69,56 +71,87 @@ def test_lower_residual_count():
     assert res.shape == (n + 1,)  # one membership residual per node
 
 
-# ---------------------------------------------------------------- derivatives
-def stacked_jacobian(nlp, dv, h):
-    grad, jac = fd_grad_jac(nlp.eval_many, nlp.pack(dv), h)
-    return np.vstack([grad, jac])
+# ---------------------------------------------------------------- plan merit gradient
+# Central differences of the merit lose digits to its size (|t_N + w.res| is
+# up to 1.6e3 on the random plans below), so the step is 1e-3 along unit
+# directions.  Measured worst relative errors of the exact gradient: 5.8e-7
+# on the random plans, 2.8e-9 on the reached target, 2.0e-8 at the corridor
+# plan; a sweep without its midpoint-stage terms reads 0.67 to 1.26.
+FD_H = 1e-3
+GRAD_TOL = 1e-5
 
 
-def test_fd_gradient_of_final_time_is_quadrature_weight():
-    # the upper-level merit: decision (v, omega), objective the final time t(T*)
+def merit(flat, w, grid):
+    """t_N + w.res of the plan merit at one plan, from the forward evaluator."""
+    obj, res = _upper_eval_many(flat[None, :], S, grid, TARGET_TOL_FACTOR * S.R)
+    return float(obj[0] + res[0] @ w)
+
+
+def worst_fd_error(flat, w, grid, count=12, seed=0):
+    """Largest relative error of ``_upper_merit_grad`` against central
+    differences of the forward merit along seeded random unit directions."""
+    dirs = np.random.default_rng(seed).standard_normal((count, flat.size))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return fd_check(lambda p: merit(p, w, grid), _upper_merit_grad(flat, w, S, grid), flat, dirs,
+                    h=FD_H)
+
+
+def random_plan(n, rng):
+    v = rng.normal(scale=0.6, size=(n + 1, 2)) + [0.8, 0.0]
+    v /= np.maximum(1.0, np.linalg.norm(v, axis=1, keepdims=True) / S.v_bound)
+    return np.concatenate([v.ravel(), rng.uniform(0.05, 0.4, n + 1)])
+
+
+def test_gradient_of_final_time_is_quadrature_weight():
+    # with no residual weights the merit is t_N, which is linear in omega with
+    # the trapezoid weights as coefficients; the forward clock agrees
     n = 5
     grid = TimeGrid(n)
     flat = np.concatenate([np.zeros(2 * (n + 1)), np.ones(n + 1)])
-    grad_obj, _ = fd_grad_jac(lambda pts: _upper_eval_many(pts, S, grid, 0.0),
-                              flat, h=1e-6)
-    off_omega = len(flat) - (n + 1)
+    grad = _upper_merit_grad(flat, np.zeros(n + 2), S, grid)
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5
     w[-1] *= 0.5
-    assert np.allclose(grad_obj[off_omega:], w, atol=1e-8)
-    assert np.allclose(grad_obj[:off_omega], 0.0, atol=1e-8)
+    np.testing.assert_array_equal(grad[2 * (n + 1):], w)
+    np.testing.assert_array_equal(grad[:2 * (n + 1)], 0.0)
+    _, ts = plan_nodes(np.zeros((n + 1, n + 1, 2)), np.eye(n + 1), S, grid)
+    np.testing.assert_allclose(ts[-1], w, rtol=0, atol=1e-15)
 
 
-def test_fd_gradient_of_cost_term_matches_hand_derivative():
-    n = 5
-    omega = np.full(n + 1, 2.0)
+def test_merit_gradient_matches_central_differences_with_terminal_row_active():
+    n = 40
     grid = TimeGrid(n)
-    nlp = assemble_lower(omega, np.zeros((n + 1, 2)), GAMMA, S, grid)
-    dv = make_decision(n, u=(0.4, 0.1), omega=omega)
-    grad, _ = fd_grad_jac(nlp.eval_many, nlp.pack(dv), h=1e-6)
-    d = 2
-    w = np.full(n + 1, 1.0 / n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    expected = np.zeros(2 * (n + 1))
-    expected[0::2] = 2 * 0.4 * omega * w
-    expected[1::2] = 2 * 0.1 * omega * w
-    assert np.allclose(grad[d:d + 2 * (n + 1)], expected, atol=1e-6)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        flat = random_plan(n, rng)
+        ys, _ = plan_nodes(flat[:2 * (n + 1)].reshape(n + 1, 2), flat[2 * (n + 1):], S, grid)
+        assert target_distance(ys[-1], S) > 1.0
+        w = rng.uniform(0.0, 2.0, n + 2)
+        assert worst_fd_error(flat, w, grid) < GRAD_TOL
 
 
-def test_fd_jacobian_second_order_in_h():
-    n = 4
-    omega = np.full(n + 1, 1.5)
-    nlp = assemble_lower(omega, np.zeros((n + 1, 2)), GAMMA, S, TimeGrid(n))
-    dv = make_decision(n, u=(0.3, 0.2), u0=0.4, omega=omega, x_init=(0.2, 0.1))
+def test_merit_gradient_of_a_reached_target_row_is_zero():
+    # the disk around y_N already overlaps the target: the terminal row is 0
+    # near the plan, and so is its gradient
+    n = 10
+    grid = TimeGrid(n)
+    flat = np.concatenate([np.tile([S.v_bound, 0.0], n + 1), np.full(n + 1, 8.2)])
+    ys, _ = plan_nodes(flat[:2 * (n + 1)].reshape(n + 1, 2), flat[2 * (n + 1):], S, grid)
+    assert target_distance(ys[-1], S) == 0.0
+    only_term = np.zeros(n + 2)
+    only_term[-1] = 3.0
+    grad = _upper_merit_grad(flat, only_term, S, grid)
+    np.testing.assert_array_equal(grad, _upper_merit_grad(flat, np.zeros(n + 2), S, grid))
+    w = np.random.default_rng(5).uniform(0.0, 2.0, n + 2)
+    assert worst_fd_error(flat, w, grid) < GRAD_TOL
 
-    # cost is cubic in u through the trapezoid weights? no - quadratic; use the
-    # constraint rows (nonlinear through the dynamics) to observe O(h^2) decay
-    exact = stacked_jacobian(nlp, dv, h=1e-7)
-    e1 = np.max(np.abs(stacked_jacobian(nlp, dv, h=4e-3) - exact))
-    e2 = np.max(np.abs(stacked_jacobian(nlp, dv, h=2e-3) - exact))
-    assert e2 <= e1 / 2.5  # second-order scheme: expect ~4x
+
+def test_merit_gradient_matches_central_differences_at_the_corridor_plan(corridor_run):
+    sol = corridor_run["solution"]
+    cp = sol.decision.controls
+    flat = np.concatenate([cp.v.ravel(), cp.omega])
+    w = np.random.default_rng(7).uniform(0.0, 2.0, flat.size // 3 + 1)
+    assert worst_fd_error(flat, w, cp.grid) < GRAD_TOL
 
 
 def test_pack_unpack_roundtrip():
