@@ -227,12 +227,11 @@ def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
     from scipy.optimize import least_squares
 
     tr, cp = sol.trajectory, sol.decision.controls
-    n = tr.grid.n_nodes
 
     lam0 = 1.0
     r0 = lam0 * PENALTY_WEIGHT
-    nu_H = np.cumsum(np.asarray(sol.upper_mults.get("h_upper", np.zeros(n)))[::-1])[::-1]
-    alpha = float(sol.upper_mults.get("target", 0.0)) * PENALTY_WEIGHT
+    nu_H = np.cumsum(np.asarray(sol.upper_mults["h_upper"])[::-1])[::-1]
+    alpha = float(sol.upper_mults["target"]) * PENALTY_WEIGHT
 
     model = _MultiplierModel(tr, cp, s, r0, alpha, nu_H)
     fit = least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)

@@ -12,7 +12,7 @@ The RK4 step map (stage tableau, smoothed stage field ``stage_slope`` with its
 Jacobians, stage recursion ``rk4_stages``) is written once, and with
 ``plan_path`` it serves both ``propagate_smooth`` and the solver's adjoint.
 ``reverse_plan_nodes`` is the reverse of the closed-form plan nodes, which the
-plan merit's gradient reads.
+Jacobian of the plan solve's constraints reads.
 """
 
 from __future__ import annotations
@@ -297,17 +297,19 @@ def plan_nodes(v, omega, s: Scenario, grid: TimeGrid):
 
 
 def reverse_plan_nodes(v, omega, lam_y, grid: TimeGrid):
-    """Reverse of ``plan_nodes``' y for one plan: node cotangents lam_y
-    (N+1, n) to the cotangents (dL/dv (N+1, n), dL/domega (N+1,)).  Every
-    y_j past interval i holds its increment, so the increment's cotangent is
-    lam_y reversed-cumulated once; the slopes v_i omega_i, 4 v_m omega_m (the
+    """Reverse of ``plan_nodes``' y for one plan: K columns of node
+    cotangents lam_y (N+1, n, K) to the cotangents (dL/dv (N+1, n, K),
+    dL/domega (N+1, K)), all columns swept at once.  Every y_j past interval
+    i holds its increment, so the increment's cotangent is lam_y
+    reversed-cumulated once; the slopes v_i omega_i, 4 v_m omega_m (the
     midpoint averages) and v_{i+1} omega_{i+1} then give the node terms."""
-    a = (grid.dt / 6.0) * np.cumsum(lam_y[:0:-1], axis=0)[::-1]   # (N, n)
-    v_st, om_st = stage_values(v), stage_values(omega)
-    mid_v, mid_om = 2.0 * om_st[1][:, None] * a, 2.0 * np.sum(a * v_st[1], axis=1)
-    d_v, d_om = np.zeros(v.shape), np.zeros(omega.shape)
-    d_v[:-1] += om_st[0][:, None] * a + mid_v
-    d_v[1:] += om_st[3][:, None] * a + mid_v
+    a = (grid.dt / 6.0) * np.cumsum(lam_y[:0:-1], axis=0)[::-1]   # (N, n, K)
+    v_st = [c[..., None] for c in stage_values(v)]
+    om_st = [c[:, None, None] for c in stage_values(omega)]
+    mid_v, mid_om = 2.0 * om_st[1] * a, 2.0 * np.sum(a * v_st[1], axis=1)
+    d_v, d_om = np.zeros(lam_y.shape), np.zeros((omega.shape[0], lam_y.shape[2]))
+    d_v[:-1] += om_st[0] * a + mid_v
+    d_v[1:] += om_st[3] * a + mid_v
     d_om[:-1] += np.sum(a * v_st[0], axis=1) + mid_om
     d_om[1:] += np.sum(a * v_st[3], axis=1) + mid_om
     return d_v, d_om

@@ -11,20 +11,22 @@ Layout of the nested scheme:
   upper controls, derived from eta through the exact discrete adjoint of the
   forward RK4 step map (``dynamics.rk4_stages``, ``plan_path``).
 * ``solve_bilevel`` -- the plan (v, omega) first, then the lower problem at
-  that plan.  The upper merit reads only the plan (travel time, containment
-  of the plan disk, terminal miss), so the plan does not depend on the
-  smoothing gain gamma: seeds are screened on that merit, and the plan is
-  solved by a projected-gradient descent, one augmented-Lagrangian pass per
-  schedule entry, on the merit's exact gradient from one reverse sweep of the
-  plan nodes (``dynamics.reverse_plan_nodes``).  ``_solve_lower_path`` then
-  solves the lower problem at the plan for each gamma of the schedule, each
-  solve warm-started from the one before -- the passage gamma -> infinity at
-  the solved plan -- and its last solve is the returned one.
+  that plan.  The plan problem reads only the plan (travel time, containment
+  of the plan disk, terminal miss), so it does not depend on the smoothing
+  gain gamma.  ``_solve_plan`` solves it with one SLSQP run, the same
+  mechanism as ``solve_lower``: the constraint Jacobian comes from one
+  reverse sweep of the plan nodes (``dynamics.reverse_plan_nodes``), and
+  SLSQP's multipliers of the constraint rows are the upper multipliers.
+  Seeds are screened with a small iteration cap, and the kept seed's plan is
+  solved once.  ``_solve_lower_path`` then solves the lower problem at the
+  plan for each gamma of the schedule, each solve warm-started from the one
+  before -- the passage gamma -> infinity at the solved plan -- and its last
+  solve is the returned one.
 
 ``SolverOptions`` holds only the grid, the multi-start seeds and the
-iteration budgets; the step rules, stopping rules, initial penalty and the
-other numerical settings are the module constants below.  All randomness is
-confined to seeded multi-start control guesses.
+iteration budgets; SLSQP's accuracy and the other numerical settings are the
+module constants below.  All randomness is confined to seeded multi-start
+control guesses.
 """
 
 from __future__ import annotations
@@ -74,17 +76,10 @@ __all__ = [
 ]
 
 
-UPPER_VIOLATION_TOL = 1e-9  # the upper AL stops once its constraint violation is this small
-STEP0 = 0.5                 # first trial step, divided by max(1, |gradient|)
-ARMIJO = 1e-4               # sufficient-decrease fraction of the backtracking search
-# stopping rule of one plan descent: (step tolerance, step halvings, gradient floor)
-UPPER_STOP = (1e-9, 14, 1e-13)
-UPPER_PENALTY0 = 4.0        # initial AL penalty of the plan solve
-UPPER_AL_ROUNDS = 6         # AL rounds of one pass of the plan solve
-SCREEN_AL_ROUNDS = 2        # ... and of the pass that screens a seed
+UPPER_VIOLATION_TOL = 1e-9  # a plan solve converged: SLSQP exit 0 and its violation at most this
 TARGET_TOL_FACTOR = 1e-3    # the upper terminal constraint allows a miss of this times R
 OMEGA_CAP_FACTOR = 10.0     # omega is capped at this times 2R / v_bound
-LOWER_FTOL = 1e-10          # SLSQP's accuracy target (its ftol) in the lower solve
+SLSQP_FTOL = 1e-10          # SLSQP's accuracy target (its ftol) in the plan and lower solves
 LOWER_VIOLATION_TOL = 1e-7  # a lower solve converged: SLSQP exit 0 and h_lower at most this
 
 
@@ -130,8 +125,9 @@ class BilevelSolution:
     trajectory: StateTrajectory
     upper_mults: dict
     # lower_converged (the returned lower solve), max_violation (the plan's
-    # upper violation), converged (both within their stops), and the plan's
-    # descent steps and AL rounds, its seed's screening pass included
+    # upper violation), converged (both within their stops, the plan's SLSQP
+    # exit 0), plan_iterations (SLSQP's, its seed's screening included) and
+    # plan_exit_status (SLSQP's own code of the plan solve)
     status: dict
 
     def to_dict(self) -> dict:
@@ -161,44 +157,18 @@ def _project_ball_rows(arr: np.ndarray, bound: float) -> np.ndarray:
     return arr * scale
 
 
-def _al_merit(obj, res, mu, c):
-    """Augmented-Lagrangian value for inequality residuals res <= 0."""
-    shifted = np.maximum(0.0, mu + c * res)
-    return obj + np.sum(shifted ** 2 - mu ** 2, axis=-1) / (2.0 * c)
+def _ball_rows(start, n, d, bound):
+    """SLSQP inequality rows 0.5 (bound^2 - |a_i|^2) >= 0, with their
+    Jacobian, for the n vectors a_i of length d packed at flat[start:start + n d]."""
+    stop = start + n * d
 
+    def jac(flat):
+        out = np.zeros((n, flat.size))
+        out[np.repeat(np.arange(n), d), np.arange(start, stop)] = -flat[start:stop]
+        return out
 
-def _pg_minimize(eval_many, merit_grad, project, flat, mu, c, max_iter, stop):
-    """Projected gradient with Armijo backtracking on the AL merit, from a
-    projected ``flat``; with ``stop`` = (step_tol, halvings, gtol), stops at
-    ``max_iter`` steps, a gradient norm below ``gtol``, no Armijo step among
-    ``halvings`` halvings, or a step below ``step_tol``.  ``project`` maps a
-    batch (B, dim) of points row by row, and ``merit_grad(flat, w)`` is the
-    gradient of the objective plus w.res.  Returns the last iterate, its
-    residuals and the number of steps taken, one gradient each."""
-    step_tol, halvings, gtol = stop
-    obj, res = eval_many(flat[None, :])
-    merit = float(_al_merit(obj, res, mu, c)[0])
-    for steps in range(1, max_iter + 1):
-        g = merit_grad(flat, np.maximum(0.0, mu + c * res[0]))
-        gnorm = np.linalg.norm(g)
-        if gnorm < gtol:
-            break
-        alphas = STEP0 * 0.5 ** np.arange(halvings) / max(1.0, gnorm)
-        cands = project(flat - alphas[:, None] * g)
-        obj_c, res_c = eval_many(cands)
-        merits = _al_merit(obj_c, res_c, mu, c)
-        decrease = ARMIJO * dot_rows(g, flat - cands)
-        ok = merits <= merit - np.maximum(decrease, 0.0)
-        if not np.any(ok):
-            break
-        j = int(np.argmax(ok))
-        step = np.linalg.norm(cands[j] - flat)
-        flat = cands[j]
-        merit = float(merits[j])
-        res = res_c[j:j + 1]
-        if step < step_tol:
-            break
-    return flat, res[0], steps
+    return {"type": "ineq", "jac": jac,
+            "fun": lambda f: 0.5 * (bound ** 2 - np.sum(f[start:stop].reshape(n, d) ** 2, axis=1))}
 
 
 # --------------------------------------------------------------------------
@@ -250,20 +220,14 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         g = at(flat, sweep=True)["g"]
         return (g[:, 1:] - g[:, :1]).T
 
-    def ball_jac(flat):
-        jac = np.zeros((n, flat.size))
-        jac[np.repeat(np.arange(n), d), np.arange(d, k)] = -flat[d:k]
-        return jac
-
     # SLSQP writes into the gradient it is handed, so it gets a copy
     res = minimize(lambda f: at(f)["tr"].z[-1], flat, method="SLSQP",
                    jac=lambda f: at(f, sweep=True)["g"][:, 0].copy(),
                    bounds=[(None, None)] * k + [(0.0, 1.0)] * n,
                    constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
                                  "jac": lambda f: -contact_jac(f)},
-                                {"type": "ineq", "jac": ball_jac, "fun": lambda f: 0.5 * (
-                                    s.u_bound ** 2 - np.sum(f[d:k].reshape(n, d) ** 2, axis=1))}],
-                   options={"maxiter": opts.lower_max_iter, "ftol": LOWER_FTOL})
+                                _ball_rows(d, n, d, s.u_bound)],
+                   options={"maxiter": opts.lower_max_iter, "ftol": SLSQP_FTOL})
     sol = at(res.x, sweep=True)
     eta = np.array(res.multipliers[:n])
     viol = float(np.max(sol["h"], initial=0.0))
@@ -400,44 +364,60 @@ def _initial_guesses(s: Scenario, grid: TimeGrid, opts: SolverOptions):
     return guesses
 
 
-def _upper_eval_many(flats, s: Scenario, grid: TimeGrid, target_tol):
-    """Objective and residuals of the plan-level merit for plans (v, omega).
+def _plan_residuals(flat, s: Scenario, grid: TimeGrid, jac=False):
+    """The N+2 constraint residuals of one plan ``flat`` = (v, omega), each
+    <= 0 on a feasible plan: h_upper at the nodes (node 0's is constant),
+    then the terminal miss target_distance(y_N) - TARGET_TOL_FACTOR*R, all
+    from the closed-form plan nodes.  With ``jac``, also their (N+2, 3(N+1))
+    Jacobian from one ``reverse_plan_nodes`` sweep of N+2 cotangent columns:
+    y_i - q0 at node i for h_upper_i, and -target_direction(y_N) at node N
+    for the miss where target_distance is positive.
 
     The returned decision is the lower solve's at the plan, so the penalty
-    term rho*(z - phi) of the flattened problem is zero and the merit reads only
-    the plan: the travel time t(T*), h_upper at the nodes and the terminal
-    miss, all from the closed-form plan path.  The penalty weight only
-    scales the certificate multipliers (see ``certificate.extract_multipliers``).
-    omega is read as given: the plan solve's projection keeps it in [0, cap].
+    term rho*(z - phi) of the flattened problem is zero and the plan problem
+    reads only the plan: the travel time t_N and these residuals.  The
+    penalty weight only scales the certificate multipliers (see
+    ``certificate.extract_multipliers``).
     """
-    n = grid.n_nodes
-    flats = np.atleast_2d(flats)
-    B = flats.shape[0]
-    v = flats[:, :s.dim * n].reshape(B, n, s.dim).transpose(1, 0, 2)
-    omega = flats[:, s.dim * n:].T
-    ys, ts = plan_nodes(v, omega, s, grid)
-    obj = ts[-1]
-    hu = h_upper(ys, s).T                     # (B, N+1)
-    term = np.atleast_1d(target_distance(ys[-1], s)) - target_tol
-    res = np.concatenate([hu, term[:, None]], axis=1)
-    return obj, res
-
-
-def _upper_merit_grad(flat, w, s: Scenario, grid: TimeGrid):
-    """Exact gradient of t_N + w.res for one plan ``flat`` = (v, omega) and
-    weights w (N+2,) of ``_upper_eval_many``'s residuals, by one
-    ``reverse_plan_nodes`` sweep.  Node cotangents: w_i (y_i - q0) from
-    h_upper_i, and -w_{N+1} times ``target_direction`` at y_N from the
-    terminal miss where ``target_distance`` is positive; t_N adds the
-    trapezoid weights to omega's."""
     n = grid.n_nodes
     v, omega = flat[:s.dim * n].reshape(n, s.dim), flat[s.dim * n:]
     ys, _ = plan_nodes(v, omega, s, grid)
-    lam_y = w[:n, None] * (ys - s.q0_arr)
+    res = np.append(h_upper(ys, s), target_distance(ys[-1], s) - TARGET_TOL_FACTOR * s.R)
+    if not jac:
+        return res
+    lam_y = np.zeros((n, s.dim, n + 1))
+    lam_y[np.arange(n), :, np.arange(n)] = ys - s.q0_arr
     if target_distance(ys[-1], s) > 0.0:
-        lam_y[-1] -= w[n] * target_direction(ys[-1], s)
+        lam_y[-1, :, n] = -target_direction(ys[-1], s)
     d_v, d_om = reverse_plan_nodes(v, omega, lam_y, grid)
-    return np.concatenate([d_v.ravel(), d_om + _trapz_weights(grid)])
+    return res, np.vstack([d_v.reshape(s.dim * n, n + 1), d_om]).T
+
+
+def _solve_plan(s: Scenario, grid: TimeGrid, v, omega, max_iter: int) -> dict:
+    """One SLSQP solve of the plan problem from (v, omega), within
+    ``max_iter`` iterations: minimize t_N = trapz(omega), whose gradient is
+    constant, subject to the rows of ``_plan_residuals`` <= 0 on their exact
+    Jacobian, the v-balls as inequality rows and omega in [0, cap] as bounds.
+    It reads no gamma and solves no lower problem; ``mults`` are SLSQP's
+    multipliers of the N+2 residual rows, split into h_upper's and the
+    terminal miss's."""
+    n, k = grid.n_nodes, s.dim * grid.n_nodes
+    w = _trapz_weights(grid)
+    grad_t = np.concatenate([np.zeros(k), w])
+    omega_cap = OMEGA_CAP_FACTOR * (2.0 * s.R) / max(s.v_bound, 1e-9)
+    # SLSQP writes into the gradient it is handed, so it gets a copy
+    res = minimize(lambda f: w @ f[k:], np.concatenate([v.ravel(), omega]), method="SLSQP",
+                   jac=lambda f: grad_t.copy(),
+                   bounds=[(None, None)] * k + [(0.0, omega_cap)] * n,
+                   constraints=[{"type": "ineq", "fun": lambda f: -_plan_residuals(f, s, grid),
+                                 "jac": lambda f: -_plan_residuals(f, s, grid, jac=True)[1]},
+                                _ball_rows(0, n, s.dim, s.v_bound)],
+                   options={"maxiter": max_iter, "ftol": SLSQP_FTOL})
+    return {"v": res.x[:k].reshape(n, s.dim), "omega": res.x[k:], "T": float(w @ res.x[k:]),
+            "violation": float(np.max(_plan_residuals(res.x, s, grid), initial=0.0)),
+            "mults": {"h_upper": np.array(res.multipliers[:n]),
+                      "target": float(res.multipliers[n])}, "iterations": int(res.nit),
+            "exit_status": int(res.status)}
 
 
 def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
@@ -454,16 +434,12 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
 
     grid = TimeGrid(opts.n_intervals)
 
-    # seed screening with a small budget, on the upper merit alone
-    screened = [_run_stage(s, grid, v0, om0, None, opts.screen_iters, SCREEN_AL_ROUNDS)
+    # seed screening with a small budget, on the plan problem alone; it reads
+    # no gamma, so the kept seed's plan is solved once, whatever the schedule
+    screened = [_solve_plan(s, grid, v0, om0, opts.screen_iters)
                 for v0, om0 in _initial_guesses(s, grid, opts)]
-    plan = min(screened, key=lambda cand: cand["T"] + 10.0 * cand["violation"])
-    steps, rounds = plan["steps"], plan["rounds"]
-    # the merit does not read gamma: the schedule only sets the plan's budget,
-    # one AL pass per entry with the weights carried over
-    for _ in gammas:
-        plan = _run_stage(s, grid, plan["v"], plan["omega"], plan["weights"], opts.upper_max_iter)
-        steps, rounds = steps + plan["steps"], rounds + plan["rounds"]
+    start = min(screened, key=lambda cand: cand["T"] + 10.0 * cand["violation"])
+    plan = _solve_plan(s, grid, start["v"], start["omega"], opts.upper_max_iter)
 
     path = _solve_lower_path(plan["omega"], plan["v"], gammas, s, opts)
     history = [{"gamma": lo.gamma, "phi": lo.value, **lo.status} for lo in path]
@@ -471,58 +447,16 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     lower, gamma_f = path[-1], gammas[-1]
     tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, gamma_f, s)
     lower_ok, viol = bool(lower.status["converged"]), plan["violation"]
-    mu_hu, mu_term, _ = plan["weights"]
+    plan_ok = plan["exit_status"] == 0 and viol <= UPPER_VIOLATION_TOL
     return BilevelSolution(
         decision=lower.decision, T_star=tr.T, gamma_final=gamma_f,
         lower=lower, history=tuple(history), trajectory=tr,
-        upper_mults={"h_upper": mu_hu.copy(), "target": float(mu_term)},
+        upper_mults=plan["mults"],
         status={"lower_converged": lower_ok, "max_violation": viol,
-                "converged": lower_ok and viol <= UPPER_VIOLATION_TOL,
-                "plan_steps": steps, "plan_al_rounds": rounds},
+                "converged": lower_ok and plan_ok,
+                "plan_iterations": start["iterations"] + plan["iterations"],
+                "plan_exit_status": plan["exit_status"]},
     )
-
-
-def _run_stage(s, grid, v, omega, weights, max_iter, al_rounds=UPPER_AL_ROUNDS):
-    """One upper AL pass from the plan (v, omega) and the AL ``weights``
-    (mu_hu, mu_term, c) of the pass before (None: a fresh start).  It reads
-    no gamma and solves no lower problem."""
-    n = grid.n_nodes
-    target_tol = TARGET_TOL_FACTOR * s.R
-    omega_cap = OMEGA_CAP_FACTOR * (2.0 * s.R) / max(s.v_bound, 1e-9)
-    mu_hu, mu_term, c = weights or (np.zeros(n), 0.0, UPPER_PENALTY0)
-
-    def project(flat):
-        out, batch = flat.copy(), flat.shape[:-1]
-        vv = out[..., :s.dim * n].reshape(*batch, n, s.dim)
-        out[..., :s.dim * n] = _project_ball_rows(vv, s.v_bound).reshape(*batch, s.dim * n)
-        out[..., s.dim * n:] = np.clip(out[..., s.dim * n:], 0.0, omega_cap)
-        return out
-
-    def eval_many(pts):
-        return _upper_eval_many(pts, s, grid, target_tol)
-
-    def merit_grad(flat, w):
-        return _upper_merit_grad(flat, w, s, grid)
-
-    flat = project(np.concatenate([v.ravel(), omega]))
-    steps = 0
-    for rounds in range(1, al_rounds + 1):
-        mu = np.concatenate([mu_hu, [mu_term]])
-        flat, res, k = _pg_minimize(eval_many, merit_grad, project, flat, mu, c, max_iter,
-                                    UPPER_STOP)
-        steps += k
-        viol = float(np.max(res, initial=0.0))
-        mu_hu = np.maximum(0.0, mu_hu + c * res[:n])
-        mu_term = max(0.0, mu_term + c * res[n])
-        if viol <= UPPER_VIOLATION_TOL:
-            break
-        c = min(c * 2.0, 1e7)
-
-    vv, om = flat[:s.dim * n].reshape(n, s.dim), flat[s.dim * n:]
-    _, res = eval_many(flat[None, :])
-    return {"v": vv, "omega": om, "weights": (mu_hu, mu_term, c),
-            "T": float(np.sum(_trapz_weights(grid) * om)),
-            "violation": float(np.max(res[0], initial=0.0)), "steps": steps, "rounds": rounds}
 
 
 def _solve_lower_path(omega, v, gammas, s: Scenario, opts: SolverOptions) -> list:

@@ -20,6 +20,7 @@ from bisweep.dynamics import (
     convergence_study,
     integrate_catchup,
     integrate_smooth,
+    plan_nodes,
 )
 from bisweep.geometry import (
     DriftSpec,
@@ -192,10 +193,14 @@ def plan_lagrangian(v, omega, mults, s):
     mu = np.concatenate([mults["h_upper"], [mults["target"]]])
 
     def lagrangian(pt):
-        obj, res = solver._upper_eval_many(pt[None, :], s, grid, solver.TARGET_TOL_FACTOR * s.R)
-        return float(obj[0] + res[0] @ mu), res[0]
+        _, ts = plan_nodes(pt[:s.dim * n].reshape(n, s.dim), pt[s.dim * n:], s, grid)
+        res = solver._plan_residuals(pt, s, grid)
+        return float(ts[-1] + res @ mu), res
 
-    return flat, lagrangian, solver._upper_merit_grad(flat, mu, s, grid)
+    # grad t_N is the trapezoid weights on omega; J is the plan solve's Jacobian
+    _, jac = solver._plan_residuals(flat, s, grid, jac=True)
+    grad_t = np.concatenate([np.zeros(s.dim * n), solver._trapz_weights(grid)])
+    return flat, lagrangian, grad_t + jac.T @ mu
 
 
 def plan_kkt_residual(v, omega, mults, s):

@@ -172,7 +172,7 @@ def test_integrate_smooth_speed_bound():
 
 # ---------------------------------------------------------------- catch-up integrator
 def test_plan_path_is_propagate_smooth_plan_path():
-    # the upper merit reads y and t from plan_path alone; they must be the
+    # the plan solve reads y and t of the plan path alone; they must be the
     # very numbers the full propagation produces for any lower controls
     n, B = 12, 7
     rng = np.random.default_rng(5)

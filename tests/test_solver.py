@@ -5,7 +5,8 @@ import pytest
 
 from bisweep import solver
 from bisweep.dynamics import ControlProfile, SmoothingSchedule, TimeGrid, integrate_smooth
-from bisweep.geometry import DriftSpec, straight_corridor, target_direction
+from bisweep.geometry import (DriftSpec, straight_corridor, target_direction,
+                              target_distance)
 from bisweep.oracle import EnumSpec, brute_lower, fd_check
 from bisweep.transcription import assemble_lower
 from bisweep.solver import (
@@ -63,7 +64,7 @@ def test_lower_solve_matches_enumeration_on_tiny_grid():
     omega, v = dragged_inputs(n)
     oracle_val = brute_lower(omega, v, GAMMA, spec, S)
     ls = solve_lower(omega, v, GAMMA, S)
-    # the descent searches a continuum containing the enumeration grid
+    # SLSQP searches a continuum containing the enumeration grid
     assert ls.value <= oracle_val + 1e-6
 
 
@@ -201,29 +202,61 @@ class _PlanSolved(Exception):
     pass
 
 
-def _plan_of(monkeypatch, gammas):
-    """The plan (omega, v) solve_bilevel hands to the lower path for ``gammas``;
-    the solve stops there, and solving any lower problem before it fails."""
+def _plan_of(monkeypatch, gammas, opts=SolverOptions(n_intervals=8, seeds=2, upper_max_iter=6,
+                                                      screen_iters=2)):
+    """The plan (omega, v) solve_bilevel hands to the lower path for ``gammas``,
+    and the record of its last plan solve; the solve stops there, and solving
+    any lower problem before it fails."""
+    solves = []
+    plan_solve = solver._solve_plan
+
+    def recorded(*args):
+        solves.append(plan_solve(*args))
+        return solves[-1]
+
     def no_lower(*args, **kwargs):
         raise AssertionError("the plan solve must not solve the lower problem")
 
     def stop(omega, v, *args):
         raise _PlanSolved(omega, v)
 
+    monkeypatch.setattr(solver, "_solve_plan", recorded)
     monkeypatch.setattr(solver, "solve_lower", no_lower)
     monkeypatch.setattr(solver, "_solve_lower_path", stop)
     with pytest.raises(_PlanSolved) as caught:
-        solve_bilevel(S, SmoothingSchedule(gammas),
-                      SolverOptions(n_intervals=8, seeds=2, upper_max_iter=6, screen_iters=2))
-    return caught.value.args
+        solve_bilevel(S, SmoothingSchedule(gammas), opts)
+    return caught.value.args + (solves[-1],)
 
 
 def test_plan_solve_reads_no_gamma_and_solves_no_lower_problem(monkeypatch):
-    default = SmoothingSchedule.default_for(S).gammas[:3]
-    om_a, v_a = _plan_of(monkeypatch, default)
-    om_b, v_b = _plan_of(monkeypatch, (1e3, 1e5, 1e6))
-    np.testing.assert_array_equal(om_a, om_b)
-    np.testing.assert_array_equal(v_a, v_b)
+    # schedules of 3, 3, 1 and 6 entries: the plan is solved once, whatever
+    # the schedule's values and length
+    default = SmoothingSchedule.default_for(S).gammas
+    om_a, v_a, _ = _plan_of(monkeypatch, default[:3])
+    for gammas in ((1e3, 1e5, 1e6), (default[-1],), default):
+        om_b, v_b, _ = _plan_of(monkeypatch, gammas)
+        np.testing.assert_array_equal(om_a, om_b)
+        np.testing.assert_array_equal(v_a, v_b)
+
+
+@pytest.mark.parametrize("guess", [None, *range(8)],
+                         ids=["n8-three-seeds"] + [f"n40-guess{i}" for i in range(8)])
+def test_plan_solve_reaches_the_closed_form(monkeypatch, guess):
+    """The plan solve of the regression's three-seed N = 8 solve, and one from
+    each of the 8 default guesses at N = 40, reaches the corridor's closed-form
+    time (d - TARGET_TOL_FACTOR*R)/v_bound at an SLSQP optimum."""
+    if guess is None:
+        opts = SolverOptions(n_intervals=8, seeds=3, upper_max_iter=6)
+        _, _, plan = _plan_of(monkeypatch, SmoothingSchedule.default_for(S).gammas, opts)
+    else:
+        opts = SolverOptions()
+        grid = TimeGrid(opts.n_intervals)
+        v, omega = solver._initial_guesses(S, grid, opts)[guess]
+        plan = solver._solve_plan(S, grid, v, omega, opts.upper_max_iter)
+    d = float(target_distance(S.y0_arr, S))
+    assert plan["exit_status"] == 0
+    assert plan["violation"] <= solver.UPPER_VIOLATION_TOL
+    assert abs(plan["T"] - (d - solver.TARGET_TOL_FACTOR * S.R) / S.v_bound) <= 1e-9
 
 
 def test_corridor_lower_path_converges_and_phi_grows_with_gamma(corridor_run):
@@ -236,24 +269,30 @@ def test_corridor_lower_path_converges_and_phi_grows_with_gamma(corridor_run):
 
 
 def test_seed_screening_solve_regression():
-    """Three seeds at tiny budgets.  Guess 1 wins the screening (T = 8.221
-    against 8.507 and 8.636); the plan and lower path of guess 0 or 2 end at
-    phi = 2.0699 or 1.8791, so phi pins the kept seed."""
+    """Three seeds at tiny budgets.  Guess 0 wins the screening: after its 5
+    SLSQP iterations it is feasible at T = 7.990000000000094, while guess 1
+    still misses by 1.5e-5 (T = 7.98997) and guess 2 by 3.08 (T = 5.288).
+    The plan solve ends at one point of the corridor's degenerate set of
+    T-optimal plans (every node's h_upper multiplier is 0).  At that plan
+    the warm gamma-path's gamma = 48 solve stops on the 150-iteration budget
+    (exit 9) at phi = 2.0465, and the gamma = 96 solve ends at phi = 2.2609
+    with KKT residual 5.5: local minima of the lower level, not a defect of
+    the plan."""
     sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, upper_max_iter=6))
-    assert sol.T_star == 7.990001665388467
-    assert sol.lower.value == 1.8780846393699342
+    assert sol.T_star == 7.990000000000094
+    assert sol.lower.value == 2.2609185554986997
     assert [tuple(h.values()) for h in sol.history] == [
-        (3.0, 1.7684178720932264, True, 3.7192471324942744e-12, 15, 0, 4.462359953216755e-06),
-        (6.0, 1.7727868017147532, True, 3.3306690738754696e-16, 12, 0, 1.7337094538327769e-06),
-        (12.0, 1.7900986792954328, True, 2.21651585974314e-11, 21, 0, 0.28758918602467165),
-        (24.0, 1.8208344056408037, True, 2.503552920529728e-12, 13, 0, 5.206971135485183e-06),
-        (48.0, 1.8778853204035255, True, 6.0880189778345084e-12, 32, 0, 7.56853532788603e-06),
-        (96.0, 1.8780846393699342, True, 3.2085445411667024e-13, 28, 0, 0.04762818082533715),
+        (3.0, 1.7684101870070295, True, 1.0658141036401503e-13, 15, 0, 8.623980863597946e-07),
+        (6.0, 1.772796579885048, True, 8.881784197001252e-16, 22, 0, 1.2439552721232872e-09),
+        (12.0, 1.7895103055529362, True, 7.367439991412539e-13, 20, 0, 0.3791874825915833),
+        (24.0, 1.8212351942043639, True, 3.0819791163594346e-13, 12, 0, 1.889565745760713e-06),
+        (48.0, 2.0464556708852486, False, 1.5366374839231867e-11, 150, 9, 0.9121126773167132),
+        (96.0, 2.2609185554986997, True, 3.552713678800501e-15, 104, 0, 5.522750044920715),
     ]
     assert [list(h) for h in sol.history] == [
         ["gamma", "phi", "converged", "max_violation", "iterations", "exit_status",
          "kkt_residual"]] * 6
     assert sol.status == {"lower_converged": True, "max_violation": 0.0, "converged": True,
-                          "plan_steps": 89, "plan_al_rounds": 15}
-    assert sol.upper_mults["target"] == 0.9988480029470317
+                          "plan_iterations": 6, "plan_exit_status": 0}
+    assert sol.upper_mults["target"] == 0.9999999999991912
     np.testing.assert_array_equal(sol.upper_mults["h_upper"], np.zeros(9))

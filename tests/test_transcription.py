@@ -1,5 +1,6 @@
-"""Discretized lower problem assembly, and the plan merit's exact gradient
-(``solver._upper_merit_grad``) against central differences (``oracle.fd_check``)."""
+"""Discretized lower problem assembly, and the plan constraints' exact
+Jacobian (``solver._plan_residuals``) against central differences
+(``oracle.fd_check``)."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, plan_nodes
 from bisweep.geometry import straight_corridor, target_distance
 from bisweep.oracle import fd_check
-from bisweep.solver import TARGET_TOL_FACTOR, _upper_eval_many, _upper_merit_grad
+from bisweep.solver import _plan_residuals, _trapz_weights
 from bisweep.transcription import DecisionVector, assemble_lower
 
 S = straight_corridor()
@@ -72,27 +73,34 @@ def test_lower_residual_count():
 
 
 # ---------------------------------------------------------------- plan merit gradient
-# Central differences of the merit lose digits to its size (|t_N + w.res| is
-# up to 1.6e3 on the random plans below), so the step is 1e-3 along unit
+# Central differences of the merit t_N + w.res lose digits to its size
+# (up to 1.6e3 on the random plans below), so the step is 1e-3 along unit
 # directions.  Measured worst relative errors of the exact gradient: 5.8e-7
-# on the random plans, 2.8e-9 on the reached target, 2.0e-8 at the corridor
-# plan; a sweep without its midpoint-stage terms reads 0.67 to 1.26.
+# on the random plans, 2.8e-9 on the reached target, 1.8e-8 at the corridor
+# plan; a sweep without its midpoint-stage terms reads 0.67 to 1.67.
 FD_H = 1e-3
 GRAD_TOL = 1e-5
 
 
 def merit(flat, w, grid):
-    """t_N + w.res of the plan merit at one plan, from the forward evaluator."""
-    obj, res = _upper_eval_many(flat[None, :], S, grid, TARGET_TOL_FACTOR * S.R)
-    return float(obj[0] + res[0] @ w)
+    """t_N + w.res at one plan, from the forward clock and residuals."""
+    n = grid.n_nodes
+    _, ts = plan_nodes(flat[:2 * n].reshape(n, 2), flat[2 * n:], S, grid)
+    return float(ts[-1] + _plan_residuals(flat, S, grid) @ w)
+
+
+def merit_grad(flat, w, grid):
+    """grad t_N + J^T w, with J the plan solve's Jacobian of the residuals."""
+    _, jac = _plan_residuals(flat, S, grid, jac=True)
+    return np.concatenate([np.zeros(2 * grid.n_nodes), _trapz_weights(grid)]) + jac.T @ w
 
 
 def worst_fd_error(flat, w, grid, count=12, seed=0):
-    """Largest relative error of ``_upper_merit_grad`` against central
+    """Largest relative error of ``merit_grad`` against central
     differences of the forward merit along seeded random unit directions."""
     dirs = np.random.default_rng(seed).standard_normal((count, flat.size))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return fd_check(lambda p: merit(p, w, grid), _upper_merit_grad(flat, w, S, grid), flat, dirs,
+    return fd_check(lambda p: merit(p, w, grid), merit_grad(flat, w, grid), flat, dirs,
                     h=FD_H)
 
 
@@ -103,17 +111,14 @@ def random_plan(n, rng):
 
 
 def test_gradient_of_final_time_is_quadrature_weight():
-    # with no residual weights the merit is t_N, which is linear in omega with
-    # the trapezoid weights as coefficients; the forward clock agrees
+    # t_N is linear in omega with the trapezoid weights as coefficients, the
+    # plan solve's constant objective gradient; the forward clock agrees
     n = 5
     grid = TimeGrid(n)
-    flat = np.concatenate([np.zeros(2 * (n + 1)), np.ones(n + 1)])
-    grad = _upper_merit_grad(flat, np.zeros(n + 2), S, grid)
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5
     w[-1] *= 0.5
-    np.testing.assert_array_equal(grad[2 * (n + 1):], w)
-    np.testing.assert_array_equal(grad[:2 * (n + 1)], 0.0)
+    np.testing.assert_array_equal(_trapz_weights(grid), w)
     _, ts = plan_nodes(np.zeros((n + 1, n + 1, 2)), np.eye(n + 1), S, grid)
     np.testing.assert_allclose(ts[-1], w, rtol=0, atol=1e-15)
 
@@ -131,17 +136,15 @@ def test_merit_gradient_matches_central_differences_with_terminal_row_active():
 
 
 def test_merit_gradient_of_a_reached_target_row_is_zero():
-    # the disk around y_N already overlaps the target: the terminal row is 0
-    # near the plan, and so is its gradient
+    # the disk around y_N already overlaps the target: the terminal miss is
+    # constant near the plan, and its Jacobian row is zero
     n = 10
     grid = TimeGrid(n)
     flat = np.concatenate([np.tile([S.v_bound, 0.0], n + 1), np.full(n + 1, 8.2)])
     ys, _ = plan_nodes(flat[:2 * (n + 1)].reshape(n + 1, 2), flat[2 * (n + 1):], S, grid)
     assert target_distance(ys[-1], S) == 0.0
-    only_term = np.zeros(n + 2)
-    only_term[-1] = 3.0
-    grad = _upper_merit_grad(flat, only_term, S, grid)
-    np.testing.assert_array_equal(grad, _upper_merit_grad(flat, np.zeros(n + 2), S, grid))
+    _, jac = _plan_residuals(flat, S, grid, jac=True)
+    np.testing.assert_array_equal(jac[-1], 0.0)
     w = np.random.default_rng(5).uniform(0.0, 2.0, n + 2)
     assert worst_fd_error(flat, w, grid) < GRAD_TOL
 
