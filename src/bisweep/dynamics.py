@@ -217,19 +217,21 @@ def stage_controls(u, u0, omega):
     return stage_values(u), stage_values(u0), stage_values(omega)
 
 
-def cone_coefficient(diff, gamma: float, s: Scenario):
+def cone_coefficient(diff, gamma, s: Scenario):
     """Ramped cone coefficient c = min{M/R1, gamma exp(gamma h_lower)} at the
-    offsets diff = x - y (..., n); the exponent is capped at 50 below overflow,
-    where the min caps the value anyway."""
+    offsets diff = x - y (..., n); gamma is a float or an array that
+    broadcasts against the leading axes (one gain per batch column).  The
+    exponent is capped at 50 below overflow, where the min caps the value anyway."""
     ex = np.exp(np.minimum((0.5 * gamma) * (np.add.reduce(diff * diff, -1) - s.R1 ** 2), 50.0))
     return np.minimum(s.cone_gain, gamma * ex)
 
 
-def stage_slope(x, y, u, w, u0w, gamma: float, s: Scenario, jacobians: bool = False):
+def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
     """Smoothed field times the time dilation w at RK4 stage points.
 
     k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the ramped cone
-    coefficient c of ``cone_coefficient``; broadcasts over leading axes.  With
+    coefficient c of ``cone_coefficient``; broadcasts over leading axes, gamma
+    included (a float or a (B,) array of per-column gains).  With
     ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
     dk/du0w), the matrices as (..., n, n) arrays.
     """
@@ -254,7 +256,7 @@ def stage_slope(x, y, u, w, u0w, gamma: float, s: Scenario, jacobians: bool = Fa
     return k, (k_x, k_y, w[..., None, None] * f_u, f, -c[..., None] * diff)
 
 
-def rk4_stages(x, at, y_st, controls, gamma: float, s: Scenario, dt: float):
+def rk4_stages(x, at, y_st, controls, gamma, s: Scenario, dt: float):
     """States and slopes of the four RK4 stages of the steps that start at x.
 
     The stage tableaus, y's from ``plan_path`` and ``controls`` from
@@ -325,11 +327,12 @@ def plan_path(v, omega, s: Scenario, grid: TimeGrid):
     return ys, y_st, ts
 
 
-def propagate_smooth(v, u, u0, omega, x_init, gamma: float, s: Scenario, grid: TimeGrid):
+def propagate_smooth(v, u, u0, omega, x_init, gamma, s: Scenario, grid: TimeGrid):
     """Batched RK4 propagation of (y, x) under the smoothed field.
 
     Controls have shape (N+1, ...) with an optional batch axis; x_init is
-    (..., n).  z and t come from trapezoidal quadrature of the node values,
+    (..., n); gamma is a float or a (B,) array, one smoothing gain per batch
+    column.  z and t come from trapezoidal quadrature of the node values,
     matching the transcription order.  Returns (y, x, z, t) node arrays.
     The plan (v, omega) keeps its own batch width P, 1 for the lower
     problem's frozen plan, and only the elementwise stage arithmetic
@@ -444,11 +447,11 @@ def feasibility_monitor(tr: StateTrajectory, s: Scenario) -> ViolationReport:
 
 
 def convergence_study(cp: ControlProfile, x_init, sched: SmoothingSchedule, s: Scenario) -> np.ndarray:
-    """Sup-norm gap between the smoothed trajectories and the catching-up reference."""
+    """Sup-norm gap between the smoothed trajectories and the catching-up
+    reference; the whole schedule is one RK4 batch, a column per gamma."""
     sched.validate_against(s)
     ref = integrate_catchup(cp, x_init, s, warn=False)
-    errs = []
-    for g in sched.gammas:
-        tr = integrate_smooth(cp, x_init, g, s)
-        errs.append(float(np.linalg.norm(tr.x - ref.x, axis=1).max()))
-    return np.asarray(errs)
+    gammas = np.asarray(sched.gammas)
+    x0 = np.broadcast_to(np.asarray(x_init, dtype=float), (len(gammas), s.dim))
+    _, xs, _, _ = propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, x0, gammas, s, cp.grid)
+    return np.linalg.norm(xs - ref.x[:, None, :], axis=2).max(axis=0)

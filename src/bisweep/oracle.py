@@ -7,6 +7,7 @@ module is shared.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -76,32 +77,6 @@ def _x_init_grid(s: Scenario, count: int) -> np.ndarray:
     return np.concatenate([[s.y0_arr], s.y0_arr + s.R1 * ring, s.y0_arr + 0.5 * s.R1 * ring])
 
 
-def _euler_smooth_batch(x0, y_nodes, u_nodes, u0_nodes, omega_nodes, gamma, s, dt):
-    """Euler propagation of x under the smoothed field; everything batched.
-
-    x0 (B, n); u_nodes (N+1, B, n); u0/omega (N+1, B); y_nodes (N+1, n).
-    Returns node states (N+1, B, n).
-    """
-    n_nodes = u_nodes.shape[0]
-    B = x0.shape[0]
-    xs = np.empty((n_nodes, B, s.dim))
-    xs[0] = x0
-    gain = s.cone_gain
-    for i in range(n_nodes - 1):
-        d = xs[i] - y_nodes[i]
-        hl = 0.5 * (np.sum(d * d, axis=-1) - s.R1 ** 2)
-        c = np.minimum(gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
-        if s.drift.name == "identity":
-            f = u_nodes[i]
-        else:
-            A = s.drift.matrix(s.dim)
-            f = xs[i] @ A.T + u_nodes[i]
-            nrm = np.linalg.norm(f, axis=-1, keepdims=True)
-            f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
-        xs[i + 1] = xs[i] + (f - (u0_nodes[i] * c)[:, None] * d) * (omega_nodes[i] * dt)[:, None]
-    return xs
-
-
 def _product_rows(levels: int, repeat: int) -> np.ndarray:
     """All index tuples over range(levels)**repeat as int rows, in the
     order of ``itertools.product``."""
@@ -144,39 +119,64 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     if total > MAX_COMBINATIONS:
         raise ValueError(f"enumeration budget exceeded: {total} > {MAX_COMBINATIONS}")
 
+    # each node combination's effort before the dilation, once; x and u keep
+    # their components first, (dim, B), so |d|^2 is a sum of dim rows
+    base = np.sum(u_node * u_node, axis=1) + u0_node ** 2
+    u_cols = u_node.T
+    A = s.drift.matrix(s.dim) if s.drift.name != "identity" else None
+    gain = s.cone_gain
     best_val = np.inf
     best = None
     seq_list = _product_rows(per_node, N)  # (C, N)
     C = seq_list.shape[0]
     step = max(1, spec.chunk // len(x_grid))   # sequences per batch
     for start in range(0, C, step):
-        idx = seq_list[start:start + step]
-        B = idx.shape[0]
-        u_seq = u_node[idx]      # (B, N, dim)
-        u0_seq = u0_node[idx]    # (B, N)
-        u_nodes = _interval_to_nodes(u_seq.transpose(1, 0, 2))    # (N+1, B, dim)
-        u0_nodes = _interval_to_nodes(u0_seq.T)                   # (N+1, B)
+        idx = _interval_to_nodes(seq_list[start:start + step].T)   # (N+1, B)
+        B = idx.shape[1]
+        effort = base[idx] * omega[:, None]
+        z_all = np.sum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)
+        u_nodes = u_cols[:, idx]   # (dim, N+1, B)
+        u0_nodes = u0_node[idx]    # (N+1, B)
         for xg in x_grid:
-            x0 = np.broadcast_to(xg, (B, s.dim))
-            xs = _euler_smooth_batch(x0, y, u_nodes, u0_nodes,
-                                     np.broadcast_to(omega[:, None], (N + 1, B)),
-                                     gamma, s, dt)
-            hl = 0.5 * (np.sum((xs - y[:, None, :]) ** 2, axis=-1) - s.R1 ** 2)
-            feas = np.all(hl <= spec.feas_tol, axis=0)
+            # plain Euler under the smoothed field; h_lower at each node is
+            # both the cone ramp's argument and the feasibility test.  x is
+            # B wide from node 0, as BLAS rounds a one-column A @ x unlike a
+            # wide one
+            x = np.repeat(xg[:, None], B, axis=1)
+            feas = np.ones(B, dtype=bool)
+            for i in range(N + 1):
+                d = x - y[i][:, None]
+                hl = 0.5 * (np.add.reduce(d * d, axis=0) - s.R1 ** 2)
+                feas &= hl <= spec.feas_tol
+                if i == N:
+                    break
+                c = np.minimum(gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
+                f = u_nodes[:, i]
+                if A is not None:
+                    f = A @ x + f
+                    nrm = np.sqrt(np.add.reduce(f * f, axis=0))
+                    f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
+                x = x + (f - u0_nodes[i] * c * d) * (omega[i] * dt)
             if not np.any(feas):
                 continue
-            effort = (np.sum(u_nodes * u_nodes, axis=2) + u0_nodes ** 2) * omega[:, None]
-            z = np.sum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)
-            z = np.where(feas, z, np.inf)
+            z = np.where(feas, z_all, np.inf)
             j = int(np.argmin(z))
             if z[j] < best_val:
                 best_val = float(z[j])
-                best = (xg.copy(), u_nodes[:, j, :].copy(), u0_nodes[:, j].copy())
+                best = (xg.copy(), u_nodes[:, :, j].T.copy(), u0_nodes[:, j].copy())
     if best is None:
         raise OracleInfeasibleError("no feasible (u, u0, x_init) combination")
     if return_decision:
         return best_val, best
     return best_val
+
+
+def _terminal_distances(ends, s: Scenario) -> np.ndarray:
+    """``target_distance`` of the endpoints ends (2, C), each distinct one
+    measured once: many plans share an endpoint, and a 1-D complex key
+    finds the distinct ones far faster than a row-wise unique."""
+    _, first, which = np.unique(ends[0] + 1j * ends[1], return_index=True, return_inverse=True)
+    return target_distance(ends[:, first].T, s)[which]
 
 
 def brute_bilevel(spec: EnumSpec, s: Scenario):
@@ -200,27 +200,28 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
     if C > MAX_COMBINATIONS:
         raise ValueError("enumeration budget exceeded")
     seq = _product_rows(per_node, N)
-    v_seq = v_node[seq].transpose(1, 0, 2)   # (N, C, dim)
+    v_seq = v_node[seq].transpose(1, 2, 0)   # (N, dim, C)
     w_seq = w_node[seq].T                    # (N, C)
-    # y path and upper feasibility, vectorized
-    y = np.empty((N + 1, C, s.dim))
-    y[0] = s.y0_arr
-    for i in range(N):
-        y[i + 1] = y[i] + v_seq[i] * (w_seq[i] * dt)[:, None]
-    hu = 0.5 * (np.sum((y - s.q0_arr) ** 2, axis=-1) - (s.R - s.R1) ** 2)
-    # many plans share an endpoint: measure each distinct one once
-    ends, which = np.unique(y[-1], axis=0, return_inverse=True)
-    term = target_distance(ends, s)[which]
+    # y path with upper feasibility node by node, vectorized
+    y = np.broadcast_to(s.y0_arr[:, None], (s.dim, C))
+    q0 = s.q0_arr[:, None]
+    feas = np.ones(C, dtype=bool)
+    for i in range(N + 1):
+        dq = y - q0
+        feas &= 0.5 * (np.add.reduce(dq * dq, axis=0) - (s.R - s.R1) ** 2) <= spec.feas_tol
+        if i < N:
+            y = y + v_seq[i] * (w_seq[i] * dt)
+    term = _terminal_distances(y, s)
     w_nodes_full = _interval_to_nodes(w_seq)
     t_final = np.sum(0.5 * (w_nodes_full[1:] + w_nodes_full[:-1]) * dt, axis=0)
-    feas = np.all(hu <= spec.feas_tol, axis=0) & (term <= spec.target_tol)
+    feas &= term <= spec.target_tol
     if not np.any(feas):
         raise OracleInfeasibleError("no (v, omega) candidate reaches the exit target")
     order = np.argsort(np.where(feas, t_final, np.inf))
     for j in order:
         if not feas[j]:
             break
-        v_nodes = _interval_to_nodes(v_seq[:, j, :])
+        v_nodes = _interval_to_nodes(v_seq[:, :, j])
         w_nodes = w_nodes_full[:, j]
         try:
             phi, dec = brute_lower(w_nodes, v_nodes, gamma, spec, s, return_decision=True)
@@ -231,6 +232,16 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
             "x_init": dec[0], "u": dec[1], "u0": dec[2],
         }
     raise OracleInfeasibleError("no candidate admits a feasible lower solve")
+
+
+@functools.lru_cache(maxsize=4)
+def _unit_grid(grid_pts: int):
+    """The sup oracle's u0 grid on [0, 1] and its squares, built once per size;
+    read-only, as every call shares them."""
+    u0 = np.linspace(0.0, 1.0, grid_pts)
+    sq = u0 ** 2
+    u0.flags.writeable = sq.flags.writeable = False
+    return u0, sq
 
 
 def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
@@ -248,8 +259,8 @@ def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
     a = s.cone_gain if coeff is None else coeff
     d = x - y
     lin = float(np.dot(qL - nuL * d, -a * d))
-    u0 = np.linspace(0.0, 1.0, grid_pts)
-    vals = lin * u0 - r * u0 ** 2
+    u0, u0_sq = _unit_grid(grid_pts)
+    vals = lin * u0 - r * u0_sq
     j = int(np.argmax(vals))
     best = float(vals[j])
     # parabolic vertex through an adjacent triple, then evaluate there; the

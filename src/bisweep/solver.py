@@ -124,7 +124,7 @@ class BilevelSolution:
     history: tuple
     trajectory: StateTrajectory
     upper_mults: dict
-    # lower_converged (the returned lower solve), max_violation (the plan's
+    # lower_converged (every solve of the lower path), max_violation (the plan's
     # upper violation), converged (both within their stops, the plan's SLSQP
     # exit 0), plan_iterations (SLSQP's, its seed's screening included) and
     # plan_exit_status (SLSQP's own code of the plan solve)
@@ -446,7 +446,7 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     # the path's last solve is the returned one
     lower, gamma_f = path[-1], gammas[-1]
     tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, gamma_f, s)
-    lower_ok, viol = bool(lower.status["converged"]), plan["violation"]
+    lower_ok, viol = all(h["converged"] for h in history), plan["violation"]
     plan_ok = plan["exit_status"] == 0 and viol <= UPPER_VIOLATION_TOL
     return BilevelSolution(
         decision=lower.decision, T_star=tr.T, gamma_final=gamma_f,

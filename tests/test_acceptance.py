@@ -161,8 +161,8 @@ def test_a5_corridor_time_matches_closed_form(corridor_run):
           and total < 120.0)
     report("A5", ok,
            f"T* = {sol.T_star:.4f} in [{lo:.2f}, {hi:.2f}], brute {T_brute:.4f} "
-           f"(step {grid_step}), solve {corridor_run['wall_time']:.0f}s + "
-           f"brute {brute_time:.0f}s")
+           f"(step {grid_step}), solve {corridor_run['wall_time']:.2f}s + "
+           f"brute {brute_time:.2f}s")
 
 
 # --------------------------------------------------------------------- A6

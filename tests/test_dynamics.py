@@ -296,6 +296,37 @@ def test_convergence_study_boundary_ride_improves_with_gamma():
     assert errs[-1] <= 5 * (S.M1 + S.M) / 200
 
 
+def _per_gamma_study(cp, x_init, sched, s):
+    """The study as one integrate_smooth run per gamma."""
+    ref = integrate_catchup(cp, x_init, s, warn=False)
+    return np.array([np.linalg.norm(integrate_smooth(cp, x_init, g, s).x - ref.x, axis=1).max()
+                     for g in sched.gammas])
+
+
+@pytest.mark.parametrize("s", [S, straight_corridor(
+    drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))), K_f=0.05, M1=1.2)],
+    ids=["identity", "affine"])
+def test_convergence_study_equals_a_per_gamma_loop(s):
+    # A2's boundary ride, with identity drift and with A4's affine drift: the
+    # batched schedule gives bitwise the per-gamma loop's errors
+    cp = profile(200, u=(1.0, 0.0), u0=1.0, omega=2.0)
+    sched = SmoothingSchedule.default_for(s)
+    errs = convergence_study(cp, (1.0, 0.0), sched, s)
+    assert errs.shape == (len(sched.gammas),)
+    assert np.array_equal(errs, _per_gamma_study(cp, (1.0, 0.0), sched, s))
+
+
+def test_convergence_study_general_affine_drift_matches_per_gamma_loop_to_roundoff():
+    # with two nonzeros in a row of A, the drift's x @ A.T of one row (the
+    # loop's batch of 1) and of six rows (the batched schedule) are rounded by
+    # different BLAS kernels, so the two may differ in the last bits
+    s = straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1)))
+    cp = profile(200, u=(0.8, 0.3), u0=0.9, omega=2.0)
+    sched = SmoothingSchedule.default_for(s)
+    errs = convergence_study(cp, (0.6, 0.8), sched, s)
+    np.testing.assert_allclose(errs, _per_gamma_study(cp, (0.6, 0.8), sched, s), rtol=0, atol=1e-14)
+
+
 def test_smoothing_schedule_rejects_nonincreasing():
     with pytest.raises(ValueError):
         SmoothingSchedule(gammas=(3.0, 3.0))

@@ -1,13 +1,18 @@
 """Brute-force references and finite-difference checking utilities."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bisweep.geometry import straight_corridor
+from bisweep.geometry import DriftSpec, straight_corridor, target_distance
 from bisweep.oracle import (
     EnumSpec,
     OracleInfeasibleError,
+    _product_rows,
+    _terminal_distances,
+    _unit_grid,
     _x_init_grid,
     brute_bilevel,
     brute_lower,
@@ -98,6 +103,91 @@ def test_brute_lower_decision_reproduces_value():
     assert z == pytest.approx(val, rel=1e-12)
 
 
+def naive_brute_lower(omega, v, gamma, spec, s):
+    """brute_lower written plainly: one Euler trajectory per (x_init, control
+    sequence) in itertools order, sequences taken in brute_lower's chunks, the
+    first strict improvement kept."""
+    N, L = spec.n_intervals, spec.levels_per_control
+    dt = 1.0 / N
+    y = [s.y0_arr]
+    for i in range(N):
+        y.append(y[-1] + v[i] * omega[i] * dt)
+    levels = np.linspace(-s.u_bound, s.u_bound, L)
+    nodes = [(np.array([a, b]), c) for a, b, c in
+             itertools.product(levels, levels, np.linspace(0.0, 1.0, L))
+             if np.linalg.norm([a, b]) <= s.u_bound + 1e-12]
+    seqs = [seq + seq[-1:] for seq in itertools.product(nodes, repeat=N)]
+    x_grid = _x_init_grid(s, spec.x_init_points)
+    step = max(1, spec.chunk // len(x_grid))
+    A = s.drift.matrix(s.dim)
+    best_val, best = np.inf, None
+    for start in range(0, len(seqs), step):
+        for xg in x_grid:
+            for seq in seqs[start:start + step]:
+                x, feasible = xg, True
+                for i in range(N + 1):
+                    d = x - y[i]
+                    hl = 0.5 * (np.sum(d * d) - s.R1 ** 2)
+                    feasible &= bool(hl <= spec.feas_tol)
+                    if i == N:
+                        break
+                    u, u0 = seq[i]
+                    c = np.minimum(s.cone_gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
+                    f = u
+                    if s.drift.name != "identity":
+                        f = A @ x + u
+                        nrm = np.sqrt(np.sum(f * f))
+                        f = f * (s.M1 / nrm if nrm > s.M1 else 1.0)
+                    x = x + (f - u0 * c * d) * (omega[i] * dt)
+                if not feasible:
+                    continue
+                effort = np.array([(np.sum(u * u) + u0 ** 2) * omega[i] for i, (u, u0) in enumerate(seq)])
+                z = float(np.sum(0.5 * (effort[1:] + effort[:-1]) * dt))
+                if z < best_val:
+                    best_val = z
+                    best = (xg, np.array([u for u, _ in seq]), np.array([u0 for _, u0 in seq]))
+    return best_val, best
+
+
+A4 = straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))),
+                       K_f=0.05, M1=1.2)
+SKEW = straight_corridor(drift=DriftSpec(name="affine", A=((-0.3, 0.7), (0.2, -0.45))),
+                         K_f=0.9, M1=0.9)
+
+
+@pytest.mark.parametrize("s", [S, A4, SKEW], ids=["identity", "affine", "affine-saturating"])
+@pytest.mark.parametrize("chunk", [200_000, 60])
+def test_brute_lower_equals_a_naive_enumeration(s, chunk):
+    spec = EnumSpec(n_intervals=2, levels_per_control=3, x_init_points=5, chunk=chunk)
+    rng = np.random.default_rng(chunk)
+    omega = rng.uniform(2.0, 5.0, 3)
+    v = np.tile([1.0, 0.0], (3, 1))
+    val, dec = brute_lower(omega, v, 12.0, spec, s, return_decision=True)
+    ref_val, ref_dec = naive_brute_lower(omega, v, 12.0, spec, s)
+    assert val > 0.0 and val == ref_val
+    for a, b in zip(dec, ref_dec):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_terminal_distances_measure_every_endpoint():
+    # the plan endpoints of brute_bilevel(EnumSpec(4, 3)) on the corridor,
+    # 50,625 plans with 129 distinct endpoints, then zeros of both signs
+    L, N, dt = 3, 4, 0.25
+    v_lv, w_lv = np.linspace(-S.v_bound, S.v_bound, L), np.linspace(0.0, 10.0, L)
+    nodes = [(np.array([a, b]), w) for a, b, w in itertools.product(v_lv, v_lv, w_lv)
+             if np.linalg.norm([a, b]) <= S.v_bound + 1e-12]
+    seq = _product_rows(len(nodes), N)
+    v = np.array([v for v, _ in nodes])[seq]            # (C, N, 2)
+    w = np.array([w for _, w in nodes])[seq]            # (C, N)
+    ends = np.broadcast_to(S.y0_arr, (len(seq), 2))
+    for i in range(N):
+        ends = ends + v[:, i] * (w[:, i] * dt)[:, None]
+    assert len(np.unique(ends, axis=0)) == 129
+    ends = np.concatenate([ends, [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]])
+    got = _terminal_distances(np.ascontiguousarray(ends.T), S)
+    assert np.array_equal(got, target_distance(ends, S))
+
+
 # ---------------------------------------------------------------- brute bilevel
 def test_brute_bilevel_decision_regression():
     # frozen reference: the corridor at N=4, 3 levels, enumerated with the
@@ -130,6 +220,37 @@ def test_sigma_oracle_interior_vertex_value():
     a = float(np.dot(qL, -S.cone_gain * (x - y)))
     val = sigma_sup_oracle(qL, 0.0, r, x, y, S)
     assert val == pytest.approx(a * a / (4 * r), abs=1e-9)
+
+
+def _uncached_sigma_sup(qL, nuL, r, x, y, s, grid_pts):
+    """The sup oracle with a fresh linspace per call."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    lin = float(np.dot(qL - nuL * d, -s.cone_gain * d))
+    u0 = np.linspace(0.0, 1.0, grid_pts)
+    vals = lin * u0 - r * u0 ** 2
+    j = int(np.argmax(vals))
+    best = float(vals[j])
+    jc = min(max(j, 1), grid_pts - 2)
+    denom = vals[jc - 1] - 2 * vals[jc] + vals[jc + 1]
+    if abs(denom) > 1e-300:
+        ustar = u0[jc] + 0.5 * (u0[1] - u0[0]) * (vals[jc - 1] - vals[jc + 1]) / denom
+        ustar = min(1.0, max(0.0, ustar))
+        best = max(best, lin * ustar - r * ustar ** 2)
+    return best
+
+
+def test_sigma_oracle_cached_grid_is_read_only_and_matches_a_fresh_one():
+    for arr in _unit_grid(10_000):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    rng = np.random.default_rng(7)
+    for grid_pts in (10_000, 10_000, 100, 333, 10_000):
+        for _ in range(20):
+            q, x, y = rng.normal(size=(3, 2))
+            nu, r = rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
+            assert (sigma_sup_oracle(q, nu, r, x, y, S, grid_pts=grid_pts)
+                    == _uncached_sigma_sup(q, nu, r, x, y, S, grid_pts))
 
 
 def test_sigma_oracle_requires_dense_grid():
