@@ -2,7 +2,9 @@
 
 The moving set is a small disk Q1 (radius ``R1``) translated by the plan
 center ``y`` inside a big disk Q (center ``q0``, radius ``R``).  The exit
-target is the boundary of the exit arc thickened by ``R1`` and clipped to Q.
+target is the boundary of the exit arc thickened by ``R1`` and clipped to Q:
+at most four circular arcs (``_target_arcs``), so the distance to it and the
+direction of its nearest point have closed forms.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 import yaml
-from scipy.spatial import cKDTree
 
 __all__ = [
     "DriftSpec",
@@ -68,6 +69,7 @@ class ExitArc:
     angle_hi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(angle_lo=self.angle_lo, angle_hi=self.angle_hi)
         if self.angle_lo > self.angle_hi:
             raise ValueError("angle_lo must not exceed angle_hi")
 
@@ -85,9 +87,10 @@ class TruncationBounds:
 
 
 ASSUMPTION_SAMPLES = 256  # sample count of the sampled assumption checks
+EXIT_ARC_SAMPLES = 512  # points per target arc in Scenario.exit_boundary_samples
 
 # sections and keys of a scenario file, as Scenario.to_dict writes them
-SCENARIO_KEYS = {"geometry": ("q0", "R", "R1", "y0", "exit", "exit_samples"), "cone": ("M",),
+SCENARIO_KEYS = {"geometry": ("q0", "R", "R1", "y0", "exit"), "cone": ("M",),
                  "controls": ("u_bound", "v_bound"), "drift": ("name", "A", "M1", "K_f", "delta")}
 
 
@@ -101,6 +104,13 @@ def require_known_keys(d, known, what: str) -> dict:
         raise ValueError(f"unknown {what}: {', '.join(unknown)} "
                          f"(expected one of: {', '.join(known)})")
     return d
+
+
+def _require_finite(**values) -> None:
+    """A ValueError names the first value (None skipped) with a non-finite entry."""
+    for name, value in values.items():
+        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +130,11 @@ class Scenario:
     K_f: Optional[float] = None
     delta: Optional[float] = None
     dim: int = 2
-    exit_samples: int = 2048
 
     def __post_init__(self):
+        _require_finite(q0=self.q0, R=self.R, R1=self.R1, y0=self.y0, M=self.M,
+                       u_bound=self.u_bound, v_bound=self.v_bound, M1=self.M1,
+                       K_f=self.K_f, delta=self.delta, A=self.drift.A)
         if self.dim != 2:
             raise ValueError("only planar scenarios are supported")
         if not (self.R > self.R1 > 0.0):
@@ -160,22 +172,10 @@ class Scenario:
         return self.M / self.R1
 
     def exit_boundary_samples(self) -> np.ndarray:
-        """Exit-target sample cloud, built with its k-d tree on first use and
-        kept on the instance (not a field, so equality and hashing ignore it;
-        freed with the scenario)."""
-        return self._exit_target()[0]
-
-    def exit_tree(self) -> cKDTree:
-        """k-d tree (Bentley, CACM 18, 1975) over ``exit_boundary_samples``."""
-        return self._exit_target()[1]
-
-    def _exit_target(self):
-        cached = self.__dict__.get("_exit_target_cache")
-        if cached is None:
-            pts = _sample_exit_boundary(self)
-            cached = (pts, cKDTree(pts))
-            object.__setattr__(self, "_exit_target_cache", cached)
-        return cached
+        """``EXIT_ARC_SAMPLES`` points on each arc of the exit target curve;
+        ``target_distance`` and ``target_direction`` read the arcs, not these."""
+        return np.concatenate([c + r * _unit(np.linspace(a0, a1, EXIT_ARC_SAMPLES))
+                               for c, arcs in _target_arcs(self) for r, a0, a1 in arcs])
 
     def to_dict(self) -> dict:
         return {
@@ -185,7 +185,6 @@ class Scenario:
                 "R1": self.R1,
                 "y0": list(self.y0),
                 "exit": {"angle_lo": self.exit.angle_lo, "angle_hi": self.exit.angle_hi},
-                "exit_samples": self.exit_samples,
             },
             "cone": {"M": self.M},
             "controls": {"u_bound": self.u_bound, "v_bound": self.v_bound},
@@ -211,7 +210,6 @@ class Scenario:
             R1=float(g.get("R1", 1.0)),
             y0=tuple(g.get("y0", (0.0, 0.0))),
             exit=ExitArc(float(exit_d.get("angle_lo", 0.0)), float(exit_d.get("angle_hi", 0.0))),
-            exit_samples=int(g.get("exit_samples", 2048)),
             M=float(cone.get("M", 1.5)),
             u_bound=float(ctrl.get("u_bound", 1.0)),
             v_bound=float(ctrl.get("v_bound", 1.0)),
@@ -286,46 +284,50 @@ def truncation_bounds(s: Scenario) -> TruncationBounds:
     return TruncationBounds(M_bar=float(upper.min()), m_bar=float(lower.max()))
 
 
-def _sample_exit_boundary(s: Scenario) -> np.ndarray:
-    """Dense point cloud on the exit target curve, the boundary of
-    (arc + R1*ball) intersected with the big disk Q."""
-    n = max(64, s.exit_samples)
+def _unit(angles):
+    """Unit vectors (..., 2) at the given angles."""
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+def _target_arcs(s: Scenario):
+    """The exit target curve, the boundary of (arc + R1*ball) intersected
+    with Q, as four circular arcs grouped by center: (center, ((radius,
+    angle_lo, angle_hi), ...)).
+
+    With delta = 2 asin(R1 / 2R), the angle a chord of length R1 subtends on
+    the big circle, they are: about q0, the inner offset arc and the rim
+    within R1 of the exit arc; about the arc's end points e_hi and e_lo, the
+    end caps from the rim inward to the inner arc.  An arc spanning 2*pi or
+    more is the whole circle.  Where the exit arc nearly closes, parts of the
+    caps lie inside the target region.  That changes no ``target_distance``:
+    no point outside the region is nearer to them than to its boundary, and
+    every point inside is within R1 of the exit arc, which lies on the rim.
+    """
     lo, hi = s.exit.angle_lo, s.exit.angle_hi
-    q0 = s.q0_arr
-    R, R1 = s.R, s.R1
-    pts = []
+    q0, R, R1 = s.q0_arr, s.R, s.R1
+    delta = 2.0 * math.asin(R1 / (2.0 * R))
+    return ((q0, ((R - R1, lo, hi), (R, lo - delta, hi + delta))),
+            (q0 + R * _unit(hi), ((R1, hi + 0.5 * (math.pi + delta), hi + math.pi),)),
+            (q0 + R * _unit(lo), ((R1, lo - math.pi, lo - 0.5 * (math.pi + delta)),)))
 
-    def arc_distance(p):
-        # distance from points p (..., 2) to the exit arc on the circle of radius R
-        rel = p - q0
-        ang = np.arctan2(rel[..., 1], rel[..., 0])
-        # wrap angle into the arc interval by shifting multiples of 2*pi
-        ang_cl = np.clip(_wrap_to(ang, lo, hi), lo, hi)
-        nearest = q0 + R * np.stack([np.cos(ang_cl), np.sin(ang_cl)], axis=-1)
-        return np.linalg.norm(p - nearest, axis=-1)
 
-    # piece 1: offset curve {d_arc = R1}: two radial offsets over the arc plus
-    # end caps around the arc endpoints
-    ts = np.linspace(lo, hi, n)
-    ring = np.stack([np.cos(ts), np.sin(ts)], axis=1)
-    for rad in (R - R1, R + R1):
-        cand = q0 + rad * ring
-        pts.append(cand)
-    for end in (lo, hi):
-        center = q0 + R * np.array([math.cos(end), math.sin(end)])
-        ts2 = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        cap = center + R1 * np.stack([np.cos(ts2), np.sin(ts2)], axis=1)
-        keep = np.abs(arc_distance(cap) - R1) <= 1e-9 * max(R, 1.0) + 1e-12
-        pts.append(cap[keep])
-    cloud = np.concatenate(pts, axis=0)
-    # clip piece 1 to the big disk
-    inside_q = np.linalg.norm(cloud - q0, axis=1) <= R + 1e-12
-    cloud = cloud[inside_q]
-    # piece 2: portion of the big circle within R1 of the arc
-    ts3 = np.linspace(0.0, 2.0 * math.pi, 4 * n, endpoint=False)
-    rim = q0 + R * np.stack([np.cos(ts3), np.sin(ts3)], axis=1)
-    rim = rim[arc_distance(rim) <= R1 + 1e-12]
-    return np.concatenate([cloud, rim], axis=0)
+def _arc_gaps(rows, s: Scenario):
+    """For each target arc: its center and radius, the distance from each of
+    the points ``rows`` (B, 2) to it, and the angle about the center of the
+    arc point nearest to each.
+
+    That point is at the row's own angle theta clipped to the arc, t, so with
+    rho the row's distance from the center the distance is
+    hypot(rho - r, 2 sqrt(rho r) sin((theta - t) / 2)): exactly |rho - r|
+    within the arc's angles.
+    """
+    for c, arcs in _target_arcs(s):
+        rel = rows - c
+        rho, theta = np.hypot(rel[:, 0], rel[:, 1]), np.arctan2(rel[:, 1], rel[:, 0])
+        for r, a0, a1 in arcs:
+            w = _wrap_to(theta, a0, a1)
+            t = np.clip(w, a0, a1)
+            yield c, r, np.hypot(rho - r, 2.0 * np.sqrt(rho * r) * np.sin(0.5 * (w - t))), t
 
 
 def _wrap_to(ang, lo, hi):
@@ -338,14 +340,17 @@ def target_distance(y, s: Scenario) -> float:
     """How far the moving disk Q1 + y is from touching the exit target curve.
 
     Returns max(0, dist(y, target curve) - R1): zero exactly when the disk
-    around y reaches the sampled curve.  The subtraction of R1 (rather than the
-    raw point distance of y itself) is what makes the canonical corridor
+    around y reaches the curve.  The subtraction of R1 (rather than the raw
+    point distance of y itself) is what makes the canonical corridor
     instance have an 8-unit straight-line run; see README notes on the target.
-    The distance to the nearest sample is one exact query of the scenario's
-    k-d tree, for a point (n,) or a batch (..., n).
+    The distance is the least over the four arcs of ``_target_arcs``, for a
+    point (n,) or a batch (..., n).
     """
-    d, _ = s.exit_tree().query(np.asarray(y, dtype=float))
-    return np.maximum(0.0, d - s.R1)
+    y = np.asarray(y, dtype=float)
+    best = np.inf
+    for _, _, gap, _ in _arc_gaps(y.reshape(-1, 2), s):
+        best = np.minimum(best, gap)
+    return np.maximum(0.0, best - s.R1).reshape(y.shape[:-1])[()]
 
 
 def dot_rows(a, b):
@@ -354,15 +359,20 @@ def dot_rows(a, b):
 
 
 def target_direction(y, s: Scenario) -> np.ndarray:
-    """Unit vector from y toward the exit-target sample nearest to it, the one
-    whose distance ``target_distance`` reports (zero if on it)."""
+    """Unit vector from y toward the point of the exit target curve nearest
+    to it, the one whose distance ``target_distance`` reports (zero if on
+    it); for a point (n,) or a batch (..., n)."""
     y = np.asarray(y, dtype=float)
-    _, idx = s.exit_tree().query(y)
-    d = s.exit_boundary_samples()[idx] - y
-    nrm = np.linalg.norm(d)
-    if nrm < 1e-12:
-        return np.zeros_like(y)
-    return d / nrm
+    rows = y.reshape(-1, 2)
+    best = np.full(len(rows), np.inf)
+    near = np.empty_like(rows)
+    for c, r, gap, t in _arc_gaps(rows, s):
+        closer = gap < best
+        best[closer] = gap[closer]
+        near[closer] = c + r * _unit(t[closer])
+    d = near - rows
+    nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+    return np.where(nrm < 1e-12, 0.0, d / np.maximum(nrm, 1e-300)).reshape(y.shape)
 
 
 @dataclass(frozen=True)
@@ -444,9 +454,8 @@ def validate(s: Scenario) -> ValidationReport:
     # geometric containment
     cont = np.linalg.norm(s.y0_arr - s.q0_arr) <= s.R - s.R1 + 1e-12
     checks.append(ValidationCheck("geometry-containment", bool(cont), "Q1 + y0 inside Q"))
-    # exit target nonempty
-    n_exit = len(s.exit_boundary_samples())
-    checks.append(ValidationCheck("exit-target-nonempty", n_exit > 0, f"{n_exit} boundary samples"))
+    # exit target nonempty: with finite angles and R > R1 > 0 it holds the inner offset arc
+    checks.append(ValidationCheck("exit-target-nonempty", True, "by construction"))
     # H6 is not machine checkable: recorded as assumed
     checks.append(ValidationCheck("H6-nonisolated-optimum", True, "assumed (not machine-checkable)"))
     return ValidationReport(tuple(checks))

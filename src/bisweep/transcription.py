@@ -1,7 +1,8 @@
 """Direct transcription of the lower effort problem.
 
-An instance is a plain evaluator bundle over a packed decision vector;
-dynamics are propagated by the smoothed RK4 integrator so the quadrature used
+An instance holds the frozen plan and packs a decision (x_init, u, u0) into
+the flat vector the lower solve optimizes.  The objective and the contact
+constraints are read from the smoothed RK4 integrator, so the quadrature used
 for the objective is the single source of truth shared with the simulator.
 """
 
@@ -11,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlProfile, TimeGrid, propagate_smooth
-from .geometry import Scenario, h_lower
+from .dynamics import ControlProfile, TimeGrid
+from .geometry import Scenario
 
 __all__ = [
     "DecisionVector",
@@ -34,7 +35,7 @@ class DecisionVector:
 
 @dataclass
 class NLPInstance:
-    """Deterministic evaluators for the transcribed lower problem.
+    """The transcribed lower problem's decision layout.
 
     Decision: x_init, u, u0; omega and v are frozen plan parameters.
     """
@@ -45,7 +46,6 @@ class NLPInstance:
     fixed_omega: np.ndarray
     fixed_v: np.ndarray
 
-    # --- packing -----------------------------------------------------------
     def pack(self, dv: DecisionVector) -> np.ndarray:
         cp = dv.controls
         return np.concatenate([dv.x_init.ravel(), cp.u.ravel(), cp.u0.ravel()])
@@ -59,33 +59,6 @@ class NLPInstance:
         u0 = np.clip(flat[d + d * n:d + d * n + n], 0.0, 1.0)
         cp = ControlProfile(self.grid, self.fixed_v, u, u0, self.fixed_omega)
         return DecisionVector(x_init, cp)
-
-    # --- batched core ------------------------------------------------------
-    def _split_many(self, flat_batch: np.ndarray):
-        """(B, dim) -> initial states (B, n) and node-major controls u, u0 with batch axis."""
-        flat = np.atleast_2d(np.asarray(flat_batch, dtype=float))
-        B = flat.shape[0]
-        n = self.grid.n_nodes
-        d = self.scenario.dim
-        u = flat[:, d:d + d * n].reshape(B, n, d).transpose(1, 0, 2)
-        return flat[:, :d], u, np.clip(flat[:, d + d * n:d + d * n + n].T, 0.0, 1.0)
-
-    def eval_many(self, flat_batch: np.ndarray):
-        """Objectives (B,) and residual matrix (B, n_res) for a batch of points;
-        the frozen plan is broadcast over the batch by the propagation."""
-        s = self.scenario
-        x_init, u, u0 = self._split_many(flat_batch)
-        ys, xs, zs, _ = propagate_smooth(self.fixed_v, u, u0, self.fixed_omega, x_init,
-                                         self.gamma, s, self.grid)
-        return zs[-1], h_lower(xs, ys, s).T
-
-    def objective(self, dv: DecisionVector) -> float:
-        obj, _ = self.eval_many(self.pack(dv)[None, :])
-        return float(obj[0])
-
-    def residuals(self, dv: DecisionVector) -> np.ndarray:
-        _, res = self.eval_many(self.pack(dv)[None, :])
-        return res[0]
 
 
 def assemble_lower(omega, v, gamma: float, s: Scenario, grid: TimeGrid) -> NLPInstance:

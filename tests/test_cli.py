@@ -81,6 +81,27 @@ def test_unknown_scenario_section_is_refused(tmp_path, capsys):
     assert "bounds" in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("geometry", "R", INF), ("geometry", "R1", NAN), ("geometry", "q0", [NAN, 0.0]),
+    ("geometry", "y0", [0.0, INF]), ("exit", "angle_lo", NAN), ("exit", "angle_hi", INF),
+    ("cone", "M", INF), ("controls", "u_bound", NAN), ("controls", "v_bound", INF),
+    ("drift", "M1", INF), ("drift", "K_f", NAN), ("drift", "delta", -INF),
+    ("drift", "A", [0.0, NAN, 0.0, 0.0])])
+def test_non_finite_scenario_number_is_refused(tmp_path, capsys, section, key, value):
+    # refused when the scenario is built, before any check samples with it
+    cfg = write_config(tmp_path)
+    data = yaml.safe_load(cfg.read_text())
+    (data["geometry"]["exit"] if section == "exit" else data[section])[key] = value
+    if key == "A":
+        data["drift"]["name"] = "affine"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["validate", "--config", str(cfg)]) == EXIT_USAGE
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, run", [("validate", {"upper_iters": 3}),
                                           ("oracle", {"oracle": {"upper_iters": 3}}),
                                           ("certify", {"rho_max": 4.0})])

@@ -1,13 +1,12 @@
 """Constraint functions, projections, bounds, and scenario validation."""
 
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from bisweep.geometry import (
     ExitArc,
@@ -141,66 +140,126 @@ def test_target_distance_batched_matches_scalar():
     assert np.allclose(batched, singles, atol=1e-12)
 
 
-def test_target_distance_sampling_consistency():
-    coarse = straight_corridor(exit_samples=2048)
-    fine = straight_corridor(exit_samples=4096)
-    y = (3.0, 2.0)
-    step = 2 * math.pi * coarse.R / 2048
-    assert abs(target_distance(y, coarse) - target_distance(y, fine)) <= step
+# Independent reference for the closed-form target: a dense point cloud on
+# the target curve, built by filtering whole circles rather than from the
+# four arcs, and queried for its nearest sample.
+ARCS = [(0.0, 0.0), (-0.3, 0.4), (1.0, 2.5), (-3.0, 3.0), (-3.1, 3.1)]
+ARC_IDS = ["corridor", "wide-arc", "off-axis", "long-arc", "nearly-closed"]
 
 
-def test_exit_samples_cached_per_scenario_and_freed_with_it():
-    s = straight_corridor(exit_samples=512)
-    cloud = s.exit_boundary_samples()
-    assert s.exit_boundary_samples() is cloud
-    tree = s.exit_tree()
-    assert s.exit_tree() is tree
-    # the tree indexes the cached cloud itself, so the cloud outlives it
-    assert tree.data is cloud
-    assert straight_corridor(exit_samples=512) == s  # the cache is not a field
-    ref = weakref.ref(cloud)
-    del s, cloud, tree
-    gc.collect()
-    assert ref() is None
+def _wrap_to(ang, lo, hi):
+    mid = 0.5 * (lo + hi)
+    return ang + 2.0 * math.pi * np.round((mid - ang) / (2.0 * math.pi))
 
 
-def _all_pairs_distance(points, cloud):
-    """Reference nearest-sample distance: every pair, in row blocks."""
-    return np.concatenate([np.linalg.norm(block[:, None, :] - cloud, axis=-1).min(axis=1)
-                           for block in np.array_split(points, max(1, len(points) // 256))])
+def _sampled_exit_boundary(s, n):
+    """Samples of the boundary of (arc + R1*ball) intersected with Q: the two
+    radial offsets of the arc, the parts of the end-point circles at distance
+    R1 from the arc, clipped to Q, and the big circle within R1 of the arc."""
+    lo, hi = s.exit.angle_lo, s.exit.angle_hi
+    q0, R, R1 = s.q0_arr, s.R, s.R1
+
+    def arc_distance(p):
+        rel = p - q0
+        ang = np.clip(_wrap_to(np.arctan2(rel[..., 1], rel[..., 0]), lo, hi), lo, hi)
+        return np.linalg.norm(p - q0 - R * np.stack([np.cos(ang), np.sin(ang)], axis=-1), axis=-1)
+
+    ring = np.stack([np.cos(np.linspace(lo, hi, n)), np.sin(np.linspace(lo, hi, n))], axis=1)
+    pts = [q0 + (R - R1) * ring, q0 + (R + R1) * ring]
+    circle = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    for end in (lo, hi):
+        cap = q0 + R * np.array([math.cos(end), math.sin(end)]) + R1 * np.stack(
+            [np.cos(circle), np.sin(circle)], axis=1)
+        pts.append(cap[np.abs(arc_distance(cap) - R1) <= 1e-9 * max(R, 1.0) + 1e-12])
+    cloud = np.concatenate(pts)
+    cloud = cloud[np.linalg.norm(cloud - q0, axis=1) <= R + 1e-12]
+    circle = np.linspace(0.0, 2.0 * math.pi, 4 * n, endpoint=False)
+    rim = q0 + R * np.stack([np.cos(circle), np.sin(circle)], axis=1)
+    return np.concatenate([cloud, rim[arc_distance(rim) <= R1 + 1e-12]])
 
 
-def _plan_endpoints(s, levels, n_intervals, omega_max=10.0):
-    """Distinct end points of the oracle's piecewise-constant plans."""
-    lv = np.linspace(-s.v_bound, s.v_bound, levels)
-    v = np.stack(np.meshgrid(lv, lv, indexing="ij"), axis=-1).reshape(-1, 2)
-    v = v[np.linalg.norm(v, axis=1) <= s.v_bound + 1e-12]
-    steps = (v[:, None, :] * np.linspace(0.0, omega_max, levels)[None, :, None]).reshape(-1, 2)
-    ends = s.y0_arr[None, :]
-    for _ in range(n_intervals):
-        ends = np.unique((ends[:, None, :] + steps[None] / n_intervals).reshape(-1, 2), axis=0)
-    return ends
+def _sampled_target_distance(points, s, n):
+    d, _ = cKDTree(_sampled_exit_boundary(s, n)).query(points)
+    return np.maximum(0.0, d - s.R1)
 
 
-@pytest.mark.parametrize("s", [straight_corridor(), straight_corridor(exit_samples=512),
-                               straight_corridor(exit=ExitArc(-0.3, 0.4))],
-                         ids=["default", "512-samples", "wide-arc"])
-def test_target_distance_is_the_all_pairs_minimum_bitwise(s):
-    cloud = s.exit_boundary_samples()
-    rng = np.random.default_rng(5)
-    box = s.R + s.R1
-    points = np.concatenate([
-        rng.uniform(-box, box, size=(8_000, 2)) + s.q0_arr,
-        cloud + rng.uniform(-1e-6, 1e-6, size=cloud.shape),
-        cloud,
-        s.y0_arr[None, :],
-        _plan_endpoints(s, 3, 4),
-    ])
-    expected = np.maximum(0.0, _all_pairs_distance(points, cloud) - s.R1)
-    assert np.array_equal(target_distance(points, s), expected)
-    assert np.array_equal(target_distance(points.reshape(-1, 1, 2), s), expected[:, None])
-    for k in rng.choice(len(points), 200, replace=False):
-        assert target_distance(points[k], s) == expected[k]
+def _target_points(s, count, seed=5):
+    """Random points in the disk of radius R + 3 about q0, inside and outside Q."""
+    rng = np.random.default_rng(seed)
+    radius = (s.R + 3.0) * np.sqrt(rng.uniform(0.0, 1.0, count))
+    angle = rng.uniform(-math.pi, math.pi, count)
+    return s.q0_arr + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+
+
+@pytest.mark.parametrize("lo, hi", ARCS, ids=ARC_IDS)
+def test_target_distance_is_below_dense_sampling_and_the_gap_shrinks(lo, hi):
+    s = straight_corridor(exit=ExitArc(lo, hi))
+    points = _target_points(s, 20_000)
+    inside = np.linalg.norm(points - s.q0_arr, axis=1) <= s.R
+    assert inside.any() and not inside.all()
+    exact = target_distance(points, s)
+    gaps = []
+    for n in (2048, 4096, 8192):
+        sampled = _sampled_target_distance(points, s, n)
+        # the samples lie on the curve, so none is nearer than the curve
+        assert np.all(exact <= sampled + 1e-12)
+        gaps.append(float(np.max(sampled - exact)))
+    assert 0.0 < gaps[2] < gaps[1] < gaps[0]
+    # batches of any leading shape, and single points, give the same values
+    np.testing.assert_array_equal(target_distance(points.reshape(-1, 1, 2), s), exact[:, None])
+    for k in range(0, len(points), 997):
+        assert target_distance(points[k], s) == exact[k]
+
+
+def test_target_distance_along_the_corridor_axis():
+    x = np.linspace(0.0, 8.0, 1001)
+    got = target_distance(np.stack([x, np.zeros_like(x)], axis=1), S)
+    np.testing.assert_allclose(got, 8.0 - x, rtol=0, atol=1e-15)
+    assert target_distance((12.0, 0.0), S) == 1.0
+
+
+def test_target_distance_from_the_center_of_a_wide_arc():
+    # every point of the inner offset arc is R - R1 from q0
+    s = straight_corridor(exit=ExitArc(-0.3, 0.4))
+    assert target_distance(s.q0_arr, s) == pytest.approx(s.R - 2 * s.R1, abs=1e-15)
+
+
+def _on_target_curve(p, s):
+    """Distance of points p (B, 2) from the nearest of the four target arcs,
+    written out from their definition."""
+    lo, hi = s.exit.angle_lo, s.exit.angle_hi
+    q0, R, R1 = s.q0_arr, s.R, s.R1
+    delta = 2.0 * math.asin(R1 / (2.0 * R))
+    e_lo = q0 + R * np.array([math.cos(lo), math.sin(lo)])
+    e_hi = q0 + R * np.array([math.cos(hi), math.sin(hi)])
+    arcs = [(q0, R - R1, lo, hi), (q0, R, lo - delta, hi + delta),
+            (e_hi, R1, hi + math.pi / 2 + delta / 2, hi + math.pi),
+            (e_lo, R1, lo - math.pi, lo - math.pi / 2 - delta / 2)]
+    off = []
+    for c, r, a0, a1 in arcs:
+        rel = p - c
+        ang = _wrap_to(np.arctan2(rel[:, 1], rel[:, 0]), a0, a1)
+        outside = 0.0 if a1 - a0 >= 2.0 * math.pi else np.maximum(a0 - ang, ang - a1).clip(0.0)
+        off.append(np.abs(np.linalg.norm(rel, axis=1) - r) + r * outside)
+    return np.min(off, axis=0)
+
+
+@pytest.mark.parametrize("lo, hi", ARCS, ids=ARC_IDS)
+def test_target_direction_reaches_the_curve_and_is_minus_the_gradient(lo, hi):
+    s = straight_corridor(exit=ExitArc(lo, hi))
+    y = _target_points(s, 2_000, seed=9)
+    dist = target_distance(y, s)
+    y, dist = y[dist > 0.0], dist[dist > 0.0]
+    direction = target_direction(y, s)
+    np.testing.assert_allclose(np.linalg.norm(direction, axis=1), 1.0, rtol=0, atol=1e-15)
+    # the point the direction aims at, at the reported distance, is on the curve
+    assert np.max(_on_target_curve(y + (dist + s.R1)[:, None] * direction, s)) < 1e-12
+    h = 1e-6
+    grad = np.stack([(target_distance(y + h * e, s) - target_distance(y - h * e, s)) / (2 * h)
+                     for e in np.eye(2)], axis=1)
+    np.testing.assert_allclose(grad, -direction, rtol=0, atol=1e-6)
+    for k in range(0, len(y), 97):
+        np.testing.assert_array_equal(target_direction(y[k], s), direction[k])
 
 
 def test_target_distance_of_a_large_batch_allocates_no_pairwise_block():
@@ -221,23 +280,13 @@ def test_target_direction_points_toward_exit():
     assert np.allclose(d, (1.0, 0.0), atol=1e-3)
 
 
-def test_target_direction_aims_at_the_sample_target_distance_reports():
-    # from q0 every inner-ring sample of a wide arc is at distance R - R1 up to
-    # rounding, so a separate nearest-sample search may pick another sample
-    # than the k-d tree query that target_distance reports
-    s = straight_corridor(exit=ExitArc(-0.3, 0.4))
-    y = s.q0_arr
-    dist, idx = s.exit_tree().query(y)
-    assert target_distance(y, s) == max(0.0, dist - s.R1)
-    sample = s.exit_boundary_samples()[idx]
-    np.testing.assert_allclose(target_direction(y, s), (sample - y) / dist, rtol=0, atol=1e-12)
-
-
 # ---------------------------------------------------------------- validation
 def test_validate_default_scenario_passes():
     report = validate(S)
     assert isinstance(report, ValidationReport)
     assert report.ok, [c.name for c in report.failures()]
+    # the exit target always holds the inner offset arc
+    assert {c.name: c.detail for c in report.checks}["exit-target-nonempty"] == "by construction"
 
 
 def test_validate_rejects_excessive_truncation_level():
@@ -266,7 +315,8 @@ def test_scenario_roundtrip(tmp_path):
     assert loaded == s
 
 
-@pytest.mark.parametrize("section, key", [("cone", "R"), ("drift", "matrix"), ("geometry", "M")])
+@pytest.mark.parametrize("section, key", [("cone", "R"), ("drift", "matrix"), ("geometry", "M"),
+                                          ("geometry", "exit_samples")])
 def test_from_dict_refuses_unknown_key(section, key):
     data = straight_corridor().to_dict()
     data[section][key] = 1.0

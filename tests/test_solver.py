@@ -5,10 +5,9 @@ import pytest
 
 from bisweep import solver
 from bisweep.dynamics import ControlProfile, SmoothingSchedule, TimeGrid, integrate_smooth
-from bisweep.geometry import (DriftSpec, straight_corridor, target_direction,
+from bisweep.geometry import (DriftSpec, h_lower, straight_corridor, target_direction,
                               target_distance)
 from bisweep.oracle import EnumSpec, brute_lower, fd_check
-from bisweep.transcription import assemble_lower
 from bisweep.solver import (
     SolverOptions,
     penalty_gap,
@@ -147,7 +146,8 @@ def test_lower_multiplier_structure():
     assert ls.status["converged"]
     assert ls.eta.shape == (n + 1,)
     assert np.all(ls.eta >= 0.0)
-    h = assemble_lower(omega, v, GAMMA, S, TimeGrid(n)).residuals(ls.decision)
+    tr = integrate_smooth(ls.decision.controls, ls.decision.x_init, GAMMA, S)
+    h = h_lower(tr.x, tr.y, S)
     inactive = h < -1e-3 * S.R1 ** 2
     assert np.any(inactive) and np.all(ls.eta[inactive] == 0.0)
     assert np.any(ls.eta > 0.0)
