@@ -34,7 +34,7 @@ from .dynamics import (
     convergence_study,
 )
 from .certificate import certify
-from .geometry import SCENARIO_KEYS, Scenario, require_known_keys, straight_corridor, validate
+from .geometry import SCENARIO_KEYS, Scenario, checked, require_known_keys, straight_corridor, validate
 from .oracle import EnumSpec, brute_bilevel, OracleInfeasibleError
 from .solver import SolverOptions, penalty_gap, solve_bilevel
 
@@ -62,28 +62,37 @@ def _load_config(path):
     return scenario, run
 
 
+def _node_values(data, key, n=None, width=None):
+    """The profile's ``key``, one number or one row of ``width`` numbers per
+    grid node (``n`` of them, when given), read by ``checked``."""
+    rows = data[key]
+    if not isinstance(rows, list) or (n is not None and len(rows) != n):
+        raise ValueError(f"{key} must be a list with one entry per grid node, got {rows!r}")
+    return np.array([checked(key, row, size=width) for row in rows])
+
+
 def _load_profile(path, s: Scenario):
-    """A stored control profile; unknown or missing keys, controls outside the
-    scenario's balls and an ``x_init`` outside the initial small disk Q1 + y0
-    are refused."""
+    """A stored control profile and its optional ``gamma``; unknown or missing
+    keys, malformed numbers, controls outside the scenario's balls and an
+    ``x_init`` outside the initial small disk Q1 + y0 are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         data = require_known_keys(yaml.safe_load(fh), PROFILE_KEYS, "profile key")
     missing = [key for key in PROFILE_KEYS[:-1] if key not in data]
     if missing:
         raise ValueError(f"profile gives no {', '.join(missing)} "
                          f"(required: {', '.join(PROFILE_KEYS[:-1])})")
-    v = np.asarray(data["v"], dtype=float)
-    cp = ControlProfile(TimeGrid(v.shape[0] - 1), v,
-                        np.asarray(data["u"], dtype=float),
-                        np.asarray(data["u0"], dtype=float),
-                        np.asarray(data["omega"], dtype=float))
+    v = _node_values(data, "v", width=s.dim)
+    u = _node_values(data, "u", len(v), s.dim)
+    u0, omega = (_node_values(data, key, len(v)) for key in ("u0", "omega"))
+    cp = ControlProfile(TimeGrid(len(v) - 1), v, u, u0, omega)
     cp.check_bounds(s)
-    x_init = np.asarray(data["x_init"], dtype=float)
-    gap = float(np.linalg.norm(x_init - s.y0_arr)) if x_init.shape == (s.dim,) else np.inf
+    x_init = np.array(checked("x_init", data["x_init"], size=s.dim))
+    gap = float(np.linalg.norm(x_init - s.y0_arr))
     if gap > s.R1 * (1.0 + 1e-9):
         raise ValueError(f"x_init = {data['x_init']!r} is not a point of Q1 + y0: "
                          f"|x_init - y0| = {gap:g} > R1 = {s.R1:g}")
-    return cp, x_init, data
+    gamma = data.get("gamma")
+    return cp, x_init, None if gamma is None else checked("gamma", gamma)
 
 
 def _write_trajectory_csv(path, tr, cp):
@@ -134,7 +143,9 @@ def _solver_options(args, run):
 def _gamma_schedule(args, run, s):
     """The doubling schedule ending at ``--gamma-max``, else at the config's
     ``run: gamma_max``, else at its default."""
-    gamma_max = run.get("gamma_max") if args.gamma_max is None else args.gamma_max
+    gamma_max = args.gamma_max
+    if gamma_max is None and "gamma_max" in run:
+        gamma_max = checked("run.gamma_max", run["gamma_max"])
     return SmoothingSchedule.default_for(s, gamma_max)
 
 
@@ -169,10 +180,9 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     s, _ = _load_config(args.config)
-    cp, x_init, data = _load_profile(args.profile, s)
-    gamma = data.get("gamma")
+    cp, x_init, gamma = _load_profile(args.profile, s)
     if gamma is not None:
-        tr = integrate_smooth(cp, x_init, float(gamma), s)
+        tr = integrate_smooth(cp, x_init, gamma, s)
     else:
         tr = integrate_catchup(cp, x_init, s)
     rep = feasibility_monitor(tr, s)

@@ -4,14 +4,17 @@ The moving set is a small disk Q1 (radius ``R1``) translated by the plan
 center ``y`` inside a big disk Q (center ``q0``, radius ``R``).  The exit
 target is the boundary of the exit arc thickened by ``R1`` and clipped to Q:
 at most four circular arcs (``_target_arcs``), so the distance to it and the
-direction of its nearest point have closed forms.
+direction of its nearest point have closed forms.  Every number of a scenario
+is read by ``checked``, and ``validate`` checks the standing assumptions by
+formula, without sampling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+import numbers
+from dataclasses import dataclass, field
+from typing import ClassVar, Optional
 
 import numpy as np
 import yaml
@@ -23,6 +26,7 @@ __all__ = [
     "TruncationBounds",
     "ValidationCheck",
     "ValidationReport",
+    "checked",
     "h_upper",
     "h_lower",
     "project_disk",
@@ -37,28 +41,58 @@ __all__ = [
 ]
 
 
+def checked(name: str, value, kind=float, least=-math.inf, most=math.inf, size=None):
+    """``value`` as a ``kind`` (float or int) in [least, most]; with a ``size``,
+    a flat tuple of that many such entries, a nested value read row-major.
+
+    A ValueError names ``name`` when the value is a bool or not a number, has
+    another length, or is not finite or out of range.
+    """
+    if size is not None:
+        entries = np.array(value, dtype=object).ravel().tolist()
+        if len(entries) != size:
+            raise ValueError(f"{name} must have {size} entries, got {value!r}")
+        return tuple(checked(name, x, kind, least, most) for x in entries)
+    word = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{name} must be {word}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the range of a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not least <= value <= most:
+        raise ValueError(f"{name} must be {word} in [{least}, {most}], got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class DriftSpec:
     """Named drift family.
 
-    ``identity``: f(x, u) = u.
+    ``identity``: f(x, u) = u; it takes no ``A``.
     ``affine``:   f(x, u) = A x + u, saturated at magnitude ``M1`` so the
-    global bound of H1 holds (the saturation never activates inside the
-    working box |x| <= R + R1 for sane A).
+    global bound of H1 holds by construction; ``A`` is its 2 x 2 matrix, flat
+    row-major or nested, stored flat.
     """
 
     name: str = "identity"
-    A: Optional[tuple] = None  # row-major n x n matrix entries, affine only
+    A: Optional[tuple] = None
 
     def matrix(self, dim: int) -> np.ndarray:
-        if self.name == "identity" or self.A is None:
+        if self.A is None:
             return np.zeros((dim, dim))
-        A = np.asarray(self.A, dtype=float).reshape(dim, dim)
-        return A
+        return np.asarray(self.A, dtype=float).reshape(dim, dim)
 
     def __post_init__(self):
         if self.name not in ("identity", "affine"):
             raise ValueError(f"unsupported drift family {self.name!r}")
+        if (self.A is None) != (self.name == "identity"):
+            raise ValueError(f"A must be given for affine drift and only for it: "
+                             f"drift {self.name!r}, A = {self.A!r}")
+        if self.A is not None:
+            object.__setattr__(self, "A", checked("A", self.A, size=4))
 
 
 @dataclass(frozen=True)
@@ -69,7 +103,8 @@ class ExitArc:
     angle_hi: float = 0.0
 
     def __post_init__(self):
-        _require_finite(angle_lo=self.angle_lo, angle_hi=self.angle_hi)
+        for name in ("angle_lo", "angle_hi"):
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
         if self.angle_lo > self.angle_hi:
             raise ValueError("angle_lo must not exceed angle_hi")
 
@@ -86,7 +121,7 @@ class TruncationBounds:
         return self.M_bar > self.m_bar
 
 
-ASSUMPTION_SAMPLES = 256  # sample count of the sampled assumption checks
+ASSUMPTION_SAMPLES = 256  # unit normals zeta of the outer minimax in truncation_bounds
 EXIT_ARC_SAMPLES = 512  # points per target arc in Scenario.exit_boundary_samples
 
 # sections and keys of a scenario file, as Scenario.to_dict writes them
@@ -106,16 +141,14 @@ def require_known_keys(d, known, what: str) -> dict:
     return d
 
 
-def _require_finite(**values) -> None:
-    """A ValueError names the first value (None skipped) with a non-finite entry."""
-    for name, value in values.items():
-        if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """All problem constants for one bilevel sweeping instance."""
+    """All problem constants for one bilevel sweeping instance.
+
+    ``M1``, ``K_f`` and ``delta`` left at None are derived from the drift and
+    the control bounds: the drift's bound over the working box, ‖A‖₂ and
+    ``u_bound``.
+    """
 
     q0: tuple = (0.0, 0.0)
     R: float = 10.0
@@ -129,34 +162,27 @@ class Scenario:
     M1: Optional[float] = None
     K_f: Optional[float] = None
     delta: Optional[float] = None
-    dim: int = 2
+    dim: ClassVar[int] = 2  # only planar scenarios
 
     def __post_init__(self):
-        _require_finite(q0=self.q0, R=self.R, R1=self.R1, y0=self.y0, M=self.M,
-                       u_bound=self.u_bound, v_bound=self.v_bound, M1=self.M1,
-                       K_f=self.K_f, delta=self.delta, A=self.drift.A)
-        if self.dim != 2:
-            raise ValueError("only planar scenarios are supported")
+        def store(name, value, **kw):
+            object.__setattr__(self, name, checked(name, value, **kw))
+
+        for name in ("q0", "y0"):
+            store(name, getattr(self, name), size=self.dim)
+        for name in ("R", "R1", "u_bound", "v_bound"):
+            store(name, getattr(self, name), least=0.0)
+        store("M", self.M)
         if not (self.R > self.R1 > 0.0):
             raise ValueError("need R > R1 > 0")
         if np.linalg.norm(self.y0_arr - self.q0_arr) > self.R - self.R1 + 1e-12:
             raise ValueError("initial small disk must be contained in the big disk")
-        if self.u_bound < 0 or self.v_bound < 0:
-            raise ValueError("control bounds must be nonnegative")
-        if self.M1 is None:
-            object.__setattr__(self, "M1", self._default_M1())
-        if self.K_f is None:
-            object.__setattr__(self, "K_f", float(np.linalg.norm(self.drift.matrix(self.dim), 2)))
-        if self.delta is None:
-            # identity drift covers delta*B with any delta <= u_bound
-            object.__setattr__(self, "delta", self.u_bound)
-
-    def _default_M1(self) -> float:
-        if self.drift.name == "identity":
-            return self.u_bound
-        A = self.drift.matrix(self.dim)
-        box = self.R + self.R1
-        return float(np.linalg.norm(A, 2) * box + self.u_bound)
+        lip = float(np.linalg.norm(self.drift.matrix(self.dim), 2))
+        # identity drift: |f| = |u|, and it covers delta*B with any delta <= u_bound
+        M1 = self.u_bound if self.drift.A is None else lip * (self.R + self.R1) + self.u_bound
+        for name, value in (("M1", M1), ("K_f", lip), ("delta", self.u_bound)):
+            given = getattr(self, name)
+            store(name, value if given is None else given, least=0.0)
 
     @property
     def q0_arr(self) -> np.ndarray:
@@ -199,31 +225,25 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        """Inverse of ``to_dict``; an unknown section or key is a ValueError."""
+        """Inverse of ``to_dict``: a key the mapping leaves out takes the
+        field's default; an unknown section or key is a ValueError."""
         d = require_known_keys(d, tuple(SCENARIO_KEYS), "scenario section")
         g, cone, ctrl, dr = (require_known_keys(d.get(name), keys, f"{name} key")
                              for name, keys in SCENARIO_KEYS.items())
-        exit_d = require_known_keys(g.get("exit"), ("angle_lo", "angle_hi"), "geometry.exit key")
-        return cls(
-            q0=tuple(g.get("q0", (0.0, 0.0))),
-            R=float(g.get("R", 10.0)),
-            R1=float(g.get("R1", 1.0)),
-            y0=tuple(g.get("y0", (0.0, 0.0))),
-            exit=ExitArc(float(exit_d.get("angle_lo", 0.0)), float(exit_d.get("angle_hi", 0.0))),
-            M=float(cone.get("M", 1.5)),
-            u_bound=float(ctrl.get("u_bound", 1.0)),
-            v_bound=float(ctrl.get("v_bound", 1.0)),
-            drift=DriftSpec(dr.get("name", "identity"), None if dr.get("A") is None else tuple(dr["A"])),
-            M1=dr.get("M1"),
-            K_f=dr.get("K_f"),
-            delta=dr.get("delta"),
-        )
+        kw = {k: v for sec in (g, cone, ctrl, dr) for k, v in sec.items()
+              if k not in ("exit", "name", "A")}
+        if "exit" in g:
+            kw["exit"] = ExitArc(**require_known_keys(g["exit"], ("angle_lo", "angle_hi"),
+                                                      "geometry.exit key"))
+        if "name" in dr or "A" in dr:
+            kw["drift"] = DriftSpec(**{k: dr[k] for k in ("name", "A") if k in dr})
+        return cls(**kw)
 
 
-def straight_corridor(**overrides) -> Scenario:
-    """Canonical demo instance: exit dead ahead at angle 0, everything symmetric."""
-    base = Scenario()
-    return replace(base, **overrides) if overrides else base
+def straight_corridor(**kw) -> Scenario:
+    """Canonical demo instance: exit dead ahead at angle 0, everything symmetric;
+    ``kw`` are ``Scenario`` fields, its constants derived as for any scenario."""
+    return Scenario(**kw)
 
 
 def load_scenario(path) -> Scenario:
@@ -263,25 +283,18 @@ def project_disk(p, center, radius: float) -> np.ndarray:
 def truncation_bounds(s: Scenario) -> TruncationBounds:
     """Admissible truncation window (M_bar, m_bar) for the cone level M.
 
-    For ball control sets with identity drift the minimax has the closed form
-    M_bar = b_U + b_V, m_bar = -(b_U + b_V).  Other drifts are estimated by
-    minimax over ``ASSUMPTION_SAMPLES`` unit normals and control extremes over
-    the working box.
+    M_bar is the least over unit normals zeta of the greatest
+    <zeta, A x + u> - <zeta, v> over x in Q and the control balls, and m_bar
+    the greatest of the least.  The inner extremum over x in Q is exact,
+    <A^T zeta, q0> +- R |A^T zeta|; the outer one runs over
+    ``ASSUMPTION_SAMPLES`` normals.  Identity drift (A = 0) gives the closed
+    form M_bar = b_U + b_V, m_bar = -(b_U + b_V).
     """
-    bU, bV = s.u_bound, s.v_bound
-    if s.drift.name == "identity":
-        return TruncationBounds(M_bar=bU + bV, m_bar=-(bU + bV))
-    # sampled minimax: zeta on the unit circle, x on the working box boundary region
-    thetas = np.linspace(0.0, 2.0 * math.pi, ASSUMPTION_SAMPLES, endpoint=False)
-    zetas = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    A = s.drift.matrix(s.dim)
-    box = s.R  # centers of Q1 + y stay within |y - q0| <= R - R1; x within R
-    xs = s.q0_arr + box * np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    # max_u <zeta, Ax + u> = <zeta, Ax> + bU ; min over x samples handled jointly
-    proj = np.einsum("ij,kj->ik", zetas, xs @ A.T)  # <zeta_i, A x_k>
-    upper = (proj + bU).max(axis=1) + bV  # max_u - min_v = ... + bU + bV
-    lower = (proj - bU).min(axis=1) - bV
-    return TruncationBounds(M_bar=float(upper.min()), m_bar=float(lower.max()))
+    zetas = _unit(np.linspace(0.0, 2.0 * math.pi, ASSUMPTION_SAMPLES, endpoint=False))
+    g = zetas @ s.drift.matrix(s.dim)  # rows A^T zeta
+    center, reach = g @ s.q0_arr, s.R * np.linalg.norm(g, axis=1)
+    return TruncationBounds(M_bar=float((center + reach).min() + s.u_bound + s.v_bound),
+                            m_bar=float((center - reach).max() - s.u_bound - s.v_bound))
 
 
 def _unit(angles):
@@ -401,42 +414,27 @@ class ValidationReport:
 
 
 def validate(s: Scenario) -> ValidationReport:
-    """Check the standing assumptions H1-H6 on a scenario, by sampling where
-    needed: ``ASSUMPTION_SAMPLES`` points from a generator seeded with 0."""
-    from . import dynamics  # local import: drift evaluation lives there
-
-    rng, samples = np.random.default_rng(0), ASSUMPTION_SAMPLES
+    """Check the standing assumptions H1-H6 on a scenario, each by a formula:
+    H1 from the drift's closed form, H5 from ``truncation_bounds``."""
     checks = []
-
-    # H1: bound M1 and Lipschitz constant K_f by sampling the working box
-    box = s.R + s.R1
-    xs = rng.uniform(-box, box, size=(samples, s.dim)) + s.q0_arr
-    us = rng.normal(size=(samples, s.dim))
-    us *= (s.u_bound * rng.uniform(0, 1, size=(samples, 1)) ** 0.5) / np.maximum(
-        np.linalg.norm(us, axis=1, keepdims=True), 1e-12
-    )
-    fvals = dynamics.drift(xs, us, s)
-    sup_f = float(np.linalg.norm(fvals, axis=1).max())
-    checks.append(
-        ValidationCheck("H1-bound", sup_f <= s.M1 + 1e-9, f"sampled sup|f|={sup_f:.6g}, M1={s.M1:.6g}")
-    )
-    # Lipschitz sample in x at fixed u
-    x2 = xs + rng.normal(scale=0.1, size=xs.shape)
-    f2 = dynamics.drift(x2, us, s)
-    num = np.linalg.norm(f2 - fvals, axis=1)
-    den = np.maximum(np.linalg.norm(x2 - xs, axis=1), 1e-12)
-    lip = float((num / den).max())
-    checks.append(
-        ValidationCheck("H1-lipschitz", lip <= s.K_f + 1e-9, f"sampled Lipschitz={lip:.6g}, K_f={s.K_f:.6g}")
-    )
+    # H1: |f| <= M1 and f is K_f-Lipschitz in x; the clip at M1 is 1-Lipschitz
+    if s.drift.A is None:
+        checks.append(ValidationCheck("H1-bound", s.u_bound <= s.M1 + 1e-9,
+                                      f"sup|f| = u_bound={s.u_bound:.6g}, M1={s.M1:.6g}"))
+    else:
+        checks.append(ValidationCheck("H1-bound", True,
+                                      f"by construction: drift clips A x + u at M1={s.M1:.6g}"))
+    lip = float(np.linalg.norm(s.drift.matrix(s.dim), 2))
+    checks.append(ValidationCheck("H1-lipschitz", lip <= s.K_f + 1e-9,
+                                  f"Lipschitz constant ||A||_2={lip:.6g}, K_f={s.K_f:.6g}"))
     # H2: convex image -- satisfied by construction for the supported families
     checks.append(ValidationCheck("H2-convex-image", True, "by construction for identity/affine drift"))
     # H3: ball control sets are compact convex by construction, but degenerate
     # zero-radius pairs break H5 downstream
     checks.append(ValidationCheck("H3-compact-convex", True, "U, V are closed balls"))
     # H4: delta * B subset of f(x, U); for identity drift iff delta <= u_bound
-    h4_ok = s.delta is not None and s.delta > 0 and s.delta <= s.u_bound + 1e-12
-    checks.append(ValidationCheck("H4-inner-ball", bool(h4_ok), f"delta={s.delta}, u_bound={s.u_bound}"))
+    h4_ok = 0.0 < s.delta <= s.u_bound + 1e-12
+    checks.append(ValidationCheck("H4-inner-ball", h4_ok, f"delta={s.delta}, u_bound={s.u_bound}"))
     # H5: truncation window
     tb = truncation_bounds(s)
     h5_ok = (s.M > 0) and (tb.m_bar < s.M < tb.M_bar)
@@ -451,9 +449,8 @@ def validate(s: Scenario) -> ValidationReport:
         detail += " (window empty: degenerate control sets)"
         h5_ok = False
     checks.append(ValidationCheck("H5-truncation-window", bool(h5_ok), detail))
-    # geometric containment
-    cont = np.linalg.norm(s.y0_arr - s.q0_arr) <= s.R - s.R1 + 1e-12
-    checks.append(ValidationCheck("geometry-containment", bool(cont), "Q1 + y0 inside Q"))
+    # geometric containment: Scenario refuses a y0 whose small disk leaves Q
+    checks.append(ValidationCheck("geometry-containment", True, "by construction: Q1 + y0 inside Q"))
     # exit target nonempty: with finite angles and R > R1 > 0 it holds the inner offset arc
     checks.append(ValidationCheck("exit-target-nonempty", True, "by construction"))
     # H6 is not machine checkable: recorded as assumed

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Scenario, target_distance
+from .geometry import Scenario, checked, target_distance
 
 __all__ = [
     "EnumSpec",
@@ -48,20 +47,14 @@ class EnumSpec:
     def __post_init__(self):
         for name, least, most in (("n_intervals", 2, 5), ("levels_per_control", 2, 5),
                                   ("x_init_points", 1, math.inf), ("chunk", 1, math.inf)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or not least <= value <= most):
-                raise ValueError(f"enumeration {name} must be an integer in [{least}, {most}]: "
-                                 f"{value!r}")
+            checked(f"enumeration {name}", getattr(self, name), int, least, most)
         if self.x_init_points % 2 == 0:
             raise ValueError(f"enumeration x_init_points must be odd (the center and two "
                              f"equal rings): {self.x_init_points!r}")
-        for name, positive in (("omega_max", True), ("feas_tol", False), ("target_tol", False)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0.0 <= value < math.inf or (positive and value == 0.0)):
-                raise ValueError(f"enumeration {name} must be a finite number "
-                                 f"{'>' if positive else '>='} 0: {value!r}")
+        for name in ("omega_max", "feas_tol", "target_tol"):
+            checked(f"enumeration {name}", getattr(self, name), least=0.0)
+        if self.omega_max == 0.0:
+            raise ValueError("enumeration omega_max must be > 0: 0.0")
 
 
 def _interval_to_nodes(vals: np.ndarray) -> np.ndarray:

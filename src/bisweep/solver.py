@@ -31,7 +31,6 @@ control guesses.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +55,7 @@ from .dynamics import (
 )
 from .geometry import (
     Scenario,
+    checked,
     dot_rows,
     h_lower,
     h_upper,
@@ -94,9 +94,7 @@ class SolverOptions:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            least = 0 if name == "seed" else 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"solver option {name} must be an integer >= {least}: {value!r}")
+            checked(f"solver option {name}", value, int, least=0 if name == "seed" else 1)
 
 
 @dataclass(frozen=True)

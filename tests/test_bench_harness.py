@@ -1,14 +1,17 @@
 """The benchmark harness under bench/ still runs on this source tree: every
-workload of BENCHMARK.json sets up, and the tracer resolves every target and
-restores every binding it wrapped."""
+workload of BENCHMARK.json sets up a valid scenario that a config file can
+carry, and the tracer resolves every target and restores every binding it
+wrapped."""
 
 import json
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import bisweep.solver
+from bisweep.geometry import Scenario, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -31,6 +34,11 @@ def test_workload_setup_runs(bench, name):
     workloads, _ = bench
     state = workloads.WORKLOADS[name].setup(1)
     assert isinstance(state, dict) and "s" in state
+    # the scenario comes back equal from its dict and from that dict's YAML text
+    s = state["s"]
+    assert Scenario.from_dict(s.to_dict()) == s
+    assert Scenario.from_dict(yaml.safe_load(yaml.safe_dump(s.to_dict()))) == s
+    assert validate(s).ok
 
 
 def test_tracer_installs_on_every_target_and_restores_every_binding(bench):

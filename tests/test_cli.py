@@ -1,12 +1,17 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import bisweep
 import bisweep.cli
 from bisweep.cli import (
     EXIT_CERTIFICATE,
@@ -100,6 +105,83 @@ def test_non_finite_scenario_number_is_refused(tmp_path, capsys, section, key, v
     cfg.write_text(yaml.safe_dump(data))
     assert main(["validate", "--config", str(cfg)]) == EXIT_USAGE
     assert f"{key} must be finite" in capsys.readouterr().err
+
+
+# a malformed value in a scenario section: (section, the keys it sets, the key the
+# message must name)
+MALFORMED_SCENARIO = {
+    "y0=5": ("geometry", {"y0": 5}, "y0"),
+    "q0-of-3": ("geometry", {"q0": [0.0, 0.0, 0.0]}, "q0"),
+    "R=abc": ("geometry", {"R": "abc"}, "R"),
+    "R1=null": ("geometry", {"R1": None}, "R1"),
+    "M=list": ("cone", {"M": [1, 2]}, "M"),
+    "u_bound=true": ("controls", {"u_bound": True}, "u_bound"),
+    "A=7": ("drift", {"name": "affine", "A": 7}, "A"),
+    "A-of-3": ("drift", {"name": "affine", "A": [1, 2, 3]}, "A"),
+    "identity-with-A": ("drift", {"name": "identity", "A": [1, 2, 3, 4]}, "A"),
+    "affine-without-A": ("drift", {"name": "affine", "A": None}, "A"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "simulate"])
+@pytest.mark.parametrize("case", MALFORMED_SCENARIO)
+def test_malformed_scenario_value_is_refused_naming_its_key(tmp_path, monkeypatch, capsys,
+                                                            command, case):
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
+    section, keys, named = MALFORMED_SCENARIO[case]
+    cfg = write_config(tmp_path)
+    data = yaml.safe_load(cfg.read_text())
+    data[section].update(keys)
+    cfg.write_text(yaml.safe_dump(data))
+    profile = ["--profile", str(write_profile(tmp_path))] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), *profile]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {named} " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+@pytest.mark.parametrize("key, row, value", [
+    ("omega", 0, "abc"), ("omega", 3, NAN), ("v", 2, [NAN, 0.0]), ("u", 5, [0.0, 0.0, 0.0]),
+    ("u0", 1, None), ("x_init", None, [NAN, 0.0]), ("gamma", None, "abc")],
+    ids=["omega=abc", "omega-nan", "v-nan", "u-ragged", "u0=null", "x_init-nan", "gamma=abc"])
+def test_malformed_profile_value_is_refused_naming_its_key(tmp_path, capsys, command, key,
+                                                           row, value):
+    # before, a NaN reached the integrator and simulate printed T = nan with exit 0
+    prof = write_profile(tmp_path)
+    data = yaml.safe_load(prof.read_text())
+    if row is None:
+        data[key] = value
+    else:
+        data[key][row] = value
+    prof.write_text(yaml.safe_dump(data))
+    assert main([command, "--profile", str(prof)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {key} " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep-gamma"])
+def test_malformed_run_gamma_max_is_refused_naming_its_key(tmp_path, monkeypatch, capsys,
+                                                           command):
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
+    cfg = write_config(tmp_path, run={"gamma_max": "abc"})
+    profile = ["--profile", str(write_profile(tmp_path))] if command == "sweep-gamma" else []
+    assert main([command, "--config", str(cfg), *profile]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "gamma_max" in err and "Traceback" not in err
+
+
+def test_malformed_scenario_value_prints_no_traceback(tmp_path):
+    # the same refusal through the installed entry point, stderr as a user sees it
+    cfg = write_config(tmp_path)
+    data = yaml.safe_load(cfg.read_text())
+    data["drift"].update({"name": "affine", "A": 7})
+    cfg.write_text(yaml.safe_dump(data))
+    env = {**os.environ, "PYTHONPATH": str(Path(bisweep.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "bisweep.cli", "validate", "--config", str(cfg)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == EXIT_USAGE
+    assert "A must have 4 entries" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command, run", [("validate", {"upper_iters": 3}),

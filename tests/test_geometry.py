@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from bisweep.geometry import (
+    DriftSpec,
     ExitArc,
     Scenario,
     ValidationReport,
@@ -121,6 +122,29 @@ def test_truncation_bounds_asymmetric_balls():
     tb = truncation_bounds(s)
     assert tb.M_bar == pytest.approx(2.5)
     assert tb.m_bar == pytest.approx(-2.5)
+
+
+def _sampled_truncation_bounds(s, points):
+    """The window with x on ``points`` samples of the circle about q0 of radius
+    R, over the same 256 unit normals as ``truncation_bounds``."""
+    theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    zetas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    phi = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    xs = s.q0_arr + s.R * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    proj = zetas @ (xs @ s.drift.matrix(s.dim).T).T
+    return ((proj + s.u_bound).max(axis=1).min() + s.v_bound,
+            (proj - s.u_bound).min(axis=1).max() - s.v_bound)
+
+
+def test_truncation_bounds_inner_maximum_is_exact_off_center():
+    # the inner extremum over x in Q is a closed form: at or beyond any
+    # sampling of the circle, and within 1e-6 of a dense one
+    for A, q0 in (((0.3, 0.2, -0.4, 0.1), (3.0, -2.0)), (((-0.3, 0.7), (0.2, -0.45)), (-1.5, 2.5))):
+        s = Scenario(q0=q0, y0=q0, drift=DriftSpec("affine", A))
+        tb = truncation_bounds(s)
+        M_dense, m_dense = _sampled_truncation_bounds(s, 4096)
+        assert tb.M_bar >= M_dense - 1e-12 and tb.m_bar <= m_dense + 1e-12
+        assert tb.M_bar - M_dense <= 1e-6 and m_dense - tb.m_bar <= 1e-6
 
 
 # ---------------------------------------------------------------- exit target
@@ -301,6 +325,32 @@ def test_validate_rejects_negative_truncation_level():
     assert not report.ok
 
 
+def test_validate_checks_h1_by_formula():
+    # K_f = 0.9 lies below ||A||_2 = 0.9069, the Lipschitz constant of A x + u
+    skew = Scenario(drift=DriftSpec("affine", ((-0.3, 0.7), (0.2, -0.45))), K_f=0.9, M1=0.9)
+    assert [c.name for c in validate(skew).failures()] == ["H1-lipschitz"]
+    # identity drift: sup |f| = u_bound = 1 exceeds M1
+    assert [c.name for c in validate(Scenario(M1=0.999)).failures()] == ["H1-bound"]
+    details = {c.name: c.detail for c in validate(skew).checks}
+    assert "by construction" in details["H1-bound"]
+
+
+AFFINE_A = (0.3, 0.2, -0.4, 0.1)
+
+
+@pytest.mark.parametrize("kw, file", [
+    ({"u_bound": 0.5}, {"controls": {"u_bound": 0.5}}),
+    ({"u_bound": 2.0}, {"controls": {"u_bound": 2.0}}),
+    ({"drift": DriftSpec("affine", AFFINE_A)}, {"drift": {"name": "affine", "A": list(AFFINE_A)}}),
+], ids=["u_bound=0.5", "u_bound=2", "affine"])
+def test_every_construction_path_gives_one_scenario(kw, file):
+    # the derived M1, K_f and delta come from the scenario's own drift and bounds
+    built = [straight_corridor(**kw), Scenario(**kw), Scenario.from_dict(Scenario(**kw).to_dict()),
+             Scenario.from_dict(file)]
+    assert all(s == built[0] for s in built)
+    assert len({(s.M1, s.K_f, s.delta) for s in built}) == 1
+
+
 def test_construction_rejects_start_outside_outer_disk():
     with pytest.raises(ValueError):
         straight_corridor(y0=(20.0, 0.0))
@@ -309,10 +359,12 @@ def test_construction_rejects_start_outside_outer_disk():
 # ---------------------------------------------------------------- serialization
 def test_scenario_roundtrip(tmp_path):
     path = tmp_path / "scenario.yaml"
-    s = straight_corridor(M=1.4, u_bound=0.9)
-    save_scenario(s, path)
-    loaded = load_scenario(path)
-    assert loaded == s
+    # A4's affine scenario gives its A nested; it is stored flat
+    a4 = Scenario(drift=DriftSpec("affine", ((0.0, 0.05), (-0.05, 0.0))), K_f=0.05, M1=1.2)
+    for s in (straight_corridor(M=1.4, u_bound=0.9), a4):
+        save_scenario(s, path)
+        loaded = load_scenario(path)
+        assert loaded == s and hash(loaded) == hash(s)
 
 
 @pytest.mark.parametrize("section, key", [("cone", "R"), ("drift", "matrix"), ("geometry", "M"),
