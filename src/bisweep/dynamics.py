@@ -8,11 +8,14 @@ Two integration routes are provided and compared throughout the test suite:
   followed by a projection move back toward the translated disk, truncated to
   the cone budget M * omega * dt per step.
 
-The RK4 step map (stage tableau, smoothed stage field ``stage_slope`` with its
-Jacobians, stage recursion ``rk4_stages``) is written once, and with
-``plan_path`` it serves both ``propagate_smooth`` and the solver's adjoint.
-``reverse_plan_nodes`` is the reverse of the closed-form plan nodes, which the
-Jacobian of the plan solve's constraints reads.
+The RK4 stage tableau (``stage_controls`` and ``plan_path``) is built with
+NumPy for both passes.  ``propagate_smooth`` steps the swept point of each
+batch column in float arithmetic (``_sweep_column``), in the order of the
+smoothed stage field ``stage_slope``; the solver's adjoint evaluates
+``stage_slope`` with its Jacobians and the stage recursion ``rk4_stages`` over
+all intervals at once.  ``reverse_plan_nodes`` is the reverse of the
+closed-form plan nodes, which the Jacobian of the plan solve's constraints
+reads.
 """
 
 from __future__ import annotations
@@ -212,8 +215,7 @@ def stage_values(a):
 
 def stage_controls(u, u0, omega):
     """RK4 stage tableau of the swept-point controls (u, u0, the dilation w),
-    each four interval arrays; their products are formed per stage, so no
-    product tableau the size of the batch is kept."""
+    each four interval arrays."""
     return stage_values(u), stage_values(u0), stage_values(omega)
 
 
@@ -256,18 +258,18 @@ def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
     return k, (k_x, k_y, w[..., None, None] * f_u, f, -c[..., None] * diff)
 
 
-def rk4_stages(x, at, y_st, controls, gamma, s: Scenario, dt: float):
-    """States and slopes of the four RK4 stages of the steps that start at x.
+def rk4_stages(x, y_st, controls, gamma, s: Scenario, dt: float):
+    """States and slopes of the four RK4 stages of every interval, the steps
+    that start at the left node states x (N, n).
 
-    The stage tableaus, y's from ``plan_path`` and ``controls`` from
-    ``stage_controls``, are read at index ``at``: one interval for the
-    forward sweep, a slice of all of them for the adjoint.
+    The stage tableaus are the y's from ``plan_path`` and the ``controls``
+    from ``stage_controls``; the solver's adjoint reads all intervals at once.
     """
     u_st, u0_st, w_st = controls
     x_st, k = [x], []
     for j in range(4):
-        w = w_st[j][at]
-        k.append(stage_slope(x_st[j], y_st[j][at], u_st[j][at], w, u0_st[j][at] * w, gamma, s))
+        w = w_st[j]
+        k.append(stage_slope(x_st[j], y_st[j], u_st[j], w, u0_st[j] * w, gamma, s))
         if j < 3:
             x_st.append(x + (RK4_OFFSETS[j + 1] * dt) * k[j])
     return x_st, k
@@ -335,8 +337,11 @@ def propagate_smooth(v, u, u0, omega, x_init, gamma, s: Scenario, grid: TimeGrid
     column.  z and t come from trapezoidal quadrature of the node values,
     matching the transcription order.  Returns (y, x, z, t) node arrays.
     The plan (v, omega) keeps its own batch width P, 1 for the lower
-    problem's frozen plan, and only the elementwise stage arithmetic
-    broadcasts it; y and t come back as views at the full width B.
+    problem's frozen plan; y and t come back as views at the full width B.
+
+    y, t and z are NumPy sums; the swept point x is stepped column by column
+    in float arithmetic (``_sweep_column``) over a stage tableau built once,
+    so a column's numbers do not depend on the batch width.
     """
     n = grid.n_nodes
     v, u = _as_batched(v, 3), _as_batched(u, 3)
@@ -348,21 +353,76 @@ def propagate_smooth(v, u, u0, omega, x_init, gamma, s: Scenario, grid: TimeGrid
     omega, u0 = np.broadcast_to(omega, (n, P)), np.broadcast_to(u0, (n, B))
 
     dt = grid.dt
-    # z first, so its temporaries are freed before the batch-wide x and tableau
     effort = (np.einsum("...i,...i", u, u) + u0 * u0) * omega
     zs = np.concatenate([np.zeros((1, B)), np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)])
-    xs = np.empty((n, B, s.dim))
-    xs[0] = x0
     # y and t have closed forms (plan_path); only x needs the stage recursion
     ys, y_st, ts = plan_path(v, omega, s, grid)
+    u_st, u0_st, w_st = stage_controls(u, u0, omega)
+    u0w_st = tuple(c * w for c, w in zip(u0_st, w_st))
+
+    def by_column(stages):
+        # four (N, P or B[, n]) stage arrays -> (B, N, stage, n or 1)
+        a = np.stack(stages, axis=2)
+        a = a.reshape(a.shape[:3] + (-1,))
+        return np.broadcast_to(a, (n - 1, B) + a.shape[2:]).transpose(1, 0, 2, 3)
+
+    # per column, interval and stage: (y_0, y_1, u_0, u_1, w, u0 w)
+    tab = np.concatenate([by_column(a) for a in (y_st, u_st, w_st, u0w_st)], axis=3)
+    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), (B,)).tolist()
+    xs = np.empty((n, B, s.dim))
+    xs[0] = x0
+    for b, (x_b, g) in enumerate(zip(xs[0].tolist(), gammas)):
+        xs[1:, b] = _sweep_column(tab[b].tolist(), x_b, g, s, dt)
     if P < B:
         ys, ts = np.broadcast_to(ys, xs.shape), np.broadcast_to(ts, (n, B))
-    controls = stage_controls(u, u0, omega)
-    for i in range(n - 1):
-        xi = xs[i]
-        _, (k1, k2, k3, k4) = rk4_stages(xi, i, y_st, controls, gamma, s, dt)
-        xs[i + 1] = xi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return ys, xs, zs, ts
+
+
+def _sweep_column(tableau, x, gamma: float, s: Scenario, dt: float):
+    """RK4 nodes x_1..x_N of one batch column in float arithmetic.
+
+    ``tableau`` holds per interval, per stage (y_0, y_1, u_0, u_1, w, u0 w);
+    every operation is ``stage_slope``'s and ``cone_coefficient``'s, in their
+    order, so the nodes are bitwise those of the NumPy stage map wherever
+    NumPy rounds the drift's x @ A.T as a plain sum of products.  The
+    exponential is NumPy's, which rounds some arguments unlike ``math.exp``.
+    """
+    exp = np.exp
+    half_gamma, cap, r1sq, dt6 = 0.5 * gamma, s.cone_gain, s.R1 ** 2, dt / 6.0
+    affine, M1 = s.drift.name != "identity", s.M1
+    (a00, a01), (a10, a11) = s.drift.matrix(s.dim).tolist()
+    steps = tuple(zip(RK4_OFFSETS, RK4_WEIGHTS))
+    x0, x1 = x
+    out = []
+    for stages in tableau:
+        for (y0, y1, f0, f1, w, u0w), (off, weight) in zip(stages, steps):
+            # stage 0 starts at the node, stage j > 0 off its predecessor's slope
+            if off:
+                p0, p1 = x0 + (off * dt) * k0, x1 + (off * dt) * k1
+            else:
+                p0, p1 = x0, x1
+            d0, d1 = p0 - y0, p1 - y1
+            e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
+            if e > 50.0:
+                e = 50.0
+            c = gamma * float(exp(e))
+            if c > cap:
+                c = cap
+            if affine:   # f = u for identity drift
+                f0, f1 = p0 * a00 + p1 * a01 + f0, p0 * a10 + p1 * a11 + f1
+                nrm = math.sqrt(f0 * f0 + f1 * f1)
+                if nrm > M1:
+                    scale = M1 / max(nrm, 1e-300)
+                    f0, f1 = f0 * scale, f1 * scale
+            pull = u0w * c
+            k0, k1 = f0 * w - pull * d0, f1 * w - pull * d1
+            if off:
+                acc0, acc1 = acc0 + weight * k0, acc1 + weight * k1
+            else:
+                acc0, acc1 = k0, k1
+        x0, x1 = x0 + dt6 * acc0, x1 + dt6 * acc1
+        out.append((x0, x1))
+    return out
 
 
 def integrate_smooth(cp: ControlProfile, x_init, gamma: float, s: Scenario) -> StateTrajectory:

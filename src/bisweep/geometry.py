@@ -177,9 +177,12 @@ class Scenario:
             raise ValueError("need R > R1 > 0")
         if np.linalg.norm(self.y0_arr - self.q0_arr) > self.R - self.R1 + 1e-12:
             raise ValueError("initial small disk must be contained in the big disk")
-        lip = float(np.linalg.norm(self.drift.matrix(self.dim), 2))
-        # identity drift: |f| = |u|, and it covers delta*B with any delta <= u_bound
-        M1 = self.u_bound if self.drift.A is None else lip * (self.R + self.R1) + self.u_bound
+        A = self.drift.matrix(self.dim)
+        lip = float(np.linalg.norm(A, 2))
+        # identity drift: |f| = |u|, and it covers delta*B with any delta <= u_bound;
+        # affine drift: |A x| <= |A q0| + ‖A‖₂ |x - q0| on the box |x - q0| <= R + R1
+        M1 = self.u_bound if self.drift.A is None else (
+            float(np.linalg.norm(A @ self.q0_arr)) + lip * (self.R + self.R1) + self.u_bound)
         for name, value in (("M1", M1), ("K_f", lip), ("delta", self.u_bound)):
             given = getattr(self, name)
             store(name, value if given is None else given, least=0.0)

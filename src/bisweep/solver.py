@@ -261,7 +261,7 @@ def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     w = _trapz_weights(grid)
     _, y_st, _ = plan_path(cp.v, cp.omega, s, grid)
     controls = stage_controls(cp.u, cp.u0, cp.omega)
-    x_st, _ = rk4_stages(tr.x[:-1], slice(None), y_st, controls, gamma, s, dt)
+    x_st, _ = rk4_stages(tr.x[:-1], y_st, controls, gamma, s, dt)
     X, Y, U, U0, W = (np.stack(a) for a in (x_st, y_st) + controls)   # (4, N, ...)
     V, U0W = np.stack(stage_values(cp.v)), U0 * W
     _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0W, gamma, s, jacobians=True)

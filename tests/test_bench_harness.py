@@ -1,7 +1,7 @@
 """The benchmark harness under bench/ still runs on this source tree: every
 workload of BENCHMARK.json sets up a valid scenario that a config file can
-carry, and the tracer resolves every target and restores every binding it
-wrapped."""
+carry, the tracer resolves every target and restores every binding it
+wrapped, and its per-layer metrics still see the forward propagation."""
 
 import json
 import sys
@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 import yaml
 
+import bisweep.dynamics
 import bisweep.solver
-from bisweep.geometry import Scenario, validate
+import numpy as np
+from bisweep.dynamics import ControlProfile, TimeGrid
+from bisweep.geometry import Scenario, straight_corridor, validate
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD_NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -57,3 +60,26 @@ def test_tracer_installs_on_every_target_and_restores_every_binding(bench):
     assert bisweep.solver.solve_lower is original
     for owner, attr, fn in before:
         assert getattr(owner, attr, None) is fn, attr
+
+
+def test_tracer_counts_every_forward_propagation(bench):
+    # the dynamics.propagate.* metrics come from wrapping propagate_smooth; a
+    # forward that bypassed it would read 0 there without any error
+    _, tracing = bench
+    s, grid = straight_corridor(), TimeGrid(8)
+    cp = ControlProfile(grid, v=np.tile((0.5, 0.0), (9, 1)), u=np.tile((0.3, 0.1), (9, 1)),
+                        u0=np.full(9, 0.5), omega=np.full(9, 2.0))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = 0
+        bisweep.dynamics.integrate_smooth(cp, (0.0, 0.0), 12.0, s)
+        bisweep.dynamics.propagate_smooth(cp.v, np.repeat(cp.u[:, None], 3, axis=1), cp.u0, cp.omega,
+                                          np.zeros((3, 2)), 12.0, s, grid)
+    finally:
+        tracer.uninstall()
+    m = tracing.layer_metrics(tracer.spans, 1)
+    assert m["dynamics.propagate.calls"] == 2
+    assert m["dynamics.propagate.trajectories"] == 4
+    assert m["dynamics.propagate.node_steps"] == 4 * 8
+    assert m["dynamics.integrate_smooth.calls"] == 1

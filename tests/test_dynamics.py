@@ -20,6 +20,8 @@ from bisweep.dynamics import (
     integrate_smooth,
     plan_path,
     propagate_smooth,
+    stage_controls,
+    stage_slope,
     sweeping_field_exact,
     sweeping_field_smooth,
 )
@@ -222,6 +224,57 @@ def test_frozen_plan_propagates_like_its_batch_wide_copy(s, B):
         assert np.array_equal(a, b)
 
 
+def _stage_loop_x(v, u, u0, omega, x_init, gamma, s, grid):
+    """x of the per-interval NumPy loop that the float recursion replaced:
+    each interval's four RK4 stages through ``stage_slope``, every column at
+    once, with the RK4 offsets and weights written out here."""
+    dt = grid.dt
+    _, y_st, _ = plan_path(v, omega, s, grid)
+    u_st, u0_st, w_st = stage_controls(u, u0, omega)
+    xs = [np.asarray(x_init, dtype=float)]
+    for i in range(grid.n_intervals):
+        x, k = xs[-1], []
+        for j, offset in enumerate((0.0, 0.5, 0.5, 1.0)):
+            w = w_st[j][i]
+            x_j = x + (offset * dt) * k[-1] if j else x
+            k.append(stage_slope(x_j, y_st[j][i], u_st[j][i], w, u0_st[j][i] * w, gamma, s))
+        xs.append(x + (dt / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]))
+    return np.array(xs)
+
+
+A4 = straight_corridor(drift=DriftSpec("affine", ((0.0, 0.05), (-0.05, 0.0))), K_f=0.05, M1=1.2)
+TWO_NONZERO = straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1)))
+
+
+@pytest.mark.parametrize("s", [S, A4, TWO_NONZERO], ids=["identity", "A4", "two-nonzero"])
+@pytest.mark.parametrize("B, P", [(1, 1), (5, 1), (5, 5)])
+@pytest.mark.parametrize("per_column", [False, True], ids=["gamma-float", "gamma-array"])
+def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
+    # the swept point starts deep inside the disk (cap inactive); then the
+    # plan outruns the cone's pull, so the point falls outside the rim (cap
+    # active, exponent clipped at 50); omega = 0 at some nodes
+    n = 16
+    rng = np.random.default_rng(10 * B + P)
+    v = (1.0, 0.0) + rng.uniform(-0.2, 0.2, (n + 1, P, 2))
+    omega = np.concatenate([rng.uniform(0.0, 0.5, (8, P)), rng.uniform(5.0, 6.0, (n - 7, P))])
+    omega[[3, 4, 12]] = 0.0
+    u, u0 = rng.uniform(-0.3, 0.3, (n + 1, B, 2)), rng.uniform(0.0, 0.5, (n + 1, B))
+    x_init = rng.uniform(-0.3, 0.3, (B, 2))
+    gamma = np.linspace(96.0, 24.0, B) if per_column else 96.0
+    grid = TimeGrid(n)
+    _, xs, _, _ = propagate_smooth(v, u, u0, omega, x_init, gamma, s, grid)
+    ref = _stage_loop_x(v, u, u0, omega, x_init, gamma, s, grid)
+    ys, _, _ = plan_path(v, omega, s, grid)
+    expo = 0.5 * np.asarray(gamma) * (np.sum((ref - ys) ** 2, axis=-1) - s.R1 ** 2)
+    c = np.asarray(gamma) * np.exp(np.minimum(expo, 50.0))
+    assert (expo > 50.0).any() and (c >= s.cone_gain).any() and (c < 1e-3 * s.cone_gain).any()
+    if s is TWO_NONZERO:
+        # NumPy's x @ A.T may round a sum of two products in its own way
+        np.testing.assert_allclose(xs, ref, rtol=0.0, atol=1e-15)
+    else:
+        assert np.array_equal(xs, ref)
+
+
 def test_catchup_interior_equals_plain_euler():
     n = 10
     cp = profile(n, u=(0.3, 0.1), omega=1.0)
@@ -316,15 +369,14 @@ def test_convergence_study_equals_a_per_gamma_loop(s):
     assert np.array_equal(errs, _per_gamma_study(cp, (1.0, 0.0), sched, s))
 
 
-def test_convergence_study_general_affine_drift_matches_per_gamma_loop_to_roundoff():
-    # with two nonzeros in a row of A, the drift's x @ A.T of one row (the
-    # loop's batch of 1) and of six rows (the batched schedule) are rounded by
-    # different BLAS kernels, so the two may differ in the last bits
+def test_convergence_study_general_affine_drift_equals_a_per_gamma_loop():
+    # two nonzeros in a row of A: every column of the forward runs the same
+    # float arithmetic, so the batch of six and the loop of ones agree bitwise
     s = straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1)))
     cp = profile(200, u=(0.8, 0.3), u0=0.9, omega=2.0)
     sched = SmoothingSchedule.default_for(s)
     errs = convergence_study(cp, (0.6, 0.8), sched, s)
-    np.testing.assert_allclose(errs, _per_gamma_study(cp, (0.6, 0.8), sched, s), rtol=0, atol=1e-14)
+    assert np.array_equal(errs, _per_gamma_study(cp, (0.6, 0.8), sched, s))
 
 
 def test_smoothing_schedule_rejects_nonincreasing():

@@ -351,6 +351,20 @@ def test_every_construction_path_gives_one_scenario(kw, file):
     assert len({(s.M1, s.K_f, s.delta) for s in built}) == 1
 
 
+
+def test_derived_M1_bounds_the_affine_drift_on_an_off_centre_Q():
+    # |A x| + u_bound on the rim of Q about q0 = (3, -2) reaches 7.44; a bound
+    # taken about the origin (6.52) would clip the drift inside Q
+    s = Scenario(q0=(3.0, -2.0), y0=(3.0, -2.0), drift=DriftSpec("affine", AFFINE_A))
+    theta = np.linspace(0.0, 2.0 * np.pi, 100_000)
+    rim = s.q0_arr + s.R * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    sup = np.linalg.norm(rim @ s.drift.matrix(2).T, axis=1).max() + s.u_bound
+    assert sup > 7.4
+    assert s.M1 >= sup
+    # about the origin the bound is ‖A‖₂ (R + R1) + u_bound, as it always was
+    centred = Scenario(drift=DriftSpec("affine", AFFINE_A))
+    assert centred.M1 == centred.K_f * (centred.R + centred.R1) + centred.u_bound
+
 def test_construction_rejects_start_outside_outer_disk():
     with pytest.raises(ValueError):
         straight_corridor(y0=(20.0, 0.0))
