@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import cone_coefficient, drift
-from .geometry import Scenario, dot_rows, target_direction
+from .dynamics import cone_coefficient, drift, trapz_weights
+from .geometry import Scenario, dot_rows, project_ball_rows, target_direction
+from .solver import _project_out_normal
 
 __all__ = [
     "GamkrelidzeMultipliers",
@@ -421,10 +422,7 @@ def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
     """
     coeff = (m.q_H - m.nu_H[:, None] * (tr.y - s.q0_arr) + m.nu_L[:, None] * (tr.x - tr.y)
              + m.r * zeta2)
-    nv = np.sqrt(dot_rows(cp.v, cp.v))
-    vhat = cp.v / np.maximum(nv, 1e-300)[:, None]
-    on_ball = (s.v_bound > 0) & (nv >= s.v_bound * (1.0 - 1e-9))
-    vec = coeff - np.where(on_ball, np.maximum(0.0, dot_rows(coeff, vhat)), 0.0)[:, None] * vhat
+    vec = _project_out_normal(coeff, cp.v, s)
     scale = np.maximum(np.maximum(np.sqrt(dot_rows(coeff, coeff)),
                                   m.r * np.sqrt(dot_rows(zeta2, zeta2))), 1e-9)
     return _worst(np.sqrt(dot_rows(vec, vec)) / scale)
@@ -433,14 +431,14 @@ def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
 def _value_selection_residual(sol, zeta, s: Scenario) -> float:
     """Compare the subgradient selection ``zeta`` = (zeta1, zeta2) of the
     solution's plan against finite differences of phi."""
-    from .solver import solve_lower, _project_ball_rows, _trapz_weights
+    from .solver import solve_lower
 
     cp = sol.decision.controls
     omega, v = cp.omega, cp.v
     grid = cp.grid
     lower = sol.lower
     z1, z2 = zeta
-    w = _trapz_weights(grid)
+    w = trapz_weights(grid)
     # the step is large against the accuracy of the perturbed re-solves, and
     # the central difference controls the curvature error
     h = 3e-2
@@ -461,7 +459,7 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
 
         def phi_at(sgn):
             om_p = np.clip(omega + sgn * h * d_om, 0.0, None)
-            v_p = _project_ball_rows(v + sgn * h * d_v, s.v_bound)
+            v_p = project_ball_rows(v + sgn * h * d_v, s.v_bound)
             return solve_lower(om_p, v_p, sol.gamma_final, s, warm=lower).value
 
         fd = (phi_at(+1.0) - phi_at(-1.0)) / (2 * h)

@@ -11,11 +11,11 @@ Two integration routes are provided and compared throughout the test suite:
 The RK4 stage tableau (``stage_controls`` and ``plan_path``) is built with
 NumPy for both passes.  ``propagate_smooth`` steps the swept point of each
 batch column in float arithmetic (``_sweep_column``), in the order of the
-smoothed stage field ``stage_slope``; the solver's adjoint evaluates
-``stage_slope`` with its Jacobians and the stage recursion ``rk4_stages`` over
-all intervals at once.  ``reverse_plan_nodes`` is the reverse of the
-closed-form plan nodes, which the Jacobian of the plan solve's constraints
-reads.
+smoothed stage field ``stage_slope``.  Each forward has its exact discrete
+reverse here: ``reverse_smooth`` for ``integrate_smooth``, evaluating
+``stage_slope`` with its Jacobians over all intervals at once, and
+``reverse_plan_path`` for ``plan_path``, which ``reverse_smooth`` calls for
+the plan center's part and the Jacobian of the plan solve's constraints reads.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Scenario, h_lower, h_upper, project_disk, target_distance
+from .geometry import Scenario, h_lower, h_upper, project_ball_rows, project_disk, target_distance
 
 __all__ = [
     "TimeGrid",
@@ -79,6 +79,14 @@ class TimeGrid:
     @property
     def n_nodes(self) -> int:
         return self.n_intervals + 1
+
+
+def trapz_weights(grid: TimeGrid) -> np.ndarray:
+    """Trapezoidal quadrature weights of the grid's nodes."""
+    w = np.full(grid.n_nodes, grid.dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 @dataclass(frozen=True)
@@ -169,11 +177,7 @@ def drift(x, u, s: Scenario):
     u = np.asarray(u, dtype=float)
     if s.drift.name == "identity":
         return u + np.zeros_like(x)
-    A = s.drift.matrix(s.dim)
-    raw = x @ A.T + u
-    nrm = np.linalg.norm(raw, axis=-1, keepdims=True)
-    scale = np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
-    return raw * scale
+    return project_ball_rows(x @ s.drift.matrix(s.dim).T + u, s.M1)
 
 
 def sweeping_field_exact(x, y, u, u0, s: Scenario):
@@ -258,23 +262,6 @@ def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
     return k, (k_x, k_y, w[..., None, None] * f_u, f, -c[..., None] * diff)
 
 
-def rk4_stages(x, y_st, controls, gamma, s: Scenario, dt: float):
-    """States and slopes of the four RK4 stages of every interval, the steps
-    that start at the left node states x (N, n).
-
-    The stage tableaus are the y's from ``plan_path`` and the ``controls``
-    from ``stage_controls``; the solver's adjoint reads all intervals at once.
-    """
-    u_st, u0_st, w_st = controls
-    x_st, k = [x], []
-    for j in range(4):
-        w = w_st[j]
-        k.append(stage_slope(x_st[j], y_st[j], u_st[j], w, u0_st[j] * w, gamma, s))
-        if j < 3:
-            x_st.append(x + (RK4_OFFSETS[j + 1] * dt) * k[j])
-    return x_st, k
-
-
 def _as_batched(arr, ndim):
     """A node array with a batch axis: (N+1, B) or (N+1, B, n) for ``ndim`` 2 or 3."""
     arr = np.asarray(arr, dtype=float)
@@ -300,25 +287,6 @@ def plan_nodes(v, omega, s: Scenario, grid: TimeGrid):
                                np.cumsum(stage_values(omega)[1] * grid.dt, axis=0)])
 
 
-def reverse_plan_nodes(v, omega, lam_y, grid: TimeGrid):
-    """Reverse of ``plan_nodes``' y for one plan: K columns of node
-    cotangents lam_y (N+1, n, K) to the cotangents (dL/dv (N+1, n, K),
-    dL/domega (N+1, K)), all columns swept at once.  Every y_j past interval
-    i holds its increment, so the increment's cotangent is lam_y
-    reversed-cumulated once; the slopes v_i omega_i, 4 v_m omega_m (the
-    midpoint averages) and v_{i+1} omega_{i+1} then give the node terms."""
-    a = (grid.dt / 6.0) * np.cumsum(lam_y[:0:-1], axis=0)[::-1]   # (N, n, K)
-    v_st = [c[..., None] for c in stage_values(v)]
-    om_st = [c[:, None, None] for c in stage_values(omega)]
-    mid_v, mid_om = 2.0 * om_st[1] * a, 2.0 * np.sum(a * v_st[1], axis=1)
-    d_v, d_om = np.zeros(lam_y.shape), np.zeros((omega.shape[0], lam_y.shape[2]))
-    d_v[:-1] += om_st[0] * a + mid_v
-    d_v[1:] += om_st[3] * a + mid_v
-    d_om[:-1] += np.sum(a * v_st[0], axis=1) + mid_om
-    d_om[1:] += np.sum(a * v_st[3], axis=1) + mid_om
-    return d_v, d_om
-
-
 def plan_path(v, omega, s: Scenario, grid: TimeGrid):
     """``plan_nodes`` and the plan center's four RK4 stage values per
     interval, which the swept point's stages read.  Returns (y, y_stages, t)."""
@@ -327,6 +295,45 @@ def plan_path(v, omega, s: Scenario, grid: TimeGrid):
     y_st = tuple(ys[:-1] + (a * grid.dt) * k if a else ys[:-1]
                  for a, k in zip(RK4_OFFSETS, (None, w1, wm, wm)))
     return ys, y_st, ts
+
+
+def _to_nodes(g, into):
+    """Reverse of ``stage_values``: adds the four stage cotangents g of every
+    interval to the node array ``into`` and returns it.  Stage 0 reads node
+    i, stages 1 and 2 the average of nodes i and i+1, stage 3 node i+1."""
+    mid = 0.5 * (g[1] + g[2])
+    into[:-1] += g[0] + mid
+    into[1:] += g[3] + mid
+    return into
+
+
+def reverse_plan_path(v, omega, lam_y, grid: TimeGrid, lam_stages=None):
+    """Reverse of ``plan_path``'s y for one plan: K columns of node
+    cotangents lam_y (N+1, n, K) and, if given, of the four stage points of
+    every interval, lam_stages (4, N, n, K), to the cotangents (dL/dv
+    (N+1, n, K), dL/domega (N+1, K)), all columns swept at once.
+
+    A stage point is its left node plus its offset times dt times the
+    previous stage's slope v*omega, so its cotangent adds to both.  Every
+    y_j past interval i holds that interval's increment, so the increment's
+    cotangent is the node cotangent reversed-cumulated once; the stage
+    slopes then give the node terms through ``_to_nodes``.
+    """
+    if lam_stages is None:
+        lam_stages = np.zeros((4,) + lam_y[1:].shape)
+    lam = lam_y.copy()
+    lam[:-1] += np.sum(lam_stages, axis=0)
+    a = (grid.dt / 6.0) * np.cumsum(lam[:0:-1], axis=0)[::-1]   # (N, n, K)
+    # cotangents of the four stage slopes v*omega
+    g = [a * weight for weight in RK4_WEIGHTS]
+    for j in (1, 2, 3):
+        g[j - 1] = g[j - 1] + (RK4_OFFSETS[j] * grid.dt) * lam_stages[j]
+    v_st = [c[..., None] for c in stage_values(v)]
+    om_st = [c[:, None, None] for c in stage_values(omega)]
+    d_v = _to_nodes([om * gj for om, gj in zip(om_st, g)], np.zeros(lam_y.shape))
+    d_om = _to_nodes([np.sum(gj * vj, axis=1) for gj, vj in zip(g, v_st)],
+                     np.zeros((omega.shape[0], lam_y.shape[2])))
+    return d_v, d_om
 
 
 def propagate_smooth(v, u, u0, omega, x_init, gamma, s: Scenario, grid: TimeGrid):
@@ -429,6 +436,68 @@ def integrate_smooth(cp: ControlProfile, x_init, gamma: float, s: Scenario) -> S
     """RK4 trajectory of the reparametrized smoothed system for one control profile."""
     ys, xs, zs, ts = propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, x_init, gamma, s, cp.grid)
     return StateTrajectory(cp.grid, ys[:, 0], xs[:, 0], zs[:, 0], ts[:, 0])
+
+
+def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
+                   gamma: float, s: Scenario):
+    """Exact discrete adjoint of ``integrate_smooth``'s RK4 step map.
+
+    Backpropagates L = z(T*) + sum_i eta_i * h_lower_i through the forward's
+    own step map: the stage points of every interval at once, field
+    Jacobians of every (stage, interval) pair from one ``stage_slope`` call;
+    only the 2x2 backward recursion over nodes is sequential.  The plan
+    center's part is one ``reverse_plan_path`` call.  Returns the node
+    cotangents q_x = dL/dx_i and the control gradients (dL/domega, dL/dv,
+    dL/du, dL/du0), exact to roundoff.  ``eta`` may be an (N+1, K) array:
+    its K weight columns are swept at once, and every output then has a
+    trailing axis of K columns.
+    """
+    grid = tr.grid
+    dt = grid.dt
+    eye = np.eye(s.dim)
+    w = trapz_weights(grid)
+    _, y_st, _ = plan_path(cp.v, cp.omega, s, grid)
+    controls = stage_controls(cp.u, cp.u0, cp.omega)
+    u_st, u0_st, w_st = controls
+    x_st = [tr.x[:-1]]
+    for j in (1, 2, 3):   # stage j starts off stage j-1's slope
+        k = stage_slope(x_st[-1], y_st[j - 1], u_st[j - 1], w_st[j - 1], u0_st[j - 1] * w_st[j - 1],
+                        gamma, s)
+        x_st.append(tr.x[:-1] + (RK4_OFFSETS[j] * dt) * k)
+    X, Y, U, U0, W = (np.stack(a) for a in (x_st, y_st) + controls)   # (4, N, ...)
+    _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0 * W, gamma, s, jacobians=True)
+
+    # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
+    # g_j = b_j lam_x + a_{j+1} dt k_x[j+1]^T g_{j+1} unrolls the stage updates
+    b = (dt / 6.0) * np.asarray(RK4_WEIGHTS)
+    kxT = np.swapaxes(k_x, -1, -2)
+    G = np.empty_like(k_x)
+    G[3] = b[3] * eye
+    for j in (2, 1, 0):
+        G[j] = b[j] * eye + (RK4_OFFSETS[j + 1] * dt) * (kxT[j + 1] @ G[j + 1])
+    phiT = eye + np.sum(kxT @ G, axis=0)           # (dx_{i+1}/dx_i)^T
+
+    cols = eta.reshape(eta.shape[0], -1)           # (N+1, K)
+    hd = (tr.x - tr.y)[..., None] * cols[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
+    q_x = np.empty_like(hd)
+    q_x[-1] = hd[-1]
+    for i in range(grid.n_intervals - 1, -1, -1):
+        q_x[i] = phiT[i] @ q_x[i + 1] + hd[i]
+    gx = G @ q_x[1:]                                           # (4, N, dim, K)
+    g_u0w = np.einsum("jid,jidk->jik", k_u0w, gx)
+    # grad_y h_lower = -grad_x h_lower at the nodes; k_y^T gx at the stage points
+    d_v, d_om = reverse_plan_path(cp.v, cp.omega, -hd, grid, np.swapaxes(k_y, -1, -2) @ gx)
+
+    def to_nodes(g, effort):
+        # every column starts from the effort integrand's own derivative
+        return _to_nodes(g, np.repeat(effort[..., None], cols.shape[1], axis=-1))
+
+    d_om += to_nodes(np.einsum("jid,jidk->jik", k_w, gx) + U0[..., None] * g_u0w,
+                     w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
+    d_u = to_nodes(np.swapaxes(k_u, -1, -2) @ gx, w[:, None] * 2.0 * cp.u * cp.omega[:, None])
+    d_u0 = to_nodes(W[..., None] * g_u0w, w * 2.0 * cp.u0 * cp.omega)
+    out = (q_x, d_om, d_v, d_u, d_u0)
+    return out if eta.ndim > 1 else tuple(a[..., 0] for a in out)
 
 
 def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True) -> StateTrajectory:

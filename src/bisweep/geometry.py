@@ -121,7 +121,6 @@ class TruncationBounds:
         return self.M_bar > self.m_bar
 
 
-ASSUMPTION_SAMPLES = 256  # unit normals zeta of the outer minimax in truncation_bounds
 EXIT_ARC_SAMPLES = 512  # points per target arc in Scenario.exit_boundary_samples
 
 # sections and keys of a scenario file, as Scenario.to_dict writes them
@@ -271,33 +270,50 @@ def h_lower(x, y, s: Scenario) -> float:
     return 0.5 * (np.einsum("...i,...i", d, d) - s.R1 ** 2)
 
 
+def project_ball_rows(p, radius: float) -> np.ndarray:
+    """Euclidean projection of each row of ``p`` (..., n) onto the closed
+    ball of the given radius about the origin: rows beyond it are scaled
+    radially onto it."""
+    p = np.asarray(p, dtype=float)
+    norm = np.linalg.norm(p, axis=-1, keepdims=True)
+    return p * np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
+
+
 def project_disk(p, center, radius: float) -> np.ndarray:
     """Euclidean projection onto the closed disk of the given center and radius."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    p = np.asarray(p, dtype=float)
     center = np.asarray(center, dtype=float)
-    d = p - center
-    norm = np.linalg.norm(d, axis=-1, keepdims=True)
-    scale = np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
-    return center + d * scale
+    return center + project_ball_rows(np.asarray(p, dtype=float) - center, radius)
 
 
 def truncation_bounds(s: Scenario) -> TruncationBounds:
     """Admissible truncation window (M_bar, m_bar) for the cone level M.
 
     M_bar is the least over unit normals zeta of the greatest
-    <zeta, A x + u> - <zeta, v> over x in Q and the control balls, and m_bar
-    the greatest of the least.  The inner extremum over x in Q is exact,
-    <A^T zeta, q0> +- R |A^T zeta|; the outer one runs over
-    ``ASSUMPTION_SAMPLES`` normals.  Identity drift (A = 0) gives the closed
-    form M_bar = b_U + b_V, m_bar = -(b_U + b_V).
+    <zeta, A x + u> - <zeta, v> over x in Q and the control balls:
+    b_U + b_V plus the least support value of the ellipse A Q, which is the
+    signed distance d from 0 to its boundary, positive iff 0 is interior (A
+    invertible and |q0| < R).  m_bar = -M_bar, by zeta -> -zeta.  Identity
+    drift (A = 0) gives d = 0.
+
+    |d| is the least |c + R A e(t)| over t, c = A q0, e(t) = (cos t, sin t);
+    its square is a trigonometric polynomial of degree 2 in t, whose
+    critical points are roots of a quartic in exp(i t).
     """
-    zetas = _unit(np.linspace(0.0, 2.0 * math.pi, ASSUMPTION_SAMPLES, endpoint=False))
-    g = zetas @ s.drift.matrix(s.dim)  # rows A^T zeta
-    center, reach = g @ s.q0_arr, s.R * np.linalg.norm(g, axis=1)
-    return TruncationBounds(M_bar=float((center + reach).min() + s.u_bound + s.v_bound),
-                            m_bar=float((center - reach).max() - s.u_bound - s.v_bound))
+    A, q0 = s.drift.matrix(s.dim), s.q0_arr
+    c = A @ q0
+    # |c + R A e(t)|^2 = const + b1 cos t + b2 sin t + b3 cos 2t + b4 sin 2t
+    b1, b2 = 2.0 * s.R * (A.T @ c)
+    gram = s.R ** 2 * (A.T @ A)
+    b3, b4 = 0.5 * (gram[0, 0] - gram[1, 1]), gram[0, 1]
+    # its t-derivative times 2 exp(2 i t), a polynomial in exp(i t)
+    quartic = [2.0 * b4 + 2j * b3, b2 + 1j * b1, 0.0, b2 - 1j * b1, 2.0 * b4 - 2j * b3]
+    t = np.append(np.angle(np.roots(quartic)), 0.0)   # t = 0 for a constant distance
+    far = np.linalg.norm(c + s.R * _unit(t) @ A.T, axis=1).min()
+    d = far if np.linalg.det(A) != 0.0 and np.linalg.norm(q0) < s.R else -far
+    M_bar = float(d + s.u_bound + s.v_bound)
+    return TruncationBounds(M_bar=M_bar, m_bar=0.0 - M_bar)   # 0 - M_bar: no -0.0
 
 
 def _unit(angles):

@@ -4,18 +4,18 @@ Layout of the nested scheme:
 
 * ``solve_lower`` -- one SLSQP solve of the transcribed lower effort problem
   for frozen (omega, v), on exact derivatives from the reverse sweep
-  ``_reverse_rk4``; produces the value phi, the minimizing decision and
-  SLSQP's multipliers eta of its contact constraints, the one lower
-  multiplier set.
+  ``dynamics.reverse_smooth``; produces the value phi, the minimizing
+  decision and SLSQP's multipliers eta of its contact constraints, the one
+  lower multiplier set.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
-  upper controls, derived from eta through the exact discrete adjoint of the
-  forward RK4 step map (``dynamics.rk4_stages``, ``plan_path``).
+  upper controls, derived from eta through the same exact discrete adjoint
+  of the forward RK4 step map.
 * ``solve_bilevel`` -- the plan (v, omega) first, then the lower problem at
   that plan.  The plan problem reads only the plan (travel time, containment
   of the plan disk, terminal miss), so it does not depend on the smoothing
   gain gamma.  ``_solve_plan`` solves it with one SLSQP run, the same
   mechanism as ``solve_lower``: the constraint Jacobian comes from one
-  reverse sweep of the plan nodes (``dynamics.reverse_plan_nodes``), and
+  reverse sweep of the plan path (``dynamics.reverse_plan_path``), and
   SLSQP's multipliers of the constraint rows are the upper multipliers.
   Seeds are screened with a small iteration cap, and the kept seed's plan is
   solved once.  ``_solve_lower_path`` then solves the lower problem at the
@@ -38,20 +38,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dynamics import (
-    RK4_OFFSETS,
-    RK4_WEIGHTS,
     ControlProfile,
     StateTrajectory,
     TimeGrid,
     SmoothingSchedule,
     integrate_smooth,
     plan_nodes,
-    plan_path,
-    reverse_plan_nodes,
-    rk4_stages,
-    stage_controls,
-    stage_slope,
-    stage_values,
+    reverse_plan_path,
+    reverse_smooth,
+    trapz_weights,
 )
 from .geometry import (
     Scenario,
@@ -59,6 +54,7 @@ from .geometry import (
     dot_rows,
     h_lower,
     h_upper,
+    project_ball_rows,
     target_distance,
     target_direction,
     validate,
@@ -103,7 +99,7 @@ class LowerSolution:
     value: float
     # (N+1,) SLSQP multipliers of the contact constraints h_lower <= 0; the
     # contact measure mu_L is their reversed cumulative sum and p_L follows
-    # from ``_reverse_rk4``
+    # from ``dynamics.reverse_smooth``
     eta: np.ndarray
     # converged, max_violation, iterations, exit_status (SLSQP's) and
     # kkt_residual
@@ -142,19 +138,6 @@ class BilevelSolution:
 # --------------------------------------------------------------------------
 # helpers
 
-def _trapz_weights(grid: TimeGrid) -> np.ndarray:
-    w = np.full(grid.n_nodes, grid.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
-def _project_ball_rows(arr: np.ndarray, bound: float) -> np.ndarray:
-    nrm = np.linalg.norm(arr, axis=-1, keepdims=True)
-    scale = np.where(nrm > bound, bound / np.maximum(nrm, 1e-300), 1.0)
-    return arr * scale
-
-
 def _ball_rows(start, n, d, bound):
     """SLSQP inequality rows 0.5 (bound^2 - |a_i|^2) >= 0, with their
     Jacobian, for the n vectors a_i of length d packed at flat[start:start + n d]."""
@@ -180,7 +163,7 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     The contacts h_lower <= 0 include node 0, where they are x_init's disk;
     the u-balls are inequality constraints and u0 has the bounds [0, 1].  The
     effort gradient and the contact Jacobian come from one batched
-    ``_reverse_rk4`` sweep per iterate, and eta is SLSQP's multiplier vector
+    ``reverse_smooth`` sweep per iterate, and eta is SLSQP's multiplier vector
     of the contact rows.
     """
     opts = opts or SolverOptions()
@@ -210,7 +193,7 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
             tr = integrate_smooth(dv.controls, dv.x_init, gamma, s)
             last.update(flat=flat.copy(), dv=dv, tr=tr, h=h_lower(tr.x, tr.y, s), g=None)
         if sweep and last["g"] is None:
-            _, q_x, _, _, d_u, d_u0 = _reverse_rk4(last["tr"], last["dv"].controls, cols, gamma, s)
+            q_x, _, _, d_u, d_u0 = reverse_smooth(last["tr"], last["dv"].controls, cols, gamma, s)
             last["g"] = np.concatenate([q_x[0], d_u.reshape(d * n, -1), d_u0])
         return last
 
@@ -232,7 +215,7 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     # projected gradient of the Lagrangian z + eta.h_lower over the u-balls
     # and u0's box, and complementarity
     step = res.x - (sol["g"][:, 0] + contact_jac(res.x).T @ eta)
-    step[d:k] = _project_ball_rows(step[d:k].reshape(n, d), s.u_bound).ravel()
+    step[d:k] = project_ball_rows(step[d:k].reshape(n, d), s.u_bound).ravel()
     step[k:] = np.clip(step[k:], 0.0, 1.0)
     kkt = max(float(np.max(np.abs(res.x - step))), float(np.max(np.abs(eta * sol["h"]))))
     status = {"converged": res.status == 0 and viol <= LOWER_VIOLATION_TOL,
@@ -240,77 +223,6 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
               "exit_status": int(res.status), "kkt_residual": kkt}
     return LowerSolution(decision=sol["dv"], value=float(sol["tr"].z[-1]), eta=eta,
                          status=status, gamma=gamma)
-
-
-def _reverse_rk4(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
-                 gamma: float, s: Scenario, terminal_y=None):
-    """Exact discrete adjoint of the RK4 propagation of the smoothed system.
-
-    Backpropagates L = z(T*) + sum_i eta_i * h_lower_i through the forward's
-    own step map: stage states of every interval from ``plan_path`` and
-    ``rk4_stages``, field Jacobians of every (stage, interval) pair from one
-    ``stage_slope`` call; only the 2x2 backward recursion over nodes is
-    sequential.  Returns node cotangents (q_y, q_x) = dL/d(y_i, x_i) and the
-    control gradients (dL/domega, dL/dv, dL/du, dL/du0), exact to roundoff.
-    ``eta`` may be an (N+1, K) array: its K weight columns are swept at once,
-    and every output then has a trailing axis of K columns.
-    """
-    grid = tr.grid
-    dt = grid.dt
-    eye = np.eye(s.dim)
-    w = _trapz_weights(grid)
-    _, y_st, _ = plan_path(cp.v, cp.omega, s, grid)
-    controls = stage_controls(cp.u, cp.u0, cp.omega)
-    x_st, _ = rk4_stages(tr.x[:-1], y_st, controls, gamma, s, dt)
-    X, Y, U, U0, W = (np.stack(a) for a in (x_st, y_st) + controls)   # (4, N, ...)
-    V, U0W = np.stack(stage_values(cp.v)), U0 * W
-    _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0W, gamma, s, jacobians=True)
-
-    # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
-    # g_j = b_j lam_x + a_{j+1} dt k_x[j+1]^T g_{j+1} unrolls the stage updates
-    b = (dt / 6.0) * np.asarray(RK4_WEIGHTS)
-    kxT, kyT = np.swapaxes(k_x, -1, -2), np.swapaxes(k_y, -1, -2)
-    G = np.empty_like(k_x)
-    G[3] = b[3] * eye
-    for j in (2, 1, 0):
-        G[j] = b[j] * eye + (RK4_OFFSETS[j + 1] * dt) * (kxT[j + 1] @ G[j + 1])
-    phiT = eye + np.sum(kxT @ G, axis=0)           # (dx_{i+1}/dx_i)^T
-    psiT = np.sum(kyT @ G, axis=0)                 # (dx_{i+1}/dy_i)^T
-
-    cols = eta.reshape(eta.shape[0], -1)           # (N+1, K)
-    hd = (tr.x - tr.y)[..., None] * cols[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
-    q_x = np.empty_like(hd)
-    q_x[-1] = hd[-1]
-    for i in range(grid.n_intervals - 1, -1, -1):
-        q_x[i] = phiT[i] @ q_x[i + 1] + hd[i]
-    lam_x = q_x[1:]
-    # q_y needs no recursion: its increments are known once lam_x is
-    term = 0.0 if terminal_y is None else np.asarray(terminal_y, dtype=float)[:, None]
-    dq_y = np.concatenate([psiT @ lam_x - hd[:-1], [term - hd[-1]]])
-    q_y = np.cumsum(dq_y[::-1], axis=0)[::-1]
-
-    gx = G @ lam_x                                             # (4, N, dim, K)
-    jy = kyT @ gx
-    gy = b[:, None, None, None] * q_y[1:]
-    gy[:3] += (np.asarray(RK4_OFFSETS[1:]) * dt)[:, None, None, None] * jy[1:]
-    g_u0w = np.einsum("jid,jidk->jik", k_u0w, gx)
-
-    def to_nodes(g, effort):
-        # every column starts from the effort integrand's own derivative; stage
-        # 0 reads node i, stages 1 and 2 the average of nodes i and i+1, stage 3 node i+1
-        into = np.repeat(effort[..., None], cols.shape[1], axis=-1)
-        mid = 0.5 * (g[1] + g[2])
-        into[:-1] += g[0] + mid
-        into[1:] += g[3] + mid
-        return into
-
-    d_om = to_nodes(np.einsum("jid,jidk->jik", k_w, gx) + np.einsum("jid,jidk->jik", V, gy)
-                    + U0[..., None] * g_u0w, w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
-    d_v = to_nodes(W[..., None, None] * gy, np.zeros_like(cp.v))
-    d_u = to_nodes(np.swapaxes(k_u, -1, -2) @ gx, w[:, None] * 2.0 * cp.u * cp.omega[:, None])
-    d_u0 = to_nodes(W[..., None] * g_u0w, w * 2.0 * cp.u0 * cp.omega)
-    out = (q_y, q_x, d_om, d_v, d_u, d_u0)
-    return out if eta.ndim > 1 else tuple(a[..., 0] for a in out)
 
 
 def _project_out_normal(zeta2: np.ndarray, v: np.ndarray, s: Scenario) -> np.ndarray:
@@ -335,8 +247,8 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     dec = lower.decision
     cp = ControlProfile(dec.controls.grid, v, dec.controls.u, dec.controls.u0, omega)
     tr = integrate_smooth(cp, dec.x_init, lower.gamma, s)
-    _, _, d_om, d_v, _, _ = _reverse_rk4(tr, cp, lower.eta, lower.gamma, s)
-    w = _trapz_weights(cp.grid)
+    _, d_om, d_v, _, _ = reverse_smooth(tr, cp, lower.eta, lower.gamma, s)
+    w = trapz_weights(cp.grid)
     return d_om / w, _project_out_normal(d_v / w[:, None], cp.v, s)
 
 
@@ -367,7 +279,7 @@ def _plan_residuals(flat, s: Scenario, grid: TimeGrid, jac=False):
     <= 0 on a feasible plan: h_upper at the nodes (node 0's is constant),
     then the terminal miss target_distance(y_N) - TARGET_TOL_FACTOR*R, all
     from the closed-form plan nodes.  With ``jac``, also their (N+2, 3(N+1))
-    Jacobian from one ``reverse_plan_nodes`` sweep of N+2 cotangent columns:
+    Jacobian from one ``reverse_plan_path`` sweep of N+2 cotangent columns:
     y_i - q0 at node i for h_upper_i, and -target_direction(y_N) at node N
     for the miss where target_distance is positive.
 
@@ -387,7 +299,7 @@ def _plan_residuals(flat, s: Scenario, grid: TimeGrid, jac=False):
     lam_y[np.arange(n), :, np.arange(n)] = ys - s.q0_arr
     if target_distance(ys[-1], s) > 0.0:
         lam_y[-1, :, n] = -target_direction(ys[-1], s)
-    d_v, d_om = reverse_plan_nodes(v, omega, lam_y, grid)
+    d_v, d_om = reverse_plan_path(v, omega, lam_y, grid)
     return res, np.vstack([d_v.reshape(s.dim * n, n + 1), d_om]).T
 
 
@@ -400,7 +312,7 @@ def _solve_plan(s: Scenario, grid: TimeGrid, v, omega, max_iter: int) -> dict:
     multipliers of the N+2 residual rows, split into h_upper's and the
     terminal miss's."""
     n, k = grid.n_nodes, s.dim * grid.n_nodes
-    w = _trapz_weights(grid)
+    w = trapz_weights(grid)
     grad_t = np.concatenate([np.zeros(k), w])
     omega_cap = OMEGA_CAP_FACTOR * (2.0 * s.R) / max(s.v_bound, 1e-9)
     # SLSQP writes into the gradient it is handed, so it gets a copy

@@ -21,11 +21,13 @@ from bisweep.dynamics import (
     integrate_catchup,
     integrate_smooth,
     plan_nodes,
+    trapz_weights,
 )
 from bisweep.geometry import (
     DriftSpec,
     h_lower,
     h_upper,
+    project_ball_rows,
     straight_corridor,
     target_distance,
     validate,
@@ -199,7 +201,7 @@ def plan_lagrangian(v, omega, mults, s):
 
     # grad t_N is the trapezoid weights on omega; J is the plan solve's Jacobian
     _, jac = solver._plan_residuals(flat, s, grid, jac=True)
-    grad_t = np.concatenate([np.zeros(s.dim * n), solver._trapz_weights(grid)])
+    grad_t = np.concatenate([np.zeros(s.dim * n), trapz_weights(grid)])
     return flat, lagrangian, grad_t + jac.T @ mu
 
 
@@ -214,7 +216,7 @@ def plan_kkt_residual(v, omega, mults, s):
     mu = np.concatenate([mults["h_upper"], [mults["target"]]])
     step = flat - grad
     omega_cap = solver.OMEGA_CAP_FACTOR * (2.0 * s.R) / s.v_bound
-    proj = np.concatenate([solver._project_ball_rows(step[:d].reshape(n, s.dim), s.v_bound).ravel(),
+    proj = np.concatenate([project_ball_rows(step[:d].reshape(n, s.dim), s.v_bound).ravel(),
                            np.clip(step[d:], 0.0, omega_cap)])
     return (float(np.max(np.abs(flat - proj))), float(np.max(res)),
             float(np.max(np.abs(mu * res))))
@@ -251,7 +253,7 @@ def test_a7_plan_kkt_clause_fails_on_mutated_plans(corridor_run):
     mutated = {
         "omega x 1.01": (cp.v, 1.01 * cp.omega, mults),
         "omega x 0.999": (cp.v, 0.999 * cp.omega, mults),
-        "v + 0.01 noise": (solver._project_ball_rows(cp.v + 0.01 * noise, S.v_bound),
+        "v + 0.01 noise": (project_ball_rows(cp.v + 0.01 * noise, S.v_bound),
                            cp.omega, mults),
         "mu_term x 2": (cp.v, cp.omega, {**mults, "target": 2.0 * mults["target"]}),
     }

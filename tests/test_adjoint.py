@@ -6,9 +6,9 @@ affine drift whose saturation at M1 is active at some stage points."""
 import numpy as np
 import pytest
 
-from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, propagate_smooth
+from bisweep.dynamics import (ControlProfile, TimeGrid, integrate_smooth, propagate_smooth,
+                              reverse_smooth, trapz_weights)
 from bisweep.geometry import DriftSpec, h_lower, straight_corridor
-from bisweep.solver import _reverse_rk4, _trapz_weights
 
 GAMMA = 24.0
 IDENTITY = straight_corridor()
@@ -71,12 +71,12 @@ def _loop_field_and_jacobians(y, x, u, u0, omega, gamma, s):
             -omega * c * d, f - u0 * c * d)
 
 
-def loop_reverse_rk4(tr, cp, eta, gamma, s, terminal_y=None):
+def loop_reverse_rk4(tr, cp, eta, gamma, s):
     grid = tr.grid
     n = grid.n_nodes
     dt = grid.dt
     dim = s.dim
-    w = _trapz_weights(grid)
+    w = trapz_weights(grid)
 
     def stage_ctrl(i, which):
         if which == 0:
@@ -86,16 +86,14 @@ def loop_reverse_rk4(tr, cp, eta, gamma, s, terminal_y=None):
         return (0.5 * (cp.v[i] + cp.v[i + 1]), 0.5 * (cp.u[i] + cp.u[i + 1]),
                 0.5 * (cp.u0[i] + cp.u0[i + 1]), 0.5 * (cp.omega[i] + cp.omega[i + 1]))
 
-    q_y = np.zeros((n, dim))
     q_x = np.zeros((n, dim))
     d_om = w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2)
     d_v = np.zeros((n, dim))
     d_u = w[:, None] * 2.0 * cp.u * cp.omega[:, None]
     d_u0 = w * 2.0 * cp.u0 * cp.omega
     d_T = tr.x[-1] - tr.y[-1]
-    lam_y = -eta[-1] * d_T + (np.zeros(dim) if terminal_y is None else np.asarray(terminal_y, float))
+    lam_y = -eta[-1] * d_T
     lam_x = eta[-1] * d_T
-    q_y[-1] = lam_y
     q_x[-1] = lam_x
     stage_map = (0, 1, 1, 2)
     offs = (0.0, 0.5, 0.5, 1.0)
@@ -139,9 +137,8 @@ def loop_reverse_rk4(tr, cp, eta, gamma, s, terminal_y=None):
         d_i = tr.x[i] - tr.y[i]
         lam_y = lam_y - eta[i] * d_i
         lam_x = lam_x + eta[i] * d_i
-        q_y[i] = lam_y
         q_x[i] = lam_x
-    return q_y, q_x, d_om, d_v, d_u, d_u0
+    return q_x, d_om, d_v, d_u, d_u0
 
 
 def test_profile_visits_both_branches_of_the_ramp_and_the_saturation():
@@ -163,13 +160,12 @@ def test_sweep_matches_per_node_loop_reference(name):
     s = DRIFTS[name]
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
-    term = np.array([0.3, -0.7])
     cols = np.stack([eta, np.zeros_like(eta), np.roll(eta, 5), np.eye(len(eta))[4]], axis=1)
-    batched = _reverse_rk4(tr, cp, cols, GAMMA, s, terminal_y=term)
+    batched = reverse_smooth(tr, cp, cols, GAMMA, s)
     for k in range(cols.shape[1]):
-        new = _reverse_rk4(tr, cp, cols[:, k], GAMMA, s, terminal_y=term)
-        ref = loop_reverse_rk4(tr, cp, cols[:, k], GAMMA, s, terminal_y=term)
-        for label, a, b, c in zip(("q_y", "q_x", "d_om", "d_v", "d_u", "d_u0"), new, ref, batched):
+        new = reverse_smooth(tr, cp, cols[:, k], GAMMA, s)
+        ref = loop_reverse_rk4(tr, cp, cols[:, k], GAMMA, s)
+        for label, a, b, c in zip(("q_x", "d_om", "d_v", "d_u", "d_u0"), new, ref, batched):
             assert a.shape == b.shape == c[..., k].shape, label
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), (label, k)
             assert np.abs(c[..., k] - a).max() <= 1e-14 * np.abs(a).max(), (label, k)
@@ -185,7 +181,7 @@ def test_sweep_gradients_match_central_differences(name):
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
     cols = np.hstack([eta[:, None], np.zeros((len(eta), 1)), np.eye(len(eta))])
-    _, q_x, d_om, d_v, d_u, d_u0 = _reverse_rk4(tr, cp, cols, GAMMA, s)
+    q_x, d_om, d_v, d_u, d_u0 = reverse_smooth(tr, cp, cols, GAMMA, s)
 
     base = {"v": cp.v, "u": cp.u, "u0": cp.u0, "omega": cp.omega, "x0": x0}
     dims = [(key, idx) for key, arr in base.items() for idx in np.ndindex(arr.shape)]
@@ -210,12 +206,15 @@ def test_sweep_gradients_match_central_differences(name):
 
 @pytest.mark.parametrize("name", DRIFTS)
 def test_sweep_without_weights_carries_only_the_terminal_cotangent(name):
-    # the effort integrand reads no state, so with eta = 0 nothing feeds q_x
-    # and q_y keeps its terminal value at every node
+    # with eta = 0 the one cotangent swept is z(T)'s; the effort integrand
+    # reads no state, so nothing feeds q_x or v, and the other controls get
+    # the integrand's own derivatives
     s = DRIFTS[name]
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
-    term = np.array([0.3, -0.7])
-    q_y, q_x, *_ = _reverse_rk4(tr, cp, np.zeros_like(eta), GAMMA, s, terminal_y=term)
-    assert np.all(q_x == 0.0)
-    np.testing.assert_array_equal(q_y, np.broadcast_to(term, q_y.shape))
+    q_x, d_om, d_v, d_u, d_u0 = reverse_smooth(tr, cp, np.zeros_like(eta), GAMMA, s)
+    w = trapz_weights(cp.grid)
+    assert np.all(q_x == 0.0) and np.all(d_v == 0.0)
+    np.testing.assert_array_equal(d_om, w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
+    np.testing.assert_array_equal(d_u, w[:, None] * 2.0 * cp.u * cp.omega[:, None])
+    np.testing.assert_array_equal(d_u0, w * 2.0 * cp.u0 * cp.omega)

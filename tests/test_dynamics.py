@@ -20,12 +20,14 @@ from bisweep.dynamics import (
     integrate_smooth,
     plan_path,
     propagate_smooth,
+    reverse_plan_path,
     stage_controls,
     stage_slope,
     sweeping_field_exact,
     sweeping_field_smooth,
 )
 from bisweep.geometry import DriftSpec, h_lower, straight_corridor
+from bisweep.oracle import fd_check
 
 S = straight_corridor()
 
@@ -202,6 +204,27 @@ def test_plan_path_is_propagate_smooth_plan_path():
     t_ref = np.concatenate([np.zeros((1, B)),
                             np.cumsum(0.5 * dt * (omega[1:] + omega[:-1]), axis=0)])
     assert np.allclose(t_plan, t_ref, rtol=0.0, atol=1e-12)
+
+
+def test_reverse_plan_path_matches_central_differences_with_stage_terms():
+    # L = sum lam_y . y + sum lam_stages . Y over plan_path's nodes y and RK4
+    # stage points Y, one random weight column at a time; L is quadratic in
+    # (v, omega), so central differences are exact up to roundoff
+    n, K = 10, 3
+    rng = np.random.default_rng(8)
+    grid = TimeGrid(n)
+    v, omega = rng.uniform(-1.0, 1.0, (n + 1, 2)), rng.uniform(0.5, 3.0, n + 1)
+    lam_y, lam_st = rng.normal(size=(n + 1, 2, K)), rng.normal(size=(4, n, 2, K))
+    d_v, d_om = reverse_plan_path(v, omega, lam_y, grid, lam_st)
+    flat = np.concatenate([v.ravel(), omega])
+    dirs = rng.standard_normal((12, flat.size))
+    for k in range(K):
+        def weighted(p):
+            ys, y_st, _ = plan_path(p[:2 * (n + 1)].reshape(n + 1, 2), p[2 * (n + 1):], S, grid)
+            return float(np.sum(lam_y[..., k] * ys) + np.sum(lam_st[..., k] * np.stack(y_st)))
+
+        grad = np.concatenate([d_v[..., k].ravel(), d_om[:, k]])
+        assert fd_check(weighted, grad, flat, dirs, h=1e-3) < 1e-9
 
 
 @pytest.mark.parametrize("s", [S, straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1)))],

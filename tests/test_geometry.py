@@ -124,27 +124,44 @@ def test_truncation_bounds_asymmetric_balls():
     assert tb.m_bar == pytest.approx(-2.5)
 
 
-def _sampled_truncation_bounds(s, points):
-    """The window with x on ``points`` samples of the circle about q0 of radius
-    R, over the same 256 unit normals as ``truncation_bounds``."""
-    theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-    zetas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    phi = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
-    xs = s.q0_arr + s.R * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    proj = zetas @ (xs @ s.drift.matrix(s.dim).T).T
-    return ((proj + s.u_bound).max(axis=1).min() + s.v_bound,
-            (proj - s.u_bound).min(axis=1).max() - s.v_bound)
+def _dense_truncation_bounds(s, points=4096):
+    """The window with both extrema sampled: zeta at ``points`` unit normals,
+    x at ``points`` points of the circle about q0 of radius R.  The inner
+    maximum sampled is low by at most R |A| (1 - cos(pi / points)), the
+    outer minimum high by the curvature of the support function times
+    (pi / points)^2 / 2."""
+    theta = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    drifts = (s.q0_arr + s.R * unit) @ s.drift.matrix(s.dim).T
+    support = np.concatenate([(z @ drifts.T).max(axis=1) for z in np.array_split(unit, 8)])
+    return support.min() + s.u_bound + s.v_bound, -support.min() - s.u_bound - s.v_bound
 
 
-def test_truncation_bounds_inner_maximum_is_exact_off_center():
-    # the inner extremum over x in Q is a closed form: at or beyond any
-    # sampling of the circle, and within 1e-6 of a dense one
-    for A, q0 in (((0.3, 0.2, -0.4, 0.1), (3.0, -2.0)), (((-0.3, 0.7), (0.2, -0.45)), (-1.5, 2.5))):
+SKEW_A, SKEW_Q0 = ((-0.3, 0.7), (0.2, -0.45)), (-1.5, 2.5)
+
+
+def test_truncation_bounds_match_a_dense_reference_off_center():
+    # the origin inside the ellipse A Q (the first two) and outside it
+    for A, q0 in (((0.3, 0.2, -0.4, 0.1), (3.0, -2.0)), (SKEW_A, SKEW_Q0),
+                  ((0.2, 0.1, -0.3, 0.4), (12.0, 0.0))):
         s = Scenario(q0=q0, y0=q0, drift=DriftSpec("affine", A))
         tb = truncation_bounds(s)
-        M_dense, m_dense = _sampled_truncation_bounds(s, 4096)
-        assert tb.M_bar >= M_dense - 1e-12 and tb.m_bar <= m_dense + 1e-12
-        assert tb.M_bar - M_dense <= 1e-6 and m_dense - tb.m_bar <= 1e-6
+        M_dense, m_dense = _dense_truncation_bounds(s)
+        assert abs(tb.M_bar - M_dense) <= 1e-5 and abs(tb.m_bar - m_dense) <= 1e-5
+
+
+def test_truncation_bounds_of_a_singular_drift_touch_zero():
+    # A = (1, 2, 0.5, 1) maps Q onto a segment through 0: d = 0 up to
+    # roundoff, where 256 sampled normals read 0.058
+    s = Scenario(q0=(1.0, 1.0), y0=(1.0, 1.0), drift=DriftSpec("affine", (1.0, 2.0, 0.5, 1.0)))
+    assert abs(truncation_bounds(s).M_bar - 2.0) <= 1e-12
+
+
+def test_validate_refuses_a_level_above_the_exact_window():
+    # the exact M_bar is 2.0507; 256 sampled normals put it at 2.0751
+    s = Scenario(q0=SKEW_Q0, y0=SKEW_Q0, drift=DriftSpec("affine", SKEW_A), M=2.06)
+    assert truncation_bounds(s).M_bar == pytest.approx(2.0506705, abs=1e-7)
+    assert [c.name for c in validate(s).failures()] == ["H5-truncation-window"]
 
 
 # ---------------------------------------------------------------- exit target

@@ -3,8 +3,9 @@ function, method and private module-level class of the package is referenced
 somewhere in src/, tests/ or bench/ (an attribute of a module from outside
 the package, such as ``np.zeros``, is no reference), every dataclass field
 of the package is read as an attribute somewhere there, every defaulted
-parameter is passed by some call there, and every name the
-package re-exports is listed in, and defined by, its module's ``__all__``."""
+parameter is passed by some call there, every name the package re-exports
+is listed in, and defined by, its module's ``__all__``, and no module but
+``dynamics`` reads the RK4 scheme's internals."""
 
 import ast
 from pathlib import Path
@@ -422,3 +423,35 @@ def test_no_dead_module_constants():
     referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
                    for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
     assert dead_constants(package, referencing) == []
+
+
+# the RK4 scheme and its reverses live in dynamics; no other module rebuilds them
+RK4_INTERNALS = ("RK4_OFFSETS", "RK4_WEIGHTS", "stage_values", "stage_controls", "stage_slope",
+                 "plan_path")
+
+
+def rk4_internal_uses(source: str) -> list:
+    """The names of ``RK4_INTERNALS`` that a module imports from ``dynamics``
+    or reads as an attribute of it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "dynamics":
+            found.update(a.name for a in node.names if a.name in RK4_INTERNALS)
+        elif (isinstance(node, ast.Attribute) and node.attr in RK4_INTERNALS
+              and isinstance(node.value, ast.Name) and node.value.id == "dynamics"):
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_rk4_internal_scanner_flags_imports_and_attributes():
+    src = ("from .dynamics import TimeGrid, stage_slope\n"
+           "from bisweep.dynamics import RK4_WEIGHTS as W\n"
+           "from . import dynamics\n"
+           "k = dynamics.plan_path, dynamics.plan_nodes\n")
+    assert rk4_internal_uses(src) == ["RK4_WEIGHTS", "plan_path", "stage_slope"]
+
+
+def test_rk4_internals_stay_in_dynamics():
+    uses = {p.name: rk4_internal_uses(p.read_text(encoding="utf-8"))
+            for p in PACKAGE.glob("*.py") if p.name != "dynamics.py"}
+    assert {name: names for name, names in uses.items() if names} == {}

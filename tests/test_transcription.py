@@ -5,10 +5,10 @@ Jacobian (``solver._plan_residuals``) against central differences
 import numpy as np
 import pytest
 
-from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, plan_nodes
+from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, plan_nodes, trapz_weights
 from bisweep.geometry import h_lower, straight_corridor, target_distance
 from bisweep.oracle import fd_check
-from bisweep.solver import _plan_residuals, _trapz_weights
+from bisweep.solver import _plan_residuals
 from bisweep.transcription import DecisionVector, assemble_lower
 
 S = straight_corridor()
@@ -83,7 +83,7 @@ def merit(flat, w, grid):
 def merit_grad(flat, w, grid):
     """grad t_N + J^T w, with J the plan solve's Jacobian of the residuals."""
     _, jac = _plan_residuals(flat, S, grid, jac=True)
-    return np.concatenate([np.zeros(2 * grid.n_nodes), _trapz_weights(grid)]) + jac.T @ w
+    return np.concatenate([np.zeros(2 * grid.n_nodes), trapz_weights(grid)]) + jac.T @ w
 
 
 def worst_fd_error(flat, w, grid, count=12, seed=0):
@@ -109,7 +109,7 @@ def test_gradient_of_final_time_is_quadrature_weight():
     w = np.full(n + 1, 1.0 / n)
     w[0] *= 0.5
     w[-1] *= 0.5
-    np.testing.assert_array_equal(_trapz_weights(grid), w)
+    np.testing.assert_array_equal(trapz_weights(grid), w)
     _, ts = plan_nodes(np.zeros((n + 1, n + 1, 2)), np.eye(n + 1), S, grid)
     np.testing.assert_allclose(ts[-1], w, rtol=0, atol=1e-15)
 
