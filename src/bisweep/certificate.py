@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import optimize
 
+from . import solver
 from .dynamics import cone_coefficient, drift, trapz_weights
-from .geometry import Scenario, dot_rows, project_ball_rows, target_direction
-from .solver import _project_out_normal
+from .geometry import Scenario, dot_rows, project_ball_rows, project_out_normal, target_direction
 
 __all__ = [
     "GamkrelidzeMultipliers",
@@ -225,8 +226,6 @@ def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
     fitted by least squares against the conservation and adjoint residuals.
     Everything is normalized to total weight one at the end.
     """
-    from scipy.optimize import least_squares
-
     tr, cp = sol.trajectory, sol.decision.controls
 
     lam0 = 1.0
@@ -235,7 +234,7 @@ def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
     alpha = float(sol.upper_mults["target"]) * PENALTY_WEIGHT
 
     model = _MultiplierModel(tr, cp, s, r0, alpha, nu_H)
-    fit = least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)
+    fit = optimize.least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)
     nu_L = fit.x[model.slots]
     q_L, q_H, hvals, _ = model.build(nu_L)
 
@@ -355,8 +354,7 @@ def certify(sol, s: Scenario, check_value_selection: bool = True,
     # 7. pointwise maximum condition in the plan controls: the ball speed
     # maximizes the Hamiltonian plus the penalty-weighted value gain, so
     # q_H - nu_H(y-q0) + nu_L(x-y) + r*zeta2 must lie in the normal cone at v
-    from .solver import value_subgradient
-    zeta = value_subgradient(cp.omega, cp.v, sol.lower, s)
+    zeta = solver.value_subgradient(cp.omega, cp.v, sol.lower, s)
     pres, pnode = _plan_stationarity_residual(tr, cp, m, zeta[1], s)
     conds["max_plan"] = _condition(pres, tol["value_selection"], node=pnode)
 
@@ -422,7 +420,7 @@ def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
     """
     coeff = (m.q_H - m.nu_H[:, None] * (tr.y - s.q0_arr) + m.nu_L[:, None] * (tr.x - tr.y)
              + m.r * zeta2)
-    vec = _project_out_normal(coeff, cp.v, s)
+    vec = project_out_normal(coeff, cp.v, s.v_bound)
     scale = np.maximum(np.maximum(np.sqrt(dot_rows(coeff, coeff)),
                                   m.r * np.sqrt(dot_rows(zeta2, zeta2))), 1e-9)
     return _worst(np.sqrt(dot_rows(vec, vec)) / scale)
@@ -431,8 +429,6 @@ def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
 def _value_selection_residual(sol, zeta, s: Scenario) -> float:
     """Compare the subgradient selection ``zeta`` = (zeta1, zeta2) of the
     solution's plan against finite differences of phi."""
-    from .solver import solve_lower
-
     cp = sol.decision.controls
     omega, v = cp.omega, cp.v
     grid = cp.grid
@@ -460,7 +456,7 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
         def phi_at(sgn):
             om_p = np.clip(omega + sgn * h * d_om, 0.0, None)
             v_p = project_ball_rows(v + sgn * h * d_v, s.v_bound)
-            return solve_lower(om_p, v_p, sol.gamma_final, s, warm=lower).value
+            return solver.solve_lower(om_p, v_p, sol.gamma_final, s, warm=lower).value
 
         fd = (phi_at(+1.0) - phi_at(-1.0)) / (2 * h)
         scale = max(1.0, abs(fd), abs(pred))

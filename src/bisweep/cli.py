@@ -73,8 +73,9 @@ def _node_values(data, key, n=None, width=None):
 
 def _load_profile(path, s: Scenario):
     """A stored control profile and its optional ``gamma``; unknown or missing
-    keys, malformed numbers, controls outside the scenario's balls and an
-    ``x_init`` outside the initial small disk Q1 + y0 are refused."""
+    keys, malformed numbers, controls outside the scenario's balls, an
+    ``x_init`` outside the initial small disk Q1 + y0 and a ``gamma`` at or
+    below M/R1 are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         data = require_known_keys(yaml.safe_load(fh), PROFILE_KEYS, "profile key")
     missing = [key for key in PROFILE_KEYS[:-1] if key not in data]
@@ -92,7 +93,11 @@ def _load_profile(path, s: Scenario):
         raise ValueError(f"x_init = {data['x_init']!r} is not a point of Q1 + y0: "
                          f"|x_init - y0| = {gap:g} > R1 = {s.R1:g}")
     gamma = data.get("gamma")
-    return cp, x_init, None if gamma is None else checked("gamma", gamma)
+    if gamma is not None:
+        gamma = checked("gamma", gamma)
+        if gamma <= s.cone_gain:
+            raise ValueError(f"gamma must exceed M/R1 = {s.cone_gain:g}, got {gamma!r}")
+    return cp, x_init, gamma
 
 
 def _write_trajectory_csv(path, tr, cp):

@@ -9,10 +9,11 @@ Two integration routes are provided and compared throughout the test suite:
   the cone budget M * omega * dt per step.
 
 The RK4 stage tableau (``stage_controls`` and ``plan_path``) is built with
-NumPy for both passes.  ``propagate_smooth`` steps the swept point of each
-batch column in float arithmetic (``_sweep_column``), in the order of the
-smoothed stage field ``stage_slope``.  Each forward has its exact discrete
-reverse here: ``reverse_smooth`` for ``integrate_smooth``, evaluating
+NumPy for both passes.  ``propagate_smooth`` runs one control profile and
+steps its swept point once per smoothing gain in float arithmetic
+(``_sweep_column``), in the order of the smoothed stage field
+``stage_slope``.  Each forward has its exact discrete reverse here:
+``reverse_smooth`` for ``integrate_smooth``, evaluating
 ``stage_slope`` with its Jacobians over all intervals at once, and
 ``reverse_plan_path`` for ``plan_path``, which ``reverse_smooth`` calls for
 the plan center's part and the Jacobian of the plan solve's constraints reads.
@@ -262,12 +263,6 @@ def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
     return k, (k_x, k_y, w[..., None, None] * f_u, f, -c[..., None] * diff)
 
 
-def _as_batched(arr, ndim):
-    """A node array with a batch axis: (N+1, B) or (N+1, B, n) for ``ndim`` 2 or 3."""
-    arr = np.asarray(arr, dtype=float)
-    return arr[:, None] if arr.ndim < ndim else arr
-
-
 def _plan_slopes(v, omega):
     """dy/dtau = v*omega at the left node, the midpoint (RK4 stages 1 and 2)
     and the right node of every interval."""
@@ -337,52 +332,38 @@ def reverse_plan_path(v, omega, lam_y, grid: TimeGrid, lam_stages=None):
 
 
 def propagate_smooth(v, u, u0, omega, x_init, gamma, s: Scenario, grid: TimeGrid):
-    """Batched RK4 propagation of (y, x) under the smoothed field.
+    """RK4 propagation of (y, x) under the smoothed field for one control
+    profile, one batch column per smoothing gain.
 
-    Controls have shape (N+1, ...) with an optional batch axis; x_init is
-    (..., n); gamma is a float or a (B,) array, one smoothing gain per batch
-    column.  z and t come from trapezoidal quadrature of the node values,
-    matching the transcription order.  Returns (y, x, z, t) node arrays.
-    The plan (v, omega) keeps its own batch width P, 1 for the lower
-    problem's frozen plan; y and t come back as views at the full width B.
-
-    y, t and z are NumPy sums; the swept point x is stepped column by column
-    in float arithmetic (``_sweep_column``) over a stage tableau built once,
-    so a column's numbers do not depend on the batch width.
+    v and u are (N+1, n), u0 and omega (N+1,), x_init (n,); gamma is a float
+    or a (B,) array of gains.  z and t come from trapezoidal quadrature of
+    the node values, matching the transcription order.  Returns (y, x, z, t)
+    node arrays of batch width B; y, z and t read no gain, so they are
+    broadcast views.  The swept point x is stepped per gain in float
+    arithmetic (``_sweep_column``) over one stage tableau, so a column's
+    numbers do not depend on the batch width.
     """
-    n = grid.n_nodes
-    v, u = _as_batched(v, 3), _as_batched(u, 3)
-    u0, omega = _as_batched(u0, 2), _as_batched(omega, 2)
-    x0 = np.atleast_2d(np.asarray(x_init, dtype=float))
-    P = max(v.shape[1], omega.shape[1])
-    B = max(P, u.shape[1], u0.shape[1], x0.shape[0])
-    v, u = np.broadcast_to(v, (n, P, s.dim)), np.broadcast_to(u, (n, B, s.dim))
-    omega, u0 = np.broadcast_to(omega, (n, P)), np.broadcast_to(u0, (n, B))
-
-    dt = grid.dt
+    n, dt = grid.n_nodes, grid.dt
+    v, u, u0, omega = (np.asarray(a, dtype=float) for a in (v, u, u0, omega))
+    x0 = np.asarray(x_init, dtype=float)
+    gammas = np.atleast_1d(np.asarray(gamma, dtype=float)).tolist()
     effort = (np.einsum("...i,...i", u, u) + u0 * u0) * omega
-    zs = np.concatenate([np.zeros((1, B)), np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)])
+    zs = np.concatenate([[0.0], np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt)])
     # y and t have closed forms (plan_path); only x needs the stage recursion
     ys, y_st, ts = plan_path(v, omega, s, grid)
     u_st, u0_st, w_st = stage_controls(u, u0, omega)
     u0w_st = tuple(c * w for c, w in zip(u0_st, w_st))
-
-    def by_column(stages):
-        # four (N, P or B[, n]) stage arrays -> (B, N, stage, n or 1)
-        a = np.stack(stages, axis=2)
-        a = a.reshape(a.shape[:3] + (-1,))
-        return np.broadcast_to(a, (n - 1, B) + a.shape[2:]).transpose(1, 0, 2, 3)
-
-    # per column, interval and stage: (y_0, y_1, u_0, u_1, w, u0 w)
-    tab = np.concatenate([by_column(a) for a in (y_st, u_st, w_st, u0w_st)], axis=3)
-    gammas = np.broadcast_to(np.asarray(gamma, dtype=float), (B,)).tolist()
-    xs = np.empty((n, B, s.dim))
+    # per interval and stage: (y_0, y_1, u_0, u_1, w, u0 w)
+    tab = np.concatenate([np.stack(a, axis=1).reshape(n - 1, 4, -1)
+                          for a in (y_st, u_st, w_st, u0w_st)], axis=2).tolist()
+    xs = np.empty((n, len(gammas), s.dim))
     xs[0] = x0
-    for b, (x_b, g) in enumerate(zip(xs[0].tolist(), gammas)):
-        xs[1:, b] = _sweep_column(tab[b].tolist(), x_b, g, s, dt)
-    if P < B:
-        ys, ts = np.broadcast_to(ys, xs.shape), np.broadcast_to(ts, (n, B))
-    return ys, xs, zs, ts
+    for b, g in enumerate(gammas):
+        xs[1:, b] = _sweep_column(tab, x0.tolist(), g, s, dt)
+
+    def wide(a):
+        return np.broadcast_to(a[:, None], xs.shape[:2] + a.shape[1:])
+    return wide(ys), xs, wide(zs), wide(ts)
 
 
 def _sweep_column(tableau, x, gamma: float, s: Scenario, dt: float):
@@ -580,7 +561,5 @@ def convergence_study(cp: ControlProfile, x_init, sched: SmoothingSchedule, s: S
     reference; the whole schedule is one RK4 batch, a column per gamma."""
     sched.validate_against(s)
     ref = integrate_catchup(cp, x_init, s, warn=False)
-    gammas = np.asarray(sched.gammas)
-    x0 = np.broadcast_to(np.asarray(x_init, dtype=float), (len(gammas), s.dim))
-    _, xs, _, _ = propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, x0, gammas, s, cp.grid)
+    _, xs, _, _ = propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, x_init, sched.gammas, s, cp.grid)
     return np.linalg.norm(xs - ref.x[:, None, :], axis=2).max(axis=0)

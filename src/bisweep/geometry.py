@@ -279,6 +279,17 @@ def project_ball_rows(p, radius: float) -> np.ndarray:
     return p * np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
 
 
+def project_out_normal(p, v, radius: float) -> np.ndarray:
+    """The rows of ``p`` (N, n) less their outward component along the rows
+    of v where |v| reaches the given radius: the projection that removes the
+    normal cone of the ball at v."""
+    nrm = np.linalg.norm(v, axis=1)
+    vhat = v / np.maximum(nrm, 1e-300)[:, None]
+    on_ball = (radius > 0) & (nrm >= radius * (1.0 - 1e-9))
+    outward = np.where(on_ball, np.maximum(0.0, dot_rows(p, vhat)), 0.0)
+    return p - outward[:, None] * vhat
+
+
 def project_disk(p, center, radius: float) -> np.ndarray:
     """Euclidean projection onto the closed disk of the given center and radius."""
     if radius <= 0:

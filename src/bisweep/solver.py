@@ -51,10 +51,10 @@ from .dynamics import (
 from .geometry import (
     Scenario,
     checked,
-    dot_rows,
     h_lower,
     h_upper,
     project_ball_rows,
+    project_out_normal,
     target_distance,
     target_direction,
     validate,
@@ -89,8 +89,10 @@ class SolverOptions:
     screen_iters: int = 5
 
     def __post_init__(self):
+        # a grid has at least 2 intervals (TimeGrid); a seed may be 0
+        least = {"n_intervals": 2, "seed": 0}
         for name, value in vars(self).items():
-            checked(f"solver option {name}", value, int, least=0 if name == "seed" else 1)
+            checked(f"solver option {name}", value, int, least=least.get(name, 1))
 
 
 @dataclass(frozen=True)
@@ -225,15 +227,6 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
                          status=status, gamma=gamma)
 
 
-def _project_out_normal(zeta2: np.ndarray, v: np.ndarray, s: Scenario) -> np.ndarray:
-    """Remove the outward normal-cone component at nodes with |v| on the ball."""
-    nrm = np.linalg.norm(v, axis=1)
-    vhat = v / np.maximum(nrm, 1e-300)[:, None]
-    on_ball = (s.v_bound > 0) & (nrm >= s.v_bound * (1.0 - 1e-9))
-    outward = np.where(on_ball, np.maximum(0.0, dot_rows(zeta2, vhat)), 0.0)
-    return zeta2 - outward[:, None] * vhat
-
-
 def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     """Value-function subgradient selection (zeta1 wrt omega, zeta2 wrt v).
 
@@ -249,7 +242,7 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     tr = integrate_smooth(cp, dec.x_init, lower.gamma, s)
     _, d_om, d_v, _, _ = reverse_smooth(tr, cp, lower.eta, lower.gamma, s)
     w = trapz_weights(cp.grid)
-    return d_om / w, _project_out_normal(d_v / w[:, None], cp.v, s)
+    return d_om / w, project_out_normal(d_v / w[:, None], cp.v, s.v_bound)
 
 
 # --------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def test_sweep_gradients_match_central_differences(name):
     # L = z(T) + sum_i eta_i h_lower_i for the weight columns eta, none, and
     # each single node (the effort gradient and the contact Jacobian rows
     # solve_lower reads); every coordinate of every control and of x(0) is
-    # perturbed by +-h in one batched propagation
+    # perturbed by +-h, one propagation per perturbed input
     s = DRIFTS[name]
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
@@ -186,15 +186,15 @@ def test_sweep_gradients_match_central_differences(name):
     base = {"v": cp.v, "u": cp.u, "u0": cp.u0, "omega": cp.omega, "x0": x0}
     dims = [(key, idx) for key, arr in base.items() for idx in np.ndindex(arr.shape)]
     h = 1e-6
-    batch = {key: np.repeat(arr[..., None], 2 * len(dims), axis=-1) for key, arr in base.items()}
-    for col, (key, idx) in enumerate(dims):
-        batch[key][idx + (2 * col,)] += h
-        batch[key][idx + (2 * col + 1,)] -= h
-    ys, xs, zs, _ = propagate_smooth(np.moveaxis(batch["v"], -1, 1), np.moveaxis(batch["u"], -1, 1),
-                                     batch["u0"], batch["omega"], batch["x0"].T, GAMMA, s,
-                                     cp.grid)
-    lag = zs[-1][:, None] + h_lower(xs, ys, s).T @ cols
-    fd = (lag[0::2] - lag[1::2]) / (2 * h)
+
+    def lagrangian(key, idx, step):
+        args = {k: a.copy() for k, a in base.items()}
+        args[key][idx] += step
+        ys, xs, zs, _ = propagate_smooth(args["v"], args["u"], args["u0"], args["omega"], args["x0"],
+                                         GAMMA, s, cp.grid)
+        return zs[-1, 0] + h_lower(xs[:, 0], ys[:, 0], s) @ cols
+
+    fd = np.array([(lagrangian(key, idx, h) - lagrangian(key, idx, -h)) / (2 * h) for key, idx in dims])
 
     adj = {"v": d_v, "u": d_u, "u0": d_u0, "omega": d_om, "x0": q_x[0]}
     pred = np.array([adj[key][idx] for key, idx in dims])

@@ -1,7 +1,8 @@
 """The benchmark harness under bench/ still runs on this source tree: every
 workload of BENCHMARK.json sets up a valid scenario that a config file can
-carry, the tracer resolves every target and restores every binding it
-wrapped, and its per-layer metrics still see the forward propagation."""
+carry and runs one pass with every check passing, the tracer resolves every
+target and restores every binding it wrapped, and its per-layer metrics
+still see the forward propagation."""
 
 import json
 import sys
@@ -44,6 +45,20 @@ def test_workload_setup_runs(bench, name):
     assert validate(s).ok
 
 
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_pass_passes_every_check(bench, name):
+    # one pass of the workload as bench/run.py times it: a change that fails a
+    # bench check fails here, not first as a failed benchmark run
+    workloads, _ = bench
+    wl, rec = workloads.WORKLOADS[name], workloads.Recorder()
+    state = wl.setup(1)
+    rec.begin_pass()
+    wl.run_pass(state, rec)
+    rec.end_pass()
+    assert rec.attempted > 0
+    assert rec.failed == 0, rec.failures
+
+
 def test_tracer_installs_on_every_target_and_restores_every_binding(bench):
     _, tracing = bench
     owners = [tracing._resolve(target) for target, *_ in tracing.TARGETS]
@@ -74,8 +89,8 @@ def test_tracer_counts_every_forward_propagation(bench):
     try:
         tracer.phase = 0
         bisweep.dynamics.integrate_smooth(cp, (0.0, 0.0), 12.0, s)
-        bisweep.dynamics.propagate_smooth(cp.v, np.repeat(cp.u[:, None], 3, axis=1), cp.u0, cp.omega,
-                                          np.zeros((3, 2)), 12.0, s, grid)
+        bisweep.dynamics.propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, (0.0, 0.0),
+                                          np.array([12.0, 24.0, 48.0]), s, grid)
     finally:
         tracer.uninstall()
     m = tracing.layer_metrics(tracer.spans, 1)

@@ -205,6 +205,13 @@ FOREIGN_FLAGS = [(command, flag) for command, read in FLAGS_READ.items()
                  if flag not in read]
 
 
+@pytest.mark.parametrize("command", ["solve", "certify"])
+def test_grid_of_one_interval_is_refused(monkeypatch, capsys, command):
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
+    assert main([command, "--grid", "1"]) == EXIT_USAGE
+    assert "n_intervals" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, flag", FOREIGN_FLAGS)
 def test_flag_a_subcommand_does_not_read_is_refused(monkeypatch, capsys, command, flag):
     # a flag that would be accepted and then ignored is refused, naming it
@@ -216,8 +223,8 @@ def test_flag_a_subcommand_does_not_read_is_refused(monkeypatch, capsys, command
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
-@pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("seeds", 0), ("seeds", -1),
-                                        ("lower_max_iter", True), ("seed", -1)])
+@pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("n_intervals", 1), ("seeds", 0),
+                                        ("seeds", -1), ("lower_max_iter", True), ("seed", -1)])
 def test_bad_solver_run_value_is_refused(tmp_path, monkeypatch, capsys, command, key, value):
     monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
     cfg = write_config(tmp_path, run={key: value})
@@ -265,6 +272,15 @@ def test_simulate_zero_controls_constant_trajectory(tmp_path):
     assert first[2:6] == last[2:6]
     feas = json.loads((out / "feasibility.json").read_text())
     assert feas["max_h_lower"] <= 1e-9
+
+
+@pytest.mark.parametrize("gamma", [-5.0, 0.0, 1.5])  # M/R1 = 1.5 on the corridor
+def test_simulate_refuses_a_profile_gamma_at_or_below_cone_gain(tmp_path, capsys, gamma):
+    # below M/R1 the ramped cone term no longer holds the point in the disk
+    prof = write_profile(tmp_path, u=(1.0, 0.0), u0=1.0, omega=2.0, x_init=(1.0, 0.0), gamma=gamma)
+    assert main(["simulate", "--profile", str(prof)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "gamma" in err and "M/R1" in err
 
 
 def test_simulate_smooth_when_gamma_given(tmp_path, capsys):

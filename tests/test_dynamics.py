@@ -178,32 +178,29 @@ def test_integrate_smooth_speed_bound():
 def test_plan_path_is_propagate_smooth_plan_path():
     # the plan solve reads y and t of the plan path alone; they must be the
     # very numbers the full propagation produces for any lower controls
-    n, B = 12, 7
+    n, P = 12, 7
     rng = np.random.default_rng(5)
-    v = rng.uniform(-1.0, 1.0, (n + 1, B, 2))
-    omega = rng.uniform(0.0, 3.0, (n + 1, B))
-    u = rng.uniform(-0.5, 0.5, (n + 1, B, 2))
-    u0 = rng.uniform(0.0, 1.0, (n + 1, B))
-    x_init = rng.uniform(-0.5, 0.5, (B, 2))
     grid = TimeGrid(n)
-    ys, _, _, ts = propagate_smooth(v, u, u0, omega, x_init, 12.0, S, grid)
-    y_plan, _, t_plan = plan_path(v, omega, S, grid)
-    assert np.array_equal(y_plan, ys)
-    assert np.array_equal(t_plan, ts)
-    # and both are RK4 of dy = v*omega (controls linear in between) and the
-    # trapezoid rule for t, stepped here one interval at a time
     dt = grid.dt
-    y = np.empty_like(ys)
-    y[0] = S.y0_arr
-    for i in range(n):
-        k1 = v[i] * omega[i][:, None]
-        km = 0.25 * (v[i] + v[i + 1]) * (omega[i] + omega[i + 1])[:, None]
-        k4 = v[i + 1] * omega[i + 1][:, None]
-        y[i + 1] = y[i] + dt / 6.0 * (k1 + 4.0 * km + k4)
-    assert np.allclose(y_plan, y, rtol=0.0, atol=1e-12)
-    t_ref = np.concatenate([np.zeros((1, B)),
-                            np.cumsum(0.5 * dt * (omega[1:] + omega[:-1]), axis=0)])
-    assert np.allclose(t_plan, t_ref, rtol=0.0, atol=1e-12)
+    for _ in range(P):
+        v, omega = rng.uniform(-1.0, 1.0, (n + 1, 2)), rng.uniform(0.0, 3.0, n + 1)
+        u, u0 = rng.uniform(-0.5, 0.5, (n + 1, 2)), rng.uniform(0.0, 1.0, n + 1)
+        ys, _, _, ts = propagate_smooth(v, u, u0, omega, rng.uniform(-0.5, 0.5, 2), 12.0, S, grid)
+        y_plan, _, t_plan = plan_path(v, omega, S, grid)
+        assert np.array_equal(y_plan, ys[:, 0])
+        assert np.array_equal(t_plan, ts[:, 0])
+        # and both are RK4 of dy = v*omega (controls linear in between) and
+        # the trapezoid rule for t, stepped here one interval at a time
+        y = np.empty_like(y_plan)
+        y[0] = S.y0_arr
+        for i in range(n):
+            k1 = v[i] * omega[i]
+            km = 0.25 * (v[i] + v[i + 1]) * (omega[i] + omega[i + 1])
+            k4 = v[i + 1] * omega[i + 1]
+            y[i + 1] = y[i] + dt / 6.0 * (k1 + 4.0 * km + k4)
+        assert np.allclose(y_plan, y, rtol=0.0, atol=1e-12)
+        t_ref = np.concatenate([[0.0], np.cumsum(0.5 * dt * (omega[1:] + omega[:-1]))])
+        assert np.allclose(t_plan, t_ref, rtol=0.0, atol=1e-12)
 
 
 def test_reverse_plan_path_matches_central_differences_with_stage_terms():
@@ -225,26 +222,6 @@ def test_reverse_plan_path_matches_central_differences_with_stage_terms():
 
         grad = np.concatenate([d_v[..., k].ravel(), d_om[:, k]])
         assert fd_check(weighted, grad, flat, dirs, h=1e-3) < 1e-9
-
-
-@pytest.mark.parametrize("s", [S, straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1)))],
-                         ids=["identity", "affine"])
-@pytest.mark.parametrize("B", [1, 5, 251])
-def test_frozen_plan_propagates_like_its_batch_wide_copy(s, B):
-    # the lower problem's plan is one (v, omega) for the whole batch; kept at
-    # its own width it must give bitwise the numbers of a batch-wide copy
-    n = 12
-    rng = np.random.default_rng(B)
-    v, omega = rng.uniform(-0.7, 0.7, (n + 1, 2)), rng.uniform(0.5, 4.0, n + 1)
-    u, u0 = rng.uniform(-0.7, 0.7, (n + 1, B, 2)), rng.uniform(0.0, 1.0, (n + 1, B))
-    x_init = rng.uniform(-0.7, 0.7, (B, 2))
-    grid = TimeGrid(n)
-    frozen = propagate_smooth(v, u, u0, omega, x_init, 24.0, s, grid)
-    wide = propagate_smooth(np.repeat(v[:, None], B, axis=1), u, u0, np.repeat(omega[:, None], B, axis=1),
-                            x_init, 24.0, s, grid)
-    for a, b in zip(frozen, wide):
-        assert a.shape == b.shape == (n + 1, B) + b.shape[2:]
-        assert np.array_equal(a, b)
 
 
 def _stage_loop_x(v, u, u0, omega, x_init, gamma, s, grid):
@@ -273,29 +250,39 @@ TWO_NONZERO = straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1))
 @pytest.mark.parametrize("B, P", [(1, 1), (5, 1), (5, 5)])
 @pytest.mark.parametrize("per_column", [False, True], ids=["gamma-float", "gamma-array"])
 def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
-    # the swept point starts deep inside the disk (cap inactive); then the
-    # plan outruns the cone's pull, so the point falls outside the rim (cap
+    # P control profiles, each propagated under B gains: one pass per gain
+    # with gamma a float, or one pass with gamma a (B,) array.  The swept
+    # point starts deep inside the disk (cap inactive); then the plan
+    # outruns the cone's pull, so the point falls outside the rim (cap
     # active, exponent clipped at 50); omega = 0 at some nodes
     n = 16
     rng = np.random.default_rng(10 * B + P)
-    v = (1.0, 0.0) + rng.uniform(-0.2, 0.2, (n + 1, P, 2))
-    omega = np.concatenate([rng.uniform(0.0, 0.5, (8, P)), rng.uniform(5.0, 6.0, (n - 7, P))])
-    omega[[3, 4, 12]] = 0.0
-    u, u0 = rng.uniform(-0.3, 0.3, (n + 1, B, 2)), rng.uniform(0.0, 0.5, (n + 1, B))
-    x_init = rng.uniform(-0.3, 0.3, (B, 2))
-    gamma = np.linspace(96.0, 24.0, B) if per_column else 96.0
+    gammas = np.linspace(96.0, 24.0, B)
     grid = TimeGrid(n)
-    _, xs, _, _ = propagate_smooth(v, u, u0, omega, x_init, gamma, s, grid)
-    ref = _stage_loop_x(v, u, u0, omega, x_init, gamma, s, grid)
-    ys, _, _ = plan_path(v, omega, s, grid)
-    expo = 0.5 * np.asarray(gamma) * (np.sum((ref - ys) ** 2, axis=-1) - s.R1 ** 2)
-    c = np.asarray(gamma) * np.exp(np.minimum(expo, 50.0))
+    expo, c = [], []
+    for _ in range(P):
+        v = (1.0, 0.0) + rng.uniform(-0.2, 0.2, (n + 1, 2))
+        omega = np.concatenate([rng.uniform(0.0, 0.5, 8), rng.uniform(5.0, 6.0, n - 7)])
+        omega[[3, 4, 12]] = 0.0
+        u, u0 = rng.uniform(-0.3, 0.3, (n + 1, 2)), rng.uniform(0.0, 0.5, n + 1)
+        x_init = rng.uniform(-0.3, 0.3, 2)
+        if per_column:
+            _, xs, _, _ = propagate_smooth(v, u, u0, omega, x_init, gammas, s, grid)
+        else:
+            xs = np.concatenate([propagate_smooth(v, u, u0, omega, x_init, float(g), s, grid)[1]
+                                 for g in gammas], axis=1)
+        assert xs.shape == (n + 1, B, 2)
+        ref = _stage_loop_x(v, u, u0, omega, np.tile(x_init, (B, 1)), gammas, s, grid)
+        ys, _, _ = plan_path(v, omega, s, grid)
+        expo.append(0.5 * gammas * (np.sum((ref - ys[:, None]) ** 2, axis=-1) - s.R1 ** 2))
+        c.append(gammas * np.exp(np.minimum(expo[-1], 50.0)))
+        if s is TWO_NONZERO:
+            # NumPy's x @ A.T may round a sum of two products in its own way
+            np.testing.assert_allclose(xs, ref, rtol=0.0, atol=1e-15)
+        else:
+            assert np.array_equal(xs, ref)
+    expo, c = np.array(expo), np.array(c)
     assert (expo > 50.0).any() and (c >= s.cone_gain).any() and (c < 1e-3 * s.cone_gain).any()
-    if s is TWO_NONZERO:
-        # NumPy's x @ A.T may round a sum of two products in its own way
-        np.testing.assert_allclose(xs, ref, rtol=0.0, atol=1e-15)
-    else:
-        assert np.array_equal(xs, ref)
 
 
 def test_catchup_interior_equals_plain_euler():

@@ -4,8 +4,9 @@ somewhere in src/, tests/ or bench/ (an attribute of a module from outside
 the package, such as ``np.zeros``, is no reference), every dataclass field
 of the package is read as an attribute somewhere there, every defaulted
 parameter is passed by some call there, every name the package re-exports
-is listed in, and defined by, its module's ``__all__``, and no module but
-``dynamics`` reads the RK4 scheme's internals."""
+is listed in, and defined by, its module's ``__all__``, no module but
+``dynamics`` reads the RK4 scheme's internals, and no module imports or
+reads another module's underscore name."""
 
 import ast
 from pathlib import Path
@@ -454,4 +455,43 @@ def test_rk4_internal_scanner_flags_imports_and_attributes():
 def test_rk4_internals_stay_in_dynamics():
     uses = {p.name: rk4_internal_uses(p.read_text(encoding="utf-8"))
             for p in PACKAGE.glob("*.py") if p.name != "dynamics.py"}
+    assert {name: names for name, names in uses.items() if names} == {}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_name_uses(source: str) -> list:
+    """The underscore names (not dunders) a module imports from another
+    module of the package, or reads as an attribute of one it imported."""
+    found, siblings = set(), set()
+    nodes = list(ast.walk(ast.parse(source)))
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bisweep")):
+            owner = (node.module or "").split(".")[-1]
+            if owner in ("", "bisweep"):   # from . import solver: each name is a module
+                siblings.update(a.asname or a.name for a in node.names)
+            found.update(f"{owner}.{a.name}" for a in node.names if owner and _private(a.name))
+        elif isinstance(node, ast.Import):
+            siblings.update(a.asname or a.name for a in node.names if a.name.startswith("bisweep."))
+    for node in nodes:
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in siblings):
+            found.add(f"{node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_private_name_scanner_flags_imports_and_attributes():
+    src = ("from .solver import solve_lower, _x\n"
+           "from bisweep.geometry import _y as y\n"
+           "from . import solver, dynamics as dyn\n"
+           "from .dynamics import __all__\n"
+           "import bisweep.oracle as orc\n"
+           "k = solver._z, dyn._w, dyn.plan_path, orc._v, np._u, solver.__name__\n")
+    assert private_name_uses(src) == ["dyn._w", "geometry._y", "orc._v", "solver._x", "solver._z"]
+
+
+def test_no_module_reads_another_modules_private_names():
+    uses = {p.name: private_name_uses(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
     assert {name: names for name, names in uses.items() if names} == {}

@@ -34,7 +34,7 @@ def dragged_inputs(n, speed=4.0, vx=1.0):
 
 # ---------------------------------------------------------------- options
 @pytest.mark.parametrize("field, value", [("lower_max_iter", 0), ("n_intervals", 2.5),
-                                          ("seeds", 0), ("upper_max_iter", False),
+                                          ("n_intervals", 1), ("seeds", 0), ("upper_max_iter", False),
                                           ("screen_iters", "30"), ("seed", -1)])
 def test_solver_options_refuse_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
