@@ -44,7 +44,6 @@ from .dynamics import (
 from .transcription import (
     DecisionVector,
     NLPInstance,
-    assemble_lower,
 )
 from .oracle import (
     EnumSpec,

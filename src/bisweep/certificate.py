@@ -84,9 +84,8 @@ def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario):
     The exponential decay of the gain replaces the contact gate; away from the
     rim the value vanishes to machine precision.
     """
-    if gamma <= s.cone_gain:
-        raise ValueError(f"gamma must exceed M/R1 = {s.cone_gain}")
-    c = cone_coefficient(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), gamma, s)
+    c = cone_coefficient(np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
+                         s.smoothing_gain(gamma), s)
     sig, _ = _sigma_branches(_sigma_tilde(p_L, mu_L, x, y, s), lambda_bar, c)
     return _node_value(sig)
 

@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ EXIT_SOLVE = 3
 EXIT_CERTIFICATE = 4
 
 # keys of a config's run section: those passed on to SolverOptions, then the rest
-SOLVER_RUN_KEYS = ("n_intervals", "seeds", "seed", "upper_max_iter", "lower_max_iter")
+SOLVER_RUN_KEYS = tuple(SolverOptions.__dataclass_fields__)
 RUN_KEYS = SOLVER_RUN_KEYS + ("gamma_max", "oracle")
 # keys of a stored control profile: the required ones, then the optional smoothing gain
 PROFILE_KEYS = ("v", "u", "u0", "omega", "x_init", "gamma")
@@ -74,8 +75,8 @@ def _node_values(data, key, n=None, width=None):
 def _load_profile(path, s: Scenario):
     """A stored control profile and its optional ``gamma``; unknown or missing
     keys, malformed numbers, controls outside the scenario's balls, an
-    ``x_init`` outside the initial small disk Q1 + y0 and a ``gamma`` at or
-    below M/R1 are refused."""
+    ``x_init`` outside the initial small disk Q1 + y0 and a ``gamma`` that
+    ``Scenario.smoothing_gain`` refuses are refused."""
     with open(path, "r", encoding="utf-8") as fh:
         data = require_known_keys(yaml.safe_load(fh), PROFILE_KEYS, "profile key")
     missing = [key for key in PROFILE_KEYS[:-1] if key not in data]
@@ -93,11 +94,7 @@ def _load_profile(path, s: Scenario):
         raise ValueError(f"x_init = {data['x_init']!r} is not a point of Q1 + y0: "
                          f"|x_init - y0| = {gap:g} > R1 = {s.R1:g}")
     gamma = data.get("gamma")
-    if gamma is not None:
-        gamma = checked("gamma", gamma)
-        if gamma <= s.cone_gain:
-            raise ValueError(f"gamma must exceed M/R1 = {s.cone_gain:g}, got {gamma!r}")
-    return cp, x_init, gamma
+    return cp, x_init, None if gamma is None else s.smoothing_gain(gamma)
 
 
 def _write_trajectory_csv(path, tr, cp):
@@ -111,25 +108,25 @@ def _write_trajectory_csv(path, tr, cp):
                          *cp.u[i], cp.u0[i], *cp.v[i], cp.omega[i]])
 
 
-def _export_solution(out_dir, sol, s):
+def _write_json(out_dir, name, data) -> Path:
+    """Write ``data`` as indented JSON to ``name`` in the directory ``out_dir``,
+    made if missing, NumPy scalars as floats; returns the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out / "trajectory.csv", sol.trajectory, sol.decision.controls)
-    meta = sol.to_dict()
-    meta["scenario"] = s.to_dict()
-    with open(out / "solution.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, default=float)
+    with open(out / name, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, default=float)
+    return out
+
+
+def _export_solution(out_dir, sol, s):
+    out = _write_json(out_dir, "solution.json", {**sol.to_dict(), "scenario": s.to_dict()})
+    tr = sol.trajectory
+    _write_trajectory_csv(out / "trajectory.csv", tr, sol.decision.controls)
     # data-only plot payloads (rendering left to the caller)
-    plot = {
-        "tau": sol.trajectory.grid.nodes.tolist(),
-        "t": sol.trajectory.t.tolist(),
-        "y": sol.trajectory.y.tolist(),
-        "x": sol.trajectory.x.tolist(),
-        "z": sol.trajectory.z.tolist(),
-        "omega": sol.decision.controls.omega.tolist(),
-    }
-    with open(out / "plot_data.json", "w", encoding="utf-8") as fh:
-        json.dump(plot, fh)
+    _write_json(out, "plot_data.json", {"tau": tr.grid.nodes.tolist(), "t": tr.t.tolist(),
+                                        "y": tr.y.tolist(), "x": tr.x.tolist(),
+                                        "z": tr.z.tolist(),
+                                        "omega": sol.decision.controls.omega.tolist()})
     return out
 
 
@@ -150,7 +147,7 @@ def _gamma_schedule(args, run, s):
     ``run: gamma_max``, else at its default."""
     gamma_max = args.gamma_max
     if gamma_max is None and "gamma_max" in run:
-        gamma_max = checked("run.gamma_max", run["gamma_max"])
+        gamma_max = s.smoothing_gain(run["gamma_max"], "run.gamma_max")
     return SmoothingSchedule.default_for(s, gamma_max)
 
 
@@ -177,9 +174,7 @@ def cmd_validate(args):
         mark = "ok" if chk.passed else "FAIL"
         print(f"{chk.name:>14s}: {mark}  {chk.detail}")
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / "validation.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, default=float)
+        _write_json(args.out, "validation.json", {"ok": report.ok, **asdict(report)})
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
@@ -195,11 +190,8 @@ def cmd_simulate(args):
     print(f"max h_lower = {rep.max_h_lower:.3e}  max h_upper = {rep.max_h_upper:.3e}  "
           f"target distance = {rep.terminal_distance:.3e}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _write_json(args.out, "feasibility.json", asdict(rep))
         _write_trajectory_csv(out / "trajectory.csv", tr, cp)
-        with open(out / "feasibility.json", "w", encoding="utf-8") as fh:
-            json.dump(rep.to_dict(), fh, indent=2, default=float)
     return EXIT_OK
 
 
@@ -239,9 +231,7 @@ def cmd_certify(args):
     for line in cert.summary_lines():
         print(line)
     if args.out:
-        out = _export_solution(args.out, sol, s)
-        with open(out / "certificate.json", "w", encoding="utf-8") as fh:
-            json.dump(cert.to_dict(), fh, indent=2, default=float)
+        _write_json(_export_solution(args.out, sol, s), "certificate.json", cert.to_dict())
     return _solve_exit_code(sol, EXIT_OK if cert.ok else EXIT_CERTIFICATE)
 
 
@@ -256,10 +246,8 @@ def cmd_oracle(args):
         return EXIT_SOLVE
     print(f"oracle T = {T:.6f}  phi = {decision['phi']:.6f}")
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / "oracle.json", "w", encoding="utf-8") as fh:
-            json.dump({"T": T, "decision": {k: np.asarray(val).tolist()
-                                            for k, val in decision.items()}}, fh, indent=2)
+        _write_json(args.out, "oracle.json", {"T": T, "decision": {
+            k: np.asarray(val).tolist() for k, val in decision.items()}})
     return EXIT_OK
 
 
@@ -271,9 +259,8 @@ def cmd_sweep_gamma(args):
     for g, e in zip(sched.gammas, errs):
         print(f"gamma = {g:10.3f}   sup |x_smooth - x_catchup| = {e:.6e}")
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        with open(Path(args.out) / "gamma_sweep.json", "w", encoding="utf-8") as fh:
-            json.dump({"gammas": list(sched.gammas), "errors": errs.tolist()}, fh, indent=2)
+        _write_json(args.out, "gamma_sweep.json",
+                    {"gammas": list(sched.gammas), "errors": errs.tolist()})
     return EXIT_OK
 
 

@@ -82,6 +82,13 @@ class TimeGrid:
         return self.n_intervals + 1
 
 
+def running_trapezoid(a, dt: float) -> np.ndarray:
+    """Trapezoidal integral of the node values a (N+1, ...) from node 0 to
+    each node: the clock t and the effort z of both integrators."""
+    return np.concatenate([np.zeros((1,) + a.shape[1:]),
+                           np.cumsum(0.5 * (a[1:] + a[:-1]) * dt, axis=0)])
+
+
 def trapz_weights(grid: TimeGrid) -> np.ndarray:
     """Trapezoidal quadrature weights of the grid's nodes."""
     w = np.full(grid.n_nodes, grid.dt)
@@ -114,7 +121,10 @@ class ControlProfile:
 
     def check_bounds(self, s: Scenario) -> None:
         for name, bound in (("v", s.v_bound), ("u", s.u_bound)):
-            worst = float(np.linalg.norm(getattr(self, name), axis=1).max())
+            arr = getattr(self, name)
+            if arr.shape[1:] != (s.dim,):
+                raise ValueError(f"control {name} must have {s.dim} columns, got shape {arr.shape}")
+            worst = float(np.linalg.norm(arr, axis=1).max())
             if worst > bound + 1e-9:
                 raise ValueError(f"control {name} exceeds its ball bound: "
                                  f"max |{name}| = {worst:g} > {name}_bound = {bound:g}")
@@ -151,22 +161,21 @@ class SmoothingSchedule:
             raise ValueError("gammas must be strictly increasing")
 
     def validate_against(self, s: Scenario) -> None:
-        if not all(map(math.isfinite, self.gammas)) or self.gammas[0] <= s.cone_gain:
-            raise ValueError(f"every gamma must be finite and exceed M/R1 = {s.cone_gain}")
+        for g in self.gammas:
+            s.smoothing_gain(g)
 
     @classmethod
     def default_for(cls, s: Scenario, gamma_max: Optional[float] = None) -> "SmoothingSchedule":
         """Doubling schedule 2, 4, 8, ... times M/R1, keeping the values below
         ``gamma_max`` and ending at it (default 64 M/R1: six stages)."""
-        gamma_max = 64.0 * s.cone_gain if gamma_max is None else float(gamma_max)
+        gamma_max = (64.0 * s.cone_gain if gamma_max is None
+                     else s.smoothing_gain(gamma_max, "gamma_max"))
         gammas = []
         g = 2.0 * s.cone_gain
         while g < gamma_max:
             gammas.append(g)
             g *= 2.0
-        sched = cls(tuple(gammas) + (gamma_max,))
-        sched.validate_against(s)
-        return sched
+        return cls(tuple(gammas) + (gamma_max,))
 
 
 def drift(x, u, s: Scenario):
@@ -278,8 +287,7 @@ def plan_nodes(v, omega, s: Scenario, grid: TimeGrid):
     ys = np.empty(v.shape)
     ys[0] = s.y0_arr
     ys[1:] = s.y0_arr + np.cumsum((grid.dt / 6.0) * (w1 + 4.0 * wm + w4), axis=0)
-    return ys, np.concatenate([np.zeros((1,) + omega.shape[1:]),
-                               np.cumsum(stage_values(omega)[1] * grid.dt, axis=0)])
+    return ys, running_trapezoid(omega, grid.dt)
 
 
 def plan_path(v, omega, s: Scenario, grid: TimeGrid):
@@ -348,7 +356,7 @@ def propagate_smooth(v, u, u0, omega, x_init, gamma, s: Scenario, grid: TimeGrid
     x0 = np.asarray(x_init, dtype=float)
     gammas = np.atleast_1d(np.asarray(gamma, dtype=float)).tolist()
     effort = (np.einsum("...i,...i", u, u) + u0 * u0) * omega
-    zs = np.concatenate([[0.0], np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt)])
+    zs = running_trapezoid(effort, dt)
     # y and t have closed forms (plan_path); only x needs the stage recursion
     ys, y_st, ts = plan_path(v, omega, s, grid)
     u_st, u0_st, w_st = stage_controls(u, u0, omega)
@@ -482,7 +490,9 @@ def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
 
 
 def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True) -> StateTrajectory:
-    """Moreau catching-up stepping: Euler drift, then truncated projection pull.
+    """Moreau catching-up stepping: Euler drift, then truncated projection pull
+    toward the moving disk Q1 + y, whose center y and clock t are the smoothed
+    system's own (``plan_nodes``).
 
     The per-step correction toward the disk is capped at M * omega_i * dt; the
     implied cone activation is recorded in ``u0_realized``.  If a step needed
@@ -490,17 +500,14 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
     node, the needed correction and the budget (unless ``warn`` is False).
     """
     grid = cp.grid
-    n = grid.n_nodes
-    dt = grid.dt
-    y = np.empty((n, s.dim))
+    n, dt = grid.n_nodes, grid.dt
+    y, t = plan_nodes(cp.v, cp.omega, s, grid)
     x = np.empty((n, s.dim))
     u0_real = np.zeros(n)
-    y[0] = s.y0_arr
     x[0] = np.asarray(x_init, dtype=float)
     loss = None
     for i in range(n - 1):
         w = cp.omega[i]
-        y[i + 1] = y[i] + cp.v[i] * w * dt
         x_pred = x[i] + drift(x[i], cp.u[i], s) * w * dt
         target = project_disk(x_pred, y[i + 1], s.R1)
         needed = float(np.linalg.norm(x_pred - target))
@@ -520,9 +527,7 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
             FeasibilityLossWarning,
         )
     effort = (np.sum(cp.u * cp.u, axis=1) + u0_real ** 2) * cp.omega
-    z = np.concatenate([[0.0], np.cumsum(0.5 * (effort[1:] + effort[:-1]) * dt)])
-    t = np.concatenate([[0.0], np.cumsum(0.5 * (cp.omega[1:] + cp.omega[:-1]) * dt)])
-    return StateTrajectory(grid, y, x, z, t, u0_realized=u0_real)
+    return StateTrajectory(grid, y, x, running_trapezoid(effort, dt), t, u0_realized=u0_real)
 
 
 @dataclass(frozen=True)
@@ -532,15 +537,6 @@ class ViolationReport:
     max_h_upper: float
     node_h_upper: int
     terminal_distance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "max_h_lower": self.max_h_lower,
-            "node_h_lower": self.node_h_lower,
-            "max_h_upper": self.max_h_upper,
-            "node_h_upper": self.node_h_upper,
-            "terminal_distance": self.terminal_distance,
-        }
 
 
 def feasibility_monitor(tr: StateTrajectory, s: Scenario) -> ViolationReport:

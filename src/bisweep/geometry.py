@@ -199,6 +199,18 @@ class Scenario:
         """M / R1, the cap of the cone coefficient."""
         return self.M / self.R1
 
+    def smoothing_gain(self, value, name: str = "gamma") -> float:
+        """``value`` read by ``checked`` as a smoothing gain: the smoothed
+        system is defined only for a finite gain above M/R1."""
+        try:
+            gamma = checked(name, value)
+        except ValueError:   # not a finite number: refused below, naming M/R1
+            gamma = -math.inf
+        if gamma <= self.cone_gain:
+            raise ValueError(f"{name} must be a finite number above M/R1 = "
+                             f"{self.cone_gain:g}, got {value!r}")
+        return gamma
+
     def exit_boundary_samples(self) -> np.ndarray:
         """``EXIT_ARC_SAMPLES`` points on each arc of the exit target curve;
         ``target_distance`` and ``target_direction`` read the arcs, not these."""
@@ -435,12 +447,6 @@ class ValidationReport:
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
-        }
 
 
 def validate(s: Scenario) -> ValidationReport:

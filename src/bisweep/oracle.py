@@ -7,7 +7,6 @@ module is shared.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -227,39 +226,34 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
     raise OracleInfeasibleError("no candidate admits a feasible lower solve")
 
 
-@functools.lru_cache(maxsize=4)
-def _unit_grid(grid_pts: int):
-    """The sup oracle's u0 grid on [0, 1] and its squares, built once per size;
-    read-only, as every call shares them."""
-    u0 = np.linspace(0.0, 1.0, grid_pts)
-    sq = u0 ** 2
-    u0.flags.writeable = sq.flags.writeable = False
-    return u0, sq
+# the sup oracle's u0 grid on [0, 1] and its squares, shared by every call
+# and so read-only
+SIGMA_U0 = np.linspace(0.0, 1.0, 10_000)
+SIGMA_U0_SQ = SIGMA_U0 ** 2
+SIGMA_U0.flags.writeable = SIGMA_U0_SQ.flags.writeable = False
 
 
 def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
-                     grid_pts: int = 10_000, coeff: Optional[float] = None) -> float:
+                     coeff: Optional[float] = None) -> float:
     """Grid supremum over the cone activation of its Hamiltonian contribution.
 
     Evaluates sup over u0 in [0,1] of <qL - nuL (x - y), -coeff (x - y) u0> - r u0^2
-    on a dense grid, refined by one parabolic vertex evaluation (the objective
-    is a concave quadratic, so the refinement stays an honest evaluation)."""
-    if grid_pts < 100:
-        raise ValueError("need at least 100 grid points")
+    on the grid ``SIGMA_U0``, refined by one parabolic vertex evaluation (the
+    objective is a concave quadratic, so the refinement stays an honest evaluation)."""
     qL = np.asarray(qL, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     a = s.cone_gain if coeff is None else coeff
     d = x - y
     lin = float(np.dot(qL - nuL * d, -a * d))
-    u0, u0_sq = _unit_grid(grid_pts)
-    vals = lin * u0 - r * u0_sq
+    u0 = SIGMA_U0
+    vals = lin * u0 - r * SIGMA_U0_SQ
     j = int(np.argmax(vals))
     best = float(vals[j])
     # parabolic vertex through an adjacent triple, then evaluate there; the
     # objective is a concave quadratic, so the vertex is exact even when the
     # grid argmax sits at an endpoint
-    jc = min(max(j, 1), grid_pts - 2)
+    jc = min(max(j, 1), u0.size - 2)
     h = u0[1] - u0[0]
     denom = vals[jc - 1] - 2 * vals[jc] + vals[jc + 1]
     if abs(denom) > 1e-300:

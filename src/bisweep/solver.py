@@ -59,7 +59,7 @@ from .geometry import (
     target_direction,
     validate,
 )
-from .transcription import DecisionVector, assemble_lower
+from .transcription import DecisionVector, NLPInstance
 
 __all__ = [
     "SolverOptions",
@@ -162,18 +162,21 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     """One SLSQP solve of the transcribed lower effort problem on the grid of
     ``omega``'s nodes, from ``warm``'s decision or else from rest at y0.
 
-    The contacts h_lower <= 0 include node 0, where they are x_init's disk;
+    A gain or a plan (omega, v) that ``Scenario.smoothing_gain``,
+    ``ControlProfile`` or its ``check_bounds`` refuses is a ValueError.  The
+    contacts h_lower <= 0 include node 0, where they are x_init's disk;
     the u-balls are inequality constraints and u0 has the bounds [0, 1].  The
     effort gradient and the contact Jacobian come from one batched
     ``reverse_smooth`` sweep per iterate, and eta is SLSQP's multiplier vector
     of the contact rows.
     """
     opts = opts or SolverOptions()
-    omega = np.asarray(omega, dtype=float)
-    v = np.asarray(v, dtype=float)
-    grid = TimeGrid(omega.shape[0] - 1)
-    nlp = assemble_lower(omega, v, gamma, s, grid)
+    gamma = s.smoothing_gain(gamma)
+    grid = TimeGrid(np.shape(omega)[0] - 1)
     n, d = grid.n_nodes, s.dim
+    plan = ControlProfile(grid, v, np.zeros((n, d)), np.zeros(n), omega)
+    plan.check_bounds(s)
+    nlp = NLPInstance(grid, s, plan.omega, plan.v)
     k = d + d * n                     # u0 follows x_init and u in the packed decision
     flat = np.concatenate([s.y0_arr, np.zeros(k - d + n)])
     if warm is not None:

@@ -1,9 +1,10 @@
 """Direct transcription of the lower effort problem.
 
 An instance holds the frozen plan and packs a decision (x_init, u, u0) into
-the flat vector the lower solve optimizes.  The objective and the contact
-constraints are read from the smoothed RK4 integrator, so the quadrature used
-for the objective is the single source of truth shared with the simulator.
+the flat vector the lower solve optimizes; ``solver.solve_lower`` checks the
+plan through ``ControlProfile``.  The objective and the contact constraints
+are read from the smoothed RK4 integrator, so the quadrature used for the
+objective is the single source of truth shared with the simulator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .geometry import Scenario
 __all__ = [
     "DecisionVector",
     "NLPInstance",
-    "assemble_lower",
 ]
 
 
@@ -42,7 +42,6 @@ class NLPInstance:
 
     grid: TimeGrid
     scenario: Scenario
-    gamma: float
     fixed_omega: np.ndarray
     fixed_v: np.ndarray
 
@@ -59,21 +58,4 @@ class NLPInstance:
         u0 = np.clip(flat[d + d * n:d + d * n + n], 0.0, 1.0)
         cp = ControlProfile(self.grid, self.fixed_v, u, u0, self.fixed_omega)
         return DecisionVector(x_init, cp)
-
-
-def assemble_lower(omega, v, gamma: float, s: Scenario, grid: TimeGrid) -> NLPInstance:
-    """Transcribe the reparametrized lower effort-minimization problem.
-
-    Decision: (x_init, u, u0); (omega, v) enter as frozen parameters.
-    Objective: trapezoidal effort integral z(T*); constraints h_lower <= 0 at nodes.
-    """
-    if gamma <= s.cone_gain:
-        raise ValueError("gamma must exceed M/R1")
-    omega = np.asarray(omega, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if omega.shape[0] != grid.n_nodes or v.shape != (grid.n_nodes, s.dim):
-        raise ValueError("omega/v must be node arrays on the given grid")
-    if np.linalg.norm(v, axis=1).max() > s.v_bound + 1e-9 or omega.min() < -1e-12:
-        raise ValueError("frozen (omega, v) outside their bounds")
-    return NLPInstance(grid=grid, scenario=s, gamma=gamma, fixed_omega=omega, fixed_v=v)
 

@@ -131,7 +131,8 @@ def test_sigma_smooth_degenerate_weight():
 
 
 def test_sigma_smooth_value_rejects_gamma_at_or_below_cone_gain():
-    for gamma in (1.0, K):  # M/R1 = K = 1.5 on the corridor
+    # M/R1 = K = 1.5 on the corridor; NaN and infinity are no gain either
+    for gamma in (1.0, K, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="M/R1"):
             sigma_smooth_value(Y, X_RIM, np.array([-1.0, 0.0]), 0.0, 1.0, gamma, S)
 

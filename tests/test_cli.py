@@ -57,6 +57,27 @@ def write_profile(tmp_path, n=10, u=(0.0, 0.0), u0=0.0, v=(0.0, 0.0),
 TINY_RUN = {"n_intervals": 8, "seeds": 1, "lower_max_iter": 50, "upper_max_iter": 6}
 
 
+# ---------------------------------------------------------------- run keys
+def test_every_solver_option_is_a_run_key():
+    assert set(bisweep.cli.SOLVER_RUN_KEYS) == set(bisweep.SolverOptions.__dataclass_fields__)
+    assert set(bisweep.cli.SOLVER_RUN_KEYS) <= set(bisweep.cli.RUN_KEYS)
+
+
+def test_screen_iters_run_key_solves(tmp_path, monkeypatch):
+    # the conftest and bench options: one seed screened for 3 iterations
+    seen = []
+
+    def solve(s, sched, opts):
+        seen.append(opts)
+        return real(s, sched, opts)
+
+    real = bisweep.cli.solve_bilevel
+    monkeypatch.setattr(bisweep.cli, "solve_bilevel", solve)
+    cfg = write_config(tmp_path, run={**TINY_RUN, "screen_iters": 3})
+    assert main(["solve", "--config", str(cfg), "--gamma-max", "12"]) == EXIT_OK
+    assert (seen[0].seeds, seen[0].screen_iters) == (1, 3)
+
+
 # ---------------------------------------------------------------- validate
 def test_validate_default_scenario_ok(capsys):
     assert main(["validate"]) == EXIT_OK

@@ -18,6 +18,7 @@ from bisweep.dynamics import (
     feasibility_monitor,
     integrate_catchup,
     integrate_smooth,
+    plan_nodes,
     plan_path,
     propagate_smooth,
     reverse_plan_path,
@@ -26,7 +27,7 @@ from bisweep.dynamics import (
     sweeping_field_exact,
     sweeping_field_smooth,
 )
-from bisweep.geometry import DriftSpec, h_lower, straight_corridor
+from bisweep.geometry import DriftSpec, h_lower, project_disk, straight_corridor
 from bisweep.oracle import fd_check
 
 S = straight_corridor()
@@ -321,6 +322,46 @@ def test_catchup_warns_when_correction_budget_exceeded():
         integrate_catchup(cp, (1.0, 0.0), s)
 
 
+def test_catchup_rides_the_smoothed_systems_plan_path_and_clock():
+    # a moving plan with a varying speed and clock: the catch-up disk center
+    # and clock are plan_nodes' own, bit for bit
+    n = 40
+    tau = np.linspace(0.0, 1.0, n + 1)
+    cp = ControlProfile(TimeGrid(n), np.stack([np.cos(3 * tau), np.sin(3 * tau)], axis=1),
+                        np.tile([0.5, 0.2], (n + 1, 1)), np.full(n + 1, 0.7), 2.0 + np.sin(5 * tau))
+    tr = integrate_catchup(cp, (0.5, 0.0), S, warn=False)
+    y, t = plan_nodes(cp.v, cp.omega, S, cp.grid)
+    assert np.array_equal(tr.y, y) and np.array_equal(tr.t, t)
+    assert max(h_lower(tr.x[i], tr.y[i], S) for i in range(n + 1)) <= 1e-12
+
+
+def _euler_plan_catchup_x(cp, x_init, s):
+    """The catch-up swept point with its disk center stepped by Euler, y_{i+1}
+    = y_i + v_i omega_i dt: on a still plan (v = 0) that center is y0 too."""
+    dt = cp.grid.dt
+    y, x = s.y0_arr, np.asarray(x_init, dtype=float)
+    xs = [x]
+    for i in range(cp.grid.n_intervals):
+        w = cp.omega[i]
+        y = y + cp.v[i] * w * dt
+        x_pred = x + drift(x, cp.u[i], s) * w * dt
+        target = project_disk(x_pred, y, s.R1)
+        needed = float(np.linalg.norm(x_pred - target))
+        if needed > 1e-15:
+            x_pred = x_pred + (min(needed, s.M * w * dt) / needed) * (target - x_pred)
+        x = x_pred
+        xs.append(x)
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("u, x_init", [((1.0, 0.0), (1.0, 0.0)), ((0.6, 0.8), (0.0, 1.0))])
+def test_catchup_still_plan_boundary_ride_is_unchanged(u, x_init):
+    # A2's boundary ride: with v = 0 every disk center is y0 on either path
+    cp = profile(200, u=u, u0=1.0, omega=2.0)
+    tr = integrate_catchup(cp, x_init, S, warn=False)
+    assert np.array_equal(tr.x, _euler_plan_catchup_x(cp, x_init, S))
+
+
 # ---------------------------------------------------------------- monitoring
 def test_feasibility_monitor_clean_run():
     cp = profile(10, v=(0.5, 0.0), omega=1.0)
@@ -334,13 +375,17 @@ def test_feasibility_monitor_clean_run():
 def test_feasibility_monitor_flags_violation_node():
     cp = profile(10, omega=1.0)
     tr = integrate_smooth(cp, (0.0, 0.0), 12.0, S)
-    x = tr.x.copy()
+    x, y = tr.x.copy(), tr.y.copy()
     x[7] = (3.0, 0.0)
-    bad = type(tr)(grid=tr.grid, y=tr.y, x=x, z=tr.z, t=tr.t,
+    # Q1 + y leaves Q, whose center moves within R - R1 = 9; x goes along
+    x[4] = y[4] = (9.5, 0.0)
+    bad = type(tr)(grid=tr.grid, y=y, x=x, z=tr.z, t=tr.t,
                    u0_realized=tr.u0_realized)
     rep = feasibility_monitor(bad, S)
     assert rep.max_h_lower > 0
     assert rep.node_h_lower == 7
+    assert rep.max_h_upper > 0
+    assert rep.node_h_upper == 4
 
 
 # ---------------------------------------------------------------- smoothing convergence

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from bisweep.geometry import DriftSpec, straight_corridor, target_distance
 from bisweep.oracle import (
+    SIGMA_U0,
+    SIGMA_U0_SQ,
     EnumSpec,
     OracleInfeasibleError,
     _product_rows,
     _terminal_distances,
-    _unit_grid,
     _x_init_grid,
     brute_bilevel,
     brute_lower,
@@ -222,15 +223,15 @@ def test_sigma_oracle_interior_vertex_value():
     assert val == pytest.approx(a * a / (4 * r), abs=1e-9)
 
 
-def _uncached_sigma_sup(qL, nuL, r, x, y, s, grid_pts):
-    """The sup oracle with a fresh linspace per call."""
+def _uncached_sigma_sup(qL, nuL, r, x, y, s):
+    """The sup oracle with a fresh 10,000-point linspace per call."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     lin = float(np.dot(qL - nuL * d, -s.cone_gain * d))
-    u0 = np.linspace(0.0, 1.0, grid_pts)
+    u0 = np.linspace(0.0, 1.0, 10_000)
     vals = lin * u0 - r * u0 ** 2
     j = int(np.argmax(vals))
     best = float(vals[j])
-    jc = min(max(j, 1), grid_pts - 2)
+    jc = min(max(j, 1), 10_000 - 2)
     denom = vals[jc - 1] - 2 * vals[jc] + vals[jc + 1]
     if abs(denom) > 1e-300:
         ustar = u0[jc] + 0.5 * (u0[1] - u0[0]) * (vals[jc - 1] - vals[jc + 1]) / denom
@@ -240,22 +241,15 @@ def _uncached_sigma_sup(qL, nuL, r, x, y, s, grid_pts):
 
 
 def test_sigma_oracle_cached_grid_is_read_only_and_matches_a_fresh_one():
-    for arr in _unit_grid(10_000):
+    for arr in (SIGMA_U0, SIGMA_U0_SQ):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
     rng = np.random.default_rng(7)
-    for grid_pts in (10_000, 10_000, 100, 333, 10_000):
-        for _ in range(20):
-            q, x, y = rng.normal(size=(3, 2))
-            nu, r = rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
-            assert (sigma_sup_oracle(q, nu, r, x, y, S, grid_pts=grid_pts)
-                    == _uncached_sigma_sup(q, nu, r, x, y, S, grid_pts))
-
-
-def test_sigma_oracle_requires_dense_grid():
-    with pytest.raises(ValueError):
-        sigma_sup_oracle(np.zeros(2), 0.0, 1.0, (1.0, 0.0), (0.0, 0.0), S, grid_pts=10)
+    for _ in range(100):
+        q, x, y = rng.normal(size=(3, 2))
+        nu, r = rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
+        assert sigma_sup_oracle(q, nu, r, x, y, S) == _uncached_sigma_sup(q, nu, r, x, y, S)
 
 
 # ---------------------------------------------------------------- fd_check

@@ -83,6 +83,22 @@ def test_warm_start_from_another_grid_is_refused():
         solve_lower(*dragged_inputs(10), GAMMA, S, FAST, warm=warm)
 
 
+@pytest.mark.parametrize("omega, v, gamma", [
+    (np.ones(9), np.zeros((8, 2)), GAMMA),                    # omega has one node too many
+    (np.ones(8), np.zeros((8, 3)), GAMMA),                    # v has 3 columns
+    (np.ones(8), np.tile([1.01, 0.0], (8, 1)), GAMMA),        # |v| above v_bound = 1
+    (np.full(8, -0.5), np.zeros((8, 2)), GAMMA),              # omega negative
+    (np.ones(1), np.zeros((1, 2)), GAMMA),                    # a single node
+    (np.ones(8), np.zeros((8, 2)), 1.5),                      # gamma = M/R1
+    (np.ones(8), np.zeros((8, 2)), float("nan")),
+    (np.ones(8), np.zeros((8, 2)), float("inf")),
+], ids=["omega-nodes", "v-columns", "v-ball", "omega-negative", "one-node",
+        "gamma-cone-gain", "gamma-nan", "gamma-inf"])
+def test_lower_solve_refuses_a_bad_plan_or_gain(omega, v, gamma):
+    with pytest.raises(ValueError):
+        solve_lower(omega, v, gamma, S, FAST)
+
+
 def test_lower_solve_deterministic():
     omega, v = dragged_inputs(6)
     a = solve_lower(omega, v, GAMMA, S, FAST)

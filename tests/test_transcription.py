@@ -9,7 +9,7 @@ from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, plan_no
 from bisweep.geometry import h_lower, straight_corridor, target_distance
 from bisweep.oracle import fd_check
 from bisweep.solver import _plan_residuals
-from bisweep.transcription import DecisionVector, assemble_lower
+from bisweep.transcription import DecisionVector, NLPInstance
 
 S = straight_corridor()
 GAMMA = 12.0
@@ -152,7 +152,7 @@ def test_pack_unpack_roundtrip():
     n = 6
     omega = np.full(n + 1, 1.2)
     v = np.tile([0.4, 0.2], (n + 1, 1))
-    nlp = assemble_lower(omega, v, GAMMA, S, TimeGrid(n))
+    nlp = NLPInstance(TimeGrid(n), S, omega, v)
     dv = make_decision(n, u=(0.2, -0.1), u0=0.7, v=(0.4, 0.2), omega=omega,
                        x_init=(0.3, -0.2))
     back = nlp.unpack(nlp.pack(dv))
