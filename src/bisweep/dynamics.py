@@ -8,22 +8,27 @@ Two integration routes are provided and compared throughout the test suite:
   followed by a projection move back toward the translated disk, truncated to
   the cone budget M * omega * dt per step.
 
-The RK4 stage tableau (``stage_controls`` and ``plan_path``) is built with
-NumPy for both passes.  ``propagate_smooth`` runs one control profile and
-steps its swept point once per smoothing gain in float arithmetic
-(``_sweep_column``), in the order of the smoothed stage field
+The RK4 stage tableau is built with NumPy, in two parts.  The plan's part
+(``PlanPath``: the plan center's nodes and stage values, the clock, omega's
+stage values and the trapezoid weights) reads only the plan (v, omega), so
+``plan_path`` builds it once per plan; a solve at a fixed plan checks and
+builds it with ``frozen_plan`` and hands it to every iterate's profile
+(``PlanPath.profile``).  ``propagate_smooth`` adds only the lower controls'
+columns (u, u0 w) and steps the swept point once per smoothing gain in float
+arithmetic (``_sweep_column``), in the order of the smoothed stage field
 ``stage_slope``.  Each forward has its exact discrete reverse here:
-``reverse_smooth`` for ``integrate_smooth``, evaluating
-``stage_slope`` with its Jacobians over all intervals at once, and
-``reverse_plan_path`` for ``plan_path``, which ``reverse_smooth`` calls for
-the plan center's part and the Jacobian of the plan solve's constraints reads.
+``reverse_smooth`` for ``integrate_smooth`` sweeps the swept point,
+evaluating ``stage_slope`` with its Jacobians over all intervals at once, and
+returns the plan's cotangents as a function run only where they are read;
+that function calls ``reverse_plan_path``, the reverse of ``plan_path``,
+which the Jacobian of the plan solve's constraints also reads.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -99,13 +104,17 @@ def trapz_weights(grid: TimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlProfile:
-    """Node-sampled controls on the reparametrized horizon."""
+    """Node-sampled controls on the reparametrized horizon; one made by
+    ``PlanPath.profile`` carries its plan's path."""
 
     grid: TimeGrid
     v: np.ndarray      # (N+1, n) plan velocity, |v| <= v_bound
     u: np.ndarray      # (N+1, m) lower drift control, |u| <= u_bound
     u0: np.ndarray     # (N+1,)   cone activation in [0, 1]
     omega: np.ndarray  # (N+1,)   time dilation, >= 0
+    # the plan path of (v, omega) when made by ``PlanPath.profile``: its
+    # forward and reverse read it instead of building their own (``_plan_of``)
+    path: Optional[PlanPath] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_nodes
@@ -227,12 +236,6 @@ def stage_values(a):
     return a[:-1], am, am, a[1:]
 
 
-def stage_controls(u, u0, omega):
-    """RK4 stage tableau of the swept-point controls (u, u0, the dilation w),
-    each four interval arrays."""
-    return stage_values(u), stage_values(u0), stage_values(omega)
-
-
 def cone_coefficient(diff, gamma, s: Scenario):
     """Ramped cone coefficient c = min{M/R1, gamma exp(gamma h_lower)} at the
     offsets diff = x - y (..., n); gamma is a float or an array that
@@ -290,14 +293,77 @@ def plan_nodes(v, omega, s: Scenario, grid: TimeGrid):
     return ys, running_trapezoid(omega, grid.dt)
 
 
-def plan_path(v, omega, s: Scenario, grid: TimeGrid):
-    """``plan_nodes`` and the plan center's four RK4 stage values per
-    interval, which the swept point's stages read.  Returns (y, y_stages, t)."""
+@dataclass(frozen=True)
+class PlanPath:
+    """Everything of the RK4 step map that the plan (v, omega) alone fixes in
+    one scenario, built once per plan by ``plan_path``.  A solve at a fixed
+    plan makes every iterate's profile with ``profile``, so each forward and
+    reverse at the plan reads this record and builds only the lower
+    controls' columns."""
+
+    grid: TimeGrid
+    v: np.ndarray          # (N+1, n)
+    omega: np.ndarray      # (N+1,)
+    y: np.ndarray          # (N+1, n) plan center nodes
+    t: np.ndarray          # (N+1,)   trapezoid clock
+    y_stages: np.ndarray   # (4, N, n) plan center at the RK4 stage points
+    w_stages: np.ndarray   # (4, N)   omega at the RK4 stage points
+    weights: np.ndarray    # (N+1,)   trapezoid weights
+    tableau: list          # per interval, per stage (y_0, y_1, w, RK4 offset * dt, RK4 weight)
+
+    def profile(self, u, u0) -> ControlProfile:
+        """The control profile (v, u, u0, omega) at this plan, carrying it."""
+        cp = ControlProfile(self.grid, self.v, u, u0, self.omega)
+        object.__setattr__(cp, "path", self)
+        return cp
+
+
+def plan_path(v, omega, s: Scenario, grid: TimeGrid) -> PlanPath:
+    """``plan_nodes`` and the plan center's and omega's four RK4 stage values
+    per interval, which the swept point's stages read."""
+    v, omega = np.asarray(v, dtype=float), np.asarray(omega, dtype=float)
     ys, ts = plan_nodes(v, omega, s, grid)
     w1, wm, _ = _plan_slopes(v, omega)
-    y_st = tuple(ys[:-1] + (a * grid.dt) * k if a else ys[:-1]
-                 for a, k in zip(RK4_OFFSETS, (None, w1, wm, wm)))
-    return ys, y_st, ts
+    y_st = np.stack([ys[:-1] + (a * grid.dt) * k if a else ys[:-1]
+                     for a, k in zip(RK4_OFFSETS, (None, w1, wm, wm))])
+    w_st = np.stack(stage_values(omega))
+    steps = [(a * grid.dt, b) for a, b in zip(RK4_OFFSETS, RK4_WEIGHTS)]
+    tab = [[(*stage, *step) for stage, step in zip(stages, steps)]
+           for stages in np.concatenate([y_st, w_st[..., None]], axis=2).transpose(1, 0, 2).tolist()]
+    return PlanPath(grid, v, omega, ys, ts, y_st, w_st, trapz_weights(grid), tab)
+
+
+def frozen_plan(omega, v, s: Scenario) -> PlanPath:
+    """The plan (omega, v) that a solve holds fixed, checked once and with its
+    plan path built on the grid of omega's nodes.
+
+    omega must be a 1-D and v a 2-D array, both finite (a NaN passes every
+    bound below); ``TimeGrid``, ``ControlProfile`` and its ``check_bounds``
+    refuse the rest.  Each refusal is a ValueError naming omega or v.
+    """
+    for name, arr, ndim in (("omega", omega, 1), ("v", v, 2)):
+        if np.ndim(arr) != ndim:
+            raise ValueError(f"plan {name} must be a {ndim}-D array of node values, "
+                             f"got shape {np.shape(arr)}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"plan {name} must be finite")
+    try:
+        grid = TimeGrid(len(omega) - 1)
+    except ValueError as err:
+        raise ValueError(f"plan omega: {err}, got {len(omega)} node values") from None
+    n = grid.n_nodes
+    cp = ControlProfile(grid, v, np.zeros((n, s.dim)), np.zeros(n), omega)
+    cp.check_bounds(s)
+    return plan_path(cp.v, cp.omega, s, grid)
+
+
+def _plan_of(cp: ControlProfile, s: Scenario) -> PlanPath:
+    """cp's plan path in s: the one it carries (``PlanPath.profile``) if that
+    was built from s's start y0, the only part of s it reads; else built here."""
+    path = cp.path
+    if path is not None and path.y[0].tolist() == s.y0_arr.tolist():
+        return path
+    return plan_path(cp.v, cp.omega, s, cp.grid)
 
 
 def _to_nodes(g, into):
@@ -339,62 +405,60 @@ def reverse_plan_path(v, omega, lam_y, grid: TimeGrid, lam_stages=None):
     return d_v, d_om
 
 
-def propagate_smooth(v, u, u0, omega, x_init, gamma, s: Scenario, grid: TimeGrid):
-    """RK4 propagation of (y, x) under the smoothed field for one control
-    profile, one batch column per smoothing gain.
+def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario):
+    """RK4 propagation of (y, x) under the smoothed field for the lower
+    controls (u, u0) at one plan, one batch column per smoothing gain.
 
-    v and u are (N+1, n), u0 and omega (N+1,), x_init (n,); gamma is a float
-    or a (B,) array of gains.  z and t come from trapezoidal quadrature of
-    the node values, matching the transcription order.  Returns (y, x, z, t)
-    node arrays of batch width B; y, z and t read no gain, so they are
-    broadcast views.  The swept point x is stepped per gain in float
-    arithmetic (``_sweep_column``) over one stage tableau, so a column's
-    numbers do not depend on the batch width.
+    ``plan`` is the plan's ``PlanPath``; u is (N+1, n), u0 (N+1,), x_init
+    (n,); gamma is a float or a (B,) array of gains.  z comes from
+    trapezoidal quadrature of the node values, matching the transcription
+    order.  Returns (y, x, z, t) node arrays of batch width B; y, z and t
+    read no gain, so they are broadcast views, y and t of the plan's own.
+    The swept point x is stepped per gain in float arithmetic
+    (``_sweep_column``) over one stage tableau, so a column's numbers do not
+    depend on the batch width.
     """
-    n, dt = grid.n_nodes, grid.dt
-    v, u, u0, omega = (np.asarray(a, dtype=float) for a in (v, u, u0, omega))
+    n, dt = plan.grid.n_nodes, plan.grid.dt
+    u, u0 = np.asarray(u, dtype=float), np.asarray(u0, dtype=float)
     x0 = np.asarray(x_init, dtype=float)
     gammas = np.atleast_1d(np.asarray(gamma, dtype=float)).tolist()
-    effort = (np.einsum("...i,...i", u, u) + u0 * u0) * omega
+    effort = (np.einsum("...i,...i", u, u) + u0 * u0) * plan.omega
     zs = running_trapezoid(effort, dt)
-    # y and t have closed forms (plan_path); only x needs the stage recursion
-    ys, y_st, ts = plan_path(v, omega, s, grid)
-    u_st, u0_st, w_st = stage_controls(u, u0, omega)
-    u0w_st = tuple(c * w for c, w in zip(u0_st, w_st))
-    # per interval and stage: (y_0, y_1, u_0, u_1, w, u0 w)
-    tab = np.concatenate([np.stack(a, axis=1).reshape(n - 1, 4, -1)
-                          for a in (y_st, u_st, w_st, u0w_st)], axis=2).tolist()
+    # y, t and the plan's stage columns are the plan's; only x needs the
+    # stage recursion, with the lower controls' columns (u_0, u_1, u0 w)
+    u0w = np.stack(stage_values(u0), axis=1) * plan.w_stages.T
+    tab = np.concatenate([np.stack(stage_values(u), axis=1), u0w[..., None]], axis=2).tolist()
     xs = np.empty((n, len(gammas), s.dim))
     xs[0] = x0
     for b, g in enumerate(gammas):
-        xs[1:, b] = _sweep_column(tab, x0.tolist(), g, s, dt)
+        xs[1:, b] = _sweep_column(plan.tableau, tab, x0.tolist(), g, s, dt)
 
     def wide(a):
         return np.broadcast_to(a[:, None], xs.shape[:2] + a.shape[1:])
-    return wide(ys), xs, wide(zs), wide(ts)
+    return wide(plan.y), xs, wide(zs), wide(plan.t)
 
 
-def _sweep_column(tableau, x, gamma: float, s: Scenario, dt: float):
+def _sweep_column(plan_tab, lower_tab, x, gamma: float, s: Scenario, dt: float):
     """RK4 nodes x_1..x_N of one batch column in float arithmetic.
 
-    ``tableau`` holds per interval, per stage (y_0, y_1, u_0, u_1, w, u0 w);
-    every operation is ``stage_slope``'s and ``cone_coefficient``'s, in their
-    order, so the nodes are bitwise those of the NumPy stage map wherever
-    NumPy rounds the drift's x @ A.T as a plain sum of products.  The
-    exponential is NumPy's, which rounds some arguments unlike ``math.exp``.
+    ``plan_tab`` holds per interval, per stage (y_0, y_1, w, RK4 offset *
+    dt, RK4 weight) and ``lower_tab`` (u_0, u_1, u0 w); every operation is ``stage_slope``'s and
+    ``cone_coefficient``'s, in their order, so the nodes are bitwise those of
+    the NumPy stage map wherever NumPy rounds the drift's x @ A.T as a plain
+    sum of products.  The exponential is NumPy's, which rounds some
+    arguments unlike ``math.exp``.
     """
     exp = np.exp
     half_gamma, cap, r1sq, dt6 = 0.5 * gamma, s.cone_gain, s.R1 ** 2, dt / 6.0
     affine, M1 = s.drift.name != "identity", s.M1
     (a00, a01), (a10, a11) = s.drift.matrix(s.dim).tolist()
-    steps = tuple(zip(RK4_OFFSETS, RK4_WEIGHTS))
     x0, x1 = x
     out = []
-    for stages in tableau:
-        for (y0, y1, f0, f1, w, u0w), (off, weight) in zip(stages, steps):
+    for plan_stages, lower_stages in zip(plan_tab, lower_tab):
+        for (y0, y1, w, off, weight), (f0, f1, u0w) in zip(plan_stages, lower_stages):
             # stage 0 starts at the node, stage j > 0 off its predecessor's slope
             if off:
-                p0, p1 = x0 + (off * dt) * k0, x1 + (off * dt) * k1
+                p0, p1 = x0 + off * k0, x1 + off * k1
             else:
                 p0, p1 = x0, x1
             d0, d1 = p0 - y0, p1 - y1
@@ -422,8 +486,9 @@ def _sweep_column(tableau, x, gamma: float, s: Scenario, dt: float):
 
 
 def integrate_smooth(cp: ControlProfile, x_init, gamma: float, s: Scenario) -> StateTrajectory:
-    """RK4 trajectory of the reparametrized smoothed system for one control profile."""
-    ys, xs, zs, ts = propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, x_init, gamma, s, cp.grid)
+    """RK4 trajectory of the reparametrized smoothed system for one control
+    profile, on the plan path it carries or else one built for it."""
+    ys, xs, zs, ts = propagate_smooth(_plan_of(cp, s), cp.u, cp.u0, x_init, gamma, s)
     return StateTrajectory(cp.grid, ys[:, 0], xs[:, 0], zs[:, 0], ts[:, 0])
 
 
@@ -432,28 +497,29 @@ def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     """Exact discrete adjoint of ``integrate_smooth``'s RK4 step map.
 
     Backpropagates L = z(T*) + sum_i eta_i * h_lower_i through the forward's
-    own step map: the stage points of every interval at once, field
-    Jacobians of every (stage, interval) pair from one ``stage_slope`` call;
-    only the 2x2 backward recursion over nodes is sequential.  The plan
-    center's part is one ``reverse_plan_path`` call.  Returns the node
-    cotangents q_x = dL/dx_i and the control gradients (dL/domega, dL/dv,
-    dL/du, dL/du0), exact to roundoff.  ``eta`` may be an (N+1, K) array:
-    its K weight columns are swept at once, and every output then has a
-    trailing axis of K columns.
+    own step map on cp's plan path (``integrate_smooth``'s): the stage points
+    of every interval at once, field Jacobians of every (stage, interval)
+    pair from one ``stage_slope`` call; only the 2x2 backward recursion over
+    nodes is sequential.  Returns the node cotangents q_x = dL/dx_i, the
+    lower control gradients dL/du and dL/du0, and ``plan_cotangents``, a
+    function of no arguments that finishes the sweep for the plan and returns
+    (dL/domega, dL/dv): one ``reverse_plan_path`` call for the plan center
+    and omega's own stage terms, computed only when it is called.  All exact
+    to roundoff.  ``eta`` may be an (N+1, K) array: its K weight columns are
+    swept at once, and every output then has a trailing axis of K columns.
     """
     grid = tr.grid
     dt = grid.dt
     eye = np.eye(s.dim)
-    w = trapz_weights(grid)
-    _, y_st, _ = plan_path(cp.v, cp.omega, s, grid)
-    controls = stage_controls(cp.u, cp.u0, cp.omega)
-    u_st, u0_st, w_st = controls
+    plan = _plan_of(cp, s)
+    Y, W, w = plan.y_stages, plan.w_stages, plan.weights
+    u_st, u0_st = stage_values(cp.u), stage_values(cp.u0)
     x_st = [tr.x[:-1]]
     for j in (1, 2, 3):   # stage j starts off stage j-1's slope
-        k = stage_slope(x_st[-1], y_st[j - 1], u_st[j - 1], w_st[j - 1], u0_st[j - 1] * w_st[j - 1],
+        k = stage_slope(x_st[-1], Y[j - 1], u_st[j - 1], W[j - 1], u0_st[j - 1] * W[j - 1],
                         gamma, s)
         x_st.append(tr.x[:-1] + (RK4_OFFSETS[j] * dt) * k)
-    X, Y, U, U0, W = (np.stack(a) for a in (x_st, y_st) + controls)   # (4, N, ...)
+    X, U, U0 = (np.stack(a) for a in (x_st, u_st, u0_st))   # (4, N, ...)
     _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0 * W, gamma, s, jacobians=True)
 
     # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
@@ -474,19 +540,24 @@ def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
         q_x[i] = phiT[i] @ q_x[i + 1] + hd[i]
     gx = G @ q_x[1:]                                           # (4, N, dim, K)
     g_u0w = np.einsum("jid,jidk->jik", k_u0w, gx)
-    # grad_y h_lower = -grad_x h_lower at the nodes; k_y^T gx at the stage points
-    d_v, d_om = reverse_plan_path(cp.v, cp.omega, -hd, grid, np.swapaxes(k_y, -1, -2) @ gx)
 
     def to_nodes(g, effort):
         # every column starts from the effort integrand's own derivative
         return _to_nodes(g, np.repeat(effort[..., None], cols.shape[1], axis=-1))
 
-    d_om += to_nodes(np.einsum("jid,jidk->jik", k_w, gx) + U0[..., None] * g_u0w,
-                     w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
+    def columns(*arrays):
+        return arrays if eta.ndim > 1 else tuple(a[..., 0] for a in arrays)
+
+    def plan_cotangents():
+        # grad_y h_lower = -grad_x h_lower at the nodes; k_y^T gx at the stage points
+        d_v, d_om = reverse_plan_path(plan.v, plan.omega, -hd, grid, np.swapaxes(k_y, -1, -2) @ gx)
+        d_om += to_nodes(np.einsum("jid,jidk->jik", k_w, gx) + U0[..., None] * g_u0w,
+                         w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
+        return columns(d_om, d_v)
+
     d_u = to_nodes(np.swapaxes(k_u, -1, -2) @ gx, w[:, None] * 2.0 * cp.u * cp.omega[:, None])
     d_u0 = to_nodes(W[..., None] * g_u0w, w * 2.0 * cp.u0 * cp.omega)
-    out = (q_x, d_om, d_v, d_u, d_u0)
-    return out if eta.ndim > 1 else tuple(a[..., 0] for a in out)
+    return columns(q_x, d_u, d_u0) + (plan_cotangents,)
 
 
 def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True) -> StateTrajectory:
@@ -557,5 +628,5 @@ def convergence_study(cp: ControlProfile, x_init, sched: SmoothingSchedule, s: S
     reference; the whole schedule is one RK4 batch, a column per gamma."""
     sched.validate_against(s)
     ref = integrate_catchup(cp, x_init, s, warn=False)
-    _, xs, _, _ = propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, x_init, sched.gammas, s, cp.grid)
+    _, xs, _, _ = propagate_smooth(_plan_of(cp, s), cp.u, cp.u0, x_init, sched.gammas, s)
     return np.linalg.norm(xs - ref.x[:, None, :], axis=2).max(axis=0)

@@ -6,10 +6,13 @@ Layout of the nested scheme:
   for frozen (omega, v), on exact derivatives from the reverse sweep
   ``dynamics.reverse_smooth``; produces the value phi, the minimizing
   decision and SLSQP's multipliers eta of its contact constraints, the one
-  lower multiplier set.
+  lower multiplier set.  The plan is checked and its plan path built once
+  per solve (``dynamics.frozen_plan``); each SLSQP iterate then builds only
+  its lower controls' part of the forward and sweeps only the swept point,
+  never the plan's cotangents.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, derived from eta through the same exact discrete adjoint
-  of the forward RK4 step map.
+  of the forward RK4 step map, the one reader of its plan cotangents.
 * ``solve_bilevel`` -- the plan (v, omega) first, then the lower problem at
   that plan.  The plan problem reads only the plan (travel time, containment
   of the plan disk, terminal miss), so it does not depend on the smoothing
@@ -38,10 +41,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dynamics import (
-    ControlProfile,
     StateTrajectory,
     TimeGrid,
     SmoothingSchedule,
+    frozen_plan,
     integrate_smooth,
     plan_nodes,
     reverse_plan_path,
@@ -162,21 +165,20 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     """One SLSQP solve of the transcribed lower effort problem on the grid of
     ``omega``'s nodes, from ``warm``'s decision or else from rest at y0.
 
-    A gain or a plan (omega, v) that ``Scenario.smoothing_gain``,
-    ``ControlProfile`` or its ``check_bounds`` refuses is a ValueError.  The
+    A gain that ``Scenario.smoothing_gain`` or a plan (omega, v) that
+    ``dynamics.frozen_plan`` refuses is a ValueError, checked once per call
+    where the plan path is built; the iterates share that path.  The
     contacts h_lower <= 0 include node 0, where they are x_init's disk;
     the u-balls are inequality constraints and u0 has the bounds [0, 1].  The
     effort gradient and the contact Jacobian come from one batched
-    ``reverse_smooth`` sweep per iterate, and eta is SLSQP's multiplier vector
-    of the contact rows.
+    ``reverse_smooth`` sweep of the swept point per iterate, and eta is
+    SLSQP's multiplier vector of the contact rows.
     """
     opts = opts or SolverOptions()
     gamma = s.smoothing_gain(gamma)
-    grid = TimeGrid(np.shape(omega)[0] - 1)
-    n, d = grid.n_nodes, s.dim
-    plan = ControlProfile(grid, v, np.zeros((n, d)), np.zeros(n), omega)
-    plan.check_bounds(s)
-    nlp = NLPInstance(grid, s, plan.omega, plan.v)
+    plan = frozen_plan(omega, v, s)
+    n, d = plan.grid.n_nodes, s.dim
+    nlp = NLPInstance(plan, s)
     k = d + d * n                     # u0 follows x_init and u in the packed decision
     flat = np.concatenate([s.y0_arr, np.zeros(k - d + n)])
     if warm is not None:
@@ -198,7 +200,7 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
             tr = integrate_smooth(dv.controls, dv.x_init, gamma, s)
             last.update(flat=flat.copy(), dv=dv, tr=tr, h=h_lower(tr.x, tr.y, s), g=None)
         if sweep and last["g"] is None:
-            q_x, _, _, d_u, d_u0 = reverse_smooth(last["tr"], last["dv"].controls, cols, gamma, s)
+            q_x, d_u, d_u0, _ = reverse_smooth(last["tr"], last["dv"].controls, cols, gamma, s)
             last["g"] = np.concatenate([q_x[0], d_u.reshape(d * n, -1), d_u0])
         return last
 
@@ -238,14 +240,16 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     normal-cone component removed at nodes where |v| sits on the ball.  Both
     come from the reverse sweep of the integrator with the lower solve's
     weights eta, so they agree with central differences of the lower
-    Lagrangian to roundoff.
+    Lagrangian to roundoff.  The plan is checked as in ``solve_lower``.
     """
+    plan = frozen_plan(omega, v, s)
     dec = lower.decision
-    cp = ControlProfile(dec.controls.grid, v, dec.controls.u, dec.controls.u0, omega)
+    cp = plan.profile(dec.controls.u, dec.controls.u0)
     tr = integrate_smooth(cp, dec.x_init, lower.gamma, s)
-    _, d_om, d_v, _, _ = reverse_smooth(tr, cp, lower.eta, lower.gamma, s)
-    w = trapz_weights(cp.grid)
-    return d_om / w, project_out_normal(d_v / w[:, None], cp.v, s.v_bound)
+    *_, plan_cotangents = reverse_smooth(tr, cp, lower.eta, lower.gamma, s)
+    d_om, d_v = plan_cotangents()
+    w = plan.weights
+    return d_om / w, project_out_normal(d_v / w[:, None], plan.v, s.v_bound)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """The vectorized RK4 adjoint, with one or several weight columns, against a
 per-node loop reference and against central differences of the lower
 Lagrangian and of every contact constraint, on identity drift and on an
-affine drift whose saturation at M1 is active at some stage points."""
+affine drift whose saturation at M1 is active at some stage points; and the
+lower solve's forward and reverse on its prebuilt plan path against the
+ones that build their own."""
 
 import numpy as np
 import pytest
 
-from bisweep.dynamics import (ControlProfile, TimeGrid, integrate_smooth, propagate_smooth,
-                              reverse_smooth, trapz_weights)
+from bisweep.dynamics import (ControlProfile, TimeGrid, frozen_plan, integrate_smooth, plan_path,
+                              propagate_smooth, reverse_smooth, trapz_weights)
 from bisweep.geometry import DriftSpec, h_lower, straight_corridor
+from bisweep.transcription import NLPInstance
 
 GAMMA = 24.0
 IDENTITY = straight_corridor()
@@ -32,6 +35,13 @@ def profile(n, seed=3):
                         omega=rng.uniform(1.0, 2.5, size=m))
     eta = rng.uniform(0.0, 0.5, size=m) * (rng.uniform(size=m) < 0.5)
     return cp, np.array([0.95, 0.1]), eta
+
+
+def full_reverse(tr, cp, eta, s):
+    """(q_x, dL/domega, dL/dv, dL/du, dL/du0): ``reverse_smooth`` with its
+    plan cotangents."""
+    q_x, d_u, d_u0, plan_cotangents = reverse_smooth(tr, cp, eta, GAMMA, s)
+    return (q_x, *plan_cotangents(), d_u, d_u0)
 
 
 # ------------------------------------------------------------ loop reference
@@ -161,9 +171,9 @@ def test_sweep_matches_per_node_loop_reference(name):
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
     cols = np.stack([eta, np.zeros_like(eta), np.roll(eta, 5), np.eye(len(eta))[4]], axis=1)
-    batched = reverse_smooth(tr, cp, cols, GAMMA, s)
+    batched = full_reverse(tr, cp, cols, s)
     for k in range(cols.shape[1]):
-        new = reverse_smooth(tr, cp, cols[:, k], GAMMA, s)
+        new = full_reverse(tr, cp, cols[:, k], s)
         ref = loop_reverse_rk4(tr, cp, cols[:, k], GAMMA, s)
         for label, a, b, c in zip(("q_x", "d_om", "d_v", "d_u", "d_u0"), new, ref, batched):
             assert a.shape == b.shape == c[..., k].shape, label
@@ -181,7 +191,7 @@ def test_sweep_gradients_match_central_differences(name):
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
     cols = np.hstack([eta[:, None], np.zeros((len(eta), 1)), np.eye(len(eta))])
-    q_x, d_om, d_v, d_u, d_u0 = reverse_smooth(tr, cp, cols, GAMMA, s)
+    q_x, d_om, d_v, d_u, d_u0 = full_reverse(tr, cp, cols, s)
 
     base = {"v": cp.v, "u": cp.u, "u0": cp.u0, "omega": cp.omega, "x0": x0}
     dims = [(key, idx) for key, arr in base.items() for idx in np.ndindex(arr.shape)]
@@ -190,8 +200,8 @@ def test_sweep_gradients_match_central_differences(name):
     def lagrangian(key, idx, step):
         args = {k: a.copy() for k, a in base.items()}
         args[key][idx] += step
-        ys, xs, zs, _ = propagate_smooth(args["v"], args["u"], args["u0"], args["omega"], args["x0"],
-                                         GAMMA, s, cp.grid)
+        ys, xs, zs, _ = propagate_smooth(plan_path(args["v"], args["omega"], s, cp.grid), args["u"],
+                                         args["u0"], args["x0"], GAMMA, s)
         return zs[-1, 0] + h_lower(xs[:, 0], ys[:, 0], s) @ cols
 
     fd = np.array([(lagrangian(key, idx, h) - lagrangian(key, idx, -h)) / (2 * h) for key, idx in dims])
@@ -212,9 +222,37 @@ def test_sweep_without_weights_carries_only_the_terminal_cotangent(name):
     s = DRIFTS[name]
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
-    q_x, d_om, d_v, d_u, d_u0 = reverse_smooth(tr, cp, np.zeros_like(eta), GAMMA, s)
+    q_x, d_om, d_v, d_u, d_u0 = full_reverse(tr, cp, np.zeros_like(eta), s)
     w = trapz_weights(cp.grid)
     assert np.all(q_x == 0.0) and np.all(d_v == 0.0)
     np.testing.assert_array_equal(d_om, w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
     np.testing.assert_array_equal(d_u, w[:, None] * 2.0 * cp.u * cp.omega[:, None])
     np.testing.assert_array_equal(d_u0, w * 2.0 * cp.u0 * cp.omega)
+
+
+A4 = straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))),
+                       K_f=0.05, M1=1.2)
+TWO_NONZERO = straight_corridor(drift=DriftSpec(name="affine", A=(0.3, 0.2, -0.4, 0.1)))
+
+
+@pytest.mark.parametrize("s", [IDENTITY, A4, TWO_NONZERO], ids=["identity", "A4", "two-nonzero"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_prebuilt_plan_forward_and_swept_reverse_are_the_full_ones_bitwise(s, seed):
+    # solve_lower builds the plan path once (frozen_plan) and every iterate's
+    # profile carries it (NLPInstance.unpack); its forward and its sweep of
+    # the [0 | I] columns, which leaves the plan cotangents uncomputed, give
+    # integrate_smooth's and the full reverse's numbers bit for bit
+    cp, x0, _ = profile(12, seed)
+    n = cp.grid.n_nodes
+    plan = frozen_plan(cp.omega, cp.v, s)
+    dv = NLPInstance(plan, s).unpack(np.concatenate([x0, cp.u.ravel(), cp.u0]))
+    assert dv.controls.path is plan and cp.path is None
+    tr = integrate_smooth(dv.controls, dv.x_init, GAMMA, s)
+    ref = integrate_smooth(cp, x0, GAMMA, s)
+    for name in ("y", "x", "z", "t"):
+        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+    cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
+    q_x, d_u, d_u0, _ = reverse_smooth(tr, dv.controls, cols, GAMMA, s)
+    full = full_reverse(ref, cp, cols, s)
+    for label, a, b in zip(("q_x", "d_u", "d_u0"), (q_x, d_u, d_u0), (full[0], full[3], full[4])):
+        assert np.array_equal(a, b), label

@@ -2,7 +2,7 @@
 workload of BENCHMARK.json sets up a valid scenario that a config file can
 carry and runs one pass with every check passing, the tracer resolves every
 target and restores every binding it wrapped, and its per-layer metrics
-still see the forward propagation."""
+still see the forward propagation, also the lower solve's."""
 
 import json
 import sys
@@ -13,8 +13,9 @@ import yaml
 
 import bisweep.dynamics
 import bisweep.solver
+import bisweep.transcription
 import numpy as np
-from bisweep.dynamics import ControlProfile, TimeGrid
+from bisweep.dynamics import ControlProfile, TimeGrid, plan_path
 from bisweep.geometry import Scenario, straight_corridor, validate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,8 +90,8 @@ def test_tracer_counts_every_forward_propagation(bench):
     try:
         tracer.phase = 0
         bisweep.dynamics.integrate_smooth(cp, (0.0, 0.0), 12.0, s)
-        bisweep.dynamics.propagate_smooth(cp.v, cp.u, cp.u0, cp.omega, (0.0, 0.0),
-                                          np.array([12.0, 24.0, 48.0]), s, grid)
+        bisweep.dynamics.propagate_smooth(plan_path(cp.v, cp.omega, s, grid), cp.u, cp.u0,
+                                          (0.0, 0.0), np.array([12.0, 24.0, 48.0]), s)
     finally:
         tracer.uninstall()
     m = tracing.layer_metrics(tracer.spans, 1)
@@ -98,3 +99,31 @@ def test_tracer_counts_every_forward_propagation(bench):
     assert m["dynamics.propagate.trajectories"] == 4
     assert m["dynamics.propagate.node_steps"] == 4 * 8
     assert m["dynamics.integrate_smooth.calls"] == 1
+
+
+def test_tracer_counts_every_forward_of_a_lower_solve(bench, monkeypatch):
+    # the lower solve propagates each new SLSQP iterate once, on its prebuilt
+    # plan path, through the traced integrate_smooth and propagate_smooth; a
+    # forward that bypassed them would read 0 there without any error
+    _, tracing = bench
+    s, n = straight_corridor(), 9
+    iterates = []
+    unpack = bisweep.transcription.NLPInstance.unpack
+
+    def recorded(self, flat):
+        iterates.append(np.asarray(flat, dtype=float).tobytes())
+        return unpack(self, flat)
+
+    monkeypatch.setattr(bisweep.transcription.NLPInstance, "unpack", recorded)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.phase = 0
+        bisweep.solver.solve_lower(np.full(n, 4.0), np.tile((1.0, 0.0), (n, 1)), 24.0, s,
+                                   bisweep.solver.SolverOptions(lower_max_iter=60))
+    finally:
+        tracer.uninstall()
+    m = tracing.layer_metrics(tracer.spans, 1)
+    assert m["solver.lower.calls"] == 1
+    assert m["dynamics.propagate.calls"] == m["dynamics.integrate_smooth.calls"] > 0
+    assert m["dynamics.propagate.calls"] == len(set(iterates)) == len(iterates)

@@ -22,8 +22,8 @@ from bisweep.dynamics import (
     plan_path,
     propagate_smooth,
     reverse_plan_path,
-    stage_controls,
     stage_slope,
+    stage_values,
     sweeping_field_exact,
     sweeping_field_smooth,
 )
@@ -186,8 +186,9 @@ def test_plan_path_is_propagate_smooth_plan_path():
     for _ in range(P):
         v, omega = rng.uniform(-1.0, 1.0, (n + 1, 2)), rng.uniform(0.0, 3.0, n + 1)
         u, u0 = rng.uniform(-0.5, 0.5, (n + 1, 2)), rng.uniform(0.0, 1.0, n + 1)
-        ys, _, _, ts = propagate_smooth(v, u, u0, omega, rng.uniform(-0.5, 0.5, 2), 12.0, S, grid)
-        y_plan, _, t_plan = plan_path(v, omega, S, grid)
+        ys, _, _, ts = propagate_smooth(plan_path(v, omega, S, grid), u, u0,
+                                        rng.uniform(-0.5, 0.5, 2), 12.0, S)
+        y_plan, t_plan = plan_nodes(v, omega, S, grid)
         assert np.array_equal(y_plan, ys[:, 0])
         assert np.array_equal(t_plan, ts[:, 0])
         # and both are RK4 of dy = v*omega (controls linear in between) and
@@ -218,8 +219,8 @@ def test_reverse_plan_path_matches_central_differences_with_stage_terms():
     dirs = rng.standard_normal((12, flat.size))
     for k in range(K):
         def weighted(p):
-            ys, y_st, _ = plan_path(p[:2 * (n + 1)].reshape(n + 1, 2), p[2 * (n + 1):], S, grid)
-            return float(np.sum(lam_y[..., k] * ys) + np.sum(lam_st[..., k] * np.stack(y_st)))
+            path = plan_path(p[:2 * (n + 1)].reshape(n + 1, 2), p[2 * (n + 1):], S, grid)
+            return float(np.sum(lam_y[..., k] * path.y) + np.sum(lam_st[..., k] * path.y_stages))
 
         grad = np.concatenate([d_v[..., k].ravel(), d_om[:, k]])
         assert fd_check(weighted, grad, flat, dirs, h=1e-3) < 1e-9
@@ -230,8 +231,8 @@ def _stage_loop_x(v, u, u0, omega, x_init, gamma, s, grid):
     each interval's four RK4 stages through ``stage_slope``, every column at
     once, with the RK4 offsets and weights written out here."""
     dt = grid.dt
-    _, y_st, _ = plan_path(v, omega, s, grid)
-    u_st, u0_st, w_st = stage_controls(u, u0, omega)
+    y_st = plan_path(v, omega, s, grid).y_stages
+    u_st, u0_st, w_st = (stage_values(a) for a in (u, u0, omega))
     xs = [np.asarray(x_init, dtype=float)]
     for i in range(grid.n_intervals):
         x, k = xs[-1], []
@@ -267,15 +268,15 @@ def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
         omega[[3, 4, 12]] = 0.0
         u, u0 = rng.uniform(-0.3, 0.3, (n + 1, 2)), rng.uniform(0.0, 0.5, n + 1)
         x_init = rng.uniform(-0.3, 0.3, 2)
+        plan = plan_path(v, omega, s, grid)
         if per_column:
-            _, xs, _, _ = propagate_smooth(v, u, u0, omega, x_init, gammas, s, grid)
+            _, xs, _, _ = propagate_smooth(plan, u, u0, x_init, gammas, s)
         else:
-            xs = np.concatenate([propagate_smooth(v, u, u0, omega, x_init, float(g), s, grid)[1]
+            xs = np.concatenate([propagate_smooth(plan, u, u0, x_init, float(g), s)[1]
                                  for g in gammas], axis=1)
         assert xs.shape == (n + 1, B, 2)
         ref = _stage_loop_x(v, u, u0, omega, np.tile(x_init, (B, 1)), gammas, s, grid)
-        ys, _, _ = plan_path(v, omega, s, grid)
-        expo.append(0.5 * gammas * (np.sum((ref - ys[:, None]) ** 2, axis=-1) - s.R1 ** 2))
+        expo.append(0.5 * gammas * (np.sum((ref - plan.y[:, None]) ** 2, axis=-1) - s.R1 ** 2))
         c.append(gammas * np.exp(np.minimum(expo[-1], 50.0)))
         if s is TWO_NONZERO:
             # NumPy's x @ A.T may round a sum of two products in its own way

@@ -427,8 +427,7 @@ def test_no_dead_module_constants():
 
 
 # the RK4 scheme and its reverses live in dynamics; no other module rebuilds them
-RK4_INTERNALS = ("RK4_OFFSETS", "RK4_WEIGHTS", "stage_values", "stage_controls", "stage_slope",
-                 "plan_path")
+RK4_INTERNALS = ("RK4_OFFSETS", "RK4_WEIGHTS", "stage_values", "stage_slope", "plan_path")
 
 
 def rk4_internal_uses(source: str) -> list:

@@ -54,7 +54,8 @@ def test_lower_solve_value_is_cost_of_returned_decision():
     omega, v = dragged_inputs(8)
     ls = solve_lower(omega, v, GAMMA, S, FAST)
     tr = integrate_smooth(ls.decision.controls, ls.decision.x_init, GAMMA, S)
-    assert ls.value == pytest.approx(tr.z[-1], rel=1e-10)
+    # the solve's forward on its prebuilt plan path is integrate_smooth's own
+    assert ls.value == tr.z[-1]
 
 
 def test_lower_solve_matches_enumeration_on_tiny_grid():
@@ -83,20 +84,64 @@ def test_warm_start_from_another_grid_is_refused():
         solve_lower(*dragged_inputs(10), GAMMA, S, FAST, warm=warm)
 
 
-@pytest.mark.parametrize("omega, v, gamma", [
-    (np.ones(9), np.zeros((8, 2)), GAMMA),                    # omega has one node too many
-    (np.ones(8), np.zeros((8, 3)), GAMMA),                    # v has 3 columns
-    (np.ones(8), np.tile([1.01, 0.0], (8, 1)), GAMMA),        # |v| above v_bound = 1
-    (np.full(8, -0.5), np.zeros((8, 2)), GAMMA),              # omega negative
-    (np.ones(1), np.zeros((1, 2)), GAMMA),                    # a single node
-    (np.ones(8), np.zeros((8, 2)), 1.5),                      # gamma = M/R1
-    (np.ones(8), np.zeros((8, 2)), float("nan")),
-    (np.ones(8), np.zeros((8, 2)), float("inf")),
+def _with(a, index, value):
+    a = np.array(a, dtype=float)
+    a[index] = value
+    return a
+
+
+# malformed plans (omega, v) of 8 nodes and the key each refusal names
+BAD_PLANS = {
+    "omega-scalar": (5.0, np.zeros((8, 2)), "plan omega must be a 1-D array"),
+    "omega-2d": (np.ones((8, 1)), np.zeros((8, 2)), "plan omega must be a 1-D array"),
+    "omega-nan": (_with(np.ones(8), 3, np.nan), np.zeros((8, 2)), "plan omega must be finite"),
+    "omega-inf": (_with(np.ones(8), 7, np.inf), np.zeros((8, 2)), "plan omega must be finite"),
+    "v-nan": (np.ones(8), _with(np.zeros((8, 2)), (2, 1), np.nan), "plan v must be finite"),
+    "v-1d": (np.ones(8), np.zeros(8), "plan v must be a 2-D array"),
+}
+
+
+@pytest.mark.parametrize("omega, v, gamma, key", [
+    (np.ones(9), np.zeros((8, 2)), GAMMA, "v must have 9 node values"),   # omega one node too many
+    (np.ones(8), np.zeros((8, 3)), GAMMA, "control v must have 2 columns"),
+    (np.ones(8), np.tile([1.01, 0.0], (8, 1)), GAMMA, "control v exceeds"),   # |v| > v_bound = 1
+    (np.full(8, -0.5), np.zeros((8, 2)), GAMMA, "omega must be nonnegative"),
+    (np.ones(1), np.zeros((1, 2)), GAMMA, "plan omega: need at least 2 intervals"),   # one node
+    (np.ones(8), np.zeros((8, 2)), 1.5, "gamma"),                           # gamma = M/R1
+    (np.ones(8), np.zeros((8, 2)), float("nan"), "gamma"),
+    (np.ones(8), np.zeros((8, 2)), float("inf"), "gamma"),
+    *[(omega, v, GAMMA, key) for omega, v, key in BAD_PLANS.values()],
 ], ids=["omega-nodes", "v-columns", "v-ball", "omega-negative", "one-node",
-        "gamma-cone-gain", "gamma-nan", "gamma-inf"])
-def test_lower_solve_refuses_a_bad_plan_or_gain(omega, v, gamma):
-    with pytest.raises(ValueError):
+        "gamma-cone-gain", "gamma-nan", "gamma-inf", *BAD_PLANS])
+def test_lower_solve_refuses_a_bad_plan_or_gain(omega, v, gamma, key):
+    with pytest.raises(ValueError, match=key):
         solve_lower(omega, v, gamma, S, FAST)
+
+
+def test_lower_solve_builds_its_plan_path_once_and_no_plan_cotangents(monkeypatch):
+    # one solve_lower builds the plan path of its frozen plan once for all its
+    # SLSQP iterates and sweeps only the swept point; value_subgradient reads
+    # the plan cotangents, so it runs the plan path's reverse once
+    import bisweep.dynamics as dynamics
+
+    calls = {"plan_path": 0, "reverse_plan_path": 0}
+
+    def counted(name):
+        fn = getattr(dynamics, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, wrapped)
+
+    counted("plan_path")
+    counted("reverse_plan_path")
+    omega, v = dragged_inputs(8)
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
+    assert ls.status["iterations"] > 1
+    assert calls == {"plan_path": 1, "reverse_plan_path": 0}
+    value_subgradient(omega, v, ls, S)
+    assert calls == {"plan_path": 2, "reverse_plan_path": 1}
 
 
 def test_lower_solve_deterministic():
@@ -127,6 +172,15 @@ def test_value_subgradient_zero_for_stationary_plan():
     ls = solve_lower(omega, v, GAMMA, S, FAST)
     z1, z2 = value_subgradient(omega, v, ls, S)
     assert np.allclose(z2, 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", BAD_PLANS)
+def test_value_subgradient_refuses_a_bad_plan(name):
+    # checked once, where its frozen plan is built, as in solve_lower
+    omega, v, key = BAD_PLANS[name]
+    ls = solve_lower(*stationary_inputs(7), GAMMA, S, FAST)
+    with pytest.raises(ValueError, match=key):
+        value_subgradient(omega, v, ls, S)
 
 
 def test_value_subgradient_matches_finite_differences():
@@ -197,6 +251,11 @@ def test_penalty_gap_zero_when_lower_decision_is_copied():
     ls = solve_lower(omega, v, GAMMA, S, FAST)
     sol = _FakeSolution(ls.decision, ls, GAMMA)
     assert penalty_gap(sol) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_corridor_penalty_gap_is_exactly_zero(corridor_run):
+    # z(T*) and phi are the same forward's effort for the same decision
+    assert penalty_gap(corridor_run["solution"]) == 0.0
 
 
 def test_penalty_gap_positive_for_wasteful_controls():

@@ -5,7 +5,8 @@ Jacobian (``solver._plan_residuals``) against central differences
 import numpy as np
 import pytest
 
-from bisweep.dynamics import ControlProfile, TimeGrid, integrate_smooth, plan_nodes, trapz_weights
+from bisweep.dynamics import (ControlProfile, TimeGrid, frozen_plan, integrate_smooth, plan_nodes,
+                              trapz_weights)
 from bisweep.geometry import h_lower, straight_corridor, target_distance
 from bisweep.oracle import fd_check
 from bisweep.solver import _plan_residuals
@@ -152,7 +153,7 @@ def test_pack_unpack_roundtrip():
     n = 6
     omega = np.full(n + 1, 1.2)
     v = np.tile([0.4, 0.2], (n + 1, 1))
-    nlp = NLPInstance(TimeGrid(n), S, omega, v)
+    nlp = NLPInstance(frozen_plan(omega, v, S), S)
     dv = make_decision(n, u=(0.2, -0.1), u0=0.7, v=(0.4, 0.2), omega=omega,
                        x_init=(0.3, -0.2))
     back = nlp.unpack(nlp.pack(dv))
