@@ -12,23 +12,24 @@ The RK4 stage tableau is built with NumPy, in two parts.  The plan's part
 (``PlanPath``: the plan center's nodes and stage values, the clock, omega's
 stage values and the trapezoid weights) reads only the plan (v, omega), so
 ``plan_path`` builds it once per plan; a solve at a fixed plan checks and
-builds it with ``frozen_plan`` and hands it to every iterate's profile
-(``PlanPath.profile``).  ``propagate_smooth`` adds only the lower controls'
-columns (u, u0 w) and steps the swept point once per smoothing gain in float
-arithmetic (``_sweep_column``), in the order of the smoothed stage field
-``stage_slope``.  Each forward has its exact discrete reverse here:
-``reverse_smooth`` for ``integrate_smooth`` sweeps the swept point,
-evaluating ``stage_slope`` with its Jacobians over all intervals at once, and
-returns the plan's cotangents as a function run only where they are read;
-that function calls ``reverse_plan_path``, the reverse of ``plan_path``,
-which the Jacobian of the plan solve's constraints also reads.
+builds it once with ``frozen_plan``.  The plan-level pair takes that record
+and the lower controls (u, u0) as arguments: ``propagate_smooth`` adds only
+the lower controls' columns and steps the swept point once per smoothing
+gain in float arithmetic (``_sweep_column``), in the order of the smoothed
+stage field ``stage_slope``; ``reverse_smooth``, its exact discrete reverse,
+sweeps the swept point, evaluating ``stage_slope`` with its Jacobians over all
+intervals at once, and returns the plan's cotangents as a function run only
+where they are read.  That function calls ``reverse_plan_path``, the reverse
+of ``plan_path``, which the Jacobian of the plan solve's constraints also
+reads.  ``integrate_smooth`` and ``convergence_study`` take a control
+profile and build its plan path on each call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,17 +105,13 @@ def trapz_weights(grid: TimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ControlProfile:
-    """Node-sampled controls on the reparametrized horizon; one made by
-    ``PlanPath.profile`` carries its plan's path."""
+    """Node-sampled controls on the reparametrized horizon."""
 
     grid: TimeGrid
     v: np.ndarray      # (N+1, n) plan velocity, |v| <= v_bound
     u: np.ndarray      # (N+1, m) lower drift control, |u| <= u_bound
     u0: np.ndarray     # (N+1,)   cone activation in [0, 1]
     omega: np.ndarray  # (N+1,)   time dilation, >= 0
-    # the plan path of (v, omega) when made by ``PlanPath.profile``: its
-    # forward and reverse read it instead of building their own (``_plan_of``)
-    path: Optional[PlanPath] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_nodes
@@ -297,9 +294,8 @@ def plan_nodes(v, omega, s: Scenario, grid: TimeGrid):
 class PlanPath:
     """Everything of the RK4 step map that the plan (v, omega) alone fixes in
     one scenario, built once per plan by ``plan_path``.  A solve at a fixed
-    plan makes every iterate's profile with ``profile``, so each forward and
-    reverse at the plan reads this record and builds only the lower
-    controls' columns."""
+    plan passes it to the forward and the reverse of every iterate, which
+    build only the lower controls' columns."""
 
     grid: TimeGrid
     v: np.ndarray          # (N+1, n)
@@ -310,12 +306,6 @@ class PlanPath:
     w_stages: np.ndarray   # (4, N)   omega at the RK4 stage points
     weights: np.ndarray    # (N+1,)   trapezoid weights
     tableau: list          # per interval, per stage (y_0, y_1, w, RK4 offset * dt, RK4 weight)
-
-    def profile(self, u, u0) -> ControlProfile:
-        """The control profile (v, u, u0, omega) at this plan, carrying it."""
-        cp = ControlProfile(self.grid, self.v, u, u0, self.omega)
-        object.__setattr__(cp, "path", self)
-        return cp
 
 
 def plan_path(v, omega, s: Scenario, grid: TimeGrid) -> PlanPath:
@@ -355,15 +345,6 @@ def frozen_plan(omega, v, s: Scenario) -> PlanPath:
     cp = ControlProfile(grid, v, np.zeros((n, s.dim)), np.zeros(n), omega)
     cp.check_bounds(s)
     return plan_path(cp.v, cp.omega, s, grid)
-
-
-def _plan_of(cp: ControlProfile, s: Scenario) -> PlanPath:
-    """cp's plan path in s: the one it carries (``PlanPath.profile``) if that
-    was built from s's start y0, the only part of s it reads; else built here."""
-    path = cp.path
-    if path is not None and path.y[0].tolist() == s.y0_arr.tolist():
-        return path
-    return plan_path(cp.v, cp.omega, s, cp.grid)
 
 
 def _to_nodes(g, into):
@@ -487,19 +468,22 @@ def _sweep_column(plan_tab, lower_tab, x, gamma: float, s: Scenario, dt: float):
 
 def integrate_smooth(cp: ControlProfile, x_init, gamma: float, s: Scenario) -> StateTrajectory:
     """RK4 trajectory of the reparametrized smoothed system for one control
-    profile, on the plan path it carries or else one built for it."""
-    ys, xs, zs, ts = propagate_smooth(_plan_of(cp, s), cp.u, cp.u0, x_init, gamma, s)
+    profile, on a plan path built for it; a gain that
+    ``Scenario.smoothing_gain`` refuses is a ValueError."""
+    gamma = s.smoothing_gain(gamma)
+    ys, xs, zs, ts = propagate_smooth(plan_path(cp.v, cp.omega, s, cp.grid), cp.u, cp.u0,
+                                      x_init, gamma, s)
     return StateTrajectory(cp.grid, ys[:, 0], xs[:, 0], zs[:, 0], ts[:, 0])
 
 
-def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
-                   gamma: float, s: Scenario):
-    """Exact discrete adjoint of ``integrate_smooth``'s RK4 step map.
+def reverse_smooth(plan: PlanPath, x, u, u0, eta: np.ndarray, gamma: float, s: Scenario):
+    """Exact discrete adjoint of ``propagate_smooth``'s RK4 step map at one gain.
 
     Backpropagates L = z(T*) + sum_i eta_i * h_lower_i through the forward's
-    own step map on cp's plan path (``integrate_smooth``'s): the stage points
-    of every interval at once, field Jacobians of every (stage, interval)
-    pair from one ``stage_slope`` call; only the 2x2 backward recursion over
+    own step map on the plan's ``PlanPath``, from the forward's swept-point
+    nodes x (N+1, n) and the lower controls (u, u0): the stage points of
+    every interval at once, field Jacobians of every (stage, interval) pair
+    from one ``stage_slope`` call; only the 2x2 backward recursion over
     nodes is sequential.  Returns the node cotangents q_x = dL/dx_i, the
     lower control gradients dL/du and dL/du0, and ``plan_cotangents``, a
     function of no arguments that finishes the sweep for the plan and returns
@@ -508,17 +492,16 @@ def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     to roundoff.  ``eta`` may be an (N+1, K) array: its K weight columns are
     swept at once, and every output then has a trailing axis of K columns.
     """
-    grid = tr.grid
+    grid = plan.grid
     dt = grid.dt
     eye = np.eye(s.dim)
-    plan = _plan_of(cp, s)
     Y, W, w = plan.y_stages, plan.w_stages, plan.weights
-    u_st, u0_st = stage_values(cp.u), stage_values(cp.u0)
-    x_st = [tr.x[:-1]]
+    u_st, u0_st = stage_values(u), stage_values(u0)
+    x_st = [x[:-1]]
     for j in (1, 2, 3):   # stage j starts off stage j-1's slope
         k = stage_slope(x_st[-1], Y[j - 1], u_st[j - 1], W[j - 1], u0_st[j - 1] * W[j - 1],
                         gamma, s)
-        x_st.append(tr.x[:-1] + (RK4_OFFSETS[j] * dt) * k)
+        x_st.append(x[:-1] + (RK4_OFFSETS[j] * dt) * k)
     X, U, U0 = (np.stack(a) for a in (x_st, u_st, u0_st))   # (4, N, ...)
     _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0 * W, gamma, s, jacobians=True)
 
@@ -533,7 +516,7 @@ def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
     phiT = eye + np.sum(kxT @ G, axis=0)           # (dx_{i+1}/dx_i)^T
 
     cols = eta.reshape(eta.shape[0], -1)           # (N+1, K)
-    hd = (tr.x - tr.y)[..., None] * cols[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
+    hd = (x - plan.y)[..., None] * cols[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
     q_x = np.empty_like(hd)
     q_x[-1] = hd[-1]
     for i in range(grid.n_intervals - 1, -1, -1):
@@ -552,11 +535,11 @@ def reverse_smooth(tr: StateTrajectory, cp: ControlProfile, eta: np.ndarray,
         # grad_y h_lower = -grad_x h_lower at the nodes; k_y^T gx at the stage points
         d_v, d_om = reverse_plan_path(plan.v, plan.omega, -hd, grid, np.swapaxes(k_y, -1, -2) @ gx)
         d_om += to_nodes(np.einsum("jid,jidk->jik", k_w, gx) + U0[..., None] * g_u0w,
-                         w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
+                         w * (np.sum(u * u, axis=1) + u0 ** 2))
         return columns(d_om, d_v)
 
-    d_u = to_nodes(np.swapaxes(k_u, -1, -2) @ gx, w[:, None] * 2.0 * cp.u * cp.omega[:, None])
-    d_u0 = to_nodes(W[..., None] * g_u0w, w * 2.0 * cp.u0 * cp.omega)
+    d_u = to_nodes(np.swapaxes(k_u, -1, -2) @ gx, w[:, None] * 2.0 * u * plan.omega[:, None])
+    d_u0 = to_nodes(W[..., None] * g_u0w, w * 2.0 * u0 * plan.omega)
     return columns(q_x, d_u, d_u0) + (plan_cotangents,)
 
 
@@ -628,5 +611,6 @@ def convergence_study(cp: ControlProfile, x_init, sched: SmoothingSchedule, s: S
     reference; the whole schedule is one RK4 batch, a column per gamma."""
     sched.validate_against(s)
     ref = integrate_catchup(cp, x_init, s, warn=False)
-    _, xs, _, _ = propagate_smooth(_plan_of(cp, s), cp.u, cp.u0, x_init, sched.gammas, s)
+    _, xs, _, _ = propagate_smooth(plan_path(cp.v, cp.omega, s, cp.grid), cp.u, cp.u0, x_init,
+                                   sched.gammas, s)
     return np.linalg.norm(xs - ref.x[:, None, :], axis=2).max(axis=0)

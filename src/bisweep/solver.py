@@ -7,9 +7,9 @@ Layout of the nested scheme:
   ``dynamics.reverse_smooth``; produces the value phi, the minimizing
   decision and SLSQP's multipliers eta of its contact constraints, the one
   lower multiplier set.  The plan is checked and its plan path built once
-  per solve (``dynamics.frozen_plan``); each SLSQP iterate then builds only
-  its lower controls' part of the forward and sweeps only the swept point,
-  never the plan's cotangents.
+  per solve (``dynamics.frozen_plan``) and passed to each SLSQP iterate's
+  forward and reverse with its lower controls (x_init, u, u0); the reverse
+  sweeps only the swept point, never the plan's cotangents.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, derived from eta through the same exact discrete adjoint
   of the forward RK4 step map, the one reader of its plan cotangents.
@@ -47,6 +47,7 @@ from .dynamics import (
     frozen_plan,
     integrate_smooth,
     plan_nodes,
+    propagate_smooth,
     reverse_plan_path,
     reverse_smooth,
     trapz_weights,
@@ -167,12 +168,12 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
 
     A gain that ``Scenario.smoothing_gain`` or a plan (omega, v) that
     ``dynamics.frozen_plan`` refuses is a ValueError, checked once per call
-    where the plan path is built; the iterates share that path.  The
-    contacts h_lower <= 0 include node 0, where they are x_init's disk;
-    the u-balls are inequality constraints and u0 has the bounds [0, 1].  The
-    effort gradient and the contact Jacobian come from one batched
-    ``reverse_smooth`` sweep of the swept point per iterate, and eta is
-    SLSQP's multiplier vector of the contact rows.
+    where the plan path is built; the iterates read that path and build no
+    control profile.  The contacts h_lower <= 0 include node 0, where they
+    are x_init's disk; the u-balls are inequality constraints and u0 has the
+    bounds [0, 1].  The effort gradient and the contact Jacobian come from
+    one batched ``reverse_smooth`` sweep of the swept point per iterate, and
+    eta is SLSQP's multiplier vector of the contact rows.
     """
     opts = opts or SolverOptions()
     gamma = s.smoothing_gain(gamma)
@@ -196,11 +197,13 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         gradients of the effort and of the effort plus each h_lower_i; each is
         computed once per iterate."""
         if last["flat"] is None or not np.array_equal(last["flat"], flat):
-            dv = nlp.unpack(flat)
-            tr = integrate_smooth(dv.controls, dv.x_init, gamma, s)
-            last.update(flat=flat.copy(), dv=dv, tr=tr, h=h_lower(tr.x, tr.y, s), g=None)
+            flat = flat.copy()
+            x_init, *lower = nlp.split(flat)
+            _, xs, zs, _ = propagate_smooth(plan, *lower, x_init, gamma, s)
+            last.update(flat=flat, lower=lower, x=xs[:, 0], z=zs[-1, 0],
+                        h=h_lower(xs[:, 0], plan.y, s), g=None)
         if sweep and last["g"] is None:
-            q_x, d_u, d_u0, _ = reverse_smooth(last["tr"], last["dv"].controls, cols, gamma, s)
+            q_x, d_u, d_u0, _ = reverse_smooth(plan, last["x"], *last["lower"], cols, gamma, s)
             last["g"] = np.concatenate([q_x[0], d_u.reshape(d * n, -1), d_u0])
         return last
 
@@ -209,7 +212,7 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         return (g[:, 1:] - g[:, :1]).T
 
     # SLSQP writes into the gradient it is handed, so it gets a copy
-    res = minimize(lambda f: at(f)["tr"].z[-1], flat, method="SLSQP",
+    res = minimize(lambda f: at(f)["z"], flat, method="SLSQP",
                    jac=lambda f: at(f, sweep=True)["g"][:, 0].copy(),
                    bounds=[(None, None)] * k + [(0.0, 1.0)] * n,
                    constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
@@ -228,7 +231,7 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     status = {"converged": res.status == 0 and viol <= LOWER_VIOLATION_TOL,
               "max_violation": viol, "iterations": int(res.nit),
               "exit_status": int(res.status), "kkt_residual": kkt}
-    return LowerSolution(decision=sol["dv"], value=float(sol["tr"].z[-1]), eta=eta,
+    return LowerSolution(decision=nlp.unpack(sol["flat"]), value=float(sol["z"]), eta=eta,
                          status=status, gamma=gamma)
 
 
@@ -244,9 +247,12 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     """
     plan = frozen_plan(omega, v, s)
     dec = lower.decision
-    cp = plan.profile(dec.controls.u, dec.controls.u0)
-    tr = integrate_smooth(cp, dec.x_init, lower.gamma, s)
-    *_, plan_cotangents = reverse_smooth(tr, cp, lower.eta, lower.gamma, s)
+    u, u0 = dec.controls.u, dec.controls.u0
+    if dec.controls.grid != plan.grid:
+        raise ValueError(f"lower solution: u must have {plan.grid.n_nodes} node values, "
+                         f"got {u.shape[0]}")
+    _, xs, _, _ = propagate_smooth(plan, u, u0, dec.x_init, lower.gamma, s)
+    *_, plan_cotangents = reverse_smooth(plan, xs[:, 0], u, u0, lower.eta, lower.gamma, s)
     d_om, d_v = plan_cotangents()
     w = plan.weights
     return d_om / w, project_out_normal(d_v / w[:, None], plan.v, s.v_bound)

@@ -1,11 +1,12 @@
 """Direct transcription of the lower effort problem.
 
-An instance holds the frozen plan's path and packs a decision (x_init, u,
-u0) into the flat vector the lower solve optimizes; ``solver.solve_lower``
-checks and builds the plan once through ``dynamics.frozen_plan``.  The
-objective and the contact constraints are read from the smoothed RK4
-integrator, so the quadrature used for the objective is the single source
-of truth shared with the simulator.
+An instance holds the frozen plan's path and the layout of the flat
+decision (x_init, u, u0) that the lower solve optimizes: ``split`` reads an
+iterate's lower controls, ``unpack`` makes the returned ``DecisionVector``.
+``solver.solve_lower`` checks and builds the plan once through
+``dynamics.frozen_plan``.  The objective and the contact constraints are
+read from the smoothed RK4 integrator, so the quadrature used for the
+objective is the single source of truth shared with the simulator.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class NLPInstance:
     """The transcribed lower problem's decision layout.
 
     Decision: x_init, u, u0; the frozen plan (omega, v) enters as its plan
-    path, built once, which every unpacked profile carries.
+    path, built once per solve.
     """
 
     plan: PlanPath
@@ -49,11 +50,15 @@ class NLPInstance:
         cp = dv.controls
         return np.concatenate([dv.x_init.ravel(), cp.u.ravel(), cp.u0.ravel()])
 
-    def unpack(self, flat: np.ndarray) -> DecisionVector:
+    def split(self, flat: np.ndarray):
+        """(x_init, u, u0) of a flat decision; u0 clipped to [0, 1]."""
         n = self.plan.grid.n_nodes
         d = self.scenario.dim
         flat = np.asarray(flat, dtype=float)
-        x_init = flat[:d]
-        u = flat[d:d + d * n].reshape(n, d)
-        u0 = np.clip(flat[d + d * n:d + d * n + n], 0.0, 1.0)
-        return DecisionVector(x_init, self.plan.profile(u, u0))
+        return (flat[:d], flat[d:d + d * n].reshape(n, d),
+                np.clip(flat[d + d * n:d + d * n + n], 0.0, 1.0))
+
+    def unpack(self, flat: np.ndarray) -> DecisionVector:
+        x_init, u, u0 = self.split(flat)
+        return DecisionVector(x_init, ControlProfile(self.plan.grid, self.plan.v, u, u0,
+                                                     self.plan.omega))

@@ -2,8 +2,8 @@
 per-node loop reference and against central differences of the lower
 Lagrangian and of every contact constraint, on identity drift and on an
 affine drift whose saturation at M1 is active at some stage points; and the
-lower solve's forward and reverse on its prebuilt plan path against the
-ones that build their own."""
+lower solve's plan-level forward and swept reverse on a frozen plan's path
+against integrate_smooth and the full reverse."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from bisweep.dynamics import (ControlProfile, TimeGrid, frozen_plan, integrate_smooth, plan_path,
                               propagate_smooth, reverse_smooth, trapz_weights)
 from bisweep.geometry import DriftSpec, h_lower, straight_corridor
-from bisweep.transcription import NLPInstance
 
 GAMMA = 24.0
 IDENTITY = straight_corridor()
@@ -39,8 +38,9 @@ def profile(n, seed=3):
 
 def full_reverse(tr, cp, eta, s):
     """(q_x, dL/domega, dL/dv, dL/du, dL/du0): ``reverse_smooth`` with its
-    plan cotangents."""
-    q_x, d_u, d_u0, plan_cotangents = reverse_smooth(tr, cp, eta, GAMMA, s)
+    plan cotangents, on a plan path built for cp."""
+    q_x, d_u, d_u0, plan_cotangents = reverse_smooth(plan_path(cp.v, cp.omega, s, cp.grid), tr.x,
+                                                     cp.u, cp.u0, eta, GAMMA, s)
     return (q_x, *plan_cotangents(), d_u, d_u0)
 
 
@@ -238,21 +238,20 @@ TWO_NONZERO = straight_corridor(drift=DriftSpec(name="affine", A=(0.3, 0.2, -0.4
 @pytest.mark.parametrize("s", [IDENTITY, A4, TWO_NONZERO], ids=["identity", "A4", "two-nonzero"])
 @pytest.mark.parametrize("seed", [3, 4])
 def test_prebuilt_plan_forward_and_swept_reverse_are_the_full_ones_bitwise(s, seed):
-    # solve_lower builds the plan path once (frozen_plan) and every iterate's
-    # profile carries it (NLPInstance.unpack); its forward and its sweep of
-    # the [0 | I] columns, which leaves the plan cotangents uncomputed, give
-    # integrate_smooth's and the full reverse's numbers bit for bit
+    # solve_lower builds the plan path once (frozen_plan) and passes it to
+    # every iterate's propagate_smooth and reverse_smooth; that forward and
+    # its sweep of the [0 | I] columns, which leaves the plan cotangents
+    # uncomputed, give integrate_smooth's and the full reverse's numbers bit
+    # for bit
     cp, x0, _ = profile(12, seed)
     n = cp.grid.n_nodes
     plan = frozen_plan(cp.omega, cp.v, s)
-    dv = NLPInstance(plan, s).unpack(np.concatenate([x0, cp.u.ravel(), cp.u0]))
-    assert dv.controls.path is plan and cp.path is None
-    tr = integrate_smooth(dv.controls, dv.x_init, GAMMA, s)
+    ys, xs, zs, ts = propagate_smooth(plan, cp.u, cp.u0, x0, GAMMA, s)
     ref = integrate_smooth(cp, x0, GAMMA, s)
-    for name in ("y", "x", "z", "t"):
-        assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+    for name, a in zip("yxzt", (ys, xs, zs, ts)):
+        assert a.shape[1] == 1 and np.array_equal(a[:, 0], getattr(ref, name)), name
     cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
-    q_x, d_u, d_u0, _ = reverse_smooth(tr, dv.controls, cols, GAMMA, s)
+    q_x, d_u, d_u0, _ = reverse_smooth(plan, xs[:, 0], cp.u, cp.u0, cols, GAMMA, s)
     full = full_reverse(ref, cp, cols, s)
     for label, a, b in zip(("q_x", "d_u", "d_u0"), (q_x, d_u, d_u0), (full[0], full[3], full[4])):
         assert np.array_equal(a, b), label

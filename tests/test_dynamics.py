@@ -167,6 +167,15 @@ def test_integrate_smooth_time_monotone():
     assert np.all(np.diff(tr.z) >= -1e-15)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -3.0, 0.5, 1.5],
+                         ids=["nan", "inf", "negative", "below-cone-gain", "cone-gain"])
+def test_integrate_smooth_refuses_a_bad_gain(gamma):
+    # the smoothed system is defined only for a finite gain above M/R1 = 1.5
+    cp = profile(8, v=(0.5, 0.0), u=(0.6, 0.0), u0=0.5, omega=2.0)
+    with pytest.raises(ValueError, match="gamma"):
+        integrate_smooth(cp, (0.0, 0.0), gamma, S)
+
+
 def test_integrate_smooth_speed_bound():
     cp = profile(20, v=(1.0, 0.0), u=(1.0, 0.0), u0=1.0, omega=3.0)
     tr = integrate_smooth(cp, (1.0, 0.0), 24.0, S)

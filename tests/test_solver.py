@@ -121,27 +121,34 @@ def test_lower_solve_refuses_a_bad_plan_or_gain(omega, v, gamma, key):
 def test_lower_solve_builds_its_plan_path_once_and_no_plan_cotangents(monkeypatch):
     # one solve_lower builds the plan path of its frozen plan once for all its
     # SLSQP iterates and sweeps only the swept point; value_subgradient reads
-    # the plan cotangents, so it runs the plan path's reverse once
+    # the plan cotangents, so it runs the plan path's reverse once.  No
+    # iterate builds a control profile or a decision: the solve builds one
+    # profile for frozen_plan's check and one for the returned decision
     import bisweep.dynamics as dynamics
+    import bisweep.transcription as transcription
 
-    calls = {"plan_path": 0, "reverse_plan_path": 0}
+    calls = {"plan_path": 0, "reverse_plan_path": 0, "ControlProfile": 0, "DecisionVector": 0}
 
-    def counted(name):
-        fn = getattr(dynamics, name)
+    def counted(owner, name, attr=None):
+        fn = getattr(owner, attr or name)
 
         def wrapped(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(dynamics, name, wrapped)
+        monkeypatch.setattr(owner, attr or name, wrapped)
 
-    counted("plan_path")
-    counted("reverse_plan_path")
+    counted(dynamics, "plan_path")
+    counted(dynamics, "reverse_plan_path")
+    counted(dynamics.ControlProfile, "ControlProfile", "__post_init__")
+    counted(transcription.DecisionVector, "DecisionVector", "__post_init__")
     omega, v = dragged_inputs(8)
     ls = solve_lower(omega, v, GAMMA, S, FAST)
-    assert ls.status["iterations"] > 1
-    assert calls == {"plan_path": 1, "reverse_plan_path": 0}
+    assert ls.status["iterations"] > 2
+    assert calls == {"plan_path": 1, "reverse_plan_path": 0, "ControlProfile": 2,
+                     "DecisionVector": 1}
     value_subgradient(omega, v, ls, S)
-    assert calls == {"plan_path": 2, "reverse_plan_path": 1}
+    assert calls == {"plan_path": 2, "reverse_plan_path": 1, "ControlProfile": 3,
+                     "DecisionVector": 1}
 
 
 def test_lower_solve_deterministic():
@@ -181,6 +188,14 @@ def test_value_subgradient_refuses_a_bad_plan(name):
     ls = solve_lower(*stationary_inputs(7), GAMMA, S, FAST)
     with pytest.raises(ValueError, match=key):
         value_subgradient(omega, v, ls, S)
+
+
+def test_value_subgradient_refuses_a_lower_solution_of_another_grid():
+    # a lower solution of 8 nodes at a plan of 11: refused by name, not by a
+    # broadcast error in the forward
+    ls = solve_lower(*stationary_inputs(7), GAMMA, S, FAST)
+    with pytest.raises(ValueError, match="u must have 11 node values"):
+        value_subgradient(*stationary_inputs(10), ls, S)
 
 
 def test_value_subgradient_matches_finite_differences():
