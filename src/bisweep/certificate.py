@@ -128,12 +128,13 @@ def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario, active=N
 
 def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, active, s: Scenario):
     """Right-hand sides of the q_L and q_H adjoint equations at every node,
-    per unit of original time: each arc satisfies dq/dt = -rhs."""
+    per unit of original time: each arc satisfies dq/dt = -rhs.  Broadcasts
+    over leading batch axes of q_L (..., N+1, n) and nu_L (..., N+1)."""
     d = tr.x - tr.y
     f = drift(tr.x, cp.u, s)
     _, slope = _sigma_branches(_sigma_tilde(q_L, nu_L, tr.x, tr.y, s), r, s.cone_gain)
-    sq = np.where(active, slope, 0.0)[:, None] * q_L
-    nu_L = nu_L[:, None]
+    sq = np.where(active, slope, 0.0)[..., None] * q_L
+    nu_L = nu_L[..., None]
     rhs_L = -nu_L * f + (q_L - nu_L * d) @ s.drift.matrix(s.dim) + nu_L * cp.v - sq
     rhs_H = -(nu_H[:, None] + nu_L) * cp.v + nu_L * f + sq
     return rhs_L, rhs_H
@@ -153,18 +154,21 @@ class _MultiplierModel:
     where the constraint is inactive).  q_H follows by backward integration of
     its adjoint equation, which makes that defect vanish identically and
     leaves the conservation spread, the q_L defect, and the monotonicity of
-    nu_L as the quantities the fit balances.
+    nu_L as the quantities the fit balances.  The cost multiplier is one and
+    the effort multiplier ``PENALTY_WEIGHT``; nu_H and the target weight come
+    from the upper level's multipliers of the solution.
     """
 
-    def __init__(self, tr, cp, s: Scenario, r: float, alpha: float,
-                 nu_H: np.ndarray):
-        self.tr, self.cp, self.s, self.r = tr, cp, s, r
-        self.alpha, self.nu_H = alpha, nu_H
+    def __init__(self, sol, s: Scenario):
+        tr, cp = sol.trajectory, sol.decision.controls
+        self.tr, self.cp, self.s, self.r = tr, cp, s, PENALTY_WEIGHT
+        self.nu_H = np.cumsum(np.asarray(sol.upper_mults["h_upper"])[::-1])[::-1]
+        self.alpha = float(sol.upper_mults["target"]) * PENALTY_WEIGHT
         self.d = tr.x - tr.y
         self.dn = np.linalg.norm(self.d, axis=1)
         self.active = _contact_flags(tr, cp, s)
         self.gate = self.active | (self.dn >= 0.9 * s.R1)
-        self.g = 2.0 * r * cp.u
+        self.g = 2.0 * self.r * cp.u
         self.dhat = target_direction(tr.y[-1], s)
         # parameter layout: one nu per active node, one per inactive run, so
         # a slot opens at every active node and at the node after one
@@ -192,28 +196,67 @@ class _MultiplierModel:
         return p
 
     def build(self, nu: np.ndarray):
+        """Adjoint arcs, Hamiltonian values and q_L right-hand sides of a
+        contact-measure path nu (N+1,) or a batch of paths (..., N+1)."""
         tr, cp, s = self.tr, self.cp, self.s
-        q_L = self.g + nu[:, None] * self.d
+        q_L = self.g + nu[..., None] * self.d
         rhs_L, rhs_H = _adjoint_rhs(tr, cp, q_L, self.nu_H, nu, self.r, self.gate, s)
         d_T = self.d[-1]
-        nu_T = float(q_L[-1] @ d_T) / max(float(d_T @ d_T), 1e-300)
-        q_H_T = self.alpha * self.dhat + self.nu_H[-1] * (tr.y[-1] - s.q0_arr) - nu_T * d_T
+        nu_T = dot_rows(q_L[..., -1, :], d_T) / max(float(d_T @ d_T), 1e-300)
+        q_H_T = (self.alpha * self.dhat + self.nu_H[-1] * (tr.y[-1] - s.q0_arr)
+                 - nu_T[..., None] * d_T)
         # q_H[i] = q_H[-1] + dt * sum_{j>i} omega_j*rhs_H[j]: a reverse cumulative sum
         steps = rhs_H * cp.omega[:, None]
-        q_H = q_H_T + tr.grid.dt * (np.cumsum(steps[::-1], axis=0)[::-1] - steps)
+        tail = np.flip(np.cumsum(np.flip(steps, axis=-2), axis=-2), axis=-2)
+        q_H = q_H_T[..., None, :] + tr.grid.dt * (tail - steps)
         H = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, q_H, q_L, self.nu_H, nu, self.r, s,
                               active=self.gate)
         return q_L, q_H, H, rhs_L
 
     def residuals(self, p: np.ndarray) -> np.ndarray:
-        nu = p[self.slots]
+        """Residual vector of a parameter vector p, or one row per row of a
+        batch p (..., n_params); each row is rounded as its own call."""
+        nu = p[..., self.slots]
         q_L, _, H, rhs_L = self.build(nu)
-        r_cons = (H - H.mean()) * 10.0
+        # a row reduction of a strided batch rounds unlike the 1-D mean, so
+        # the rows are made contiguous first
+        H = np.ascontiguousarray(H)
+        r_cons = (H - H.mean(axis=-1, keepdims=True)) * 10.0
         # backward-difference defect of the q_L arc, per interval of tau
-        r_adj = (np.diff(q_L, axis=0) / self.tr.grid.dt
-                 + rhs_L[1:] * self.cp.omega[1:, None]).ravel() * 0.1
-        r_mono = np.maximum(0.0, np.diff(nu)) * 0.3
-        return np.concatenate([r_cons, r_adj, r_mono])
+        r_adj = (np.diff(q_L, axis=-2) / self.tr.grid.dt
+                 + rhs_L[..., 1:, :] * self.cp.omega[1:, None])
+        r_adj = r_adj.reshape(*r_adj.shape[:-2], -1) * 0.1
+        r_mono = np.maximum(0.0, np.diff(nu, axis=-1)) * 0.3
+        return np.concatenate([r_cons, r_adj, r_mono], axis=-1)
+
+    def residual_map(self, _fun, points):
+        """Map-like hook for ``least_squares(workers=...)``: the residuals of
+        every perturbed point of one finite-difference Jacobian, as one batch.
+
+        scipy passes ``residuals`` behind wrappers that only count calls and
+        keep the float dtype, so the batch is evaluated directly; its rows
+        equal the per-point calls bitwise.
+        """
+        return self.residuals(np.stack(list(points)))
+
+    def multipliers(self, p: np.ndarray) -> GamkrelidzeMultipliers:
+        """The candidate of parameter vector p with cost multiplier one,
+        normalized to total weight one."""
+        lam0, r0, alpha, nu_H = 1.0, self.r, self.alpha, self.nu_H
+        nu_L = p[self.slots]
+        q_L, q_H, hvals, _ = self.build(nu_L)
+        c_fit = float((np.mean(hvals) - lam0) / r0)
+        raw = GamkrelidzeMultipliers(q_H=q_H, q_L=q_L, nu_H=nu_H, nu_L=nu_L,
+                                     lam=lam0, r=r0, c=c_fit, alpha=alpha,
+                                     active=self.gate)
+        total = raw.total_weight()
+        if total <= 0:
+            raise ValueError("degenerate (all-zero) multiplier candidate")
+        kappa = 1.0 / total
+        return GamkrelidzeMultipliers(
+            q_H=kappa * q_H, q_L=kappa * q_L, nu_H=kappa * nu_H, nu_L=kappa * nu_L,
+            lam=kappa * lam0, r=kappa * r0, c=c_fit, alpha=kappa * alpha,
+            active=self.gate)
 
 
 def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
@@ -222,39 +265,30 @@ def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
     The cost multiplier is set to one, the effort multiplier to the penalty
     weight ``PENALTY_WEIGHT``, the tangential stationarity condition is imposed
     exactly (q_L - nu_L*(x-y) = 2*r*u), and the contact-measure path nu_L is
-    fitted by least squares against the conservation and adjoint residuals.
+    fitted by least squares against the conservation and adjoint residuals;
+    each finite-difference Jacobian of the fit is one batched evaluation.
     Everything is normalized to total weight one at the end.
     """
-    tr, cp = sol.trajectory, sol.decision.controls
-
-    lam0 = 1.0
-    r0 = lam0 * PENALTY_WEIGHT
-    nu_H = np.cumsum(np.asarray(sol.upper_mults["h_upper"])[::-1])[::-1]
-    alpha = float(sol.upper_mults["target"]) * PENALTY_WEIGHT
-
-    model = _MultiplierModel(tr, cp, s, r0, alpha, nu_H)
-    fit = optimize.least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)
-    nu_L = fit.x[model.slots]
-    q_L, q_H, hvals, _ = model.build(nu_L)
-
-    c_fit = float((np.mean(hvals) - lam0) / r0)
-    raw = GamkrelidzeMultipliers(q_H=q_H, q_L=q_L, nu_H=nu_H, nu_L=nu_L,
-                                 lam=lam0, r=r0, c=c_fit, alpha=alpha,
-                                 active=model.gate)
-    total = raw.total_weight()
-    if total <= 0:
-        raise ValueError("degenerate (all-zero) multiplier candidate")
-    kappa = 1.0 / total
-    return GamkrelidzeMultipliers(
-        q_H=kappa * q_H, q_L=kappa * q_L, nu_H=kappa * nu_H, nu_L=kappa * nu_L,
-        lam=kappa * lam0, r=kappa * r0, c=c_fit, alpha=kappa * alpha,
-        active=model.gate)
+    model = _MultiplierModel(sol, s)
+    fit = optimize.least_squares(model.residuals, model.initial_guess(), method="lm",
+                                 max_nfev=4000, workers=model.residual_map)
+    return model.multipliers(fit.x)
 
 
 def _worst(res: np.ndarray):
-    """Largest positive per-node residual and its node; (0.0, 0) if none is."""
+    """Largest positive per-node residual and its node; (0.0, 0) if none is.
+
+    A NaN node wins (``argmax`` returns the first one), so its NaN residual
+    names it and fails every gate.
+    """
     node = int(np.argmax(res))
-    return (float(res[node]), node) if res[node] > 0.0 else (0.0, 0)
+    return (0.0, 0) if res[node] <= 0.0 else (float(res[node]), node)
+
+
+def _nan_max(*values) -> float:
+    """Largest of the values; NaN if any is NaN, which Python's ``max`` drops
+    unless it comes first."""
+    return float(np.max(values))
 
 
 def _control_gap(tr, cp, m: GamkrelidzeMultipliers, s: Scenario):
@@ -326,10 +360,9 @@ def certify(sol, s: Scenario, check_value_selection: bool = True,
     conds["nontriviality"] = _condition(abs(m.total_weight() - 1.0), tol["nontriviality"])
 
     # 2. monotone nonnegative measures
-    mono = max(float(np.max(np.diff(m.nu_H), initial=0.0)),
-               float(np.max(np.diff(m.nu_L), initial=0.0)),
-               float(-min(m.nu_H.min(), m.nu_L.min())))
-    conds["measures"] = _condition(max(mono, 0.0), tol["boundary"])
+    mono = _nan_max(np.max(np.diff(m.nu_H), initial=0.0), np.max(np.diff(m.nu_L), initial=0.0),
+                    -m.nu_H.min(), -m.nu_L.min(), 0.0)
+    conds["measures"] = _condition(mono, tol["boundary"])
 
     # 3. adjoint system: one-sided-difference defect of the backward arcs
     conds["adjoint"] = _condition(_adjoint_defect(tr, cp, m, s), tol["adjoint"])
@@ -378,7 +411,7 @@ def _adjoint_defect(tr, cp, m, s: Scenario) -> float:
     dt_orig = tr.grid.dt * np.maximum(cp.omega[1:], 1e-300)[:, None]
     dL = np.diff(m.q_L, axis=0) / dt_orig + rhs_L[1:]
     dH = np.diff(m.q_H, axis=0) / dt_orig + rhs_H[1:]
-    return float(max(np.abs(dL).max(initial=0.0), np.abs(dH).max(initial=0.0)))
+    return _nan_max(np.abs(dL).max(initial=0.0), np.abs(dH).max(initial=0.0))
 
 
 def _boundary_residuals(tr, cp, m, s: Scenario):
@@ -405,7 +438,7 @@ def _boundary_residuals(tr, cp, m, s: Scenario):
     else:
         r_qL_0 = float(np.linalg.norm(w0))
     detail = {"q_L_terminal": r_qL_T, "q_H_terminal": r_qH_T, "q_L_initial": r_qL_0}
-    return max(detail.values()), detail
+    return _nan_max(*detail.values()), detail
 
 
 def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
@@ -438,7 +471,7 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
     # the central difference controls the curvature error
     h = 3e-2
     rng = np.random.default_rng(7)
-    worst = 0.0
+    errors = []
     for _ in range(2):
         d_om = rng.normal(size=omega.shape)
         d_om /= np.linalg.norm(d_om)
@@ -459,5 +492,5 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
 
         fd = (phi_at(+1.0) - phi_at(-1.0)) / (2 * h)
         scale = max(1.0, abs(fd), abs(pred))
-        worst = max(worst, abs(fd - pred) / scale)
-    return worst
+        errors.append(abs(fd - pred) / scale)
+    return _nan_max(*errors)

@@ -266,16 +266,21 @@ def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
 def fd_check(fn: Callable[[np.ndarray], float], grad: np.ndarray, point: np.ndarray,
              directions: Sequence[np.ndarray], h: float = 1e-6) -> float:
     """Max relative error of a supplied gradient against central differences
-    along the given directions."""
+    along the given directions; NaN if a difference or a prediction is not
+    finite."""
     if h <= 0:
         raise ValueError("h must be positive")
+    directions = [np.asarray(delta, dtype=float) for delta in directions]
+    if not directions:
+        raise ValueError("directions must not be empty")
     point = np.asarray(point, dtype=float)
     grad = np.asarray(grad, dtype=float)
     worst = 0.0
     for delta in directions:
-        delta = np.asarray(delta, dtype=float)
         fd = (fn(point + h * delta) - fn(point - h * delta)) / (2 * h)
         pred = float(np.dot(grad, delta))
+        if not (np.isfinite(fd) and np.isfinite(pred)):
+            return float("nan")
         scale = max(abs(fd), abs(pred), 1e-12)
         worst = max(worst, abs(fd - pred) / scale)
     return worst

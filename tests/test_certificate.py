@@ -1,20 +1,28 @@
 """Support-function values, Hamiltonian evaluation, and optimality residuals."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import least_squares
 
+from bisweep import solver
 from bisweep.certificate import (
+    GamkrelidzeMultipliers,
+    _MultiplierModel,
+    _worst,
     certify,
+    extract_multipliers,
     hamiltonian_upper,
     sigma_smooth_value,
     sigma_value,
 )
-from bisweep.geometry import straight_corridor
+from bisweep.geometry import DriftSpec, straight_corridor
 from bisweep.oracle import sigma_sup_oracle
+from bisweep.solver import SolverOptions, solve_bilevel
 
 S = straight_corridor()
 K = S.M / S.R1  # cone gain 1.5
@@ -310,3 +318,111 @@ def test_vectorized_residuals_match_per_node_loops(corridor_run, corridor_scenar
                      np.abs((m.q_H[j] - m.q_H[j - 1]) / dt + rhs_H).max())
     assert _adjoint_defect(tr, cp, m, s) == pytest.approx(defect, rel=1e-12)
     assert _control_gap(tr, cp, m, s)[0] == pytest.approx(gap, rel=1e-9, abs=1e-15)
+
+
+# ---------------------------------------------------------------- NaN residuals
+def test_worst_node_of_a_nan_residual_is_nan_and_named():
+    assert _worst(np.array([0.0, -1.0])) == (0.0, 0)
+    res, node = _worst(np.array([np.nan, 1e-3]))
+    assert np.isnan(res) and node == 0
+    res, node = _worst(np.array([1e-3, 2e-3, np.nan]))
+    assert np.isnan(res) and node == 2
+
+
+@pytest.mark.parametrize("name, field", [("max_control", "q_L"), ("max_plan", "q_H")])
+def test_nan_node_fails_its_maximum_condition(corridor_run, corridor_scenario,
+                                              corridor_certificate, name, field):
+    sol, m = corridor_run["solution"], corridor_certificate["report"].multipliers
+    bad = getattr(m, field).copy()
+    bad[5] = np.nan
+    cond = _conditions(sol, corridor_scenario, replace(m, **{field: bad}))[name]
+    assert cond["ok"] is False
+    assert np.isnan(cond["residual"]) and cond["node"] == 5
+
+
+def test_nan_terminal_adjoint_fails_boundary_and_adjoint(corridor_run, corridor_scenario,
+                                                         corridor_certificate):
+    sol, m = corridor_run["solution"], corridor_certificate["report"].multipliers
+    q_H = m.q_H.copy()
+    q_H[-1] = np.nan
+    conds = _conditions(sol, corridor_scenario, replace(m, q_H=q_H))
+    assert np.isnan(conds["boundary"]["detail"]["q_H_terminal"])
+    for name in ("boundary", "adjoint"):
+        assert np.isnan(conds[name]["residual"]) and conds[name]["ok"] is False
+
+
+def test_nan_measure_node_gives_a_nan_measures_residual(corridor_run, corridor_scenario,
+                                                        corridor_certificate):
+    sol, m = corridor_run["solution"], corridor_certificate["report"].multipliers
+    nu_L = np.maximum(np.minimum.accumulate(m.nu_L), 0.0)
+    nu_L[NODE] = np.nan
+    cond = _conditions(sol, corridor_scenario, replace(m, nu_L=nu_L))["measures"]
+    assert np.isnan(cond["residual"]) and cond["ok"] is False
+
+
+def test_nan_difference_quotient_fails_value_selection(corridor_run, corridor_scenario,
+                                                       corridor_certificate, monkeypatch):
+    # every perturbed re-solve reports a NaN value, so both quotients are NaN
+    monkeypatch.setattr(solver, "solve_lower",
+                        lambda *args, **kwargs: SimpleNamespace(value=np.nan))
+    rep = certify(corridor_run["solution"], corridor_scenario,
+                  multipliers=corridor_certificate["report"].multipliers)
+    cond = rep.conditions["value_selection"]
+    assert np.isnan(cond["residual"]) and cond["ok"] is False
+
+
+# ---------------------------------------------------------------- batched fit
+AFFINE = straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))),
+                           K_f=0.05, M1=1.2)  # A4's affine drift
+
+
+@pytest.fixture(scope="module")
+def affine_run():
+    return solve_bilevel(AFFINE, opts=SolverOptions(n_intervals=40, seeds=1, screen_iters=3))
+
+
+@pytest.fixture(params=["corridor", "affine"])
+def solved(request):
+    if request.param == "affine":
+        return request.getfixturevalue("affine_run"), AFFINE
+    return (request.getfixturevalue("corridor_run")["solution"],
+            request.getfixturevalue("corridor_scenario"))
+
+
+def test_batched_residuals_equal_per_row_calls(solved):
+    model = _MultiplierModel(*solved)
+    p0 = model.initial_guess()
+    rng = np.random.default_rng(3)
+    rows = p0 + rng.normal(scale=0.1, size=(6, p0.size)) * np.maximum(np.abs(p0), 1.0)
+    batch = model.residuals(rows)
+    assert batch.shape == (6, model.residuals(p0).size)
+    for row, res in zip(rows, batch):
+        assert np.array_equal(res, model.residuals(row))
+    assert np.array_equal(model.residuals(rows.reshape(2, 3, -1)).reshape(6, -1), batch)
+
+
+def test_extract_multipliers_equals_plain_least_squares(solved):
+    # the batched Jacobian leaves scipy's step rule and assembly alone, so the
+    # whole Levenberg-Marquardt path is the per-point one, bit for bit
+    model = _MultiplierModel(*solved)
+    plain = least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)
+    want, got = model.multipliers(plain.x), extract_multipliers(*solved)
+    for f in fields(GamkrelidzeMultipliers):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+def test_fit_evaluates_each_jacobian_in_one_call(corridor_run, corridor_scenario, monkeypatch):
+    # per point, the corridor fit made 932 calls; batched, each Jacobian is
+    # one call of n_params rows
+    shapes = []
+    residuals = _MultiplierModel.residuals
+
+    def counted(self, p):
+        shapes.append(np.shape(p)[:-1])
+        return residuals(self, p)
+
+    monkeypatch.setattr(_MultiplierModel, "residuals", counted)
+    extract_multipliers(corridor_run["solution"], corridor_scenario)
+    n_params = _MultiplierModel(corridor_run["solution"], corridor_scenario).n_params
+    assert len(shapes) < 100
+    assert set(shapes) == {(), (n_params,)}

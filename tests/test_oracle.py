@@ -281,6 +281,21 @@ def test_fd_check_rejects_bad_step():
         fd_check(lambda p: 0.0, np.zeros(2), np.zeros(2), [np.ones(2)], h=0.0)
 
 
+def test_fd_check_rejects_empty_directions():
+    with pytest.raises(ValueError, match="directions"):
+        fd_check(lambda p: 0.0, np.zeros(2), np.zeros(2), [])
+
+
+@pytest.mark.parametrize("fn, grad", [
+    (lambda p: np.nan, np.ones(2)),
+    (lambda p: np.inf if p[1] > 0 else 0.0, np.ones(2)),
+    (lambda p: float(np.sum(p)), np.array([1.0, np.inf])),
+], ids=["nan-fn", "inf-difference", "inf-prediction"])
+def test_fd_check_is_nan_for_a_nonfinite_difference_or_prediction(fn, grad):
+    dirs = [np.array([0.0, 1.0]), np.array([1.0, 0.0])]
+    assert np.isnan(fd_check(fn, grad, np.zeros(2), dirs))
+
+
 @given(st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 2))
 @example(a=1.0, b=1e-13, scale=1.0)
 @settings(max_examples=30, deadline=None)
