@@ -1,7 +1,9 @@
 """Independent brute-force and finite-difference references.
 
 Everything here deliberately avoids the solver code paths: propagation is
-plain Euler, optimization is exhaustive enumeration.  Only the geometry
+plain Euler, and optimization is enumeration.  The lower enumeration runs
+in order of effort and stops exactly where no later sequence can change its
+answer, so it returns what the exhaustive one does.  Only the geometry
 module is shared.
 """
 
@@ -33,7 +35,14 @@ class OracleInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """Enumeration budget: piecewise-constant controls on a tiny grid."""
+    """Enumeration budget: piecewise-constant controls on a tiny grid.
+
+    ``chunk`` sets the block width: ``brute_lower`` simulates
+    ``chunk // x_init_points`` sequences (at least one) from every initial
+    point at once.  It also fixes which of several minimizers with equal
+    effort ``brute_lower`` returns, the first in the exhaustive order:
+    chunks of that many sequences in ``itertools.product`` order, within a
+    chunk each initial point in turn, then the sequences in order."""
 
     n_intervals: int = 4
     levels_per_control: int = 3
@@ -70,19 +79,63 @@ def _x_init_grid(s: Scenario, count: int) -> np.ndarray:
 
 
 def _product_rows(levels: int, repeat: int) -> np.ndarray:
-    """All index tuples over range(levels)**repeat as int rows, in the
+    """All index tuples over range(levels)**repeat as uint8 rows, in the
     order of ``itertools.product``."""
-    return np.indices((levels,) * repeat).reshape(repeat, -1).T
+    if levels > 256:
+        raise ValueError(f"product rows hold uint8 indices, so levels must be <= 256: {levels!r}")
+    return np.indices((levels,) * repeat, dtype=np.uint8).reshape(repeat, -1).T
 
 
 def _control_levels(bound: float, levels: int) -> np.ndarray:
     return np.linspace(-bound, bound, levels)
 
 
+def _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s: Scenario) -> np.ndarray:
+    """The largest h_lower along the trajectory of each (x_init, sequence)
+    pair of one block of sequences, rows (B, N) of per-node indices: an
+    (x_init, B) table, NaN where some node's h_lower is NaN.
+
+    Plain Euler under the smoothed field; h_lower at each node is both the
+    cone ramp's argument and what is maximized.  x and u keep their
+    components first, (dim, B), so |d|^2 is a sum of dim rows.  x is B wide
+    from node 0, and a block of one sequence runs twice over, as BLAS rounds
+    a one-column A @ x unlike a wide one."""
+    B, N = rows.shape
+    idx = _interval_to_nodes(np.repeat(rows, 2 if B == 1 else 1, axis=0).T)   # (N+1, B')
+    u_nodes = u_node.T[:, idx]   # (dim, N+1, B')
+    u0_nodes = u0_node[idx]      # (N+1, B')
+    A = s.drift.matrix(s.dim) if s.drift.name != "identity" else None
+    gain = s.cone_gain
+    dt = 1.0 / N
+    out = np.full((len(x_grid), idx.shape[1]), -np.inf)
+    for xg, worst in zip(x_grid, out):
+        x = np.repeat(xg[:, None], idx.shape[1], axis=1)
+        for i in range(N + 1):
+            d = x - y[i][:, None]
+            hl = 0.5 * (np.add.reduce(d * d, axis=0) - s.R1 ** 2)
+            np.maximum(worst, hl, out=worst)
+            if i == N:
+                break
+            c = np.minimum(gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
+            f = u_nodes[:, i]
+            if A is not None:
+                f = A @ x + f
+                nrm = np.sqrt(np.add.reduce(f * f, axis=0))
+                f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
+            x = x + (f - u0_nodes[i] * c * d) * (omega[i] * dt)
+    return out[:, :B]
+
+
 def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
                 return_decision: bool = False):
-    """Exhaustive minimum of the lower effort over piecewise-constant (u, u0)
-    and a coarse initial-position grid, for frozen (omega, v) node values."""
+    """Global minimum of the lower effort over piecewise-constant (u, u0)
+    and a coarse initial-position grid, for frozen (omega, v) node values.
+
+    A sequence's effort does not depend on its trajectory, so the sequences
+    are simulated in blocks of ``step`` in order of effort, and the first
+    block with a feasible pair gives the least feasible effort z*.  The
+    sequences whose effort is z* exactly are then run again to pick the
+    exhaustive enumeration's decision (see ``EnumSpec``)."""
     N = spec.n_intervals
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -111,56 +164,44 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     if total > MAX_COMBINATIONS:
         raise ValueError(f"enumeration budget exceeded: {total} > {MAX_COMBINATIONS}")
 
-    # each node combination's effort before the dilation, once; x and u keep
-    # their components first, (dim, B), so |d|^2 is a sum of dim rows
+    # each node combination's effort before the dilation, once; each
+    # sequence's trapezoidal effort is summed one interval at a time, as a
+    # sum over the interval axis rounds
     base = np.sum(u_node * u_node, axis=1) + u0_node ** 2
-    u_cols = u_node.T
-    A = s.drift.matrix(s.dim) if s.drift.name != "identity" else None
-    gain = s.cone_gain
-    best_val = np.inf
-    best = None
-    seq_list = _product_rows(per_node, N)  # (C, N)
-    C = seq_list.shape[0]
-    step = max(1, spec.chunk // len(x_grid))   # sequences per batch
-    for start in range(0, C, step):
-        idx = _interval_to_nodes(seq_list[start:start + step].T)   # (N+1, B)
-        B = idx.shape[1]
-        effort = base[idx] * omega[:, None]
-        z_all = np.sum(0.5 * (effort[1:] + effort[:-1]) * dt, axis=0)
-        u_nodes = u_cols[:, idx]   # (dim, N+1, B)
-        u0_nodes = u0_node[idx]    # (N+1, B)
-        for xg in x_grid:
-            # plain Euler under the smoothed field; h_lower at each node is
-            # both the cone ramp's argument and the feasibility test.  x is
-            # B wide from node 0, as BLAS rounds a one-column A @ x unlike a
-            # wide one
-            x = np.repeat(xg[:, None], B, axis=1)
-            feas = np.ones(B, dtype=bool)
-            for i in range(N + 1):
-                d = x - y[i][:, None]
-                hl = 0.5 * (np.add.reduce(d * d, axis=0) - s.R1 ** 2)
-                feas &= hl <= spec.feas_tol
-                if i == N:
-                    break
-                c = np.minimum(gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
-                f = u_nodes[:, i]
-                if A is not None:
-                    f = A @ x + f
-                    nrm = np.sqrt(np.add.reduce(f * f, axis=0))
-                    f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
-                x = x + (f - u0_nodes[i] * c * d) * (omega[i] * dt)
-            if not np.any(feas):
-                continue
-            z = np.where(feas, z_all, np.inf)
-            j = int(np.argmin(z))
-            if z[j] < best_val:
-                best_val = float(z[j])
-                best = (xg.copy(), u_nodes[:, :, j].T.copy(), u0_nodes[:, j].copy())
-    if best is None:
+    seqs = _product_rows(per_node, N)   # (C, N)
+    prev = base[seqs[:, 0]] * omega[0]
+    z = None
+    for i in range(N):
+        cur = base[seqs[:, min(i + 1, N - 1)]] * omega[i + 1]
+        term = 0.5 * (cur + prev) * dt
+        z = term if z is None else z + term
+        prev = cur
+
+    def feasible(block):
+        return _max_h_lower(seqs[block], x_grid, y, u_node, u0_node, omega, gamma, s) <= spec.feas_tol
+
+    step = max(1, spec.chunk // len(x_grid))   # sequences per block
+    order = np.argsort(z, kind="stable")
+    for start in range(0, len(order), step):
+        block = order[start:start + step]
+        hit = feasible(block).any(axis=0)
+        if hit.any():
+            z_star = z[block[np.argmax(hit)]]
+            break
+    else:
         raise OracleInfeasibleError("no feasible (u, u0, x_init) combination")
-    if return_decision:
-        return best_val, best
-    return best_val
+    if not return_decision:
+        return float(z_star)
+    # the first feasible pair at z* in the exhaustive order of EnumSpec's
+    # tie rule wins; the block above holds one
+    tie = np.flatnonzero(z == z_star)
+    for chunk in np.unique(tie // step):
+        block = tie[tie // step == chunk]
+        xi, j = np.nonzero(feasible(block))
+        if len(xi):
+            break
+    idx = _interval_to_nodes(seqs[block[j[0]]])
+    return float(z_star), (x_grid[xi[0]].copy(), u_node[idx], u0_node[idx])
 
 
 def _terminal_distances(ends, s: Scenario) -> np.ndarray:

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bisweep.oracle as oracle
 from bisweep.geometry import DriftSpec, straight_corridor, target_distance
 from bisweep.oracle import (
     SIGMA_U0,
     SIGMA_U0_SQ,
     EnumSpec,
     OracleInfeasibleError,
+    _max_h_lower,
     _product_rows,
     _terminal_distances,
     _x_init_grid,
@@ -54,6 +56,17 @@ def test_enum_spec_accepts_integers_for_float_fields():
     assert EnumSpec(omega_max=10, feas_tol=0, target_tol=0).omega_max == 10
 
 
+def test_product_rows_are_uint8_in_itertools_order():
+    rows = _product_rows(125, 2)
+    assert rows.dtype == np.uint8
+    assert np.array_equal(rows, list(itertools.product(range(125), repeat=2)))
+
+
+def test_product_rows_refuse_levels_a_uint8_cannot_index():
+    with pytest.raises(ValueError, match="levels"):
+        _product_rows(257, 1)
+
+
 # ---------------------------------------------------------------- brute lower
 def test_brute_lower_stationary_instance_is_free():
     spec = EnumSpec(n_intervals=3, levels_per_control=3)
@@ -81,15 +94,30 @@ def test_brute_lower_tiny_instance_regression():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
-def test_brute_lower_reports_infeasible_budget():
-    # zero lower control authority but the set moves: membership must fail
+def counted_sequences(monkeypatch):
+    """Count the sequences brute_lower simulates, block by block."""
+    seen = []
+    fn = oracle._max_h_lower
+
+    def wrapped(rows, *args):
+        seen.append(len(rows))
+        return fn(rows, *args)
+    monkeypatch.setattr(oracle, "_max_h_lower", wrapped)
+    return seen
+
+
+def test_brute_lower_reports_infeasible_budget(monkeypatch):
+    # zero lower control authority but the set moves: membership must fail,
+    # after every block of all 8**3 sequences is simulated
     s = straight_corridor(u_bound=0.0, M=1.5)
-    spec = EnumSpec(n_intervals=3, levels_per_control=2)
+    spec = EnumSpec(n_intervals=3, levels_per_control=2, chunk=17 * 100)
     n = spec.n_intervals
     omega = np.full(n + 1, 40.0)
     v = np.tile([1.0, 0.0], (n + 1, 1))
+    seen = counted_sequences(monkeypatch)
     with pytest.raises(OracleInfeasibleError):
         brute_lower(omega, v, 12.0, spec, s)
+    assert seen == [100] * 5 + [12]
 
 
 def test_brute_lower_decision_reproduces_value():
@@ -156,6 +184,30 @@ SKEW = straight_corridor(drift=DriftSpec(name="affine", A=((-0.3, 0.7), (0.2, -0
                          K_f=0.9, M1=0.9)
 
 
+def naive_efforts(omega, spec, s):
+    """Every control sequence's effort, in itertools order, as
+    naive_brute_lower computes it."""
+    N, L = spec.n_intervals, spec.levels_per_control
+    levels = np.linspace(-s.u_bound, s.u_bound, L)
+    base = [a * a + b * b + c ** 2 for a, b, c in
+            itertools.product(levels, levels, np.linspace(0.0, 1.0, L))
+            if np.linalg.norm([a, b]) <= s.u_bound + 1e-12]
+    out = []
+    for seq in itertools.product(base, repeat=N):
+        effort = np.array(seq + seq[-1:]) * omega
+        out.append(float(np.sum(0.5 * (effort[1:] + effort[:-1]) * (1.0 / N))))
+    return np.array(out)
+
+
+def assert_equals_naive(omega, v, spec, s):
+    val, dec = brute_lower(omega, v, 12.0, spec, s, return_decision=True)
+    ref_val, ref_dec = naive_brute_lower(omega, v, 12.0, spec, s)
+    assert val > 0.0 and val == ref_val
+    for a, b in zip(dec, ref_dec):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    return val
+
+
 @pytest.mark.parametrize("s", [S, A4, SKEW], ids=["identity", "affine", "affine-saturating"])
 @pytest.mark.parametrize("chunk", [200_000, 60])
 def test_brute_lower_equals_a_naive_enumeration(s, chunk):
@@ -163,11 +215,50 @@ def test_brute_lower_equals_a_naive_enumeration(s, chunk):
     rng = np.random.default_rng(chunk)
     omega = rng.uniform(2.0, 5.0, 3)
     v = np.tile([1.0, 0.0], (3, 1))
-    val, dec = brute_lower(omega, v, 12.0, spec, s, return_decision=True)
-    ref_val, ref_dec = naive_brute_lower(omega, v, 12.0, spec, s)
-    assert val > 0.0 and val == ref_val
-    for a, b in zip(dec, ref_dec):
-        assert a.shape == b.shape and np.array_equal(a, b)
+    assert_equals_naive(omega, v, spec, s)
+
+
+@pytest.mark.parametrize("s, seed, speed, angle, chunk, one_tie", [
+    (S, 1, 1.0, 0.0, 20, False), (A4, 2, 1.0, 0.0, 20, False), (SKEW, 2, 1.0, 0.0, 20, False),
+    (SKEW, 2, 1.0, 0.3, 100, False), (SKEW, 4, 0.4, 0.0, 10, True)],
+    ids=["identity", "affine", "affine-saturating", "affine-saturating-turned", "affine-saturating-one-tie"])
+def test_brute_lower_stops_early_and_breaks_ties_as_a_naive_enumeration(s, seed, speed, angle, chunk,
+                                                                         one_tie):
+    # N = 3 moving plans with small blocks: the first block of the effort
+    # order holds no feasible pair, and the sequences that tie at the
+    # minimum span several of the exhaustive order's chunks, or are one
+    # sequence, simulated as a block of one.  In the turned case a tie
+    # sequence that is feasible from an earlier initial point comes after
+    # the first feasible tie sequence of its chunk
+    spec = EnumSpec(n_intervals=3, levels_per_control=3, x_init_points=5, chunk=chunk)
+    step = chunk // 5
+    omega = np.random.default_rng(seed).uniform(2.0, 5.0, 4)
+    v = np.tile([speed * np.cos(angle), speed * np.sin(angle)], (4, 1))
+    val = assert_equals_naive(omega, v, spec, s)
+    z = naive_efforts(omega, spec, s)
+    assert np.sort(z)[step - 1] < val
+    tie = np.flatnonzero(z == val)
+    if one_tie:
+        assert len(tie) == 1
+    else:
+        assert len(set(tie // step)) > 1
+
+
+def test_a_block_of_one_sequence_rounds_as_a_wide_block():
+    # BLAS rounds a one-column A @ x unlike a wide one; every block must
+    # give each pair the h_lower it gets in any other block, bitwise
+    rng = np.random.default_rng(3)
+    ang = rng.uniform(0.0, 2 * np.pi, 9)
+    u_node = rng.uniform(0.0, SKEW.u_bound, 9)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    u0_node = rng.uniform(0.0, 1.0, 9)
+    omega = rng.uniform(2.0, 5.0, 4)
+    y = SKEW.y0_arr + np.linspace(0.0, 1.5, 4)[:, None] * [1.0, 0.0]
+    rows = _product_rows(9, 3)
+    x_grid = _x_init_grid(SKEW, 5)
+    wide = _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, 12.0, SKEW)
+    for j in range(0, len(rows), 7):
+        one = _max_h_lower(rows[j:j + 1], x_grid, y, u_node, u0_node, omega, 12.0, SKEW)
+        assert one.shape == (5, 1) and np.array_equal(one[:, 0], wide[:, j])
 
 
 def test_terminal_distances_measure_every_endpoint():
@@ -201,6 +292,30 @@ def test_brute_bilevel_decision_regression():
     assert np.array_equal(dec["x_init"], [-1.0, 1.2246467991473532e-16])
     assert np.array_equal(dec["u"], [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     assert np.array_equal(dec["u0"], [1.0, 0.0, 0.0, 0.0, 0.0])
+
+
+def test_brute_bilevel_3_5_decision_regression():
+    # frozen reference: the corridor at N=3, 5 levels, as the exhaustive
+    # enumeration of every (sequence, x_init) pair chose it, and pinned
+    T, dec = brute_bilevel(EnumSpec(n_intervals=3, levels_per_control=5), S)
+    assert T == 7.5
+    assert dec["phi"] == 3.749999999999999
+    assert np.array_equal(dec["v"], np.tile([1.0, 0.0], (4, 1)))
+    assert np.array_equal(dec["omega"], [10.0, 10.0, 5.0, 5.0])
+    assert np.array_equal(dec["x_init"], [-1.0, 1.2246467991473532e-16])
+    assert np.array_equal(dec["u"], [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
+    assert np.array_equal(dec["u0"], [1.0, 0.0, 0.5, 0.5])
+
+
+def test_brute_lower_simulates_a_fraction_of_the_sequences(monkeypatch):
+    # the plan brute_bilevel(EnumSpec(3, 5)) chooses on the corridor: 65**3
+    # sequences, of which the effort order reaches z* after about 8.6%
+    seen = counted_sequences(monkeypatch)
+    omega = np.array([10.0, 10.0, 5.0, 5.0])
+    v = np.tile([1.0, 0.0], (4, 1))
+    phi, _ = brute_lower(omega, v, 8.0 * S.cone_gain, EnumSpec(3, 5), S, return_decision=True)
+    assert phi == 3.749999999999999
+    assert sum(seen) < 65 ** 3 / 5
 
 
 # ---------------------------------------------------------------- sigma oracle
