@@ -6,7 +6,7 @@ Two integration routes are provided and compared throughout the test suite:
   is ramped in by a capped exponential coefficient of the boundary gap;
 * ``integrate_catchup`` -- Moreau-style time stepping: an explicit drift step
   followed by a projection move back toward the translated disk, truncated to
-  the cone budget M * omega * dt per step.
+  the cone budget M * omega * dt per step, stepped in float arithmetic.
 
 The RK4 stage tableau is built with NumPy, in two parts.  The plan's part
 (``PlanPath``: the plan center's nodes and stage values, the clock, omega's
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Scenario, h_lower, h_upper, project_ball_rows, project_disk, target_distance
+from .geometry import Scenario, h_lower, h_upper, project_ball_rows, target_distance
 
 __all__ = [
     "TimeGrid",
@@ -552,36 +552,65 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
     implied cone activation is recorded in ``u0_realized``.  If a step needed
     more than the budget, a FeasibilityLossWarning names the first violating
     node, the needed correction and the budget (unless ``warn`` is False).
+
+    The swept point is stepped in float arithmetic, each operation that of
+    ``drift`` and ``project_disk`` on one row, so the nodes are bitwise
+    theirs.  Two products still round in NumPy, because BLAS may fuse their
+    multiply-adds: the affine drift's x @ A.T, and the correction's norm,
+    the square root of its dot product with itself.
     """
     grid = cp.grid
-    n, dt = grid.n_nodes, grid.dt
+    dt, M, R1, M1 = grid.dt, s.M, s.R1, s.M1
     y, t = plan_nodes(cp.v, cp.omega, s, grid)
-    x = np.empty((n, s.dim))
-    u0_real = np.zeros(n)
-    x[0] = np.asarray(x_init, dtype=float)
-    loss = None
-    for i in range(n - 1):
-        w = cp.omega[i]
-        x_pred = x[i] + drift(x[i], cp.u[i], s) * w * dt
-        target = project_disk(x_pred, y[i + 1], s.R1)
-        needed = float(np.linalg.norm(x_pred - target))
-        budget = s.M * w * dt
+    affine = s.drift.name != "identity"
+    AT = s.drift.matrix(s.dim).T
+    row, gap = np.empty(s.dim), np.empty(s.dim)
+    x0, x1 = np.asarray(x_init, dtype=float).tolist()
+    xs, u0_real, loss = [(x0, x1)], [], None
+    for i, ((y0, y1), (f0, f1), w) in enumerate(zip(y[1:].tolist(), cp.u[:-1].tolist(),
+                                                     cp.omega[:-1].tolist())):
+        if affine:   # x @ A.T + u, clipped to the ball of radius M1
+            row[0], row[1] = x0, x1
+            a0, a1 = (row @ AT).tolist()
+            f0, f1 = a0 + f0, a1 + f1
+            nrm = math.sqrt(f0 * f0 + f1 * f1)
+            if nrm > M1:
+                scale = M1 / max(nrm, 1e-300)
+                f0, f1 = f0 * scale, f1 * scale
+        else:        # u + 0 x
+            f0, f1 = f0 + 0.0, f1 + 0.0
+        p0, p1 = x0 + f0 * w * dt, x1 + f1 * w * dt
+        # the prediction's projection onto the disk about the plan center
+        d0, d1 = p0 - y0, p1 - y1
+        nrm = math.sqrt(d0 * d0 + d1 * d1)
+        if nrm > R1:
+            scale = R1 / max(nrm, 1e-300)
+            d0, d1 = d0 * scale, d1 * scale
+        q0, q1 = y0 + d0, y1 + d1
+        gap[0], gap[1] = p0 - q0, p1 - q1
+        needed = math.sqrt(gap.dot(gap))
+        budget = M * w * dt
         if needed <= 1e-15:
-            x[i + 1] = x_pred
-            continue
-        step = min(needed, budget)
-        x[i + 1] = x_pred + (step / needed) * (target - x_pred)
-        u0_real[i] = step / budget if budget > 1e-300 else 0.0
-        if needed > budget + 1e-12 and loss is None:
-            loss = {"node": i + 1, "needed": needed, "budget": budget}
+            x0, x1 = p0, p1
+            u0_real.append(0.0)
+        else:
+            step = min(needed, budget)
+            r = step / needed
+            x0, x1 = p0 + r * (q0 - p0), p1 + r * (q1 - p1)
+            u0_real.append(step / budget if budget > 1e-300 else 0.0)
+            if needed > budget + 1e-12 and loss is None:
+                loss = {"node": i + 1, "needed": needed, "budget": budget}
+        xs.append((x0, x1))
     if loss is not None and warn:
         warnings.warn(
             f"catching-up correction exceeded the cone budget at node {loss['node']} "
             f"(needed {loss['needed']:.3e} > budget {loss['budget']:.3e})",
             FeasibilityLossWarning,
         )
+    u0_real = np.array(u0_real + [0.0])
     effort = (np.sum(cp.u * cp.u, axis=1) + u0_real ** 2) * cp.omega
-    return StateTrajectory(grid, y, x, running_trapezoid(effort, dt), t, u0_realized=u0_real)
+    return StateTrajectory(grid, y, np.array(xs), running_trapezoid(effort, dt), t,
+                           u0_realized=u0_real)
 
 
 @dataclass(frozen=True)

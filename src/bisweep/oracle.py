@@ -3,8 +3,9 @@
 Everything here deliberately avoids the solver code paths: propagation is
 plain Euler, and optimization is enumeration.  The lower enumeration runs
 in order of effort and stops exactly where no later sequence can change its
-answer, so it returns what the exhaustive one does.  Only the geometry
-module is shared.
+answer, so it returns what the exhaustive one does.  The upper enumeration
+measures each distinct plan center once, over the prefix tree of the plans,
+and times only the feasible plans.  Only the geometry module is shared.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ class EnumSpec:
     point at once.  It also fixes which of several minimizers with equal
     effort ``brute_lower`` returns, the first in the exhaustive order:
     chunks of that many sequences in ``itertools.product`` order, within a
-    chunk each initial point in turn, then the sequences in order."""
+    chunk each initial point in turn, then the sequences in order.
+
+    ``brute_bilevel`` returns the plan of least ``t_final`` whose lower
+    solve is feasible; of plans with equal ``t_final`` it tries them in
+    ``itertools.product`` order, and the first with a feasible lower solve
+    wins."""
 
     n_intervals: int = 4
     levels_per_control: int = 3
@@ -139,8 +145,12 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     N = spec.n_intervals
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
-    if omega.shape[0] != N + 1:
-        raise ValueError("omega must be given at the oracle's N+1 nodes")
+    if omega.shape != (N + 1,):
+        raise ValueError(f"omega must be given at the oracle's N+1 = {N + 1} nodes, "
+                         f"got shape {omega.shape}")
+    if v.shape != (N + 1, s.dim):
+        raise ValueError(f"v must be given at the oracle's N+1 nodes, shape ({N + 1}, {s.dim}), "
+                         f"got shape {v.shape}")
     dt = 1.0 / N
     # y path by Euler (independent route)
     y = np.empty((N + 1, s.dim))
@@ -204,18 +214,43 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     return float(z_star), (x_grid[xi[0]].copy(), u_node[idx], u0_node[idx])
 
 
-def _terminal_distances(ends, s: Scenario) -> np.ndarray:
-    """``target_distance`` of the endpoints ends (2, C), each distinct one
-    measured once: many plans share an endpoint, and a 1-D complex key
-    finds the distinct ones far faster than a row-wise unique."""
-    _, first, which = np.unique(ends[0] + 1j * ends[1], return_index=True, return_inverse=True)
-    return target_distance(ends[:, first].T, s)[which]
+def _distinct_points(p):
+    """The distinct rows of the points p (K, 2), sorted by their complex
+    keys, and each row's index among them.  A 1-D complex key finds them far
+    faster than a row-wise unique; rows that differ only in the sign of a
+    zero are one."""
+    _, first, which = np.unique(p[:, 0] + 1j * p[:, 1], return_index=True, return_inverse=True)
+    return p[first], which
+
+
+def _plan_centers(y0, steps, n_intervals: int):
+    """The plan center after each prefix of 0..n_intervals nodes, over the
+    prefix tree of the ``itertools.product`` order: per prefix length, the
+    distinct centers (D, 2) and each prefix's index among them, the prefixes
+    in product order.
+
+    A center is its parent's plus one of the P node steps v w dt (P, 2), added
+    as a per-plan sum adds it, so every plan's centers are its own sums
+    bitwise, but for the sign of a zero; each distinct center is extended
+    once."""
+    pos, where = y0[None], np.zeros(1, dtype=np.intp)
+    for i in range(n_intervals + 1):
+        yield pos, where
+        if i < n_intervals:
+            parents = len(pos)
+            pos, which = _distinct_points((pos[:, None] + steps).reshape(-1, 2))
+            where = which.reshape(parents, len(steps))[where].ravel()
 
 
 def brute_bilevel(spec: EnumSpec, s: Scenario):
     """Exhaustive search over piecewise-constant (v, omega); each feasible
     candidate is costed with its own brute lower solve at the smoothing gain
-    gamma = 8 M/R1.  Returns (T_best, decision dict)."""
+    gamma = 8 M/R1, in the order of ``EnumSpec``'s tie rule.  Returns
+    (T_best, decision dict).
+
+    The upper constraints read only the plan center, and many plans share
+    it: h_upper and the exit distance are measured once per distinct center
+    of each prefix length, and only the feasible plans are timed and sorted."""
     gamma = 8.0 * s.cone_gain
     N = spec.n_intervals
     dt = 1.0 / N
@@ -231,30 +266,23 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
     per_node = len(v_node)
     C = per_node ** N
     if C > MAX_COMBINATIONS:
-        raise ValueError("enumeration budget exceeded")
-    seq = _product_rows(per_node, N)
-    v_seq = v_node[seq].transpose(1, 2, 0)   # (N, dim, C)
-    w_seq = w_node[seq].T                    # (N, C)
-    # y path with upper feasibility node by node, vectorized
-    y = np.broadcast_to(s.y0_arr[:, None], (s.dim, C))
-    q0 = s.q0_arr[:, None]
-    feas = np.ones(C, dtype=bool)
-    for i in range(N + 1):
-        dq = y - q0
-        feas &= 0.5 * (np.add.reduce(dq * dq, axis=0) - (s.R - s.R1) ** 2) <= spec.feas_tol
-        if i < N:
-            y = y + v_seq[i] * (w_seq[i] * dt)
-    term = _terminal_distances(y, s)
-    w_nodes_full = _interval_to_nodes(w_seq)
-    t_final = np.sum(0.5 * (w_nodes_full[1:] + w_nodes_full[:-1]) * dt, axis=0)
-    feas &= term <= spec.target_tol
+        raise ValueError(f"enumeration budget exceeded: {per_node}**{N} = {C} plans "
+                         f"> {MAX_COMBINATIONS}")
+    # each prefix stays feasible while every center on it satisfies h_upper;
+    # the last prefixes are the plans, and their centers the endpoints
+    feas = np.ones(1, dtype=bool)
+    for i, (pos, where) in enumerate(_plan_centers(s.y0_arr, v_node * (w_node * dt)[:, None], N)):
+        dq = pos - s.q0_arr
+        inside = 0.5 * (np.add.reduce(dq * dq, axis=1) - (s.R - s.R1) ** 2) <= spec.feas_tol
+        feas = (np.repeat(feas, per_node) if i else feas) & inside[where]
+    feas &= (target_distance(pos, s) <= spec.target_tol)[where]
     if not np.any(feas):
         raise OracleInfeasibleError("no (v, omega) candidate reaches the exit target")
-    order = np.argsort(np.where(feas, t_final, np.inf))
-    for j in order:
-        if not feas[j]:
-            break
-        v_nodes = _interval_to_nodes(v_seq[:, :, j])
+    seq = np.stack(np.unravel_index(np.flatnonzero(feas), (per_node,) * N), axis=1)
+    w_nodes_full = _interval_to_nodes(w_node[seq].T)   # (N+1, F)
+    t_final = np.sum(0.5 * (w_nodes_full[1:] + w_nodes_full[:-1]) * dt, axis=0)
+    for j in np.argsort(t_final, kind="stable"):
+        v_nodes = _interval_to_nodes(v_node[seq[j]])
         w_nodes = w_nodes_full[:, j]
         try:
             phi, dec = brute_lower(w_nodes, v_nodes, gamma, spec, s, return_decision=True)

@@ -441,6 +441,13 @@ def test_oracle_writes_decision(tmp_path):
     assert len(dec["x_init"]) == 2 and isinstance(dec["phi"], float)
 
 
+def test_oracle_over_budget_exits_with_the_count_and_the_limit(tmp_path, capsys):
+    cfg = write_config(tmp_path, run={"oracle": {"n_intervals": 5, "levels_per_control": 5}})
+    assert main(["oracle", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "1160290625" in err and "10000000" in err
+
+
 # ---------------------------------------------------------------- sweep-gamma
 def test_sweep_gamma_reports_error_sequence(tmp_path, capsys):
     prof = write_profile(tmp_path, n=60, u=(1.0, 0.0), u0=1.0, omega=2.0,

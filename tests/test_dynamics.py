@@ -345,23 +345,37 @@ def test_catchup_rides_the_smoothed_systems_plan_path_and_clock():
     assert max(h_lower(tr.x[i], tr.y[i], S) for i in range(n + 1)) <= 1e-12
 
 
-def _euler_plan_catchup_x(cp, x_init, s):
-    """The catch-up swept point with its disk center stepped by Euler, y_{i+1}
-    = y_i + v_i omega_i dt: on a still plan (v = 0) that center is y0 too."""
+def _euler_centers(cp, s):
+    """The plan center stepped by Euler, y_{i+1} = y_i + v_i omega_i dt: on a
+    still plan (v = 0) every center is y0, as on plan_nodes' path."""
+    y = [s.y0_arr]
+    for i in range(cp.grid.n_intervals):
+        y.append(y[-1] + cp.v[i] * cp.omega[i] * cp.grid.dt)
+    return np.array(y)
+
+
+def _numpy_catchup(cp, x_init, s, centers):
+    """The catch-up step map node by node in NumPy, with drift and
+    project_disk, toward the disks about the given centers (N+1, 2): the
+    swept point, the realized activation, and the first node whose correction
+    exceeded the budget with that correction and budget (None if none did)."""
     dt = cp.grid.dt
-    y, x = s.y0_arr, np.asarray(x_init, dtype=float)
-    xs = [x]
+    xs, u0 = [np.asarray(x_init, dtype=float)], np.zeros(cp.grid.n_nodes)
+    loss = None
     for i in range(cp.grid.n_intervals):
         w = cp.omega[i]
-        y = y + cp.v[i] * w * dt
-        x_pred = x + drift(x, cp.u[i], s) * w * dt
-        target = project_disk(x_pred, y, s.R1)
+        x_pred = xs[i] + drift(xs[i], cp.u[i], s) * w * dt
+        target = project_disk(x_pred, centers[i + 1], s.R1)
         needed = float(np.linalg.norm(x_pred - target))
+        budget = s.M * w * dt
         if needed > 1e-15:
-            x_pred = x_pred + (min(needed, s.M * w * dt) / needed) * (target - x_pred)
-        x = x_pred
-        xs.append(x)
-    return np.array(xs)
+            step = min(needed, budget)
+            x_pred = x_pred + (step / needed) * (target - x_pred)
+            u0[i] = step / budget if budget > 1e-300 else 0.0
+            if needed > budget + 1e-12 and loss is None:
+                loss = (i + 1, needed, budget)
+        xs.append(x_pred)
+    return np.array(xs), u0, loss
 
 
 @pytest.mark.parametrize("u, x_init", [((1.0, 0.0), (1.0, 0.0)), ((0.6, 0.8), (0.0, 1.0))])
@@ -369,7 +383,44 @@ def test_catchup_still_plan_boundary_ride_is_unchanged(u, x_init):
     # A2's boundary ride: with v = 0 every disk center is y0 on either path
     cp = profile(200, u=u, u0=1.0, omega=2.0)
     tr = integrate_catchup(cp, x_init, S, warn=False)
-    assert np.array_equal(tr.x, _euler_plan_catchup_x(cp, x_init, S))
+    x, u0, loss = _numpy_catchup(cp, x_init, S, _euler_centers(cp, S))
+    assert np.array_equal(tr.x, x) and np.array_equal(tr.u0_realized, u0) and loss is None
+
+
+def _moving_plan(n, u, omega):
+    tau = np.linspace(0.0, 1.0, n + 1)
+    return ControlProfile(TimeGrid(n), np.stack([np.cos(3 * tau), np.sin(3 * tau)], axis=1),
+                          np.tile(u, (n + 1, 1)), np.full(n + 1, 0.7), omega + np.sin(5 * tau))
+
+
+@pytest.mark.parametrize("s, cp, x_init, over_budget", [
+    (straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))), K_f=0.05, M1=1.2),
+     _moving_plan(80, (0.5, 0.2), 2.0), (0.5, 0.0), False),
+    (straight_corridor(drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1))),
+     _moving_plan(80, (-0.9, 0.1), 2.0), (0.0, 1.0), False),
+    (straight_corridor(M=0.5, M1=1.0), profile(20, u=(1.0, 0.0), omega=2.0), (1.0, 0.0), True),
+    (straight_corridor(M=0.6, drift=DriftSpec("affine", (0.3, 0.2, -0.4, 0.1))),
+     _moving_plan(60, (0.8, -0.3), 3.0), (-0.6, 0.8), True)],
+    ids=["A4-moving", "affine-moving", "over-budget", "affine-moving-over-budget"])
+def test_catchup_equals_a_numpy_step_loop(s, cp, x_init, over_budget):
+    # the float stepping is the NumPy step map's, bitwise, around plan_nodes'
+    # centers; past the budget the state reads the correction's norm itself
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tr = integrate_catchup(cp, x_init, s)
+    x, u0, loss = _numpy_catchup(cp, x_init, s, plan_nodes(cp.v, cp.omega, s, cp.grid)[0])
+    assert np.array_equal(tr.x, x) and np.array_equal(tr.u0_realized, u0)
+    # corrections within the budget, and past it capped ones
+    assert ((u0 > 0) & (u0 < 1)).any() or over_budget
+    assert (u0 == 1.0).any() == over_budget == (loss is not None)
+    if over_budget:
+        node, needed, budget = loss
+        assert [str(w.message) for w in caught] == [
+            f"catching-up correction exceeded the cone budget at node {node} "
+            f"(needed {needed:.3e} > budget {budget:.3e})"]
+        assert all(w.category is FeasibilityLossWarning for w in caught)
+    else:
+        assert not caught
 
 
 # ---------------------------------------------------------------- monitoring

@@ -13,9 +13,10 @@ from bisweep.oracle import (
     SIGMA_U0_SQ,
     EnumSpec,
     OracleInfeasibleError,
+    _distinct_points,
     _max_h_lower,
+    _plan_centers,
     _product_rows,
-    _terminal_distances,
     _x_init_grid,
     brute_bilevel,
     brute_lower,
@@ -118,6 +119,18 @@ def test_brute_lower_reports_infeasible_budget(monkeypatch):
     with pytest.raises(OracleInfeasibleError):
         brute_lower(omega, v, 12.0, spec, s)
     assert seen == [100] * 5 + [12]
+
+
+@pytest.mark.parametrize("name, omega, v", [
+    ("v", np.full(4, 3.0), np.tile([1.0, 0.0], (3, 1))), ("v", np.full(4, 3.0), np.ones(4)),
+    ("v", np.full(4, 3.0), np.zeros((4, 3))), ("v", np.full(4, 3.0), np.zeros((4, 2, 1))),
+    ("omega", np.full(3, 3.0), np.zeros((4, 2))), ("omega", np.full((4, 1), 3.0), np.zeros((4, 2)))],
+    ids=["v-N-rows", "v-1-D", "v-3-columns", "v-3-D", "omega-N-nodes", "omega-2-D"])
+def test_brute_lower_refuses_node_arrays_of_the_wrong_shape(name, omega, v):
+    # one value of omega and one (dim,) row of v per node, N+1 of each; a
+    # short or flat v used to be read anyway (here N rows gave 0.5, a flat v 2.5)
+    with pytest.raises(ValueError, match=rf"^{name} must .* got shape"):
+        brute_lower(omega, v, 12.0, EnumSpec(n_intervals=3), S)
 
 
 def test_brute_lower_decision_reproduces_value():
@@ -262,8 +275,11 @@ def test_a_block_of_one_sequence_rounds_as_a_wide_block():
 
 
 def test_terminal_distances_measure_every_endpoint():
-    # the plan endpoints of brute_bilevel(EnumSpec(4, 3)) on the corridor,
-    # 50,625 plans with 129 distinct endpoints, then zeros of both signs
+    # the plan centers of brute_bilevel(EnumSpec(4, 3)) on the corridor,
+    # 50,625 plans with 129 distinct endpoints: after every prefix, each
+    # plan's center equals the sum of its own steps, and measuring the
+    # distinct endpoints measures every one.  Zeros of both signs are one
+    # distinct point, and target_distance gives them one value
     L, N, dt = 3, 4, 0.25
     v_lv, w_lv = np.linspace(-S.v_bound, S.v_bound, L), np.linspace(0.0, 10.0, L)
     nodes = [(np.array([a, b]), w) for a, b, w in itertools.product(v_lv, v_lv, w_lv)
@@ -271,13 +287,19 @@ def test_terminal_distances_measure_every_endpoint():
     seq = _product_rows(len(nodes), N)
     v = np.array([v for v, _ in nodes])[seq]            # (C, N, 2)
     w = np.array([w for _, w in nodes])[seq]            # (C, N)
+    steps = np.array([v * (w * dt) for v, w in nodes])
     ends = np.broadcast_to(S.y0_arr, (len(seq), 2))
-    for i in range(N):
-        ends = ends + v[:, i] * (w[:, i] * dt)[:, None]
-    assert len(np.unique(ends, axis=0)) == 129
+    for i, (pos, where) in enumerate(_plan_centers(S.y0_arr, steps, N)):
+        assert len(where) == len(nodes) ** i
+        assert np.array_equal(np.repeat(pos[where], len(nodes) ** (N - i), axis=0), ends)
+        if i < N:
+            ends = ends + v[:, i] * (w[:, i] * dt)[:, None]
+    assert len(pos) == 129 and len(np.unique(ends, axis=0)) == 129
+    assert np.array_equal(target_distance(pos, S)[where], target_distance(ends, S))
     ends = np.concatenate([ends, [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]])
-    got = _terminal_distances(np.ascontiguousarray(ends.T), S)
-    assert np.array_equal(got, target_distance(ends, S))
+    pts, which = _distinct_points(ends)
+    assert len(pts) == 129 and len(set(which[-4:])) == 1   # one point with y0 = (0, 0)
+    assert np.array_equal(target_distance(pts, S)[which], target_distance(ends, S))
 
 
 # ---------------------------------------------------------------- brute bilevel
@@ -305,6 +327,112 @@ def test_brute_bilevel_3_5_decision_regression():
     assert np.array_equal(dec["x_init"], [-1.0, 1.2246467991473532e-16])
     assert np.array_equal(dec["u"], [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
     assert np.array_equal(dec["u0"], [1.0, 0.0, 0.5, 0.5])
+
+
+def test_brute_bilevel_refusal_names_the_count_and_the_limit():
+    with pytest.raises(ValueError, match=r"65\*\*5 = 1160290625 plans > 10000000"):
+        brute_bilevel(EnumSpec(n_intervals=5, levels_per_control=5), S)
+
+
+def naive_upper_plans(spec, s):
+    """brute_bilevel's feasible plans, found plainly: every plan of
+    itertools.product over the node values, its center stepped by Euler and
+    checked at every node, as (t_final, v nodes, omega nodes) sorted stably
+    by travel time.  Also returns how many plans reach the target but leave
+    Q on the way."""
+    N, L = spec.n_intervals, spec.levels_per_control
+    dt = 1.0 / N
+    levels = np.linspace(-s.v_bound, s.v_bound, L)
+    nodes = [(np.array([a, b]), w) for a, b, w in
+             itertools.product(levels, levels, np.linspace(0.0, spec.omega_max, L))
+             if np.linalg.norm([a, b]) <= s.v_bound + 1e-12]
+
+    def h_upper(y):
+        dq = y - s.q0_arr
+        return 0.5 * (dq[0] * dq[0] + dq[1] * dq[1] - (s.R - s.R1) ** 2)
+
+    plans, strays = [], 0
+    for seq in itertools.product(nodes, repeat=N):
+        y = s.y0_arr
+        inside = h_upper(y) <= spec.feas_tol
+        for v, w in seq:
+            y = y + v * (w * dt)
+            inside &= h_upper(y) <= spec.feas_tol
+        if target_distance(y, s) > spec.target_tol:
+            continue
+        if not inside:
+            strays += 1
+            continue
+        v, w = (np.array([node[k] for node in seq + seq[-1:]]) for k in (0, 1))
+        t = 0.0
+        for i in range(N):
+            t += 0.5 * (w[i + 1] + w[i]) * dt
+        plans.append((t, v, w))
+    plans.sort(key=lambda plan: plan[0])
+    return plans, strays
+
+
+def naive_brute_bilevel(spec, s):
+    """brute_bilevel written plainly: the naive feasible plans costed by
+    brute_lower in turn until one is feasible.  Also returns how many plans
+    were skipped, and how many of the plans that share the winner's travel
+    time have a feasible lower solve."""
+    plans, _ = naive_upper_plans(spec, s)
+
+    def lower(v, w):
+        try:
+            phi, dec = brute_lower(w, v, 8.0 * s.cone_gain, spec, s, return_decision=True)
+        except OracleInfeasibleError:
+            return None
+        return {"v": v, "omega": w, "phi": phi, "x_init": dec[0], "u": dec[1], "u0": dec[2]}
+
+    for skipped, (t, v, w) in enumerate(plans):
+        dec = lower(v, w)
+        if dec is not None:
+            feasible_ties = sum(lower(v, w) is not None for t_other, v, w in plans if t_other == t)
+            return t, dec, skipped, feasible_ties
+    raise OracleInfeasibleError("no candidate admits a feasible lower solve")
+
+
+@pytest.mark.parametrize("s, spec", [
+    (S, EnumSpec(2, 3, omega_max=27.0, target_tol=3.0)),
+    (A4, EnumSpec(3, 3, omega_max=12.0, target_tol=2.0))], ids=["identity", "affine"])
+def test_brute_bilevel_costs_every_feasible_plan_in_order(monkeypatch, s, spec):
+    # with every lower solve refused, brute_bilevel costs each plan that
+    # stays inside Q and reaches the target once, in the tie rule's order;
+    # some plans reach the target only by leaving Q on the way
+    tried = []
+
+    def refuse(omega, v, *args, **kwargs):
+        tried.append((omega.copy(), v.copy()))
+        raise OracleInfeasibleError("refused")
+    monkeypatch.setattr(oracle, "brute_lower", refuse)
+    with pytest.raises(OracleInfeasibleError, match="no candidate admits"):
+        brute_bilevel(spec, s)
+    plans, strays = naive_upper_plans(spec, s)
+    assert strays > 0 and len({t for t, _, _ in plans}) < len(plans)
+    assert len(tried) == len(plans)
+    for (omega, v), (_, ref_v, ref_w) in zip(tried, plans):
+        assert np.array_equal(omega, ref_w) and np.array_equal(v, ref_v)
+
+
+@pytest.mark.parametrize("s, spec", [
+    (straight_corridor(u_bound=0.3, M=0.8),
+     EnumSpec(3, 3, omega_max=12.0, target_tol=2.0, x_init_points=5)),
+    (straight_corridor(u_bound=0.5, M=1.0, drift=A4.drift, K_f=A4.K_f, M1=A4.M1),
+     EnumSpec(3, 3, omega_max=15.0, target_tol=1.0, x_init_points=5))],
+    ids=["identity", "affine"])
+def test_brute_bilevel_breaks_ties_in_product_order_as_a_naive_enumeration(s, spec):
+    # the fastest plans leave the slow swept point behind, so their lower
+    # solves are infeasible; the winner shares its travel time with later
+    # plans in product order that have a feasible lower solve too
+    T, dec = brute_bilevel(spec, s)
+    ref_T, ref_dec, skipped, feasible_ties = naive_brute_bilevel(spec, s)
+    assert skipped > 0 and feasible_ties > 1
+    assert T == ref_T
+    assert dec.keys() == ref_dec.keys()
+    for key in dec:
+        assert np.shape(dec[key]) == np.shape(ref_dec[key]) and np.array_equal(dec[key], ref_dec[key])
 
 
 def test_brute_lower_simulates_a_fraction_of_the_sequences(monkeypatch):
