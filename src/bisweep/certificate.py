@@ -45,21 +45,37 @@ def _node_value(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _sigma_tilde(q_L, nu_L, x, y, s: Scenario):
-    return nu_L * s.R1 ** 2 - np.sum(np.asarray(q_L) * (np.asarray(x) - np.asarray(y)), axis=-1)
+def _sigma_tilde(q_L, nu_L, d, s: Scenario):
+    """sigma_tilde = nu_L*R1^2 - <q_L, d> at the offsets d = x - y."""
+    return nu_L * s.R1 ** 2 - np.add.reduce(np.asarray(q_L) * d, -1)
+
+
+def _sigma(st, r: float, k, name: str = "r"):
+    """Support value sigma, elementwise: with z = k*max(st, 0), z^2/(4r) up
+    to the seam z = 2r and z - r beyond, or z itself for r = 0.  sigma is the
+    sup over u0 in [0, 1] of z u0 - r u0^2 only for r >= 0; a negative
+    multiplier ``name`` is refused."""
+    if r < 0.0:
+        raise ValueError(f"{name} must be >= 0 (an effort multiplier): {r!r}")
+    z = k * np.maximum(st, 0.0)
+    if r == 0.0:
+        return z
+    return np.where(z <= 2.0 * r, z * z / (4.0 * r), z - r)
 
 
 def _sigma_branches(st, r: float, k):
-    """Support value sigma and its slope d(sigma)/d(sigma_tilde), elementwise.
+    """Support value sigma of ``_sigma`` and its slope d(sigma)/d(sigma_tilde),
+    elementwise.
 
-    With z = k*max(st, 0): z^2/(4r) up to the seam z = 2r and z - r beyond,
-    so both vanish for st <= 0; for r <= 0 the value is z itself.
+    With z = k*max(st, 0): the slope is k z/(2r) up to the seam z = 2r and k
+    beyond, so both vanish for st <= 0; for r = 0 the value is z itself and
+    the slope k where st > 0.
     """
+    sig = _sigma(st, r, k)
     z = k * np.maximum(st, 0.0)
-    if r <= 0.0:
-        return z, np.where(st > 0.0, k, 0.0)
-    quad = z <= 2.0 * r
-    return np.where(quad, z * z / (4.0 * r), z - r), np.where(quad, k * z / (2.0 * r), k)
+    if r == 0.0:
+        return sig, np.where(st > 0.0, k, 0.0)
+    return sig, np.where(z <= 2.0 * r, k * z / (2.0 * r), k)
 
 
 def sigma_value(y, x, q_L, nu_L, r, s: Scenario, active=None):
@@ -67,27 +83,27 @@ def sigma_value(y, x, q_L, nu_L, r, s: Scenario, active=None):
 
     Zero away from disk contact.  On contact, with st = nu_L*R1^2 - <q_L, x-y>
     and k = M/R1: zero for st <= 0, a quadratic (k*st)^2/(4r) for
-    0 < st <= 2r/k, and the linear branch k*st - r beyond.  Broadcasts over
-    leading node axes; a float for one node.
+    0 < st <= 2r/k, and the linear branch k*st - r beyond; r < 0 is refused.
+    Broadcasts over leading node axes; a float for one node.
     """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     if active is None:
-        active = np.linalg.norm(d, axis=-1) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL)
-    sig, _ = _sigma_branches(_sigma_tilde(q_L, nu_L, x, y, s), r, s.cone_gain)
+        active = np.sqrt(np.add.reduce(d * d, -1)) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL)
+    sig = _sigma(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
     return _node_value(np.where(active, sig, 0.0))
 
 
 def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario):
     """Smoothed analog of ``sigma_value`` with gain c(gamma, x, y) <= M/R1,
-    the ramped cone coefficient of the smoothed field (gamma > M/R1).
+    the ramped cone coefficient of the smoothed field (gamma > M/R1,
+    lambda_bar >= 0).
 
     The exponential decay of the gain replaces the contact gate; away from the
     rim the value vanishes to machine precision.
     """
-    c = cone_coefficient(np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
-                         s.smoothing_gain(gamma), s)
-    sig, _ = _sigma_branches(_sigma_tilde(p_L, mu_L, x, y, s), lambda_bar, c)
-    return _node_value(sig)
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    c = cone_coefficient(d, s.smoothing_gain(gamma), s)
+    return _node_value(_sigma(_sigma_tilde(p_L, mu_L, d, s), lambda_bar, c, "lambda_bar"))
 
 
 @dataclass(frozen=True)
@@ -132,7 +148,7 @@ def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, active, s: Scenario):
     over leading batch axes of q_L (..., N+1, n) and nu_L (..., N+1)."""
     d = tr.x - tr.y
     f = drift(tr.x, cp.u, s)
-    _, slope = _sigma_branches(_sigma_tilde(q_L, nu_L, tr.x, tr.y, s), r, s.cone_gain)
+    _, slope = _sigma_branches(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
     sq = np.where(active, slope, 0.0)[..., None] * q_L
     nu_L = nu_L[..., None]
     rhs_L = -nu_L * f + (q_L - nu_L * d) @ s.drift.matrix(s.dim) + nu_L * cp.v - sq

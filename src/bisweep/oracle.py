@@ -5,7 +5,9 @@ plain Euler, and optimization is enumeration.  The lower enumeration runs
 in order of effort and stops exactly where no later sequence can change its
 answer, so it returns what the exhaustive one does.  The upper enumeration
 measures each distinct plan center once, over the prefix tree of the plans,
-and times only the feasible plans.  Only the geometry module is shared.
+and times only the feasible plans.  The sup oracle evaluates only the part of
+its grid that a roundoff bound cannot exclude, so it returns the whole grid's
+answer.  Only the geometry module is shared.
 """
 
 from __future__ import annotations
@@ -300,6 +302,36 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
 SIGMA_U0 = np.linspace(0.0, 1.0, 10_000)
 SIGMA_U0_SQ = SIGMA_U0 ** 2
 SIGMA_U0.flags.writeable = SIGMA_U0_SQ.flags.writeable = False
+# grid indices added on each side of the window the roundoff bound leaves,
+# for the vertex step's neighbours and the rounding of the window's own ends
+SIGMA_WINDOW_MARGIN = 3
+
+
+def _sigma_window(lin: float, r) -> tuple:
+    """The index range [lo, hi) of ``SIGMA_U0`` that may hold the first
+    maximizer of lin u - r u^2 as the grid evaluates it, padded by
+    ``SIGMA_WINDOW_MARGIN``.  It is the whole grid when r <= 0, when lin or
+    r is not finite, and when the bound below excludes nothing.
+
+    Each grid value f_j = fl(fl(lin u_j) - fl(r u_j^2)) is within
+    B = 2^-50 (|lin| + r) + 2^-1072 of g(u_j) = lin u_j - r u_j^2: three
+    roundings of at most 2^-53 relative error each (Higham 2002, ch. 3), with
+    room for their products and for underflow.  With c = clip(lin / 2r, 0, 1),
+    g(c) - g(u) >= r (u - c)^2 on [0, 1], so a u_j farther from c than
+    sqrt((u_k - c)^2 + 2B/r), u_k the grid point nearest c, loses strictly to
+    u_k: neither the maximum nor a tie with it lies outside."""
+    n = SIGMA_U0.size
+    r = float(r)
+    if r > 0.0 and math.isfinite(lin) and math.isfinite(r):
+        c = min(1.0, max(0.0, lin / r * 0.5))
+        k = round(c * (n - 1))
+        off = float(SIGMA_U0[k]) - c
+        bound = 2.0 ** -50 * (abs(lin) + r) + 2.0 ** -1072
+        rho = math.sqrt(off * off + 2.0 * bound / r)
+        if rho < 1.0:
+            return (max(0, math.floor((c - rho) * (n - 1)) - SIGMA_WINDOW_MARGIN),
+                    min(n, math.ceil((c + rho) * (n - 1)) + SIGMA_WINDOW_MARGIN + 1))
+    return 0, n
 
 
 def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
@@ -308,7 +340,11 @@ def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
 
     Evaluates sup over u0 in [0,1] of <qL - nuL (x - y), -coeff (x - y) u0> - r u0^2
     on the grid ``SIGMA_U0``, refined by one parabolic vertex evaluation (the
-    objective is a concave quadratic, so the refinement stays an honest evaluation)."""
+    objective is a concave quadratic, so the refinement stays an honest evaluation).
+    Only the window of ``_sigma_window`` is evaluated: the grid points within
+    sqrt((u_k - c)^2 + 2B/r) of c = clip(lin / 2r, 0, 1), B the roundoff
+    bound of one grid value, and three more on each side.  Every grid value
+    outside it loses strictly, so the result is the whole grid's, bitwise."""
     qL = np.asarray(qL, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -316,17 +352,18 @@ def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
     d = x - y
     lin = float(np.dot(qL - nuL * d, -a * d))
     u0 = SIGMA_U0
-    vals = lin * u0 - r * SIGMA_U0_SQ
+    lo, hi = _sigma_window(lin, r)
+    vals = lin * u0[lo:hi] - r * SIGMA_U0_SQ[lo:hi]
     j = int(np.argmax(vals))
     best = float(vals[j])
     # parabolic vertex through an adjacent triple, then evaluate there; the
     # objective is a concave quadratic, so the vertex is exact even when the
-    # grid argmax sits at an endpoint
-    jc = min(max(j, 1), u0.size - 2)
+    # grid argmax sits at an endpoint.  The window's margin holds the triple.
+    jc = min(max(lo + j, 1), u0.size - 2) - lo
     h = u0[1] - u0[0]
     denom = vals[jc - 1] - 2 * vals[jc] + vals[jc + 1]
     if abs(denom) > 1e-300:
-        ustar = u0[jc] + 0.5 * h * (vals[jc - 1] - vals[jc + 1]) / denom
+        ustar = u0[lo + jc] + 0.5 * h * (vals[jc - 1] - vals[jc + 1]) / denom
         ustar = min(1.0, max(0.0, ustar))
         best = max(best, lin * ustar - r * ustar ** 2)
     return best

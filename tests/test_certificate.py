@@ -67,6 +67,23 @@ def test_sigma_degenerate_no_effort_weight():
     assert sigma_value(Y, X_RIM, np.array([st, 0.0]), 0.0, 0.0, S) == 0.0
 
 
+def test_sigma_refuses_a_negative_effort_multiplier():
+    # on the rim with q_L = (-1, 0) and nu = 0, sup over u0 in [0, 1] of
+    # 1.5 u0 - r u0^2 is 2.5 at r = -1 and 1.501 at r = -1e-3, not the r = 0
+    # value 1.5; the closed form holds only for r >= 0
+    q_L = np.array([-1.0, 0.0])
+    for r, sup in ((-1.0, 2.5), (-1e-3, 1.501)):
+        with pytest.raises(ValueError, match=r"^r must be >= 0"):
+            sigma_value(Y, X_RIM, q_L, 0.0, r, S)
+        with pytest.raises(ValueError, match=r"^lambda_bar must be >= 0"):
+            sigma_smooth_value(Y, X_RIM, q_L, 0.0, r, 1e6, S)
+        assert sigma_sup_oracle(q_L, 0.0, r, X_RIM, Y, S) == pytest.approx(sup, rel=1e-12)
+    for r in (0.0, -0.0):
+        sup = sigma_sup_oracle(q_L, 0.0, r, X_RIM, Y, S)
+        assert sigma_value(Y, X_RIM, q_L, 0.0, r, S) == sup == K
+        assert sigma_smooth_value(Y, X_RIM, q_L, 0.0, r, 1e6, S) == sup
+
+
 def test_sigma_inactive_away_from_rim():
     q_L = np.array([-5.0, 0.0])
     assert sigma_value(Y, np.array([0.5, 0.0]), q_L, 1.0, 1.0, S) == 0.0
@@ -198,14 +215,21 @@ def test_node_batches_equal_per_node_calls():
     v, u, q_H, q_L = rng.normal(size=(4, n, 2))
     nu_H, nu_L = rng.uniform(0, 1, (2, n))
     r = 0.3
+    gamma = 4.0  # above M/R1 = 1.5, so the gain is well below the cap inside the disk
     sig = sigma_value(y, x, q_L, nu_L, r, S)
+    smo = sigma_smooth_value(y, x, q_L, nu_L, r, gamma, S)
     ham = hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, S)
     sig_i = [sigma_value(y[i], x[i], q_L[i], nu_L[i], r, S) for i in range(n)]
+    smo_i = [sigma_smooth_value(y[i], x[i], q_L[i], nu_L[i], r, gamma, S) for i in range(n)]
     ham_i = [hamiltonian_upper(y[i], x[i], v[i], u[i], q_H[i], q_L[i], nu_H[i], nu_L[i], r, S)
              for i in range(n)]
-    assert all(type(val) is float for val in sig_i + ham_i)
+    assert all(type(val) is float for val in sig_i + smo_i + ham_i)
     assert np.count_nonzero(sig) > 0
+    # inside, near and on the rim, some nodes have a nonzero smoothed value
+    for radius in (0.5, 0.95, 1.0):
+        assert np.count_nonzero(smo[rad == radius * S.R1]) > 0
     np.testing.assert_array_equal(sig, sig_i)
+    np.testing.assert_array_equal(smo, smo_i)
     np.testing.assert_array_equal(ham, ham_i)
 
 

@@ -1,6 +1,7 @@
 """Brute-force references and finite-difference checking utilities."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -493,6 +494,80 @@ def test_sigma_oracle_cached_grid_is_read_only_and_matches_a_fresh_one():
         q, x, y = rng.normal(size=(3, 2))
         nu, r = rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
         assert sigma_sup_oracle(q, nu, r, x, y, S) == _uncached_sigma_sup(q, nu, r, x, y, S)
+
+
+def _same_float(a, b):
+    """a and b are the same float: both NaN, or equal with the same sign bit."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# effort multipliers from the smallest subnormal to near the largest float;
+# in the subnormal range the grid's values are coarse enough to tie far from
+# the vertex
+ADVERSARIAL_R = (5e-324, 1e-322, 1e-318, 1e-310, 1e-300, 1e-100, 1e-8, 1e-3, 1.0, 3.0,
+                 1e8, 1e100, 1e300)
+
+
+def _adversarial_lin_r(rng):
+    """(lin, r) cases for the sup oracle: for every r in ``ADVERSARIAL_R`` and
+    for log-uniform ones, the vertex lin/2r on a grid point, midway between
+    two, within 1e-14 of 0 and 1, inside and far outside [0, 1]; lin = 0; and
+    NaN, infinities and r <= 0."""
+    u = SIGMA_U0
+    ends = [0, 1, 2, 4999, 5000, 9997, 9998]
+    near = [0.0, 1e-16, 1e-15, 1e-14, -1e-16, -1e-15, -1e-14]
+    cases = []
+    for r in ADVERSARIAL_R + tuple(10.0 ** rng.uniform(-323, 308, 40)):
+        js = ends + list(rng.integers(0, u.size - 1, 6))
+        vertices = ([u[j] for j in js] + [0.5 * (u[j] + u[j + 1]) for j in js]
+                    + near + [1.0 + e for e in near]
+                    + list(rng.uniform(-0.01, 1.01, 6)) + [-1e9, -5.0, 5.0, 1e9])
+        cases += [(2.0 * r * float(v), float(r)) for v in vertices] + [(0.0, float(r))]
+    specials = (math.inf, -math.inf, math.nan)
+    cases += [(lin, r) for lin in (0.0, 1.0, -1.0) + specials
+              for r in (0.0, -0.0, -1.0, 1.0) + specials]
+    # the oracle's dot product rounds a zero sum to +0, so lin is never -0
+    return [(lin + 0.0, r) for lin, r in cases]
+
+
+def test_sigma_oracle_window_equals_the_full_grid_bitwise():
+    # x - y = (2/3, 0) makes -(M/R1)(x - y) = (-1, -0) exactly on the
+    # corridor, so q_L = (-lin, 0) gives the oracle exactly lin
+    x, y = np.array([2.0 / 3.0, 0.0]), np.zeros(2)
+    assert np.array_equal(-S.cone_gain * (x - y), [-1.0, 0.0])
+    cases = _adversarial_lin_r(np.random.default_rng(11))
+    assert len(cases) > 2000
+    with np.errstate(all="ignore"):
+        for lin, r in cases:
+            q = np.array([-lin, 0.0])
+            assert _same_float(float(np.dot(q, -S.cone_gain * (x - y))), lin)
+            got = sigma_sup_oracle(q, 0.0, r, x, y, S)
+            want = _uncached_sigma_sup(q, 0.0, r, x, y, S)
+            assert _same_float(got, want), (lin, r, got, want)
+
+
+def test_sigma_oracle_window_stays_narrow_on_a1_pairs(monkeypatch):
+    # A1's pairs: x on the rim, effort multipliers in [1e-3, 3]
+    widths = []
+    window = oracle._sigma_window
+
+    def recorded(lin, r):
+        lo, hi = window(lin, r)
+        widths.append(hi - lo)
+        return lo, hi
+
+    monkeypatch.setattr(oracle, "_sigma_window", recorded)
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        ang = rng.uniform(0, 2 * np.pi)
+        y = rng.uniform(-3, 3, 2)
+        x = y + S.R1 * np.array([np.cos(ang), np.sin(ang)])
+        q = rng.uniform(-3, 3, 2)
+        sigma_sup_oracle(q, rng.uniform(0, 3), rng.uniform(1e-3, 3), x, y, S)
+    assert len(widths) == 500
+    assert max(widths) <= 16
 
 
 # ---------------------------------------------------------------- fd_check
