@@ -8,14 +8,15 @@ Two integration routes are provided and compared throughout the test suite:
   followed by a projection move back toward the translated disk, truncated to
   the cone budget M * omega * dt per step, stepped in float arithmetic.
 
-The RK4 stage tableau is built with NumPy, in two parts.  The plan's part
-(``PlanPath``: the plan center's nodes and stage values, the clock, omega's
-stage values and the trapezoid weights) reads only the plan (v, omega), so
-``plan_path`` builds it once per plan; a solve at a fixed plan checks and
-builds it once with ``frozen_plan``.  The plan-level pair takes that record
-and the lower controls (u, u0) as arguments: ``propagate_smooth`` adds only
-the lower controls' columns and steps the swept point once per smoothing
-gain in float arithmetic (``_sweep_column``), in the order of the smoothed
+The plan's part of the RK4 stage map (``PlanPath``: the plan center's nodes
+and stage values, the clock, omega's stage values, the trapezoid weights and
+a per-interval tableau of the stage centers and omega) reads only the plan
+(v, omega), so ``plan_path`` builds it with NumPy once per plan; a solve at a
+fixed plan checks and builds it once with ``frozen_plan``.  The plan-level
+pair takes that record and the lower controls (u, u0) as arguments:
+``propagate_smooth`` steps the swept point once per smoothing gain in float
+arithmetic (``_sweep_column``), one interval per loop turn, reading the plan's
+tableau and the lower controls' node values, in the order of the smoothed
 stage field ``stage_slope``; ``reverse_smooth``, its exact discrete reverse,
 sweeps the swept point, evaluating ``stage_slope`` with its Jacobians over all
 intervals at once, and returns the plan's cotangents as a function run only
@@ -305,7 +306,8 @@ class PlanPath:
     y_stages: np.ndarray   # (4, N, n) plan center at the RK4 stage points
     w_stages: np.ndarray   # (4, N)   omega at the RK4 stage points
     weights: np.ndarray    # (N+1,)   trapezoid weights
-    tableau: list          # per interval, per stage (y_0, y_1, w, RK4 offset * dt, RK4 weight)
+    tableau: list          # per interval: the four stage centers' (y_0, y_1), then omega
+                           # at the left node, the midpoint and the right node
 
 
 def plan_path(v, omega, s: Scenario, grid: TimeGrid) -> PlanPath:
@@ -317,9 +319,8 @@ def plan_path(v, omega, s: Scenario, grid: TimeGrid) -> PlanPath:
     y_st = np.stack([ys[:-1] + (a * grid.dt) * k if a else ys[:-1]
                      for a, k in zip(RK4_OFFSETS, (None, w1, wm, wm))])
     w_st = np.stack(stage_values(omega))
-    steps = [(a * grid.dt, b) for a, b in zip(RK4_OFFSETS, RK4_WEIGHTS)]
-    tab = [[(*stage, *step) for stage, step in zip(stages, steps)]
-           for stages in np.concatenate([y_st, w_st[..., None]], axis=2).transpose(1, 0, 2).tolist()]
+    tab = np.concatenate([y_st.transpose(1, 0, 2).reshape(grid.n_intervals, -1),
+                          w_st[[0, 1, 3]].T], axis=1).tolist()
     return PlanPath(grid, v, omega, ys, ts, y_st, w_st, trapz_weights(grid), tab)
 
 
@@ -390,79 +391,112 @@ def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario):
     """RK4 propagation of (y, x) under the smoothed field for the lower
     controls (u, u0) at one plan, one batch column per smoothing gain.
 
-    ``plan`` is the plan's ``PlanPath``; u is (N+1, n), u0 (N+1,), x_init
-    (n,); gamma is a float or a (B,) array of gains.  z comes from
+    ``plan`` is the plan's ``PlanPath``; on its grid of N+1 nodes u must be
+    (N+1, n), u0 (N+1,) and x_init (n,), else a ValueError names the array
+    and both shapes; gamma is a float or a (B,) array of gains.  z comes from
     trapezoidal quadrature of the node values, matching the transcription
     order.  Returns (y, x, z, t) node arrays of batch width B; y, z and t
     read no gain, so they are broadcast views, y and t of the plan's own.
     The swept point x is stepped per gain in float arithmetic
-    (``_sweep_column``) over one stage tableau, so a column's numbers do not
-    depend on the batch width.
+    (``_sweep_column``) from the plan's tableau and the lower controls' node
+    values, so a column's numbers do not depend on the batch width.
     """
     n, dt = plan.grid.n_nodes, plan.grid.dt
     u, u0 = np.asarray(u, dtype=float), np.asarray(u0, dtype=float)
     x0 = np.asarray(x_init, dtype=float)
+    for name, arr, shape in (("u", u, (n, s.dim)), ("u0", u0, (n,)), ("x_init", x0, (s.dim,))):
+        if arr.shape != shape:
+            raise ValueError(f"{name} must have shape {shape} on the plan's {n}-node grid, "
+                             f"got shape {arr.shape}")
     gammas = np.atleast_1d(np.asarray(gamma, dtype=float)).tolist()
     effort = (np.einsum("...i,...i", u, u) + u0 * u0) * plan.omega
     zs = running_trapezoid(effort, dt)
-    # y, t and the plan's stage columns are the plan's; only x needs the
-    # stage recursion, with the lower controls' columns (u_0, u_1, u0 w)
-    u0w = np.stack(stage_values(u0), axis=1) * plan.w_stages.T
-    tab = np.concatenate([np.stack(stage_values(u), axis=1), u0w[..., None]], axis=2).tolist()
+    # y, t and the plan's stage values are the plan's; only x needs the
+    # stage recursion
     xs = np.empty((n, len(gammas), s.dim))
     xs[0] = x0
+    u, u0, x0 = u.tolist(), u0.tolist(), x0.tolist()
     for b, g in enumerate(gammas):
-        xs[1:, b] = _sweep_column(plan.tableau, tab, x0.tolist(), g, s, dt)
+        xs[1:, b] = _sweep_column(plan.tableau, u, u0, x0, g, s, dt)
 
     def wide(a):
         return np.broadcast_to(a[:, None], xs.shape[:2] + a.shape[1:])
     return wide(plan.y), xs, wide(zs), wide(plan.t)
 
 
-def _sweep_column(plan_tab, lower_tab, x, gamma: float, s: Scenario, dt: float):
+def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
     """RK4 nodes x_1..x_N of one batch column in float arithmetic.
 
-    ``plan_tab`` holds per interval, per stage (y_0, y_1, w, RK4 offset *
-    dt, RK4 weight) and ``lower_tab`` (u_0, u_1, u0 w); every operation is ``stage_slope``'s and
-    ``cone_coefficient``'s, in their order, so the nodes are bitwise those of
-    the NumPy stage map wherever NumPy rounds the drift's x @ A.T as a plain
-    sum of products.  The exponential is NumPy's, which rounds some
-    arguments unlike ``math.exp``.
+    ``tableau`` is the plan's (``PlanPath.tableau``), one row per interval;
+    u and u0 are the lower controls' node values as lists.  Each interval is
+    one loop turn with its four stages written out, the midpoint controls
+    (a_i + a_{i+1}) * 0.5 and u0 * omega rounded as ``stage_values`` and the
+    stage map round them; every operation of a stage is ``stage_slope``'s
+    and ``cone_coefficient``'s, in their order, so the nodes are bitwise
+    those of the NumPy stage map wherever NumPy rounds the drift's x @ A.T
+    as a plain sum of products.  The exponential is NumPy's, which rounds
+    some arguments unlike ``math.exp``.  The stages are written out, not
+    called, because a call per stage cost what the float arithmetic saves;
+    only the affine drift is a call.
     """
     exp = np.exp
-    half_gamma, cap, r1sq, dt6 = 0.5 * gamma, s.cone_gain, s.R1 ** 2, dt / 6.0
+    half_gamma, cap, r1sq = 0.5 * gamma, s.cone_gain, s.R1 ** 2
+    half_dt, dt6 = 0.5 * dt, dt / 6.0
     affine, M1 = s.drift.name != "identity", s.M1
     (a00, a01), (a10, a11) = s.drift.matrix(s.dim).tolist()
+
+    def affine_drift(p0, p1, f0, f1):
+        # x A^T + u, clipped to the ball of radius M1
+        f0, f1 = p0 * a00 + p1 * a01 + f0, p0 * a10 + p1 * a11 + f1
+        nrm = math.sqrt(f0 * f0 + f1 * f1)
+        if nrm > M1:
+            scale = M1 / max(nrm, 1e-300)
+            f0, f1 = f0 * scale, f1 * scale
+        return f0, f1
+
     x0, x1 = x
+    (l0, l1), l = u[0], u0[0]
     out = []
-    for plan_stages, lower_stages in zip(plan_tab, lower_tab):
-        for (y0, y1, w, off, weight), (f0, f1, u0w) in zip(plan_stages, lower_stages):
-            # stage 0 starts at the node, stage j > 0 off its predecessor's slope
-            if off:
-                p0, p1 = x0 + off * k0, x1 + off * k1
-            else:
-                p0, p1 = x0, x1
-            d0, d1 = p0 - y0, p1 - y1
-            e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
-            if e > 50.0:
-                e = 50.0
-            c = gamma * float(exp(e))
-            if c > cap:
-                c = cap
-            if affine:   # f = u for identity drift
-                f0, f1 = p0 * a00 + p1 * a01 + f0, p0 * a10 + p1 * a11 + f1
-                nrm = math.sqrt(f0 * f0 + f1 * f1)
-                if nrm > M1:
-                    scale = M1 / max(nrm, 1e-300)
-                    f0, f1 = f0 * scale, f1 * scale
-            pull = u0w * c
-            k0, k1 = f0 * w - pull * d0, f1 * w - pull * d1
-            if off:
-                acc0, acc1 = acc0 + weight * k0, acc1 + weight * k1
-            else:
-                acc0, acc1 = k0, k1
-        x0, x1 = x0 + dt6 * acc0, x1 + dt6 * acc1
+    for (ya0, ya1, yb0, yb1, yc0, yc1, yd0, yd1, wl, wm, wr), (r0, r1), r in zip(
+            tableau, u[1:], u0[1:]):
+        m0, m1, mw = (l0 + r0) * 0.5, (l1 + r1) * 0.5, (l + r) * 0.5 * wm
+        # stage 0 at the node, left controls
+        d0, d1 = x0 - ya0, x1 - ya1
+        e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
+        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        pull = (l * wl) * (cap if c > cap else c)
+        f0, f1 = affine_drift(x0, x1, l0, l1) if affine else (l0, l1)
+        k0, k1 = f0 * wl - pull * d0, f1 * wl - pull * d1
+        a0, a1 = k0, k1
+        # stage 1 half a step off stage 0, midpoint controls
+        p0, p1 = x0 + half_dt * k0, x1 + half_dt * k1
+        d0, d1 = p0 - yb0, p1 - yb1
+        e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
+        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        pull = mw * (cap if c > cap else c)
+        f0, f1 = affine_drift(p0, p1, m0, m1) if affine else (m0, m1)
+        k0, k1 = f0 * wm - pull * d0, f1 * wm - pull * d1
+        a0, a1 = a0 + 2.0 * k0, a1 + 2.0 * k1
+        # stage 2 half a step off stage 1, midpoint controls
+        p0, p1 = x0 + half_dt * k0, x1 + half_dt * k1
+        d0, d1 = p0 - yc0, p1 - yc1
+        e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
+        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        pull = mw * (cap if c > cap else c)
+        f0, f1 = affine_drift(p0, p1, m0, m1) if affine else (m0, m1)
+        k0, k1 = f0 * wm - pull * d0, f1 * wm - pull * d1
+        a0, a1 = a0 + 2.0 * k0, a1 + 2.0 * k1
+        # stage 3 a whole step off stage 2, right controls
+        p0, p1 = x0 + dt * k0, x1 + dt * k1
+        d0, d1 = p0 - yd0, p1 - yd1
+        e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
+        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        pull = (r * wr) * (cap if c > cap else c)
+        f0, f1 = affine_drift(p0, p1, r0, r1) if affine else (r0, r1)
+        k0, k1 = f0 * wr - pull * d0, f1 * wr - pull * d1
+        x0, x1 = x0 + dt6 * (a0 + k0), x1 + dt6 * (a1 + k1)
         out.append((x0, x1))
+        l0, l1, l = r0, r1, r
     return out
 
 

@@ -1,6 +1,7 @@
 """Sweeping field, smoothing, integrators, and feasibility monitoring."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -294,6 +295,24 @@ def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
             assert np.array_equal(xs, ref)
     expo, c = np.array(expo), np.array(c)
     assert (expo > 50.0).any() and (c >= s.cone_gain).any() and (c < 1e-3 * s.cone_gain).any()
+
+
+@pytest.mark.parametrize("name, arg, got", [
+    ("u", 1, (8, 2)),       # short
+    ("u", 1, (10, 2)),      # long
+    ("u", 1, (18,)),        # flat
+    ("u0", 2, (8,)),        # short
+    ("x_init", 3, (3,)),
+])
+def test_propagate_smooth_refuses_arrays_off_the_plan_grid(name, arg, got):
+    n = 8
+    plan = plan_path(np.tile((1.0, 0.0), (n + 1, 1)), np.ones(n + 1), S, TimeGrid(n))
+    want = {"u": (n + 1, 2), "u0": (n + 1,), "x_init": (2,)}[name]
+    args = [plan, np.zeros((n + 1, 2)), np.zeros(n + 1), np.zeros(2), 8.0, S]
+    args[arg] = np.zeros(got)
+    with pytest.raises(ValueError, match=rf"^{name} must have shape {re.escape(str(want))}.*"
+                                         rf"got shape {re.escape(str(got))}$"):
+        propagate_smooth(*args)
 
 
 def test_catchup_interior_equals_plain_euler():

@@ -548,6 +548,67 @@ def test_sigma_oracle_window_equals_the_full_grid_bitwise():
             assert _same_float(got, want), (lin, r, got, want)
 
 
+def _window_values(lin, r):
+    """The oracle's window [lo, hi) of (lin, r) and the grid's values in it."""
+    lo, hi = oracle._sigma_window(lin, r)
+    with np.errstate(all="ignore"):
+        return lo, hi, lin * SIGMA_U0[lo:hi] - r * SIGMA_U0_SQ[lo:hi]
+
+
+def test_sigma_oracle_float_loop_at_its_edges():
+    # each case is checked to be the edge it is named for, then against the
+    # full-grid reference, NaN-aware with sign bits
+    inf, nan = math.inf, math.nan
+    edges = {
+        # inf * 0 = NaN at the grid's first index, the window's first
+        "nan-first": [(inf, 1.0), (-inf, 1.0), (1.0, inf), (-inf, inf), (0.0, inf)],
+        "all-nan": [(nan, 1.0), (1.0, nan), (inf, inf)],
+        # subnormal r: the maximum ties at the window's first index, at its
+        # last, and inside a window away from both grid ends
+        "tie-first": [(0.0, 1e-316), (0.0, 1e-318)],
+        "tie-last": [(2e-316, 1e-316), (2e-318, 1e-318)],
+        "tie-inside": [(1e-314, 1e-314), (1.0, 1.0)],
+        # the window is the whole grid: r <= 0, lin not finite, or a bound
+        # that excludes nothing
+        "whole-grid": [(0.5, 0.0), (-0.5, -0.0), (2.0, -1.0), (0.0, -1.0), (-3.0, 0.0),
+                       (inf, 0.0), (-inf, -1.0), (0.0, 5e-324), (1e-323, 1e-323)],
+    }
+    x, y = np.array([2.0 / 3.0, 0.0]), np.zeros(2)
+    for edge, cases in edges.items():
+        for lin, r in cases:
+            lo, hi, window = _window_values(lin, r)
+            if edge == "nan-first":
+                assert (lo, hi) == (0, SIGMA_U0.size) and np.isnan(window[0])
+                assert not np.isnan(window[1:]).any()
+            elif edge == "all-nan":
+                assert np.isnan(window).all()
+            elif edge == "tie-first":
+                assert lo == 0 and window[0] == window[1] == window.max()
+            elif edge == "tie-last":
+                assert hi == SIGMA_U0.size and window[-1] == window[-2] == window.max()
+            elif edge == "tie-inside":
+                assert 0 < lo and hi < SIGMA_U0.size
+                assert np.count_nonzero(window == window.max()) > 1
+            else:
+                assert (lo, hi) == (0, SIGMA_U0.size)
+            q = np.array([-lin, 0.0])
+            with np.errstate(all="ignore"):
+                got = sigma_sup_oracle(q, 0.0, r, x, y, S)
+                want = _uncached_sigma_sup(q, 0.0, r, x, y, S)
+            assert _same_float(got, want), (edge, lin, r, got, want)
+
+
+@pytest.mark.parametrize("vals", [
+    [1.0], [2.0, 1.0, 2.0], [0.0, -0.0, 1.0, 1.0], [-0.0, 0.0], [-math.inf, -math.inf],
+    [math.nan, 2.0], [1.0, math.nan, 3.0, math.nan], [1.0, 3.0, math.nan], [math.inf, math.nan],
+    [math.nan, math.nan], [-1.0, -math.inf, math.inf, math.inf],
+], ids=["one", "tie-ends", "tie-inside", "signed-zeros", "all-minus-inf", "nan-first",
+        "nan-before-max", "nan-after-max", "nan-after-inf", "all-nan", "inf-ties"])
+def test_first_argmax_is_numpys(vals):
+    # the first maximum, or the first NaN
+    assert oracle._first_argmax(vals) == int(np.argmax(np.array(vals)))
+
+
 def test_sigma_oracle_window_stays_narrow_on_a1_pairs(monkeypatch):
     # A1's pairs: x on the rim, effort multipliers in [1e-3, 3]
     widths = []
