@@ -74,9 +74,10 @@ def _node_values(data, key, n=None, width=None):
 
 def _load_profile(path, s: Scenario):
     """A stored control profile and its optional ``gamma``; unknown or missing
-    keys, malformed numbers, controls outside the scenario's balls, an
-    ``x_init`` outside the initial small disk Q1 + y0 and a ``gamma`` that
-    ``Scenario.smoothing_gain`` refuses are refused."""
+    keys, malformed numbers, fewer nodes than a ``TimeGrid`` has, controls
+    outside the scenario's balls, an ``x_init`` outside the initial small
+    disk Q1 + y0 and a ``gamma`` that ``Scenario.smoothing_gain`` refuses are
+    refused."""
     with open(path, "r", encoding="utf-8") as fh:
         data = require_known_keys(yaml.safe_load(fh), PROFILE_KEYS, "profile key")
     missing = [key for key in PROFILE_KEYS[:-1] if key not in data]
@@ -84,9 +85,13 @@ def _load_profile(path, s: Scenario):
         raise ValueError(f"profile gives no {', '.join(missing)} "
                          f"(required: {', '.join(PROFILE_KEYS[:-1])})")
     v = _node_values(data, "v", width=s.dim)
+    try:
+        grid = TimeGrid(len(v) - 1)
+    except ValueError as err:
+        raise ValueError(f"profile v: {err}, got {len(v)} node values") from None
     u = _node_values(data, "u", len(v), s.dim)
     u0, omega = (_node_values(data, key, len(v)) for key in ("u0", "omega"))
-    cp = ControlProfile(TimeGrid(len(v) - 1), v, u, u0, omega)
+    cp = ControlProfile(grid, v, u, u0, omega)
     cp.check_bounds(s)
     x_init = np.array(checked("x_init", data["x_init"], size=s.dim))
     gap = float(np.linalg.norm(x_init - s.y0_arr))

@@ -2,12 +2,12 @@
 
 Everything here deliberately avoids the solver code paths: propagation is
 plain Euler, and optimization is enumeration.  The lower enumeration runs
-in order of effort and stops exactly where no later sequence can change its
-answer, so it returns what the exhaustive one does.  The upper enumeration
-measures each distinct plan center once, over the prefix tree of the plans,
-and times only the feasible plans.  The sup oracle evaluates only the part of
-its grid that a roundoff bound cannot exclude, so it returns the whole grid's
-answer.  Only the geometry module is shared.
+in order of effort and stops at the first block with a feasible pair, whose
+first feasible pair is the exhaustive enumeration's answer.  The upper
+enumeration measures each distinct plan center once, over the prefix tree
+of the plans, and times only the feasible plans.  The sup oracle evaluates
+only the part of its grid that a roundoff bound cannot exclude, so it
+returns the whole grid's answer.  Only the geometry module is shared.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 MAX_COMBINATIONS = 10 ** 7
+# the (sequence, initial point) pairs brute_lower simulates in one block
+BLOCK_PAIRS = 200_000
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -40,12 +42,9 @@ class OracleInfeasibleError(RuntimeError):
 class EnumSpec:
     """Enumeration budget: piecewise-constant controls on a tiny grid.
 
-    ``chunk`` sets the block width: ``brute_lower`` simulates
-    ``chunk // x_init_points`` sequences (at least one) from every initial
-    point at once.  It also fixes which of several minimizers with equal
-    effort ``brute_lower`` returns, the first in the exhaustive order:
-    chunks of that many sequences in ``itertools.product`` order, within a
-    chunk each initial point in turn, then the sequences in order.
+    Of several feasible (sequence, initial point) pairs with equal effort,
+    ``brute_lower`` returns the one whose sequence comes first in
+    ``itertools.product`` order, from its first feasible initial point.
 
     ``brute_bilevel`` returns the plan of least ``t_final`` whose lower
     solve is feasible; of plans with equal ``t_final`` it tries them in
@@ -58,11 +57,10 @@ class EnumSpec:
     feas_tol: float = 1e-9
     target_tol: float = 0.25
     x_init_points: int = 17
-    chunk: int = 200_000
 
     def __post_init__(self):
         for name, least, most in (("n_intervals", 2, 5), ("levels_per_control", 2, 5),
-                                  ("x_init_points", 1, math.inf), ("chunk", 1, math.inf)):
+                                  ("x_init_points", 1, math.inf)):
             checked(f"enumeration {name}", getattr(self, name), int, least, most)
         if self.x_init_points % 2 == 0:
             raise ValueError(f"enumeration x_init_points must be odd (the center and two "
@@ -134,16 +132,16 @@ def _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s: Scenario) ->
     return out[:, :B]
 
 
-def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
-                return_decision: bool = False):
+def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
     """Global minimum of the lower effort over piecewise-constant (u, u0)
-    and a coarse initial-position grid, for frozen (omega, v) node values.
+    and a coarse initial-position grid, for frozen (omega, v) node values:
+    (z*, (x_init, u, u0)), the controls at the N+1 nodes.
 
     A sequence's effort does not depend on its trajectory, so the sequences
-    are simulated in blocks of ``step`` in order of effort, and the first
-    block with a feasible pair gives the least feasible effort z*.  The
-    sequences whose effort is z* exactly are then run again to pick the
-    exhaustive enumeration's decision (see ``EnumSpec``)."""
+    are simulated in blocks of ``BLOCK_PAIRS // x_init_points`` in a stable
+    order of effort.  The first feasible pair of the first block that holds
+    one has the least feasible effort z*, and of the pairs at z* it is the
+    one ``EnumSpec``'s tie rule picks."""
     N = spec.n_intervals
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -174,7 +172,8 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
     per_node = len(u_node)
     total = (per_node ** N) * len(x_grid)
     if total > MAX_COMBINATIONS:
-        raise ValueError(f"enumeration budget exceeded: {total} > {MAX_COMBINATIONS}")
+        raise ValueError(f"enumeration budget exceeded: {per_node}**{N} * {len(x_grid)} = "
+                         f"{total} (sequence, initial point) pairs > {MAX_COMBINATIONS}")
 
     # each node combination's effort before the dilation, once; each
     # sequence's trapezoidal effort is summed one interval at a time, as a
@@ -189,31 +188,18 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario,
         z = term if z is None else z + term
         prev = cur
 
-    def feasible(block):
-        return _max_h_lower(seqs[block], x_grid, y, u_node, u0_node, omega, gamma, s) <= spec.feas_tol
-
-    step = max(1, spec.chunk // len(x_grid))   # sequences per block
+    step = max(1, BLOCK_PAIRS // len(x_grid))   # sequences per block
     order = np.argsort(z, kind="stable")
     for start in range(0, len(order), step):
         block = order[start:start + step]
-        hit = feasible(block).any(axis=0)
+        feas = _max_h_lower(seqs[block], x_grid, y, u_node, u0_node, omega, gamma, s) <= spec.feas_tol
+        hit = feas.any(axis=0)
         if hit.any():
-            z_star = z[block[np.argmax(hit)]]
-            break
-    else:
-        raise OracleInfeasibleError("no feasible (u, u0, x_init) combination")
-    if not return_decision:
-        return float(z_star)
-    # the first feasible pair at z* in the exhaustive order of EnumSpec's
-    # tie rule wins; the block above holds one
-    tie = np.flatnonzero(z == z_star)
-    for chunk in np.unique(tie // step):
-        block = tie[tie // step == chunk]
-        xi, j = np.nonzero(feasible(block))
-        if len(xi):
-            break
-    idx = _interval_to_nodes(seqs[block[j[0]]])
-    return float(z_star), (x_grid[xi[0]].copy(), u_node[idx], u0_node[idx])
+            j = np.argmax(hit)
+            idx = _interval_to_nodes(seqs[block[j]])
+            x_init = x_grid[np.argmax(feas[:, j])].copy()
+            return float(z[block[j]]), (x_init, u_node[idx], u0_node[idx])
+    raise OracleInfeasibleError("no feasible (u, u0, x_init) combination")
 
 
 def _distinct_points(p):
@@ -287,7 +273,7 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
         v_nodes = _interval_to_nodes(v_node[seq[j]])
         w_nodes = w_nodes_full[:, j]
         try:
-            phi, dec = brute_lower(w_nodes, v_nodes, gamma, spec, s, return_decision=True)
+            phi, dec = brute_lower(w_nodes, v_nodes, gamma, spec, s)
         except OracleInfeasibleError:
             continue
         return float(t_final[j]), {

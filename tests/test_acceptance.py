@@ -305,7 +305,7 @@ def test_a9_lower_solver_beats_enumeration():
     omega = np.full(n + 1, 4.0)
     v = np.tile([1.0, 0.0], (n + 1, 1))
     gamma = 24.0
-    oracle_val = brute_lower(omega, v, gamma, spec, S)
+    oracle_val = brute_lower(omega, v, gamma, spec, S)[0]
     ls = solve_lower(omega, v, gamma, S, SolverOptions(lower_max_iter=200))
     el = time.perf_counter() - t0
     ok = ls.value <= oracle_val + 1e-6 and el < 60.0

@@ -253,15 +253,23 @@ def test_bad_solver_run_value_is_refused(tmp_path, monkeypatch, capsys, command,
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("chunk", 0),
-                                        ("x_init_points", 2.5), ("x_init_points", 4),
-                                        ("x_init_points", 0), ("omega_max", 0.0),
-                                        ("target_tol", float("nan"))])
+@pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("x_init_points", 2.5),
+                                        ("x_init_points", 4), ("x_init_points", 0),
+                                        ("omega_max", 0.0), ("target_tol", float("nan"))])
 def test_bad_oracle_run_value_is_refused(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.setattr(bisweep.cli, "brute_bilevel", _no_solve)
     cfg = write_config(tmp_path, run={"oracle": {key: value}})
     assert main(["oracle", "--config", str(cfg)]) == EXIT_USAGE
     assert key in capsys.readouterr().err
+
+
+def test_oracle_chunk_key_is_refused_as_unknown(tmp_path, monkeypatch, capsys):
+    # the enumeration's block width is not a setting: its answer does not
+    # depend on it
+    monkeypatch.setattr(bisweep.cli, "brute_bilevel", _no_solve)
+    cfg = write_config(tmp_path, run={"oracle": {"chunk": 5}})
+    assert main(["oracle", "--config", str(cfg)]) == EXIT_USAGE
+    assert "unknown run.oracle key: chunk " in capsys.readouterr().err
 
 
 def test_validate_writes_report(tmp_path):
@@ -320,6 +328,16 @@ def test_out_of_bound_profile_is_refused(tmp_path, capsys, command, control, val
     prof = write_profile(tmp_path, **{control: value})
     assert main([command, "--profile", str(prof)]) == EXIT_USAGE
     assert f"control {control} exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])
+@pytest.mark.parametrize("nodes", [0, 1, 2])
+def test_profile_of_fewer_than_three_nodes_is_refused_naming_v(tmp_path, capsys, command, nodes):
+    # a grid has at least 2 intervals; the refusal used to name no key
+    prof = write_profile(tmp_path, n=nodes - 1)
+    assert main([command, "--profile", str(prof)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: profile v: need at least 2 intervals, got {nodes} node values" in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep-gamma"])

@@ -37,7 +37,7 @@ def test_enum_spec_rejects_oversized_grids():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("n_intervals", 2.5), ("levels_per_control", True), ("chunk", 0), ("x_init_points", 2.5),
+    ("n_intervals", 2.5), ("levels_per_control", True), ("x_init_points", 2.5),
     ("x_init_points", 4), ("x_init_points", 0),
     ("omega_max", 0.0), ("omega_max", np.inf), ("feas_tol", -1e-9), ("target_tol", np.nan),
     ("feas_tol", "0")])
@@ -73,7 +73,7 @@ def test_product_rows_refuse_levels_a_uint8_cannot_index():
 def test_brute_lower_stationary_instance_is_free():
     spec = EnumSpec(n_intervals=3, levels_per_control=3)
     n = spec.n_intervals
-    val = brute_lower(np.ones(n + 1), np.zeros((n + 1, 2)), 12.0, spec, S)
+    val = brute_lower(np.ones(n + 1), np.zeros((n + 1, 2)), 12.0, spec, S)[0]
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
@@ -82,7 +82,7 @@ def test_brute_lower_moving_set_needs_effort():
     n = spec.n_intervals
     omega = np.full(n + 1, 4.0)
     v = np.tile([1.0, 0.0], (n + 1, 1))
-    val = brute_lower(omega, v, 12.0, spec, S)
+    val = brute_lower(omega, v, 12.0, spec, S)[0]
     assert val > 0.1
 
 
@@ -92,17 +92,17 @@ def test_brute_lower_tiny_instance_regression():
     spec = EnumSpec(n_intervals=2, levels_per_control=3)
     omega = np.full(3, 4.0)
     v = np.tile([1.0, 0.0], (3, 1))
-    val = brute_lower(omega, v, 12.0, spec, S)
+    val = brute_lower(omega, v, 12.0, spec, S)[0]
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
-def counted_sequences(monkeypatch):
-    """Count the sequences brute_lower simulates, block by block."""
+def simulated_blocks(monkeypatch):
+    """Record the blocks of sequence rows brute_lower simulates, in turn."""
     seen = []
     fn = oracle._max_h_lower
 
     def wrapped(rows, *args):
-        seen.append(len(rows))
+        seen.append(rows.copy())
         return fn(rows, *args)
     monkeypatch.setattr(oracle, "_max_h_lower", wrapped)
     return seen
@@ -112,14 +112,15 @@ def test_brute_lower_reports_infeasible_budget(monkeypatch):
     # zero lower control authority but the set moves: membership must fail,
     # after every block of all 8**3 sequences is simulated
     s = straight_corridor(u_bound=0.0, M=1.5)
-    spec = EnumSpec(n_intervals=3, levels_per_control=2, chunk=17 * 100)
+    spec = EnumSpec(n_intervals=3, levels_per_control=2)
+    monkeypatch.setattr(oracle, "BLOCK_PAIRS", 17 * 100)
     n = spec.n_intervals
     omega = np.full(n + 1, 40.0)
     v = np.tile([1.0, 0.0], (n + 1, 1))
-    seen = counted_sequences(monkeypatch)
+    seen = simulated_blocks(monkeypatch)
     with pytest.raises(OracleInfeasibleError):
         brute_lower(omega, v, 12.0, spec, s)
-    assert seen == [100] * 5 + [12]
+    assert [len(rows) for rows in seen] == [100] * 5 + [12]
 
 
 @pytest.mark.parametrize("name, omega, v", [
@@ -139,7 +140,7 @@ def test_brute_lower_decision_reproduces_value():
     n = spec.n_intervals
     omega = np.full(n + 1, 3.0)
     v = np.tile([1.0, 0.0], (n + 1, 1))
-    val, (x0, u, u0) = brute_lower(omega, v, 12.0, spec, S, return_decision=True)
+    val, (x0, u, u0) = brute_lower(omega, v, 12.0, spec, S)
     dt = 1.0 / n
     effort = (np.sum(u * u, axis=1) + u0 ** 2) * omega
     z = np.sum(0.5 * (effort[1:] + effort[:-1]) * dt)
@@ -147,9 +148,9 @@ def test_brute_lower_decision_reproduces_value():
 
 
 def naive_brute_lower(omega, v, gamma, spec, s):
-    """brute_lower written plainly: one Euler trajectory per (x_init, control
-    sequence) in itertools order, sequences taken in brute_lower's chunks, the
-    first strict improvement kept."""
+    """brute_lower written plainly: one Euler trajectory per (control
+    sequence, x_init) pair, the sequences in itertools order and the initial
+    points in turn for each, the first strict improvement kept."""
     N, L = spec.n_intervals, spec.levels_per_control
     dt = 1.0 / N
     y = [s.y0_arr]
@@ -159,36 +160,34 @@ def naive_brute_lower(omega, v, gamma, spec, s):
     nodes = [(np.array([a, b]), c) for a, b, c in
              itertools.product(levels, levels, np.linspace(0.0, 1.0, L))
              if np.linalg.norm([a, b]) <= s.u_bound + 1e-12]
-    seqs = [seq + seq[-1:] for seq in itertools.product(nodes, repeat=N)]
     x_grid = _x_init_grid(s, spec.x_init_points)
-    step = max(1, spec.chunk // len(x_grid))
     A = s.drift.matrix(s.dim)
     best_val, best = np.inf, None
-    for start in range(0, len(seqs), step):
+    for seq in itertools.product(nodes, repeat=N):
+        seq = seq + seq[-1:]
+        effort = np.array([(np.sum(u * u) + u0 ** 2) * omega[i] for i, (u, u0) in enumerate(seq)])
+        z = float(np.sum(0.5 * (effort[1:] + effort[:-1]) * dt))
         for xg in x_grid:
-            for seq in seqs[start:start + step]:
-                x, feasible = xg, True
-                for i in range(N + 1):
-                    d = x - y[i]
-                    hl = 0.5 * (np.sum(d * d) - s.R1 ** 2)
-                    feasible &= bool(hl <= spec.feas_tol)
-                    if i == N:
-                        break
-                    u, u0 = seq[i]
-                    c = np.minimum(s.cone_gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
-                    f = u
-                    if s.drift.name != "identity":
-                        f = A @ x + u
-                        nrm = np.sqrt(np.sum(f * f))
-                        f = f * (s.M1 / nrm if nrm > s.M1 else 1.0)
-                    x = x + (f - u0 * c * d) * (omega[i] * dt)
-                if not feasible:
-                    continue
-                effort = np.array([(np.sum(u * u) + u0 ** 2) * omega[i] for i, (u, u0) in enumerate(seq)])
-                z = float(np.sum(0.5 * (effort[1:] + effort[:-1]) * dt))
-                if z < best_val:
-                    best_val = z
-                    best = (xg, np.array([u for u, _ in seq]), np.array([u0 for _, u0 in seq]))
+            if not z < best_val:
+                break
+            x, feasible = xg, True
+            for i in range(N + 1):
+                d = x - y[i]
+                hl = 0.5 * (np.sum(d * d) - s.R1 ** 2)
+                feasible &= bool(hl <= spec.feas_tol)
+                if i == N:
+                    break
+                u, u0 = seq[i]
+                c = np.minimum(s.cone_gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
+                f = u
+                if s.drift.name != "identity":
+                    f = A @ x + u
+                    nrm = np.sqrt(np.sum(f * f))
+                    f = f * (s.M1 / nrm if nrm > s.M1 else 1.0)
+                x = x + (f - u0 * c * d) * (omega[i] * dt)
+            if feasible:
+                best_val = z
+                best = (xg, np.array([u for u, _ in seq]), np.array([u0 for _, u0 in seq]))
     return best_val, best
 
 
@@ -214,7 +213,7 @@ def naive_efforts(omega, spec, s):
 
 
 def assert_equals_naive(omega, v, spec, s):
-    val, dec = brute_lower(omega, v, 12.0, spec, s, return_decision=True)
+    val, dec = brute_lower(omega, v, 12.0, spec, s)
     ref_val, ref_dec = naive_brute_lower(omega, v, 12.0, spec, s)
     assert val > 0.0 and val == ref_val
     for a, b in zip(dec, ref_dec):
@@ -223,39 +222,79 @@ def assert_equals_naive(omega, v, spec, s):
 
 
 @pytest.mark.parametrize("s", [S, A4, SKEW], ids=["identity", "affine", "affine-saturating"])
-@pytest.mark.parametrize("chunk", [200_000, 60])
-def test_brute_lower_equals_a_naive_enumeration(s, chunk):
-    spec = EnumSpec(n_intervals=2, levels_per_control=3, x_init_points=5, chunk=chunk)
-    rng = np.random.default_rng(chunk)
+@pytest.mark.parametrize("pairs", [200_000, 60])
+def test_brute_lower_equals_a_naive_enumeration(monkeypatch, s, pairs):
+    monkeypatch.setattr(oracle, "BLOCK_PAIRS", pairs)
+    spec = EnumSpec(n_intervals=2, levels_per_control=3, x_init_points=5)
+    rng = np.random.default_rng(pairs)
     omega = rng.uniform(2.0, 5.0, 3)
     v = np.tile([1.0, 0.0], (3, 1))
     assert_equals_naive(omega, v, spec, s)
 
 
-@pytest.mark.parametrize("s, seed, speed, angle, chunk, one_tie", [
+def tie_instance(seed, speed, angle):
+    """An N = 3 plan moving at ``speed`` in direction ``angle``, its
+    dilations drawn from ``seed``: (omega, v)."""
+    omega = np.random.default_rng(seed).uniform(2.0, 5.0, 4)
+    return omega, np.tile([speed * np.cos(angle), speed * np.sin(angle)], (4, 1))
+
+
+@pytest.mark.parametrize("s, seed, speed, angle, pairs, one_tie", [
     (S, 1, 1.0, 0.0, 20, False), (A4, 2, 1.0, 0.0, 20, False), (SKEW, 2, 1.0, 0.0, 20, False),
     (SKEW, 2, 1.0, 0.3, 100, False), (SKEW, 4, 0.4, 0.0, 10, True)],
     ids=["identity", "affine", "affine-saturating", "affine-saturating-turned", "affine-saturating-one-tie"])
-def test_brute_lower_stops_early_and_breaks_ties_as_a_naive_enumeration(s, seed, speed, angle, chunk,
-                                                                         one_tie):
+def test_brute_lower_stops_early_and_breaks_ties_as_a_naive_enumeration(monkeypatch, s, seed, speed, angle,
+                                                                         pairs, one_tie):
     # N = 3 moving plans with small blocks: the first block of the effort
     # order holds no feasible pair, and the sequences that tie at the
-    # minimum span several of the exhaustive order's chunks, or are one
-    # sequence, simulated as a block of one.  In the turned case a tie
-    # sequence that is feasible from an earlier initial point comes after
-    # the first feasible tie sequence of its chunk
-    spec = EnumSpec(n_intervals=3, levels_per_control=3, x_init_points=5, chunk=chunk)
-    step = chunk // 5
-    omega = np.random.default_rng(seed).uniform(2.0, 5.0, 4)
-    v = np.tile([speed * np.cos(angle), speed * np.sin(angle)], (4, 1))
+    # minimum span several blocks, or are one sequence, simulated as a
+    # block of one.  In the turned case a later tie sequence is feasible
+    # from an earlier initial point than the winner, so a rule that tried
+    # the initial points before the sequences would pick another pair
+    monkeypatch.setattr(oracle, "BLOCK_PAIRS", pairs)
+    spec = EnumSpec(n_intervals=3, levels_per_control=3, x_init_points=5)
+    step = pairs // 5
+    omega, v = tie_instance(seed, speed, angle)
     val = assert_equals_naive(omega, v, spec, s)
-    z = naive_efforts(omega, spec, s)
-    assert np.sort(z)[step - 1] < val
-    tie = np.flatnonzero(z == val)
+    z = np.sort(naive_efforts(omega, spec, s))
+    assert z[step - 1] < val
+    first, last = np.searchsorted(z, val), np.searchsorted(z, val, side="right") - 1
     if one_tie:
-        assert len(tie) == 1
+        assert first == last
     else:
-        assert len(set(tie // step)) > 1
+        assert first // step < last // step
+
+
+@pytest.mark.parametrize("s, seed, speed, angle", [(S, 1, 1.0, 0.0), (A4, 2, 1.0, 0.0), (SKEW, 2, 1.0, 0.3)],
+                         ids=["identity", "affine", "affine-saturating"])
+def test_brute_lower_does_not_depend_on_the_block_width(monkeypatch, s, seed, speed, angle):
+    # blocks of one sequence, of 20 and the default width give the same
+    # value and decision, bitwise
+    spec = EnumSpec(n_intervals=3, levels_per_control=3, x_init_points=5)
+    omega, v = tie_instance(seed, speed, angle)
+    val, dec = brute_lower(omega, v, 12.0, spec, s)
+    for pairs in (5, 20 * 5):
+        monkeypatch.setattr(oracle, "BLOCK_PAIRS", pairs)
+        other_val, other_dec = brute_lower(omega, v, 12.0, spec, s)
+        assert other_val == val
+        for a, b in zip(other_dec, dec):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_brute_lower_simulates_each_block_of_the_effort_order_once(monkeypatch):
+    # the blocks simulated are the effort order's first ones, each once:
+    # the first block with a feasible pair gives the decision, and no tie
+    # sequence is run a second time
+    monkeypatch.setattr(oracle, "BLOCK_PAIRS", 20 * 5)
+    spec = EnumSpec(n_intervals=3, levels_per_control=3, x_init_points=5)
+    omega, v = tie_instance(2, 1.0, 0.3)
+    blocks = simulated_blocks(monkeypatch)
+    brute_lower(omega, v, 12.0, spec, SKEW)
+    order = np.argsort(naive_efforts(omega, spec, SKEW), kind="stable")
+    rows = _product_rows(15, 3)[order]
+    assert len(blocks) > 1
+    for k, block in enumerate(blocks):
+        assert np.array_equal(block, rows[20 * k:20 * (k + 1)])
 
 
 def test_a_block_of_one_sequence_rounds_as_a_wide_block():
@@ -335,6 +374,13 @@ def test_brute_bilevel_refusal_names_the_count_and_the_limit():
         brute_bilevel(EnumSpec(n_intervals=5, levels_per_control=5), S)
 
 
+def test_brute_lower_refusal_names_the_count_and_the_limit():
+    # 65 node combinations at each of N = 4 nodes, from 17 initial points
+    with pytest.raises(ValueError, match=r"65\*\*4 \* 17 = 303460625 \(sequence, initial point\) "
+                                         r"pairs > 10000000"):
+        brute_lower(np.ones(5), np.zeros((5, 2)), 12.0, EnumSpec(4, 5), S)
+
+
 def naive_upper_plans(spec, s):
     """brute_bilevel's feasible plans, found plainly: every plan of
     itertools.product over the node values, its center stepped by Euler and
@@ -382,7 +428,7 @@ def naive_brute_bilevel(spec, s):
 
     def lower(v, w):
         try:
-            phi, dec = brute_lower(w, v, 8.0 * s.cone_gain, spec, s, return_decision=True)
+            phi, dec = brute_lower(w, v, 8.0 * s.cone_gain, spec, s)
         except OracleInfeasibleError:
             return None
         return {"v": v, "omega": w, "phi": phi, "x_init": dec[0], "u": dec[1], "u0": dec[2]}
@@ -439,12 +485,12 @@ def test_brute_bilevel_breaks_ties_in_product_order_as_a_naive_enumeration(s, sp
 def test_brute_lower_simulates_a_fraction_of_the_sequences(monkeypatch):
     # the plan brute_bilevel(EnumSpec(3, 5)) chooses on the corridor: 65**3
     # sequences, of which the effort order reaches z* after about 8.6%
-    seen = counted_sequences(monkeypatch)
+    seen = simulated_blocks(monkeypatch)
     omega = np.array([10.0, 10.0, 5.0, 5.0])
     v = np.tile([1.0, 0.0], (4, 1))
-    phi, _ = brute_lower(omega, v, 8.0 * S.cone_gain, EnumSpec(3, 5), S, return_decision=True)
+    phi, _ = brute_lower(omega, v, 8.0 * S.cone_gain, EnumSpec(3, 5), S)
     assert phi == 3.749999999999999
-    assert sum(seen) < 65 ** 3 / 5
+    assert sum(map(len, seen)) < 65 ** 3 / 5
 
 
 # ---------------------------------------------------------------- sigma oracle

@@ -62,7 +62,7 @@ def test_lower_solve_matches_enumeration_on_tiny_grid():
     spec = EnumSpec(n_intervals=4, levels_per_control=3)
     n = spec.n_intervals
     omega, v = dragged_inputs(n)
-    oracle_val = brute_lower(omega, v, GAMMA, spec, S)
+    oracle_val = brute_lower(omega, v, GAMMA, spec, S)[0]
     ls = solve_lower(omega, v, GAMMA, S)
     # SLSQP searches a continuum containing the enumeration grid
     assert ls.value <= oracle_val + 1e-6
