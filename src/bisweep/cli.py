@@ -37,7 +37,8 @@ from .dynamics import (
 from .certificate import certify
 from .geometry import SCENARIO_KEYS, Scenario, checked, require_known_keys, straight_corridor, validate
 from .oracle import EnumSpec, brute_bilevel, OracleInfeasibleError
-from .solver import SolverOptions, penalty_gap, solve_bilevel
+from .solver import (LOWER_KKT_TOL, LOWER_VIOLATION_TOL, SolverOptions, penalty_gap,
+                     solve_bilevel)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,10 +158,21 @@ def _gamma_schedule(args, run, s):
 
 
 def _solve_exit_code(sol, code):
-    """EXIT_SOLVE, naming the cause, when the solve did not converge; else ``code``."""
+    """EXIT_SOLVE, naming the cause, when the solve did not converge; else
+    ``code``.  The cause is the first gamma of the lower path whose solve did
+    not converge, with its SLSQP exit status, KKT residual and violation; if
+    every one did, the solve's status, whose plan part failed."""
     if sol.status["converged"]:
         return code
-    print(f"solver did not converge: {sol.status}", file=sys.stderr)
+    failed = next((h for h in sol.history if not h["converged"]), None)
+    if failed is None:
+        print(f"solver did not converge: {sol.status}", file=sys.stderr)
+    else:
+        print(f"solver did not converge: the lower solve at gamma = {failed['gamma']:g} "
+              f"stopped with SLSQP exit status {failed['exit_status']}, kkt_residual "
+              f"{failed['kkt_residual']:.3e} (tolerance {LOWER_KKT_TOL:g}) and max_violation "
+              f"{failed['max_violation']:.3e} (tolerance {LOWER_VIOLATION_TOL:g})",
+              file=sys.stderr)
     return EXIT_SOLVE
 
 

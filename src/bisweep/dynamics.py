@@ -3,7 +3,8 @@
 Two integration routes are provided and compared throughout the test suite:
 
 * ``integrate_smooth`` -- RK4 on the smoothed field, where the cone correction
-  is ramped in by a capped exponential coefficient of the boundary gap;
+  is ramped in by an exponential coefficient of the boundary gap, blended
+  smoothly into its cap M/R1 (``cone_coefficient``);
 * ``integrate_catchup`` -- Moreau-style time stepping: an explicit drift step
   followed by a projection move back toward the translated disk, truncated to
   the cone budget M * omega * dt per step, stepped in float arithmetic.
@@ -234,26 +235,67 @@ def stage_values(a):
     return a[:-1], am, am, a[1:]
 
 
+# Half-width a of the band in l = ln(g/K), g = gamma exp(gamma h_lower) and
+# K = M/R1, over which the cone coefficient blends from g to K.  On the rim
+# (h_lower = 0) l = ln(gamma/K), so at gamma >= 2K the coefficient is K.
+CAP_BAND = math.log(2.0)
+_BAND_3A, _BAND_8A, _BAND_NORM = 3.0 * CAP_BAND, 8.0 * CAP_BAND, 16.0 * CAP_BAND ** 3
+
+
+def _cone_terms(diff, gamma, s: Scenario):
+    """The banded cone coefficient c at the offsets diff = x - y (..., n),
+    with l = ln(g/K) and l clipped to the band [-a, a]."""
+    e = (0.5 * gamma) * (np.add.reduce(diff * diff, -1) - s.R1 ** 2)
+    lr = e + np.log(gamma / s.cone_gain)
+    lc = np.minimum(np.maximum(lr, -CAP_BAND), CAP_BAND)
+    p = lc + CAP_BAND
+    # psi(l) = (l + a)^3 (3a - l) / (16 a^3) is 0 below the band; the
+    # exponent is capped at 50 above it, where c is K anyway
+    ex = np.exp(np.minimum(e - p * p * p * (_BAND_3A - lc) / _BAND_NORM, 50.0))
+    return np.where(lr < CAP_BAND, np.minimum(gamma * ex, s.cone_gain), s.cone_gain), lr, lc
+
+
 def cone_coefficient(diff, gamma, s: Scenario):
-    """Ramped cone coefficient c = min{M/R1, gamma exp(gamma h_lower)} at the
-    offsets diff = x - y (..., n); gamma is a float or an array that
-    broadcasts against the leading axes (one gain per batch column).  The
-    exponent is capped at 50 below overflow, where the min caps the value anyway."""
-    ex = np.exp(np.minimum((0.5 * gamma) * (np.add.reduce(diff * diff, -1) - s.R1 ** 2), 50.0))
-    return np.minimum(s.cone_gain, gamma * ex)
+    """Banded cone coefficient at the offsets diff = x - y (..., n); gamma is
+    a float or an array that broadcasts against the leading axes (one gain
+    per batch column).
+
+    With e = gamma h_lower, g = gamma e^e, K = M/R1, l = e + ln(gamma/K) =
+    ln(g/K) and a = ``CAP_BAND``: c = g for l <= -a, c = K for l >= a, and
+    c = gamma exp(e - psi(l)) between, with psi(l) = (l + a)^3 (3a - l) /
+    (16 a^3).  psi and its first two derivatives meet those of 0 and of l at
+    -a and a, so c is C^2 and c <= min(K, g); a min with K takes off the
+    roundoff by which the blend can pass K just below l = a.  One offset
+    with a float gain is computed in floats by the same operations, as
+    ``_sweep_column`` does; ln(gamma/K) and the exponential are NumPy's on
+    both paths.
+    """
+    if diff.ndim == 1 and np.ndim(gamma) == 0:
+        sq = 0.0
+        for di in diff.tolist():
+            sq += di * di
+        e = 0.5 * gamma * (sq - s.R1 ** 2)
+        lr = e + float(np.log(gamma / s.cone_gain))
+        if lr >= CAP_BAND:
+            return s.cone_gain
+        p = lr + CAP_BAND
+        c = gamma * float(np.exp(e if lr <= -CAP_BAND
+                                 else e - p * p * p * (_BAND_3A - lr) / _BAND_NORM))
+        return s.cone_gain if c > s.cone_gain else c
+    return _cone_terms(diff, gamma, s)[0]
 
 
 def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
     """Smoothed field times the time dilation w at RK4 stage points.
 
-    k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the ramped cone
+    k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the banded cone
     coefficient c of ``cone_coefficient``; broadcasts over leading axes, gamma
     included (a float or a (B,) array of per-column gains).  With
     ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
     dk/du0w), the matrices as (..., n, n) arrays.
     """
     diff = x - y
-    c = cone_coefficient(diff, gamma, s)
+    c, lr, lc = _cone_terms(diff, gamma, s)
     f = u if s.drift.name == "identity" else drift(x, u, s)
     k = f * w[..., None] - (u0w * c)[..., None] * diff
     if not jacobians:
@@ -265,8 +307,11 @@ def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
         nrm = np.maximum(np.linalg.norm(raw, axis=-1), 1e-300)[..., None, None]
         rhat = raw[..., :, None] / nrm
         f_u = np.where(nrm > s.M1, (s.M1 / nrm) * (eye - rhat * np.swapaxes(rhat, -1, -2)), eye)
-    # below the cap, grad_x c = gamma c (x - y) = -grad_y c
-    gc = np.where(c < s.cone_gain, gamma * c, 0.0)
+    # grad_x c = gamma c (1 - psi'(l)) (x - y) = -grad_y c, with
+    # psi'(l) = (l + a)^2 (8a - 4l) / (16 a^3), 0 below the band and 1 above
+    p = lc + CAP_BAND
+    gc = np.where(lr < CAP_BAND,
+                  gamma * c * (1.0 - p * p * (_BAND_8A - 4.0 * lc) / _BAND_NORM), 0.0)
     pull = c[..., None, None] * eye + gc[..., None, None] * diff[..., :, None] * diff[..., None, :]
     k_y = u0w[..., None, None] * pull
     k_x = w[..., None, None] * (f_u @ A) - k_y
@@ -434,13 +479,15 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
     stage map round them; every operation of a stage is ``stage_slope``'s
     and ``cone_coefficient``'s, in their order, so the nodes are bitwise
     those of the NumPy stage map wherever NumPy rounds the drift's x @ A.T
-    as a plain sum of products.  The exponential is NumPy's, which rounds
-    some arguments unlike ``math.exp``.  The stages are written out, not
-    called, because a call per stage cost what the float arithmetic saves;
-    only the affine drift is a call.
+    as a plain sum of products.  The logarithm ln(gamma/K), taken once, and
+    the exponential are NumPy's, which round some arguments unlike ``math``'s;
+    above the cap's band no exponential is taken.  The stages are written
+    out, not called, because a call per stage cost what the float arithmetic
+    saves; only the affine drift is a call.
     """
     exp = np.exp
     half_gamma, cap, r1sq = 0.5 * gamma, s.cone_gain, s.R1 ** 2
+    lg, band, band3, norm = float(np.log(gamma / cap)), CAP_BAND, _BAND_3A, _BAND_NORM
     half_dt, dt6 = 0.5 * dt, dt / 6.0
     affine, M1 = s.drift.name != "identity", s.M1
     (a00, a01), (a10, a11) = s.drift.matrix(s.dim).tolist()
@@ -463,7 +510,10 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
         # stage 0 at the node, left controls
         d0, d1 = x0 - ya0, x1 - ya1
         e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
-        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        lr = e + lg
+        p = lr + band
+        c = cap if lr >= band else gamma * float(
+            exp(e if lr <= -band else e - p * p * p * (band3 - lr) / norm))
         pull = (l * wl) * (cap if c > cap else c)
         f0, f1 = affine_drift(x0, x1, l0, l1) if affine else (l0, l1)
         k0, k1 = f0 * wl - pull * d0, f1 * wl - pull * d1
@@ -472,7 +522,10 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
         p0, p1 = x0 + half_dt * k0, x1 + half_dt * k1
         d0, d1 = p0 - yb0, p1 - yb1
         e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
-        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        lr = e + lg
+        p = lr + band
+        c = cap if lr >= band else gamma * float(
+            exp(e if lr <= -band else e - p * p * p * (band3 - lr) / norm))
         pull = mw * (cap if c > cap else c)
         f0, f1 = affine_drift(p0, p1, m0, m1) if affine else (m0, m1)
         k0, k1 = f0 * wm - pull * d0, f1 * wm - pull * d1
@@ -481,7 +534,10 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
         p0, p1 = x0 + half_dt * k0, x1 + half_dt * k1
         d0, d1 = p0 - yc0, p1 - yc1
         e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
-        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        lr = e + lg
+        p = lr + band
+        c = cap if lr >= band else gamma * float(
+            exp(e if lr <= -band else e - p * p * p * (band3 - lr) / norm))
         pull = mw * (cap if c > cap else c)
         f0, f1 = affine_drift(p0, p1, m0, m1) if affine else (m0, m1)
         k0, k1 = f0 * wm - pull * d0, f1 * wm - pull * d1
@@ -490,7 +546,10 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
         p0, p1 = x0 + dt * k0, x1 + dt * k1
         d0, d1 = p0 - yd0, p1 - yd1
         e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
-        c = gamma * float(exp(50.0 if e > 50.0 else e))
+        lr = e + lg
+        p = lr + band
+        c = cap if lr >= band else gamma * float(
+            exp(e if lr <= -band else e - p * p * p * (band3 - lr) / norm))
         pull = (r * wr) * (cap if c > cap else c)
         f0, f1 = affine_drift(p0, p1, r0, r1) if affine else (r0, r1)
         k0, k1 = f0 * wr - pull * d0, f1 * wr - pull * d1

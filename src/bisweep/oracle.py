@@ -141,7 +141,12 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
     are simulated in blocks of ``BLOCK_PAIRS // x_init_points`` in a stable
     order of effort.  The first feasible pair of the first block that holds
     one has the least feasible effort z*, and of the pairs at z* it is the
-    one ``EnumSpec``'s tie rule picks."""
+    one ``EnumSpec``'s tie rule picks.
+
+    The model is an independent Euler one: its cone coefficient keeps the
+    min cap min(M/R1, gamma exp(gamma h_lower)) (``_max_h_lower``), not the
+    banded cap of ``dynamics.cone_coefficient``, so the enumeration shares
+    no formula with the solver's field."""
     N = spec.n_intervals
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)

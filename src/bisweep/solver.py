@@ -80,7 +80,8 @@ UPPER_VIOLATION_TOL = 1e-9  # a plan solve converged: SLSQP exit 0 and its viola
 TARGET_TOL_FACTOR = 1e-3    # the upper terminal constraint allows a miss of this times R
 OMEGA_CAP_FACTOR = 10.0     # omega is capped at this times 2R / v_bound
 SLSQP_FTOL = 1e-10          # SLSQP's accuracy target (its ftol) in the plan and lower solves
-LOWER_VIOLATION_TOL = 1e-7  # a lower solve converged: SLSQP exit 0 and h_lower at most this
+LOWER_VIOLATION_TOL = 1e-7  # a lower solve converged: SLSQP exit 0, h_lower at most this and
+LOWER_KKT_TOL = 1e-4        # its KKT residual at most this
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,8 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     step[d:k] = project_ball_rows(step[d:k].reshape(n, d), s.u_bound).ravel()
     step[k:] = np.clip(step[k:], 0.0, 1.0)
     kkt = max(float(np.max(np.abs(res.x - step))), float(np.max(np.abs(eta * sol["h"]))))
-    status = {"converged": res.status == 0 and viol <= LOWER_VIOLATION_TOL,
+    status = {"converged": (res.status == 0 and viol <= LOWER_VIOLATION_TOL
+                            and kkt <= LOWER_KKT_TOL),
               "max_violation": viol, "iterations": int(res.nit),
               "exit_status": int(res.status), "kkt_residual": kkt}
     return LowerSolution(decision=nlp.unpack(sol["flat"]), value=float(sol["z"]), eta=eta,

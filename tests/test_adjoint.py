@@ -22,8 +22,8 @@ DRIFTS = {"identity": IDENTITY, "affine-saturating": SATURATING}
 
 
 def profile(n, seed=3):
-    """Seeded controls that keep x near the rim, inside and on the ramp of
-    the cone coefficient, with |u| between 0.5 and 1."""
+    """Seeded controls that keep x near the rim, below, inside and above the
+    band of the cone coefficient's cap, with |u| between 0.5 and 1."""
     rng = np.random.default_rng(seed)
     m = n + 1
     ang = np.cumsum(rng.normal(scale=0.4, size=m))
@@ -49,13 +49,23 @@ def full_reverse(tr, cp, eta, s):
 # stages of every interval with a scalar copy of the smoothed field and
 # scatters the control cotangents node by node.
 
+BAND = np.log(2.0)   # half-width a of the cap's band in l = ln(g/K)
+
+
 def _loop_field_and_jacobians(y, x, u, u0, omega, gamma, s):
     dim = s.dim
     d = x - y
-    hl = 0.5 * (float(d @ d) - s.R1 ** 2)
-    craw = gamma * np.exp(min(gamma * hl, 50.0))
-    capped = craw >= s.cone_gain
-    c = min(s.cone_gain, craw)
+    e = 0.5 * gamma * (float(d @ d) - s.R1 ** 2)
+    ell = e + np.log(gamma / s.cone_gain)   # ln(g/K), g = gamma e^e
+    t = min(max(ell, -BAND), BAND) + BAND   # l + a on the band, 0 below it
+    if ell >= BAND:
+        c, gc = s.cone_gain, 0.0
+    else:
+        # c = g exp(-psi(l)), grad_x c = gamma c (1 - psi'(l)) (x - y)
+        psi = t ** 3 * (3.0 * BAND - ell) / (16.0 * BAND ** 3)
+        dpsi = t ** 2 * (8.0 * BAND - 4.0 * ell) / (16.0 * BAND ** 3)
+        c = gamma * np.exp(e - psi)
+        gc = gamma * c * (1.0 - dpsi)
     if s.drift.name == "identity":
         f = u.copy()
         jf_x = np.zeros((dim, dim))
@@ -74,7 +84,6 @@ def _loop_field_and_jacobians(y, x, u, u0, omega, gamma, s):
             f = raw
             jf_x = A
             jf_u = np.eye(dim)
-    gc = 0.0 if capped else gamma * c
     pull = c * np.eye(dim) + gc * np.outer(d, d)
     dx = (f - u0 * c * d) * omega
     return (dx, omega * (jf_x - u0 * pull), omega * (u0 * pull), omega * jf_u,
@@ -154,11 +163,10 @@ def loop_reverse_rk4(tr, cp, eta, gamma, s):
 def test_profile_visits_both_branches_of_the_ramp_and_the_saturation():
     cp, x0, _ = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, SATURATING)
-    dist = np.linalg.norm(tr.x - tr.y, axis=1)
-    # the coefficient gamma*exp(gamma*h_lower) reaches its cap M/R1 = 1.5 at
-    # |x - y|^2 = 1 - 2 ln(16)/24
-    rim = np.sqrt(1.0 - 2.0 * np.log(GAMMA / SATURATING.cone_gain) / GAMMA)
-    assert dist.min() < rim < dist.max()
+    # l = ln(g/K), g = gamma exp(gamma h_lower), lies below the cap's band,
+    # inside it and above it at some nodes
+    ell = GAMMA * h_lower(tr.x, tr.y, SATURATING) + np.log(GAMMA / SATURATING.cone_gain)
+    assert (ell < -BAND).any() and (np.abs(ell) < BAND).any() and (ell > BAND).any()
     raw = np.linalg.norm(tr.x @ SATURATING.drift.matrix(2).T + cp.u, axis=1)
     assert raw.min() < SATURATING.M1 < raw.max()
 

@@ -20,6 +20,7 @@ from bisweep.certificate import (
     sigma_smooth_value,
     sigma_value,
 )
+from bisweep.dynamics import cone_coefficient
 from bisweep.geometry import DriftSpec, straight_corridor
 from bisweep.oracle import sigma_sup_oracle
 from bisweep.solver import SolverOptions, solve_bilevel
@@ -153,6 +154,24 @@ def test_sigma_smooth_degenerate_weight():
     p_L = np.array([-1.0, 0.0])
     val = sigma_smooth_value(Y, X_RIM, p_L, 0.0, 0.0, 96.0, S)
     assert val == pytest.approx(K * 1.0, rel=1e-12)
+
+
+def test_sigma_smooth_on_the_rim_is_the_cap_k_sup_oracle():
+    # on the rim ln(g/K) = ln(gamma/K), above the cap's band (ln 2) at every
+    # gain A1 and the bench's sigma pairs draw, gamma >= 2.1 M/R1; so the
+    # smoothed coefficient is K exactly, sigma_smooth_value is sigma_value's
+    # closed form bit for bit, and its match with the coeff = K sup oracle
+    # holds by construction
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        ang, y = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-3.0, 3.0, 2)
+        x = y + S.R1 * np.array([np.cos(ang), np.sin(ang)])
+        q, nu, lam = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
+        gamma = rng.uniform(2.1 * K, 200.0)
+        assert cone_coefficient(x - y, gamma, S) == K
+        smooth = sigma_smooth_value(y, x, q, nu, lam, gamma, S)
+        assert smooth == sigma_value(y, x, q, nu, lam, S)
+        assert smooth == pytest.approx(sigma_sup_oracle(q, nu, lam, x, y, S, coeff=K), abs=1e-9)
 
 
 def test_sigma_smooth_value_rejects_gamma_at_or_below_cone_gain():
@@ -411,6 +430,16 @@ def solved(request):
         return request.getfixturevalue("affine_run"), AFFINE
     return (request.getfixturevalue("corridor_run")["solution"],
             request.getfixturevalue("corridor_scenario"))
+
+
+def test_every_lower_path_solve_is_stationary(solved):
+    # under the banded cap every gamma-path solve, on the corridor and under
+    # affine drift at N = 40, converges at a KKT residual within
+    # LOWER_KKT_TOL (at most 3.8e-6 and 2.5e-6 measured; 0.18 and 0.22 under
+    # the earlier min cap)
+    sol, _ = solved
+    assert [h["converged"] for h in sol.history] == [True] * 6
+    assert max(h["kkt_residual"] for h in sol.history) <= solver.LOWER_KKT_TOL
 
 
 def test_batched_residuals_equal_per_row_calls(solved):

@@ -53,8 +53,10 @@ def write_profile(tmp_path, n=10, u=(0.0, 0.0), u0=0.0, v=(0.0, 0.0),
     return path
 
 
-# its lower solves take at most 22 SLSQP iterations
-TINY_RUN = {"n_intervals": 8, "seeds": 1, "lower_max_iter": 50, "upper_max_iter": 6}
+# its lower solves take at most 89 SLSQP iterations; on a budget of 50 the
+# gamma = 12 solve stops at SLSQP's iteration limit (see
+# test_solve_on_a_short_lower_budget_names_the_gamma_and_exits_3)
+TINY_RUN = {"n_intervals": 8, "seeds": 1, "lower_max_iter": 150, "upper_max_iter": 6}
 
 
 # ---------------------------------------------------------------- run keys
@@ -422,6 +424,23 @@ def test_unconverged_solve_writes_outputs_and_exits_3(tmp_path, monkeypatch, com
     assert main([command, "--config", str(cfg), "--out", str(out),
                  "--gamma-max", "12"]) == EXIT_SOLVE
     assert json.loads((out / "solution.json").read_text())["status"]["converged"] is False
+
+
+def test_solve_on_a_short_lower_budget_names_the_gamma_and_exits_3(tmp_path, capsys):
+    # at 50 iterations the gamma = 12 solve stops on SLSQP's limit (exit 9),
+    # with h_lower at 2.9e-6 above LOWER_VIOLATION_TOL; the outputs are
+    # still written, and stderr names that solve
+    cfg = write_config(tmp_path, run={**TINY_RUN, "lower_max_iter": 50})
+    out = tmp_path / "sol"
+    code = main(["solve", "--config", str(cfg), "--out", str(out), "--gamma-max", "12"])
+    assert code == EXIT_SOLVE
+    sol = json.loads((out / "solution.json").read_text())
+    assert sol["status"]["lower_converged"] is False
+    assert [h["converged"] for h in sol["history"]] == [True, True, False]
+    assert (out / "trajectory.csv").exists() and (out / "plot_data.json").exists()
+    err = capsys.readouterr().err
+    assert "the lower solve at gamma = 12 stopped with SLSQP exit status 9" in err
+    assert "kkt_residual" in err and "max_violation" in err
 
 
 def test_solve_rejects_invalid_scenario(tmp_path, monkeypatch, capsys):

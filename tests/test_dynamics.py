@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bisweep.dynamics import (
+    CAP_BAND,
     ControlProfile,
     FeasibilityLossWarning,
     InfeasibleStateError,
@@ -102,6 +103,76 @@ def test_cone_coefficient_interior_decay():
     # at x = y, h_lower = (0 - 1)/2 = -1/2, so c = gamma e^{-gamma/2}
     val = cone_coefficient(np.array([0.0, 0.0]), 10.0, S)
     assert val == pytest.approx(10.0 * math.exp(-5.0), rel=1e-12)
+
+
+def _band_offsets(gamma, seed=0, n=300):
+    """Offsets d = x - y in seeded directions at which l = ln(g/K), g =
+    gamma e^(gamma h_lower), runs over [-2a, 2a] and lies within 1e-6 of
+    each seam -a and a, a = CAP_BAND; with e = gamma h_lower and l as
+    ``cone_coefficient`` rounds them."""
+    rng = np.random.default_rng(seed)
+    a = CAP_BAND
+    ell = np.concatenate([rng.uniform(-2 * a, 2 * a, n), [-a, a],
+                          a + rng.uniform(-1e-6, 1e-6, n), -a + rng.uniform(-1e-6, 1e-6, n)])
+    r2 = S.R1 ** 2 + 2.0 * (ell - np.log(gamma / S.cone_gain)) / gamma
+    ang = rng.uniform(0.0, 2.0 * np.pi, r2.size)[r2 > 0.0]
+    d = np.sqrt(r2[r2 > 0.0])[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    e = (0.5 * gamma) * (np.add.reduce(d * d, -1) - S.R1 ** 2)
+    return d, e, e + np.log(gamma / S.cone_gain)
+
+
+@pytest.mark.parametrize("gamma", [3.0, 12.0, 96.0, 200.0])   # 3 = 2 M/R1
+def test_cone_coefficient_is_g_below_the_band_and_k_above_it(gamma):
+    # bitwise gamma e^e for l <= -a and M/R1 for l >= a; between, the blend
+    # stays at or below both
+    d, e, ell = _band_offsets(gamma)
+    c, g = cone_coefficient(d, gamma, S), gamma * np.exp(e)
+    below, above = ell <= -CAP_BAND, ell >= CAP_BAND
+    assert below.any() and above.any() and (~below & ~above).any()
+    assert np.array_equal(c[below], g[below])
+    assert np.all(c[above] == S.cone_gain)
+    assert np.all(c <= np.minimum(S.cone_gain, g))
+
+
+@pytest.mark.parametrize("gamma", [3.0, 12.0, 96.0, 200.0])
+def test_one_offset_cone_coefficient_is_the_array_one_bitwise(gamma):
+    # the float branch for one offset, across both seams of the band
+    d, _, ell = _band_offsets(gamma)
+    for seam in (-CAP_BAND, CAP_BAND):
+        assert (np.abs(ell - seam) <= 1e-6).sum() >= 100
+        assert (ell < seam).any() and (ell > seam).any()
+    ones = [cone_coefficient(row, gamma, S) for row in d]
+    assert all(type(c) is float for c in ones)
+    assert np.array_equal(ones, cone_coefficient(d, gamma, S))
+
+
+@pytest.mark.parametrize("where", ["band", "lower-seam", "upper-seam"])
+def test_stage_slope_jacobians_match_central_differences_on_the_band(where):
+    # k = -u0w c(x - y) (x - y) with u = 0: dk/dx and dk/dy read c's gradient
+    # factor gamma c (1 - psi'(l)), which is C^1 across the seams
+    gamma, h = 24.0, 1e-7
+    d, _, ell = _band_offsets(gamma, seed=1, n=40)
+    keep = {"band": np.abs(ell) < 0.9 * CAP_BAND,
+            "lower-seam": np.abs(ell + CAP_BAND) <= 1e-6,
+            "upper-seam": np.abs(ell - CAP_BAND) <= 1e-6}[where]
+    assert keep.sum() >= 20
+    rng = np.random.default_rng(2)
+    for diff in d[keep]:
+        y = rng.uniform(-1.0, 1.0, 2)
+        x, u, w, u0w = y + diff, rng.uniform(-0.5, 0.5, 2), np.array(1.3), np.array(0.7)
+
+        def k(x, y):
+            return stage_slope(x, y, u, w, u0w, gamma, S)
+
+        _, (k_x, k_y, *_) = stage_slope(x, y, u, w, u0w, gamma, S, jacobians=True)
+        for jac, wrt in ((k_x, 0), (k_y, 1)):
+            fd = np.empty((2, 2))
+            for j in range(2):
+                step = h * np.eye(2)[j]
+                hi = k(x + step, y) if wrt == 0 else k(x, y + step)
+                lo = k(x - step, y) if wrt == 0 else k(x, y - step)
+                fd[:, j] = (hi - lo) / (2.0 * h)
+            assert np.abs(fd - jac).max() <= 1e-6 * max(np.abs(jac).max(), 1.0), (where, ell)
 
 
 def test_smooth_field_u0_zero_is_drift():
@@ -239,19 +310,21 @@ def test_reverse_plan_path_matches_central_differences_with_stage_terms():
 def _stage_loop_x(v, u, u0, omega, x_init, gamma, s, grid):
     """x of the per-interval NumPy loop that the float recursion replaced:
     each interval's four RK4 stages through ``stage_slope``, every column at
-    once, with the RK4 offsets and weights written out here."""
+    once, with the RK4 offsets and weights written out here; and the offsets
+    x - y of every stage point, (4N, B, n)."""
     dt = grid.dt
     y_st = plan_path(v, omega, s, grid).y_stages
     u_st, u0_st, w_st = (stage_values(a) for a in (u, u0, omega))
-    xs = [np.asarray(x_init, dtype=float)]
+    xs, offsets = [np.asarray(x_init, dtype=float)], []
     for i in range(grid.n_intervals):
         x, k = xs[-1], []
         for j, offset in enumerate((0.0, 0.5, 0.5, 1.0)):
             w = w_st[j][i]
             x_j = x + (offset * dt) * k[-1] if j else x
+            offsets.append(x_j - y_st[j][i])
             k.append(stage_slope(x_j, y_st[j][i], u_st[j][i], w, u0_st[j][i] * w, gamma, s))
         xs.append(x + (dt / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]))
-    return np.array(xs)
+    return np.array(xs), np.array(offsets)
 
 
 A4 = straight_corridor(drift=DriftSpec("affine", ((0.0, 0.05), (-0.05, 0.0))), K_f=0.05, M1=1.2)
@@ -265,36 +338,42 @@ def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
     # P control profiles, each propagated under B gains: one pass per gain
     # with gamma a float, or one pass with gamma a (B,) array.  The swept
     # point starts deep inside the disk (cap inactive); then the plan
-    # outruns the cone's pull, so the point falls outside the rim (cap
-    # active, exponent clipped at 50); omega = 0 at some nodes
+    # outruns the cone's pull, so the point falls outside the rim (c = K
+    # above the cap's band, NumPy's exponent clipped at 50); omega = 0 at
+    # some nodes.  A second run starts on the cap's band of the first gain,
+    # ln(g/K) = 0, where the float blend is computed
     n = 16
     rng = np.random.default_rng(10 * B + P)
     gammas = np.linspace(96.0, 24.0, B)
     grid = TimeGrid(n)
+    band = np.sqrt(s.R1 ** 2 - 2.0 * np.log(gammas[0] / s.cone_gain) / gammas[0])
     expo, c = [], []
     for _ in range(P):
         v = (1.0, 0.0) + rng.uniform(-0.2, 0.2, (n + 1, 2))
         omega = np.concatenate([rng.uniform(0.0, 0.5, 8), rng.uniform(5.0, 6.0, n - 7)])
         omega[[3, 4, 12]] = 0.0
         u, u0 = rng.uniform(-0.3, 0.3, (n + 1, 2)), rng.uniform(0.0, 0.5, n + 1)
-        x_init = rng.uniform(-0.3, 0.3, 2)
         plan = plan_path(v, omega, s, grid)
-        if per_column:
-            _, xs, _, _ = propagate_smooth(plan, u, u0, x_init, gammas, s)
-        else:
-            xs = np.concatenate([propagate_smooth(plan, u, u0, x_init, float(g), s)[1]
-                                 for g in gammas], axis=1)
-        assert xs.shape == (n + 1, B, 2)
-        ref = _stage_loop_x(v, u, u0, omega, np.tile(x_init, (B, 1)), gammas, s, grid)
-        expo.append(0.5 * gammas * (np.sum((ref - plan.y[:, None]) ** 2, axis=-1) - s.R1 ** 2))
-        c.append(gammas * np.exp(np.minimum(expo[-1], 50.0)))
-        if s is TWO_NONZERO:
-            # NumPy's x @ A.T may round a sum of two products in its own way
-            np.testing.assert_allclose(xs, ref, rtol=0.0, atol=1e-15)
-        else:
-            assert np.array_equal(xs, ref)
+        for x_init in (rng.uniform(-0.3, 0.3, 2), plan.y[0] + (0.0, band)):
+            if per_column:
+                _, xs, _, _ = propagate_smooth(plan, u, u0, x_init, gammas, s)
+            else:
+                xs = np.concatenate([propagate_smooth(plan, u, u0, x_init, float(g), s)[1]
+                                     for g in gammas], axis=1)
+            assert xs.shape == (n + 1, B, 2)
+            ref, offsets = _stage_loop_x(v, u, u0, omega, np.tile(x_init, (B, 1)), gammas, s,
+                                         grid)
+            expo.append(0.5 * gammas * (np.sum(offsets ** 2, axis=-1) - s.R1 ** 2))
+            c.append(gammas * np.exp(np.minimum(expo[-1], 50.0)))
+            if s is TWO_NONZERO:
+                # NumPy's x @ A.T may round a sum of two products in its own way
+                np.testing.assert_allclose(xs, ref, rtol=0.0, atol=1e-15)
+            else:
+                assert np.array_equal(xs, ref)
     expo, c = np.array(expo), np.array(c)
     assert (expo > 50.0).any() and (c >= s.cone_gain).any() and (c < 1e-3 * s.cone_gain).any()
+    # and stage points inside the cap's band, -a < ln(g/K) < a
+    assert (np.abs(expo + np.log(gammas / s.cone_gain)) < CAP_BAND).any()
 
 
 @pytest.mark.parametrize("name, arg, got", [
