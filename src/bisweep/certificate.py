@@ -330,7 +330,7 @@ class CertificateReport:
 
     @property
     def ok(self) -> bool:
-        return all(c["ok"] for c in self.conditions.values() if c["ok"] is not None)
+        return all(c["ok"] for c in self.conditions.values())
 
     def to_dict(self) -> dict:
         return {"ok": self.ok, "conditions": self.conditions,
@@ -340,11 +340,8 @@ class CertificateReport:
     def summary_lines(self):
         lines = []
         for name, c in self.conditions.items():
-            if c["ok"] is None:
-                lines.append(f"{name:>16s}: skipped")
-            else:
-                mark = "ok" if c["ok"] else "FAIL"
-                lines.append(f"{name:>16s}: {mark}  residual={c['residual']:.3e}  tol={c['tol']:.3e}")
+            mark = "ok" if c["ok"] else "FAIL"
+            lines.append(f"{name:>16s}: {mark}  residual={c['residual']:.3e}  tol={c['tol']:.3e}")
         return lines
 
 
@@ -354,11 +351,7 @@ def _condition(residual, tol, **extra) -> dict:
     return {"residual": residual, "tol": tol, "ok": residual <= tol, **extra}
 
 
-def _skipped(tol) -> dict:
-    return {"residual": float("nan"), "tol": float(tol), "ok": None}
-
-
-def certify(sol, s: Scenario, check_value_selection: bool = True,
+def certify(sol, s: Scenario,
             multipliers: Optional[GamkrelidzeMultipliers] = None) -> CertificateReport:
     """Evaluate every stationarity condition as a numerical residual.
 
@@ -407,11 +400,8 @@ def certify(sol, s: Scenario, check_value_selection: bool = True,
     conds["max_plan"] = _condition(pres, tol["value_selection"], node=pnode)
 
     # 8. value-subgradient selection consistency (finite differences of phi)
-    if check_value_selection:
-        conds["value_selection"] = _condition(_value_selection_residual(sol, zeta, s),
-                                              tol["value_selection"])
-    else:
-        conds["value_selection"] = _skipped(tol["value_selection"])
+    conds["value_selection"] = _condition(_value_selection_residual(sol, zeta, s),
+                                          tol["value_selection"])
 
     return CertificateReport(multipliers=m, conditions=conds)
 

@@ -281,8 +281,7 @@ def test_a8_maximum_conditions(corridor_run, corridor_certificate, corridor_scen
     noisy_sol = dataclasses.replace(
         sol, decision=dataclasses.replace(sol.decision, controls=noisy_cp),
         trajectory=noisy_tr)
-    noisy_rep = certify(noisy_sol, corridor_scenario, check_value_selection=False,
-                        multipliers=rep.multipliers)
+    noisy_rep = certify(noisy_sol, corridor_scenario, multipliers=rep.multipliers)
     gap5_noisy = noisy_rep.conditions["max_control"]["residual"]
 
     cond6 = rep.conditions["max_plan"]

@@ -410,6 +410,23 @@ def test_solve_deterministic_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_certify_exit_code_is_its_certificate_verdict(tmp_path, capsys):
+    # exit 4 exactly when certificate.json's ok is false (on this run
+    # `measures` fails); every condition is checked, with a bool verdict and
+    # one summary line
+    cfg = write_config(tmp_path, run=TINY_RUN)
+    out = tmp_path / "cert"
+    code = main(["certify", "--config", str(cfg), "--out", str(out), "--gamma-max", "12"])
+    cert = json.loads((out / "certificate.json").read_text())
+    assert all(type(c["ok"]) is bool for c in cert["conditions"].values())
+    assert cert["ok"] is all(c["ok"] for c in cert["conditions"].values())
+    assert code == (EXIT_OK if cert["ok"] else EXIT_CERTIFICATE)
+    stdout = capsys.readouterr().out
+    assert "skipped" not in stdout
+    lines = stdout.splitlines()[1:]
+    assert [line.split(":")[0].strip() for line in lines] == list(cert["conditions"])
+
+
 @pytest.mark.parametrize("command", ["solve", "certify"])
 def test_unconverged_solve_writes_outputs_and_exits_3(tmp_path, monkeypatch, command):
     real = bisweep.cli.solve_bilevel
