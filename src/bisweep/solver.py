@@ -9,7 +9,10 @@ Layout of the nested scheme:
   lower multiplier set.  The plan is checked and its plan path built once
   per solve (``dynamics.frozen_plan``) and passed to each SLSQP iterate's
   forward and reverse with its lower controls (x_init, u, u0); the reverse
-  sweeps only the swept point, never the plan's cotangents.
+  sweeps only the swept point, never the plan's cotangents.  SLSQP works on
+  the transcription's scaled decision, in which the effort is half a
+  squared norm: its quasi-Newton matrix starts at the identity on every
+  solve, warm ones included, and that is then the effort's exact Hessian.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, derived from eta through the same exact discrete adjoint
   of the forward RK4 step map, the one reader of its plan cotangents.
@@ -146,8 +149,9 @@ class BilevelSolution:
 # helpers
 
 def _ball_rows(start, n, d, bound):
-    """SLSQP inequality rows 0.5 (bound^2 - |a_i|^2) >= 0, with their
-    Jacobian, for the n vectors a_i of length d packed at flat[start:start + n d]."""
+    """SLSQP inequality rows 0.5 (bound_i^2 - |a_i|^2) >= 0, with their
+    Jacobian, for the n vectors a_i of length d packed at flat[start:start + n d];
+    ``bound`` is one radius for every row or an (n,) array of them."""
     stop = start + n * d
 
     def jac(flat):
@@ -172,9 +176,12 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     where the plan path is built; the iterates read that path and build no
     control profile.  The contacts h_lower <= 0 include node 0, where they
     are x_init's disk; the u-balls are inequality constraints and u0 has the
-    bounds [0, 1].  The effort gradient and the contact Jacobian come from
-    one batched ``reverse_smooth`` sweep of the swept point per iterate, and
-    eta is SLSQP's multiplier vector of the contact rows.
+    bounds [0, 1], both scaled by the transcription's node scale D.  The
+    effort gradient and the contact Jacobian come from one batched
+    ``reverse_smooth`` sweep of the swept point per iterate, divided by the
+    scale for SLSQP, and eta is SLSQP's multiplier vector of the contact
+    rows, which the scaling leaves unchanged.  The KKT residual is read in
+    the unscaled decision.
     """
     opts = opts or SolverOptions()
     gamma = s.smoothing_gain(gamma)
@@ -195,8 +202,8 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
 
     def at(flat, sweep=False):
         """The iterate's propagation and, with ``sweep``, its (dim, 1 + n)
-        gradients of the effort and of the effort plus each h_lower_i; each is
-        computed once per iterate."""
+        gradients of the effort and of the effort plus each h_lower_i with
+        respect to (x_init, u, u0); each is computed once per iterate."""
         if last["flat"] is None or not np.array_equal(last["flat"], flat):
             flat = flat.copy()
             x_init, *lower = nlp.split(flat)
@@ -212,23 +219,26 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         g = at(flat, sweep=True)["g"]
         return (g[:, 1:] - g[:, :1]).T
 
-    # SLSQP writes into the gradient it is handed, so it gets a copy
+    # SLSQP reads the gradients in the scaled decision: d/dxi = d/d(x_init, u,
+    # u0) / scale.  It writes into the gradient it is handed, which is a new array
     res = minimize(lambda f: at(f)["z"], flat, method="SLSQP",
-                   jac=lambda f: at(f, sweep=True)["g"][:, 0].copy(),
-                   bounds=[(None, None)] * k + [(0.0, 1.0)] * n,
+                   jac=lambda f: at(f, sweep=True)["g"][:, 0] / nlp.scale,
+                   bounds=[(None, None)] * k + [(0.0, b) for b in nlp.node_scale],
                    constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
-                                 "jac": lambda f: -contact_jac(f)},
-                                _ball_rows(d, n, d, s.u_bound)],
+                                 "jac": lambda f: -contact_jac(f) / nlp.scale},
+                                _ball_rows(d, n, d, s.u_bound * nlp.node_scale)],
                    options={"maxiter": opts.lower_max_iter, "ftol": SLSQP_FTOL})
     sol = at(res.x, sweep=True)
     eta = np.array(res.multipliers[:n])
     viol = float(np.max(sol["h"], initial=0.0))
     # projected gradient of the Lagrangian z + eta.h_lower over the u-balls
-    # and u0's box, and complementarity
-    step = res.x - (sol["g"][:, 0] + contact_jac(res.x).T @ eta)
+    # and u0's box, and complementarity, in the unscaled decision; eta is
+    # the same in either
+    point = np.concatenate([a.ravel() for a in nlp.split(res.x)])
+    step = point - (sol["g"][:, 0] + contact_jac(res.x).T @ eta)
     step[d:k] = project_ball_rows(step[d:k].reshape(n, d), s.u_bound).ravel()
     step[k:] = np.clip(step[k:], 0.0, 1.0)
-    kkt = max(float(np.max(np.abs(res.x - step))), float(np.max(np.abs(eta * sol["h"]))))
+    kkt = max(float(np.max(np.abs(point - step))), float(np.max(np.abs(eta * sol["h"]))))
     status = {"converged": (res.status == 0 and viol <= LOWER_VIOLATION_TOL
                             and kkt <= LOWER_KKT_TOL),
               "max_violation": viol, "iterations": int(res.nit),

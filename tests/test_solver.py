@@ -151,6 +151,22 @@ def test_lower_solve_builds_its_plan_path_once_and_no_plan_cotangents(monkeypatc
                      "DecisionVector": 1}
 
 
+@pytest.mark.parametrize("zero_nodes", [(0, 3, 4), (8,), (2, 3, 4, 5)],
+                         ids=["start-and-inner", "end", "inner-run"])
+def test_lower_solve_converges_at_a_plan_with_zero_omega_nodes(zero_nodes):
+    # where omega_i = 0 the effort has no curvature and the transcription
+    # floors the node scale; the solve still stops at a KKT point, and its
+    # value is the effort of the returned decision
+    omega, v = dragged_inputs(8)
+    omega[list(zero_nodes)] = 0.0
+    ls = solve_lower(omega, v, GAMMA, S, FAST)
+    assert ls.status["converged"], ls.status
+    assert ls.status["kkt_residual"] <= solver.LOWER_KKT_TOL
+    tr = integrate_smooth(ls.decision.controls, ls.decision.x_init, GAMMA, S)
+    assert ls.value == tr.z[-1]
+    assert np.all(np.linalg.norm(ls.decision.controls.u, axis=1) <= S.u_bound * (1 + 1e-9))
+
+
 def test_lower_solve_deterministic():
     omega, v = dragged_inputs(6)
     a = solve_lower(omega, v, GAMMA, S, FAST)
@@ -358,6 +374,15 @@ def test_corridor_lower_path_converges_and_phi_grows_with_gamma(corridor_run):
     assert all(b >= a for a, b in zip(phi, phi[1:])), phi
 
 
+def test_corridor_lower_path_iterations_stay_few(corridor_run):
+    # on the scaled decision SLSQP's identity start is the effort's Hessian:
+    # the N = 40 path takes 53 SLSQP iterations (12/7/7/8/9/10), where the
+    # unscaled decision took 78; a count moves by about 1 with the BLAS
+    # thread count
+    its = [h["iterations"] for h in corridor_run["solution"].history]
+    assert sum(its) <= 65, its
+
+
 def test_seed_screening_solve_regression():
     """Three seeds at tiny budgets.  Guess 0 wins the screening: after its 5
     SLSQP iterations it is feasible at T = 7.990000000000094, while guess 1
@@ -365,21 +390,24 @@ def test_seed_screening_solve_regression():
     The plan solve ends at one point of the corridor's degenerate set of
     T-optimal plans (every node's h_upper multiplier is 0).  At that plan
     every solve of the warm gamma-path converges, at a KKT residual of at
-    most 1.1e-5; the gamma = 12 solve takes 86 iterations.  phi falls from
-    1.9045 at gamma = 48 to 1.8358 at gamma = 96: the path moves between
-    local minima of the lower level, which is not a defect of the plan.
-    (Under the earlier min cap the gamma = 48 solve stopped on its budget,
-    exit 9, and the gamma = 96 solve read a KKT residual of 5.5.)"""
+    most 1.2e-6, and phi rises along the path.  On the unscaled decision
+    (x_init, u, u0) the gamma = 12 solve took 86 iterations and the
+    gamma = 48 solve ended at phi = 1.9045 in another local minimum of the
+    lower level, from which the gamma = 96 solve fell back to 1.8358; on the
+    scaled one the gamma = 48 solve ends at 1.8290, and phi at gamma = 96
+    agrees with that run's to 2e-13.  (Under the earlier min cap the
+    gamma = 48 solve stopped on its budget, exit 9, and the gamma = 96
+    solve read a KKT residual of 5.5.)"""
     sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, upper_max_iter=6))
     assert sol.T_star == 7.990000000000094
-    assert sol.lower.value == 1.8357923573953738
+    assert sol.lower.value == 1.8357923573951818
     assert [tuple(h.values()) for h in sol.history] == [
-        (3.0, 1.7725860554364772, True, 7.438050175778699e-12, 14, 0, 7.3440109701339296e-06),
-        (6.0, 1.774533741988979, True, 4.440892098500626e-16, 8, 0, 9.983456047968353e-07),
-        (12.0, 1.7971945508149334, True, 4.440892098500626e-16, 86, 0, 1.5054293922567297e-07),
-        (24.0, 1.821594571184462, True, 0.0, 15, 0, 1.0852359179358562e-06),
-        (48.0, 1.904505596571628, True, 5.999645225074346e-13, 36, 0, 7.522459839775571e-06),
-        (96.0, 1.8357923573953738, True, 4.876099524153688e-13, 19, 0, 1.092199088514878e-05),
+        (3.0, 1.7725860554103794, True, 0.0, 12, 0, 1.2563102053109176e-07),
+        (6.0, 1.774533741991294, True, 4.440892098500626e-16, 6, 0, 7.344167800571455e-07),
+        (12.0, 1.7971945508236875, True, 0.0, 7, 0, 6.783275043886761e-07),
+        (24.0, 1.821594571171517, True, 1.531885729377791e-11, 9, 0, 5.6420563887549235e-08),
+        (48.0, 1.8289653158594539, True, 1.0885958801054585e-11, 12, 0, 1.1823600157834235e-06),
+        (96.0, 1.8357923573951818, True, 7.993605777301127e-15, 20, 0, 3.5594400910055057e-07),
     ]
     assert [list(h) for h in sol.history] == [
         ["gamma", "phi", "converged", "max_violation", "iterations", "exit_status",

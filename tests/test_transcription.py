@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from bisweep.dynamics import (ControlProfile, TimeGrid, frozen_plan, integrate_smooth, plan_nodes,
-                              trapz_weights)
+                              propagate_smooth, trapz_weights)
 from bisweep.geometry import h_lower, straight_corridor, target_distance
 from bisweep.oracle import fd_check
 from bisweep.solver import _plan_residuals
-from bisweep.transcription import DecisionVector, NLPInstance
+from bisweep.transcription import SCALE_FLOOR, DecisionVector, NLPInstance
 
 S = straight_corridor()
 GAMMA = 12.0
@@ -162,3 +162,52 @@ def test_pack_unpack_roundtrip():
     assert np.allclose(back.controls.u0, dv.controls.u0)
     assert np.allclose(back.controls.v, dv.controls.v)
     assert np.allclose(back.controls.omega, dv.controls.omega)
+
+
+def random_lower(n, rng, zero_nodes=()):
+    """A plan of n intervals and a random lower decision on it, omega zero at
+    ``zero_nodes``; returns the transcription and the decision."""
+    omega = rng.uniform(0.5, 9.0, n + 1)
+    omega[list(zero_nodes)] = 0.0
+    v = rng.uniform(-0.6, 0.6, (n + 1, 2))
+    u = rng.uniform(-1.0, 1.0, (n + 1, 2))
+    dv = make_decision(n, u=u, u0=rng.uniform(0.0, 1.0, n + 1), v=v, omega=omega,
+                       x_init=rng.uniform(-0.5, 0.5, 2))
+    return NLPInstance(frozen_plan(omega, v, S), S), dv
+
+
+@pytest.mark.parametrize("n, zero_nodes", [(6, ()), (11, ()), (40, ()), (9, (0, 4, 5, 9))],
+                         ids=["n6", "n11", "n40", "zero-omega"])
+def test_scaled_decision_makes_the_effort_half_its_squared_norm(n, zero_nodes):
+    # with D_i = sqrt(2 w_i omega_i) the effort z_N is 0.5 |xi_{u,u0}|^2, so
+    # SLSQP's identity start is its Hessian; where omega_i = 0 the effort has
+    # no term and D_i is the floor
+    nlp, dv = random_lower(n, np.random.default_rng(n), zero_nodes)
+    cp = dv.controls
+    xi = nlp.pack(dv)
+    d, m = S.dim, n + 1
+    xi_u, xi_u0 = xi[d:d + d * m].reshape(m, d), xi[d + d * m:]
+    live = cp.omega > 0.0
+    _, _, zs, _ = propagate_smooth(nlp.plan, cp.u, cp.u0, dv.x_init, GAMMA, S)
+    half_norm = 0.5 * (np.sum(xi_u[live] ** 2) + np.sum(xi_u0[live] ** 2))
+    assert half_norm == pytest.approx(zs[-1, 0], rel=1e-13, abs=0.0)
+    assert np.array_equal(xi[:d], dv.x_init)
+    np.testing.assert_array_equal(nlp.node_scale[~live], SCALE_FLOOR)
+    np.testing.assert_allclose(xi_u[~live], SCALE_FLOOR * cp.u[~live], rtol=1e-15)
+    np.testing.assert_allclose(xi_u0[~live], SCALE_FLOOR * cp.u0[~live], rtol=1e-15)
+
+
+@pytest.mark.parametrize("zero_nodes", [(), (0, 3, 7)], ids=["positive", "zero-omega"])
+def test_scaled_pack_and_unpack_round_trip(zero_nodes):
+    nlp, dv = random_lower(7, np.random.default_rng(11), zero_nodes)
+    back = nlp.unpack(nlp.pack(dv))
+    assert np.array_equal(back.x_init, dv.x_init)
+    for name in ("u", "u0"):
+        np.testing.assert_allclose(getattr(back.controls, name), getattr(dv.controls, name),
+                                   rtol=1e-15, atol=0.0)
+    assert np.array_equal(back.controls.v, dv.controls.v)
+    assert np.array_equal(back.controls.omega, dv.controls.omega)
+    # split unscales the same way, and u0 is clipped to [0, 1] after unscaling
+    xi = nlp.pack(dv)
+    xi[-1] = 1.5 * nlp.node_scale[-1]
+    assert nlp.split(xi)[2][-1] == 1.0
