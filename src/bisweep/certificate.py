@@ -7,6 +7,11 @@ the stationarity conditions is evaluated as a numerical residual.  The support
 value ``sigma`` of the truncated-cone term has a three-branch closed form in
 the auxiliary quantity sigma_tilde = nu_L*R1^2 - <q_L, x - y>; its third
 branch grows linearly with slope M/R1.
+
+One contact rule, ``_in_contact``, gates sigma and its adjoint slope and
+picks the fit's free measure nodes.  It reads the trajectory being
+certified, so a fixed candidate passed to ``certify`` is gated by that
+trajectory, not by the one it was fitted on.
 """
 
 from __future__ import annotations
@@ -78,19 +83,23 @@ def _sigma_branches(st, r: float, k):
     return sig, np.where(z <= 2.0 * r, k * z / (2.0 * r), k)
 
 
-def sigma_value(y, x, q_L, nu_L, r, s: Scenario, active=None):
+def _in_contact(d, s: Scenario):
+    """The contact rule of the lower measure at the offsets d = x - y:
+    |d| >= (1 - RIM_ACTIVITY_TOL)*R1, elementwise over leading node axes."""
+    return np.sqrt(np.add.reduce(d * d, -1)) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL)
+
+
+def sigma_value(y, x, q_L, nu_L, r, s: Scenario):
     """Support value of the truncated normal-cone term.
 
-    Zero away from disk contact.  On contact, with st = nu_L*R1^2 - <q_L, x-y>
-    and k = M/R1: zero for st <= 0, a quadratic (k*st)^2/(4r) for
-    0 < st <= 2r/k, and the linear branch k*st - r beyond; r < 0 is refused.
-    Broadcasts over leading node axes; a float for one node.
+    Zero away from disk contact (``_in_contact``).  On contact, with
+    st = nu_L*R1^2 - <q_L, x-y> and k = M/R1: zero for st <= 0, a quadratic
+    (k*st)^2/(4r) for 0 < st <= 2r/k, and the linear branch k*st - r beyond;
+    r < 0 is refused.  Broadcasts over leading node axes; a float for one node.
     """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    if active is None:
-        active = np.sqrt(np.add.reduce(d * d, -1)) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL)
     sig = _sigma(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
-    return _node_value(np.where(active, sig, 0.0))
+    return _node_value(np.where(_in_contact(d, s), sig, 0.0))
 
 
 def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario):
@@ -115,8 +124,6 @@ class GamkrelidzeMultipliers:
     lam: float            # cost multiplier
     r: float              # effort multiplier (lam times the penalty weight)
     c: float              # conservation constant: H == lam + r*c along the arc
-    alpha: float = 0.0    # terminal target-normal weight
-    active: np.ndarray = None  # (N+1,) bool contact indicator used for sigma
 
     def total_weight(self) -> float:
         return (abs(self.lam) + self.r
@@ -126,7 +133,7 @@ class GamkrelidzeMultipliers:
                 + float(np.abs(self.nu_L).max(initial=0.0)))
 
 
-def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario, active=None):
+def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario):
     """Value of the full Hamiltonian along the arc.
 
     Broadcasts over leading node axes (vectors (..., n), scalars (...)); a
@@ -139,26 +146,21 @@ def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario, active=N
                        + nu_L * dot_rows(d, v)
                        - r * dot_rows(u, u)
                        + dot_rows(q_L - nu_L[..., None] * d, drift(x, u, s))
-                       + sigma_value(y, x, q_L, nu_L, r, s, active=active))
+                       + sigma_value(y, x, q_L, nu_L, r, s))
 
 
-def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, active, s: Scenario):
+def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, s: Scenario):
     """Right-hand sides of the q_L and q_H adjoint equations at every node,
     per unit of original time: each arc satisfies dq/dt = -rhs.  Broadcasts
     over leading batch axes of q_L (..., N+1, n) and nu_L (..., N+1)."""
     d = tr.x - tr.y
     f = drift(tr.x, cp.u, s)
     _, slope = _sigma_branches(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
-    sq = np.where(active, slope, 0.0)[..., None] * q_L
+    sq = np.where(_in_contact(d, s), slope, 0.0)[..., None] * q_L
     nu_L = nu_L[..., None]
     rhs_L = -nu_L * f + (q_L - nu_L * d) @ s.drift.matrix(s.dim) + nu_L * cp.v - sq
     rhs_H = -(nu_H[:, None] + nu_L) * cp.v + nu_L * f + sq
     return rhs_L, rhs_H
-
-
-def _contact_flags(tr, cp, s: Scenario) -> np.ndarray:
-    d = np.linalg.norm(tr.x - tr.y, axis=1)
-    return ((cp.u0 > 1e-2) & (d >= 0.35 * s.R1)) | (d >= s.R1 * (1.0 - 1e-3))
 
 
 class _MultiplierModel:
@@ -166,13 +168,14 @@ class _MultiplierModel:
 
     The tangential maximum condition pins q_L - nu_L*(x-y) = 2*r*u, so the
     only remaining freedom on the lower side is the scalar path nu_L: free at
-    contact nodes, one constant per contact-free arc (the measure cannot move
-    where the constraint is inactive).  q_H follows by backward integration of
-    its adjoint equation, which makes that defect vanish identically and
-    leaves the conservation spread, the q_L defect, and the monotonicity of
-    nu_L as the quantities the fit balances.  The cost multiplier is one and
-    the effort multiplier ``PENALTY_WEIGHT``; nu_H and the target weight come
-    from the upper level's multipliers of the solution.
+    contact nodes (``_in_contact``), one constant per contact-free arc (the
+    measure cannot move where the constraint is inactive).  q_H follows by
+    backward integration of its adjoint equation, which makes that defect
+    vanish identically and leaves the conservation spread, the q_L defect,
+    and the monotonicity of nu_L as the quantities the fit balances.  The
+    cost multiplier is one and the effort multiplier ``PENALTY_WEIGHT``; nu_H
+    and the target weight come from the upper level's multipliers of the
+    solution.
     """
 
     def __init__(self, sol, s: Scenario):
@@ -181,9 +184,7 @@ class _MultiplierModel:
         self.nu_H = np.cumsum(np.asarray(sol.upper_mults["h_upper"])[::-1])[::-1]
         self.alpha = float(sol.upper_mults["target"]) * PENALTY_WEIGHT
         self.d = tr.x - tr.y
-        self.dn = np.linalg.norm(self.d, axis=1)
-        self.active = _contact_flags(tr, cp, s)
-        self.gate = self.active | (self.dn >= 0.9 * s.R1)
+        self.active = _in_contact(self.d, s)
         self.g = 2.0 * self.r * cp.u
         self.dhat = target_direction(tr.y[-1], s)
         # parameter layout: one nu per active node, one per inactive run, so
@@ -206,7 +207,7 @@ class _MultiplierModel:
         # inactive runs: continuity of q_L at the run's last node e, whose
         # successor e + 1 is active
         e = np.nonzero(~act[:-1] & act[1:])[0]
-        e = e[self.dn[e] > 0.1 * s.R1]
+        e = e[np.linalg.norm(d[e], axis=1) > 0.1 * s.R1]
         q_next = g[e + 1] + nu[e + 1, None] * d[e + 1]
         p[self.slots[e]] = dot_rows(q_next - g[e], d[e]) / dot_rows(d[e], d[e])
         return p
@@ -216,7 +217,7 @@ class _MultiplierModel:
         contact-measure path nu (N+1,) or a batch of paths (..., N+1)."""
         tr, cp, s = self.tr, self.cp, self.s
         q_L = self.g + nu[..., None] * self.d
-        rhs_L, rhs_H = _adjoint_rhs(tr, cp, q_L, self.nu_H, nu, self.r, self.gate, s)
+        rhs_L, rhs_H = _adjoint_rhs(tr, cp, q_L, self.nu_H, nu, self.r, s)
         d_T = self.d[-1]
         nu_T = dot_rows(q_L[..., -1, :], d_T) / max(float(d_T @ d_T), 1e-300)
         q_H_T = (self.alpha * self.dhat + self.nu_H[-1] * (tr.y[-1] - s.q0_arr)
@@ -225,8 +226,7 @@ class _MultiplierModel:
         steps = rhs_H * cp.omega[:, None]
         tail = np.flip(np.cumsum(np.flip(steps, axis=-2), axis=-2), axis=-2)
         q_H = q_H_T[..., None, :] + tr.grid.dt * (tail - steps)
-        H = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, q_H, q_L, self.nu_H, nu, self.r, s,
-                              active=self.gate)
+        H = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, q_H, q_L, self.nu_H, nu, self.r, s)
         return q_L, q_H, H, rhs_L
 
     def residuals(self, p: np.ndarray) -> np.ndarray:
@@ -258,21 +258,19 @@ class _MultiplierModel:
     def multipliers(self, p: np.ndarray) -> GamkrelidzeMultipliers:
         """The candidate of parameter vector p with cost multiplier one,
         normalized to total weight one."""
-        lam0, r0, alpha, nu_H = 1.0, self.r, self.alpha, self.nu_H
+        lam0, r0, nu_H = 1.0, self.r, self.nu_H
         nu_L = p[self.slots]
         q_L, q_H, hvals, _ = self.build(nu_L)
         c_fit = float((np.mean(hvals) - lam0) / r0)
         raw = GamkrelidzeMultipliers(q_H=q_H, q_L=q_L, nu_H=nu_H, nu_L=nu_L,
-                                     lam=lam0, r=r0, c=c_fit, alpha=alpha,
-                                     active=self.gate)
+                                     lam=lam0, r=r0, c=c_fit)
         total = raw.total_weight()
         if total <= 0:
             raise ValueError("degenerate (all-zero) multiplier candidate")
         kappa = 1.0 / total
         return GamkrelidzeMultipliers(
             q_H=kappa * q_H, q_L=kappa * q_L, nu_H=kappa * nu_H, nu_L=kappa * nu_L,
-            lam=kappa * lam0, r=kappa * r0, c=c_fit, alpha=kappa * alpha,
-            active=self.gate)
+            lam=kappa * lam0, r=kappa * r0, c=c_fit)
 
 
 def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
@@ -382,8 +380,7 @@ def certify(sol, s: Scenario,
     conds["boundary"] = _condition(bres, tol["boundary"] * scale, detail=bdetail)
 
     # 5. conservation of the Hamiltonian
-    hvals = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, m.q_H, m.q_L, m.nu_H, m.nu_L,
-                              m.r, s, active=m.active)
+    hvals = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, m.q_H, m.q_L, m.nu_H, m.nu_L, m.r, s)
     conds["conservation"] = _condition(np.std(hvals),
                                        tol["conservation"] * (m.lam + abs(m.r * m.c) + 1.0),
                                        constant=float(m.c), mean=float(np.mean(hvals)))
@@ -413,7 +410,7 @@ def _adjoint_defect(tr, cp, m, s: Scenario) -> float:
     omega * dt, so the backward difference and the right-hand side are both
     taken per unit of original time.
     """
-    rhs_L, rhs_H = _adjoint_rhs(tr, cp, m.q_L, m.nu_H, m.nu_L, m.r, m.active, s)
+    rhs_L, rhs_H = _adjoint_rhs(tr, cp, m.q_L, m.nu_H, m.nu_L, m.r, s)
     dt_orig = tr.grid.dt * np.maximum(cp.omega[1:], 1e-300)[:, None]
     dL = np.diff(m.q_L, axis=0) / dt_orig + rhs_L[1:]
     dH = np.diff(m.q_H, axis=0) / dt_orig + rhs_H[1:]

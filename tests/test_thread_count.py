@@ -1,0 +1,75 @@
+"""The corridor solve and its certificate at one and at two BLAS threads.
+
+scipy's bundled OpenBLAS rounds differently with its worker thread, so the
+two runs are made in child processes with ``OPENBLAS_NUM_THREADS`` set
+before scipy loads.  Measured on a 2-core host:
+
+- T* (7.989999999999999), the final phi (1.7838161235959955), every lower
+  solve's iteration count (12/7/7/8/9/10), exit status and convergence flag,
+  and every verdict are equal;
+- the other floats of the gamma-path records move in their last bits: phi
+  by at most 3e-15 relative, the KKT residual by 1e-7 relative and the
+  contact violation (about 1e-13 or below) by 1.3e-15;
+- of the certificate's residuals, the Levenberg-Marquardt fit's move most:
+  adjoint by 9e-4 relative and conservation by 2e-4; measures moves by
+  7e-8, value_selection by 3e-8, and boundary goes from 0 to 5.6e-17.
+
+The tolerances below are about ten times the largest of these.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import bisweep
+
+SCRIPT = """
+import json
+from bisweep.certificate import certify
+from bisweep.geometry import straight_corridor
+from bisweep.solver import SolverOptions, solve_bilevel
+
+s = straight_corridor()
+sol = solve_bilevel(s, opts=SolverOptions(n_intervals=40, seeds=1, screen_iters=3))
+rep = certify(sol, s)
+print(json.dumps({"T_star": sol.T_star, "phi": sol.lower.value, "history": sol.history,
+                  "verdicts": {k: c["ok"] for k, c in rep.conditions.items()},
+                  "residuals": {k: c["residual"] for k, c in rep.conditions.items()}},
+                 default=lambda o: o.item()))
+"""
+
+# exact across thread counts: the final answer and every count and flag
+EXACT_KEYS = ("gamma", "iterations", "exit_status", "converged")
+HISTORY_RTOL, HISTORY_ATOL = 1e-6, 1e-14
+RESIDUAL_RTOL, RESIDUAL_ATOL = 1e-2, 1e-15
+
+
+def _run(threads: int) -> dict:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": str(Path(bisweep.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+                          timeout=300, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_corridor_solve_and_verdicts_agree_at_one_and_two_blas_threads():
+    one, two = _run(1), _run(2)
+    assert one["T_star"] == two["T_star"]
+    assert one["phi"] == two["phi"]
+    assert len(one["history"]) == len(two["history"]) == 6
+    for a, b in zip(one["history"], two["history"]):
+        assert a.keys() == b.keys()
+        for key in a:
+            if key in EXACT_KEYS:
+                assert a[key] == b[key], key
+            else:
+                assert np.isclose(a[key], b[key], rtol=HISTORY_RTOL, atol=HISTORY_ATOL), key
+    assert one["verdicts"] == two["verdicts"]
+    assert one["residuals"].keys() == two["residuals"].keys()
+    for name, res in one["residuals"].items():
+        assert np.isclose(res, two["residuals"][name],
+                          rtol=RESIDUAL_RTOL, atol=RESIDUAL_ATOL), name
