@@ -21,7 +21,7 @@ from bisweep.certificate import (
     sigma_value,
 )
 from bisweep.dynamics import cone_coefficient
-from bisweep.geometry import DriftSpec, straight_corridor
+from bisweep.geometry import DriftSpec, ExitArc, Scenario, straight_corridor
 from bisweep.oracle import sigma_sup_oracle
 from bisweep.solver import SolverOptions, solve_bilevel
 
@@ -317,14 +317,15 @@ def test_measures_pass_on_monotone_path_and_fail_on_one_raised_node(
     assert _conditions(sol, s, replace(m, nu_L=nu))["measures"]["ok"] is False
 
 
+@pytest.mark.parametrize("factor", [2.0, 10.0, 20.0])
 def test_value_selection_fails_on_scaled_lower_weights(
-        corridor_run, corridor_scenario, corridor_certificate):
-    # the check reacts weakly to the weights: against its gate of 5e-2, twice
-    # eta reads 3.7e-3 and ten times 3.4e-2, both passing; twenty times reads
-    # 7.1e-2 and fails (unscaled, it reads 3.9e-7)
+        corridor_run, corridor_scenario, corridor_certificate, factor):
+    # the check is fd_check's relative error: against its gate of 5e-2 the
+    # corridor reads 2.5e-5 unscaled, and 0.278, 0.776 and 0.879 with eta
+    # scaled by 2, 10 and 20
     sol = corridor_run["solution"]
     assert corridor_certificate["report"].conditions["value_selection"]["ok"] is True
-    bad = replace(sol, lower=replace(sol.lower, eta=20.0 * sol.lower.eta))
+    bad = replace(sol, lower=replace(sol.lower, eta=factor * sol.lower.eta))
     rep = certify(bad, corridor_scenario, multipliers=corridor_certificate["report"].multipliers)
     assert rep.conditions["value_selection"]["ok"] is False
 
@@ -458,11 +459,24 @@ def test_affine_instance_verdicts_are_pinned(affine_run):
     # - max_plan 0.88 against 5e-2, worst at the last node.
     # The other five pass: nontriviality 1.1e-16, adjoint 3.1e-2 (gate 0.25),
     # conservation 2.3e-4 (gate 1.2e-3), max_control 1.4e-17 and
-    # value_selection 1.9e-6
+    # value_selection 4.4e-5
     conds = certify(affine_run, AFFINE).conditions
     assert {name: c["ok"] for name, c in conds.items()} == {
         "nontriviality": True, "measures": False, "adjoint": True, "boundary": False,
         "conservation": True, "max_control": True, "max_plan": False, "value_selection": True}
+
+
+def test_wide_arc_instance_verdicts_are_pinned():
+    # identity drift with asymmetric geometry at N = 40 (conftest options):
+    # only measures fails, at 0.340 against 1e-6; the other seven pass
+    # (adjoint 1.2e-4, conservation 6.3e-7, max_plan 1.2e-13 and
+    # value_selection 2.6e-5 the largest of them)
+    s = Scenario(y0=(2.0, -5.0), exit=ExitArc(-0.3, 0.4))
+    sol = solve_bilevel(s, opts=SolverOptions(n_intervals=40, seeds=1, screen_iters=3))
+    conds = certify(sol, s).conditions
+    assert {name: c["ok"] for name, c in conds.items()} == {
+        "nontriviality": True, "measures": False, "adjoint": True, "boundary": True,
+        "conservation": True, "max_control": True, "max_plan": True, "value_selection": True}
 
 
 @pytest.fixture(params=["corridor", "affine"])
@@ -485,9 +499,8 @@ def test_every_lower_path_solve_is_stationary(solved):
 
 def test_batched_residuals_equal_per_row_calls(solved):
     model = _MultiplierModel(*solved)
-    p0 = model.initial_guess()
-    rng = np.random.default_rng(3)
-    rows = p0 + rng.normal(scale=0.1, size=(6, p0.size)) * np.maximum(np.abs(p0), 1.0)
+    p0 = np.zeros(model.n_params)
+    rows = np.random.default_rng(3).normal(scale=0.1, size=(6, p0.size))
     batch = model.residuals(rows)
     assert batch.shape == (6, model.residuals(p0).size)
     for row, res in zip(rows, batch):
@@ -499,7 +512,7 @@ def test_extract_multipliers_equals_plain_least_squares(solved):
     # the batched Jacobian leaves scipy's step rule and assembly alone, so the
     # whole Levenberg-Marquardt path is the per-point one, bit for bit
     model = _MultiplierModel(*solved)
-    plain = least_squares(model.residuals, model.initial_guess(), method="lm", max_nfev=4000)
+    plain = least_squares(model.residuals, np.zeros(model.n_params), method="lm", max_nfev=4000)
     want, got = model.multipliers(plain.x), extract_multipliers(*solved)
     for f in fields(GamkrelidzeMultipliers):
         assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name

@@ -11,10 +11,11 @@ before scipy loads.  Measured on a 2-core host:
   by at most 3e-15 relative, the KKT residual by 1e-7 relative and the
   contact violation (about 1e-13 or below) by 1.3e-15;
 - of the certificate's residuals, the Levenberg-Marquardt fit's move most:
-  adjoint by 9e-4 relative and conservation by 2e-4; measures moves by
-  7e-8, value_selection by 3e-8, and boundary goes from 0 to 5.6e-17.
+  adjoint by 1.7e-3 relative and conservation by 3e-4; measures moves by
+  1.2e-7, value_selection by 9e-8, and boundary goes from 0 to 5.6e-17.
 
-The tolerances below are about ten times the largest of these.
+The history tolerances are about ten times the largest of these, and the
+residual tolerance about six times.
 """
 
 import json
