@@ -16,9 +16,6 @@ from .geometry import (
     ValidationReport,
     h_lower,
     h_upper,
-    load_scenario,
-    project_disk,
-    save_scenario,
     straight_corridor,
     target_direction,
     target_distance,
@@ -28,7 +25,6 @@ from .geometry import (
 from .dynamics import (
     ControlProfile,
     FeasibilityLossWarning,
-    InfeasibleStateError,
     SmoothingSchedule,
     StateTrajectory,
     TimeGrid,
@@ -38,8 +34,6 @@ from .dynamics import (
     feasibility_monitor,
     integrate_catchup,
     integrate_smooth,
-    sweeping_field_exact,
-    sweeping_field_smooth,
 )
 from .transcription import (
     DecisionVector,

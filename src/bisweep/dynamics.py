@@ -1,4 +1,4 @@
-"""Sweeping dynamics: exact truncated-cone field, smooth approximation, integrators.
+"""Sweeping dynamics: the smoothed truncated-cone field and its integrators.
 
 Two integration routes are provided and compared throughout the test suite:
 
@@ -7,7 +7,8 @@ Two integration routes are provided and compared throughout the test suite:
   smoothly into its cap M/R1 (``cone_coefficient``);
 * ``integrate_catchup`` -- Moreau-style time stepping: an explicit drift step
   followed by a projection move back toward the translated disk, truncated to
-  the cone budget M * omega * dt per step, stepped in float arithmetic.
+  the cone budget M * omega * dt per step, stepped in float arithmetic as
+  ``drift`` and ``project_ball_rows`` on the offset from the disk center do.
 
 The plan's part of the RK4 stage map (``PlanPath``: the plan center's nodes
 and stage values, the clock, omega's stage values, the trapezoid weights and
@@ -44,23 +45,13 @@ __all__ = [
     "StateTrajectory",
     "SmoothingSchedule",
     "ViolationReport",
-    "InfeasibleStateError",
     "FeasibilityLossWarning",
     "drift",
-    "sweeping_field_exact",
-    "sweeping_field_smooth",
     "integrate_smooth",
     "integrate_catchup",
     "feasibility_monitor",
     "convergence_study",
 ]
-
-BOUNDARY_TOL_FACTOR = 1e-9
-
-
-class InfeasibleStateError(ValueError):
-    """State handed to the exact field lies strictly outside the moving disk."""
-
 
 class FeasibilityLossWarning(UserWarning):
     """Catching-up step needed a correction beyond the cone truncation budget."""
@@ -196,29 +187,6 @@ def drift(x, u, s: Scenario):
     if s.drift.name == "identity":
         return u + np.zeros_like(x)
     return project_ball_rows(x @ s.drift.matrix(s.dim).T + u, s.M1)
-
-
-def sweeping_field_exact(x, y, u, u0, s: Scenario):
-    """Right-hand side with the exact truncated-cone term (active on the rim only)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tol = BOUNDARY_TOL_FACTOR * s.R1
-    hl = h_lower(x, y, s)
-    if np.any(hl > s.R1 * tol + 1e-12):
-        raise InfeasibleStateError(f"state outside the moving disk: h_lower={np.max(hl):.3e}")
-    f = drift(x, u, s)
-    dist = np.linalg.norm(x - y, axis=-1)
-    on_rim = dist >= s.R1 - tol
-    corr = s.cone_gain * np.asarray(u0, dtype=float) * np.where(on_rim, 1.0, 0.0)
-    return f - corr[..., None] * (x - y)
-
-
-def sweeping_field_smooth(x, y, u, u0, gamma: float, s: Scenario):
-    """Smoothed field: drift minus ramped cone pull toward the disk center
-    (the RK4 stage slope at unit time dilation)."""
-    u0 = np.asarray(u0, dtype=float)
-    return stage_slope(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                       np.asarray(u, dtype=float), np.ones_like(u0), u0, gamma, s)
 
 
 # RK4 tableau: stage j starts from x_i + RK4_OFFSETS[j] * dt * k_{j-1}, and
@@ -616,11 +584,11 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
     more than the budget, a FeasibilityLossWarning names the first violating
     node, the needed correction and the budget (unless ``warn`` is False).
 
-    The swept point is stepped in float arithmetic, each operation that of
-    ``drift`` and ``project_disk`` on one row, so the nodes are bitwise
-    theirs.  Two products still round in NumPy, because BLAS may fuse their
-    multiply-adds: the affine drift's x @ A.T, and the correction's norm,
-    the square root of its dot product with itself.
+    The swept point is stepped in float arithmetic, each operation as
+    ``drift`` and ``project_ball_rows`` on the offset do on one row, so the
+    nodes are bitwise theirs.  Two products still round in NumPy, because
+    BLAS may fuse their multiply-adds: the affine drift's x @ A.T, and the
+    correction's norm, the square root of its dot product with itself.
     """
     grid = cp.grid
     dt, M, R1, M1 = grid.dt, s.M, s.R1, s.M1

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
-import yaml
 
 __all__ = [
     "DriftSpec",
@@ -29,13 +28,10 @@ __all__ = [
     "checked",
     "h_upper",
     "h_lower",
-    "project_disk",
     "truncation_bounds",
     "target_distance",
     "target_direction",
     "validate",
-    "load_scenario",
-    "save_scenario",
     "require_known_keys",
     "straight_corridor",
 ]
@@ -260,16 +256,6 @@ def straight_corridor(**kw) -> Scenario:
     return Scenario(**kw)
 
 
-def load_scenario(path) -> Scenario:
-    with open(path, "r") as fh:
-        return Scenario.from_dict(yaml.safe_load(fh))
-
-
-def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(s.to_dict(), fh, sort_keys=False)
-
-
 def h_upper(y, s: Scenario) -> float:
     """Upper containment constraint: <= 0 iff Q1 + y lies inside Q."""
     d = np.asarray(y, dtype=float) - s.q0_arr
@@ -300,14 +286,6 @@ def project_out_normal(p, v, radius: float) -> np.ndarray:
     on_ball = (radius > 0) & (nrm >= radius * (1.0 - 1e-9))
     outward = np.where(on_ball, np.maximum(0.0, dot_rows(p, vhat)), 0.0)
     return p - outward[:, None] * vhat
-
-
-def project_disk(p, center, radius: float) -> np.ndarray:
-    """Euclidean projection onto the closed disk of the given center and radius."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    center = np.asarray(center, dtype=float)
-    return center + project_ball_rows(np.asarray(p, dtype=float) - center, radius)
 
 
 def truncation_bounds(s: Scenario) -> TruncationBounds:

@@ -295,6 +295,10 @@ MUTATIONS = {
         m.q_H, NODE, 0.1 * _unit(sol.decision.controls.v[NODE]))),
     "max_plan": lambda sol, m: replace(m, q_H=_bumped(
         m.q_H, NODE, 0.1 * _perp(sol.decision.controls.v[NODE]))),
+    # turns the maximiser of <psi, u> - r|u|^2 off u: the corridor reads
+    # 9.9e-3 against the gate of 1e-4, and 1.7e-21 unmutated
+    "max_control": lambda sol, m: replace(m, q_L=_bumped(
+        m.q_L, NODE, 1e-2 * _perp(sol.decision.controls.u[NODE]))),
 }
 
 

@@ -21,17 +21,15 @@ from bisweep.cli import (
     EXIT_VALIDATION,
     main,
 )
-from bisweep.geometry import save_scenario, straight_corridor
+from bisweep.geometry import straight_corridor
 
 
 def write_config(tmp_path, name="scenario.yaml", run=None, **overrides):
-    s = straight_corridor(**overrides)
-    path = tmp_path / name
-    save_scenario(s, path)
+    data = straight_corridor(**overrides).to_dict()
     if run:
-        data = yaml.safe_load(path.read_text())
         data["run"] = run
-        path.write_text(yaml.safe_dump(data))
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(data, sort_keys=False))
     return path
 
 

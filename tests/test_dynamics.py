@@ -11,7 +11,6 @@ from bisweep.dynamics import (
     CAP_BAND,
     ControlProfile,
     FeasibilityLossWarning,
-    InfeasibleStateError,
     SmoothingSchedule,
     TimeGrid,
     cone_coefficient,
@@ -26,10 +25,8 @@ from bisweep.dynamics import (
     reverse_plan_path,
     stage_slope,
     stage_values,
-    sweeping_field_exact,
-    sweeping_field_smooth,
 )
-from bisweep.geometry import DriftSpec, h_lower, project_disk, straight_corridor
+from bisweep.geometry import DriftSpec, h_lower, project_ball_rows, straight_corridor
 from bisweep.oracle import fd_check
 
 S = straight_corridor()
@@ -70,27 +67,6 @@ def test_drift_respects_magnitude_bound():
         u = rng.uniform(-1, 1, 2)
         u = u / max(1.0, np.linalg.norm(u))
         assert np.linalg.norm(drift(x, u, S)) <= S.M1 + 1e-12
-
-
-# ---------------------------------------------------------------- exact field
-def test_exact_field_interior_is_pure_drift():
-    f = sweeping_field_exact((0.1, 0.0), (0.0, 0.0), (0.5, 0.0), 1.0, S)
-    assert np.allclose(f, (0.5, 0.0))
-
-
-def test_exact_field_boundary_inactive_when_u0_zero():
-    f = sweeping_field_exact((1.0, 0.0), (0.0, 0.0), (0.5, 0.0), 0.0, S)
-    assert np.allclose(f, (0.5, 0.0))
-
-
-def test_exact_field_boundary_full_activation():
-    f = sweeping_field_exact((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0, S)
-    assert np.allclose(f, (-1.5, 0.0))
-
-
-def test_exact_field_rejects_outside_state():
-    with pytest.raises(InfeasibleStateError):
-        sweeping_field_exact((2.0, 0.0), (0.0, 0.0), (0.0, 0.0), 0.0, S)
 
 
 # ---------------------------------------------------------------- smoothing
@@ -175,20 +151,49 @@ def test_stage_slope_jacobians_match_central_differences_on_the_band(where):
             assert np.abs(fd - jac).max() <= 1e-6 * max(np.abs(jac).max(), 1.0), (where, ell)
 
 
+def _unit_slope(x, u, u0, gamma, y=(0.0, 0.0)):
+    """The smoothed field at unit time dilation: ``stage_slope`` at w = 1,
+    the swept point x about the disk center y."""
+    return stage_slope(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                       np.asarray(u, dtype=float), np.array(1.0), np.array(float(u0)), gamma, S)
+
+
+# ---------------------------------------------------------------- exact field
+# The exact truncated-cone field is the gamma -> infinity limit of the smoothed
+# one; at gamma = 96 (past the cap 2M/R1) the smoothed field takes its values.
+def test_exact_field_interior_is_pure_drift():
+    assert np.allclose(_unit_slope((0.1, 0.0), (0.5, 0.0), 1.0, 96.0), (0.5, 0.0))
+
+
+def test_exact_field_boundary_inactive_when_u0_zero():
+    assert np.allclose(_unit_slope((1.0, 0.0), (0.5, 0.0), 0.0, 96.0), (0.5, 0.0))
+
+
+def test_exact_field_boundary_full_activation():
+    # on the rim the gain is capped at M/R1 exactly, so at full activation the
+    # slope is the exact cone pull -(M/R1)(x - y)
+    x = np.array([1.0, 0.0])
+    k = _unit_slope(x, (0.0, 0.0), 1.0, 96.0)
+    assert np.array_equal(k, (-1.5, 0.0)) and np.array_equal(k, -(S.M / S.R1) * x)
+
+
+# ---------------------------------------------------------------- smoothed field
 def test_smooth_field_u0_zero_is_drift():
-    f = sweeping_field_smooth((0.9, 0.0), (0.0, 0.0), (0.2, 0.1), 0.0, 12.0, S)
-    assert np.allclose(f, (0.2, 0.1))
+    f = _unit_slope((0.9, 0.0), (0.2, 0.1), 0.0, 12.0)
+    assert np.array_equal(f, drift((0.9, 0.0), (0.2, 0.1), S))
 
 
 def test_smooth_field_matches_exact_on_boundary_when_capped():
-    fs = sweeping_field_smooth((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0, 96.0, S)
-    fe = sweeping_field_exact((1.0, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0, S)
-    assert np.allclose(fs, fe)
+    # an off-axis rim point about a moved center, with drift: the drift plus
+    # the exact cone pull -(M/R1)(x - y)
+    y, u = np.array([0.3, -0.2]), np.array([0.1, 0.2])
+    x = y + S.R1 * np.array([0.6, 0.8])
+    k = _unit_slope(x, u, 1.0, 96.0, y=y)
+    assert np.allclose(k, drift(x, u, S) - (S.M / S.R1) * (x - y))
 
 
 def test_smooth_field_negligible_deep_interior():
-    fs = sweeping_field_smooth((0.1, 0.0), (0.0, 0.0), (0.0, 0.0), 1.0, 96.0, S)
-    assert np.linalg.norm(fs) < 1e-3
+    assert np.linalg.norm(_unit_slope((0.1, 0.0), (0.0, 0.0), 1.0, 96.0)) < 1e-3
 
 
 # ---------------------------------------------------------------- smooth integrator
@@ -454,16 +459,18 @@ def _euler_centers(cp, s):
 
 def _numpy_catchup(cp, x_init, s, centers):
     """The catch-up step map node by node in NumPy, with drift and
-    project_disk, toward the disks about the given centers (N+1, 2): the
-    swept point, the realized activation, and the first node whose correction
-    exceeded the budget with that correction and budget (None if none did)."""
+    project_ball_rows on the offset from each of the given disk centers
+    (N+1, 2): the swept point, the realized activation, and the first node
+    whose correction exceeded the budget with that correction and budget
+    (None if none did)."""
     dt = cp.grid.dt
     xs, u0 = [np.asarray(x_init, dtype=float)], np.zeros(cp.grid.n_nodes)
     loss = None
     for i in range(cp.grid.n_intervals):
         w = cp.omega[i]
         x_pred = xs[i] + drift(xs[i], cp.u[i], s) * w * dt
-        target = project_disk(x_pred, centers[i + 1], s.R1)
+        c = centers[i + 1]
+        target = c + project_ball_rows(x_pred - c, s.R1)
         needed = float(np.linalg.norm(x_pred - target))
         budget = s.M * w * dt
         if needed > 1e-15:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
+import yaml
 
+from bisweep.cli import _load_config
 from bisweep.geometry import (
     DriftSpec,
     ExitArc,
@@ -15,9 +17,7 @@ from bisweep.geometry import (
     ValidationReport,
     h_lower,
     h_upper,
-    load_scenario,
-    project_disk,
-    save_scenario,
+    project_ball_rows,
     straight_corridor,
     target_direction,
     target_distance,
@@ -76,30 +76,34 @@ def test_h_lower_rotation_invariant(xa, xb, ya, yb, ang):
     assert h_lower(y + rot @ (x - y), y, S) == pytest.approx(h_lower(x, y, S), abs=1e-9)
 
 
-# ---------------------------------------------------------------- project_disk
-def test_project_disk_fixed_at_center():
-    c = np.array([1.0, -2.0])
-    assert np.allclose(project_disk(c, c, 3.0), c)
+# ---------------------------------------------------------------- project_ball_rows
+def test_project_ball_rows_fixed_at_center():
+    # the origin and every other row inside the ball stay where they are
+    rows = np.array([[0.0, 0.0], [1.0, -2.0]])
+    assert np.array_equal(project_ball_rows(rows, 3.0), rows)
 
 
-def test_project_disk_radial_scaling():
-    assert np.allclose(project_disk((3.0, 4.0), (0.0, 0.0), 1.0), (0.6, 0.8))
+def test_project_ball_rows_radial_scaling():
+    assert np.allclose(project_ball_rows((3.0, 4.0), 1.0), (0.6, 0.8))
+    # row by row over leading axes
+    rows = np.array([[[3.0, 4.0], [0.0, -5.0]], [[0.3, 0.4], [-8.0, 6.0]]])
+    assert np.allclose(project_ball_rows(rows, 1.0),
+                       [[[0.6, 0.8], [0.0, -1.0]], [[0.3, 0.4], [-0.8, 0.6]]])
 
 
-def test_project_disk_idempotent_on_boundary():
+def test_project_ball_rows_idempotent_on_boundary():
     p = np.array([0.0, 1.0])
-    assert np.allclose(project_disk(p, (0.0, 0.0), 1.0), p)
+    assert np.array_equal(project_ball_rows(p, 1.0), p)
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10), st.floats(-10, 10))
 @settings(max_examples=60, deadline=None)
-def test_project_disk_idempotent_and_nonexpansive(ax, ay, bx, by):
-    c = np.zeros(2)
+def test_project_ball_rows_idempotent_and_nonexpansive(ax, ay, bx, by):
     a = np.array([ax, ay])
     b = np.array([bx, by])
-    pa = project_disk(a, c, 2.0)
-    pb = project_disk(b, c, 2.0)
-    assert np.allclose(project_disk(pa, c, 2.0), pa, atol=1e-12)
+    pa = project_ball_rows(a, 2.0)
+    pb = project_ball_rows(b, 2.0)
+    assert np.allclose(project_ball_rows(pa, 2.0), pa, atol=1e-12)
     assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -393,9 +397,9 @@ def test_scenario_roundtrip(tmp_path):
     # A4's affine scenario gives its A nested; it is stored flat
     a4 = Scenario(drift=DriftSpec("affine", ((0.0, 0.05), (-0.05, 0.0))), K_f=0.05, M1=1.2)
     for s in (straight_corridor(M=1.4, u_bound=0.9), a4):
-        save_scenario(s, path)
-        loaded = load_scenario(path)
-        assert loaded == s and hash(loaded) == hash(s)
+        path.write_text(yaml.safe_dump(s.to_dict(), sort_keys=False))
+        loaded, run = _load_config(path)   # the one reader of scenario files
+        assert loaded == s and hash(loaded) == hash(s) and run == {}
 
 
 @pytest.mark.parametrize("section, key", [("cone", "R"), ("drift", "matrix"), ("geometry", "M"),

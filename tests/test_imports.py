@@ -1,8 +1,9 @@
 """Every module-level import in the package is used or re-exported, every
 function, method and private module-level class of the package is referenced
-somewhere in src/, tests/ or bench/ (an attribute of a module from outside
-the package, such as ``np.zeros``, is no reference), every dataclass field
-of the package is read as an attribute somewhere there, every defaulted
+somewhere in src/ or bench/ (a call from a test, a re-export in
+``__init__.py`` and an attribute of a module from outside the package, such
+as ``np.zeros``, are no references), every dataclass field of the package
+is read as an attribute somewhere in src/, tests/ or bench/, every defaulted
 parameter is passed by some call there, every name the package re-exports
 is listed in, and defined by, its module's ``__all__``, no module but
 ``dynamics`` reads the RK4 scheme's internals, and no module imports or
@@ -85,8 +86,10 @@ def of_outside_module(attr: ast.Attribute, outside: set) -> bool:
 def dead_definitions(defining: dict, referencing: dict) -> list:
     """Functions and methods (dunders excepted) and private module-level
     classes defined in ``defining`` that no module in ``referencing``
-    references by name, by attribute or by import from the package; an
-    attribute of a module from outside the package does not count."""
+    references by name, by attribute or by import from the package.  A test
+    module (``test_*`` or ``conftest``) is no caller, an ``__init__``'s
+    imports from the package are re-exports, not uses, and an attribute of a
+    module from outside the package does not count."""
     internal = {"bisweep"} | {Path(m).stem for m in defining}
     defined = {}
     for module, source in defining.items():
@@ -104,7 +107,10 @@ def dead_definitions(defining: dict, referencing: dict) -> list:
                 label = f"{owner}.{node.name}" if owner else node.name
                 defined[label] = (node.name, f"{module}:{node.lineno}")
     used = set()
-    for source in referencing.values():
+    for module, source in referencing.items():
+        stem = Path(module).stem
+        if stem.startswith("test_") or stem == "conftest":
+            continue
         tree = ast.parse(source)
         outside = outside_names(tree, internal)
         for node in ast.walk(tree):
@@ -112,7 +118,7 @@ def dead_definitions(defining: dict, referencing: dict) -> list:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and not of_outside_module(node, outside):
                 used.add(node.attr)
-            elif (isinstance(node, ast.ImportFrom)
+            elif (isinstance(node, ast.ImportFrom) and stem != "__init__"
                   and (node.level > 0 or node.module.split(".")[0] in internal)):
                 used.update(a.name for a in node.names)
     return sorted(f"{label} ({where})" for label, (name, where) in defined.items()
@@ -139,18 +145,26 @@ def test_dead_definition_scanner_flags_unreferenced_functions_and_methods():
               "class Profile:\n"
               "    def zeros(self): pass\n"
               "def norm(): pass\n"
-              "def argmax(): pass\n"),
+              "def argmax(): pass\n"
+              "def only_tested(): pass\n"
+              "def only_exported(): pass\n"),
         "b": ("from a import _Model\n"
               "import a\n"
               "handle = a._by_attribute\n"),
+        # a re-export is no use
+        "__init__": "from .a import only_exported, public\n",
     }
     # names that only a module from outside the package spells are no references
-    tests = {"test_a": ("from a import public, outer, Profile\n_Model().used()\n"
-                        "import numpy as np\nfrom numpy import argmax\n"
-                        "np.zeros(3), np.linalg.norm, argmax\n")}
-    assert dead_definitions(package, {**package, **tests}) == [
+    callers = {"bench/run.py": ("from a import public, outer, Profile\n_Model().used()\n"
+                                "import numpy as np\nfrom numpy import argmax\n"
+                                "np.zeros(3), np.linalg.norm, argmax\n"),
+               # a test is no caller
+               "tests/test_a.py": "from a import only_tested\nonly_tested()\n",
+               "tests/conftest.py": "import a\na.only_tested()\n"}
+    assert dead_definitions(package, {**package, **callers}) == [
         "Profile.zeros (a:17)", "_Model.unused (a:6)", "_Orphan (a:7)", "_dead (a:1)",
-        "argmax (a:19)", "inner_dead (a:14)", "norm (a:18)", "public_unused (a:10)"]
+        "argmax (a:19)", "inner_dead (a:14)", "norm (a:18)", "only_exported (a:21)",
+        "only_tested (a:20)", "public_unused (a:10)"]
 
 
 def test_no_dead_functions_methods_or_private_classes():
