@@ -16,6 +16,7 @@ trajectory, not by the one it was fitted on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from . import oracle, solver
-from .dynamics import cone_coefficient, drift, trapz_weights
+from .dynamics import cone_coefficient, drift, float_cone_coefficient, trapz_weights
 from .geometry import Scenario, dot_rows, project_ball_rows, project_out_normal, target_direction
 
 __all__ = [
@@ -55,13 +56,18 @@ def _sigma_tilde(q_L, nu_L, d, s: Scenario):
     return nu_L * s.R1 ** 2 - np.add.reduce(np.asarray(q_L) * d, -1)
 
 
-def _sigma(st, r: float, k, name: str = "r"):
-    """Support value sigma, elementwise: with z = k*max(st, 0), z^2/(4r) up
-    to the seam z = 2r and z - r beyond, or z itself for r = 0.  sigma is the
-    sup over u0 in [0, 1] of z u0 - r u0^2 only for r >= 0; a negative
-    multiplier ``name`` is refused."""
+def _refuse_negative(r, name: str):
+    """sigma is the sup over u0 in [0, 1] of z u0 - r u0^2 only for r >= 0;
+    a negative multiplier ``name`` is refused."""
     if r < 0.0:
         raise ValueError(f"{name} must be >= 0 (an effort multiplier): {r!r}")
+
+
+def _sigma(st, r: float, k, name: str = "r"):
+    """Support value sigma, elementwise: with z = k*max(st, 0), z^2/(4r) up
+    to the seam z = 2r and z - r beyond, or z itself for r = 0; r < 0 is
+    refused (``_refuse_negative``)."""
+    _refuse_negative(r, name)
     z = k * np.maximum(st, 0.0)
     if r == 0.0:
         return z
@@ -83,9 +89,42 @@ def _sigma_branches(st, r: float, k):
     return sig, np.where(z <= 2.0 * r, k * z / (2.0 * r), k)
 
 
+def _float_sigma(st: float, r, k: float, name: str = "r") -> float:
+    """``_sigma`` for one node in float arithmetic, by the same operations in
+    their order.  ``np.maximum(st, 0.0)`` returns st only where st > 0 or st
+    is NaN, so sigma_tilde = -0.0 gives z = +0.0 on both forms."""
+    _refuse_negative(r, name)
+    r = float(r)
+    z = k * (st if st > 0.0 or st != st else 0.0)
+    if r == 0.0:
+        return z
+    return z * z / (4.0 * r) if z <= 2.0 * r else z - r
+
+
+def _one_node(y, x, q_L, nu_L, r, s: Scenario):
+    """(sigma_tilde, |x - y|^2) in floats for one node: y, x and q_L of shape
+    (dim,), nu_L and r Python numbers; None for anything else.
+
+    Each is rounded as ``_sigma_tilde`` and ``_in_contact`` round it: NumPy's
+    sum of dim < 8 products starts from +0.0 and adds them in turn."""
+    if not (isinstance(nu_L, (int, float)) and isinstance(r, (int, float))):
+        return None
+    y, x, q = (np.asarray(a, dtype=float) for a in (y, x, q_L))
+    if not y.shape == x.shape == q.shape == (s.dim,):
+        return None
+    dot = sq = 0.0
+    for yi, xi, qi in zip(y.tolist(), x.tolist(), q.tolist()):
+        di = xi - yi
+        dot += qi * di
+        sq += di * di
+    return float(nu_L) * s.R1 ** 2 - dot, sq
+
+
 def _in_contact(d, s: Scenario):
     """The contact rule of the lower measure at the offsets d = x - y:
-    |d| >= (1 - RIM_ACTIVITY_TOL)*R1, elementwise over leading node axes."""
+    |d| >= (1 - RIM_ACTIVITY_TOL)*R1, elementwise over leading node axes.
+    ``sigma_value`` applies it to one node in floats: ``math.sqrt`` of the
+    same sum, correctly rounded as ``np.sqrt`` is."""
     return np.sqrt(np.add.reduce(d * d, -1)) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL)
 
 
@@ -95,8 +134,15 @@ def sigma_value(y, x, q_L, nu_L, r, s: Scenario):
     Zero away from disk contact (``_in_contact``).  On contact, with
     st = nu_L*R1^2 - <q_L, x-y> and k = M/R1: zero for st <= 0, a quadratic
     (k*st)^2/(4r) for 0 < st <= 2r/k, and the linear branch k*st - r beyond;
-    r < 0 is refused.  Broadcasts over leading node axes; a float for one node.
+    r < 0 is refused.  Broadcasts over leading node axes.  One node is
+    computed in floats (``_one_node``, ``_float_sigma``), bitwise as a
+    one-row batch.
     """
+    node = _one_node(y, x, q_L, nu_L, r, s)
+    if node is not None:
+        st, sq = node
+        sig = _float_sigma(st, r, s.cone_gain)
+        return sig if math.sqrt(sq) >= s.R1 * (1.0 - RIM_ACTIVITY_TOL) else 0.0
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     sig = _sigma(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
     return _node_value(np.where(_in_contact(d, s), sig, 0.0))
@@ -108,8 +154,14 @@ def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario):
     lambda_bar >= 0).
 
     The exponential decay of the gain replaces the contact gate; away from the
-    rim the value vanishes to machine precision.
+    rim the value vanishes to machine precision.  One node is computed in
+    floats, the gain by ``cone_coefficient``'s one-offset float branch.
     """
+    node = _one_node(y, x, p_L, mu_L, lambda_bar, s)
+    if node is not None:
+        st, sq = node
+        c = float_cone_coefficient(sq, s.smoothing_gain(gamma), s)
+        return _float_sigma(st, lambda_bar, c, "lambda_bar")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     c = cone_coefficient(d, s.smoothing_gain(gamma), s)
     return _node_value(_sigma(_sigma_tilde(p_L, mu_L, d, s), lambda_bar, c, "lambda_bar"))

@@ -247,17 +247,24 @@ def cone_coefficient(diff, gamma, s: Scenario):
     (16 a^3).  psi and its first two derivatives meet those of 0 and of l at
     -a and a, so c is C^2 and c <= min(K, g); a min with K takes off the
     roundoff by which the blend can pass K just below l = a.  One offset
-    with a float gain is computed in floats by ``_float_cap``, which
-    ``_sweep_column`` also calls; ln(gamma/K) and the exponential are
+    with a float gain is computed in floats by ``float_cone_coefficient``,
+    which the certificate's one-node sigma also calls, and ``_float_cap``,
+    which ``_sweep_column`` also calls; ln(gamma/K) and the exponential are
     NumPy's on both paths.
     """
     if diff.ndim == 1 and np.ndim(gamma) == 0:
         sq = 0.0
         for di in diff.tolist():
             sq += di * di
-        e = 0.5 * gamma * (sq - s.R1 ** 2)
-        return _float_cap(e, e + float(np.log(gamma / s.cone_gain)), gamma, s.cone_gain)
+        return float_cone_coefficient(sq, gamma, s)
     return _cone_terms(diff, gamma, s)[0]
+
+
+def float_cone_coefficient(sq, gamma, s: Scenario):
+    """``cone_coefficient`` of one offset with squared length sq, summed as
+    NumPy sums fewer than 8 squares, and a float gain."""
+    e = 0.5 * gamma * (sq - s.R1 ** 2)
+    return _float_cap(e, e + float(np.log(gamma / s.cone_gain)), gamma, s.cone_gain)
 
 
 def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
@@ -456,9 +463,8 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
     the NumPy stage map wherever NumPy rounds the drift's x @ A.T as a plain
     sum of products.  The logarithm ln(gamma/K) is NumPy's, taken once.  The
     call per stage costs time: on the ``references`` bench workload's 24
-    columns (N = 800, 2-core host) the sweep took a median 50 ms where the
-    stages written out took 40 ms with identity drift, and 62 against 53 ms
-    with affine drift.
+    columns (N = 800, identity drift, 2-core host) the sweep takes a median
+    40 ms, where the stages written out take 33 ms.
     """
     half_gamma, cap, r1sq = 0.5 * gamma, s.cone_gain, s.R1 ** 2
     lg, half_dt, dt6 = float(np.log(gamma / cap)), 0.5 * dt, dt / 6.0

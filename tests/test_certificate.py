@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
-from bisweep import solver
+from bisweep import certificate, solver
 from bisweep.certificate import (
+    RIM_ACTIVITY_TOL,
     GamkrelidzeMultipliers,
     _MultiplierModel,
     _worst,
@@ -20,7 +21,7 @@ from bisweep.certificate import (
     sigma_smooth_value,
     sigma_value,
 )
-from bisweep.dynamics import cone_coefficient
+from bisweep.dynamics import CAP_BAND, cone_coefficient
 from bisweep.geometry import DriftSpec, ExitArc, Scenario, straight_corridor
 from bisweep.oracle import sigma_sup_oracle
 from bisweep.solver import SolverOptions, solve_bilevel
@@ -172,6 +173,87 @@ def test_sigma_smooth_on_the_rim_is_the_cap_k_sup_oracle():
         smooth = sigma_smooth_value(y, x, q, nu, lam, gamma, S)
         assert smooth == sigma_value(y, x, q, nu, lam, S)
         assert smooth == pytest.approx(sigma_sup_oracle(q, nu, lam, x, y, S, coeff=K), abs=1e-9)
+
+
+def one_node_cases():
+    """(y, x, q, nu, r, gamma) nodes: seeded random ones near the rim, then
+    each edge of sigma's float form."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(400):
+        ang, y = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-3.0, 3.0, 2)
+        rad = S.R1 * rng.choice([0.5, 0.85, 0.9, 0.95, 1.0, rng.uniform(0.8, 1.05)])
+        x = y + rad * np.array([np.cos(ang), np.sin(ang)])
+        r = 0.0 if rng.uniform() < 0.1 else rng.uniform(1e-3, 3.0)
+        cases.append((y, x, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 3.0), r,
+                      rng.uniform(1.01 * K, 40.0)))
+    nan, rho = float("nan"), S.R1 * (1.0 - RIM_ACTIVITY_TOL)
+    q1 = np.array([-1.0, 0.0])   # sigma_tilde = 1 on X_RIM at nu = 0
+    cases += [(Y, X_RIM, np.array([1.0, 0.0]), 0.0, 1.0, 24.0),   # sigma_tilde < 0
+              (Y, X_RIM, np.zeros(2), 0.0, 1.0, 24.0),            # sigma_tilde = +0.0
+              (Y, X_RIM, np.zeros(2), -0.0, 1.0, 24.0),           # sigma_tilde = -0.0
+              (Y, X_RIM, np.zeros(2), -0.0, 0.0, 24.0),
+              (Y, X_RIM, q1, 0.0, 0.5 * K, 24.0),                 # z = K = 2r: the seam
+              # on the seam too, where z^2/(4r) and z - r round apart
+              (Y, X_RIM, np.array([-2.216000794646838, 0.0]), 0.0, 0.75 * 2.216000794646838, 24.0),
+              (Y, X_RIM, q1, 0.0, 0.0, 24.0), (Y, X_RIM, q1, 0.0, -0.0, 24.0)]
+    for i in range(2):                                            # a NaN in each argument
+        for which in range(3):
+            node = [Y.copy(), X_RIM.copy(), q1.copy()]
+            node[which][i] = nan
+            cases.append((*node, 0.3, 0.5, 24.0))
+    cases += [(Y, X_RIM, q1, nan, 0.5, 24.0), (Y, X_RIM, q1, 0.3, nan, 24.0)]
+    for edge in (np.nextafter(rho, 0.0), rho, np.nextafter(rho, 2.0)):   # the contact radius
+        cases.append((Y, np.array([edge, 0.0]), q1, 0.3, 0.5, 24.0))
+    for ell in (-1.0, 0.0, 0.5, 1.0):                              # the cap's three bands
+        gamma = 24.0
+        rad = np.sqrt(S.R1 ** 2 + 2.0 * (ell - np.log(gamma / K)) / gamma)
+        cases.append((Y, np.array([0.0, rad]), np.array([0.0, -2.0]), 0.1, 0.7, gamma))
+    return cases
+
+
+def test_one_node_sigma_is_the_array_one_bitwise(monkeypatch):
+    # one node is computed in floats and a one-row batch by NumPy: the same
+    # bits, NaNs and signed zeros included, and a float for one node
+    cases = one_node_cases()
+    ells = [0.5 * g * (float(np.sum((x - y) ** 2)) - S.R1 ** 2) + np.log(g / K)
+            for y, x, *_, g in cases]
+    assert min(ells) < -CAP_BAND and max(ells) > CAP_BAND
+    assert sum(abs(ell) < CAP_BAND for ell in ells) >= 20
+
+    def rows(y, x, q, nu, r, gamma):
+        return (sigma_value(y[None], x[None], q[None], np.array([nu]), r, S)[0],
+                sigma_smooth_value(y[None], x[None], q[None], np.array([nu]), r, gamma, S)[0])
+
+    batch = [rows(*node) for node in cases]
+    assert sum(np.isnan(pair).any() for pair in batch) == 8
+    rho = S.R1 * (1.0 - RIM_ACTIVITY_TOL)
+    edge = [pair[0] > 0.0 for (_, x, *_), pair in zip(cases, batch)
+            if x[1] == 0.0 and abs(x[0] - rho) < 1e-15]
+    assert edge == [False, True, True]   # one ulp inside the contact radius is no contact
+
+    def refusal(name, *node):
+        # sigma_value refuses r, sigma_smooth_value lambda_bar
+        with pytest.raises(ValueError) as err:
+            sigma_value(*node, S) if name == "r" else sigma_smooth_value(*node, 24.0, S)
+        return str(err.value)
+
+    refused = {(r, name): refusal(name, Y[None], X_RIM[None], Y[None], np.zeros(1), r)
+               for r, name in ((-1.0, "r"), (-1e-3, "r"), (-1.0, "lambda_bar"))}
+
+    def no_array_form(*args, **kwargs):
+        raise AssertionError("a one-node call reached the NumPy form")
+
+    monkeypatch.setattr(certificate, "_sigma", no_array_form)
+    for (y, x, q, nu, r, gamma), pair in zip(cases, batch):
+        ones = (sigma_value(y, x, q, float(nu), r, S),
+                sigma_smooth_value(y, x, q, float(nu), r, gamma, S))
+        assert all(type(v) is float for v in ones)
+        assert np.array(ones).tobytes() == np.array(pair).tobytes(), (y, x, q, nu, r, gamma)
+    for (r, name), message in refused.items():
+        assert message.startswith(f"{name} must be >= 0")
+        for x in (X_RIM, 0.5 * X_RIM):   # refused off contact too, as by the NumPy form
+            assert refusal(name, Y, x, Y, 0.0, r) == message
 
 
 def test_sigma_smooth_value_rejects_gamma_at_or_below_cone_gain():

@@ -121,6 +121,23 @@ def test_brute_lower_reports_infeasible_budget(monkeypatch):
     with pytest.raises(OracleInfeasibleError):
         brute_lower(omega, v, 12.0, spec, s)
     assert [len(rows) for rows in seen] == [100] * 5 + [12]
+    # past k = 400 the order is the full stable argsort: every sequence once
+    order = np.argsort(naive_efforts(omega, spec, s), kind="stable")
+    assert np.array_equal(np.concatenate(seen), _product_rows(8, 3)[order])
+
+
+@pytest.mark.parametrize("name", ["omega", "v"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_brute_lower_refuses_a_plan_that_is_not_finite(monkeypatch, name, bad):
+    # a NaN or infinite node used to enumerate every block behind
+    # RuntimeWarnings and report no feasible combination
+    spec = EnumSpec(n_intervals=3, levels_per_control=5)
+    plan = {"omega": np.array([10.0, 10.0, 5.0, 5.0]), "v": np.tile([1.0, 0.0], (4, 1))}
+    plan[name][1, ...] = bad
+    seen = simulated_blocks(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        brute_lower(plan["omega"], plan["v"], 12.0, spec, S)
+    assert seen == []
 
 
 @pytest.mark.parametrize("name, omega, v", [
@@ -282,19 +299,28 @@ def test_brute_lower_does_not_depend_on_the_block_width(monkeypatch, s, seed, sp
 
 
 def test_brute_lower_simulates_each_block_of_the_effort_order_once(monkeypatch):
-    # the blocks simulated are the effort order's first ones, each once:
-    # the first block with a feasible pair gives the decision, and no tie
-    # sequence is run a second time
-    monkeypatch.setattr(oracle, "BLOCK_PAIRS", 20 * 5)
+    # the blocks simulated are the full stable effort order's first ones,
+    # each once: the first block with a feasible pair gives the decision, and
+    # no tie sequence is run a second time.  The order is built for its first
+    # k sequences, k one block at first and doubled as blocks run past it;
+    # on both instances the first feasible block lies past two doublings, and
+    # at some k the efforts tie across the cut, so only a stable sort of
+    # every effort at or below the k-th smallest gives these blocks
     spec = EnumSpec(n_intervals=3, levels_per_control=3, x_init_points=5)
-    omega, v = tie_instance(2, 1.0, 0.3)
     blocks = simulated_blocks(monkeypatch)
-    brute_lower(omega, v, 12.0, spec, SKEW)
-    order = np.argsort(naive_efforts(omega, spec, SKEW), kind="stable")
-    rows = _product_rows(15, 3)[order]
-    assert len(blocks) > 1
-    for k, block in enumerate(blocks):
-        assert np.array_equal(block, rows[20 * k:20 * (k + 1)])
+    for s, seed, width in ((SKEW, 2, 20), (S, 3, 5)):
+        monkeypatch.setattr(oracle, "BLOCK_PAIRS", width * 5)
+        omega, v = tie_instance(seed, 1.0, 0.3)
+        blocks.clear()
+        brute_lower(omega, v, 12.0, spec, s)
+        z = naive_efforts(omega, spec, s)
+        order = np.argsort(z, kind="stable")
+        rows = _product_rows(15, 3)[order]
+        assert len(blocks) > 4
+        for k, block in enumerate(blocks):
+            assert np.array_equal(block, rows[width * k:width * (k + 1)])
+        cuts = [width * 2 ** j for j in range(len(blocks).bit_length())]
+        assert any(z[order[k - 1]] == z[order[k]] for k in cuts)
 
 
 def test_a_block_of_one_sequence_rounds_as_a_wide_block():
