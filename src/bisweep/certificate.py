@@ -24,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from . import oracle, solver
-from .dynamics import cone_coefficient, drift, float_cone_coefficient, trapz_weights
+from .dynamics import drift, float_cone_coefficient, trapz_weights
 from .geometry import Scenario, dot_rows, project_ball_rows, project_out_normal, target_direction
 
 __all__ = [
@@ -63,30 +63,29 @@ def _refuse_negative(r, name: str):
         raise ValueError(f"{name} must be >= 0 (an effort multiplier): {r!r}")
 
 
-def _sigma(st, r: float, k, name: str = "r"):
+def _sigma(st, r: float, k):
     """Support value sigma, elementwise: with z = k*max(st, 0), z^2/(4r) up
     to the seam z = 2r and z - r beyond, or z itself for r = 0; r < 0 is
     refused (``_refuse_negative``)."""
-    _refuse_negative(r, name)
+    _refuse_negative(r, "r")
     z = k * np.maximum(st, 0.0)
     if r == 0.0:
         return z
     return np.where(z <= 2.0 * r, z * z / (4.0 * r), z - r)
 
 
-def _sigma_branches(st, r: float, k):
-    """Support value sigma of ``_sigma`` and its slope d(sigma)/d(sigma_tilde),
-    elementwise.
+def _sigma_slope(st, r: float, k):
+    """The slope d(sigma)/d(sigma_tilde) of ``_sigma``, elementwise.
 
-    With z = k*max(st, 0): the slope is k z/(2r) up to the seam z = 2r and k
-    beyond, so both vanish for st <= 0; for r = 0 the value is z itself and
-    the slope k where st > 0.
+    With z = k*max(st, 0): k z/(2r) up to the seam z = 2r and k beyond, so it
+    vanishes for st <= 0; for r = 0 it is k where st > 0.  r < 0 is refused
+    as by ``_sigma``.
     """
-    sig = _sigma(st, r, k)
-    z = k * np.maximum(st, 0.0)
+    _refuse_negative(r, "r")
     if r == 0.0:
-        return sig, np.where(st > 0.0, k, 0.0)
-    return sig, np.where(z <= 2.0 * r, k * z / (2.0 * r), k)
+        return np.where(st > 0.0, k, 0.0)
+    z = k * np.maximum(st, 0.0)
+    return np.where(z <= 2.0 * r, k * z / (2.0 * r), k)
 
 
 def _float_sigma(st: float, r, k: float, name: str = "r") -> float:
@@ -149,22 +148,20 @@ def sigma_value(y, x, q_L, nu_L, r, s: Scenario):
 
 
 def sigma_smooth_value(y, x, p_L, mu_L, lambda_bar, gamma: float, s: Scenario):
-    """Smoothed analog of ``sigma_value`` with gain c(gamma, x, y) <= M/R1,
-    the ramped cone coefficient of the smoothed field (gamma > M/R1,
-    lambda_bar >= 0).
-
-    The exponential decay of the gain replaces the contact gate; away from the
-    rim the value vanishes to machine precision.  One node is computed in
-    floats, the gain by ``cone_coefficient``'s one-offset float branch.
-    """
+    """Smoothed analog of ``sigma_value`` for one node only, in floats
+    (``_one_node``, ``_float_sigma``), with the banded cone coefficient
+    c(gamma, x, y) <= M/R1 of the smoothed field as gain (gamma > M/R1,
+    lambda_bar >= 0; ``dynamics.float_cone_coefficient``).  The gain's
+    exponential decay replaces the contact gate: away from the rim the value
+    vanishes to machine precision."""
     node = _one_node(y, x, p_L, mu_L, lambda_bar, s)
-    if node is not None:
-        st, sq = node
-        c = float_cone_coefficient(sq, s.smoothing_gain(gamma), s)
-        return _float_sigma(st, lambda_bar, c, "lambda_bar")
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    c = cone_coefficient(d, s.smoothing_gain(gamma), s)
-    return _node_value(_sigma(_sigma_tilde(p_L, mu_L, d, s), lambda_bar, c, "lambda_bar"))
+    if node is None:
+        got = ", ".join(f"{type(a).__name__} {np.shape(a)}" for a in (y, x, p_L, mu_L, lambda_bar))
+        raise ValueError(f"sigma_smooth_value takes one node: y, x and p_L of shape ({s.dim},), "
+                         f"mu_L and lambda_bar Python numbers; got {got}")
+    st, sq = node
+    c = float_cone_coefficient(sq, s.smoothing_gain(gamma), s)
+    return _float_sigma(st, lambda_bar, c, "lambda_bar")
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,7 @@ def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, s: Scenario):
     over leading batch axes of q_L (..., N+1, n) and nu_L (..., N+1)."""
     d = tr.x - tr.y
     f = drift(tr.x, cp.u, s)
-    _, slope = _sigma_branches(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
+    slope = _sigma_slope(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
     sq = np.where(_in_contact(d, s), slope, 0.0)[..., None] * q_L
     nu_L = nu_L[..., None]
     rhs_L = -nu_L * f + (q_L - nu_L * d) @ s.drift.matrix(s.dim) + nu_L * cp.v - sq

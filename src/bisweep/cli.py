@@ -104,14 +104,14 @@ def _load_profile(path, s: Scenario):
 
 
 def _write_trajectory_csv(path, tr, cp):
-    grid = tr.grid
+    u0 = cp.u0 if tr.u0_realized is None else tr.u0_realized   # the u0 that z integrates
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         wr.writerow(["tau", "t", "y1", "y2", "x1", "x2", "z",
                      "u1", "u2", "u0", "v1", "v2", "omega"])
-        for i in range(grid.n_nodes):
-            wr.writerow([grid.nodes[i], tr.t[i], *tr.y[i], *tr.x[i], tr.z[i],
-                         *cp.u[i], cp.u0[i], *cp.v[i], cp.omega[i]])
+        for i in range(tr.grid.n_nodes):
+            wr.writerow([tr.grid.nodes[i], tr.t[i], *tr.y[i], *tr.x[i], tr.z[i],
+                         *cp.u[i], u0[i], *cp.v[i], cp.omega[i]])
 
 
 def _write_json(out_dir, name, data) -> Path:
@@ -126,13 +126,7 @@ def _write_json(out_dir, name, data) -> Path:
 
 def _export_solution(out_dir, sol, s):
     out = _write_json(out_dir, "solution.json", {**sol.to_dict(), "scenario": s.to_dict()})
-    tr = sol.trajectory
-    _write_trajectory_csv(out / "trajectory.csv", tr, sol.decision.controls)
-    # data-only plot payloads (rendering left to the caller)
-    _write_json(out, "plot_data.json", {"tau": tr.grid.nodes.tolist(), "t": tr.t.tolist(),
-                                        "y": tr.y.tolist(), "x": tr.x.tolist(),
-                                        "z": tr.z.tolist(),
-                                        "omega": sol.decision.controls.omega.tolist()})
+    _write_trajectory_csv(out / "trajectory.csv", sol.trajectory, sol.decision.controls)
     return out
 
 

@@ -4,7 +4,7 @@ Two integration routes are provided and compared throughout the test suite:
 
 * ``integrate_smooth`` -- RK4 on the smoothed field, where the cone correction
   is ramped in by an exponential coefficient of the boundary gap, blended
-  smoothly into its cap M/R1 (``cone_coefficient``);
+  smoothly into its cap M/R1 (``_cone_terms``, in floats ``_float_cap``);
 * ``integrate_catchup`` -- Moreau-style time stepping: an explicit drift step
   followed by a projection move back toward the translated disk, truncated to
   the cone budget M * omega * dt per step, stepped in float arithmetic as
@@ -212,13 +212,20 @@ _BAND_3A, _BAND_8A, _BAND_NORM = 3.0 * CAP_BAND, 8.0 * CAP_BAND, 16.0 * CAP_BAND
 
 def _cone_terms(diff, gamma, s: Scenario):
     """The banded cone coefficient c at the offsets diff = x - y (..., n),
-    with l = ln(g/K) and l clipped to the band [-a, a]."""
+    with l = ln(g/K) and l clipped to the band [-a, a].
+
+    With e = gamma h_lower, g = gamma e^e, K = M/R1 and a = ``CAP_BAND``:
+    c = g for l = e + ln(gamma/K) <= -a, c = K for l >= a, and c = gamma
+    exp(e - psi(l)) between, psi(l) = (l + a)^3 (3a - l) / (16 a^3); psi's
+    first two derivatives meet those of 0 and of l at -a and a, so c is C^2
+    and c <= min(K, g).  A min with K takes off the roundoff by which the
+    blend can pass K just below l = a."""
     e = (0.5 * gamma) * (np.add.reduce(diff * diff, -1) - s.R1 ** 2)
     lr = e + np.log(gamma / s.cone_gain)
     lc = np.minimum(np.maximum(lr, -CAP_BAND), CAP_BAND)
     p = lc + CAP_BAND
-    # psi(l) = (l + a)^3 (3a - l) / (16 a^3) is 0 below the band; the
-    # exponent is capped at 50 above it, where c is K anyway
+    # psi(l) is 0 below the band; the exponent is capped at 50 above it,
+    # where c is K anyway
     ex = np.exp(np.minimum(e - p * p * p * (_BAND_3A - lc) / _BAND_NORM, 50.0))
     return np.where(lr < CAP_BAND, np.minimum(gamma * ex, s.cone_gain), s.cone_gain), lr, lc
 
@@ -236,33 +243,10 @@ def _float_cap(e, lr, gamma, cap):
     return cap if c > cap else c
 
 
-def cone_coefficient(diff, gamma, s: Scenario):
-    """Banded cone coefficient at the offsets diff = x - y (..., n); gamma is
-    a float or an array that broadcasts against the leading axes (one gain
-    per batch column).
-
-    With e = gamma h_lower, g = gamma e^e, K = M/R1, l = e + ln(gamma/K) =
-    ln(g/K) and a = ``CAP_BAND``: c = g for l <= -a, c = K for l >= a, and
-    c = gamma exp(e - psi(l)) between, with psi(l) = (l + a)^3 (3a - l) /
-    (16 a^3).  psi and its first two derivatives meet those of 0 and of l at
-    -a and a, so c is C^2 and c <= min(K, g); a min with K takes off the
-    roundoff by which the blend can pass K just below l = a.  One offset
-    with a float gain is computed in floats by ``float_cone_coefficient``,
-    which the certificate's one-node sigma also calls, and ``_float_cap``,
-    which ``_sweep_column`` also calls; ln(gamma/K) and the exponential are
-    NumPy's on both paths.
-    """
-    if diff.ndim == 1 and np.ndim(gamma) == 0:
-        sq = 0.0
-        for di in diff.tolist():
-            sq += di * di
-        return float_cone_coefficient(sq, gamma, s)
-    return _cone_terms(diff, gamma, s)[0]
-
-
 def float_cone_coefficient(sq, gamma, s: Scenario):
-    """``cone_coefficient`` of one offset with squared length sq, summed as
-    NumPy sums fewer than 8 squares, and a float gain."""
+    """``_cone_terms``' coefficient in floats for one offset with squared
+    length sq, summed as NumPy sums fewer than 8 squares, and a float gain;
+    the certificate's one-node smoothed sigma reads it."""
     e = 0.5 * gamma * (sq - s.R1 ** 2)
     return _float_cap(e, e + float(np.log(gamma / s.cone_gain)), gamma, s.cone_gain)
 
@@ -271,7 +255,7 @@ def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
     """Smoothed field times the time dilation w at RK4 stage points.
 
     k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the banded cone
-    coefficient c of ``cone_coefficient``; broadcasts over leading axes, gamma
+    coefficient c of ``_cone_terms``; broadcasts over leading axes, gamma
     included (a float or a (B,) array of per-column gains).  With
     ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
     dk/du0w), the matrices as (..., n, n) arrays.

@@ -451,17 +451,14 @@ def validate(s: Scenario) -> ValidationReport:
     checks.append(ValidationCheck("H4-inner-ball", h4_ok, f"delta={s.delta}, u_bound={s.u_bound}"))
     # H5: truncation window
     tb = truncation_bounds(s)
-    h5_ok = (s.M > 0) and (tb.m_bar < s.M < tb.M_bar)
+    h5_ok = 0 < s.M < tb.M_bar
     detail = f"m_bar={tb.m_bar:.6g} < M={s.M:.6g} < M_bar={tb.M_bar:.6g}"
     if s.M <= 0:
         detail = f"M={s.M:.6g} must be positive"
     elif s.M >= tb.M_bar:
         detail += " violated: strong invariance, bilevel collapses"
-    elif s.M <= tb.m_bar:
-        detail += " violated: lower-level feasibility may be lost"
     if not tb.window_nonempty:
         detail += " (window empty: degenerate control sets)"
-        h5_ok = False
     checks.append(ValidationCheck("H5-truncation-window", bool(h5_ok), detail))
     # geometric containment: Scenario refuses a y0 whose small disk leaves Q
     checks.append(ValidationCheck("geometry-containment", True, "by construction: Q1 + y0 inside Q"))

@@ -158,8 +158,8 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
 
     The model is an independent Euler one: its cone coefficient keeps the
     min cap min(M/R1, gamma exp(gamma h_lower)) (``_max_h_lower``), not the
-    banded cap of ``dynamics.cone_coefficient``, so the enumeration shares
-    no formula with the solver's field."""
+    smoothed field's banded cap (``dynamics._cone_terms``), so the
+    enumeration shares no formula with the solver's field."""
     N = spec.n_intervals
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)

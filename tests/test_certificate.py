@@ -14,6 +14,8 @@ from bisweep.certificate import (
     RIM_ACTIVITY_TOL,
     GamkrelidzeMultipliers,
     _MultiplierModel,
+    _sigma,
+    _sigma_tilde,
     _worst,
     certify,
     extract_multipliers,
@@ -21,7 +23,7 @@ from bisweep.certificate import (
     sigma_smooth_value,
     sigma_value,
 )
-from bisweep.dynamics import CAP_BAND, cone_coefficient
+from bisweep.dynamics import CAP_BAND, _cone_terms
 from bisweep.geometry import DriftSpec, ExitArc, Scenario, straight_corridor
 from bisweep.oracle import sigma_sup_oracle
 from bisweep.solver import SolverOptions, solve_bilevel
@@ -35,6 +37,15 @@ X_RIM = np.array([1.0, 0.0])  # contact point: |x - y| = R1
 
 def sigma_tilde(q_L, nu_L):
     return nu_L * S.R1 ** 2 - float(np.dot(q_L, X_RIM - Y))
+
+
+def smooth_sigma_rows(y, x, p_L, mu_L, lambda_bar, gamma):
+    """The smoothed sigma of a batch of nodes (..., n) in NumPy, from the
+    parts the package still runs on node arrays: ``_sigma_tilde``,
+    ``_sigma`` and the banded coefficient ``_cone_terms`` of ``stage_slope``."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    c = _cone_terms(d, S.smoothing_gain(gamma), S)[0]
+    return _sigma(_sigma_tilde(p_L, np.asarray(mu_L, dtype=float), d, S), lambda_bar, c)
 
 
 # ---------------------------------------------------------------- sigma branches
@@ -169,7 +180,7 @@ def test_sigma_smooth_on_the_rim_is_the_cap_k_sup_oracle():
         x = y + S.R1 * np.array([np.cos(ang), np.sin(ang)])
         q, nu, lam = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 3.0), rng.uniform(1e-3, 3.0)
         gamma = rng.uniform(2.1 * K, 200.0)
-        assert cone_coefficient(x - y, gamma, S) == K
+        assert _cone_terms(x - y, gamma, S)[0] == K
         smooth = sigma_smooth_value(y, x, q, nu, lam, gamma, S)
         assert smooth == sigma_value(y, x, q, nu, lam, S)
         assert smooth == pytest.approx(sigma_sup_oracle(q, nu, lam, x, y, S, coeff=K), abs=1e-9)
@@ -223,7 +234,7 @@ def test_one_node_sigma_is_the_array_one_bitwise(monkeypatch):
 
     def rows(y, x, q, nu, r, gamma):
         return (sigma_value(y[None], x[None], q[None], np.array([nu]), r, S)[0],
-                sigma_smooth_value(y[None], x[None], q[None], np.array([nu]), r, gamma, S)[0])
+                smooth_sigma_rows(y[None], x[None], q[None], np.array([nu]), r, gamma)[0])
 
     batch = [rows(*node) for node in cases]
     assert sum(np.isnan(pair).any() for pair in batch) == 8
@@ -238,7 +249,9 @@ def test_one_node_sigma_is_the_array_one_bitwise(monkeypatch):
             sigma_value(*node, S) if name == "r" else sigma_smooth_value(*node, 24.0, S)
         return str(err.value)
 
-    refused = {(r, name): refusal(name, Y[None], X_RIM[None], Y[None], np.zeros(1), r)
+    # the NumPy form's messages; the smoothed sigma's one form names lambda_bar
+    refused = {(r, name): refusal("r", Y[None], X_RIM[None], Y[None], np.zeros(1), r)
+               .replace("r must", f"{name} must", 1)
                for r, name in ((-1.0, "r"), (-1e-3, "r"), (-1.0, "lambda_bar"))}
 
     def no_array_form(*args, **kwargs):
@@ -254,6 +267,23 @@ def test_one_node_sigma_is_the_array_one_bitwise(monkeypatch):
         assert message.startswith(f"{name} must be >= 0")
         for x in (X_RIM, 0.5 * X_RIM):   # refused off contact too, as by the NumPy form
             assert refusal(name, Y, x, Y, 0.0, r) == message
+
+
+def test_sigma_smooth_value_refuses_node_arrays():
+    # one node only: a batch, a row of one node and a nu array are refused,
+    # naming the shapes they came in
+    q = np.array([-1.0, 0.0])
+    calls = {"ndarray (3, 2), ndarray (3, 2), ndarray (3, 2), ndarray (3,), float ()":
+             (np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2)), np.zeros(3), 0.5),
+             "ndarray (1, 2), ndarray (1, 2), ndarray (1, 2), float (), float ()":
+             (Y[None], X_RIM[None], q[None], 0.0, 0.5),
+             "ndarray (2,), ndarray (2,), ndarray (2,), ndarray (1,), float ()":
+             (Y, X_RIM, q, np.zeros(1), 0.5)}
+    for shapes, node in calls.items():
+        with pytest.raises(ValueError, match="takes one node") as err:
+            sigma_smooth_value(*node, 24.0, S)
+        assert str(err.value).endswith(f"got {shapes}")
+    assert sigma_smooth_value(Y, X_RIM, q, 0.0, 0.5, 24.0, S) == K - 0.5   # z - r
 
 
 def test_sigma_smooth_value_rejects_gamma_at_or_below_cone_gain():
@@ -318,7 +348,7 @@ def test_node_batches_equal_per_node_calls():
     r = 0.3
     gamma = 4.0  # above M/R1 = 1.5, so the gain is well below the cap inside the disk
     sig = sigma_value(y, x, q_L, nu_L, r, S)
-    smo = sigma_smooth_value(y, x, q_L, nu_L, r, gamma, S)
+    smo = smooth_sigma_rows(y, x, q_L, nu_L, r, gamma)
     ham = hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, S)
     sig_i = [sigma_value(y[i], x[i], q_L[i], nu_L[i], r, S) for i in range(n)]
     smo_i = [sigma_smooth_value(y[i], x[i], q_L[i], nu_L[i], r, gamma, S) for i in range(n)]

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import csv
 import json
 import os
 import subprocess
@@ -303,6 +304,31 @@ def test_simulate_zero_controls_constant_trajectory(tmp_path):
     assert feas["max_h_lower"] <= 1e-9
 
 
+def test_simulate_catchup_writes_the_activation_it_used(tmp_path):
+    # a still plan whose drift pushes the swept point from the disk center
+    # onto the rim at node 5; catching-up never reads the profile's u0, so x
+    # and z are the same for u0 = 1 and u0 = 0, and trajectory.csv's u0 is
+    # the realized activation that z integrates: 0 off the rim, 2/3 on it
+    cols = {}
+    for u0 in (1.0, 0.0):
+        run = tmp_path / f"u0-{u0:g}"
+        run.mkdir()
+        prof = write_profile(run, u=(1.0, 0.0), u0=u0, omega=2.0)
+        assert main(["simulate", "--profile", str(prof), "--out", str(run)]) == EXIT_OK
+        with open(run / "trajectory.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        cols[u0] = {key: np.array([float(row[key]) for row in rows]) for key in rows[0]}
+    for key in ("x1", "x2", "z", "u0"):
+        assert np.array_equal(cols[1.0][key], cols[0.0][key]), key
+    c = cols[1.0]
+    assert np.all(c["u0"][:5] == 0.0) and c["u0"][-1] == 0.0
+    assert np.allclose(c["u0"][5:-1], 2.0 / 3.0, rtol=0.0, atol=1e-12)
+    # z is the running trapezoid of (|u|^2 + u0^2) omega over tau, dt = 1/10
+    effort = (c["u1"] ** 2 + c["u2"] ** 2 + c["u0"] ** 2) * c["omega"]
+    z = np.concatenate([[0.0], np.cumsum(0.05 * (effort[1:] + effort[:-1]))])
+    assert np.allclose(c["z"], z, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("gamma", [-5.0, 0.0, 1.5])  # M/R1 = 1.5 on the corridor
 def test_simulate_refuses_a_profile_gamma_at_or_below_cone_gain(tmp_path, capsys, gamma):
     # below M/R1 the ramped cone term no longer holds the point in the disk
@@ -393,7 +419,6 @@ def test_solve_tiny_budget_writes_outputs(tmp_path):
     # one history record per gamma, doubling from 2 M/R1 up to --gamma-max
     assert [h["gamma"] for h in sol["history"]] == [3.0, 6.0, 12.0]
     assert (out / "trajectory.csv").exists()
-    assert (out / "plot_data.json").exists()
 
 
 def test_solve_deterministic_byte_identical(tmp_path):
@@ -453,7 +478,7 @@ def test_solve_on_a_short_lower_budget_names_the_gamma_and_exits_3(tmp_path, cap
     sol = json.loads((out / "solution.json").read_text())
     assert sol["status"]["lower_converged"] is False
     assert [h["converged"] for h in sol["history"]] == [False, True, True]
-    assert (out / "trajectory.csv").exists() and (out / "plot_data.json").exists()
+    assert (out / "trajectory.csv").exists()
     err = capsys.readouterr().err
     assert "the lower solve at gamma = 3 stopped with SLSQP exit status 9" in err
     assert "kkt_residual" in err and "max_violation" in err

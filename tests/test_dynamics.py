@@ -13,10 +13,11 @@ from bisweep.dynamics import (
     FeasibilityLossWarning,
     SmoothingSchedule,
     TimeGrid,
-    cone_coefficient,
+    _cone_terms,
     convergence_study,
     drift,
     feasibility_monitor,
+    float_cone_coefficient,
     integrate_catchup,
     integrate_smooth,
     plan_nodes,
@@ -72,12 +73,12 @@ def test_drift_respects_magnitude_bound():
 # ---------------------------------------------------------------- smoothing
 def test_cone_coefficient_capped_on_boundary():
     # on the rim (x - y = (1, 0)) the ramp gamma e^0 = 10 is capped at M/R1
-    assert cone_coefficient(np.array([1.0, 0.0]), 10.0, S) == pytest.approx(1.5)
+    assert _cone_terms(np.array([1.0, 0.0]), 10.0, S)[0] == pytest.approx(1.5)
 
 
 def test_cone_coefficient_interior_decay():
     # at x = y, h_lower = (0 - 1)/2 = -1/2, so c = gamma e^{-gamma/2}
-    val = cone_coefficient(np.array([0.0, 0.0]), 10.0, S)
+    val = _cone_terms(np.array([0.0, 0.0]), 10.0, S)[0]
     assert val == pytest.approx(10.0 * math.exp(-5.0), rel=1e-12)
 
 
@@ -85,7 +86,7 @@ def _band_offsets(gamma, seed=0, n=300):
     """Offsets d = x - y in seeded directions at which l = ln(g/K), g =
     gamma e^(gamma h_lower), runs over [-2a, 2a] and lies within 1e-6 of
     each seam -a and a, a = CAP_BAND; with e = gamma h_lower and l as
-    ``cone_coefficient`` rounds them."""
+    ``_cone_terms`` rounds them."""
     rng = np.random.default_rng(seed)
     a = CAP_BAND
     ell = np.concatenate([rng.uniform(-2 * a, 2 * a, n), [-a, a],
@@ -102,7 +103,7 @@ def test_cone_coefficient_is_g_below_the_band_and_k_above_it(gamma):
     # bitwise gamma e^e for l <= -a and M/R1 for l >= a; between, the blend
     # stays at or below both
     d, e, ell = _band_offsets(gamma)
-    c, g = cone_coefficient(d, gamma, S), gamma * np.exp(e)
+    c, g = _cone_terms(d, gamma, S)[0], gamma * np.exp(e)
     below, above = ell <= -CAP_BAND, ell >= CAP_BAND
     assert below.any() and above.any() and (~below & ~above).any()
     assert np.array_equal(c[below], g[below])
@@ -112,14 +113,21 @@ def test_cone_coefficient_is_g_below_the_band_and_k_above_it(gamma):
 
 @pytest.mark.parametrize("gamma", [3.0, 12.0, 96.0, 200.0])
 def test_one_offset_cone_coefficient_is_the_array_one_bitwise(gamma):
-    # the float branch for one offset, across both seams of the band
+    # the float form for one offset, across both seams of the band: it shares
+    # _float_cap with _sweep_column, the forward whose exact reverse,
+    # reverse_smooth, reads _cone_terms, so the two must agree bitwise
     d, _, ell = _band_offsets(gamma)
     for seam in (-CAP_BAND, CAP_BAND):
         assert (np.abs(ell - seam) <= 1e-6).sum() >= 100
         assert (ell < seam).any() and (ell > seam).any()
-    ones = [cone_coefficient(row, gamma, S) for row in d]
+    ones = []
+    for row in d.tolist():
+        sq = 0.0   # summed in turn from +0.0, as NumPy sums fewer than 8 squares
+        for di in row:
+            sq += di * di
+        ones.append(float_cone_coefficient(sq, gamma, S))
     assert all(type(c) is float for c in ones)
-    assert np.array_equal(ones, cone_coefficient(d, gamma, S))
+    assert np.array_equal(ones, _cone_terms(d, gamma, S)[0])
 
 
 @pytest.mark.parametrize("where", ["band", "lower-seam", "upper-seam"])

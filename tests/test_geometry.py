@@ -168,6 +168,16 @@ def test_validate_refuses_a_level_above_the_exact_window():
     assert [c.name for c in validate(s).failures()] == ["H5-truncation-window"]
 
 
+def test_validate_refuses_an_empty_window():
+    # zero control balls under identity drift give M_bar = m_bar = 0, so no
+    # level M > 0 lies inside the window
+    checks = {c.name: c for c in validate(Scenario(u_bound=0.0, v_bound=0.0)).checks}
+    h5 = checks["H5-truncation-window"]
+    assert not h5.passed
+    assert h5.detail == ("m_bar=0 < M=1.5 < M_bar=0 violated: strong invariance, bilevel "
+                         "collapses (window empty: degenerate control sets)")
+
+
 # ---------------------------------------------------------------- exit target
 def test_target_distance_on_target_curve():
     # nearest target point for the default corridor is (9, 0)

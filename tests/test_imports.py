@@ -1,21 +1,59 @@
-"""Every module-level import in the package is used or re-exported, every
-function, method and private module-level class of the package is referenced
-somewhere in src/ or bench/ (a call from a test, a re-export in
-``__init__.py`` and an attribute of a module from outside the package, such
-as ``np.zeros``, are no references), every dataclass field of the package
-is read as an attribute somewhere in src/, tests/ or bench/, every defaulted
-parameter is passed by some call there, every name the package re-exports
-is listed in, and defined by, its module's ``__all__``, no module but
-``dynamics`` reads the RK4 scheme's internals, and no module imports or
-reads another module's underscore name."""
+"""Every module-level import in the package is used or re-exported; every
+function, method and private module-level class of the package is
+referenced, every dataclass field read, every defaulted parameter passed and
+every module-level constant read somewhere in src/ or bench/, where a test
+module, an ``__init__.py`` and an attribute of a module from outside the
+package, such as ``np.zeros``, count for nothing (``ALLOWED_FIELDS`` and
+``ALLOWED_PARAMETERS`` name the few reached another way); every name the
+package re-exports is listed in, and defined by, its module's ``__all__``;
+no module but ``dynamics`` reads the RK4 scheme's internals; and no module
+imports or reads another module's underscore name."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bisweep"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bisweep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the source set of the four reach scans: src/ and bench/, read through ``live``
+SOURCES = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+           for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")}
+DEFINING = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+
+# What the field and parameter scans report that is reached from outside the
+# source set.  Each entry must still be reported, so deleting its subject
+# fails the test too.
+ALLOWED_FIELDS = {
+    # ``asdict`` writes every field of the report to feasibility.json
+    "ViolationReport.node_h_lower",
+    "ViolationReport.node_h_upper",
+}
+ALLOWED_PARAMETERS = {
+    # the ``bisweep`` console script calls main() with no arguments
+    "main(argv)",
+    # the fixed-candidate evaluation the README documents; the MUTATIONS
+    # tests of test_certificate.py pass their candidates through it
+    "certify(multipliers)",
+}
+
+
+def live(referencing: dict) -> dict:
+    """The modules of ``referencing`` whose references count: not a test
+    module (``test_*`` or ``conftest``), which is no caller or reader, and
+    not an ``__init__``, whose imports from the package are re-exports."""
+    return {module: source for module, source in referencing.items()
+            if not (Path(module).stem.startswith("test_")
+                    or Path(module).stem in ("conftest", "__init__"))}
+
+
+def unallowed(found: list, allowed: set) -> list:
+    """The labels of ``found`` that ``allowed`` does not name, and the
+    entries of ``allowed`` that ``found`` does not report."""
+    labels = {entry.rsplit(" (", 1)[0]: entry for entry in found}
+    return sorted([entry for label, entry in labels.items() if label not in allowed]
+                  + [f"{label} (allowed, not reported)" for label in allowed - set(labels)])
 
 
 def module_all(tree) -> list:
@@ -86,10 +124,9 @@ def of_outside_module(attr: ast.Attribute, outside: set) -> bool:
 def dead_definitions(defining: dict, referencing: dict) -> list:
     """Functions and methods (dunders excepted) and private module-level
     classes defined in ``defining`` that no module in ``referencing``
-    references by name, by attribute or by import from the package.  A test
-    module (``test_*`` or ``conftest``) is no caller, an ``__init__``'s
-    imports from the package are re-exports, not uses, and an attribute of a
-    module from outside the package does not count."""
+    references by name, by attribute or by import from the package (``live``
+    modules only).  An attribute of a module from outside the package does
+    not count."""
     internal = {"bisweep"} | {Path(m).stem for m in defining}
     defined = {}
     for module, source in defining.items():
@@ -107,10 +144,7 @@ def dead_definitions(defining: dict, referencing: dict) -> list:
                 label = f"{owner}.{node.name}" if owner else node.name
                 defined[label] = (node.name, f"{module}:{node.lineno}")
     used = set()
-    for module, source in referencing.items():
-        stem = Path(module).stem
-        if stem.startswith("test_") or stem == "conftest":
-            continue
+    for source in live(referencing).values():
         tree = ast.parse(source)
         outside = outside_names(tree, internal)
         for node in ast.walk(tree):
@@ -118,7 +152,7 @@ def dead_definitions(defining: dict, referencing: dict) -> list:
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and not of_outside_module(node, outside):
                 used.add(node.attr)
-            elif (isinstance(node, ast.ImportFrom) and stem != "__init__"
+            elif (isinstance(node, ast.ImportFrom)
                   and (node.level > 0 or node.module.split(".")[0] in internal)):
                 used.update(a.name for a in node.names)
     return sorted(f"{label} ({where})" for label, (name, where) in defined.items()
@@ -168,11 +202,13 @@ def test_dead_definition_scanner_flags_unreferenced_functions_and_methods():
 
 
 def test_no_dead_functions_methods_or_private_classes():
-    root = PACKAGE.parent.parent
-    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
-                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
-    assert dead_definitions(package, referencing) == []
+    assert dead_definitions(DEFINING, SOURCES) == []
+
+
+def test_allowlist_check_flags_new_reports_and_stale_entries():
+    assert unallowed(["main(argv) (cli.py:9)", "f(x) (a.py:1)"], {"main(argv)", "gone"}) == [
+        "f(x) (a.py:1)", "gone (allowed, not reported)"]
+    assert unallowed(["main(argv) (cli.py:9)"], {"main(argv)"}) == []
 
 
 def export_mismatches(init_source: str, modules: dict) -> list:
@@ -223,10 +259,11 @@ def test_reexports_are_listed_in_and_defined_by_their_module():
 
 
 def dead_fields(defining: dict, referencing: dict) -> list:
-    """Fields of the dataclasses defined in ``defining`` whose name no module
-    in ``referencing`` reads as an attribute (``obj.field`` in load context,
-    or ``getattr(obj, "field")`` with a literal name).  A store is no read,
-    and neither is an attribute of a module from outside the package."""
+    """Fields of the dataclasses defined in ``defining`` whose name no
+    ``live`` module in ``referencing`` reads as an attribute (``obj.field``
+    in load context, or ``getattr(obj, "field")`` with a literal name).  A
+    store is no read, and neither is an attribute of a module from outside
+    the package."""
     internal = {"bisweep"} | {Path(m).stem for m in defining}
     fields = {}
     for module, source in defining.items():
@@ -237,7 +274,7 @@ def dead_fields(defining: dict, referencing: dict) -> list:
                         fields[f"{cls.name}.{node.target.id}"] = (node.target.id,
                                                                  f"{module}:{node.lineno}")
     read = set()
-    for source in referencing.values():
+    for source in live(referencing).values():
         tree = ast.parse(source)
         outside = outside_names(tree, internal)
         for node in ast.walk(tree):
@@ -270,6 +307,7 @@ def test_dead_field_scanner_flags_fields_nothing_reads():
               "    shape: tuple\n"
               "    by_name: int = 0\n"
               "    stored: int = 0\n"
+              "    only_tested: int = 0\n"
               "    def ok(self):\n"
               "        return self.conditions\n"
               "@dataclasses.dataclass\n"
@@ -282,27 +320,28 @@ def test_dead_field_scanner_flags_fields_nothing_reads():
               "from a import Report\n"
               "def f(r, s):\n"
               "    r.stored = 1\n"
-              "    return np.shape, s.chunk.real, getattr(r, 'by_name')\n"),
-        "test_a": "def test(r):\n    assert r.values\n",
+              "    return np.shape, s.chunk.real, getattr(r, 'by_name'), r.values\n"),
+        # a test, a conftest and an __init__ read nothing
+        "tests/test_a.py": "def test(r):\n    assert r.only_tested\n",
+        "tests/conftest.py": "def fixture(r):\n    return r.only_tested\n",
+        "__init__": "def f(r):\n    return r.only_tested\n",
     }
     assert dead_fields({k: package[k] for k in ("a", "b")}, package) == [
-        "Report.shape (a:7)", "Report.stored (a:9)", "Spec.unread (a:15)"]
+        "Report.only_tested (a:10)", "Report.shape (a:7)", "Report.stored (a:9)",
+        "Spec.unread (a:16)"]
 
 
 def test_no_dead_dataclass_fields():
-    root = PACKAGE.parent.parent
-    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
-                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
-    assert dead_fields(package, referencing) == []
+    assert unallowed(dead_fields(DEFINING, SOURCES), ALLOWED_FIELDS) == []
 
 
 def dead_parameters(defining: dict, referencing: dict) -> list:
     """Parameters with a default, of the functions and methods defined in
-    ``defining``, that no call in ``referencing`` passes: by keyword, by
-    enough positional arguments, or by ``*args``/``**kwargs``.  A call is
-    matched by the called name (``Cls(...)`` for ``Cls.__init__``); a leading
-    ``self``/``cls`` parameter is not counted among the positional ones."""
+    ``defining``, that no call in a ``live`` module of ``referencing``
+    passes: by keyword, by enough positional arguments, or by
+    ``*args``/``**kwargs``.  A call is matched by the called name
+    (``Cls(...)`` for ``Cls.__init__``); a leading ``self``/``cls`` parameter
+    is not counted among the positional ones."""
     params = {}
     for module, source in defining.items():
         tree = ast.parse(source)
@@ -326,7 +365,7 @@ def dead_parameters(defining: dict, referencing: dict) -> list:
                     params[f"{label}({arg.arg})"] = (called, arg.arg, None, True,
                                                      f"{module}:{node.lineno}")
     calls = {}
-    for source in referencing.values():
+    for source in live(referencing).values():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -366,24 +405,24 @@ def test_dead_parameter_scanner_flags_defaults_no_call_passes():
                    "h(**opts)\n"
                    "only(a=1)\n"
                    "a.Model(1e-6).fit(x, 5)\n"
-                   "Model.build(4)\n")}
+                   "Model.build(4)\n"),
+             # a test, a conftest and an __init__ call nothing
+             "tests/test_a.py": "f(0, 1, 2, 3, kw_dead=5)\n",
+             "tests/conftest.py": "Model(dead=1)\n",
+             "__init__": "inner(flag=True)\n"}
     assert dead_parameters(package, {**package, **calls}) == [
         "Model.__init__(dead) (a:6)", "Model.fit(spare) (a:7)", "f(kw_dead) (a:1)",
         "f(never) (a:1)", "inner(flag) (a:11)", "only(a) (a:4)"]
 
 
 def test_no_dead_parameters():
-    root = PACKAGE.parent.parent
-    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
-                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
-    assert dead_parameters(package, referencing) == []
+    assert unallowed(dead_parameters(DEFINING, SOURCES), ALLOWED_PARAMETERS) == []
 
 
 def dead_constants(defining: dict, referencing: dict) -> list:
     """Module-level UPPER_CASE constants assigned in ``defining`` whose name
-    no module in ``referencing`` reads, by name or as an attribute, in load
-    context.  An assignment or an import is no read, and neither is an
+    no ``live`` module in ``referencing`` reads, by name or as an attribute,
+    in load context.  An assignment or an import is no read, and neither is an
     attribute of a module from outside the package."""
     internal = {"bisweep"} | {Path(m).stem for m in defining}
     constants = {}
@@ -396,7 +435,7 @@ def dead_constants(defining: dict, referencing: dict) -> list:
                     if isinstance(name, ast.Name) and name.id.lstrip("_").isupper():
                         constants[name.id] = f"{module}:{node.lineno}"
     read = set()
-    for source in referencing.values():
+    for source in live(referencing).values():
         tree = ast.parse(source)
         outside = outside_names(tree, internal)
         for node in ast.walk(tree):
@@ -427,17 +466,17 @@ def test_dead_constant_scanner_flags_constants_nothing_reads():
               "from a import ONLY_IMPORTED\n"
               "a.STORED = 8\n"
               "x = a.BY_ATTR + _HI\n"),
+        # a test, a conftest and an __init__ read nothing
+        "tests/test_a.py": "import a\nassert a.DEAD\n",
+        "tests/conftest.py": "from a import LO\nx = LO\n",
+        "__init__": "from .a import PI\nx = PI\n",
     }
     assert dead_constants({"a": package["a"]}, package) == [
         "DEAD (a:3)", "LO (a:8)", "ONLY_IMPORTED (a:5)", "PI (a:7)", "STORED (a:6)"]
 
 
 def test_no_dead_module_constants():
-    root = PACKAGE.parent.parent
-    package = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    referencing = {str(p.relative_to(root)): p.read_text(encoding="utf-8")
-                   for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")}
-    assert dead_constants(package, referencing) == []
+    assert dead_constants(DEFINING, SOURCES) == []
 
 
 # the RK4 scheme and its reverses live in dynamics; no other module rebuilds them
