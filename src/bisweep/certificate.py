@@ -102,21 +102,18 @@ def _float_sigma(st: float, r, k: float, name: str = "r") -> float:
 
 def _one_node(y, x, q_L, nu_L, r, s: Scenario):
     """(sigma_tilde, |x - y|^2) in floats for one node: y, x and q_L of shape
-    (dim,), nu_L and r Python numbers; None for anything else.
+    (2,) (``Scenario.dim``), nu_L and r Python numbers; None for anything else.
 
     Each is rounded as ``_sigma_tilde`` and ``_in_contact`` round it: NumPy's
     sum of dim < 8 products starts from +0.0 and adds them in turn."""
     if not (isinstance(nu_L, (int, float)) and isinstance(r, (int, float))):
         return None
-    y, x, q = (np.asarray(a, dtype=float) for a in (y, x, q_L))
-    if not y.shape == x.shape == q.shape == (s.dim,):
+    y, x, q = np.asarray(y, dtype=float), np.asarray(x, dtype=float), np.asarray(q_L, dtype=float)
+    if not (y.ndim == x.ndim == q.ndim == 1 and y.size == x.size == q.size == 2):
         return None
-    dot = sq = 0.0
-    for yi, xi, qi in zip(y.tolist(), x.tolist(), q.tolist()):
-        di = xi - yi
-        dot += qi * di
-        sq += di * di
-    return float(nu_L) * s.R1 ** 2 - dot, sq
+    (y0, y1), (x0, x1), (q0, q1) = y.tolist(), x.tolist(), q.tolist()
+    d0, d1 = x0 - y0, x1 - y1
+    return float(nu_L) * s.R1 ** 2 - (0.0 + q0 * d0 + q1 * d1), 0.0 + d0 * d0 + d1 * d1
 
 
 def _in_contact(d, s: Scenario):

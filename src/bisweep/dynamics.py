@@ -83,7 +83,7 @@ class TimeGrid:
 
 def running_trapezoid(a, dt: float) -> np.ndarray:
     """Trapezoidal integral of the node values a (N+1, ...) from node 0 to
-    each node: the clock t and the effort z of both integrators."""
+    each node: the clock t of both integrators and RK4's effort z."""
     return np.concatenate([np.zeros((1,) + a.shape[1:]),
                            np.cumsum(0.5 * (a[1:] + a[:-1]) * dt, axis=0)])
 
@@ -570,7 +570,9 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
     system's own (``plan_nodes``).
 
     The per-step correction toward the disk is capped at M * omega_i * dt; the
-    implied cone activation is recorded in ``u0_realized``.  If a step needed
+    implied cone activation is recorded in ``u0_realized`` (its last node,
+    which starts no step, reads 0), and the effort z sums what each step
+    applied, (|u_i|^2 + u0_realized[i]^2) omega_i dt.  If a step needed
     more than the budget, a FeasibilityLossWarning names the first violating
     node, the needed correction and the budget (unless ``warn`` is False).
 
@@ -629,9 +631,11 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
             FeasibilityLossWarning,
         )
     u0_real = np.array(u0_real + [0.0])
+    # the effort of each step as it was applied, z_{i+1} = z_i + e_i dt, with
+    # e_i = (|u_i|^2 + u0_realized[i]^2) omega_i over interval i
     effort = (np.sum(cp.u * cp.u, axis=1) + u0_real ** 2) * cp.omega
-    return StateTrajectory(grid, y, np.array(xs), running_trapezoid(effort, dt), t,
-                           u0_realized=u0_real)
+    z = np.concatenate([[0.0], np.cumsum(effort[:-1] * dt)])
+    return StateTrajectory(grid, y, np.array(xs), z, t, u0_realized=u0_real)
 
 
 @dataclass(frozen=True)

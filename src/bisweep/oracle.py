@@ -154,7 +154,10 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
     one ``EnumSpec``'s tie rule picks.  The order is built lazily: only the
     first k sequences of it (``_stable_head``), k one block at first and
     doubled whenever a block runs past it, so its blocks are the full
-    stable order's, bitwise.  omega and v must be finite.
+    stable order's, bitwise.  The efforts are one table over the
+    (per_node,)*N grid of sequences, summed by broadcasting, and a block's
+    uint8 sequence rows are formed from its flat indices only when it is
+    simulated.  omega and v must be finite.
 
     The model is an independent Euler one: its cone coefficient keeps the
     min cap min(M/R1, gamma exp(gamma h_lower)) (``_max_h_lower``), not the
@@ -198,16 +201,22 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
 
     # each node combination's effort before the dilation, once; each
     # sequence's trapezoidal effort is summed one interval at a time, as a
-    # sum over the interval axis rounds
+    # sum over the interval axis rounds: interval i's term reads the
+    # sequence's indices i and min(i + 1, N - 1), so it is a table over
+    # those axes of the (per_node,)*N grid, broadcast onto it, and the grid
+    # ravels in ``itertools.product`` order
     base = np.sum(u_node * u_node, axis=1) + u0_node ** 2
-    seqs = _product_rows(per_node, N)   # (C, N)
-    prev = base[seqs[:, 0]] * omega[0]
+    grid = (per_node,) * N
     z = None
     for i in range(N):
-        cur = base[seqs[:, min(i + 1, N - 1)]] * omega[i + 1]
-        term = 0.5 * (cur + prev) * dt
+        prev = base * omega[i]
+        if i < N - 1:
+            term = 0.5 * ((base * omega[i + 1])[None, :] + prev[:, None]) * dt
+            term = term.reshape((1,) * i + (per_node, per_node) + (1,) * (N - i - 2))
+        else:
+            term = (0.5 * (base * omega[i + 1] + prev) * dt).reshape((1,) * i + (per_node,))
         z = term if z is None else z + term
-        prev = cur
+    z = z.ravel()
 
     step = max(1, BLOCK_PAIRS // len(x_grid))   # sequences per block
     order = _stable_head(z, step)
@@ -218,11 +227,12 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
                 k *= 2
             order = _stable_head(z, k)
         block = order[start:start + step]
-        feas = _max_h_lower(seqs[block], x_grid, y, u_node, u0_node, omega, gamma, s) <= spec.feas_tol
+        rows = np.stack(np.unravel_index(block, grid), axis=1).astype(np.uint8)
+        feas = _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s) <= spec.feas_tol
         hit = feas.any(axis=0)
         if hit.any():
             j = np.argmax(hit)
-            idx = _interval_to_nodes(seqs[block[j]])
+            idx = _interval_to_nodes(rows[j])
             x_init = x_grid[np.argmax(feas[:, j])].copy()
             return float(z[block[j]]), (x_init, u_node[idx], u0_node[idx])
     raise OracleInfeasibleError("no feasible (u, u0, x_init) combination")
@@ -336,14 +346,16 @@ def _sigma_window(lin: float, r) -> tuple:
     n = SIGMA_U0.size
     r = float(r)
     if r > 0.0 and math.isfinite(lin) and math.isfinite(r):
-        c = min(1.0, max(0.0, lin / r * 0.5))
+        c = lin / r * 0.5   # clipped to [0, 1] as min(1.0, max(0.0, c)) clips it
+        c = 0.0 if not c > 0.0 else 1.0 if c > 1.0 else c
         k = round(c * (n - 1))
-        off = float(SIGMA_U0[k]) - c
+        off = SIGMA_U0.item(k) - c
         bound = 2.0 ** -50 * (abs(lin) + r) + 2.0 ** -1072
         rho = math.sqrt(off * off + 2.0 * bound / r)
         if rho < 1.0:
-            return (max(0, math.floor((c - rho) * (n - 1)) - SIGMA_WINDOW_MARGIN),
-                    min(n, math.ceil((c + rho) * (n - 1)) + SIGMA_WINDOW_MARGIN + 1))
+            lo = math.floor((c - rho) * (n - 1)) - SIGMA_WINDOW_MARGIN
+            hi = math.ceil((c + rho) * (n - 1)) + SIGMA_WINDOW_MARGIN + 1
+            return (lo if lo > 0 else 0), (hi if hi < n else n)
     return 0, n
 
 
@@ -359,13 +371,14 @@ def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
     bound of one grid value, and three more on each side.  Every grid value
     outside it loses strictly, so the result is the whole grid's, bitwise.
 
-    The window is evaluated in float arithmetic, each value rounded as the
-    NumPy grid expression rounds it, and its first maximum (or first NaN) is
-    ``np.argmax``'s.  lin stays a NumPy dot product of two 2-vectors, as BLAS
-    may fuse its multiply-add.  Where the window is the whole grid (r <= 0,
-    lin or r not finite, or a bound that excludes nothing) that is a Python
-    loop over all 10,000 points: on a 2-core host about 0.8 ms a call,
-    against 5 us for a windowed one."""
+    The window is scanned once in float arithmetic (``_window_argmax``), each
+    value rounded as the NumPy grid expression rounds it: the scan keeps
+    ``np.argmax``'s first maximum, or stops at the first NaN, and keeps no
+    value list; the vertex triple is then evaluated directly.  lin stays a
+    NumPy dot product of two 2-vectors, as BLAS may fuse its multiply-add.
+    Where the window is the whole grid (r <= 0, lin or r not finite, or a
+    bound that excludes nothing) the scan runs over all 10,000 points: on a
+    2-core host about 0.6 ms a call, against 4.6 us for a windowed one."""
     q0, q1 = np.asarray(qL, dtype=float).tolist()
     x0, x1 = np.asarray(x, dtype=float).tolist()
     y0, y1 = np.asarray(y, dtype=float).tolist()
@@ -374,32 +387,38 @@ def sigma_sup_oracle(qL, nuL: float, r: float, x, y, s: Scenario,
     lin = float(np.dot((q0 - nu * d0, q1 - nu * d1), (a * d0, a * d1)))
     r = float(r)
     lo, hi = _sigma_window(lin, r)
-    u0 = SIGMA_U0[lo:hi].tolist()
-    vals = [lin * u - r * sq for u, sq in zip(u0, SIGMA_U0_SQ[lo:hi].tolist())]
-    j = _first_argmax(vals)
-    best = vals[j]
+    u0, sq = SIGMA_U0[lo:hi].tolist(), SIGMA_U0_SQ[lo:hi].tolist()
+    j, best = _window_argmax(lin, r, u0, sq)
     # parabolic vertex through an adjacent triple, then evaluate there; the
     # objective is a concave quadratic, so the vertex is exact even when the
     # grid argmax sits at an endpoint.  The window's margin holds the triple.
     jc = min(max(lo + j, 1), SIGMA_U0.size - 2) - lo
-    denom = vals[jc - 1] - 2 * vals[jc] + vals[jc + 1]
+    left = lin * u0[jc - 1] - r * sq[jc - 1]
+    mid = lin * u0[jc] - r * sq[jc]
+    right = lin * u0[jc + 1] - r * sq[jc + 1]
+    denom = left - 2 * mid + right
     if abs(denom) > 1e-300:
-        ustar = u0[jc] + 0.5 * SIGMA_STEP * (vals[jc - 1] - vals[jc + 1]) / denom
+        ustar = u0[jc] + 0.5 * SIGMA_STEP * (left - right) / denom
         ustar = min(1.0, max(0.0, ustar))
         best = max(best, lin * ustar - r * ustar ** 2)
     return best
 
 
-def _first_argmax(vals) -> int:
-    """``np.argmax`` of a list of floats: the index of the first maximum, or
-    of the first NaN."""
-    j, best = 0, vals[0]
-    for i, v in enumerate(vals):
+def _window_argmax(lin: float, r: float, u0, sq) -> tuple:
+    """``np.argmax`` of the grid values lin u - r u^2 over the floats u0 and
+    their squares sq, each value rounded as the NumPy expression rounds it,
+    in one pass that keeps no value list: (the index of the first maximum,
+    or of the first NaN, and the value there)."""
+    j, best = 0, lin * u0[0] - r * sq[0]
+    if best != best:
+        return 0, best
+    for i in range(1, len(u0)):
+        v = lin * u0[i] - r * sq[i]
         if v > best:
             j, best = i, v
         elif v != v:
-            return i
-    return j
+            return i, v
+    return j, best
 
 
 def fd_check(fn: Callable[[np.ndarray], float], grad: np.ndarray, point: np.ndarray,

@@ -269,6 +269,44 @@ def test_one_node_sigma_is_the_array_one_bitwise(monkeypatch):
             assert refusal(name, Y, x, Y, 0.0, r) == message
 
 
+def test_one_node_sigma_takes_lists_tuples_and_int_and_float32_arrays(monkeypatch):
+    # y, x and q_L given as lists, tuples, int arrays or float32 arrays are
+    # one node too: each gives, as a float, the value of the float64 arrays
+    # they convert to, which is the NumPy one-row batch's, bitwise
+    rng = np.random.default_rng(3)
+    forms = {"list": lambda a: a.tolist(), "tuple": lambda a: tuple(a.tolist()),
+             "int": lambda a: a.astype(np.int64), "float32": lambda a: a.astype(np.float32)}
+    cases = []
+    for k, (y, x, q, nu, r, gamma) in enumerate(one_node_cases()[:400:10]):
+        # integer nodes: on the rim, inside it, at its center and outside it
+        y_int = rng.integers(-3, 4, 2)
+        x_int, q_int = y_int + [(1, 0), (0, -1), (0, 0), (1, 1)][k % 4], rng.integers(-3, 4, 2)
+        for name, form in forms.items():
+            node = (y_int, x_int, q_int) if name == "int" else (y, x, q)
+            cases.append((name, tuple(form(a) for a in node), float(nu), float(r), gamma))
+    assert {name for name, *_ in cases} == set(forms)
+
+    def f64(node):
+        return tuple(np.asarray(a, dtype=np.float64) for a in node)
+
+    want = []
+    for _, node, nu, r, gamma in cases:
+        y, x, q = f64(node)
+        want.append((sigma_value(y[None], x[None], q[None], np.array([nu]), r, S)[0],
+                     smooth_sigma_rows(y[None], x[None], q[None], np.array([nu]), r, gamma)[0]))
+
+    def no_array_form(*args, **kwargs):
+        raise AssertionError("a one-node call reached the NumPy form")
+
+    monkeypatch.setattr(certificate, "_sigma", no_array_form)
+    for (name, node, nu, r, gamma), pair in zip(cases, want):
+        got = (sigma_value(*node, nu, r, S), sigma_smooth_value(*node, nu, r, gamma, S))
+        same = (sigma_value(*f64(node), nu, r, S), sigma_smooth_value(*f64(node), nu, r, gamma, S))
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(same).tobytes() == np.array(pair).tobytes(), (
+            name, node, nu, r, gamma)
+
+
 def test_sigma_smooth_value_refuses_node_arrays():
     # one node only: a batch, a row of one node and a nu array are refused,
     # naming the shapes they came in

@@ -323,9 +323,9 @@ def test_simulate_catchup_writes_the_activation_it_used(tmp_path):
     c = cols[1.0]
     assert np.all(c["u0"][:5] == 0.0) and c["u0"][-1] == 0.0
     assert np.allclose(c["u0"][5:-1], 2.0 / 3.0, rtol=0.0, atol=1e-12)
-    # z is the running trapezoid of (|u|^2 + u0^2) omega over tau, dt = 1/10
+    # z sums each step's (|u|^2 + u0^2) omega dt as applied, dt = 1/10
     effort = (c["u1"] ** 2 + c["u2"] ** 2 + c["u0"] ** 2) * c["omega"]
-    z = np.concatenate([[0.0], np.cumsum(0.05 * (effort[1:] + effort[:-1]))])
+    z = np.concatenate([[0.0], np.cumsum(0.1 * effort[:-1])])
     assert np.allclose(c["z"], z, rtol=1e-12, atol=0.0)
 
 

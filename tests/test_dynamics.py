@@ -435,6 +435,23 @@ def test_catchup_records_activation_on_boundary_ride():
     assert np.median(tr.u0_realized[1:]) == pytest.approx(1.0 / 1.5, rel=0.05)
 
 
+def test_catchup_effort_integrates_each_applied_step_in_full():
+    # a still plan pushing outward from the rim: every step applies u0 = 2/3,
+    # and z sums (|u_i|^2 + u0_i^2) omega_i dt over the steps, the last one
+    # in full: 10 * (1 + 4/9) * 2 * 0.1 = 26/9, where the trapezoid of the
+    # node values, whose last node reads 0, gave 2.8444
+    n = 10
+    cp = profile(n, u=(1.0, 0.0), omega=2.0)
+    tr = integrate_catchup(cp, (1.0, 0.0), S)
+    assert np.allclose(tr.u0_realized[:-1], 2.0 / 3.0, rtol=0.0, atol=1e-12)
+    assert tr.u0_realized[-1] == 0.0
+    assert tr.z[-1] == pytest.approx(26.0 / 9.0, rel=0.0, abs=1e-12)
+    z = [0.0]
+    for i in range(n):
+        z.append(z[-1] + (1.0 + tr.u0_realized[i] ** 2) * 2.0 * cp.grid.dt)
+    assert np.allclose(tr.z, z, rtol=0.0, atol=1e-12)
+
+
 def test_catchup_warns_when_correction_budget_exceeded():
     s = straight_corridor(M=0.5, M1=1.0)
     n = 20

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -508,6 +509,80 @@ def test_brute_bilevel_breaks_ties_in_product_order_as_a_naive_enumeration(s, sp
         assert np.shape(dec[key]) == np.shape(ref_dec[key]) and np.array_equal(dec[key], ref_dec[key])
 
 
+def row_gather_efforts(omega, spec, s):
+    """Every control sequence's effort as a gather from the full table of
+    sequence rows, _product_rows(per_node, N), one interval at a time."""
+    N, L = spec.n_intervals, spec.levels_per_control
+    u_lv = np.linspace(-s.u_bound, s.u_bound, L)
+    combos = _product_rows(L, 3)
+    u_node = np.stack([u_lv[combos[:, 0]], u_lv[combos[:, 1]]], axis=1)
+    u0_node = np.linspace(0.0, 1.0, L)[combos[:, 2]]
+    ok = np.linalg.norm(u_node, axis=1) <= s.u_bound + 1e-12
+    u_node, u0_node = u_node[ok], u0_node[ok]
+    base = np.sum(u_node * u_node, axis=1) + u0_node ** 2
+    seqs = _product_rows(len(base), N)
+    dt = 1.0 / N
+    prev = base[seqs[:, 0]] * omega[0]
+    z = None
+    for i in range(N):
+        cur = base[seqs[:, min(i + 1, N - 1)]] * omega[i + 1]
+        term = 0.5 * (cur + prev) * dt
+        z = term if z is None else z + term
+        prev = cur
+    return z
+
+
+class _TableSeen(Exception):
+    pass
+
+
+@pytest.mark.parametrize("s", [S, A4], ids=["identity", "affine"])
+def test_broadcast_effort_table_is_the_row_gather_one_bytewise(monkeypatch, s):
+    # every (levels, intervals) pair within MAX_COMBINATIONS: the effort table
+    # brute_lower orders is the row gather's, byte for byte.  With 2 levels
+    # no corner lies in the control ball, so that table is empty
+    tables = []
+
+    def seen(z, k):
+        tables.append(z.copy())
+        raise _TableSeen
+    monkeypatch.setattr(oracle, "_stable_head", seen)
+    rng = np.random.default_rng(5)
+    sizes = []
+    for L in range(2, 6):
+        for N in range(2, 6):
+            spec = EnumSpec(n_intervals=N, levels_per_control=L)
+            omega = rng.uniform(0.5, 10.0, N + 1)
+            omega[rng.integers(N + 1)] = 0.0
+            v = np.tile([1.0, 0.0], (N + 1, 1))
+            tables.clear()
+            try:
+                brute_lower(omega, v, 12.0, spec, s)
+            except _TableSeen:
+                pass
+            except ValueError as err:   # past the budget
+                assert "budget" in str(err)
+                continue
+            want = row_gather_efforts(omega, spec, s)
+            assert len(tables) == 1 and tables[0].dtype == want.dtype
+            assert tables[0].tobytes() == want.tobytes(), (L, N)
+            sizes.append(len(want))
+    assert sizes == [0, 0, 0, 0, 15 ** 2, 15 ** 3, 15 ** 4, 16 ** 2, 16 ** 3, 16 ** 4, 65 ** 2, 65 ** 3]
+
+
+def test_brute_bilevel_3_5_traced_peak_is_under_10_mb():
+    # the references bench's oracle on the corridor: sequence rows are formed
+    # only for the blocks simulated, and no (274,625, 3) row table is held
+    tracemalloc.start()
+    try:
+        T, _ = brute_bilevel(EnumSpec(3, 5), S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert T == 7.5
+    assert peak <= 10e6
+
+
 def test_brute_lower_simulates_a_fraction_of_the_sequences(monkeypatch):
     # the plan brute_bilevel(EnumSpec(3, 5)) chooses on the corridor: 65**3
     # sequences, of which the effort order reaches z* after about 8.6%
@@ -677,8 +752,36 @@ def test_sigma_oracle_float_loop_at_its_edges():
 ], ids=["one", "tie-ends", "tie-inside", "signed-zeros", "all-minus-inf", "nan-first",
         "nan-before-max", "nan-after-max", "nan-after-inf", "all-nan", "inf-ties"])
 def test_first_argmax_is_numpys(vals):
-    # the first maximum, or the first NaN
-    assert oracle._first_argmax(vals) == int(np.argmax(np.array(vals)))
+    # the one-pass window scan keeps the first maximum, or stops at the first
+    # NaN, of the values lin u - r u^2: with lin = 1 and r = 0 they are vals
+    # themselves, signed zeros and infinities included
+    n = len(vals)
+    grid = 1.0 * np.array(vals) - 0.0 * np.zeros(n)
+    assert grid.tobytes() == np.array(vals).tobytes()
+    j, best = oracle._window_argmax(1.0, 0.0, vals, [0.0] * n)
+    assert j == int(np.argmax(grid)) and _same_float(best, grid[j])
+
+
+@pytest.mark.parametrize("where", ["first", "mid"])
+def test_sigma_oracle_stops_at_a_nan_in_its_window(monkeypatch, where):
+    # a NaN square at the window's first point or in its middle makes that
+    # grid value NaN, which np.argmax returns, so the whole grid's answer is
+    # NaN; a scan that only compared values would pass over it
+    lin, r = 1.0, 1.0
+    x, y = np.array([2.0 / 3.0, 0.0]), np.zeros(2)
+    q = np.array([-lin, 0.0])
+    lo, hi = oracle._sigma_window(lin, r)
+    assert 0 < lo and hi - lo > 6
+    k = lo if where == "first" else (lo + hi) // 2
+    assert math.isfinite(sigma_sup_oracle(q, 0.0, r, x, y, S))
+    sq = SIGMA_U0_SQ.copy()
+    sq[k] = math.nan
+    monkeypatch.setattr(oracle, "SIGMA_U0_SQ", sq)
+    grid = lin * SIGMA_U0 - r * sq
+    assert int(np.argmax(grid)) == k
+    u0, window = SIGMA_U0[lo:hi].tolist(), sq[lo:hi].tolist()
+    assert oracle._window_argmax(lin, r, u0, window)[0] == k - lo
+    assert math.isnan(sigma_sup_oracle(q, 0.0, r, x, y, S))
 
 
 def test_sigma_oracle_window_stays_narrow_on_a1_pairs(monkeypatch):
