@@ -197,14 +197,17 @@ def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario):
 
 def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, s: Scenario):
     """Right-hand sides of the q_L and q_H adjoint equations at every node,
-    per unit of original time: each arc satisfies dq/dt = -rhs.  Broadcasts
-    over leading batch axes of q_L (..., N+1, n) and nu_L (..., N+1)."""
+    per unit of original time: each arc satisfies dq/dt = -rhs, with df/dx
+    from ``drift``, the clip's where it is active.  Broadcasts over leading
+    batch axes of q_L (..., N+1, n) and nu_L (..., N+1)."""
     d = tr.x - tr.y
-    f = drift(tr.x, cp.u, s)
+    f, (f_x, _) = drift(tr.x, cp.u, s, jacobian=True)
     slope = _sigma_slope(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
     sq = np.where(_in_contact(d, s), slope, 0.0)[..., None] * q_L
     nu_L = nu_L[..., None]
-    rhs_L = -nu_L * f + (q_L - nu_L * d) @ s.drift.matrix(s.dim) + nu_L * cp.v - sq
+    psi = q_L - nu_L * d   # psi f_x: each entry summed as the drift sums x A^T
+    rhs_L = (-nu_L * f + np.stack([psi[..., 0] * f_x[:, 0, j] + psi[..., 1] * f_x[:, 1, j]
+                                   for j in (0, 1)], -1) + nu_L * cp.v - sq)
     rhs_H = -(nu_H[:, None] + nu_L) * cp.v + nu_L * f + sq
     return rhs_L, rhs_H
 
@@ -225,7 +228,7 @@ class _MultiplierModel:
     """
 
     def __init__(self, sol, s: Scenario):
-        tr, cp = sol.trajectory, sol.decision.controls
+        tr, cp = sol.trajectory, sol.lower.decision.controls
         self.tr, self.cp, self.s, self.r = tr, cp, s, PENALTY_WEIGHT
         self.nu_H = np.cumsum(np.asarray(sol.upper_mults["h_upper"])[::-1])[::-1]
         self.alpha = float(sol.upper_mults["target"]) * PENALTY_WEIGHT
@@ -387,7 +390,7 @@ def certify(sol, s: Scenario,
     Otherwise they are extracted by ``extract_multipliers``.
     """
     m = multipliers if multipliers is not None else extract_multipliers(sol, s)
-    tr, cp = sol.trajectory, sol.decision.controls
+    tr, cp = sol.trajectory, sol.lower.decision.controls
     tol = {**TOLERANCES, "adjoint": 10.0 / tr.grid.n_intervals}
     conds = {}
 
@@ -493,13 +496,13 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
     """Relative error of the subgradient selection ``zeta`` = (zeta1, zeta2)
     of the solution's plan against central differences of phi
     (``oracle.fd_check``) along two seeded feasible directions."""
-    cp = sol.decision.controls
+    cp = sol.lower.decision.controls
     omega, v = cp.omega, cp.v
 
     def phi(point):
         om_p = np.clip(point[:omega.size], 0.0, None)
         v_p = project_ball_rows(point[omega.size:].reshape(v.shape), s.v_bound)
-        return solver.solve_lower(om_p, v_p, sol.gamma_final, s, warm=sol.lower).value
+        return solver.solve_lower(om_p, v_p, sol.lower.gamma, s, warm=sol.lower).value
 
     w = trapz_weights(cp.grid)
     grad = np.concatenate([w * zeta[0], (w[:, None] * zeta[1]).ravel()])

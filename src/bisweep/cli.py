@@ -126,7 +126,7 @@ def _write_json(out_dir, name, data) -> Path:
 
 def _export_solution(out_dir, sol, s):
     out = _write_json(out_dir, "solution.json", {**sol.to_dict(), "scenario": s.to_dict()})
-    _write_trajectory_csv(out / "trajectory.csv", sol.trajectory, sol.decision.controls)
+    _write_trajectory_csv(out / "trajectory.csv", sol.trajectory, sol.lower.decision.controls)
     return out
 
 
@@ -227,7 +227,7 @@ def cmd_solve(args):
     if isinstance(sol, int):
         return sol
     print(f"T* = {sol.T_star:.6f}  gap = {penalty_gap(sol):.3e}  "
-          f"gamma = {sol.gamma_final:g}")
+          f"gamma = {sol.lower.gamma:g}")
     if args.out:
         _export_solution(args.out, sol, s)
     return _solve_exit_code(sol, EXIT_OK)

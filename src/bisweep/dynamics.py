@@ -177,16 +177,43 @@ class SmoothingSchedule:
         return cls(tuple(gammas) + (gamma_max,))
 
 
-def drift(x, u, s: Scenario):
+def drift(x, u, s: Scenario, jacobian: bool = False):
     """Controlled drift f(x, u) of the chosen family, saturated at M1 (H1).
 
-    Broadcasts over leading batch axes.
+    Broadcasts over leading batch axes.  x A^T is summed per row as x_0 A_r0
+    + x_1 A_r1, with no matrix product, so a row rounds the same in every
+    batch width and in ``_float_drift``.  ``jacobian`` adds (df/dx, df/du),
+    (..., n, n), from the same unclipped value; df/dx = (df/du) A, likewise.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     if s.drift.name == "identity":
-        return u + np.zeros_like(x)
-    return project_ball_rows(x @ s.drift.matrix(s.dim).T + u, s.M1)
+        f = u + np.zeros_like(x)
+        if not jacobian:
+            return f
+        f_x = np.zeros(f.shape + (s.dim,))
+        return f, (f_x, f_x + np.eye(s.dim))
+    A = s.drift.matrix(s.dim)
+    raw = x[..., :1] * A[:, 0] + x[..., 1:] * A[:, 1] + u
+    f = project_ball_rows(raw, s.M1)
+    if not jacobian:
+        return f
+    nrm = np.maximum(np.sqrt(np.add.reduce(raw * raw, -1)), 1e-300)[..., None, None]
+    rhat, eye = raw[..., :, None] / nrm, np.eye(s.dim)
+    f_u = np.where(nrm > s.M1, (s.M1 / nrm) * (eye - rhat * np.swapaxes(rhat, -1, -2)), eye)
+    return f, (f_u[..., :1] * A[0] + f_u[..., 1:] * A[1], f_u)
+
+
+def _float_drift(p0, p1, u0, u1, a, M1):
+    """``drift`` at one point (p0, p1) and control (u0, u1) in floats, by its
+    operations in their order, for the flat ``DriftSpec.A`` a (None: u + 0 x)."""
+    if a is None:
+        return u0 + 0.0, u1 + 0.0
+    f0, f1 = p0 * a[0] + p1 * a[1] + u0, p0 * a[2] + p1 * a[3] + u1
+    nrm = math.sqrt(f0 * f0 + f1 * f1)
+    if nrm > M1:
+        scale = M1 / max(nrm, 1e-300)
+        return f0 * scale, f1 * scale
+    return f0, f1
 
 
 # RK4 tableau: stage j starts from x_i + RK4_OFFSETS[j] * dt * k_{j-1}, and
@@ -262,17 +289,14 @@ def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
     """
     diff = x - y
     c, lr, lc = _cone_terms(diff, gamma, s)
-    f = u if s.drift.name == "identity" else drift(x, u, s)
+    f, jac = u, None   # the identity drift's f, and its Jacobians below
+    if s.drift.name != "identity":
+        f, jac = drift(x, u, s, jacobian=True) if jacobians else (drift(x, u, s), None)
     k = f * w[..., None] - (u0w * c)[..., None] * diff
     if not jacobians:
         return k
-    eye, A = np.eye(s.dim), s.drift.matrix(s.dim)
-    f_u = eye
-    if s.drift.name != "identity":
-        raw = x @ A.T + u
-        nrm = np.maximum(np.linalg.norm(raw, axis=-1), 1e-300)[..., None, None]
-        rhat = raw[..., :, None] / nrm
-        f_u = np.where(nrm > s.M1, (s.M1 / nrm) * (eye - rhat * np.swapaxes(rhat, -1, -2)), eye)
+    eye = np.eye(s.dim)
+    f_x, f_u = (0.0, eye) if jac is None else jac
     # grad_x c = gamma c (1 - psi'(l)) (x - y) = -grad_y c, with
     # psi'(l) = (l + a)^2 (8a - 4l) / (16 a^3), 0 below the band and 1 above
     p = lc + CAP_BAND
@@ -280,7 +304,7 @@ def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
                   gamma * c * (1.0 - p * p * (_BAND_8A - 4.0 * lc) / _BAND_NORM), 0.0)
     pull = c[..., None, None] * eye + gc[..., None, None] * diff[..., :, None] * diff[..., None, :]
     k_y = u0w[..., None, None] * pull
-    k_x = w[..., None, None] * (f_u @ A) - k_y
+    k_x = w[..., None, None] * f_x - k_y
     return k, (k_x, k_y, w[..., None, None] * f_u, f, -c[..., None] * diff)
 
 
@@ -442,30 +466,24 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
     u and u0 are the lower controls' node values as lists.  Each interval is
     one loop turn of four ``slope`` calls, the midpoint controls
     (a_i + a_{i+1}) * 0.5 and u0 * omega rounded as ``stage_values`` and the
-    stage map round them; every operation of a stage is ``stage_slope``'s
-    and ``_float_cap``'s, in their order, so the nodes are bitwise those of
-    the NumPy stage map wherever NumPy rounds the drift's x @ A.T as a plain
-    sum of products.  The logarithm ln(gamma/K) is NumPy's, taken once.  The
-    call per stage costs time: on the ``references`` bench workload's 24
+    stage map round them; every operation of a stage is ``stage_slope``'s,
+    ``_float_cap``'s and ``_float_drift``'s, in their order, so the nodes
+    are bitwise those of the NumPy stage map.  ln(gamma/K) is NumPy's, taken
+    once.  The call per stage costs time: on the ``references`` workload's 24
     columns (N = 800, identity drift, 2-core host) the sweep takes a median
     40 ms, where the stages written out take 33 ms.
     """
     half_gamma, cap, r1sq = 0.5 * gamma, s.cone_gain, s.R1 ** 2
     lg, half_dt, dt6 = float(np.log(gamma / cap)), 0.5 * dt, dt / 6.0
-    affine, M1 = s.drift.name != "identity", s.M1
-    (a00, a01), (a10, a11) = s.drift.matrix(s.dim).tolist()
+    a, M1 = s.drift.A, s.M1
 
     def slope(p0, p1, c0, c1, f0, f1, w, pw):
         # stage_slope at the point p, plan center c, drift control f and pw = u0 w
         d0, d1 = p0 - c0, p1 - c1
         e = half_gamma * (d0 * d0 + d1 * d1 - r1sq)
         pull = pw * _float_cap(e, e + lg, gamma, cap)
-        if affine:   # x A^T + u, clipped to the ball of radius M1
-            f0, f1 = p0 * a00 + p1 * a01 + f0, p0 * a10 + p1 * a11 + f1
-            nrm = math.sqrt(f0 * f0 + f1 * f1)
-            if nrm > M1:
-                scale = M1 / max(nrm, 1e-300)
-                f0, f1 = f0 * scale, f1 * scale
+        if a is not None:
+            f0, f1 = _float_drift(p0, p1, f0, f1, a, M1)
         return f0 * w - pull * d0, f1 * w - pull * d1
 
     x0, x1 = x
@@ -576,32 +594,21 @@ def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True
     more than the budget, a FeasibilityLossWarning names the first violating
     node, the needed correction and the budget (unless ``warn`` is False).
 
-    The swept point is stepped in float arithmetic, each operation as
-    ``drift`` and ``project_ball_rows`` on the offset do on one row, so the
-    nodes are bitwise theirs.  Two products still round in NumPy, because
-    BLAS may fuse their multiply-adds: the affine drift's x @ A.T, and the
-    correction's norm, the square root of its dot product with itself.
+    The swept point is stepped in float arithmetic, the drift by
+    ``_float_drift`` and each other operation as ``project_ball_rows`` on
+    the offset does on one row, so the nodes are bitwise theirs.  One
+    product still rounds in NumPy, because BLAS may fuse its multiply-adds:
+    the correction's norm, the square root of its dot product with itself.
     """
     grid = cp.grid
     dt, M, R1, M1 = grid.dt, s.M, s.R1, s.M1
     y, t = plan_nodes(cp.v, cp.omega, s, grid)
-    affine = s.drift.name != "identity"
-    AT = s.drift.matrix(s.dim).T
-    row, gap = np.empty(s.dim), np.empty(s.dim)
+    a, gap = s.drift.A, np.empty(s.dim)
     x0, x1 = np.asarray(x_init, dtype=float).tolist()
     xs, u0_real, loss = [(x0, x1)], [], None
     for i, ((y0, y1), (f0, f1), w) in enumerate(zip(y[1:].tolist(), cp.u[:-1].tolist(),
                                                      cp.omega[:-1].tolist())):
-        if affine:   # x @ A.T + u, clipped to the ball of radius M1
-            row[0], row[1] = x0, x1
-            a0, a1 = (row @ AT).tolist()
-            f0, f1 = a0 + f0, a1 + f1
-            nrm = math.sqrt(f0 * f0 + f1 * f1)
-            if nrm > M1:
-                scale = M1 / max(nrm, 1e-300)
-                f0, f1 = f0 * scale, f1 * scale
-        else:        # u + 0 x
-            f0, f1 = f0 + 0.0, f1 + 0.0
+        f0, f1 = _float_drift(x0, x1, f0, f1, a, M1)
         p0, p1 = x0 + f0 * w * dt, x1 + f1 * w * dt
         # the prediction's projection onto the disk about the plan center
         d0, d1 = p0 - y0, p1 - y1

@@ -271,9 +271,9 @@ def h_lower(x, y, s: Scenario) -> float:
 def project_ball_rows(p, radius: float) -> np.ndarray:
     """Euclidean projection of each row of ``p`` (..., n) onto the closed
     ball of the given radius about the origin: rows beyond it are scaled
-    radially onto it."""
+    radially onto it; the norm is ``np.linalg.norm``'s, bitwise."""
     p = np.asarray(p, dtype=float)
-    norm = np.linalg.norm(p, axis=-1, keepdims=True)
+    norm = np.sqrt(np.add.reduce(p * p, -1, keepdims=True))
     return p * np.where(norm > radius, radius / np.maximum(norm, 1e-300), 1.0)
 
 

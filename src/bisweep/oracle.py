@@ -92,8 +92,18 @@ def _product_rows(levels: int, repeat: int) -> np.ndarray:
     return np.indices((levels,) * repeat, dtype=np.uint8).reshape(repeat, -1).T
 
 
-def _control_levels(bound: float, levels: int) -> np.ndarray:
-    return np.linspace(-bound, bound, levels)
+def _ball_grid(bound: float, scalars: np.ndarray, name: str):
+    """The per-node grid, in ``itertools.product`` order, of a vector with
+    components at linspace(-bound, bound, L) in the ball |a| <= bound and one of
+    the L ``scalars``: (vectors (P, 2), scalars (P,)); a ValueError if P = 0."""
+    L = len(scalars)
+    combos = _product_rows(L, 3)
+    vec = np.linspace(-bound, bound, L)[combos[:, :2]]
+    ok = np.linalg.norm(vec, axis=1) <= bound + 1e-12
+    if not ok.any():
+        raise ValueError(f"enumeration levels_per_control = {L} leaves no {name} grid point "
+                         f"in the ball |{name}| <= {name}_bound = {bound:g}")
+    return vec[ok], scalars[combos[ok, 2]]
 
 
 def _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s: Scenario) -> np.ndarray:
@@ -103,16 +113,15 @@ def _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s: Scenario) ->
 
     Plain Euler under the smoothed field; h_lower at each node is both the
     cone ramp's argument and what is maximized.  x and u keep their
-    components first, (dim, B), so |d|^2 is a sum of dim rows.  x is B wide
-    from node 0, and a block of one sequence runs twice over, as BLAS rounds
-    a one-column A @ x unlike a wide one."""
-    B, N = rows.shape
-    idx = _interval_to_nodes(np.repeat(rows, 2 if B == 1 else 1, axis=0).T)   # (N+1, B')
-    u_nodes = u_node.T[:, idx]   # (dim, N+1, B')
-    u0_nodes = u0_node[idx]      # (N+1, B')
+    components first, (dim, B), so |d|^2 is a sum of dim rows, and A x is
+    summed per row as A_r0 x_0 + A_r1 x_1, so a column rounds the same in
+    every block width."""
+    N = rows.shape[1]
+    idx = _interval_to_nodes(rows.T)   # (N+1, B)
+    u_nodes = u_node.T[:, idx]   # (dim, N+1, B)
+    u0_nodes = u0_node[idx]      # (N+1, B)
     A = s.drift.matrix(s.dim) if s.drift.name != "identity" else None
-    gain = s.cone_gain
-    dt = 1.0 / N
+    gain, dt = s.cone_gain, 1.0 / N
     out = np.full((len(x_grid), idx.shape[1]), -np.inf)
     for xg, worst in zip(x_grid, out):
         x = np.repeat(xg[:, None], idx.shape[1], axis=1)
@@ -125,11 +134,11 @@ def _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s: Scenario) ->
             c = np.minimum(gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
             f = u_nodes[:, i]
             if A is not None:
-                f = A @ x + f
+                f = A[:, :1] * x[0] + A[:, 1:] * x[1] + f
                 nrm = np.sqrt(np.add.reduce(f * f, axis=0))
                 f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
             x = x + (f - u0_nodes[i] * c * d) * (omega[i] * dt)
-    return out[:, :B]
+    return out
 
 
 def _stable_head(z, k: int) -> np.ndarray:
@@ -182,17 +191,8 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
     for i in range(N):
         y[i + 1] = y[i] + v[i] * omega[i] * dt
 
-    u_lv = _control_levels(s.u_bound, spec.levels_per_control)
-    u0_lv = np.linspace(0.0, 1.0, spec.levels_per_control)
     x_grid = _x_init_grid(s, spec.x_init_points)
-
-    # index all per-node combinations once
-    combos_node = _product_rows(spec.levels_per_control, s.dim + 1)
-    u_node = np.stack([u_lv[combos_node[:, 0]], u_lv[combos_node[:, 1]]], axis=1)
-    u0_node = u0_lv[combos_node[:, 2]]
-    # keep only grid points inside the control ball
-    ok = np.linalg.norm(u_node, axis=1) <= s.u_bound + 1e-12
-    u_node, u0_node = u_node[ok], u0_node[ok]
+    u_node, u0_node = _ball_grid(s.u_bound, np.linspace(0.0, 1.0, spec.levels_per_control), "u")
     per_node = len(u_node)
     total = (per_node ** N) * len(x_grid)
     if total > MAX_COMBINATIONS:
@@ -278,15 +278,8 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
     gamma = 8.0 * s.cone_gain
     N = spec.n_intervals
     dt = 1.0 / N
-    L = spec.levels_per_control
-    v_lv = _control_levels(s.v_bound, L)
-    w_lv = np.linspace(0.0, spec.omega_max, L)
-    combos_node = _product_rows(L, s.dim + 1)
-    v_node = np.stack([v_lv[combos_node[:, 0]], v_lv[combos_node[:, 1]]], axis=1)
-    # enforce the ball bound on v (component grid overshoots the ball corners)
-    ok = np.linalg.norm(v_node, axis=1) <= s.v_bound + 1e-12
-    v_node = v_node[ok]
-    w_node = w_lv[combos_node[ok, 2]]
+    v_node, w_node = _ball_grid(s.v_bound, np.linspace(0.0, spec.omega_max,
+                                                       spec.levels_per_control), "v")
     per_node = len(v_node)
     C = per_node ** N
     if C > MAX_COMBINATIONS:

@@ -119,9 +119,7 @@ class LowerSolution:
 
 @dataclass(frozen=True)
 class BilevelSolution:
-    decision: DecisionVector
     T_star: float
-    gamma_final: float
     lower: LowerSolution
     # one record per gamma of the lower path at the plan: gamma, phi and that
     # solve's status
@@ -137,7 +135,7 @@ class BilevelSolution:
     def to_dict(self) -> dict:
         return {
             "T_star": self.T_star,
-            "gamma_final": self.gamma_final,
+            "gamma_final": self.lower.gamma,
             "phi": self.lower.value,
             "gap": penalty_gap(self),
             "status": self.status,
@@ -372,13 +370,12 @@ def solve_bilevel(s: Scenario, gamma_sched: Optional[SmoothingSchedule] = None,
     path = _solve_lower_path(plan["omega"], plan["v"], gammas, s, opts)
     history = [{"gamma": lo.gamma, "phi": lo.value, **lo.status} for lo in path]
     # the path's last solve is the returned one
-    lower, gamma_f = path[-1], gammas[-1]
-    tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, gamma_f, s)
+    lower = path[-1]
+    tr = integrate_smooth(lower.decision.controls, lower.decision.x_init, lower.gamma, s)
     lower_ok, viol = all(h["converged"] for h in history), plan["violation"]
     plan_ok = plan["exit_status"] == 0 and viol <= UPPER_VIOLATION_TOL
     return BilevelSolution(
-        decision=lower.decision, T_star=tr.T, gamma_final=gamma_f,
-        lower=lower, history=tuple(history), trajectory=tr,
+        T_star=tr.T, lower=lower, history=tuple(history), trajectory=tr,
         upper_mults=plan["mults"],
         status={"lower_converged": lower_ok, "max_violation": viol,
                 "converged": lower_ok and plan_ok,

@@ -103,7 +103,7 @@ def test_a3_solver_trajectory_feasibility(corridor_run):
     hl = max(h_lower(tr.x[i], tr.y[i], S) for i in range(tr.grid.n_nodes))
     hu = max(h_upper(tr.y[i], S) for i in range(tr.grid.n_nodes))
     # catching-up rerun of the same controls keeps exact node membership
-    tc = integrate_catchup(sol.decision.controls, sol.decision.x_init, S, warn=False)
+    tc = integrate_catchup(sol.lower.decision.controls, sol.lower.decision.x_init, S, warn=False)
     hl_cu = max(h_lower(tc.x[i], tc.y[i], S) for i in range(tc.grid.n_nodes))
     ok = hl <= 1e-6 and hu <= 1e-6 and hl_cu <= 1e-12
     report("A3", ok,
@@ -230,7 +230,7 @@ def plan_kkt_ok(stationarity, violation, complementarity):
 def test_a7_penalty_exactness(corridor_run):
     sol = corridor_run["solution"]
     gap = penalty_gap(sol)
-    cp = sol.decision.controls
+    cp = sol.lower.decision.controls
     kkt = plan_kkt_residual(cp.v, cp.omega, sol.upper_mults, S)
     # the stationarity reads the solver's own gradient: check it against
     # central differences of the Lagrangian at the plan
@@ -248,7 +248,7 @@ def test_a7_penalty_exactness(corridor_run):
 
 def test_a7_plan_kkt_clause_fails_on_mutated_plans(corridor_run):
     sol = corridor_run["solution"]
-    cp, mults = sol.decision.controls, sol.upper_mults
+    cp, mults = sol.lower.decision.controls, sol.upper_mults
     noise = np.random.default_rng(3).standard_normal(cp.v.shape)
     mutated = {
         "omega x 1.01": (cp.v, 1.01 * cp.omega, mults),
@@ -272,15 +272,15 @@ def test_a8_maximum_conditions(corridor_run, corridor_certificate, corridor_scen
     # discrimination: noise at 5% of the control bound must blow the same
     # residual up by at least 10x
     rng = np.random.default_rng(0)
-    cp = sol.decision.controls
+    cp = sol.lower.decision.controls
     noisy_u = cp.u + 0.05 * S.u_bound * rng.standard_normal(cp.u.shape)
     norms = np.linalg.norm(noisy_u, axis=1, keepdims=True)
     noisy_u = noisy_u * np.minimum(1.0, S.u_bound / np.maximum(norms, 1e-12))
     noisy_cp = ControlProfile(cp.grid, cp.v, noisy_u, cp.u0, cp.omega)
-    noisy_tr = integrate_smooth(noisy_cp, sol.decision.x_init, sol.gamma_final, S)
-    noisy_sol = dataclasses.replace(
-        sol, decision=dataclasses.replace(sol.decision, controls=noisy_cp),
-        trajectory=noisy_tr)
+    noisy_tr = integrate_smooth(noisy_cp, sol.lower.decision.x_init, sol.lower.gamma, S)
+    noisy_dec = dataclasses.replace(sol.lower.decision, controls=noisy_cp)
+    noisy_sol = dataclasses.replace(sol, lower=dataclasses.replace(sol.lower, decision=noisy_dec),
+                                    trajectory=noisy_tr)
     noisy_rep = certify(noisy_sol, corridor_scenario, multipliers=rep.multipliers)
     gap5_noisy = noisy_rep.conditions["max_control"]["residual"]
 

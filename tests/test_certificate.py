@@ -25,7 +25,7 @@ from bisweep.certificate import (
 )
 from bisweep.dynamics import CAP_BAND, _cone_terms
 from bisweep.geometry import DriftSpec, ExitArc, Scenario, straight_corridor
-from bisweep.oracle import sigma_sup_oracle
+from bisweep.oracle import fd_check, sigma_sup_oracle
 from bisweep.solver import SolverOptions, solve_bilevel
 
 S = straight_corridor()
@@ -402,6 +402,32 @@ def test_node_batches_equal_per_node_calls():
     np.testing.assert_array_equal(ham, ham_i)
 
 
+def test_adjoint_rhs_is_the_hamiltonians_gradient_off_contact():
+    # dq_L/dt = -dH/dx and dq_H/dt = -dH/dy, where sigma is gated off: at
+    # nodes inside the rim's activity band both right-hand sides are central
+    # differences of the Hamiltonian, also where the drift's clip at M1 is
+    # active and df/dx is not A
+    s = straight_corridor(drift=DriftSpec(name="affine", A=(0.3, 0.2, -0.4, 0.1)), M1=0.9)
+    rng = np.random.default_rng(11)
+    n = 40
+    ang = rng.uniform(0, 2 * np.pi, n)
+    y = rng.uniform(-3.0, 3.0, (n, 2))
+    x = y + rng.uniform(0.0, 0.8 * s.R1, (n, 1)) * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    v, u, q_H, q_L = rng.uniform(-1.0, 1.0, (4, n, 2))
+    nu_H, nu_L = rng.uniform(0.0, 1.0, (2, n))
+    r = 0.3
+    clipped = np.linalg.norm(x @ s.drift.matrix(2).T + u, axis=1) > s.M1
+    assert 5 < clipped.sum() < n - 5
+    rhs_L, rhs_H = certificate._adjoint_rhs(SimpleNamespace(x=x, y=y), SimpleNamespace(u=u, v=v),
+                                            q_L, nu_H, nu_L, r, s)
+    units = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+    for i in range(n):
+        args = (v[i], u[i], q_H[i], q_L[i], nu_H[i], nu_L[i], r, s)
+        in_x = fd_check(lambda p: hamiltonian_upper(y[i], p, *args), rhs_L[i], x[i], units)
+        in_y = fd_check(lambda p: hamiltonian_upper(p, x[i], *args), rhs_H[i], y[i], units)
+        assert in_x <= 1e-6 and in_y <= 1e-6, (i, clipped[i], in_x, in_y)
+
+
 # ---------------------------------------------------------------- corridor report
 def test_certificate_json_verdicts_are_bools(corridor_certificate):
     conds = corridor_certificate["report"].conditions
@@ -442,13 +468,13 @@ MUTATIONS = {
     "boundary": lambda sol, m: replace(m, q_L=_bumped(
         m.q_L, -1, 1e-3 * _perp(sol.trajectory.x[-1] - sol.trajectory.y[-1]))),
     "conservation": lambda sol, m: replace(m, q_H=_bumped(
-        m.q_H, NODE, 0.1 * _unit(sol.decision.controls.v[NODE]))),
+        m.q_H, NODE, 0.1 * _unit(sol.lower.decision.controls.v[NODE]))),
     "max_plan": lambda sol, m: replace(m, q_H=_bumped(
-        m.q_H, NODE, 0.1 * _perp(sol.decision.controls.v[NODE]))),
+        m.q_H, NODE, 0.1 * _perp(sol.lower.decision.controls.v[NODE]))),
     # turns the maximiser of <psi, u> - r|u|^2 off u: the corridor reads
     # 9.9e-3 against the gate of 1e-4, and 1.7e-21 unmutated
     "max_control": lambda sol, m: replace(m, q_L=_bumped(
-        m.q_L, NODE, 1e-2 * _perp(sol.decision.controls.u[NODE]))),
+        m.q_L, NODE, 1e-2 * _perp(sol.lower.decision.controls.u[NODE]))),
 }
 
 
@@ -493,7 +519,7 @@ def test_vectorized_residuals_match_per_node_loops(corridor_run, corridor_scenar
 
     s, sol = corridor_scenario, corridor_run["solution"]
     m = corridor_certificate["report"].multipliers
-    tr, cp = sol.trajectory, sol.decision.controls
+    tr, cp = sol.trajectory, sol.lower.decision.controls
     k, A = s.cone_gain, s.drift.matrix(s.dim)
     defect, gap = 0.0, 0.0
     for j in range(tr.grid.n_nodes):
@@ -527,7 +553,7 @@ def test_fixed_candidate_gates_sigma_by_the_evaluated_trajectory(
     # leaves the Hamiltonian whose mean the conservation check reports
     s, sol = corridor_scenario, corridor_run["solution"]
     m = corridor_certificate["report"].multipliers
-    tr, cp = sol.trajectory, sol.decision.controls
+    tr, cp = sol.trajectory, sol.lower.decision.controls
     d = tr.x - tr.y
     st = m.nu_L * s.R1 ** 2 - np.sum(m.q_L * d, axis=1)
     pulled = (np.linalg.norm(d, axis=1) >= 0.9 * s.R1) & (st > 0.0)

@@ -526,6 +526,14 @@ def test_oracle_over_budget_exits_with_the_count_and_the_limit(tmp_path, capsys)
     assert "1160290625" in err and "10000000" in err
 
 
+def test_oracle_with_two_levels_is_refused_naming_the_levels_and_the_ball(tmp_path, capsys):
+    # the levels +-v_bound put every plan velocity on a corner outside its ball
+    cfg = write_config(tmp_path, run={"oracle": {"levels_per_control": 2}})
+    assert main(["oracle", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "levels_per_control = 2" in err and "ball |v| <= v_bound" in err
+
+
 # ---------------------------------------------------------------- sweep-gamma
 def test_sweep_gamma_reports_error_sequence(tmp_path, capsys):
     prof = write_profile(tmp_path, n=60, u=(1.0, 0.0), u0=1.0, omega=2.0,

@@ -14,6 +14,7 @@ from bisweep.dynamics import (
     SmoothingSchedule,
     TimeGrid,
     _cone_terms,
+    _float_drift,
     convergence_study,
     drift,
     feasibility_monitor,
@@ -68,6 +69,38 @@ def test_drift_respects_magnitude_bound():
         u = rng.uniform(-1, 1, 2)
         u = u / max(1.0, np.linalg.norm(u))
         assert np.linalg.norm(drift(x, u, S)) <= S.M1 + 1e-12
+
+
+@pytest.mark.parametrize("A, K_f", [((0.3, 0.2, -0.4, 0.1), None),
+                                    (((-0.3, 0.7), (0.2, -0.45)), 0.9)],
+                         ids=["two-nonzero", "skew"])
+def test_drift_does_not_depend_on_the_batch_width(A, K_f):
+    # 2,000 rows with the clip at M1 = 0.9 active on some: the batched drift
+    # and both its Jacobians are the one-row calls', and f is the float
+    # form's, bitwise.  A BLAS x @ A.T rounds many such rows by width
+    s = straight_corridor(drift=DriftSpec(name="affine", A=A), K_f=K_f, M1=0.9)
+    rng = np.random.default_rng(3)
+    x, u = rng.uniform(-3.0, 3.0, (2000, 2)), rng.uniform(-1.0, 1.0, (2000, 2))
+    f, (f_x, f_u) = drift(x, u, s, jacobian=True)
+    assert np.array_equal(drift(x, u, s), f)
+    raw = np.linalg.norm(x @ s.drift.matrix(2).T + u, axis=1)
+    assert (raw > 1.01 * s.M1).sum() > 100 and (raw < 0.99 * s.M1).sum() > 100
+    for xi, ui, fi, fxi, fui in zip(x, u, f, f_x, f_u):
+        one, (one_x, one_u) = drift(xi, ui, s, jacobian=True)
+        assert np.array_equal(one, fi) and np.array_equal(one_x, fxi)
+        assert np.array_equal(one_u, fui)
+        assert _float_drift(*xi.tolist(), *ui.tolist(), s.drift.A, s.M1) == tuple(fi.tolist())
+
+
+def test_identity_drift_is_u_plus_zero_x_in_both_forms():
+    # u + 0 x turns a -0.0 control into +0.0; df/dx = 0 and df/du = I per row
+    x, u = np.array([[1.0, -2.0], [0.5, 0.0]]), np.array([[-0.0, 0.3], [0.2, -0.0]])
+    f, (f_x, f_u) = drift(x, u, S, jacobian=True)
+    assert np.array_equal(f, u) and not np.signbit(f).any()
+    assert np.array_equal(f_x, np.zeros((2, 2, 2))) and np.array_equal(f_u, np.tile(np.eye(2), (2, 1, 1)))
+    for xi, ui, fi in zip(x.tolist(), u.tolist(), f):
+        got = _float_drift(*xi, *ui, S.drift.A, S.M1)
+        assert got == tuple(fi.tolist()) and not any(math.copysign(1.0, g) < 0 for g in got)
 
 
 # ---------------------------------------------------------------- smoothing
@@ -378,11 +411,7 @@ def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
                                          grid)
             expo.append(0.5 * gammas * (np.sum(offsets ** 2, axis=-1) - s.R1 ** 2))
             c.append(gammas * np.exp(np.minimum(expo[-1], 50.0)))
-            if s is TWO_NONZERO:
-                # NumPy's x @ A.T may round a sum of two products in its own way
-                np.testing.assert_allclose(xs, ref, rtol=0.0, atol=1e-15)
-            else:
-                assert np.array_equal(xs, ref)
+            assert np.array_equal(xs, ref)
     expo, c = np.array(expo), np.array(c)
     assert (expo > 50.0).any() and (c >= s.cone_gain).any() and (c < 1e-3 * s.cone_gain).any()
     # and stage points inside the cap's band, -a < ln(g/K) < a

@@ -6,8 +6,9 @@ module, an ``__init__.py`` and an attribute of a module from outside the
 package, such as ``np.zeros``, count for nothing (``ALLOWED_FIELDS`` and
 ``ALLOWED_PARAMETERS`` name the few reached another way); every name the
 package re-exports is listed in, and defined by, its module's ``__all__``;
-no module but ``dynamics`` reads the RK4 scheme's internals; and no module
-imports or reads another module's underscore name."""
+no module but ``dynamics`` reads the RK4 scheme's internals; no module but
+``geometry``, ``dynamics`` and the independent ``oracle`` reads the drift's
+matrix; and no module imports or reads another module's underscore name."""
 
 import ast
 from pathlib import Path
@@ -508,6 +509,34 @@ def test_rk4_internals_stay_in_dynamics():
     uses = {p.name: rk4_internal_uses(p.read_text(encoding="utf-8"))
             for p in PACKAGE.glob("*.py") if p.name != "dynamics.py"}
     assert {name: names for name, names in uses.items() if names} == {}
+
+
+# the drift rule has one owner: ``geometry`` holds its ``DriftSpec``,
+# ``dynamics.drift`` and its float form evaluate it, and the oracle keeps an
+# independent Euler model; every other module reads f and its Jacobians
+# through ``dynamics.drift``
+DRIFT_MATRIX_READERS = ("geometry.py", "dynamics.py", "oracle.py")
+
+
+def drift_matrix_reads(source: str) -> list:
+    """The (line, attribute) pairs where a module reads ``.drift.matrix``
+    (to call it) or ``.drift.A``."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("matrix", "A")
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "drift")
+
+
+def test_drift_matrix_scanner_flags_matrix_calls_and_A_reads():
+    src = ("A = s.drift.matrix(s.dim)\n"
+           "B = sol.scenario.drift.A\n"
+           "c = s.drift.name, drift(x, u, s), s.A, spec.matrix(2)\n")
+    assert drift_matrix_reads(src) == [(1, "matrix"), (2, "A")]
+
+
+def test_only_the_drift_owners_read_its_matrix():
+    reads = {p.name: drift_matrix_reads(p.read_text(encoding="utf-8"))
+             for p in MODULES if p.name not in DRIFT_MATRIX_READERS}
+    assert {name: found for name, found in reads.items() if found} == {}
 
 
 def _private(name: str) -> bool:

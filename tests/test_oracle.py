@@ -109,6 +109,22 @@ def simulated_blocks(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("search", ["lower", "bilevel"])
+def test_two_levels_with_no_point_in_the_ball_are_refused(search):
+    # with 2 levels each component is +-bound, so every grid vector is a
+    # corner of norm sqrt(2) bound, outside its ball: the enumeration is
+    # refused by name, not reported as an infeasible plan
+    spec = EnumSpec(n_intervals=2, levels_per_control=2)
+    name = "u" if search == "lower" else "v"
+    with pytest.raises(ValueError, match=rf"^enumeration levels_per_control = 2 leaves no "
+                                         rf"{name} grid point in the ball \|{name}\| <= "
+                                         rf"{name}_bound = 1$"):
+        if search == "lower":
+            brute_lower(np.ones(3), np.zeros((3, 2)), 12.0, spec, S)
+        else:
+            brute_bilevel(spec, S)
+
+
 def test_brute_lower_reports_infeasible_budget(monkeypatch):
     # zero lower control authority but the set moves: membership must fail,
     # after every block of all 8**3 sequences is simulated
@@ -540,7 +556,7 @@ class _TableSeen(Exception):
 def test_broadcast_effort_table_is_the_row_gather_one_bytewise(monkeypatch, s):
     # every (levels, intervals) pair within MAX_COMBINATIONS: the effort table
     # brute_lower orders is the row gather's, byte for byte.  With 2 levels
-    # no corner lies in the control ball, so that table is empty
+    # no corner lies in the control ball, so that grid is refused
     tables = []
 
     def seen(z, k):
@@ -560,14 +576,15 @@ def test_broadcast_effort_table_is_the_row_gather_one_bytewise(monkeypatch, s):
                 brute_lower(omega, v, 12.0, spec, s)
             except _TableSeen:
                 pass
-            except ValueError as err:   # past the budget
-                assert "budget" in str(err)
+            except ValueError as err:   # no control in the ball, or past the budget
+                assert ("levels_per_control = 2" in str(err)) == (L == 2)
+                assert L == 2 or "budget" in str(err)
                 continue
             want = row_gather_efforts(omega, spec, s)
             assert len(tables) == 1 and tables[0].dtype == want.dtype
             assert tables[0].tobytes() == want.tobytes(), (L, N)
             sizes.append(len(want))
-    assert sizes == [0, 0, 0, 0, 15 ** 2, 15 ** 3, 15 ** 4, 16 ** 2, 16 ** 3, 16 ** 4, 65 ** 2, 65 ** 3]
+    assert sizes == [15 ** 2, 15 ** 3, 15 ** 4, 16 ** 2, 16 ** 3, 16 ** 4, 65 ** 2, 65 ** 3]
 
 
 def test_brute_bilevel_3_5_traced_peak_is_under_10_mb():

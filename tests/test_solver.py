@@ -267,11 +267,10 @@ def test_cold_lower_solve_converges_under_affine_drift():
 
 # ---------------------------------------------------------------- penalty gap
 class _FakeSolution:
-    # minimal stand-in carrying the fields consumed by penalty_gap
+    # minimal stand-in carrying the fields consumed by penalty_gap: the lower
+    # solve and the trajectory of a decision, its own or another
     def __init__(self, decision, lower, gamma):
-        self.decision = decision
         self.lower = lower
-        self.gamma_final = gamma
         self.trajectory = integrate_smooth(decision.controls, decision.x_init,
                                            gamma, S)
 

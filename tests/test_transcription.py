@@ -143,7 +143,7 @@ def test_merit_gradient_of_a_reached_target_row_is_zero():
 
 def test_merit_gradient_matches_central_differences_at_the_corridor_plan(corridor_run):
     sol = corridor_run["solution"]
-    cp = sol.decision.controls
+    cp = sol.lower.decision.controls
     flat = np.concatenate([cp.v.ravel(), cp.omega])
     w = np.random.default_rng(7).uniform(0.0, 2.0, flat.size // 3 + 1)
     assert worst_fd_error(flat, w, cp.grid) < GRAD_TOL
