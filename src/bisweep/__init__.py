@@ -12,7 +12,6 @@ from .geometry import (
     DriftSpec,
     ExitArc,
     Scenario,
-    TruncationBounds,
     ValidationReport,
     h_lower,
     h_upper,

@@ -131,14 +131,10 @@ def _export_solution(out_dir, sol, s):
 
 
 def _solver_options(args, run):
-    kw = {}
+    """The config's ``run`` solver options, ``--grid`` over its ``n_intervals``."""
+    kw = {key: run[key] for key in SOLVER_RUN_KEYS if key in run}
     if args.grid is not None:
         kw["n_intervals"] = args.grid
-    if args.seed is not None:
-        kw["seed"] = args.seed
-    for key in SOLVER_RUN_KEYS:
-        if key in run and key not in kw:
-            kw[key] = run[key]
     return SolverOptions(**kw)
 
 
@@ -280,7 +276,6 @@ FLAGS = {
     "--config": dict(help="scenario YAML (default: built-in straight corridor)"),
     "--out": dict(help="output directory"),
     "--grid": dict(type=int, help="number of time intervals"),
-    "--seed": dict(type=int, help="random seed for multi-start"),
     "--gamma-max": dict(type=float, help="last smoothing gain of the doubling continuation "
                                          "schedule (default 64 M/R1)"),
     "--profile": dict(required=True, help="stored control profile YAML"),
@@ -288,8 +283,8 @@ FLAGS = {
 COMMANDS = {
     "validate": (cmd_validate, ()),
     "simulate": (cmd_simulate, ("--profile",)),
-    "solve": (cmd_solve, ("--grid", "--seed", "--gamma-max")),
-    "certify": (cmd_certify, ("--grid", "--seed", "--gamma-max")),
+    "solve": (cmd_solve, ("--grid", "--gamma-max")),
+    "certify": (cmd_certify, ("--grid", "--gamma-max")),
     "oracle": (cmd_oracle, ()),
     "sweep-gamma": (cmd_sweep_gamma, ("--profile", "--gamma-max")),
 }

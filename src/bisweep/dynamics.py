@@ -430,11 +430,12 @@ def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario):
     (N+1, n), u0 (N+1,) and x_init (n,), else a ValueError names the array
     and both shapes; gamma is a float or a (B,) array of gains.  z comes from
     trapezoidal quadrature of the node values, matching the transcription
-    order.  Returns (y, x, z, t) node arrays of batch width B; y, z and t
-    read no gain, so they are broadcast views, y and t of the plan's own.
-    The swept point x is stepped per gain in float arithmetic
-    (``_sweep_column``) from the plan's tableau and the lower controls' node
-    values, so a column's numbers do not depend on the batch width.
+    order.  Returns (x, z): the swept point's nodes x (N+1, B, n), one
+    column per gain, and the effort's z (N+1,), which reads no gain; y and t
+    are the plan's own (``plan.y``, ``plan.t``).  x is stepped per gain in
+    float arithmetic (``_sweep_column``) from the plan's tableau and the
+    lower controls' node values, so a column's numbers do not depend on the
+    batch width.
     """
     n, dt = plan.grid.n_nodes, plan.grid.dt
     u, u0 = np.asarray(u, dtype=float), np.asarray(u0, dtype=float)
@@ -453,10 +454,7 @@ def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario):
     u, u0, x0 = u.tolist(), u0.tolist(), x0.tolist()
     for b, g in enumerate(gammas):
         xs[1:, b] = _sweep_column(plan.tableau, u, u0, x0, g, s, dt)
-
-    def wide(a):
-        return np.broadcast_to(a[:, None], xs.shape[:2] + a.shape[1:])
-    return wide(plan.y), xs, wide(zs), wide(plan.t)
+    return xs, zs
 
 
 def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
@@ -510,9 +508,9 @@ def integrate_smooth(cp: ControlProfile, x_init, gamma: float, s: Scenario) -> S
     profile, on a plan path built for it; a gain that
     ``Scenario.smoothing_gain`` refuses is a ValueError."""
     gamma = s.smoothing_gain(gamma)
-    ys, xs, zs, ts = propagate_smooth(plan_path(cp.v, cp.omega, s, cp.grid), cp.u, cp.u0,
-                                      x_init, gamma, s)
-    return StateTrajectory(cp.grid, ys[:, 0], xs[:, 0], zs[:, 0], ts[:, 0])
+    plan = plan_path(cp.v, cp.omega, s, cp.grid)
+    xs, zs = propagate_smooth(plan, cp.u, cp.u0, x_init, gamma, s)
+    return StateTrajectory(cp.grid, plan.y, xs[:, 0], zs, plan.t)
 
 
 def reverse_smooth(plan: PlanPath, x, u, u0, eta: np.ndarray, gamma: float, s: Scenario):
@@ -528,8 +526,8 @@ def reverse_smooth(plan: PlanPath, x, u, u0, eta: np.ndarray, gamma: float, s: S
     function of no arguments that finishes the sweep for the plan and returns
     (dL/domega, dL/dv): one ``reverse_plan_path`` call for the plan center
     and omega's own stage terms, computed only when it is called.  All exact
-    to roundoff.  ``eta`` may be an (N+1, K) array: its K weight columns are
-    swept at once, and every output then has a trailing axis of K columns.
+    to roundoff.  ``eta`` is an (N+1, K) array of K weight columns, swept
+    at once, and every output has a trailing axis of K columns.
     """
     grid = plan.grid
     dt = grid.dt
@@ -554,8 +552,7 @@ def reverse_smooth(plan: PlanPath, x, u, u0, eta: np.ndarray, gamma: float, s: S
         G[j] = b[j] * eye + (RK4_OFFSETS[j + 1] * dt) * (kxT[j + 1] @ G[j + 1])
     phiT = eye + np.sum(kxT @ G, axis=0)           # (dx_{i+1}/dx_i)^T
 
-    cols = eta.reshape(eta.shape[0], -1)           # (N+1, K)
-    hd = (x - plan.y)[..., None] * cols[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
+    hd = (x - plan.y)[..., None] * eta[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
     q_x = np.empty_like(hd)
     q_x[-1] = hd[-1]
     for i in range(grid.n_intervals - 1, -1, -1):
@@ -565,21 +562,18 @@ def reverse_smooth(plan: PlanPath, x, u, u0, eta: np.ndarray, gamma: float, s: S
 
     def to_nodes(g, effort):
         # every column starts from the effort integrand's own derivative
-        return _to_nodes(g, np.repeat(effort[..., None], cols.shape[1], axis=-1))
-
-    def columns(*arrays):
-        return arrays if eta.ndim > 1 else tuple(a[..., 0] for a in arrays)
+        return _to_nodes(g, np.repeat(effort[..., None], eta.shape[1], axis=-1))
 
     def plan_cotangents():
         # grad_y h_lower = -grad_x h_lower at the nodes; k_y^T gx at the stage points
         d_v, d_om = reverse_plan_path(plan.v, plan.omega, -hd, grid, np.swapaxes(k_y, -1, -2) @ gx)
         d_om += to_nodes(np.einsum("jid,jidk->jik", k_w, gx) + U0[..., None] * g_u0w,
                          w * (np.sum(u * u, axis=1) + u0 ** 2))
-        return columns(d_om, d_v)
+        return d_om, d_v
 
     d_u = to_nodes(np.swapaxes(k_u, -1, -2) @ gx, w[:, None] * 2.0 * u * plan.omega[:, None])
     d_u0 = to_nodes(W[..., None] * g_u0w, w * 2.0 * u0 * plan.omega)
-    return columns(q_x, d_u, d_u0) + (plan_cotangents,)
+    return q_x, d_u, d_u0, plan_cotangents
 
 
 def integrate_catchup(cp: ControlProfile, x_init, s: Scenario, warn: bool = True) -> StateTrajectory:
@@ -672,6 +666,6 @@ def convergence_study(cp: ControlProfile, x_init, sched: SmoothingSchedule, s: S
     reference; the whole schedule is one RK4 batch, a column per gamma."""
     sched.validate_against(s)
     ref = integrate_catchup(cp, x_init, s, warn=False)
-    _, xs, _, _ = propagate_smooth(plan_path(cp.v, cp.omega, s, cp.grid), cp.u, cp.u0, x_init,
-                                   sched.gammas, s)
+    xs, _ = propagate_smooth(plan_path(cp.v, cp.omega, s, cp.grid), cp.u, cp.u0, x_init,
+                             sched.gammas, s)
     return np.linalg.norm(xs - ref.x[:, None, :], axis=2).max(axis=0)

@@ -22,7 +22,6 @@ __all__ = [
     "DriftSpec",
     "ExitArc",
     "Scenario",
-    "TruncationBounds",
     "ValidationCheck",
     "ValidationReport",
     "checked",
@@ -103,18 +102,6 @@ class ExitArc:
             object.__setattr__(self, name, checked(name, getattr(self, name)))
         if self.angle_lo > self.angle_hi:
             raise ValueError("angle_lo must not exceed angle_hi")
-
-
-@dataclass(frozen=True)
-class TruncationBounds:
-    """Admissible window (m_bar, M_bar) for the cone truncation level."""
-
-    M_bar: float
-    m_bar: float
-
-    @property
-    def window_nonempty(self) -> bool:
-        return self.M_bar > self.m_bar
 
 
 EXIT_ARC_SAMPLES = 512  # points per target arc in Scenario.exit_boundary_samples
@@ -288,14 +275,15 @@ def project_out_normal(p, v, radius: float) -> np.ndarray:
     return p - outward[:, None] * vhat
 
 
-def truncation_bounds(s: Scenario) -> TruncationBounds:
-    """Admissible truncation window (M_bar, m_bar) for the cone level M.
+def truncation_bounds(s: Scenario) -> float:
+    """M_bar, the upper end of the admissible truncation window (-M_bar,
+    M_bar) for the cone level M.
 
     M_bar is the least over unit normals zeta of the greatest
     <zeta, A x + u> - <zeta, v> over x in Q and the control balls:
     b_U + b_V plus the least support value of the ellipse A Q, which is the
     signed distance d from 0 to its boundary, positive iff 0 is interior (A
-    invertible and |q0| < R).  m_bar = -M_bar, by zeta -> -zeta.  Identity
+    invertible and |q0| < R); the lower end follows by zeta -> -zeta.  Identity
     drift (A = 0) gives d = 0.
 
     |d| is the least |c + R A e(t)| over t, c = A q0, e(t) = (cos t, sin t);
@@ -313,8 +301,7 @@ def truncation_bounds(s: Scenario) -> TruncationBounds:
     t = np.append(np.angle(np.roots(quartic)), 0.0)   # t = 0 for a constant distance
     far = np.linalg.norm(c + s.R * _unit(t) @ A.T, axis=1).min()
     d = far if np.linalg.det(A) != 0.0 and np.linalg.norm(q0) < s.R else -far
-    M_bar = float(d + s.u_bound + s.v_bound)
-    return TruncationBounds(M_bar=M_bar, m_bar=0.0 - M_bar)   # 0 - M_bar: no -0.0
+    return float(d + s.u_bound + s.v_bound)
 
 
 def _unit(angles):
@@ -450,14 +437,15 @@ def validate(s: Scenario) -> ValidationReport:
     h4_ok = 0.0 < s.delta <= s.u_bound + 1e-12
     checks.append(ValidationCheck("H4-inner-ball", h4_ok, f"delta={s.delta}, u_bound={s.u_bound}"))
     # H5: truncation window
-    tb = truncation_bounds(s)
-    h5_ok = 0 < s.M < tb.M_bar
-    detail = f"m_bar={tb.m_bar:.6g} < M={s.M:.6g} < M_bar={tb.M_bar:.6g}"
+    M_bar = truncation_bounds(s)
+    h5_ok = 0 < s.M < M_bar
+    # m_bar = 0 - M_bar, never -0.0
+    detail = f"m_bar={0.0 - M_bar:.6g} < M={s.M:.6g} < M_bar={M_bar:.6g}"
     if s.M <= 0:
         detail = f"M={s.M:.6g} must be positive"
-    elif s.M >= tb.M_bar:
+    elif s.M >= M_bar:
         detail += " violated: strong invariance, bilevel collapses"
-    if not tb.window_nonempty:
+    if not M_bar > 0:
         detail += " (window empty: degenerate control sets)"
     checks.append(ValidationCheck("H5-truncation-window", bool(h5_ok), detail))
     # geometric containment: Scenario refuses a y0 whose small disk leaves Q

@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 MAX_COMBINATIONS = 10 ** 7
+# the largest h_lower and h_upper that the enumerations count as feasible
+FEAS_TOL = 1e-9
 # the (sequence, initial point) pairs brute_lower simulates in one block
 BLOCK_PAIRS = 200_000
 
@@ -54,7 +56,6 @@ class EnumSpec:
     n_intervals: int = 4
     levels_per_control: int = 3
     omega_max: float = 10.0
-    feas_tol: float = 1e-9
     target_tol: float = 0.25
     x_init_points: int = 17
 
@@ -65,7 +66,7 @@ class EnumSpec:
         if self.x_init_points % 2 == 0:
             raise ValueError(f"enumeration x_init_points must be odd (the center and two "
                              f"equal rings): {self.x_init_points!r}")
-        for name in ("omega_max", "feas_tol", "target_tol"):
+        for name in ("omega_max", "target_tol"):
             checked(f"enumeration {name}", getattr(self, name), least=0.0)
         if self.omega_max == 0.0:
             raise ValueError("enumeration omega_max must be > 0: 0.0")
@@ -228,7 +229,7 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
             order = _stable_head(z, k)
         block = order[start:start + step]
         rows = np.stack(np.unravel_index(block, grid), axis=1).astype(np.uint8)
-        feas = _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s) <= spec.feas_tol
+        feas = _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s) <= FEAS_TOL
         hit = feas.any(axis=0)
         if hit.any():
             j = np.argmax(hit)
@@ -290,7 +291,7 @@ def brute_bilevel(spec: EnumSpec, s: Scenario):
     feas = np.ones(1, dtype=bool)
     for i, (pos, where) in enumerate(_plan_centers(s.y0_arr, v_node * (w_node * dt)[:, None], N)):
         dq = pos - s.q0_arr
-        inside = 0.5 * (np.add.reduce(dq * dq, axis=1) - (s.R - s.R1) ** 2) <= spec.feas_tol
+        inside = 0.5 * (np.add.reduce(dq * dq, axis=1) - (s.R - s.R1) ** 2) <= FEAS_TOL
         feas = (np.repeat(feas, per_node) if i else feas) & inside[where]
     feas &= (target_distance(pos, s) <= spec.target_tol)[where]
     if not np.any(feas):

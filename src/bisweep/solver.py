@@ -29,10 +29,10 @@ Layout of the nested scheme:
   before -- the passage gamma -> infinity at the solved plan -- and its last
   solve is the returned one.
 
-``SolverOptions`` holds only the grid, the multi-start seeds and the
-iteration budgets; SLSQP's accuracy and the other numerical settings are the
-module constants below.  All randomness is confined to seeded multi-start
-control guesses.
+``SolverOptions`` holds only the grid, the number of multi-start guesses and
+the iteration budgets; SLSQP's accuracy and the other numerical settings are
+the module constants below.  All randomness is confined to the multi-start
+control guesses, drawn from a fixed stream, so a solve is deterministic.
 """
 
 from __future__ import annotations
@@ -91,16 +91,14 @@ LOWER_KKT_TOL = 1e-4        # its KKT residual at most this
 class SolverOptions:
     n_intervals: int = 40
     seeds: int = 8
-    seed: int = 0
     lower_max_iter: int = 150
     upper_max_iter: int = 30
     screen_iters: int = 5
 
     def __post_init__(self):
-        # a grid has at least 2 intervals (TimeGrid); a seed may be 0
-        least = {"n_intervals": 2, "seed": 0}
+        # a grid has at least 2 intervals (TimeGrid)
         for name, value in vars(self).items():
-            checked(f"solver option {name}", value, int, least=least.get(name, 1))
+            checked(f"solver option {name}", value, int, least=2 if name == "n_intervals" else 1)
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,8 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         if last["flat"] is None or not np.array_equal(last["flat"], flat):
             flat = flat.copy()
             x_init, *lower = nlp.split(flat)
-            _, xs, zs, _ = propagate_smooth(plan, *lower, x_init, gamma, s)
-            last.update(flat=flat, lower=lower, x=xs[:, 0], z=zs[-1, 0],
+            xs, zs = propagate_smooth(plan, *lower, x_init, gamma, s)
+            last.update(flat=flat, lower=lower, x=xs[:, 0], z=zs[-1],
                         h=h_lower(xs[:, 0], plan.y, s), g=None)
         if sweep and last["g"] is None:
             q_x, d_u, d_u0, _ = reverse_smooth(plan, last["x"], *last["lower"], cols, gamma, s)
@@ -261,9 +259,10 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     if dec.controls.grid != plan.grid:
         raise ValueError(f"lower solution: u must have {plan.grid.n_nodes} node values, "
                          f"got {u.shape[0]}")
-    _, xs, _, _ = propagate_smooth(plan, u, u0, dec.x_init, lower.gamma, s)
-    *_, plan_cotangents = reverse_smooth(plan, xs[:, 0], u, u0, lower.eta, lower.gamma, s)
-    d_om, d_v = plan_cotangents()
+    xs, _ = propagate_smooth(plan, u, u0, dec.x_init, lower.gamma, s)
+    *_, plan_cotangents = reverse_smooth(plan, xs[:, 0], u, u0, lower.eta[:, None],
+                                         lower.gamma, s)
+    d_om, d_v = (a[..., 0] for a in plan_cotangents())
     w = plan.weights
     return d_om / w, project_out_normal(d_v / w[:, None], plan.v, s.v_bound)
 
@@ -272,7 +271,7 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
 # bilevel solve
 
 def _initial_guesses(s: Scenario, grid: TimeGrid, opts: SolverOptions):
-    """Structured aim-at-target guess plus seeded random perturbations."""
+    """Structured aim-at-target guess plus random perturbations of a fixed stream."""
     n = grid.n_nodes
     d = target_distance(s.y0_arr, s)
     dhat = target_direction(s.y0_arr, s)
@@ -280,7 +279,7 @@ def _initial_guesses(s: Scenario, grid: TimeGrid, opts: SolverOptions):
         dhat = np.array([1.0, 0.0])
     omega0 = max(float(d) / max(s.v_bound, 1e-9), 0.5)
     guesses = [(np.tile(s.v_bound * dhat, (n, 1)), np.full(n, 1.1 * omega0))]
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(0)
     for _ in range(opts.seeds - 1):
         ang = rng.normal(scale=0.4)
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])

@@ -181,7 +181,7 @@ def test_sweep_matches_per_node_loop_reference(name):
     cols = np.stack([eta, np.zeros_like(eta), np.roll(eta, 5), np.eye(len(eta))[4]], axis=1)
     batched = full_reverse(tr, cp, cols, s)
     for k in range(cols.shape[1]):
-        new = full_reverse(tr, cp, cols[:, k], s)
+        new = [a[..., 0] for a in full_reverse(tr, cp, cols[:, [k]], s)]
         ref = loop_reverse_rk4(tr, cp, cols[:, k], GAMMA, s)
         for label, a, b, c in zip(("q_x", "d_om", "d_v", "d_u", "d_u0"), new, ref, batched):
             assert a.shape == b.shape == c[..., k].shape, label
@@ -208,9 +208,9 @@ def test_sweep_gradients_match_central_differences(name):
     def lagrangian(key, idx, step):
         args = {k: a.copy() for k, a in base.items()}
         args[key][idx] += step
-        ys, xs, zs, _ = propagate_smooth(plan_path(args["v"], args["omega"], s, cp.grid), args["u"],
-                                         args["u0"], args["x0"], GAMMA, s)
-        return zs[-1, 0] + h_lower(xs[:, 0], ys[:, 0], s) @ cols
+        plan = plan_path(args["v"], args["omega"], s, cp.grid)
+        xs, zs = propagate_smooth(plan, args["u"], args["u0"], args["x0"], GAMMA, s)
+        return zs[-1] + h_lower(xs[:, 0], plan.y, s) @ cols
 
     fd = np.array([(lagrangian(key, idx, h) - lagrangian(key, idx, -h)) / (2 * h) for key, idx in dims])
 
@@ -230,7 +230,8 @@ def test_sweep_without_weights_carries_only_the_terminal_cotangent(name):
     s = DRIFTS[name]
     cp, x0, eta = profile(12)
     tr = integrate_smooth(cp, x0, GAMMA, s)
-    q_x, d_om, d_v, d_u, d_u0 = full_reverse(tr, cp, np.zeros_like(eta), s)
+    zero = np.zeros((len(eta), 1))
+    q_x, d_om, d_v, d_u, d_u0 = (a[..., 0] for a in full_reverse(tr, cp, zero, s))
     w = trapz_weights(cp.grid)
     assert np.all(q_x == 0.0) and np.all(d_v == 0.0)
     np.testing.assert_array_equal(d_om, w * (np.sum(cp.u * cp.u, axis=1) + cp.u0 ** 2))
@@ -254,10 +255,11 @@ def test_prebuilt_plan_forward_and_swept_reverse_are_the_full_ones_bitwise(s, se
     cp, x0, _ = profile(12, seed)
     n = cp.grid.n_nodes
     plan = frozen_plan(cp.omega, cp.v, s)
-    ys, xs, zs, ts = propagate_smooth(plan, cp.u, cp.u0, x0, GAMMA, s)
+    xs, zs = propagate_smooth(plan, cp.u, cp.u0, x0, GAMMA, s)
     ref = integrate_smooth(cp, x0, GAMMA, s)
-    for name, a in zip("yxzt", (ys, xs, zs, ts)):
-        assert a.shape[1] == 1 and np.array_equal(a[:, 0], getattr(ref, name)), name
+    assert xs.shape[1] == 1 and np.array_equal(xs[:, 0], ref.x)
+    for name, a in zip("yzt", (plan.y, zs, plan.t)):
+        assert np.array_equal(a, getattr(ref, name)), name
     cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
     q_x, d_u, d_u0, _ = reverse_smooth(plan, xs[:, 0], cp.u, cp.u0, cols, GAMMA, s)
     full = full_reverse(ref, cp, cols, s)

@@ -208,9 +208,12 @@ def test_malformed_scenario_value_prints_no_traceback(tmp_path):
 
 @pytest.mark.parametrize("command, run", [("validate", {"upper_iters": 3}),
                                           ("oracle", {"oracle": {"upper_iters": 3}}),
-                                          ("certify", {"rho_max": 4.0})])
+                                          ("certify", {"rho_max": 4.0}),
+                                          ("solve", {"seed": 1}),
+                                          ("oracle", {"oracle": {"feas_tol": 0.0}})])
 def test_unknown_run_key_is_refused(tmp_path, monkeypatch, capsys, command, run):
-    # rho is the certificate's constant, no longer a run key
+    # rho is the certificate's constant, no longer a run key; so are the
+    # multi-start stream's seed and the enumerations' feasibility tolerance
     monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
     cfg = write_config(tmp_path, run=run)
     assert main([command, "--config", str(cfg)]) == EXIT_USAGE
@@ -219,8 +222,8 @@ def test_unknown_run_key_is_refused(tmp_path, monkeypatch, capsys, command, run)
 
 # the flags each subcommand reads, besides --config and --out
 FLAGS_READ = {"validate": (), "simulate": ("--profile",),
-              "solve": ("--grid", "--seed", "--gamma-max"),
-              "certify": ("--grid", "--seed", "--gamma-max"),
+              "solve": ("--grid", "--gamma-max"),
+              "certify": ("--grid", "--gamma-max"),
               "oracle": (), "sweep-gamma": ("--profile", "--gamma-max")}
 FOREIGN_FLAGS = [(command, flag) for command, read in FLAGS_READ.items()
                  for flag in ("--grid", "--seed", "--gamma-max", "--profile", "--rho-max")
@@ -246,7 +249,8 @@ def test_flag_a_subcommand_does_not_read_is_refused(monkeypatch, capsys, command
 
 @pytest.mark.parametrize("command", ["solve", "certify"])
 @pytest.mark.parametrize("key, value", [("n_intervals", 2.5), ("n_intervals", 1), ("seeds", 0),
-                                        ("seeds", -1), ("lower_max_iter", True), ("seed", -1)])
+                                        ("seeds", -1), ("lower_max_iter", True),
+                                        ("seed", -1)])   # refused as an unknown key
 def test_bad_solver_run_value_is_refused(tmp_path, monkeypatch, capsys, command, key, value):
     monkeypatch.setattr(bisweep.cli, "solve_bilevel", _no_solve)
     cfg = write_config(tmp_path, run={key: value})
@@ -427,7 +431,7 @@ def test_solve_deterministic_byte_identical(tmp_path):
     for d in ("a", "b"):
         out = tmp_path / d
         code = main(["solve", "--config", str(cfg), "--out", str(out),
-                     "--seed", "3", "--gamma-max", "12"])
+                     "--gamma-max", "12"])
         assert code == EXIT_OK
         outs.append((out / "solution.json").read_bytes())
     assert outs[0] == outs[1]

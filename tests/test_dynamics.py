@@ -305,7 +305,7 @@ def test_integrate_smooth_speed_bound():
 # ---------------------------------------------------------------- catch-up integrator
 def test_plan_path_is_propagate_smooth_plan_path():
     # the plan solve reads y and t of the plan path alone; they must be the
-    # very numbers the full propagation produces for any lower controls
+    # very numbers of the full propagation's trajectory for any lower controls
     n, P = 12, 7
     rng = np.random.default_rng(5)
     grid = TimeGrid(n)
@@ -313,11 +313,11 @@ def test_plan_path_is_propagate_smooth_plan_path():
     for _ in range(P):
         v, omega = rng.uniform(-1.0, 1.0, (n + 1, 2)), rng.uniform(0.0, 3.0, n + 1)
         u, u0 = rng.uniform(-0.5, 0.5, (n + 1, 2)), rng.uniform(0.0, 1.0, n + 1)
-        ys, _, _, ts = propagate_smooth(plan_path(v, omega, S, grid), u, u0,
-                                        rng.uniform(-0.5, 0.5, 2), 12.0, S)
+        tr = integrate_smooth(ControlProfile(grid, v, u, u0, omega), rng.uniform(-0.5, 0.5, 2),
+                              12.0, S)
         y_plan, t_plan = plan_nodes(v, omega, S, grid)
-        assert np.array_equal(y_plan, ys[:, 0])
-        assert np.array_equal(t_plan, ts[:, 0])
+        assert np.array_equal(y_plan, tr.y)
+        assert np.array_equal(t_plan, tr.t)
         # and both are RK4 of dy = v*omega (controls linear in between) and
         # the trapezoid rule for t, stepped here one interval at a time
         y = np.empty_like(y_plan)
@@ -402,9 +402,9 @@ def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
         plan = plan_path(v, omega, s, grid)
         for x_init in (rng.uniform(-0.3, 0.3, 2), plan.y[0] + (0.0, band)):
             if per_column:
-                _, xs, _, _ = propagate_smooth(plan, u, u0, x_init, gammas, s)
+                xs, _ = propagate_smooth(plan, u, u0, x_init, gammas, s)
             else:
-                xs = np.concatenate([propagate_smooth(plan, u, u0, x_init, float(g), s)[1]
+                xs = np.concatenate([propagate_smooth(plan, u, u0, x_init, float(g), s)[0]
                                      for g in gammas], axis=1)
             assert xs.shape == (n + 1, B, 2)
             ref, offsets = _stage_loop_x(v, u, u0, omega, np.tile(x_init, (B, 1)), gammas, s,
@@ -416,6 +416,26 @@ def test_propagate_smooth_equals_the_stage_loop(s, B, P, per_column):
     assert (expo > 50.0).any() and (c >= s.cone_gain).any() and (c < 1e-3 * s.cone_gain).any()
     # and stage points inside the cap's band, -a < ln(g/K) < a
     assert (np.abs(expo + np.log(gammas / s.cone_gain)) < CAP_BAND).any()
+
+
+def test_propagate_smooth_returns_x_and_z_and_the_trajectory_reads_the_plan_path():
+    # the forward returns the swept point, one column per gain, and the
+    # effort, which reads no gain; the trajectory's y and t are the plan
+    # path's own numbers
+    n, gammas = 9, np.array([12.0, 24.0, 48.0])
+    rng = np.random.default_rng(4)
+    cp = ControlProfile(TimeGrid(n), v=rng.uniform(-0.5, 0.5, (n + 1, 2)),
+                        u=rng.uniform(-0.5, 0.5, (n + 1, 2)), u0=rng.uniform(0.0, 1.0, n + 1),
+                        omega=rng.uniform(0.5, 2.0, n + 1))
+    x_init = S.y0_arr + 0.1
+    plan = plan_path(cp.v, cp.omega, S, cp.grid)
+    out = propagate_smooth(plan, cp.u, cp.u0, x_init, gammas, S)
+    assert isinstance(out, tuple) and len(out) == 2
+    xs, zs = out
+    assert xs.shape == (n + 1, 3, 2) and zs.shape == (n + 1,)
+    tr = integrate_smooth(cp, x_init, 24.0, S)
+    assert np.array_equal(tr.y, plan.y) and np.array_equal(tr.t, plan.t)
+    assert np.array_equal(tr.x, xs[:, 1]) and np.array_equal(tr.z, zs)
 
 
 @pytest.mark.parametrize("name, arg, got", [

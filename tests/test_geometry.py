@@ -109,23 +109,17 @@ def test_project_ball_rows_idempotent_and_nonexpansive(ax, ay, bx, by):
 
 # ---------------------------------------------------------------- truncation bounds
 def test_truncation_bounds_unit_balls():
-    tb = truncation_bounds(S)
-    assert tb.M_bar == pytest.approx(2.0)
-    assert tb.m_bar == pytest.approx(-2.0)
+    assert truncation_bounds(S) == pytest.approx(2.0)
 
 
 def test_truncation_bounds_degenerate_controls():
     s = straight_corridor(u_bound=0.0, v_bound=0.0)
-    tb = truncation_bounds(s)
-    assert tb.M_bar == pytest.approx(0.0)
-    assert tb.m_bar == pytest.approx(0.0)
+    assert truncation_bounds(s) == pytest.approx(0.0)
 
 
 def test_truncation_bounds_asymmetric_balls():
     s = straight_corridor(u_bound=2.0, v_bound=0.5, M=2.2, M1=2.0)
-    tb = truncation_bounds(s)
-    assert tb.M_bar == pytest.approx(2.5)
-    assert tb.m_bar == pytest.approx(-2.5)
+    assert truncation_bounds(s) == pytest.approx(2.5)
 
 
 def _dense_truncation_bounds(s, points=4096):
@@ -149,27 +143,27 @@ def test_truncation_bounds_match_a_dense_reference_off_center():
     for A, q0 in (((0.3, 0.2, -0.4, 0.1), (3.0, -2.0)), (SKEW_A, SKEW_Q0),
                   ((0.2, 0.1, -0.3, 0.4), (12.0, 0.0))):
         s = Scenario(q0=q0, y0=q0, drift=DriftSpec("affine", A))
-        tb = truncation_bounds(s)
+        M_bar = truncation_bounds(s)
         M_dense, m_dense = _dense_truncation_bounds(s)
-        assert abs(tb.M_bar - M_dense) <= 1e-5 and abs(tb.m_bar - m_dense) <= 1e-5
+        assert abs(M_bar - M_dense) <= 1e-5 and abs(-M_bar - m_dense) <= 1e-5
 
 
 def test_truncation_bounds_of_a_singular_drift_touch_zero():
     # A = (1, 2, 0.5, 1) maps Q onto a segment through 0: d = 0 up to
     # roundoff, where 256 sampled normals read 0.058
     s = Scenario(q0=(1.0, 1.0), y0=(1.0, 1.0), drift=DriftSpec("affine", (1.0, 2.0, 0.5, 1.0)))
-    assert abs(truncation_bounds(s).M_bar - 2.0) <= 1e-12
+    assert abs(truncation_bounds(s) - 2.0) <= 1e-12
 
 
 def test_validate_refuses_a_level_above_the_exact_window():
     # the exact M_bar is 2.0507; 256 sampled normals put it at 2.0751
     s = Scenario(q0=SKEW_Q0, y0=SKEW_Q0, drift=DriftSpec("affine", SKEW_A), M=2.06)
-    assert truncation_bounds(s).M_bar == pytest.approx(2.0506705, abs=1e-7)
+    assert truncation_bounds(s) == pytest.approx(2.0506705, abs=1e-7)
     assert [c.name for c in validate(s).failures()] == ["H5-truncation-window"]
 
 
 def test_validate_refuses_an_empty_window():
-    # zero control balls under identity drift give M_bar = m_bar = 0, so no
+    # zero control balls under identity drift give M_bar = 0, so no
     # level M > 0 lies inside the window
     checks = {c.name: c for c in validate(Scenario(u_bound=0.0, v_bound=0.0)).checks}
     h5 = checks["H5-truncation-window"]

@@ -40,8 +40,7 @@ def test_enum_spec_rejects_oversized_grids():
 @pytest.mark.parametrize("field, value", [
     ("n_intervals", 2.5), ("levels_per_control", True), ("x_init_points", 2.5),
     ("x_init_points", 4), ("x_init_points", 0),
-    ("omega_max", 0.0), ("omega_max", np.inf), ("feas_tol", -1e-9), ("target_tol", np.nan),
-    ("feas_tol", "0")])
+    ("omega_max", 0.0), ("omega_max", np.inf), ("target_tol", np.nan)])
 def test_enum_spec_refuses_bad_fields(field, value):
     with pytest.raises(ValueError, match=field):
         EnumSpec(**{field: value})
@@ -55,8 +54,14 @@ def test_x_init_points_is_the_number_of_initial_points(count):
     assert np.all(np.linalg.norm(pts - S.y0_arr, axis=1) <= S.R1 * (1 + 1e-12))
 
 
+def test_enum_spec_has_no_feasibility_tolerance():
+    # the enumerations count h <= oracle.FEAS_TOL as feasible
+    with pytest.raises(TypeError, match="feas_tol"):
+        EnumSpec(feas_tol=0)
+
+
 def test_enum_spec_accepts_integers_for_float_fields():
-    assert EnumSpec(omega_max=10, feas_tol=0, target_tol=0).omega_max == 10
+    assert EnumSpec(omega_max=10, target_tol=0).omega_max == 10
 
 
 def test_product_rows_are_uint8_in_itertools_order():
@@ -208,7 +213,7 @@ def naive_brute_lower(omega, v, gamma, spec, s):
             for i in range(N + 1):
                 d = x - y[i]
                 hl = 0.5 * (np.sum(d * d) - s.R1 ** 2)
-                feasible &= bool(hl <= spec.feas_tol)
+                feasible &= bool(hl <= oracle.FEAS_TOL)
                 if i == N:
                     break
                 u, u0 = seq[i]
@@ -444,10 +449,10 @@ def naive_upper_plans(spec, s):
     plans, strays = [], 0
     for seq in itertools.product(nodes, repeat=N):
         y = s.y0_arr
-        inside = h_upper(y) <= spec.feas_tol
+        inside = h_upper(y) <= oracle.FEAS_TOL
         for v, w in seq:
             y = y + v * (w * dt)
-            inside &= h_upper(y) <= spec.feas_tol
+            inside &= h_upper(y) <= oracle.FEAS_TOL
         if target_distance(y, s) > spec.target_tol:
             continue
         if not inside:

@@ -35,10 +35,16 @@ def dragged_inputs(n, speed=4.0, vx=1.0):
 # ---------------------------------------------------------------- options
 @pytest.mark.parametrize("field, value", [("lower_max_iter", 0), ("n_intervals", 2.5),
                                           ("n_intervals", 1), ("seeds", 0), ("upper_max_iter", False),
-                                          ("screen_iters", "30"), ("seed", -1)])
+                                          ("screen_iters", "30")])
 def test_solver_options_refuse_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{field: value})
+
+
+def test_solver_options_have_no_seed():
+    # the multi-start guesses come from one fixed stream
+    with pytest.raises(TypeError, match="seed"):
+        SolverOptions(seed=0)
 
 
 # ---------------------------------------------------------------- lower solve

@@ -188,9 +188,9 @@ def test_scaled_decision_makes_the_effort_half_its_squared_norm(n, zero_nodes):
     d, m = S.dim, n + 1
     xi_u, xi_u0 = xi[d:d + d * m].reshape(m, d), xi[d + d * m:]
     live = cp.omega > 0.0
-    _, _, zs, _ = propagate_smooth(nlp.plan, cp.u, cp.u0, dv.x_init, GAMMA, S)
+    _, zs = propagate_smooth(nlp.plan, cp.u, cp.u0, dv.x_init, GAMMA, S)
     half_norm = 0.5 * (np.sum(xi_u[live] ** 2) + np.sum(xi_u0[live] ** 2))
-    assert half_norm == pytest.approx(zs[-1, 0], rel=1e-13, abs=0.0)
+    assert half_norm == pytest.approx(zs[-1], rel=1e-13, abs=0.0)
     assert np.array_equal(xi[:d], dv.x_init)
     np.testing.assert_array_equal(nlp.node_scale[~live], SCALE_FLOOR)
     np.testing.assert_allclose(xi_u[~live], SCALE_FLOOR * cp.u[~live], rtol=1e-15)
