@@ -19,13 +19,15 @@ pair takes that record and the lower controls (u, u0) as arguments:
 ``propagate_smooth`` steps the swept point once per smoothing gain in float
 arithmetic (``_sweep_column``), one interval per loop turn, reading the plan's
 tableau and the lower controls' node values, in the order of the smoothed
-stage field ``stage_slope``; ``reverse_smooth``, its exact discrete reverse,
-sweeps the swept point, evaluating ``stage_slope`` with its Jacobians over all
-intervals at once, and returns the plan's cotangents as a function run only
-where they are read.  That function calls ``reverse_plan_path``, the reverse
-of ``plan_path``, which the Jacobian of the plan solve's constraints also
-reads.  ``integrate_smooth`` and ``convergence_study`` take a control
-profile and build its plan path on each call.
+stage field ``stage_slope``, and on request hands over the swept point at
+every RK4 stage point; ``reverse_smooth``, its exact discrete reverse, reads
+those stage points and sweeps the swept point, evaluating ``stage_slope``'s
+Jacobians over all intervals at once, and returns the plan's cotangents as a
+function run only where they are read.  That function calls
+``reverse_plan_path``, the reverse of ``plan_path``, which the Jacobian of
+the plan solve's constraints also reads.  ``integrate_smooth`` and
+``convergence_study`` take a control profile and build its plan path on each
+call.
 """
 
 from __future__ import annotations
@@ -422,7 +424,7 @@ def reverse_plan_path(v, omega, lam_y, grid: TimeGrid, lam_stages=None):
     return d_v, d_om
 
 
-def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario):
+def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario, stages: bool = False):
     """RK4 propagation of (y, x) under the smoothed field for the lower
     controls (u, u0) at one plan, one batch column per smoothing gain.
 
@@ -435,7 +437,9 @@ def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario):
     are the plan's own (``plan.y``, ``plan.t``).  x is stepped per gain in
     float arithmetic (``_sweep_column``) from the plan's tableau and the
     lower controls' node values, so a column's numbers do not depend on the
-    batch width.
+    batch width.  With ``stages`` it also returns the swept point at the
+    four RK4 stage points of every interval, (4, N, B, n), which
+    ``reverse_smooth`` reads.
     """
     n, dt = plan.grid.n_nodes, plan.grid.dt
     u, u0 = np.asarray(u, dtype=float), np.asarray(u0, dtype=float)
@@ -451,14 +455,22 @@ def propagate_smooth(plan: PlanPath, u, u0, x_init, gamma, s: Scenario):
     # stage recursion
     xs = np.empty((n, len(gammas), s.dim))
     xs[0] = x0
+    x_st = np.empty((4, n - 1, len(gammas), s.dim)) if stages else None
     u, u0, x0 = u.tolist(), u0.tolist(), x0.tolist()
     for b, g in enumerate(gammas):
-        xs[1:, b] = _sweep_column(plan.tableau, u, u0, x0, g, s, dt)
-    return xs, zs
+        rows = [] if stages else None
+        xs[1:, b] = _sweep_column(plan.tableau, u, u0, x0, g, s, dt, rows)
+        if stages:
+            x_st[1:, :, b] = np.reshape(rows, (n - 1, 3, s.dim)).transpose(1, 0, 2)
+    if not stages:
+        return xs, zs
+    x_st[0] = xs[:-1]
+    return xs, zs, x_st
 
 
-def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
-    """RK4 nodes x_1..x_N of one batch column in float arithmetic.
+def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float, stages=None):
+    """RK4 nodes x_1..x_N of one batch column in float arithmetic; a list
+    ``stages`` gets each interval's stage points 1 to 3 appended, flat.
 
     ``tableau`` is the plan's (``PlanPath.tableau``), one row per interval;
     u and u0 are the lower controls' node values as lists.  Each interval is
@@ -492,11 +504,16 @@ def _sweep_column(tableau, u, u0, x, gamma: float, s: Scenario, dt: float):
         m0, m1, mw = (l0 + r0) * 0.5, (l1 + r1) * 0.5, (l + r) * 0.5 * wm
         k0, k1 = slope(x0, x1, ya0, ya1, l0, l1, wl, l * wl)
         a0, a1 = k0, k1
-        k0, k1 = slope(x0 + half_dt * k0, x1 + half_dt * k1, yb0, yb1, m0, m1, wm, mw)
+        p0, p1 = x0 + half_dt * k0, x1 + half_dt * k1
+        k0, k1 = slope(p0, p1, yb0, yb1, m0, m1, wm, mw)
         a0, a1 = a0 + 2.0 * k0, a1 + 2.0 * k1
-        k0, k1 = slope(x0 + half_dt * k0, x1 + half_dt * k1, yc0, yc1, m0, m1, wm, mw)
+        q0, q1 = x0 + half_dt * k0, x1 + half_dt * k1
+        k0, k1 = slope(q0, q1, yc0, yc1, m0, m1, wm, mw)
         a0, a1 = a0 + 2.0 * k0, a1 + 2.0 * k1
-        k0, k1 = slope(x0 + dt * k0, x1 + dt * k1, yd0, yd1, r0, r1, wr, r * wr)
+        e0, e1 = x0 + dt * k0, x1 + dt * k1
+        k0, k1 = slope(e0, e1, yd0, yd1, r0, r1, wr, r * wr)
+        if stages is not None:
+            stages.append((p0, p1, q0, q1, e0, e1))
         x0, x1 = x0 + dt6 * (a0 + k0), x1 + dt6 * (a1 + k1)
         out.append((x0, x1))
         l0, l1, l = r0, r1, r
@@ -513,34 +530,31 @@ def integrate_smooth(cp: ControlProfile, x_init, gamma: float, s: Scenario) -> S
     return StateTrajectory(cp.grid, plan.y, xs[:, 0], zs, plan.t)
 
 
-def reverse_smooth(plan: PlanPath, x, u, u0, eta: np.ndarray, gamma: float, s: Scenario):
+def reverse_smooth(plan: PlanPath, x, x_stages, u, u0, eta: np.ndarray, gamma: float,
+                   s: Scenario):
     """Exact discrete adjoint of ``propagate_smooth``'s RK4 step map at one gain.
 
     Backpropagates L = z(T*) + sum_i eta_i * h_lower_i through the forward's
     own step map on the plan's ``PlanPath``, from the forward's swept-point
-    nodes x (N+1, n) and the lower controls (u, u0): the stage points of
-    every interval at once, field Jacobians of every (stage, interval) pair
-    from one ``stage_slope`` call; only the 2x2 backward recursion over
-    nodes is sequential.  Returns the node cotangents q_x = dL/dx_i, the
-    lower control gradients dL/du and dL/du0, and ``plan_cotangents``, a
-    function of no arguments that finishes the sweep for the plan and returns
-    (dL/domega, dL/dv): one ``reverse_plan_path`` call for the plan center
-    and omega's own stage terms, computed only when it is called.  All exact
-    to roundoff.  ``eta`` is an (N+1, K) array of K weight columns, swept
-    at once, and every output has a trailing axis of K columns.
+    nodes x (N+1, n), its stage points x_stages (4, N, n) (``propagate_smooth``
+    with ``stages``, one gain's column) and the lower controls (u, u0): field
+    Jacobians of every (stage, interval) pair from one ``stage_slope`` call;
+    only the 2x2 backward recursion over nodes is sequential.  Returns the
+    node cotangents q_x = dL/dx_i, the lower control gradients dL/du and
+    dL/du0, and ``plan_cotangents``, a function of no arguments that finishes
+    the sweep for the plan and returns (dL/domega, dL/dv): one
+    ``reverse_plan_path`` call for the plan center and omega's own stage
+    terms, computed only when it is called.  All exact to roundoff.  ``eta``
+    is an (N+1, K) array of K weight columns, swept at once, and every
+    output has a trailing axis of K columns.
     """
     grid = plan.grid
     dt = grid.dt
     eye = np.eye(s.dim)
     Y, W, w = plan.y_stages, plan.w_stages, plan.weights
-    u_st, u0_st = stage_values(u), stage_values(u0)
-    x_st = [x[:-1]]
-    for j in (1, 2, 3):   # stage j starts off stage j-1's slope
-        k = stage_slope(x_st[-1], Y[j - 1], u_st[j - 1], W[j - 1], u0_st[j - 1] * W[j - 1],
-                        gamma, s)
-        x_st.append(x[:-1] + (RK4_OFFSETS[j] * dt) * k)
-    X, U, U0 = (np.stack(a) for a in (x_st, u_st, u0_st))   # (4, N, ...)
-    _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(X, Y, U, W, U0 * W, gamma, s, jacobians=True)
+    U, U0 = (np.stack(stage_values(a)) for a in (u, u0))   # (4, N, ...)
+    _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(x_stages, Y, U, W, U0 * W, gamma, s,
+                                                 jacobians=True)
 
     # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
     # g_j = b_j lam_x + a_{j+1} dt k_x[j+1]^T g_{j+1} unrolls the stage updates

@@ -9,7 +9,9 @@ Layout of the nested scheme:
   lower multiplier set.  The plan is checked and its plan path built once
   per solve (``dynamics.frozen_plan``) and passed to each SLSQP iterate's
   forward and reverse with its lower controls (x_init, u, u0); the reverse
-  sweeps only the swept point, never the plan's cotangents.  SLSQP works on
+  reads the forward's RK4 stage points and sweeps only the swept point,
+  never the plan's cotangents.  u0's cap goes to SLSQP only where it binds,
+  so the QP pays for no row that never binds.  SLSQP works on
   the transcription's scaled decision, in which the effort is half a
   squared norm: its quasi-Newton matrix starts at the identity on every
   solve, warm ones included, and that is then the effort's exact Hessian.
@@ -66,7 +68,7 @@ from .geometry import (
     target_direction,
     validate,
 )
-from .transcription import DecisionVector, NLPInstance
+from .transcription import SCALE_FLOOR, DecisionVector, NLPInstance
 
 __all__ = [
     "SolverOptions",
@@ -171,10 +173,17 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     ``dynamics.frozen_plan`` refuses is a ValueError, checked once per call
     where the plan path is built; the iterates read that path and build no
     control profile.  The contacts h_lower <= 0 include node 0, where they
-    are x_init's disk; the u-balls are inequality constraints and u0 has the
-    bounds [0, 1], both scaled by the transcription's node scale D.  The
-    effort gradient and the contact Jacobian come from one batched
-    ``reverse_smooth`` sweep of the swept point per iterate, divided by the
+    are x_init's disk; the u-balls are inequality constraints and u0 >= 0 a
+    bound, both scaled by the transcription's node scale D.  u0's cap 1 is a
+    bound, and ``NLPInstance.split``'s clip, only at a working set of nodes:
+    where the start has u0 at 1, where D is floored (the effort hardly
+    bounds u0 there), and where a round that SLSQP ends at an optimum has
+    u0 above 1, each such round warm-starting the next within the one
+    budget ``lower_max_iter``; ``status["iterations"]`` counts every round.
+    The returned decision, its KKT residual and ``converged`` are the full
+    problem's, u0 capped at every node.  The effort gradient and the contact
+    Jacobian come from one batched ``reverse_smooth`` sweep of the swept
+    point per iterate, from the forward's stage points, divided by the
     scale for SLSQP, and eta is SLSQP's multiplier vector of the contact
     rows, which the scaling leaves unchanged.  The KKT residual is read in
     the unscaled decision.
@@ -195,6 +204,9 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     # weight column 0 sweeps the effort alone, column 1 + i adds h_lower_i
     cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
     last = {"flat": None}
+    # u0's cap: 1 in the working set, infinite elsewhere
+    nlp.u0_cap = np.where((nlp.split(flat)[2] >= 1.0) | (nlp.node_scale <= SCALE_FLOOR),
+                          1.0, np.inf)
 
     def at(flat, sweep=False):
         """The iterate's propagation and, with ``sweep``, its (dim, 1 + n)
@@ -203,11 +215,12 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         if last["flat"] is None or not np.array_equal(last["flat"], flat):
             flat = flat.copy()
             x_init, *lower = nlp.split(flat)
-            xs, zs = propagate_smooth(plan, *lower, x_init, gamma, s)
-            last.update(flat=flat, lower=lower, x=xs[:, 0], z=zs[-1],
+            xs, zs, x_st = propagate_smooth(plan, *lower, x_init, gamma, s, stages=True)
+            last.update(flat=flat, lower=lower, x=xs[:, 0], x_st=x_st[:, :, 0], z=zs[-1],
                         h=h_lower(xs[:, 0], plan.y, s), g=None)
         if sweep and last["g"] is None:
-            q_x, d_u, d_u0, _ = reverse_smooth(plan, last["x"], *last["lower"], cols, gamma, s)
+            q_x, d_u, d_u0, _ = reverse_smooth(plan, last["x"], last["x_st"], *last["lower"],
+                                               cols, gamma, s)
             last["g"] = np.concatenate([q_x[0], d_u.reshape(d * n, -1), d_u0])
         return last
 
@@ -216,14 +229,26 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
         return (g[:, 1:] - g[:, :1]).T
 
     # SLSQP reads the gradients in the scaled decision: d/dxi = d/d(x_init, u,
-    # u0) / scale.  It writes into the gradient it is handed, which is a new array
-    res = minimize(lambda f: at(f)["z"], flat, method="SLSQP",
-                   jac=lambda f: at(f, sweep=True)["g"][:, 0] / nlp.scale,
-                   bounds=[(None, None)] * k + [(0.0, b) for b in nlp.node_scale],
-                   constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
-                                 "jac": lambda f: -contact_jac(f) / nlp.scale},
-                                _ball_rows(d, n, d, s.u_bound * nlp.node_scale)],
-                   options={"maxiter": opts.lower_max_iter, "ftol": SLSQP_FTOL})
+    # u0) / scale.  It writes into the gradient it is handed, which is a new
+    # array.  Each round gets what is left of the budget
+    used = 0
+    while True:
+        bounds = [(None, None)] * k + [(0.0, b) for b in nlp.node_scale * nlp.u0_cap]
+        res = minimize(lambda f: at(f)["z"], flat, method="SLSQP",
+                       jac=lambda f: at(f, sweep=True)["g"][:, 0] / nlp.scale, bounds=bounds,
+                       constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
+                                     "jac": lambda f: -contact_jac(f) / nlp.scale},
+                                    _ball_rows(d, n, d, s.u_bound * nlp.node_scale)],
+                       options={"maxiter": opts.lower_max_iter - used, "ftol": SLSQP_FTOL})
+        used += res.nit
+        over = nlp.split(res.x)[2] > 1.0
+        if not over.any() or res.status != 0 or used >= opts.lower_max_iter:
+            break
+        nlp.u0_cap[over] = 1.0
+        flat, last["flat"] = res.x, None   # the split changed at those nodes
+    if over.any():
+        # a failed or last round ended above 1: read the full problem's point
+        nlp.u0_cap[:], last["flat"] = 1.0, None
     sol = at(res.x, sweep=True)
     eta = np.array(res.multipliers[:n])
     viol = float(np.max(sol["h"], initial=0.0))
@@ -237,7 +262,7 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     kkt = max(float(np.max(np.abs(point - step))), float(np.max(np.abs(eta * sol["h"]))))
     status = {"converged": (res.status == 0 and viol <= LOWER_VIOLATION_TOL
                             and kkt <= LOWER_KKT_TOL),
-              "max_violation": viol, "iterations": int(res.nit),
+              "max_violation": viol, "iterations": used,
               "exit_status": int(res.status), "kkt_residual": kkt}
     return LowerSolution(decision=nlp.unpack(sol["flat"]), value=float(sol["z"]), eta=eta,
                          status=status, gamma=gamma)
@@ -259,9 +284,9 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     if dec.controls.grid != plan.grid:
         raise ValueError(f"lower solution: u must have {plan.grid.n_nodes} node values, "
                          f"got {u.shape[0]}")
-    xs, _ = propagate_smooth(plan, u, u0, dec.x_init, lower.gamma, s)
-    *_, plan_cotangents = reverse_smooth(plan, xs[:, 0], u, u0, lower.eta[:, None],
-                                         lower.gamma, s)
+    xs, _, x_st = propagate_smooth(plan, u, u0, dec.x_init, lower.gamma, s, stages=True)
+    *_, plan_cotangents = reverse_smooth(plan, xs[:, 0], x_st[:, :, 0], u, u0,
+                                         lower.eta[:, None], lower.gamma, s)
     d_om, d_v = (a[..., 0] for a in plan_cotangents())
     w = plan.weights
     return d_om / w, project_out_normal(d_v / w[:, None], plan.v, s.v_bound)

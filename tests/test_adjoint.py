@@ -8,8 +8,9 @@ against integrate_smooth and the full reverse."""
 import numpy as np
 import pytest
 
-from bisweep.dynamics import (ControlProfile, TimeGrid, frozen_plan, integrate_smooth, plan_path,
-                              propagate_smooth, reverse_smooth, trapz_weights)
+from bisweep.dynamics import (RK4_OFFSETS, ControlProfile, TimeGrid, frozen_plan,
+                              integrate_smooth, plan_path, propagate_smooth, reverse_smooth,
+                              stage_slope, stage_values, trapz_weights)
 from bisweep.geometry import DriftSpec, h_lower, straight_corridor
 
 GAMMA = 24.0
@@ -38,9 +39,12 @@ def profile(n, seed=3):
 
 def full_reverse(tr, cp, eta, s):
     """(q_x, dL/domega, dL/dv, dL/du, dL/du0): ``reverse_smooth`` with its
-    plan cotangents, on a plan path built for cp."""
-    q_x, d_u, d_u0, plan_cotangents = reverse_smooth(plan_path(cp.v, cp.omega, s, cp.grid), tr.x,
-                                                     cp.u, cp.u0, eta, GAMMA, s)
+    plan cotangents, on a plan path built for cp, from the stage points of
+    the forward from tr's x(0)."""
+    plan = plan_path(cp.v, cp.omega, s, cp.grid)
+    _, _, x_st = propagate_smooth(plan, cp.u, cp.u0, tr.x[0], GAMMA, s, stages=True)
+    q_x, d_u, d_u0, plan_cotangents = reverse_smooth(plan, tr.x, x_st[:, :, 0], cp.u, cp.u0,
+                                                     eta, GAMMA, s)
     return (q_x, *plan_cotangents(), d_u, d_u0)
 
 
@@ -255,13 +259,55 @@ def test_prebuilt_plan_forward_and_swept_reverse_are_the_full_ones_bitwise(s, se
     cp, x0, _ = profile(12, seed)
     n = cp.grid.n_nodes
     plan = frozen_plan(cp.omega, cp.v, s)
-    xs, zs = propagate_smooth(plan, cp.u, cp.u0, x0, GAMMA, s)
+    xs, zs, x_st = propagate_smooth(plan, cp.u, cp.u0, x0, GAMMA, s, stages=True)
     ref = integrate_smooth(cp, x0, GAMMA, s)
     assert xs.shape[1] == 1 and np.array_equal(xs[:, 0], ref.x)
     for name, a in zip("yzt", (plan.y, zs, plan.t)):
         assert np.array_equal(a, getattr(ref, name)), name
     cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
-    q_x, d_u, d_u0, _ = reverse_smooth(plan, xs[:, 0], cp.u, cp.u0, cols, GAMMA, s)
+    q_x, d_u, d_u0, _ = reverse_smooth(plan, xs[:, 0], x_st[:, :, 0], cp.u, cp.u0, cols, GAMMA,
+                                       s)
     full = full_reverse(ref, cp, cols, s)
     for label, a, b in zip(("q_x", "d_u", "d_u0"), (q_x, d_u, d_u0), (full[0], full[3], full[4])):
         assert np.array_equal(a, b), label
+
+
+CLIPPED = straight_corridor(drift=DriftSpec(name="affine", A=(0.3, 0.2, -0.4, 0.1)), M1=0.9)
+
+
+def recomputed_stages(plan, x, u, u0, gamma, s):
+    """The swept point at the four RK4 stage points of every interval as the
+    reverse once recomputed them from the nodes x: stage j starts from x_i
+    plus its offset times dt times stage j-1's slope, every interval at once
+    through ``stage_slope``."""
+    Y, W = plan.y_stages, plan.w_stages
+    u_st, u0_st = stage_values(u), stage_values(u0)
+    x_st = [x[:-1]]
+    for j in (1, 2, 3):
+        k = stage_slope(x_st[-1], Y[j - 1], u_st[j - 1], W[j - 1], u0_st[j - 1] * W[j - 1],
+                        gamma, s)
+        x_st.append(x[:-1] + (RK4_OFFSETS[j] * plan.grid.dt) * k)
+    return np.stack(x_st)
+
+
+@pytest.mark.parametrize("s", [IDENTITY, A4, CLIPPED], ids=["identity", "A4", "clipped"])
+@pytest.mark.parametrize("n", [12, 40])
+def test_forward_stage_points_are_the_recomputed_ones_bitwise(s, n):
+    # the reverse reads the stage points the forward hands over; they are
+    # the ones it used to recompute with stage_slope, bit for bit, for each
+    # gain alone and for the three gains as one batch
+    gammas = [4.0, GAMMA, 200.0]
+    cp, x0, _ = profile(n)
+    plan = plan_path(cp.v, cp.omega, s, cp.grid)
+    xs_b, _, st_b = propagate_smooth(plan, cp.u, cp.u0, x0, gammas, s, stages=True)
+    assert st_b.shape == (4, n, 3, 2)
+    for b, gamma in enumerate(gammas):
+        xs, _, st = propagate_smooth(plan, cp.u, cp.u0, x0, gamma, s, stages=True)
+        ref = recomputed_stages(plan, xs[:, 0], cp.u, cp.u0, gamma, s)
+        assert np.array_equal(st[:, :, 0], ref), gamma
+        assert np.array_equal(st_b[:, :, b], ref) and np.array_equal(xs_b[:, b], xs[:, 0]), gamma
+    if s is CLIPPED:
+        # the drift's clip at M1 acts at some stage points, and not at others
+        u_st = np.stack(stage_values(cp.u))[:, :, None]
+        raw = np.linalg.norm(st_b @ s.drift.matrix(2).T + u_st, axis=-1)
+        assert (raw > s.M1).any() and (raw < s.M1).any()

@@ -195,6 +195,73 @@ def test_lower_value_lipschitz_in_plan():
         assert abs(pert.value - base.value) <= 50.0 * h
 
 
+# ---------------------------------------------------------------- u0's working set of caps
+CONFTEST = SolverOptions(n_intervals=40, seeds=1, screen_iters=3)
+
+
+def _lower_path(monkeypatch, s):
+    """``solve_bilevel`` of s at the conftest options, and per lower solve of
+    its gamma-path the returned solution and its SLSQP runs, each as
+    (iterations, u0's upper bounds in the scaled decision)."""
+    runs, solves = [], []
+    minimize, lower = solver.minimize, solver.solve_lower
+
+    def run(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        n = (len(x0) - s.dim) // (s.dim + 1)   # a lower decision is (x_init, u, u0)
+        runs.append((res.nit, [hi for _, hi in kwargs["bounds"][-n:]]))
+        return res
+
+    def solve(*args, **kwargs):
+        start = len(runs)
+        ls = lower(*args, **kwargs)
+        solves.append((ls, runs[start:]))
+        return ls
+
+    monkeypatch.setattr(solver, "minimize", run)
+    monkeypatch.setattr(solver, "solve_lower", solve)
+    return solve_bilevel(s, opts=CONFTEST), solves
+
+
+def test_u0_caps_are_added_where_they_bind(monkeypatch):
+    # with the u-ball shrunk to 0.25 and M to 0.75, 25 nodes end at u0 = 1
+    # (within 1e-12): the cold solve's first round has no cap, a later round
+    # caps the nodes it ended above 1, and every gamma converges to the phi
+    # of the solve that capped every node from the start
+    sol, solves = _lower_path(monkeypatch, straight_corridor(u_bound=0.25, M=0.75))
+    assert [h["converged"] for h in sol.history] == [True] * 6
+    assert abs(sol.lower.value - 5.776819305807211) <= 1e-9
+    assert np.sum(sol.lower.decision.controls.u0 >= 1.0 - 1e-12) == 25
+    cold = solves[0][1]
+    assert not np.isfinite(cold[0][1]).any() and np.isfinite(cold[-1][1]).any()
+    for ls, runs in solves:
+        cp = ls.decision.controls
+        assert 0.0 <= cp.u0.min() and cp.u0.max() <= 1.0
+        assert np.linalg.norm(cp.u, axis=1).max() <= 0.25 * (1 + 1e-9)
+        assert ls.status["iterations"] == sum(nit for nit, _ in runs)
+
+
+def test_corridor_lower_solves_get_no_finite_u0_cap(monkeypatch):
+    # no u0 reaches 1 on the corridor, so each solve of its path is one
+    # SLSQP run with no finite upper bound on u0
+    _, solves = _lower_path(monkeypatch, S)
+    assert len(solves) == 6
+    for _, runs in solves:
+        assert len(runs) == 1 and not np.isfinite(runs[0][1]).any()
+
+
+def test_lower_solve_rounds_share_one_budget(monkeypatch):
+    # at M = 0.7 the lower path cannot converge (with every cap given from
+    # the start SLSQP exits 9 and 8 too); the rounds of a solve still run at
+    # most lower_max_iter SLSQP iterations in all, and status counts them all
+    sol, solves = _lower_path(monkeypatch, straight_corridor(u_bound=0.25, M=0.7))
+    assert not sol.status["lower_converged"]
+    assert any(len(runs) > 1 for _, runs in solves)
+    for ls, runs in solves:
+        assert ls.status["iterations"] == sum(nit for nit, _ in runs) <= CONFTEST.lower_max_iter
+        assert 0.0 <= ls.decision.controls.u0.min() and ls.decision.controls.u0.max() <= 1.0
+
+
 # ---------------------------------------------------------------- value gradient
 def test_value_subgradient_zero_for_stationary_plan():
     omega, v = stationary_inputs(8)
@@ -405,14 +472,14 @@ def test_seed_screening_solve_regression():
     solve read a KKT residual of 5.5.)"""
     sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, upper_max_iter=6))
     assert sol.T_star == 7.990000000000094
-    assert sol.lower.value == 1.8357923573951818
+    assert sol.lower.value == 1.8357923573951789
     assert [tuple(h.values()) for h in sol.history] == [
-        (3.0, 1.7725860554103794, True, 0.0, 12, 0, 1.2563102053109176e-07),
-        (6.0, 1.774533741991294, True, 4.440892098500626e-16, 6, 0, 7.344167800571455e-07),
-        (12.0, 1.7971945508236875, True, 0.0, 7, 0, 6.783275043886761e-07),
-        (24.0, 1.821594571171517, True, 1.531885729377791e-11, 9, 0, 5.6420563887549235e-08),
-        (48.0, 1.8289653158594539, True, 1.0885958801054585e-11, 12, 0, 1.1823600157834235e-06),
-        (96.0, 1.8357923573951818, True, 7.993605777301127e-15, 20, 0, 3.5594400910055057e-07),
+        (3.0, 1.7725860554103792, True, 0.0, 12, 0, 1.256310199204691e-07),
+        (6.0, 1.7745337419912945, True, 0.0, 6, 0, 7.344167810563462e-07),
+        (12.0, 1.7971945508236864, True, 0.0, 7, 0, 6.783275037225422e-07),
+        (24.0, 1.8215945711715156, True, 1.531885729377791e-11, 9, 0, 5.642056316590427e-08),
+        (48.0, 1.828965315859456, True, 1.0885958801054585e-11, 12, 0, 1.1823600145621782e-06),
+        (96.0, 1.8357923573951789, True, 7.993605777301127e-15, 20, 0, 3.559441110745354e-07),
     ]
     assert [list(h) for h in sol.history] == [
         ["gamma", "phi", "converged", "max_violation", "iterations", "exit_status",
