@@ -24,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from . import oracle, solver
-from .dynamics import drift, float_cone_coefficient, trapz_weights
+from .dynamics import drift, feasibility_monitor, float_cone_coefficient, trapz_weights
 from .geometry import Scenario, dot_rows, project_ball_rows, project_out_normal, target_direction
 
 __all__ = [
@@ -382,7 +382,8 @@ def _condition(residual, tol, **extra) -> dict:
 
 def certify(sol, s: Scenario,
             multipliers: Optional[GamkrelidzeMultipliers] = None) -> CertificateReport:
-    """Evaluate every stationarity condition as a numerical residual.
+    """Evaluate the trajectory's primal feasibility and every stationarity
+    condition as a numerical residual.
 
     A certificate pairs a solution with multipliers; when `multipliers` is
     given the conditions are evaluated against that fixed candidate instead of
@@ -394,40 +395,49 @@ def certify(sol, s: Scenario,
     tol = {**TOLERANCES, "adjoint": 10.0 / tr.grid.n_intervals}
     conds = {}
 
-    # 1. nontriviality: normalization puts total weight at one
+    # 1. primal feasibility, each term gated at the solver's own stop; the
+    # residual is the largest term as a fraction of its gate
+    rep = feasibility_monitor(tr, s)
+    feas = {"max_h_lower": rep.max_h_lower, "max_h_upper": rep.max_h_upper,
+            "terminal_miss": rep.terminal_distance - solver.TARGET_TOL_FACTOR * s.R}
+    gates = (solver.LOWER_VIOLATION_TOL, solver.UPPER_VIOLATION_TOL, solver.UPPER_VIOLATION_TOL)
+    conds["feasibility"] = _condition(_nan_max(*(a / b for a, b in zip(feas.values(), gates))),
+                                      1.0, detail=feas)
+
+    # 2. nontriviality: normalization puts total weight at one
     conds["nontriviality"] = _condition(abs(m.total_weight() - 1.0), tol["nontriviality"])
 
-    # 2. monotone nonnegative measures
+    # 3. monotone nonnegative measures
     mono = _nan_max(np.max(np.diff(m.nu_H), initial=0.0), np.max(np.diff(m.nu_L), initial=0.0),
                     -m.nu_H.min(), -m.nu_L.min(), 0.0)
     conds["measures"] = _condition(mono, tol["boundary"])
 
-    # 3. adjoint system: one-sided-difference defect of the backward arcs
+    # 4. adjoint system: one-sided-difference defect of the backward arcs
     conds["adjoint"] = _condition(_adjoint_defect(tr, cp, m, s), tol["adjoint"])
 
-    # 4. boundary conditions
+    # 5. boundary conditions
     bres, bdetail = _boundary_residuals(tr, cp, m, s)
     scale = max(1.0, float(np.abs(m.q_H).max()), float(np.abs(m.q_L).max()))
     conds["boundary"] = _condition(bres, tol["boundary"] * scale, detail=bdetail)
 
-    # 5. conservation of the Hamiltonian
+    # 6. conservation of the Hamiltonian
     hvals = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, m.q_H, m.q_L, m.nu_H, m.nu_L, m.r, s)
     conds["conservation"] = _condition(np.std(hvals),
                                        tol["conservation"] * (m.lam + abs(m.r * m.c) + 1.0),
                                        constant=float(m.c), mean=float(np.mean(hvals)))
 
-    # 6. pointwise maximum condition in the drift control
+    # 7. pointwise maximum condition in the drift control
     gap, node = _control_gap(tr, cp, m, s)
     conds["max_control"] = _condition(gap, tol["max_control"], node=node)
 
-    # 7. pointwise maximum condition in the plan controls: the ball speed
+    # 8. pointwise maximum condition in the plan controls: the ball speed
     # maximizes the Hamiltonian plus the penalty-weighted value gain, so
     # q_H - nu_H(y-q0) + nu_L(x-y) + r*zeta2 must lie in the normal cone at v
     zeta = solver.value_subgradient(cp.omega, cp.v, sol.lower, s)
     pres, pnode = _plan_stationarity_residual(tr, cp, m, zeta[1], s)
     conds["max_plan"] = _condition(pres, tol["max_plan"], node=pnode)
 
-    # 8. value-subgradient selection consistency (finite differences of phi)
+    # 9. value-subgradient selection consistency (finite differences of phi)
     conds["value_selection"] = _condition(_value_selection_residual(sol, zeta, s),
                                           tol["value_selection"])
 

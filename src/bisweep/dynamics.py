@@ -280,25 +280,21 @@ def float_cone_coefficient(sq, gamma, s: Scenario):
     return _float_cap(e, e + float(np.log(gamma / s.cone_gain)), gamma, s.cone_gain)
 
 
-def stage_slope(x, y, u, w, u0w, gamma, s: Scenario, jacobians: bool = False):
-    """Smoothed field times the time dilation w at RK4 stage points.
+def stage_slope(x, y, u, w, u0w, gamma, s: Scenario):
+    """Smoothed field times the time dilation w at RK4 stage points, and its Jacobians.
 
     k = f(x, u) w - u0w c (x - y), u0w = u0 w, with the banded cone
     coefficient c of ``_cone_terms``; broadcasts over leading axes, gamma
-    included (a float or a (B,) array of per-column gains).  With
-    ``jacobians`` also returns (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w,
-    dk/du0w), the matrices as (..., n, n) arrays.
+    included (a float or a (B,) array of per-column gains).  Returns k and
+    (dk/dx, dk/dy, dk/du, dk/dw at fixed u0w, dk/du0w), the matrices as
+    (..., n, n) arrays.
     """
     diff = x - y
     c, lr, lc = _cone_terms(diff, gamma, s)
-    f, jac = u, None   # the identity drift's f, and its Jacobians below
-    if s.drift.name != "identity":
-        f, jac = drift(x, u, s, jacobian=True) if jacobians else (drift(x, u, s), None)
-    k = f * w[..., None] - (u0w * c)[..., None] * diff
-    if not jacobians:
-        return k
     eye = np.eye(s.dim)
-    f_x, f_u = (0.0, eye) if jac is None else jac
+    f, (f_x, f_u) = ((u, (0.0, eye)) if s.drift.name == "identity"   # the identity's shortcut
+                     else drift(x, u, s, jacobian=True))
+    k = f * w[..., None] - (u0w * c)[..., None] * diff
     # grad_x c = gamma c (1 - psi'(l)) (x - y) = -grad_y c, with
     # psi'(l) = (l + a)^2 (8a - 4l) / (16 a^3), 0 below the band and 1 above
     p = lc + CAP_BAND
@@ -553,8 +549,7 @@ def reverse_smooth(plan: PlanPath, x, x_stages, u, u0, eta: np.ndarray, gamma: f
     eye = np.eye(s.dim)
     Y, W, w = plan.y_stages, plan.w_stages, plan.weights
     U, U0 = (np.stack(stage_values(a)) for a in (u, u0))   # (4, N, ...)
-    _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(x_stages, Y, U, W, U0 * W, gamma, s,
-                                                 jacobians=True)
+    _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(x_stages, Y, U, W, U0 * W, gamma, s)
 
     # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
     # g_j = b_j lam_x + a_{j+1} dt k_x[j+1]^T g_{j+1} unrolls the stage updates

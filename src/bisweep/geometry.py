@@ -106,7 +106,7 @@ class ExitArc:
 
 EXIT_ARC_SAMPLES = 512  # points per target arc in Scenario.exit_boundary_samples
 
-# sections and keys of a scenario file, as Scenario.to_dict writes them
+# a scenario file's sections and keys, in the order Scenario.to_dict writes them
 SCENARIO_KEYS = {"geometry": ("q0", "R", "R1", "y0", "exit"), "cone": ("M",),
                  "controls": ("u_bound", "v_bound"), "drift": ("name", "A", "M1", "K_f", "delta")}
 
@@ -201,24 +201,15 @@ class Scenario:
                                for c, arcs in _target_arcs(self) for r, a0, a1 in arcs])
 
     def to_dict(self) -> dict:
-        return {
-            "geometry": {
-                "q0": list(self.q0),
-                "R": self.R,
-                "R1": self.R1,
-                "y0": list(self.y0),
-                "exit": {"angle_lo": self.exit.angle_lo, "angle_hi": self.exit.angle_hi},
-            },
-            "cone": {"M": self.M},
-            "controls": {"u_bound": self.u_bound, "v_bound": self.v_bound},
-            "drift": {
-                "name": self.drift.name,
-                "A": None if self.drift.A is None else list(self.drift.A),
-                "M1": self.M1,
-                "K_f": self.K_f,
-                "delta": self.delta,
-            },
-        }
+        """The scenario file: ``SCENARIO_KEYS`` in order, ``exit`` as
+        ``ExitArc``'s fields and ``name`` and ``A`` from ``DriftSpec``."""
+        def value(key):
+            if key == "exit":
+                return {k: getattr(self.exit, k) for k in ExitArc.__dataclass_fields__}
+            v = getattr(self.drift if key in DriftSpec.__dataclass_fields__ else self, key)
+            return list(v) if isinstance(v, tuple) else v
+
+        return {name: {key: value(key) for key in keys} for name, keys in SCENARIO_KEYS.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
@@ -227,13 +218,14 @@ class Scenario:
         d = require_known_keys(d, tuple(SCENARIO_KEYS), "scenario section")
         g, cone, ctrl, dr = (require_known_keys(d.get(name), keys, f"{name} key")
                              for name, keys in SCENARIO_KEYS.items())
+        spec = DriftSpec.__dataclass_fields__
         kw = {k: v for sec in (g, cone, ctrl, dr) for k, v in sec.items()
-              if k not in ("exit", "name", "A")}
+              if k != "exit" and k not in spec}
         if "exit" in g:
-            kw["exit"] = ExitArc(**require_known_keys(g["exit"], ("angle_lo", "angle_hi"),
+            kw["exit"] = ExitArc(**require_known_keys(g["exit"], ExitArc.__dataclass_fields__,
                                                       "geometry.exit key"))
-        if "name" in dr or "A" in dr:
-            kw["drift"] = DriftSpec(**{k: dr[k] for k in ("name", "A") if k in dr})
+        if any(k in dr for k in spec):
+            kw["drift"] = DriftSpec(**{k: dr[k] for k in spec if k in dr})
         return cls(**kw)
 
 

@@ -281,9 +281,6 @@ def value_subgradient(omega, v, lower: LowerSolution, s: Scenario):
     plan = frozen_plan(omega, v, s)
     dec = lower.decision
     u, u0 = dec.controls.u, dec.controls.u0
-    if dec.controls.grid != plan.grid:
-        raise ValueError(f"lower solution: u must have {plan.grid.n_nodes} node values, "
-                         f"got {u.shape[0]}")
     xs, _, x_st = propagate_smooth(plan, u, u0, dec.x_init, lower.gamma, s, stages=True)
     *_, plan_cotangents = reverse_smooth(plan, xs[:, 0], x_st[:, :, 0], u, u0,
                                          lower.eta[:, None], lower.gamma, s)

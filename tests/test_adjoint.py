@@ -284,8 +284,8 @@ def recomputed_stages(plan, x, u, u0, gamma, s):
     u_st, u0_st = stage_values(u), stage_values(u0)
     x_st = [x[:-1]]
     for j in (1, 2, 3):
-        k = stage_slope(x_st[-1], Y[j - 1], u_st[j - 1], W[j - 1], u0_st[j - 1] * W[j - 1],
-                        gamma, s)
+        k, _ = stage_slope(x_st[-1], Y[j - 1], u_st[j - 1], W[j - 1], u0_st[j - 1] * W[j - 1],
+                           gamma, s)
         x_st.append(x[:-1] + (RK4_OFFSETS[j] * plan.grid.dt) * k)
     return np.stack(x_st)
 

@@ -23,7 +23,7 @@ from bisweep.certificate import (
     sigma_smooth_value,
     sigma_value,
 )
-from bisweep.dynamics import CAP_BAND, _cone_terms
+from bisweep.dynamics import CAP_BAND, _cone_terms, integrate_smooth
 from bisweep.geometry import DriftSpec, ExitArc, Scenario, straight_corridor
 from bisweep.oracle import fd_check, sigma_sup_oracle
 from bisweep.solver import SolverOptions, solve_bilevel
@@ -510,6 +510,42 @@ def test_value_selection_fails_on_scaled_lower_weights(
     assert rep.conditions["value_selection"]["ok"] is False
 
 
+def test_corridor_verdicts_are_pinned(corridor_certificate):
+    # at N = 40 (conftest options) only measures fails, at 0.333 against 1e-6;
+    # feasibility passes with max h_lower 7.7e-14 (gate 1e-7), max h_upper
+    # -8.58 and the plan ending 6.7e-16 past its allowed miss (gate 1e-9)
+    conds = corridor_certificate["report"].conditions
+    assert {name: c["ok"] for name, c in conds.items()} == {
+        "feasibility": True, "nontriviality": True, "measures": False, "adjoint": True,
+        "boundary": True, "conservation": True, "max_control": True, "max_plan": True,
+        "value_selection": True}
+    assert list(conds["feasibility"]["detail"]) == ["max_h_lower", "max_h_upper",
+                                                    "terminal_miss"]
+
+
+# the lower controls of F7 in ROADMAP.md, each re-integrated at the solve's gain
+LOWER_MUTATIONS = {
+    "u=0": lambda cp: replace(cp, u=0.0 * cp.u),
+    "u0=0": lambda cp: replace(cp, u0=0.0 * cp.u0),
+    "u*0.5": lambda cp: replace(cp, u=0.5 * cp.u),
+    "u0*0.5": lambda cp: replace(cp, u0=0.5 * cp.u0),
+}
+
+
+@pytest.mark.parametrize("name", LOWER_MUTATIONS)
+def test_feasibility_fails_on_mutated_lower_controls(corridor_run, corridor_scenario, name):
+    # refitted, each fails no condition but feasibility, value_selection and
+    # measures, which the solution fails too; their swept points leave the
+    # disk by max h_lower 0.542, 11.25, 0.246 and 1.219
+    sol, s = corridor_run["solution"], corridor_scenario
+    cp = LOWER_MUTATIONS[name](sol.lower.decision.controls)
+    tr = integrate_smooth(cp, sol.lower.decision.x_init, sol.lower.gamma, s)
+    lower = replace(sol.lower, decision=replace(sol.lower.decision, controls=cp))
+    cond = certify(replace(sol, lower=lower, trajectory=tr), s).conditions["feasibility"]
+    assert cond["ok"] is False
+    assert cond["detail"]["max_h_lower"] > solver.LOWER_VIOLATION_TOL
+
+
 def test_vectorized_residuals_match_per_node_loops(corridor_run, corridor_scenario,
                                                    corridor_certificate):
     # reference: the per-node loops the adjoint defect and the control gap
@@ -637,26 +673,30 @@ def test_affine_instance_verdicts_are_pinned(affine_run):
     # - boundary 7.5e-4 against 1e-6: q_L_terminal 7.5e-4, q_L_initial
     #   4.3e-4, q_H_terminal 0;
     # - max_plan 0.88 against 5e-2, worst at the last node.
-    # The other five pass: nontriviality 1.1e-16, adjoint 3.1e-2 (gate 0.25),
+    # The other six pass: feasibility (max h_lower 7.6e-13, terminal miss
+    # 6.7e-16), nontriviality 1.1e-16, adjoint 3.1e-2 (gate 0.25),
     # conservation 2.3e-4 (gate 1.2e-3), max_control 1.4e-17 and
     # value_selection 4.4e-5
     conds = certify(affine_run, AFFINE).conditions
     assert {name: c["ok"] for name, c in conds.items()} == {
-        "nontriviality": True, "measures": False, "adjoint": True, "boundary": False,
-        "conservation": True, "max_control": True, "max_plan": False, "value_selection": True}
+        "feasibility": True, "nontriviality": True, "measures": False, "adjoint": True,
+        "boundary": False, "conservation": True, "max_control": True, "max_plan": False,
+        "value_selection": True}
 
 
 def test_wide_arc_instance_verdicts_are_pinned():
     # identity drift with asymmetric geometry at N = 40 (conftest options):
-    # only measures fails, at 0.340 against 1e-6; the other seven pass
-    # (adjoint 1.2e-4, conservation 6.3e-7, max_plan 1.2e-13 and
-    # value_selection 2.6e-5 the largest of them)
+    # only measures fails, at 0.340 against 1e-6; the other eight pass
+    # (feasibility's max h_lower 4.4e-16 and terminal miss 2.3e-16; adjoint
+    # 1.2e-4, conservation 6.3e-7, max_plan 1.2e-13 and value_selection
+    # 2.6e-5 the largest of the rest)
     s = Scenario(y0=(2.0, -5.0), exit=ExitArc(-0.3, 0.4))
     sol = solve_bilevel(s, opts=SolverOptions(n_intervals=40, seeds=1, screen_iters=3))
     conds = certify(sol, s).conditions
     assert {name: c["ok"] for name, c in conds.items()} == {
-        "nontriviality": True, "measures": False, "adjoint": True, "boundary": True,
-        "conservation": True, "max_control": True, "max_plan": True, "value_selection": True}
+        "feasibility": True, "nontriviality": True, "measures": False, "adjoint": True,
+        "boundary": True, "conservation": True, "max_control": True, "max_plan": True,
+        "value_selection": True}
 
 
 @pytest.fixture(params=["corridor", "affine"])

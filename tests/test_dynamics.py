@@ -179,9 +179,9 @@ def test_stage_slope_jacobians_match_central_differences_on_the_band(where):
         x, u, w, u0w = y + diff, rng.uniform(-0.5, 0.5, 2), np.array(1.3), np.array(0.7)
 
         def k(x, y):
-            return stage_slope(x, y, u, w, u0w, gamma, S)
+            return stage_slope(x, y, u, w, u0w, gamma, S)[0]
 
-        _, (k_x, k_y, *_) = stage_slope(x, y, u, w, u0w, gamma, S, jacobians=True)
+        _, (k_x, k_y, *_) = stage_slope(x, y, u, w, u0w, gamma, S)
         for jac, wrt in ((k_x, 0), (k_y, 1)):
             fd = np.empty((2, 2))
             for j in range(2):
@@ -196,7 +196,8 @@ def _unit_slope(x, u, u0, gamma, y=(0.0, 0.0)):
     """The smoothed field at unit time dilation: ``stage_slope`` at w = 1,
     the swept point x about the disk center y."""
     return stage_slope(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                       np.asarray(u, dtype=float), np.array(1.0), np.array(float(u0)), gamma, S)
+                       np.asarray(u, dtype=float), np.array(1.0), np.array(float(u0)), gamma,
+                       S)[0]
 
 
 # ---------------------------------------------------------------- exact field
@@ -368,7 +369,7 @@ def _stage_loop_x(v, u, u0, omega, x_init, gamma, s, grid):
             w = w_st[j][i]
             x_j = x + (offset * dt) * k[-1] if j else x
             offsets.append(x_j - y_st[j][i])
-            k.append(stage_slope(x_j, y_st[j][i], u_st[j][i], w, u0_st[j][i] * w, gamma, s))
+            k.append(stage_slope(x_j, y_st[j][i], u_st[j][i], w, u0_st[j][i] * w, gamma, s)[0])
         xs.append(x + (dt / 6.0) * (k[0] + 2 * k[1] + 2 * k[2] + k[3]))
     return np.array(xs), np.array(offsets)
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import yaml
 
 from bisweep.cli import _load_config
 from bisweep.geometry import (
+    SCENARIO_KEYS,
     DriftSpec,
     ExitArc,
     Scenario,
@@ -404,6 +406,26 @@ def test_scenario_roundtrip(tmp_path):
         path.write_text(yaml.safe_dump(s.to_dict(), sort_keys=False))
         loaded, run = _load_config(path)   # the one reader of scenario files
         assert loaded == s and hash(loaded) == hash(s) and run == {}
+
+
+# the corridor, A4, the wide-arc instance and a scenario that sets every field
+WRITTEN = {
+    "corridor": straight_corridor(),
+    "A4": Scenario(drift=DriftSpec("affine", ((0.0, 0.05), (-0.05, 0.0))), K_f=0.05, M1=1.2),
+    "wide-arc": Scenario(y0=(2.0, -5.0), exit=ExitArc(-0.3, 0.4)),
+    "every-field": Scenario(q0=(1.0, -0.5), R=9.0, R1=0.8, y0=(1.5, 0.0),
+                            exit=ExitArc(-0.2, 0.1), M=1.2, u_bound=0.9, v_bound=1.1,
+                            drift=DriftSpec("affine", AFFINE_A), M1=8.0, K_f=0.6, delta=0.5),
+}
+
+
+@pytest.mark.parametrize("s", WRITTEN.values(), ids=WRITTEN)
+def test_to_dict_writes_the_scenario_keys_in_order_and_from_dict_inverts_it(s):
+    data = s.to_dict()
+    assert [(name, list(keys)) for name, keys in data.items()] == [
+        (name, list(keys)) for name, keys in SCENARIO_KEYS.items()]
+    assert list(data["geometry"]["exit"]) == [f.name for f in fields(ExitArc)]
+    assert Scenario.from_dict(data) == s
 
 
 @pytest.mark.parametrize("section, key", [("cone", "R"), ("drift", "matrix"), ("geometry", "M"),

@@ -1,10 +1,11 @@
 """Every module-level import in the package is used or re-exported; every
 function, method and private module-level class of the package is
 referenced, every dataclass field read, every defaulted parameter passed and
-every module-level constant read somewhere in src/ or bench/, where a test
-module, an ``__init__.py`` and an attribute of a module from outside the
-package, such as ``np.zeros``, count for nothing (``ALLOWED_FIELDS`` and
-``ALLOWED_PARAMETERS`` name the few reached another way); every name the
+every module-level constant read somewhere in src/, where a test module, an
+``__init__.py``, the benchmark under bench/ and an attribute of a module from
+outside the package, such as ``np.zeros``, count for nothing (the ``ALLOWED_*``
+sets name the few reached another way, each with its reason: the benchmark's
+entries also name the ROADMAP item that removes them); every name the
 package re-exports is listed in, and defined by, its module's ``__all__``;
 no module but ``dynamics`` reads the RK4 scheme's internals; no module but
 ``geometry``, ``dynamics`` and the independent ``oracle`` reads the drift's
@@ -18,14 +19,30 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bisweep"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# the source set of the four reach scans: src/ and bench/, read through ``live``
+# the source set of the four reach scans: src/ alone, read through ``live``;
+# bench/ is no caller or reader
 SOURCES = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
-           for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")}
+           for p in (ROOT / "src").rglob("*.py")}
 DEFINING = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
 
-# What the field and parameter scans report that is reached from outside the
-# source set.  Each entry must still be reported, so deleting its subject
-# fails the test too.
+# What the reach scans report that is reached from outside the source set.
+# Each entry must still be reported, so deleting its subject fails the test
+# too.  The benchmark's entries pin code that no CLI command reaches; each
+# names its bench caller and the ROADMAP item that deletes it or gives it a
+# caller in src/, and the private helpers that go with it.
+ALLOWED_DEFINITIONS = {
+    # bench/workloads.py ``_validated``, on every workload; item 7 deletes it
+    # with ``geometry.EXIT_ARC_SAMPLES``
+    "Scenario.exit_boundary_samples",
+    # the ``references`` workload's smoothed sigma pairs; item 26 with 4(a)'s
+    # smoothed-level check, which calls it or deletes it with
+    # ``dynamics.float_cone_coefficient``
+    "sigma_smooth_value",
+    # the ``references`` workload's sigma pairs; item 26 with 25's u0 maximum
+    # condition, which calls it or deletes it with ``_sigma_window``,
+    # ``_window_argmax`` and the ``SIGMA_*`` constants, ``SIGMA_U0`` first
+    "sigma_sup_oracle",
+}
 ALLOWED_FIELDS = {
     # ``asdict`` writes every field of the report to feasibility.json
     "ViolationReport.node_h_lower",
@@ -37,6 +54,9 @@ ALLOWED_PARAMETERS = {
     # the fixed-candidate evaluation the README documents; the MUTATIONS
     # tests of test_certificate.py pass their candidates through it
     "certify(multipliers)",
+    # the ``references`` workload's smoothed pairs pass the cone gain, the
+    # default; item 26 with 25, with ``sigma_sup_oracle`` itself
+    "sigma_sup_oracle(coeff)",
 }
 
 
@@ -190,9 +210,9 @@ def test_dead_definition_scanner_flags_unreferenced_functions_and_methods():
         "__init__": "from .a import only_exported, public\n",
     }
     # names that only a module from outside the package spells are no references
-    callers = {"bench/run.py": ("from a import public, outer, Profile\n_Model().used()\n"
-                                "import numpy as np\nfrom numpy import argmax\n"
-                                "np.zeros(3), np.linalg.norm, argmax\n"),
+    callers = {"cli": ("from a import public, outer, Profile\n_Model().used()\n"
+                       "import numpy as np\nfrom numpy import argmax\n"
+                       "np.zeros(3), np.linalg.norm, argmax\n"),
                # a test is no caller
                "tests/test_a.py": "from a import only_tested\nonly_tested()\n",
                "tests/conftest.py": "import a\na.only_tested()\n"}
@@ -203,7 +223,21 @@ def test_dead_definition_scanner_flags_unreferenced_functions_and_methods():
 
 
 def test_no_dead_functions_methods_or_private_classes():
-    assert dead_definitions(DEFINING, SOURCES) == []
+    assert unallowed(dead_definitions(DEFINING, SOURCES), ALLOWED_DEFINITIONS) == []
+
+
+def test_the_benchmark_alone_reaches_its_allowlist_entries():
+    # counted as a caller, bench/ takes exactly the benchmark's entries off
+    # the reports of the definition and parameter scans
+    assert SOURCES and all(Path(module).parts[0] == "src" for module in SOURCES)
+    bench = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+             for p in (ROOT / "bench").rglob("*.py")}
+    gone = set()
+    for scan in (dead_definitions, dead_parameters):
+        gone |= ({entry.rsplit(" (", 1)[0] for entry in scan(DEFINING, SOURCES)}
+                 - {entry.rsplit(" (", 1)[0] for entry in scan(DEFINING, {**SOURCES, **bench})})
+    assert gone == {"Scenario.exit_boundary_samples", "sigma_smooth_value", "sigma_sup_oracle",
+                    "sigma_sup_oracle(coeff)"}
 
 
 def test_allowlist_check_flags_new_reports_and_stale_entries():

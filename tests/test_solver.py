@@ -280,10 +280,11 @@ def test_value_subgradient_refuses_a_bad_plan(name):
 
 
 def test_value_subgradient_refuses_a_lower_solution_of_another_grid():
-    # a lower solution of 8 nodes at a plan of 11: refused by name, not by a
-    # broadcast error in the forward
+    # a lower solution of 8 nodes at a plan of 11: the forward's shape check
+    # refuses it, naming u and both shapes, not a broadcast error
     ls = solve_lower(*stationary_inputs(7), GAMMA, S, FAST)
-    with pytest.raises(ValueError, match="u must have 11 node values"):
+    with pytest.raises(ValueError, match=r"u must have shape \(11, 2\) on the plan's 11-node grid, "
+                                         r"got shape \(8, 2\)"):
         value_subgradient(*stationary_inputs(10), ls, S)
 
 
