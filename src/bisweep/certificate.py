@@ -17,7 +17,7 @@ trajectory, not by the one it was fitted on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from scipy import optimize
 from . import oracle, solver
 from .dynamics import drift, feasibility_monitor, float_cone_coefficient, trapz_weights
 from .geometry import Scenario, dot_rows, project_ball_rows, project_out_normal, target_direction
+from .transcription import DecisionVector
 
 __all__ = [
     "GamkrelidzeMultipliers",
@@ -198,8 +199,7 @@ def hamiltonian_upper(y, x, v, u, q_H, q_L, nu_H, nu_L, r, s: Scenario):
 def _adjoint_rhs(tr, cp, q_L, nu_H, nu_L, r, s: Scenario):
     """Right-hand sides of the q_L and q_H adjoint equations at every node,
     per unit of original time: each arc satisfies dq/dt = -rhs, with df/dx
-    from ``drift``, the clip's where it is active.  Broadcasts over leading
-    batch axes of q_L (..., N+1, n) and nu_L (..., N+1)."""
+    from ``drift``, the clip's where it is active."""
     d = tr.x - tr.y
     f, (f_x, _) = drift(tr.x, cp.u, s, jacobian=True)
     slope = _sigma_slope(_sigma_tilde(q_L, nu_L, d, s), r, s.cone_gain)
@@ -240,50 +240,72 @@ class _MultiplierModel:
         active = _in_contact(self.d, s)
         opens = active | np.concatenate([[True], active[:-1]])
         self.slots = np.cumsum(opens) - 1
-        self.n_params = int(self.slots[-1]) + 1
+        self.slot_starts = np.flatnonzero(opens)
+        self.n_params = self.slot_starts.size
 
     def build(self, nu: np.ndarray):
         """Adjoint arcs, Hamiltonian values and q_L right-hand sides of a
-        contact-measure path nu (N+1,) or a batch of paths (..., N+1)."""
+        contact-measure path nu (N+1,)."""
         tr, cp, s = self.tr, self.cp, self.s
-        q_L = self.g + nu[..., None] * self.d
+        q_L = self.g + nu[:, None] * self.d
         rhs_L, rhs_H = _adjoint_rhs(tr, cp, q_L, self.nu_H, nu, self.r, s)
         d_T = self.d[-1]
-        nu_T = dot_rows(q_L[..., -1, :], d_T) / max(float(d_T @ d_T), 1e-300)
-        q_H_T = (self.alpha * self.dhat + self.nu_H[-1] * (tr.y[-1] - s.q0_arr)
-                 - nu_T[..., None] * d_T)
+        nu_T = dot_rows(q_L[-1], d_T) / max(float(d_T @ d_T), 1e-300)
+        q_H_T = self.alpha * self.dhat + self.nu_H[-1] * (tr.y[-1] - s.q0_arr) - nu_T * d_T
         # q_H[i] = q_H[-1] + dt * sum_{j>i} omega_j*rhs_H[j]: a reverse cumulative sum
         steps = rhs_H * cp.omega[:, None]
-        tail = np.flip(np.cumsum(np.flip(steps, axis=-2), axis=-2), axis=-2)
-        q_H = q_H_T[..., None, :] + tr.grid.dt * (tail - steps)
+        tail = np.flip(np.cumsum(np.flip(steps, axis=0), axis=0), axis=0)
+        q_H = q_H_T + tr.grid.dt * (tail - steps)
         H = hamiltonian_upper(tr.y, tr.x, cp.v, cp.u, q_H, q_L, self.nu_H, nu, self.r, s)
         return q_L, q_H, H, rhs_L
 
     def residuals(self, p: np.ndarray) -> np.ndarray:
-        """Residual vector of a parameter vector p, or one row per row of a
-        batch p (..., n_params); each row is rounded as its own call."""
-        nu = p[..., self.slots]
+        """Residual vector of a parameter vector p."""
+        nu = p[self.slots]
         q_L, _, H, rhs_L = self.build(nu)
-        # a row reduction of a strided batch rounds unlike the 1-D mean, so
-        # the rows are made contiguous first
-        H = np.ascontiguousarray(H)
-        r_cons = (H - H.mean(axis=-1, keepdims=True)) * 10.0
+        r_cons = (H - H.mean()) * 10.0
         # backward-difference defect of the q_L arc, per interval of tau
-        r_adj = (np.diff(q_L, axis=-2) / self.tr.grid.dt
-                 + rhs_L[..., 1:, :] * self.cp.omega[1:, None])
-        r_adj = r_adj.reshape(*r_adj.shape[:-2], -1) * 0.1
-        r_mono = np.maximum(0.0, np.diff(nu, axis=-1)) * 0.3
-        return np.concatenate([r_cons, r_adj, r_mono], axis=-1)
+        r_adj = (np.diff(q_L, axis=0) / self.tr.grid.dt
+                 + rhs_L[1:] * self.cp.omega[1:, None]).ravel() * 0.1
+        r_mono = np.maximum(0.0, np.diff(nu)) * 0.3
+        return np.concatenate([r_cons, r_adj, r_mono])
 
-    def residual_map(self, _fun, points):
-        """Map-like hook for ``least_squares(workers=...)``: the residuals of
-        every perturbed point of one finite-difference Jacobian, as one batch.
+    def jacobian(self, p: np.ndarray) -> np.ndarray:
+        """Exact Jacobian of ``residuals`` at p: the derivatives in each
+        node's nu, summed over the nodes of each parameter slot.
 
-        scipy passes ``residuals`` behind wrappers that only count calls and
-        keep the float dtype, so the batch is evaluated directly; its rows
-        equal the per-point calls bitwise.
+        psi = q_L - nu*(x-y) = 2*r*u does not move with nu, so nu enters
+        the right-hand sides through its own terms and sigma's slope, which
+        moves with sigma_tilde at d(sigma_tilde)/d(nu) = R1^2 - |x-y|^2;
+        q_H moves through the reverse sum of rhs_H and, at the last node,
+        through nu_T, with d(nu_T)/d(nu_N) = 1.
         """
-        return self.residuals(np.stack(list(points)))
+        tr, cp, s, d, r, k = self.tr, self.cp, self.s, self.d, self.r, self.s.cone_gain
+        nu = p[self.slots]
+        n, dt = nu.size, tr.grid.dt
+        q_L = self.g + nu[:, None] * d
+        st = _sigma_tilde(q_L, nu, d, s)
+        contact = _in_contact(d, s)
+        slope = np.where(contact, _sigma_slope(st, r, k), 0.0)
+        # d(slope)/d(sigma_tilde): k^2/(2r) on sigma's quadratic branch, else 0
+        quad = contact & (st > 0.0) & (k * st <= 2.0 * r)
+        dst = s.R1 ** 2 - dot_rows(d, d)
+        dsq = np.where(quad, k * k / (2.0 * r) * dst, 0.0)[:, None] * q_L + slope[:, None] * d
+        f = drift(tr.x, cp.u, s)
+        drhs_L = cp.v - f - dsq
+        drhs_H = f - cp.v + dsq
+        # dH[i]/dnu[j]: through q_H[i] for j > i and, at j = N, through nu_T
+        # (d_T = 0 leaves nu_T at 0), and through nu's own terms at j = i
+        J_H = np.triu(cp.v @ (dt * cp.omega[:, None] * drhs_H).T, 1)
+        J_H[:, -1] -= cp.v @ d[-1]
+        J_H += np.diag(dot_rows(d, cp.v) + slope * dst)
+        step = np.eye(n - 1, n, 1)             # row i picks node i + 1
+        diff = step - np.eye(n - 1, n)         # np.diff as a matrix
+        J_adj = diff[:, None] * (d / dt).T + step[:, None] * (cp.omega[:, None] * drhs_L).T
+        J_mono = np.where(np.diff(nu)[:, None] > 0.0, 0.3 * diff, 0.0)
+        J_nu = np.concatenate([(J_H - J_H.mean(axis=0)) * 10.0, J_adj.reshape(-1, n) * 0.1,
+                               J_mono])
+        return np.add.reduceat(J_nu, self.slot_starts, axis=1)
 
     def multipliers(self, p: np.ndarray) -> GamkrelidzeMultipliers:
         """The candidate of parameter vector p with cost multiplier one,
@@ -303,21 +325,23 @@ class _MultiplierModel:
             lam=kappa * lam0, r=kappa * r0, c=c_fit)
 
 
-def extract_multipliers(sol, s: Scenario) -> GamkrelidzeMultipliers:
-    """Build candidate multipliers from a solved instance.
+def extract_multipliers(sol, s: Scenario):
+    """Build candidate multipliers from a solved instance, with a record of
+    their fit.
 
     The cost multiplier is set to one, the effort multiplier to the penalty
     weight ``PENALTY_WEIGHT``, the tangential stationarity condition is imposed
     exactly (q_L - nu_L*(x-y) = 2*r*u), and the contact-measure path nu_L is
-    fitted from zero by least squares against the conservation and adjoint
-    residuals; each finite-difference Jacobian of the fit is one batched
-    evaluation.
-    Everything is normalized to total weight one at the end.
+    fitted from zero by Levenberg-Marquardt least squares against the
+    conservation and adjoint residuals, on the model's exact Jacobian.
+    Everything is normalized to total weight one at the end.  Returns the
+    candidate and the fit's ``nfev``, ``status`` and final ``cost``.
     """
     model = _MultiplierModel(sol, s)
     fit = optimize.least_squares(model.residuals, np.zeros(model.n_params), method="lm",
-                                 max_nfev=4000, workers=model.residual_map)
-    return model.multipliers(fit.x)
+                                 jac=model.jacobian, max_nfev=4000)
+    return model.multipliers(fit.x), {"nfev": int(fit.nfev), "status": int(fit.status),
+                                      "cost": float(fit.cost)}
 
 
 def _worst(res: np.ndarray):
@@ -356,13 +380,16 @@ def _control_gap(tr, cp, m: GamkrelidzeMultipliers, s: Scenario):
 class CertificateReport:
     multipliers: GamkrelidzeMultipliers
     conditions: dict
+    # the Levenberg-Marquardt fit's nfev, status and final cost; None for a
+    # fixed candidate
+    fit: Optional[dict] = None
 
     @property
     def ok(self) -> bool:
         return all(c["ok"] for c in self.conditions.values())
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "conditions": self.conditions,
+        return {"ok": self.ok, "conditions": self.conditions, "fit": self.fit,
                 "conservation_constant": float(self.multipliers.c),
                 "lam": float(self.multipliers.lam), "r": float(self.multipliers.r)}
 
@@ -371,6 +398,11 @@ class CertificateReport:
         for name, c in self.conditions.items():
             mark = "ok" if c["ok"] else "FAIL"
             lines.append(f"{name:>16s}: {mark}  residual={c['residual']:.3e}  tol={c['tol']:.3e}")
+        if self.fit is None:
+            lines.append(f"{'fit':>16s}: none (fixed candidate)")
+        else:
+            lines.append(f"{'fit':>16s}: nfev={self.fit['nfev']}  status={self.fit['status']}"
+                         f"  cost={self.fit['cost']:.3e}")
         return lines
 
 
@@ -390,7 +422,7 @@ def certify(sol, s: Scenario,
     refitting, so a perturbed solution is flagged rather than re-certified.
     Otherwise they are extracted by ``extract_multipliers``.
     """
-    m = multipliers if multipliers is not None else extract_multipliers(sol, s)
+    m, fit = extract_multipliers(sol, s) if multipliers is None else (multipliers, None)
     tr, cp = sol.trajectory, sol.lower.decision.controls
     tol = {**TOLERANCES, "adjoint": 10.0 / tr.grid.n_intervals}
     conds = {}
@@ -438,10 +470,11 @@ def certify(sol, s: Scenario,
     conds["max_plan"] = _condition(pres, tol["max_plan"], node=pnode)
 
     # 9. value-subgradient selection consistency (finite differences of phi)
-    conds["value_selection"] = _condition(_value_selection_residual(sol, zeta, s),
-                                          tol["value_selection"])
+    vres, re_solves = _value_selection_residual(sol, zeta, s)
+    conds["value_selection"] = _condition(vres, tol["value_selection"],
+                                          detail={"re_solves": re_solves})
 
-    return CertificateReport(multipliers=m, conditions=conds)
+    return CertificateReport(multipliers=m, conditions=conds, fit=fit)
 
 
 def _adjoint_defect(tr, cp, m, s: Scenario) -> float:
@@ -502,17 +535,51 @@ def _plan_stationarity_residual(tr, cp, m, zeta2, s: Scenario):
     return _worst(np.sqrt(dot_rows(vec, vec)) / scale)
 
 
-def _value_selection_residual(sol, zeta, s: Scenario) -> float:
+def _mirrored_start(lower, twin, s: Scenario):
+    """``lower`` with its decision reflected through ``twin``'s: x_init, u
+    and u0 at 2*lower - twin, u projected onto its ball and u0 clipped to
+    [0, 1]."""
+    a, b = lower.decision, twin.decision
+    cp = a.controls
+    u = project_ball_rows(2.0 * cp.u - b.controls.u, s.u_bound)
+    u0 = np.clip(2.0 * cp.u0 - b.controls.u0, 0.0, 1.0)
+    return replace(lower, decision=DecisionVector(2.0 * a.x_init - b.x_init,
+                                                  replace(cp, u=u, u0=u0)))
+
+
+def _value_selection_residual(sol, zeta, s: Scenario):
     """Relative error of the subgradient selection ``zeta`` = (zeta1, zeta2)
     of the solution's plan against central differences of phi
-    (``oracle.fd_check``) along two seeded feasible directions."""
+    (``oracle.fd_check``) along two seeded feasible directions, and one
+    record per perturbed re-solve.
+
+    Each re-solve is warm: phi(p + h*delta) from the solution's decision,
+    and phi(p - h*delta) from that decision reflected through the plus
+    side's (``_mirrored_start``), which lies nearer its optimum.  A re-solve
+    that did not converge has no value: phi is NaN there, and so is the
+    residual.
+    """
     cp = sol.lower.decision.controls
     omega, v = cp.omega, cp.v
+    center = np.concatenate([omega, v.ravel()])
+    records, plus = [], []
 
     def phi(point):
         om_p = np.clip(point[:omega.size], 0.0, None)
         v_p = project_ball_rows(point[omega.size:].reshape(v.shape), s.v_bound)
-        return solver.solve_lower(om_p, v_p, sol.lower.gamma, s, warm=sol.lower).value
+        # fd_check steps to center + h*delta, then to its mirror center - h*delta
+        twin = plus.pop() if plus else None
+        if twin is not None and np.allclose(point - center, center - twin[0], rtol=0.0,
+                                            atol=1e-12):
+            start, warm = "mirrored", _mirrored_start(sol.lower, twin[1], s)
+        else:
+            start, warm = "nominal", sol.lower
+        low = solver.solve_lower(om_p, v_p, sol.lower.gamma, s, warm=warm)
+        if start == "nominal":
+            plus.append((point, low))
+        records.append({"start": start, **{key: low.status[key] for key in (
+            "iterations", "exit_status", "kkt_residual", "converged")}})
+        return low.value if low.status["converged"] else float("nan")
 
     w = trapz_weights(cp.grid)
     grad = np.concatenate([w * zeta[0], (w[:, None] * zeta[1]).ravel()])
@@ -530,4 +597,4 @@ def _value_selection_residual(sol, zeta, s: Scenario) -> float:
                                     (d_v / max(np.linalg.norm(d_v), 1e-300)).ravel()]))
     # the step is large against the accuracy of the perturbed re-solves, and
     # the central difference controls the curvature error
-    return oracle.fd_check(phi, grad, np.concatenate([omega, v.ravel()]), dirs, h=3e-2)
+    return oracle.fd_check(phi, grad, center, dirs, h=3e-2), records

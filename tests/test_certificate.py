@@ -647,16 +647,18 @@ def test_nan_measure_node_gives_a_nan_measures_residual(corridor_run, corridor_s
 
 def test_nan_difference_quotient_fails_value_selection(corridor_run, corridor_scenario,
                                                        corridor_certificate, monkeypatch):
-    # every perturbed re-solve reports a NaN value, so both quotients are NaN
+    # every perturbed re-solve converges to a NaN value, so both quotients
+    # are NaN
+    lower = corridor_run["solution"].lower
     monkeypatch.setattr(solver, "solve_lower",
-                        lambda *args, **kwargs: SimpleNamespace(value=np.nan))
+                        lambda *args, **kwargs: replace(lower, value=np.nan))
     rep = certify(corridor_run["solution"], corridor_scenario,
                   multipliers=corridor_certificate["report"].multipliers)
     cond = rep.conditions["value_selection"]
     assert np.isnan(cond["residual"]) and cond["ok"] is False
 
 
-# ---------------------------------------------------------------- batched fit
+# ---------------------------------------------------------------- the fit
 AFFINE = straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))),
                            K_f=0.05, M1=1.2)  # A4's affine drift
 
@@ -717,39 +719,149 @@ def test_every_lower_path_solve_is_stationary(solved):
     assert max(h["kkt_residual"] for h in sol.history) <= solver.LOWER_KKT_TOL
 
 
-def test_batched_residuals_equal_per_row_calls(solved):
-    model = _MultiplierModel(*solved)
+def _central_jacobian(model, p, h):
+    return np.stack([(model.residuals(p + h * e) - model.residuals(p - h * e)) / (2 * h)
+                     for e in np.eye(p.size)], axis=1)
+
+
+def _branches(model, p):
+    """Counts of sigma's quadratic and linear contact nodes and of the active
+    r_mono rows at p, and the distance of each to its seam."""
+    s, r, k = model.s, model.r, model.s.cone_gain
+    nu = p[model.slots]
+    st = _sigma_tilde(model.g + nu[:, None] * model.d, nu, model.d, s)[certificate._in_contact(
+        model.d, s)]
+    rises = np.diff(nu)[np.diff(model.slots) > 0]   # within a slot nu cannot rise
+    counts = {"quadratic": int(np.sum((st > 0) & (k * st <= 2 * r))),
+              "linear": int(np.sum(k * st > 2 * r)), "rising": int(np.sum(rises > 0))}
+    margin = min(np.abs(st).min(), np.abs(st - 2 * r / k).min(), np.abs(rises).min())
+    return counts, margin
+
+
+def test_jacobian_matches_central_differences(solved):
+    # sigma and r_mono are piecewise quadratic in nu, so away from their
+    # seams central differences are exact but for roundoff
+    model, h = _MultiplierModel(*solved), 1e-3
+    rng = np.random.default_rng(5)
+    # sigma_tilde = nu*dst - <2*r*u, x-y> with dst = R1^2 - |x-y|^2: plant
+    # the contact node of the largest dst at 1.5 times sigma's seam 2r/k
+    s, d = model.s, model.d
+    dst = np.where(certificate._in_contact(d, s), s.R1 ** 2 - np.sum(d * d, axis=1), -np.inf)
+    lin = np.argmax(dst)
+    planted = rng.normal(size=model.n_params)
+    planted[model.slots[lin]] = (3.0 * model.r / s.cone_gain + model.g[lin] @ d[lin]) / dst[lin]
+    fitted = least_squares(model.residuals, np.zeros(model.n_params), method="lm",
+                           jac=model.jacobian).x
+    for p in (fitted, rng.normal(size=model.n_params), planted):
+        counts, margin = _branches(model, p)
+        assert counts["quadratic"] > 0 and counts["rising"] > 0 and margin > 2 * h, counts
+        J, fd = model.jacobian(p), _central_jacobian(model, p, h)
+        np.testing.assert_allclose(J, fd, rtol=0, atol=1e-5 * np.abs(fd).max())
+    assert _branches(model, planted)[0]["linear"] > 0
+    # a straight plan moves every Hamiltonian value alike through nu_T,
+    # which the conservation rows do not see; a turning plan shows it
+    ang = np.linspace(0.0, 0.5, model.slots.size)
+    rot = np.stack([np.cos(ang), -np.sin(ang), np.sin(ang), np.cos(ang)], 1).reshape(-1, 2, 2)
+    model.cp = replace(model.cp, v=np.einsum("nij,nj->ni", rot, model.cp.v))
+    J, fd = model.jacobian(planted), _central_jacobian(model, planted, h)
+    np.testing.assert_allclose(J, fd, rtol=0, atol=1e-5 * np.abs(fd).max())
+    # at p = 0 every r_mono row sits on its seam, where the Jacobian takes
+    # the flat side; every other row is smooth there
     p0 = np.zeros(model.n_params)
-    rows = np.random.default_rng(3).normal(scale=0.1, size=(6, p0.size))
-    batch = model.residuals(rows)
-    assert batch.shape == (6, model.residuals(p0).size)
-    for row, res in zip(rows, batch):
-        assert np.array_equal(res, model.residuals(row))
-    assert np.array_equal(model.residuals(rows.reshape(2, 3, -1)).reshape(6, -1), batch)
+    J, fd = model.jacobian(p0), _central_jacobian(model, p0, h)
+    mono = slice(J.shape[0] - (model.slots.size - 1), None)
+    assert not J[mono].any()
+    np.testing.assert_allclose(J[:mono.start], fd[:mono.start], rtol=0,
+                               atol=1e-5 * np.abs(fd).max())
 
 
 def test_extract_multipliers_equals_plain_least_squares(solved):
-    # the batched Jacobian leaves scipy's step rule and assembly alone, so the
-    # whole Levenberg-Marquardt path is the per-point one, bit for bit
+    # the fit is scipy's Levenberg-Marquardt on the model's residuals and
+    # exact Jacobian and nothing else, so its path is the plain call's, bit
+    # for bit, and its record is that call's
     model = _MultiplierModel(*solved)
-    plain = least_squares(model.residuals, np.zeros(model.n_params), method="lm", max_nfev=4000)
-    want, got = model.multipliers(plain.x), extract_multipliers(*solved)
+    plain = least_squares(model.residuals, np.zeros(model.n_params), method="lm",
+                          jac=model.jacobian, max_nfev=4000)
+    want, (got, fit) = model.multipliers(plain.x), extract_multipliers(*solved)
     for f in fields(GamkrelidzeMultipliers):
         assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert fit == {"nfev": plain.nfev, "status": plain.status, "cost": plain.cost}
 
 
 def test_fit_evaluates_each_jacobian_in_one_call(corridor_run, corridor_scenario, monkeypatch):
-    # per point, the corridor fit made 932 calls; batched, each Jacobian is
-    # one call of n_params rows
-    shapes = []
-    residuals = _MultiplierModel.residuals
+    # each Jacobian is one call of the exact ``jacobian`` and each residual
+    # vector one call at one point; the corridor fit took 32 residual
+    # evaluations under forward differences, and 19 on the exact Jacobian
+    shapes = {"residuals": [], "jacobian": []}
+    for name, calls in shapes.items():
+        def counted(self, p, real=getattr(_MultiplierModel, name), calls=calls):
+            calls.append(np.shape(p))
+            return real(self, p)
 
-    def counted(self, p):
-        shapes.append(np.shape(p)[:-1])
-        return residuals(self, p)
-
-    monkeypatch.setattr(_MultiplierModel, "residuals", counted)
-    extract_multipliers(corridor_run["solution"], corridor_scenario)
+        monkeypatch.setattr(_MultiplierModel, name, counted)
+    _, fit = extract_multipliers(corridor_run["solution"], corridor_scenario)
     n_params = _MultiplierModel(corridor_run["solution"], corridor_scenario).n_params
-    assert len(shapes) < 100
-    assert set(shapes) == {(), (n_params,)}
+    assert set(shapes["residuals"]) == set(shapes["jacobian"]) == {(n_params,)}
+    assert fit["nfev"] <= 22
+    assert len(shapes["residuals"]) <= fit["nfev"] + 1
+    assert len(shapes["jacobian"]) <= len(shapes["residuals"]) + 1
+
+
+def test_certificate_records_its_fit(corridor_run, corridor_scenario, corridor_certificate):
+    # a fitted report carries the fit's nfev, status and cost and prints
+    # them on one line; a fixed candidate has none
+    rep = corridor_certificate["report"]
+    assert set(rep.to_dict()["fit"]) == {"nfev", "status", "cost"}
+    assert rep.summary_lines()[-1].split() == [
+        "fit:", f"nfev={rep.fit['nfev']}", f"status={rep.fit['status']}",
+        f"cost={rep.fit['cost']:.3e}"]
+    fixed = certify(corridor_run["solution"], corridor_scenario, multipliers=rep.multipliers)
+    assert fixed.to_dict()["fit"] is None
+
+
+def test_mirrored_re_solves_reach_the_nominal_start_value(solved, monkeypatch):
+    # each minus-side re-solve of value_selection starts from the mirror of
+    # its plus side; from the solution's own decision it reaches the same
+    # phi in more iterations (corridor: 5 and 4 against 8 and 8)
+    sol, s = solved
+    real, calls = solver.solve_lower, []
+
+    def recorded(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver, "solve_lower", recorded)
+    cp = sol.lower.decision.controls
+    zeta = solver.value_subgradient(cp.omega, cp.v, sol.lower, s)
+    residual, records = certificate._value_selection_residual(sol, zeta, s)
+    assert residual <= certificate.TOLERANCES["value_selection"]
+    assert [r["start"] for r in records] == ["nominal", "mirrored"] * 2
+    for (args, out), rec in zip(calls, records):
+        assert rec["converged"] and rec["iterations"] == out.status["iterations"]
+        if rec["start"] == "mirrored":
+            nominal = real(*args, warm=sol.lower)
+            assert abs(out.value - nominal.value) <= 1e-10
+            assert rec["iterations"] < nominal.status["iterations"]
+
+
+def test_a_non_converged_re_solve_fails_value_selection(corridor_run, corridor_scenario,
+                                                        corridor_certificate, monkeypatch):
+    # the third re-solve reports no convergence: its phi is NaN, so is the
+    # residual, and every re-solve is in the detail
+    real, seen = solver.solve_lower, []
+
+    def third_fails(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out)
+        if len(seen) == 3:
+            return replace(out, status={**out.status, "converged": False})
+        return out
+
+    monkeypatch.setattr(solver, "solve_lower", third_fails)
+    rep = certify(corridor_run["solution"], corridor_scenario,
+                  multipliers=corridor_certificate["report"].multipliers)
+    cond = rep.conditions["value_selection"]
+    assert np.isnan(cond["residual"]) and cond["ok"] is False
+    assert [r["converged"] for r in cond["detail"]["re_solves"]] == [True, True, False, True]
+    assert set(cond["detail"]["re_solves"][0]) == {"start", "iterations", "exit_status",
+                                                   "kkt_residual", "converged"}

@@ -440,7 +440,7 @@ def test_solve_deterministic_byte_identical(tmp_path):
 def test_certify_exit_code_is_its_certificate_verdict(tmp_path, capsys):
     # exit 4 exactly when certificate.json's ok is false (on this run
     # `measures` fails); every condition is checked, with a bool verdict and
-    # one summary line
+    # one summary line, and the fit's record ends the summary
     cfg = write_config(tmp_path, run=TINY_RUN)
     out = tmp_path / "cert"
     code = main(["certify", "--config", str(cfg), "--out", str(out), "--gamma-max", "12"])
@@ -451,7 +451,8 @@ def test_certify_exit_code_is_its_certificate_verdict(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "skipped" not in stdout
     lines = stdout.splitlines()[1:]
-    assert [line.split(":")[0].strip() for line in lines] == list(cert["conditions"])
+    assert [line.split(":")[0].strip() for line in lines] == [*cert["conditions"], "fit"]
+    assert f"nfev={cert['fit']['nfev']}" in lines[-1]
 
 
 @pytest.mark.parametrize("command", ["solve", "certify"])

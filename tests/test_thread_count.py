@@ -10,12 +10,16 @@ before scipy loads.  Measured on a 2-core host:
 - the other floats of the gamma-path records move in their last bits: phi
   by at most 3e-15 relative, the KKT residual by 1e-7 relative and the
   contact violation (about 1e-13 or below) by 1.3e-15;
-- of the certificate's residuals, the Levenberg-Marquardt fit's move most:
-  adjoint by 1.7e-3 relative and conservation by 3e-4; measures moves by
-  1.2e-7, value_selection by 9e-8, and boundary goes from 0 to 5.6e-17.
+- of the certificate's residuals, value_selection moves most, by 2.5e-7
+  relative. On the exact Jacobian the Levenberg-Marquardt fit hardly
+  moves: adjoint by 2.6e-11 and conservation by 3.5e-10 relative
+  (1.7e-3 and 3e-4 under the earlier forward differences), measures not
+  at all; nontriviality goes from 2.2e-16 to 0 and boundary from 0 to
+  5.6e-17.
 
-The history tolerances are about ten times the largest of these, and the
-residual tolerance about six times.
+The history tolerances are about ten times the largest of these. The
+residual tolerance was set at about six times the forward-difference fit's
+moves, and is kept.
 """
 
 import json
