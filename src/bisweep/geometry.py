@@ -5,8 +5,8 @@ center ``y`` inside a big disk Q (center ``q0``, radius ``R``).  The exit
 target is the boundary of the exit arc thickened by ``R1`` and clipped to Q:
 at most four circular arcs (``_target_arcs``), so the distance to it and the
 direction of its nearest point have closed forms.  Every number of a scenario
-is read by ``checked``, and ``validate`` checks the standing assumptions by
-formula, without sampling.
+is read by ``checked``, and ``validate`` checks by formula, without sampling,
+the standing assumptions that its numbers can break.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ EXIT_ARC_SAMPLES = 512  # points per target arc in Scenario.exit_boundary_sample
 
 # a scenario file's sections and keys, in the order Scenario.to_dict writes them
 SCENARIO_KEYS = {"geometry": ("q0", "R", "R1", "y0", "exit"), "cone": ("M",),
-                 "controls": ("u_bound", "v_bound"), "drift": ("name", "A", "M1", "K_f", "delta")}
+                 "controls": ("u_bound", "v_bound"), "drift": ("name", "A", "M1", "K_f")}
 
 
 def require_known_keys(d, known, what: str) -> dict:
@@ -127,9 +127,8 @@ def require_known_keys(d, known, what: str) -> dict:
 class Scenario:
     """All problem constants for one bilevel sweeping instance.
 
-    ``M1``, ``K_f`` and ``delta`` left at None are derived from the drift and
-    the control bounds: the drift's bound over the working box, ‖A‖₂ and
-    ``u_bound``.
+    ``M1`` and ``K_f`` left at None are derived from the drift and the
+    control bounds: the drift's bound over the working box and ‖A‖₂.
     """
 
     q0: tuple = (0.0, 0.0)
@@ -143,7 +142,6 @@ class Scenario:
     drift: DriftSpec = field(default_factory=DriftSpec)
     M1: Optional[float] = None
     K_f: Optional[float] = None
-    delta: Optional[float] = None
     dim: ClassVar[int] = 2  # only planar scenarios
 
     def __post_init__(self):
@@ -161,11 +159,11 @@ class Scenario:
             raise ValueError("initial small disk must be contained in the big disk")
         A = self.drift.matrix(self.dim)
         lip = float(np.linalg.norm(A, 2))
-        # identity drift: |f| = |u|, and it covers delta*B with any delta <= u_bound;
+        # identity drift: |f| = |u|;
         # affine drift: |A x| <= |A q0| + ‖A‖₂ |x - q0| on the box |x - q0| <= R + R1
         M1 = self.u_bound if self.drift.A is None else (
             float(np.linalg.norm(A @ self.q0_arr)) + lip * (self.R + self.R1) + self.u_bound)
-        for name, value in (("M1", M1), ("K_f", lip), ("delta", self.u_bound)):
+        for name, value in (("M1", M1), ("K_f", lip)):
             given = getattr(self, name)
             store(name, value if given is None else given, least=0.0)
 
@@ -275,15 +273,21 @@ def truncation_bounds(s: Scenario) -> float:
     <zeta, A x + u> - <zeta, v> over x in Q and the control balls:
     b_U + b_V plus the least support value of the ellipse A Q, which is the
     signed distance d from 0 to its boundary, positive iff 0 is interior (A
-    invertible and |q0| < R); the lower end follows by zeta -> -zeta.  Identity
-    drift (A = 0) gives d = 0.
-
-    |d| is the least |c + R A e(t)| over t, c = A q0, e(t) = (cos t, sin t);
-    its square is a trigonometric polynomial of degree 2 in t, whose
-    critical points are roots of a quartic in exp(i t).
+    invertible and |q0| < R), |d| the least of ``_rim_drift_range``; the lower
+    end follows by zeta -> -zeta.  Identity drift (A = 0) gives d = 0.
     """
-    A, q0 = s.drift.matrix(s.dim), s.q0_arr
-    c = A @ q0
+    near, _ = _rim_drift_range(s)
+    inside = np.linalg.det(s.drift.matrix(s.dim)) != 0.0 and np.linalg.norm(s.q0_arr) < s.R
+    return (near if inside else -near) + s.u_bound + s.v_bound
+
+
+def _rim_drift_range(s: Scenario):
+    """The least and the greatest |A x| over the rim of Q, the latter also its
+    greatest over Q: |c + R A e(t)| with c = A q0, e(t) = (cos t, sin t), whose
+    square is a trigonometric polynomial of degree 2 in t; its critical points
+    are roots of a quartic in exp(i t)."""
+    A = s.drift.matrix(s.dim)
+    c = A @ s.q0_arr
     # |c + R A e(t)|^2 = const + b1 cos t + b2 sin t + b3 cos 2t + b4 sin 2t
     b1, b2 = 2.0 * s.R * (A.T @ c)
     gram = s.R ** 2 * (A.T @ A)
@@ -291,9 +295,8 @@ def truncation_bounds(s: Scenario) -> float:
     # its t-derivative times 2 exp(2 i t), a polynomial in exp(i t)
     quartic = [2.0 * b4 + 2j * b3, b2 + 1j * b1, 0.0, b2 - 1j * b1, 2.0 * b4 - 2j * b3]
     t = np.append(np.angle(np.roots(quartic)), 0.0)   # t = 0 for a constant distance
-    far = np.linalg.norm(c + s.R * _unit(t) @ A.T, axis=1).min()
-    d = far if np.linalg.det(A) != 0.0 and np.linalg.norm(q0) < s.R else -far
-    return float(d + s.u_bound + s.v_bound)
+    gap = np.linalg.norm(c + s.R * _unit(t) @ A.T, axis=1)
+    return float(gap.min()), float(gap.max())
 
 
 def _unit(angles):
@@ -407,30 +410,31 @@ class ValidationReport:
 
 
 def validate(s: Scenario) -> ValidationReport:
-    """Check the standing assumptions H1-H6 on a scenario, each by a formula:
-    H1 from the drift's closed form, H5 from ``truncation_bounds``."""
-    checks = []
-    # H1: |f| <= M1 and f is K_f-Lipschitz in x; the clip at M1 is 1-Lipschitz
+    """Check by formula the standing assumptions a scenario's numbers can break:
+    H1 (|f| <= M1 under identity drift, ‖A‖₂ <= K_f under affine drift), H4
+    from the drift's range over Q and H5 from ``truncation_bounds``.
+
+    The rest get no row.  By construction: H1's bound under affine drift (f
+    clips A x + u at M1), its Lipschitz constant under identity drift
+    (‖A‖₂ = 0), H2 where H4 holds (f(x, U) is the u_bound-ball about A x cut
+    by the M1-ball), H3 (U, V are closed balls), Q1 + y0 inside Q
+    (``Scenario`` refuses any other y0) and a nonempty exit target (it holds
+    the inner offset arc).  Assumed: H6.
+    """
     if s.drift.A is None:
-        checks.append(ValidationCheck("H1-bound", s.u_bound <= s.M1 + 1e-9,
-                                      f"sup|f| = u_bound={s.u_bound:.6g}, M1={s.M1:.6g}"))
+        h1 = ValidationCheck("H1-bound", s.u_bound <= s.M1 + 1e-9,
+                             f"sup|f| = u_bound={s.u_bound:.6g}, M1={s.M1:.6g}")
     else:
-        checks.append(ValidationCheck("H1-bound", True,
-                                      f"by construction: drift clips A x + u at M1={s.M1:.6g}"))
-    lip = float(np.linalg.norm(s.drift.matrix(s.dim), 2))
-    checks.append(ValidationCheck("H1-lipschitz", lip <= s.K_f + 1e-9,
-                                  f"Lipschitz constant ||A||_2={lip:.6g}, K_f={s.K_f:.6g}"))
-    # H2: convex image -- satisfied by construction for the supported families
-    checks.append(ValidationCheck("H2-convex-image", True, "by construction for identity/affine drift"))
-    # H3: ball control sets are compact convex by construction, but degenerate
-    # zero-radius pairs break H5 downstream
-    checks.append(ValidationCheck("H3-compact-convex", True, "U, V are closed balls"))
-    # H4: delta * B subset of f(x, U); for identity drift iff delta <= u_bound
-    h4_ok = 0.0 < s.delta <= s.u_bound + 1e-12
-    checks.append(ValidationCheck("H4-inner-ball", h4_ok, f"delta={s.delta}, u_bound={s.u_bound}"))
-    # H5: truncation window
+        lip = float(np.linalg.norm(s.drift.matrix(s.dim), 2))
+        h1 = ValidationCheck("H1-lipschitz", lip <= s.K_f + 1e-9,
+                             f"Lipschitz constant ||A||_2={lip:.6g}, K_f={s.K_f:.6g}")
+    # H4: delta B lies in f(x, U), the u_bound-ball about A x clipped at M1,
+    # for every x in Q iff delta <= min(u_bound - max_Q |A x|, M1)
+    _, far = _rim_drift_range(s)
+    delta = min(s.u_bound - far, s.M1)
+    h4 = ValidationCheck("H4-inner-ball", delta > 0.0,
+                         f"delta*={delta:.6g}: u_bound={s.u_bound:.6g}, max_Q|A x|={far:.6g}, M1={s.M1:.6g}")
     M_bar = truncation_bounds(s)
-    h5_ok = 0 < s.M < M_bar
     # m_bar = 0 - M_bar, never -0.0
     detail = f"m_bar={0.0 - M_bar:.6g} < M={s.M:.6g} < M_bar={M_bar:.6g}"
     if s.M <= 0:
@@ -439,11 +443,5 @@ def validate(s: Scenario) -> ValidationReport:
         detail += " violated: strong invariance, bilevel collapses"
     if not M_bar > 0:
         detail += " (window empty: degenerate control sets)"
-    checks.append(ValidationCheck("H5-truncation-window", bool(h5_ok), detail))
-    # geometric containment: Scenario refuses a y0 whose small disk leaves Q
-    checks.append(ValidationCheck("geometry-containment", True, "by construction: Q1 + y0 inside Q"))
-    # exit target nonempty: with finite angles and R > R1 > 0 it holds the inner offset arc
-    checks.append(ValidationCheck("exit-target-nonempty", True, "by construction"))
-    # H6 is not machine checkable: recorded as assumed
-    checks.append(ValidationCheck("H6-nonisolated-optimum", True, "assumed (not machine-checkable)"))
-    return ValidationReport(tuple(checks))
+    h5 = ValidationCheck("H5-truncation-window", 0 < s.M < M_bar, detail)
+    return ValidationReport((h1, h4, h5))

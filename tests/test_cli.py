@@ -115,7 +115,8 @@ NAN, INF = float("nan"), float("inf")
     ("geometry", "R", INF), ("geometry", "R1", NAN), ("geometry", "q0", [NAN, 0.0]),
     ("geometry", "y0", [0.0, INF]), ("exit", "angle_lo", NAN), ("exit", "angle_hi", INF),
     ("cone", "M", INF), ("controls", "u_bound", NAN), ("controls", "v_bound", INF),
-    ("drift", "M1", INF), ("drift", "K_f", NAN), ("drift", "delta", -INF),
+    ("drift", "M1", INF), ("drift", "K_f", NAN),
+    ("geometry", "y0", [0.0, 10 ** 400]),   # an integer beyond the range of a float
     ("drift", "A", [0.0, NAN, 0.0, 0.0])])
 def test_non_finite_scenario_number_is_refused(tmp_path, capsys, section, key, value):
     # refused when the scenario is built, before any check samples with it
@@ -129,8 +130,8 @@ def test_non_finite_scenario_number_is_refused(tmp_path, capsys, section, key, v
     assert f"{key} must be finite" in capsys.readouterr().err
 
 
-# a malformed value in a scenario section: (section, the keys it sets, the key the
-# message must name)
+# a malformed value or an unknown key in a scenario section: (section, the keys it
+# sets, the key the message must name)
 MALFORMED_SCENARIO = {
     "y0=5": ("geometry", {"y0": 5}, "y0"),
     "q0-of-3": ("geometry", {"q0": [0.0, 0.0, 0.0]}, "q0"),
@@ -142,6 +143,8 @@ MALFORMED_SCENARIO = {
     "A-of-3": ("drift", {"name": "affine", "A": [1, 2, 3]}, "A"),
     "identity-with-A": ("drift", {"name": "identity", "A": [1, 2, 3, 4]}, "A"),
     "affine-without-A": ("drift", {"name": "affine", "A": None}, "A"),
+    # H4's inner ball is derived from the drift, so delta is not a key
+    "delta=0.5": ("drift", {"delta": 0.5}, "unknown drift key: delta"),
 }
 
 

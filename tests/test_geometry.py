@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from bisweep.geometry import (
     ExitArc,
     Scenario,
     ValidationReport,
+    _rim_drift_range,
     h_lower,
     h_upper,
     project_ball_rows,
@@ -125,16 +126,17 @@ def test_truncation_bounds_asymmetric_balls():
 
 
 def _dense_truncation_bounds(s, points=4096):
-    """The window with both extrema sampled: zeta at ``points`` unit normals,
-    x at ``points`` points of the circle about q0 of radius R.  The inner
-    maximum sampled is low by at most R |A| (1 - cos(pi / points)), the
-    outer minimum high by the curvature of the support function times
-    (pi / points)^2 / 2."""
+    """The window with both extrema sampled, and the greatest sampled |A x|:
+    zeta at ``points`` unit normals, x at ``points`` points of the circle
+    about q0 of radius R.  The inner maximum sampled is low by at most
+    R |A| (1 - cos(pi / points)), the outer minimum high by the curvature of
+    the support function times (pi / points)^2 / 2."""
     theta = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
     unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     drifts = (s.q0_arr + s.R * unit) @ s.drift.matrix(s.dim).T
     support = np.concatenate([(z @ drifts.T).max(axis=1) for z in np.array_split(unit, 8)])
-    return support.min() + s.u_bound + s.v_bound, -support.min() - s.u_bound - s.v_bound
+    return (support.min() + s.u_bound + s.v_bound, -support.min() - s.u_bound - s.v_bound,
+            np.linalg.norm(drifts, axis=1).max())
 
 
 SKEW_A, SKEW_Q0 = ((-0.3, 0.7), (0.2, -0.45)), (-1.5, 2.5)
@@ -146,8 +148,10 @@ def test_truncation_bounds_match_a_dense_reference_off_center():
                   ((0.2, 0.1, -0.3, 0.4), (12.0, 0.0))):
         s = Scenario(q0=q0, y0=q0, drift=DriftSpec("affine", A))
         M_bar = truncation_bounds(s)
-        M_dense, m_dense = _dense_truncation_bounds(s)
+        M_dense, m_dense, far_dense = _dense_truncation_bounds(s)
         assert abs(M_bar - M_dense) <= 1e-5 and abs(-M_bar - m_dense) <= 1e-5
+        # the greatest |A x| over Q, which H4 reads, from the same quartic
+        assert abs(_rim_drift_range(s)[1] - far_dense) <= 1e-5
 
 
 def test_truncation_bounds_of_a_singular_drift_touch_zero():
@@ -161,7 +165,8 @@ def test_validate_refuses_a_level_above_the_exact_window():
     # the exact M_bar is 2.0507; 256 sampled normals put it at 2.0751
     s = Scenario(q0=SKEW_Q0, y0=SKEW_Q0, drift=DriftSpec("affine", SKEW_A), M=2.06)
     assert truncation_bounds(s) == pytest.approx(2.0506705, abs=1e-7)
-    assert [c.name for c in validate(s).failures()] == ["H5-truncation-window"]
+    # max_Q |A x| = 9.07 also exceeds u_bound = 1
+    assert [c.name for c in validate(s).failures()] == ["H4-inner-ball", "H5-truncation-window"]
 
 
 def test_validate_refuses_an_empty_window():
@@ -336,8 +341,8 @@ def test_validate_default_scenario_passes():
     report = validate(S)
     assert isinstance(report, ValidationReport)
     assert report.ok, [c.name for c in report.failures()]
-    # the exit target always holds the inner offset arc
-    assert {c.name: c.detail for c in report.checks}["exit-target-nonempty"] == "by construction"
+    # only rows the scenario's numbers can fail
+    assert [c.name for c in report.checks] == ["H1-bound", "H4-inner-ball", "H5-truncation-window"]
 
 
 def test_validate_rejects_excessive_truncation_level():
@@ -353,13 +358,15 @@ def test_validate_rejects_negative_truncation_level():
 
 
 def test_validate_checks_h1_by_formula():
-    # K_f = 0.9 lies below ||A||_2 = 0.9069, the Lipschitz constant of A x + u
+    # K_f = 0.9 lies below ||A||_2 = 0.9069, the Lipschitz constant of A x + u;
+    # max_Q |A x| = 9.07 exceeds u_bound = 1, so H4 fails too
     skew = Scenario(drift=DriftSpec("affine", ((-0.3, 0.7), (0.2, -0.45))), K_f=0.9, M1=0.9)
-    assert [c.name for c in validate(skew).failures()] == ["H1-lipschitz"]
+    assert [c.name for c in validate(skew).failures()] == ["H1-lipschitz", "H4-inner-ball"]
+    # the clip at M1 bounds affine drift, so its H1 row is the Lipschitz one
+    assert [c.name for c in validate(skew).checks] == ["H1-lipschitz", "H4-inner-ball",
+                                                       "H5-truncation-window"]
     # identity drift: sup |f| = u_bound = 1 exceeds M1
     assert [c.name for c in validate(Scenario(M1=0.999)).failures()] == ["H1-bound"]
-    details = {c.name: c.detail for c in validate(skew).checks}
-    assert "by construction" in details["H1-bound"]
 
 
 AFFINE_A = (0.3, 0.2, -0.4, 0.1)
@@ -371,11 +378,11 @@ AFFINE_A = (0.3, 0.2, -0.4, 0.1)
     ({"drift": DriftSpec("affine", AFFINE_A)}, {"drift": {"name": "affine", "A": list(AFFINE_A)}}),
 ], ids=["u_bound=0.5", "u_bound=2", "affine"])
 def test_every_construction_path_gives_one_scenario(kw, file):
-    # the derived M1, K_f and delta come from the scenario's own drift and bounds
+    # the derived M1 and K_f come from the scenario's own drift and bounds
     built = [straight_corridor(**kw), Scenario(**kw), Scenario.from_dict(Scenario(**kw).to_dict()),
              Scenario.from_dict(file)]
     assert all(s == built[0] for s in built)
-    assert len({(s.M1, s.K_f, s.delta) for s in built}) == 1
+    assert len({(s.M1, s.K_f) for s in built}) == 1
 
 
 
@@ -415,7 +422,7 @@ WRITTEN = {
     "wide-arc": Scenario(y0=(2.0, -5.0), exit=ExitArc(-0.3, 0.4)),
     "every-field": Scenario(q0=(1.0, -0.5), R=9.0, R1=0.8, y0=(1.5, 0.0),
                             exit=ExitArc(-0.2, 0.1), M=1.2, u_bound=0.9, v_bound=1.1,
-                            drift=DriftSpec("affine", AFFINE_A), M1=8.0, K_f=0.6, delta=0.5),
+                            drift=DriftSpec("affine", AFFINE_A), M1=8.0, K_f=0.6),
 }
 
 
@@ -426,6 +433,23 @@ def test_to_dict_writes_the_scenario_keys_in_order_and_from_dict_inverts_it(s):
         (name, list(keys)) for name, keys in SCENARIO_KEYS.items()]
     assert list(data["geometry"]["exit"]) == [f.name for f in fields(ExitArc)]
     assert Scenario.from_dict(data) == s
+
+
+@pytest.mark.parametrize("s, delta", [
+    (WRITTEN["corridor"], 1.0), (WRITTEN["A4"], 0.5), (WRITTEN["wide-arc"], 1.0),
+    (straight_corridor(u_bound=0.25, M=0.75), 0.25),
+    (replace(WRITTEN["A4"], M1=0.3), 0.3),
+    (straight_corridor(drift=DriftSpec("affine", AFFINE_A), M1=0.9), -4.01976),
+    (straight_corridor(drift=DriftSpec("affine", ((0.0, 0.5), (-0.5, 0.0))), M1=0.9, K_f=0.5), -4.0),
+], ids=["corridor", "A4", "wide-arc", "cap-binding", "A4-M1=0.3", "clipped", "saturating"])
+def test_h4_reads_the_inner_ball_from_the_drift(s, delta):
+    # delta* = min(u_bound - max_Q |A x|, M1): A4's drift reaches 0.05 R = 0.5
+    # on the rim of Q, and M1 = 0.3 clips the ball below that; the clipped
+    # and saturating drifts of test_adjoint.py reach 5.02 and 0.5 R = 5,
+    # beyond u_bound = 1
+    h4 = {c.name: c for c in validate(s).checks}["H4-inner-ball"]
+    assert h4.passed == (delta > 0.0)
+    assert h4.detail.startswith(f"delta*={delta:.6g}: ")
 
 
 @pytest.mark.parametrize("section, key", [("cone", "R"), ("drift", "matrix"), ("geometry", "M"),
