@@ -3,7 +3,9 @@
 Everything here deliberately avoids the solver code paths: propagation is
 plain Euler, and optimization is enumeration.  The lower enumeration runs
 in order of effort and stops at the first block with a feasible pair, whose
-first feasible pair is the exhaustive enumeration's answer.  The upper
+first feasible pair is the exhaustive enumeration's answer; within a block
+it steps each distinct control prefix once and drops a pair at its first
+infeasible node.  The upper
 enumeration measures each distinct plan center once, over the prefix tree
 of the plans, and times only the feasible plans.  The sup oracle evaluates
 only the part of its grid that a roundoff bound cannot exclude, so it
@@ -34,6 +36,9 @@ MAX_COMBINATIONS = 10 ** 7
 FEAS_TOL = 1e-9
 # the (sequence, initial point) pairs brute_lower simulates in one block
 BLOCK_PAIRS = 200_000
+# the (initial point, prefix) states one step of _max_h_lower makes, at
+# most; a frontier that would make more is stepped in halves
+FRONTIER_PAIRS = 10_000
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -110,35 +115,76 @@ def _ball_grid(bound: float, scalars: np.ndarray, name: str):
 def _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s: Scenario) -> np.ndarray:
     """The largest h_lower along the trajectory of each (x_init, sequence)
     pair of one block of sequences, rows (B, N) of per-node indices: an
-    (x_init, B) table, NaN where some node's h_lower is NaN.
+    (x_init, B) table, <= ``FEAS_TOL`` exactly where the pair is feasible
+    and +inf where it is not.
+
+    A pruned forward recursion over control prefixes: the rows are sorted
+    once into product order, where the rows that share a prefix are
+    contiguous, and each distinct (x_init, prefix) state is stepped once,
+    every initial point together.  A pair is dropped at its first node
+    whose h_lower is > ``FEAS_TOL`` or NaN (Land & Doig 1960).  A frontier
+    whose step would make more than ``FRONTIER_PAIRS`` states is stepped in
+    halves, depth first, which bounds the memory of a block whose pairs all
+    stay feasible.
 
     Plain Euler under the smoothed field; h_lower at each node is both the
     cone ramp's argument and what is maximized.  x and u keep their
-    components first, (dim, B), so |d|^2 is a sum of dim rows, and A x is
-    summed per row as A_r0 x_0 + A_r1 x_1, so a column rounds the same in
-    every block width."""
-    N = rows.shape[1]
-    idx = _interval_to_nodes(rows.T)   # (N+1, B)
-    u_nodes = u_node.T[:, idx]   # (dim, N+1, B)
-    u0_nodes = u0_node[idx]      # (N+1, B)
+    components first, (dim, K), so |d|^2 is a sum of dim rows, and A x is
+    summed per row as A_r0 x_0 + A_r1 x_1, so a pair rounds the same in
+    every block width and on every frontier."""
+    B, N = rows.shape
+    key = np.ravel_multi_index(rows.T, (len(u_node),) * N)
+    perm = np.argsort(key)
+    key = key[perm]
+    # where each distinct prefix of k intervals starts among the sorted rows;
+    # the full sequences are every row, so a repeated row is simulated twice
+    starts = [np.zeros(1, dtype=np.intp)]
+    for k in range(1, N):
+        q = key // len(u_node) ** (N - k)
+        starts.append(np.flatnonzero(np.r_[True, q[1:] != q[:-1]]))
+    starts.append(np.arange(B))
+    # per prefix of k intervals, the index of its first child among the
+    # prefixes of k + 1, and per child the control it appends
+    first = [np.append(np.searchsorted(starts[k + 1], starts[k]), len(starts[k + 1]))
+             for k in range(N)]
+    ctrl = [rows[perm[starts[k + 1]], k] for k in range(N)]
     A = s.drift.matrix(s.dim) if s.drift.name != "identity" else None
     gain, dt = s.cone_gain, 1.0 / N
-    out = np.full((len(x_grid), idx.shape[1]), -np.inf)
-    for xg, worst in zip(x_grid, out):
-        x = np.repeat(xg[:, None], idx.shape[1], axis=1)
-        for i in range(N + 1):
-            d = x - y[i][:, None]
-            hl = 0.5 * (np.add.reduce(d * d, axis=0) - s.R1 ** 2)
-            np.maximum(worst, hl, out=worst)
-            if i == N:
-                break
-            c = np.minimum(gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
-            f = u_nodes[:, i]
-            if A is not None:
-                f = A[:, :1] * x[0] + A[:, 1:] * x[1] + f
-                nrm = np.sqrt(np.add.reduce(f * f, axis=0))
-                f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
-            x = x + (f - u0_nodes[i] * c * d) * (omega[i] * dt)
+    out = np.full((len(x_grid), B), np.inf)
+    # frontiers to step: a node, and per live pair its initial point, its
+    # prefix, its state and its largest h_lower so far
+    todo = [(0, np.arange(len(x_grid)), np.zeros(len(x_grid), dtype=np.intp), x_grid.T,
+             np.full(len(x_grid), -np.inf))]
+    while todo:
+        i, xi, pre, x, worst = todo.pop()
+        d = x - y[i][:, None]
+        hl = 0.5 * (np.add.reduce(d * d, axis=0) - s.R1 ** 2)
+        worst = np.maximum(worst, hl)
+        live = hl <= FEAS_TOL
+        if i == N:
+            out.ravel()[(xi * B + perm[pre])[live]] = worst[live]
+            continue
+        if not live.all():
+            xi, pre, worst, hl = xi[live], pre[live], worst[live], hl[live]
+            x, d = np.compress(live, x, axis=1), np.compress(live, d, axis=1)
+        n = first[i][pre + 1] - first[i][pre]
+        if len(n) > 1 and n.sum() > FRONTIER_PAIRS:   # step it in halves
+            h = len(n) // 2
+            todo += [(i, xi[h:], pre[h:], x[:, h:], worst[h:]), (i, xi[:h], pre[:h], x[:, :h], worst[:h])]
+            continue
+        c = np.minimum(gain, gamma * np.exp(np.minimum(gamma * hl, 50.0)))
+        # each prefix's children are contiguous: parent j's n[j] children
+        # follow its first one, and each takes its parent's values
+        par = np.repeat(np.arange(len(pre)), n)
+        pre = np.arange(len(par)) + np.repeat(first[i][pre] - (np.cumsum(n) - n), n)
+        u = ctrl[i][pre]
+        f, x = np.take(u_node.T, u, axis=1), np.take(x, par, axis=1)
+        if A is not None:
+            f = A[:, :1] * x[0] + A[:, 1:] * x[1] + f
+            nrm = np.sqrt(np.add.reduce(f * f, axis=0))
+            f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
+        x = x + (f - u0_node[u] * c[par] * np.take(d, par, axis=1)) * (omega[i] * dt)
+        todo.append((i + 1, xi[par], pre, x, worst[par]))
     return out
 
 
@@ -419,9 +465,9 @@ def fd_check(fn: Callable[[np.ndarray], float], grad: np.ndarray, point: np.ndar
              directions: Sequence[np.ndarray], h: float = 1e-6) -> float:
     """Max relative error of a supplied gradient against central differences
     along the given directions; NaN if a difference or a prediction is not
-    finite."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    finite.  A step h that is not positive and finite is a ValueError."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite: {h!r}")
     directions = [np.asarray(delta, dtype=float) for delta in directions]
     if not directions:
         raise ValueError("directions must not be empty")

@@ -77,10 +77,19 @@ def test_product_rows_refuse_levels_a_uint8_cannot_index():
 
 # ---------------------------------------------------------------- brute lower
 def test_brute_lower_stationary_instance_is_free():
-    spec = EnumSpec(n_intervals=3, levels_per_control=3)
-    n = spec.n_intervals
-    val = brute_lower(np.ones(n + 1), np.zeros((n + 1, 2)), 12.0, spec, S)[0]
-    assert val == pytest.approx(0.0, abs=1e-12)
+    # every pair stays feasible, so the first block is simulated whole, the
+    # worst case of the pruned recursion: its frontier must stay bounded
+    for spec in (EnumSpec(3, 3), EnumSpec(4, 3), EnumSpec(3, 5)):
+        n = spec.n_intervals
+        tracemalloc.start()
+        try:
+            val, (x_init, u, u0) = brute_lower(np.ones(n + 1), np.zeros((n + 1, 2)), 12.0, spec, S)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert val == 0.0
+        assert np.array_equal(x_init, S.y0_arr) and not u.any() and not u0.any()
+        assert peak <= 10e6, (spec, peak)
 
 
 def test_brute_lower_moving_set_needs_effort():
@@ -362,6 +371,65 @@ def test_a_block_of_one_sequence_rounds_as_a_wide_block():
         assert one.shape == (5, 1) and np.array_equal(one[:, 0], wide[:, j])
 
 
+def full_max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s):
+    """_max_h_lower without pruning or prefix sharing: every pair stepped
+    through every node, in the same arithmetic, NaN kept.  The h_lower of
+    each (x_init, node, sequence), (x_init, N + 1, B)."""
+    N = rows.shape[1]
+    idx = np.concatenate([rows.T, rows.T[-1:]])
+    A = s.drift.matrix(s.dim) if s.drift.name != "identity" else None
+    out = np.empty((len(x_grid), N + 1, len(rows)))
+    for xg, h in zip(x_grid, out):
+        x = np.repeat(xg[:, None], len(rows), axis=1)
+        for i in range(N + 1):
+            d = x - y[i][:, None]
+            h[i] = 0.5 * (np.add.reduce(d * d, axis=0) - s.R1 ** 2)
+            if i == N:
+                break
+            c = np.minimum(s.cone_gain, gamma * np.exp(np.minimum(gamma * h[i], 50.0)))
+            f = u_node.T[:, idx[i]]
+            if A is not None:
+                f = A[:, :1] * x[0] + A[:, 1:] * x[1] + f
+                nrm = np.sqrt(np.add.reduce(f * f, axis=0))
+                f = f * np.where(nrm > s.M1, s.M1 / np.maximum(nrm, 1e-300), 1.0)
+            x = x + (f - u0_node[idx[i]] * c * d) * (omega[i] * (1.0 / N))
+    return out
+
+
+@pytest.mark.parametrize("s", [S, A4, SKEW], ids=["identity", "affine", "affine-saturating"])
+@pytest.mark.parametrize("frontier", [1, 37, oracle.FRONTIER_PAIRS])
+def test_pruned_table_is_the_full_simulation_on_feasible_pairs(monkeypatch, s, frontier):
+    # scrambled rows with repeats, under a disk that moves off: pairs leave
+    # at every node after the first and some stay.  Each feasible pair's
+    # largest h_lower is the full simulation's, bitwise, every infeasible
+    # pair reads +inf, and neither depends on how the frontier is split
+    monkeypatch.setattr(oracle, "FRONTIER_PAIRS", frontier)
+    rng = np.random.default_rng(7)
+    u_node, u0_node = oracle._ball_grid(s.u_bound, np.linspace(0.0, 1.0, 3), "u")
+    rows = rng.permutation(_product_rows(len(u_node), 3))[:1500]
+    rows = np.concatenate([rows, rows[rng.integers(0, len(rows), 20)]])
+    omega = rng.uniform(2.0, 5.0, 4)
+    y = s.y0_arr + np.linspace(0.0, 0.9, 4)[:, None] * [1.0, 0.0]
+    x_grid = _x_init_grid(s, 5)
+    got = _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, 12.0, s)
+    h = full_max_h_lower(rows, x_grid, y, u_node, u0_node, omega, 12.0, s)
+    feas = np.all(h <= oracle.FEAS_TOL, axis=1)
+    leaves = np.argmax(h > oracle.FEAS_TOL, axis=1)[~feas]
+    assert feas.any() and set(leaves.tolist()) == {1, 2, 3}
+    assert np.array_equal(got[feas], h.max(axis=1)[feas])
+    assert np.all(got[~feas] == np.inf)
+
+
+def test_pruned_table_drops_a_pair_at_a_nan():
+    # h_lower is NaN at node 2 for every pair, so no pair is feasible
+    u_node, u0_node = oracle._ball_grid(S.u_bound, np.linspace(0.0, 1.0, 3), "u")
+    rows = _product_rows(len(u_node), 3)
+    y = np.tile(S.y0_arr, (4, 1))
+    y[2] = np.nan
+    got = _max_h_lower(rows, _x_init_grid(S, 5), y, u_node, u0_node, np.ones(4), 12.0, S)
+    assert got.shape == (5, len(rows)) and np.all(got == np.inf)
+
+
 def test_terminal_distances_measure_every_endpoint():
     # the plan centers of brute_bilevel(EnumSpec(4, 3)) on the corridor,
     # 50,625 plans with 129 distinct endpoints: after every prefix, each
@@ -415,6 +483,20 @@ def test_brute_bilevel_3_5_decision_regression():
     assert np.array_equal(dec["x_init"], [-1.0, 1.2246467991473532e-16])
     assert np.array_equal(dec["u"], [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
     assert np.array_equal(dec["u0"], [1.0, 0.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("spec, T, phi, x_init, u, u0", [
+    (EnumSpec(4, 3), 8.125, 7.1875, [1.0, 0.0],
+     [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [0.5, 0.0, 0.5, 0.0, 0.0]),
+    (EnumSpec(3, 5), 7.5, 4.583333333333333, [-0.7071067811865477, -0.7071067811865475],
+     [[0.5, -0.5], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]], [0.5, 0.75, 0.0, 0.0])], ids=["4-3", "3-5"])
+def test_brute_bilevel_affine_decision_regression(spec, T, phi, x_init, u, u0):
+    # frozen reference: A4's affine drift, whose A x branch the corridor
+    # pins never reach, as the unpruned enumeration chose it, and pinned
+    got_T, dec = brute_bilevel(spec, A4)
+    assert got_T == T and dec["phi"] == phi
+    assert np.array_equal(dec["x_init"], x_init)
+    assert np.array_equal(dec["u"], u) and np.array_equal(dec["u0"], u0)
 
 
 def test_brute_bilevel_refusal_names_the_count_and_the_limit():
@@ -853,8 +935,9 @@ def test_fd_check_detects_wrong_gradient():
 
 
 def test_fd_check_rejects_bad_step():
-    with pytest.raises(ValueError):
-        fd_check(lambda p: 0.0, np.zeros(2), np.zeros(2), [np.ones(2)], h=0.0)
+    for h in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            fd_check(lambda p: 0.0, np.zeros(2), np.zeros(2), [np.ones(2)], h=h)
 
 
 def test_fd_check_rejects_empty_directions():

@@ -20,6 +20,17 @@ before scipy loads.  Measured on a 2-core host:
 The history tolerances are about ten times the largest of these. The
 residual tolerance was set at about six times the forward-difference fit's
 moves, and is kept.
+
+The exact ``one["phi"] == two["phi"]`` holds by a one-ulp coincidence, not
+by a property of the solve.  Scaling ``reverse_smooth``'s ``d_u`` by
+(1 + k 2^-52), for k = +-1, +-2, +-3, 4 and 5, split phi across one and two
+threads in all 8 cases (at k = 1, 1.7838161235959904 at one thread and
+1.7838161235959928 at two), while T*, every iteration count and every
+verdict stayed equal.  On a prototype lower solve that gave SLSQP its u-ball rows
+only where they bind, varying only scipy's bundled OpenBLAS thread count
+reproduced its phi split, and varying only numpy's changed nothing.  So
+any change to the lower solve's arithmetic is likely to fail this
+assertion, whatever its effect on the answer.
 """
 
 import json
