@@ -10,8 +10,8 @@ Layout of the nested scheme:
   per solve (``dynamics.frozen_plan``) and passed to each SLSQP iterate's
   forward and reverse with its lower controls (x_init, u, u0); the reverse
   reads the forward's RK4 stage points and sweeps only the swept point,
-  never the plan's cotangents.  u0's cap goes to SLSQP only where it binds,
-  so the QP pays for no row that never binds.  SLSQP works on
+  never the plan's cotangents.  u0's cap and the u-balls go to SLSQP only
+  where they bind, so the QP pays for no row that never binds.  SLSQP works on
   the transcription's scaled decision, in which the effort is half a
   squared norm: its quasi-Newton matrix starts at the identity on every
   solve, warm ones included, and that is then the effort's exact Hessian.
@@ -35,10 +35,15 @@ Layout of the nested scheme:
 the iteration budgets; SLSQP's accuracy and the other numerical settings are
 the module constants below.  All randomness is confined to the multi-start
 control guesses, drawn from a fixed stream, so a solve is deterministic.
+Every SLSQP run, plan and lower, runs at one scipy BLAS thread
+(``_one_blas_thread``), so no result depends on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -146,24 +151,62 @@ class BilevelSolution:
 # --------------------------------------------------------------------------
 # helpers
 
-def _ball_rows(start, n, d, bound):
+def _ball_rows(start, nodes, d, bound):
     """SLSQP inequality rows 0.5 (bound_i^2 - |a_i|^2) >= 0, with their
-    Jacobian, for the n vectors a_i of length d packed at flat[start:start + n d];
-    ``bound`` is one radius for every row or an (n,) array of them."""
-    stop = start + n * d
+    Jacobian, for the vectors a_i of length d packed at flat[start + i d:start
+    + (i + 1) d], one row per i of the index array ``nodes``; ``bound`` is one
+    radius for every row or an array of them, one per row."""
+    cols = start + d * nodes[:, None] + np.arange(d)
+    rows = np.repeat(np.arange(len(cols)), d)
 
     def jac(flat):
-        out = np.zeros((n, flat.size))
-        out[np.repeat(np.arange(n), d), np.arange(start, stop)] = -flat[start:stop]
+        out = np.zeros((len(cols), flat.size))
+        out[rows, cols.ravel()] = -flat[cols.ravel()]
         return out
 
     return {"type": "ineq", "jac": jac,
-            "fun": lambda f: 0.5 * (bound ** 2 - np.sum(f[start:stop].reshape(n, d) ** 2, axis=1))}
+            "fun": lambda f: 0.5 * (bound ** 2 - np.sum(f[cols] ** 2, axis=1))}
+
+
+@functools.cache
+def _scipy_blas():
+    """scipy's bundled OpenBLAS, found among this process's mapped libraries
+    by its unsuffixed thread setter (numpy's bundled copy has a 64-bit
+    suffix), or None where there is none or no ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "libscipy_openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run at one scipy BLAS thread, restoring the caller's count on exit.
+    SLSQP's QP rounds differently with OpenBLAS's worker threads, so this
+    makes every solve independent of ``OPENBLAS_NUM_THREADS``."""
+    lib = _scipy_blas()
+    if lib is None:
+        yield
+        return
+    count = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(count)
 
 
 # --------------------------------------------------------------------------
 # lower-level solve
 
+@_one_blas_thread()
 def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOptions] = None,
                 warm: Optional[LowerSolution] = None) -> LowerSolution:
     """One SLSQP solve of the transcribed lower effort problem on the grid of
@@ -173,15 +216,19 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     ``dynamics.frozen_plan`` refuses is a ValueError, checked once per call
     where the plan path is built; the iterates read that path and build no
     control profile.  The contacts h_lower <= 0 include node 0, where they
-    are x_init's disk; the u-balls are inequality constraints and u0 >= 0 a
-    bound, both scaled by the transcription's node scale D.  u0's cap 1 is a
-    bound, and ``NLPInstance.split``'s clip, only at a working set of nodes:
-    where the start has u0 at 1, where D is floored (the effort hardly
-    bounds u0 there), and where a round that SLSQP ends at an optimum has
-    u0 above 1, each such round warm-starting the next within the one
-    budget ``lower_max_iter``; ``status["iterations"]`` counts every round.
+    are x_init's disk; u0 >= 0 is a bound, scaled by the transcription's
+    node scale D.  Two constraints go to SLSQP only at a working set of
+    nodes, each round warm-starting the next within the one budget
+    ``lower_max_iter`` (``status["iterations"]`` counts every round):
+    - the u-ball |u_i| <= u_bound, an inequality row scaled by D, where the
+      start has |u_i| at u_bound (within 1e-6 relative) and where a round,
+      a failed one too, ends with |u_i| above it;
+    - u0's cap 1, a bound and ``NLPInstance.split``'s clip, where the start
+      has u0 at 1, where D is floored (the effort hardly bounds u0 there),
+      and where a round that SLSQP ends at an optimum has u0 above 1.
     The returned decision, its KKT residual and ``converged`` are the full
-    problem's, u0 capped at every node.  The effort gradient and the contact
+    problem's: u0 capped at every node, and the KKT residual measured
+    against every u-ball.  The effort gradient and the contact
     Jacobian come from one batched ``reverse_smooth`` sweep of the swept
     point per iterate, from the forward's stage points, divided by the
     scale for SLSQP, and eta is SLSQP's multiplier vector of the contact
@@ -204,9 +251,11 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     # weight column 0 sweeps the effort alone, column 1 + i adds h_lower_i
     cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
     last = {"flat": None}
-    # u0's cap: 1 in the working set, infinite elsewhere
-    nlp.u0_cap = np.where((nlp.split(flat)[2] >= 1.0) | (nlp.node_scale <= SCALE_FLOOR),
-                          1.0, np.inf)
+    # u0's cap: 1 in the working set, infinite elsewhere; the u-balls' rows
+    # only in theirs
+    _, u, u0 = nlp.split(flat)
+    nlp.u0_cap = np.where((u0 >= 1.0) | (nlp.node_scale <= SCALE_FLOOR), 1.0, np.inf)
+    ball = np.linalg.norm(u, axis=1) >= s.u_bound * (1.0 - 1e-6)
 
     def at(flat, sweep=False):
         """The iterate's propagation and, with ``sweep``, its (dim, 1 + n)
@@ -238,14 +287,17 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
                        jac=lambda f: at(f, sweep=True)["g"][:, 0] / nlp.scale, bounds=bounds,
                        constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
                                      "jac": lambda f: -contact_jac(f) / nlp.scale},
-                                    _ball_rows(d, n, d, s.u_bound * nlp.node_scale)],
+                                    _ball_rows(d, np.flatnonzero(ball), d,
+                                               s.u_bound * nlp.node_scale[ball])],
                        options={"maxiter": opts.lower_max_iter - used, "ftol": SLSQP_FTOL})
         used += res.nit
-        over = nlp.split(res.x)[2] > 1.0
-        if not over.any() or res.status != 0 or used >= opts.lower_max_iter:
+        _, u, u0 = nlp.split(res.x)
+        over, out = u0 > 1.0, (np.linalg.norm(u, axis=1) > s.u_bound) & ~ball
+        # a u outside its ball joins even after a failed round
+        if used >= opts.lower_max_iter or not (out.any() or (over.any() and res.status == 0)):
             break
-        nlp.u0_cap[over] = 1.0
-        flat, last["flat"] = res.x, None   # the split changed at those nodes
+        nlp.u0_cap[over], ball[out] = 1.0, True
+        flat, last["flat"] = res.x, None   # the split changes where u0 is newly capped
     if over.any():
         # a failed or last round ended above 1: read the full problem's point
         nlp.u0_cap[:], last["flat"] = 1.0, None
@@ -340,6 +392,7 @@ def _plan_residuals(flat, s: Scenario, grid: TimeGrid, jac=False):
     return res, np.vstack([d_v.reshape(s.dim * n, n + 1), d_om]).T
 
 
+@_one_blas_thread()
 def _solve_plan(s: Scenario, grid: TimeGrid, v, omega, max_iter: int) -> dict:
     """One SLSQP solve of the plan problem from (v, omega), within
     ``max_iter`` iterations: minimize t_N = trapz(omega), whose gradient is
@@ -358,7 +411,7 @@ def _solve_plan(s: Scenario, grid: TimeGrid, v, omega, max_iter: int) -> dict:
                    bounds=[(None, None)] * k + [(0.0, omega_cap)] * n,
                    constraints=[{"type": "ineq", "fun": lambda f: -_plan_residuals(f, s, grid),
                                  "jac": lambda f: -_plan_residuals(f, s, grid, jac=True)[1]},
-                                _ball_rows(0, n, s.dim, s.v_bound)],
+                                _ball_rows(0, np.arange(n), s.dim, s.v_bound)],
                    options={"maxiter": max_iter, "ftol": SLSQP_FTOL})
     return {"v": res.x[:k].reshape(n, s.dim), "omega": res.x[k:], "T": float(w @ res.x[k:]),
             "violation": float(np.max(_plan_residuals(res.x, s, grid), initial=0.0)),

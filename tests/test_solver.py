@@ -195,22 +195,27 @@ def test_lower_value_lipschitz_in_plan():
         assert abs(pert.value - base.value) <= 50.0 * h
 
 
-# ---------------------------------------------------------------- u0's working set of caps
+# ---------------------------------------------------------------- working sets: u0's caps, u-balls
 CONFTEST = SolverOptions(n_intervals=40, seeds=1, screen_iters=3)
 
 
 def _lower_path(monkeypatch, s):
     """``solve_bilevel`` of s at the conftest options, and per lower solve of
     its gamma-path the returned solution and its SLSQP runs, each as
-    (iterations, u0's upper bounds in the scaled decision)."""
-    runs, solves = [], []
-    minimize, lower = solver.minimize, solver.solve_lower
+    (iterations, u0's upper bounds in the scaled decision, the nodes given a
+    u-ball row)."""
+    runs, solves, rows = [], [], {}
+    minimize, lower, ball_rows = solver.minimize, solver.solve_lower, solver._ball_rows
 
     def run(fun, x0, **kwargs):
         res = minimize(fun, x0, **kwargs)
         n = (len(x0) - s.dim) // (s.dim + 1)   # a lower decision is (x_init, u, u0)
-        runs.append((res.nit, [hi for _, hi in kwargs["bounds"][-n:]]))
+        runs.append((res.nit, [hi for _, hi in kwargs["bounds"][-n:]], rows["nodes"]))
         return res
+
+    def balls(start, nodes, *args):
+        rows["nodes"] = np.array(nodes)
+        return ball_rows(start, nodes, *args)
 
     def solve(*args, **kwargs):
         start = len(runs)
@@ -219,6 +224,7 @@ def _lower_path(monkeypatch, s):
         return ls
 
     monkeypatch.setattr(solver, "minimize", run)
+    monkeypatch.setattr(solver, "_ball_rows", balls)
     monkeypatch.setattr(solver, "solve_lower", solve)
     return solve_bilevel(s, opts=CONFTEST), solves
 
@@ -238,28 +244,107 @@ def test_u0_caps_are_added_where_they_bind(monkeypatch):
         cp = ls.decision.controls
         assert 0.0 <= cp.u0.min() and cp.u0.max() <= 1.0
         assert np.linalg.norm(cp.u, axis=1).max() <= 0.25 * (1 + 1e-9)
-        assert ls.status["iterations"] == sum(nit for nit, _ in runs)
+        assert ls.status["iterations"] == sum(nit for nit, *_ in runs)
 
 
-def test_corridor_lower_solves_get_no_finite_u0_cap(monkeypatch):
-    # no u0 reaches 1 on the corridor, so each solve of its path is one
-    # SLSQP run with no finite upper bound on u0
+def test_u_ball_rows_are_added_where_they_bind(monkeypatch):
+    # on the cap-binding instance the cold solve starts with no u-ball row,
+    # later rounds add the nodes that ended outside their ball, and every
+    # solve converges inside every ball to the phi that every row from the
+    # start gave (5.776819305807083)
+    sol, solves = _lower_path(monkeypatch, straight_corridor(u_bound=0.25, M=0.75))
+    assert solves[0][1][0][2].size == 0
+    assert any(nodes.size for _, runs in solves for *_, nodes in runs)
+    assert [h["converged"] for h in sol.history] == [True] * 6
+    for ls, _ in solves:
+        assert np.linalg.norm(ls.decision.controls.u, axis=1).max() <= 0.25 * (1 + 1e-9)
+    assert sol.lower.value == pytest.approx(5.776819305807083, rel=1e-13, abs=0.0)
+
+
+def test_corridor_lower_solves_get_no_u0_cap_and_no_u_ball_row(monkeypatch):
+    # no u0 reaches 1 and no u its ball on the corridor, so each solve of its
+    # path is one SLSQP run with no finite upper bound on u0 and no u-ball row
     _, solves = _lower_path(monkeypatch, S)
     assert len(solves) == 6
     for _, runs in solves:
         assert len(runs) == 1 and not np.isfinite(runs[0][1]).any()
+        assert runs[0][2].size == 0
 
 
 def test_lower_solve_rounds_share_one_budget(monkeypatch):
     # at M = 0.7 the lower path cannot converge (with every cap given from
     # the start SLSQP exits 9 and 8 too); the rounds of a solve still run at
-    # most lower_max_iter SLSQP iterations in all, and status counts them all
+    # most lower_max_iter SLSQP iterations in all, and status counts them all.
+    # Where a solve ends with budget left, every u outside its ball has a
+    # row; the last solve returns |u| up to 2.53, where every u-ball row
+    # given from the start returned 2.94
     sol, solves = _lower_path(monkeypatch, straight_corridor(u_bound=0.25, M=0.7))
     assert not sol.status["lower_converged"]
     assert any(len(runs) > 1 for _, runs in solves)
     for ls, runs in solves:
-        assert ls.status["iterations"] == sum(nit for nit, _ in runs) <= CONFTEST.lower_max_iter
+        assert ls.status["iterations"] == sum(nit for nit, *_ in runs) <= CONFTEST.lower_max_iter
         assert 0.0 <= ls.decision.controls.u0.min() and ls.decision.controls.u0.max() <= 1.0
+        out = np.flatnonzero(np.linalg.norm(ls.decision.controls.u, axis=1) > 0.25)
+        if ls.status["iterations"] < CONFTEST.lower_max_iter:
+            assert np.isin(out, runs[-1][2]).all()
+    assert np.linalg.norm(sol.lower.decision.controls.u, axis=1).max() <= 2.943
+
+
+def test_a_failed_round_with_u_outside_a_ball_without_its_row_adds_the_row(monkeypatch):
+    # the first round is made to fail (exit 8) with u_4 far outside its ball,
+    # where it has no row: a second round runs with that one row, and the
+    # solve returns every u inside its ball, at a KKT point
+    rows, minimize = [], solver.minimize
+
+    def run(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        rows.append(kwargs["constraints"][1]["fun"](x0).size)
+        if len(rows) == 1:
+            res.x[S.dim * 5] = 100.0   # u_4's first entry, scaled by D_4 = 1
+            res.status = 8
+        return res
+
+    monkeypatch.setattr(solver, "minimize", run)
+    ls = solve_lower(*dragged_inputs(8), GAMMA, S, FAST)
+    assert rows == [0, 1]
+    assert np.linalg.norm(ls.decision.controls.u, axis=1).max() <= S.u_bound * (1 + 1e-9)
+    assert ls.status["converged"], ls.status
+
+
+def test_slsqp_runs_at_one_scipy_blas_thread_and_restores_the_count(monkeypatch):
+    # scipy's bundled OpenBLAS is found, or the solves would run unpinned;
+    # set to 2 threads, it reads 1 inside a lower solve and inside the plan
+    # solve, and 2 again after a normal return and after an exception
+    lib = solver._scipy_blas()
+    assert lib is not None
+    caller = lib.scipy_openblas_get_num_threads()
+    seen, forward, residuals = [], solver.propagate_smooth, solver._plan_residuals
+
+    def counted(fn, fail=False):
+        def wrapped(*args, **kwargs):
+            seen.append(lib.scipy_openblas_get_num_threads())
+            if fail:
+                raise RuntimeError("inside the solve")
+            return fn(*args, **kwargs)
+        return wrapped
+
+    lib.scipy_openblas_set_num_threads(2)
+    try:
+        monkeypatch.setattr(solver, "propagate_smooth", counted(forward))
+        solve_lower(*dragged_inputs(8), GAMMA, S, FAST)
+        assert seen and set(seen) == {1}
+        assert lib.scipy_openblas_get_num_threads() == 2
+        monkeypatch.setattr(solver, "_plan_residuals", counted(residuals))
+        seen.clear()
+        solver._solve_plan(S, TimeGrid(8), *solver._initial_guesses(S, TimeGrid(8), FAST)[0], 3)
+        assert seen and set(seen) == {1}
+        assert lib.scipy_openblas_get_num_threads() == 2
+        monkeypatch.setattr(solver, "propagate_smooth", counted(forward, fail=True))
+        with pytest.raises(RuntimeError, match="inside the solve"):
+            solve_lower(*dragged_inputs(8), GAMMA, S, FAST)
+        assert lib.scipy_openblas_get_num_threads() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads(caller)
 
 
 # ---------------------------------------------------------------- value gradient
@@ -450,15 +535,15 @@ def test_corridor_lower_path_converges_and_phi_grows_with_gamma(corridor_run):
 def test_corridor_lower_path_iterations_stay_few(corridor_run):
     # on the scaled decision SLSQP's identity start is the effort's Hessian:
     # the N = 40 path takes 53 SLSQP iterations (12/7/7/8/9/10), where the
-    # unscaled decision took 78; a count moves by about 1 with the BLAS
-    # thread count
+    # unscaled decision took 78; SLSQP runs at one scipy BLAS thread, so
+    # the counts do not depend on OPENBLAS_NUM_THREADS
     its = [h["iterations"] for h in corridor_run["solution"].history]
     assert sum(its) <= 65, its
 
 
 def test_seed_screening_solve_regression():
     """Three seeds at tiny budgets.  Guess 0 wins the screening: after its 5
-    SLSQP iterations it is feasible at T = 7.990000000000094, while guess 1
+    SLSQP iterations it is feasible at T = 7.990000000000093, while guess 1
     still misses by 1.5e-5 (T = 7.98997) and guess 2 by 3.08 (T = 5.288).
     The plan solve ends at one point of the corridor's degenerate set of
     T-optimal plans (every node's h_upper multiplier is 0).  At that plan
@@ -472,15 +557,15 @@ def test_seed_screening_solve_regression():
     gamma = 48 solve stopped on its budget, exit 9, and the gamma = 96
     solve read a KKT residual of 5.5.)"""
     sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, upper_max_iter=6))
-    assert sol.T_star == 7.990000000000094
-    assert sol.lower.value == 1.8357923573951789
+    assert sol.T_star == 7.990000000000093
+    assert sol.lower.value == 1.8357923573951809
     assert [tuple(h.values()) for h in sol.history] == [
-        (3.0, 1.7725860554103792, True, 0.0, 12, 0, 1.256310199204691e-07),
-        (6.0, 1.7745337419912945, True, 0.0, 6, 0, 7.344167810563462e-07),
-        (12.0, 1.7971945508236864, True, 0.0, 7, 0, 6.783275037225422e-07),
-        (24.0, 1.8215945711715156, True, 1.531885729377791e-11, 9, 0, 5.642056316590427e-08),
-        (48.0, 1.828965315859456, True, 1.0885958801054585e-11, 12, 0, 1.1823600145621782e-06),
-        (96.0, 1.8357923573951789, True, 7.993605777301127e-15, 20, 0, 3.559441110745354e-07),
+        (3.0, 1.772586055410377, True, 2.220446049250313e-16, 12, 0, 1.2563101975393565e-07),
+        (6.0, 1.7745337419912914, True, 2.220446049250313e-16, 6, 0, 7.344167801681678e-07),
+        (12.0, 1.7971945508236846, True, 0.0, 7, 0, 6.783275054988991e-07),
+        (24.0, 1.821594571171509, True, 1.531885729377791e-11, 9, 0, 5.6420567995374427e-08),
+        (48.0, 1.8289653158594557, True, 1.0885958801054585e-11, 12, 0, 1.1823600145621782e-06),
+        (96.0, 1.8357923573951809, True, 7.993605777301127e-15, 20, 0, 3.559441103528904e-07),
     ]
     assert [list(h) for h in sol.history] == [
         ["gamma", "phi", "converged", "max_violation", "iterations", "exit_status",
@@ -488,5 +573,5 @@ def test_seed_screening_solve_regression():
     assert all(h["kkt_residual"] <= solver.LOWER_KKT_TOL for h in sol.history)
     assert sol.status == {"lower_converged": True, "max_violation": 0.0, "converged": True,
                           "plan_iterations": 6, "plan_exit_status": 0}
-    assert sol.upper_mults["target"] == 0.9999999999991912
+    assert sol.upper_mults["target"] == 0.9999999999992214
     np.testing.assert_array_equal(sol.upper_mults["h_upper"], np.zeros(9))
