@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .geometry import Scenario, h_lower, h_upper, project_ball_rows, target_distance
 
@@ -225,11 +226,12 @@ RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 
 
 def stage_values(a):
-    """A node array at the four RK4 stages of every interval: the left node,
-    the midpoint average (stages 1 and 2), the right node."""
-    am = a[:-1] + a[1:]
-    am *= 0.5
-    return a[:-1], am, am, a[1:]
+    """A node array at the four RK4 stages of every interval, filled into one
+    (4, N, ...) array: the left node, the midpoint average twice, the right node."""
+    st = np.empty((4, len(a) - 1) + a.shape[1:])
+    st[0], st[3] = a[:-1], a[1:]
+    st[1] = st[2] = (a[:-1] + a[1:]) * 0.5
+    return st
 
 
 # Half-width a of the band in l = ln(g/K), g = gamma exp(gamma h_lower) and
@@ -351,7 +353,7 @@ def plan_path(v, omega, s: Scenario, grid: TimeGrid) -> PlanPath:
     w1, wm, _ = _plan_slopes(v, omega)
     y_st = np.stack([ys[:-1] + (a * grid.dt) * k if a else ys[:-1]
                      for a, k in zip(RK4_OFFSETS, (None, w1, wm, wm))])
-    w_st = np.stack(stage_values(omega))
+    w_st = stage_values(omega)
     tab = np.concatenate([y_st.transpose(1, 0, 2).reshape(grid.n_intervals, -1),
                           w_st[[0, 1, 3]].T], axis=1).tolist()
     return PlanPath(grid, v, omega, ys, ts, y_st, w_st, trapz_weights(grid), tab)
@@ -535,20 +537,21 @@ def reverse_smooth(plan: PlanPath, x, x_stages, u, u0, eta: np.ndarray, gamma: f
     nodes x (N+1, n), its stage points x_stages (4, N, n) (``propagate_smooth``
     with ``stages``, one gain's column) and the lower controls (u, u0): field
     Jacobians of every (stage, interval) pair from one ``stage_slope`` call;
-    only the 2x2 backward recursion over nodes is sequential.  Returns the
-    node cotangents q_x = dL/dx_i, the lower control gradients dL/du and
-    dL/du0, and ``plan_cotangents``, a function of no arguments that finishes
-    the sweep for the plan and returns (dL/domega, dL/dv): one
-    ``reverse_plan_path`` call for the plan center and omega's own stage
-    terms, computed only when it is called.  All exact to roundoff.  ``eta``
-    is an (N+1, K) array of K weight columns, swept at once, and every
-    output has a trailing axis of K columns.
+    the backward recursion over nodes, q_x_i = (dx_{i+1}/dx_i)^T q_x_{i+1}
+    + eta_i grad_x h_lower_i, is one banded triangular solve (LAPACK's
+    ``dtbtrs``).  Returns the node cotangents q_x = dL/dx_i, the lower
+    control gradients dL/du and dL/du0, and ``plan_cotangents``, a function
+    of no arguments that finishes the sweep for the plan and returns
+    (dL/domega, dL/dv): one ``reverse_plan_path`` call for the plan center
+    and omega's own stage terms, computed only when it is called.  All exact
+    to roundoff.  ``eta`` is an (N+1, K) array of K weight columns, swept at
+    once, and every output has a trailing axis of K columns.
     """
     grid = plan.grid
     dt = grid.dt
     eye = np.eye(s.dim)
     Y, W, w = plan.y_stages, plan.w_stages, plan.weights
-    U, U0 = (np.stack(stage_values(a)) for a in (u, u0))   # (4, N, ...)
+    U, U0 = stage_values(u), stage_values(u0)
     _, (k_x, k_y, k_u, k_w, k_u0w) = stage_slope(x_stages, Y, U, W, U0 * W, gamma, s)
 
     # stage cotangents are linear in lam_x = dL/dx_{i+1}: g_j = G_j lam_x, where
@@ -561,11 +564,15 @@ def reverse_smooth(plan: PlanPath, x, x_stages, u, u0, eta: np.ndarray, gamma: f
         G[j] = b[j] * eye + (RK4_OFFSETS[j + 1] * dt) * (kxT[j + 1] @ G[j + 1])
     phiT = eye + np.sum(kxT @ G, axis=0)           # (dx_{i+1}/dx_i)^T
 
+    # q_x_i - phiT_i q_x_{i+1} = hd_i is upper triangular with a unit
+    # diagonal and 2 dim - 1 bands over the node-major (node, dim) rows
+    n, d = grid.n_nodes, s.dim
     hd = (x - plan.y)[..., None] * eta[:, None, :]   # eta_i grad_x h_lower_i, (N+1, dim, K)
-    q_x = np.empty_like(hd)
-    q_x[-1] = hd[-1]
-    for i in range(grid.n_intervals - 1, -1, -1):
-        q_x[i] = phiT[i] @ q_x[i + 1] + hd[i]
+    band = np.zeros((2 * d, n, d))
+    for r, c in np.ndindex(d, d):
+        band[d - 1 + r - c, 1:, c] = -phiT[:, r, c]
+    q_x, _ = dtbtrs(band.reshape(2 * d, n * d), hd.reshape(n * d, -1), diag="U")
+    q_x = q_x.reshape(hd.shape)
     gx = G @ q_x[1:]                                           # (4, N, dim, K)
     g_u0w = np.einsum("jid,jidk->jik", k_u0w, gx)
 

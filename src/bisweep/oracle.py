@@ -188,14 +188,19 @@ def _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s: Scenario) ->
     return out
 
 
-def _stable_head(z, k: int) -> np.ndarray:
+def _stable_head(z, k: int, head=np.empty(0, np.intp)) -> np.ndarray:
     """The first k indices of ``np.argsort(z, kind="stable")`` for efforts z
     with no NaN: the efforts at or below the k-th smallest, stable-sorted,
-    cut to k.  Every effort past the cut follows them in the full order."""
-    if k >= len(z):
-        return np.argsort(z, kind="stable")
-    cand = np.flatnonzero(z <= np.partition(z, k - 1)[k - 1])
-    return cand[np.argsort(z[cand], kind="stable")[:k]]
+    cut to k.  Every effort past the cut follows them in the full order.
+    ``head``, its first indices for a smaller k, is kept, and only the
+    efforts after it are sorted: above its last effort, or equal to it at a
+    later index."""
+    cand = (np.arange(len(z)) if k >= len(z)
+            else np.flatnonzero(z <= np.partition(z, k - 1)[k - 1]))
+    if len(head):
+        zc, last = z[cand], z[head[-1]]
+        cand = cand[(zc > last) | ((zc == last) & (cand > head[-1]))]
+    return np.concatenate([head, cand[np.argsort(z[cand], kind="stable")[:k - len(head)]]])
 
 
 def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
@@ -209,7 +214,8 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
     one has the least feasible effort z*, and of the pairs at z* it is the
     one ``EnumSpec``'s tie rule picks.  The order is built lazily: only the
     first k sequences of it (``_stable_head``), k one block at first and
-    doubled whenever a block runs past it, so its blocks are the full
+    doubled whenever a block runs past it, each extension sorting only the
+    sequences past the order built so far, so its blocks are the full
     stable order's, bitwise.  The efforts are one table over the
     (per_node,)*N grid of sequences, summed by broadcasting, and a block's
     uint8 sequence rows are formed from its flat indices only when it is
@@ -272,7 +278,7 @@ def brute_lower(omega, v, gamma: float, spec: EnumSpec, s: Scenario):
         if k < min(start + step, len(z)):   # the block runs past the order built so far
             while k < start + step:
                 k *= 2
-            order = _stable_head(z, k)
+            order = _stable_head(z, k, order)
         block = order[start:start + step]
         rows = np.stack(np.unravel_index(block, grid), axis=1).astype(np.uint8)
         feas = _max_h_lower(rows, x_grid, y, u_node, u0_node, omega, gamma, s) <= FEAS_TOL

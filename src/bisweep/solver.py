@@ -10,11 +10,12 @@ Layout of the nested scheme:
   per solve (``dynamics.frozen_plan``) and passed to each SLSQP iterate's
   forward and reverse with its lower controls (x_init, u, u0); the reverse
   reads the forward's RK4 stage points and sweeps only the swept point,
-  never the plan's cotangents.  u0's cap and the u-balls go to SLSQP only
-  where they bind, so the QP pays for no row that never binds.  SLSQP works on
-  the transcription's scaled decision, in which the effort is half a
-  squared norm: its quasi-Newton matrix starts at the identity on every
-  solve, warm ones included, and that is then the effort's exact Hessian.
+  never the plan's cotangents.  u0's floor and cap and the u-balls go to
+  SLSQP only where they bind, so the QP pays for no row that never binds.
+  SLSQP works on the transcription's scaled decision, in which the effort is
+  half a squared norm: its quasi-Newton matrix starts at the identity on
+  every solve, warm ones included, and that is then the effort's exact
+  Hessian.
 * ``value_subgradient`` -- a subgradient selection of phi with respect to the
   upper controls, derived from eta through the same exact discrete adjoint
   of the forward RK4 step map, the one reader of its plan cotangents.
@@ -216,19 +217,22 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     ``dynamics.frozen_plan`` refuses is a ValueError, checked once per call
     where the plan path is built; the iterates read that path and build no
     control profile.  The contacts h_lower <= 0 include node 0, where they
-    are x_init's disk; u0 >= 0 is a bound, scaled by the transcription's
-    node scale D.  Two constraints go to SLSQP only at a working set of
-    nodes, each round warm-starting the next within the one budget
+    are x_init's disk.  Three constraints go to SLSQP only at a working set
+    of nodes, each round warm-starting the next within the one budget
     ``lower_max_iter`` (``status["iterations"]`` counts every round):
-    - the u-ball |u_i| <= u_bound, an inequality row scaled by D, where the
-      start has |u_i| at u_bound (within 1e-6 relative) and where a round,
-      a failed one too, ends with |u_i| above it;
-    - u0's cap 1, a bound and ``NLPInstance.split``'s clip, where the start
-      has u0 at 1, where D is floored (the effort hardly bounds u0 there),
-      and where a round that SLSQP ends at an optimum has u0 above 1.
+    - the u-ball |u_i| <= u_bound, an inequality row scaled by the
+      transcription's node scale D, where the start has |u_i| at u_bound
+      (within 1e-6 relative) and where a round, a failed one too, ends with
+      |u_i| above it;
+    - u0's floor 0, a bound and ``NLPInstance.split``'s clip, where the
+      start has u0 at most 1e-3 (every node of a cold start) and where a
+      round, a failed one too, ends with u0 below 0;
+    - u0's cap 1, likewise, where the start has u0 at 1, where D is floored
+      (the effort hardly bounds u0 there), and where a round that SLSQP ends
+      at an optimum has u0 above 1.
     The returned decision, its KKT residual and ``converged`` are the full
-    problem's: u0 capped at every node, and the KKT residual measured
-    against every u-ball.  The effort gradient and the contact
+    problem's: u0 clipped to [0, 1] at every node, and the KKT residual
+    measured against every u-ball.  The effort gradient and the contact
     Jacobian come from one batched ``reverse_smooth`` sweep of the swept
     point per iterate, from the forward's stage points, divided by the
     scale for SLSQP, and eta is SLSQP's multiplier vector of the contact
@@ -251,9 +255,10 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     # weight column 0 sweeps the effort alone, column 1 + i adds h_lower_i
     cols = np.hstack([np.zeros((n, 1)), np.eye(n)])
     last = {"flat": None}
-    # u0's cap: 1 in the working set, infinite elsewhere; the u-balls' rows
-    # only in theirs
+    # u0's floor and cap: 0 and 1 in their working sets, infinite elsewhere;
+    # the u-balls' rows only in theirs
     _, u, u0 = nlp.split(flat)
+    nlp.u0_floor = np.where(u0 <= 1e-3, 0.0, -np.inf)
     nlp.u0_cap = np.where((u0 >= 1.0) | (nlp.node_scale <= SCALE_FLOOR), 1.0, np.inf)
     ball = np.linalg.norm(u, axis=1) >= s.u_bound * (1.0 - 1e-6)
 
@@ -282,7 +287,8 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
     # array.  Each round gets what is left of the budget
     used = 0
     while True:
-        bounds = [(None, None)] * k + [(0.0, b) for b in nlp.node_scale * nlp.u0_cap]
+        bounds = [(None, None)] * k + list(zip(nlp.node_scale * nlp.u0_floor,
+                                               nlp.node_scale * nlp.u0_cap))
         res = minimize(lambda f: at(f)["z"], flat, method="SLSQP",
                        jac=lambda f: at(f, sweep=True)["g"][:, 0] / nlp.scale, bounds=bounds,
                        constraints=[{"type": "ineq", "fun": lambda f: -at(f)["h"],
@@ -292,15 +298,15 @@ def solve_lower(omega, v, gamma: float, s: Scenario, opts: Optional[SolverOption
                        options={"maxiter": opts.lower_max_iter - used, "ftol": SLSQP_FTOL})
         used += res.nit
         _, u, u0 = nlp.split(res.x)
-        over, out = u0 > 1.0, (np.linalg.norm(u, axis=1) > s.u_bound) & ~ball
-        # a u outside its ball joins even after a failed round
-        if used >= opts.lower_max_iter or not (out.any() or (over.any() and res.status == 0)):
+        over, under, out = u0 > 1.0, u0 < 0.0, (np.linalg.norm(u, axis=1) > s.u_bound) & ~ball
+        # a u outside its ball or a u0 below 0 joins even after a failed round
+        if used >= opts.lower_max_iter or not (out | under | (over & (res.status == 0))).any():
             break
-        nlp.u0_cap[over], ball[out] = 1.0, True
-        flat, last["flat"] = res.x, None   # the split changes where u0 is newly capped
-    if over.any():
-        # a failed or last round ended above 1: read the full problem's point
-        nlp.u0_cap[:], last["flat"] = 1.0, None
+        nlp.u0_cap[over], nlp.u0_floor[under], ball[out] = 1.0, 0.0, True
+        flat, last["flat"] = res.x, None   # the split changes where u0 is newly clipped
+    if (over | under).any():
+        # a failed or last round ended outside [0, 1]: read the full problem's point
+        nlp.u0_cap[:], nlp.u0_floor[:], last["flat"] = 1.0, 0.0, None
     sol = at(res.x, sweep=True)
     eta = np.array(res.multipliers[:n])
     viol = float(np.max(sol["h"], initial=0.0))

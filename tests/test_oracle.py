@@ -687,6 +687,19 @@ def test_brute_bilevel_3_5_traced_peak_is_under_10_mb():
     assert peak <= 10e6
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=60), st.integers(1, 70),
+       st.integers(1, 70))
+def test_a_stable_head_extended_from_a_shorter_one_is_the_stable_order(levels, k, more):
+    # efforts with many ties: the head for k + more built on the head for k
+    # is the full stable order's first k + more, as built from scratch
+    z = np.array(levels, dtype=float)
+    full = np.argsort(z, kind="stable")
+    head = oracle._stable_head(z, k)
+    assert np.array_equal(head, full[:k])
+    assert np.array_equal(oracle._stable_head(z, k + more, head), full[:k + more])
+
+
 def test_brute_lower_simulates_a_fraction_of_the_sequences(monkeypatch):
     # the plan brute_bilevel(EnumSpec(3, 5)) chooses on the corridor: 65**3
     # sequences, of which the effort order reaches z* after about 8.6%

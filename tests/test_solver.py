@@ -5,8 +5,8 @@ import pytest
 
 from bisweep import solver
 from bisweep.dynamics import ControlProfile, SmoothingSchedule, TimeGrid, integrate_smooth
-from bisweep.geometry import (DriftSpec, h_lower, straight_corridor, target_direction,
-                              target_distance)
+from bisweep.geometry import (DriftSpec, ExitArc, Scenario, h_lower, straight_corridor,
+                              target_direction, target_distance)
 from bisweep.oracle import EnumSpec, brute_lower, fd_check
 from bisweep.solver import (
     SolverOptions,
@@ -195,7 +195,7 @@ def test_lower_value_lipschitz_in_plan():
         assert abs(pert.value - base.value) <= 50.0 * h
 
 
-# ---------------------------------------------------------------- working sets: u0's caps, u-balls
+# ---------------------------------------------------------------- working sets: u0's floors and caps, u-balls
 CONFTEST = SolverOptions(n_intervals=40, seeds=1, screen_iters=3)
 
 
@@ -203,14 +203,15 @@ def _lower_path(monkeypatch, s):
     """``solve_bilevel`` of s at the conftest options, and per lower solve of
     its gamma-path the returned solution and its SLSQP runs, each as
     (iterations, u0's upper bounds in the scaled decision, the nodes given a
-    u-ball row)."""
+    u-ball row, u0's lower bounds)."""
     runs, solves, rows = [], [], {}
     minimize, lower, ball_rows = solver.minimize, solver.solve_lower, solver._ball_rows
 
     def run(fun, x0, **kwargs):
         res = minimize(fun, x0, **kwargs)
         n = (len(x0) - s.dim) // (s.dim + 1)   # a lower decision is (x_init, u, u0)
-        runs.append((res.nit, [hi for _, hi in kwargs["bounds"][-n:]], rows["nodes"]))
+        u0_bounds = np.array(kwargs["bounds"][-n:], dtype=float)
+        runs.append((res.nit, list(u0_bounds[:, 1]), rows["nodes"], u0_bounds[:, 0]))
         return res
 
     def balls(start, nodes, *args):
@@ -254,7 +255,7 @@ def test_u_ball_rows_are_added_where_they_bind(monkeypatch):
     # start gave (5.776819305807083)
     sol, solves = _lower_path(monkeypatch, straight_corridor(u_bound=0.25, M=0.75))
     assert solves[0][1][0][2].size == 0
-    assert any(nodes.size for _, runs in solves for *_, nodes in runs)
+    assert any(nodes.size for _, runs in solves for _, _, nodes, _ in runs)
     assert [h["converged"] for h in sol.history] == [True] * 6
     for ls, _ in solves:
         assert np.linalg.norm(ls.decision.controls.u, axis=1).max() <= 0.25 * (1 + 1e-9)
@@ -269,6 +270,78 @@ def test_corridor_lower_solves_get_no_u0_cap_and_no_u_ball_row(monkeypatch):
     for _, runs in solves:
         assert len(runs) == 1 and not np.isfinite(runs[0][1]).any()
         assert runs[0][2].size == 0
+
+
+def test_corridor_warm_solves_get_u0_floors_only_where_u0_starts_at_0(monkeypatch):
+    # the cold solve starts from u0 = 0 and keeps all 41 floors; a warm
+    # solve has a floor only where its start has u0 at most 1e-3, none on
+    # the rim, where u0 is about 0.46 (7 to 11 floors measured)
+    _, solves = _lower_path(monkeypatch, S)
+    assert np.array_equal(solves[0][1][0][3], np.zeros(41))
+    for (start, _), (ls, runs) in zip(solves, solves[1:]):
+        floored = np.isfinite(runs[0][3])
+        assert np.array_equal(floored, start.decision.controls.u0 <= 1e-3)
+        assert floored.sum() <= 12 and ls.status["converged"]
+
+
+def _warm_solve_with_u0_6_below_0(monkeypatch, budget_left=True):
+    """The dragged plan's warm solve at 2 GAMMA from its cold solve at GAMMA,
+    whose u0 is at most 1e-3 at nodes 0-3 and from 0.06 to 0.48 at nodes
+    4-8.  Its first SLSQP round is made to end with u0_6 = -0.1 and, without
+    ``budget_left``, to report the whole budget used.  Returns the solution
+    and each round's u0 lower bounds."""
+    omega, v = dragged_inputs(8)
+    cold = solve_lower(omega, v, GAMMA, S, FAST)
+    floors, minimize = [], solver.minimize
+
+    def run(fun, x0, **kwargs):
+        res = minimize(fun, x0, **kwargs)
+        floors.append(np.array([lo for lo, _ in kwargs["bounds"][-9:]], dtype=float))
+        if len(floors) == 1:
+            res.x[-3] = -0.1   # u0_6, scaled
+            if not budget_left:
+                res.nit = FAST.lower_max_iter
+        return res
+
+    monkeypatch.setattr(solver, "minimize", run)
+    return solve_lower(omega, v, 2.0 * GAMMA, S, FAST, warm=cold), floors
+
+
+def test_a_round_ending_with_u0_below_0_without_its_floor_adds_the_floor(monkeypatch):
+    ls, floors = _warm_solve_with_u0_6_below_0(monkeypatch)
+    assert [list(np.flatnonzero(np.isfinite(f))) for f in floors] == [[0, 1, 2, 3],
+                                                                      [0, 1, 2, 3, 6]]
+    u0 = ls.decision.controls.u0
+    assert 0.0 <= u0.min() and u0.max() <= 1.0
+    assert ls.status["converged"], ls.status
+
+
+def test_a_decision_with_u0_below_0_is_not_reported_stationary(monkeypatch):
+    # the round that ended with u0_6 = -0.1 spent the budget, so no round
+    # adds its floor: the returned decision is clipped to u0_6 = 0, and its
+    # KKT residual is the full problem's there
+    ls, floors = _warm_solve_with_u0_6_below_0(monkeypatch, budget_left=False)
+    assert len(floors) == 1 and ls.decision.controls.u0[6] == 0.0
+    assert ls.status["kkt_residual"] > solver.LOWER_KKT_TOL
+    assert not ls.status["converged"]
+
+
+A4 = straight_corridor(drift=DriftSpec(name="affine", A=((0.0, 0.05), (-0.05, 0.0))),
+                       K_f=0.05, M1=1.2)
+
+
+@pytest.mark.parametrize("s, n, phi", [
+    (Scenario(y0=(2.0, -5.0), exit=ExitArc(-0.3, 0.4)), 40, 1.112915158940171),
+    (S, 80, 1.7806063538570749),
+    (A4, 40, 1.8778540379932667),
+], ids=["wide-arc", "corridor-80", "A4"])
+def test_lower_path_ends_at_the_same_kkt_point(s, n, phi):
+    # a working-set rule can move the gamma-path to another local minimum
+    # without changing any verdict: contact rows given only where the start
+    # has h_lower above -1e-3 ended the wide arc at phi = 1.1129527665460144
+    # (+3.4e-5).  These are phi before u0's floors had a working set
+    sol = solve_bilevel(s, opts=SolverOptions(n_intervals=n, seeds=1, screen_iters=3))
+    assert sol.lower.value == pytest.approx(phi, rel=1e-10, abs=0.0)
 
 
 def test_lower_solve_rounds_share_one_budget(monkeypatch):
@@ -534,7 +607,7 @@ def test_corridor_lower_path_converges_and_phi_grows_with_gamma(corridor_run):
 
 def test_corridor_lower_path_iterations_stay_few(corridor_run):
     # on the scaled decision SLSQP's identity start is the effort's Hessian:
-    # the N = 40 path takes 53 SLSQP iterations (12/7/7/8/9/10), where the
+    # the N = 40 path takes 52 SLSQP iterations (12/7/7/8/9/9), where the
     # unscaled decision took 78; SLSQP runs at one scipy BLAS thread, so
     # the counts do not depend on OPENBLAS_NUM_THREADS
     its = [h["iterations"] for h in corridor_run["solution"].history]
@@ -558,14 +631,14 @@ def test_seed_screening_solve_regression():
     solve read a KKT residual of 5.5.)"""
     sol = solve_bilevel(S, opts=SolverOptions(n_intervals=8, seeds=3, upper_max_iter=6))
     assert sol.T_star == 7.990000000000093
-    assert sol.lower.value == 1.8357923573951809
+    assert sol.lower.value == 1.8357923573951784
     assert [tuple(h.values()) for h in sol.history] == [
         (3.0, 1.772586055410377, True, 2.220446049250313e-16, 12, 0, 1.2563101975393565e-07),
-        (6.0, 1.7745337419912914, True, 2.220446049250313e-16, 6, 0, 7.344167801681678e-07),
-        (12.0, 1.7971945508236846, True, 0.0, 7, 0, 6.783275054988991e-07),
-        (24.0, 1.821594571171509, True, 1.531885729377791e-11, 9, 0, 5.6420567995374427e-08),
-        (48.0, 1.8289653158594557, True, 1.0885958801054585e-11, 12, 0, 1.1823600145621782e-06),
-        (96.0, 1.8357923573951809, True, 7.993605777301127e-15, 20, 0, 3.559441103528904e-07),
+        (6.0, 1.774533741991294, True, 0.0, 6, 0, 7.344167780587441e-07),
+        (12.0, 1.7971945508236833, True, 2.220446049250313e-16, 7, 0, 6.783275042776538e-07),
+        (24.0, 1.821594571171512, True, 1.531841320456806e-11, 9, 0, 5.6420564276127294e-08),
+        (48.0, 1.8289653158594539, True, 1.0885514711844735e-11, 12, 0, 1.1823600143401336e-06),
+        (96.0, 1.8357923573951784, True, 7.993605777301127e-15, 20, 0, 3.5594418701379027e-07),
     ]
     assert [list(h) for h in sol.history] == [
         ["gamma", "phi", "converged", "max_violation", "iterations", "exit_status",
